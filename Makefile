@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet cover fuzz-smoke trace-smoke bench-smoke bench-phases bench-mutator bench-pause bench-jit bench-leakd chaos chaos-smoke leakd-smoke leakd-demo leakd-soak loadgen-smoke
+.PHONY: all build test race vet cover fuzz-smoke trace-smoke bench bench-test bench-smoke bench-jit chaos chaos-smoke leakd-smoke leakd-demo leakd-soak
 
 all: build test vet
 
@@ -53,31 +53,22 @@ trace-smoke:
 	$(GO) run ./cmd/tracetool replay -i results/listleak.trace -x 4
 	$(GO) run ./cmd/tracetool replay -i results/listleak.trace -policy most-stale
 
-# One iteration of each phase and mutator benchmark — a fast
-# compile-and-run sanity check that the mark/sweep/alloc scaling benches,
-# the mutator-ops matrix, and the GC-pause bench still work.
+# The repo's one benchmark (BENCHMARK.json): four fixed-work workloads,
+# end-to-end metrics plus per-layer numbers. See benchmark/README.md.
+bench:
+	bash benchmark/run.sh
+
+# The benchmark's own tests (benchmark/ is a separate module, so `make
+# test` does not reach it).
+bench-test:
+	$(GO) test -C benchmark ./...
+
+# One iteration of each go-test phase and mutator benchmark plus a small
+# barrier-elision run — a fast compile-and-run sanity check.
 bench-smoke:
 	$(GO) test -run='^$$' -bench='Benchmark(Mark|Sweep|Alloc)Parallel' -benchtime=1x .
 	$(GO) test -run='^$$' -bench='BenchmarkMutatorOps' -benchtime=1x ./internal/vm
-	$(GO) run ./cmd/pausebench -o /dev/null -iters 3000 -repeat 1 -assert-speedup 5
 	$(GO) run ./cmd/overheadbench -elision -methods 4 -ops 120 -reps 2 -o /dev/null
-	$(GO) run ./cmd/loadgen -warmup 1s -duration 4s -assert-speedup 3 -o /dev/null
-
-# Refresh the per-phase baseline JSON.
-bench-phases:
-	$(GO) run ./cmd/phasebench -o BENCH_gc_phases.json
-
-# Refresh the mutator fast-path baseline JSON (Load/Store/New across
-# barrier settings, thread counts, and world-lock protocols).
-bench-mutator:
-	$(GO) run ./cmd/mutbench -o BENCH_mutator_ops.json
-
-# Refresh the GC-pause baseline JSON: per-cycle-mode (normal/SELECT/PRUNE)
-# pause statistics on the list-leak workload, STW vs mostly-concurrent
-# marking, with the pre-concurrent STW baseline embedded for the speedup
-# comparison.
-bench-pause:
-	$(GO) run ./cmd/pausebench -o BENCH_pause.json
 
 # Refresh the tier-1 barrier-elision JSON (static elision ratios, tier-1
 # compile surcharge, dynamic test reduction, modelled mutator recovery).
@@ -113,16 +104,3 @@ leakd-demo:
 # degraded-level attribution.
 leakd-soak:
 	$(GO) run ./cmd/leakd -soak -addr 127.0.0.1:0 -duration 60s
-
-# Load-generator smoke gate: a short closed-loop run (in-process daemon,
-# serial + pipelined phases) that must find lp_request_latency_ns on
-# /metrics, record both request profiles in both phases, and keep the
-# pipelined small-request p99 under a sane bound. No speedup assertion —
-# that is bench-smoke's job; this proves the harness itself works.
-loadgen-smoke:
-	$(GO) run ./cmd/loadgen -warmup 500ms -duration 2s -max-p99 2s -o /dev/null
-
-# Refresh the checked-in latency baseline (serial + pipelined phases with
-# the serial numbers embedded as the comparison base).
-bench-leakd:
-	$(GO) run ./cmd/loadgen -warmup 2s -duration 8s -assert-speedup 3 -o results/BENCH_leakd_latency.json

@@ -1,8 +1,8 @@
 // Phase-level GC benchmarks: mark, sweep, and allocation throughput as a
-// function of worker count, isolating each phase of the collector the way
-// cmd/phasebench does for the BENCH_gc_phases.json baseline. These are the
-// scaling proof for the work-stealing tracer, the parallel sweep-free, and
-// the sharded allocator; run them quickly with
+// function of worker count, isolating each phase of the collector. These
+// are the scaling proof for the work-stealing tracer, the range-sharded
+// sweep scan, and the sharded allocator (benchmark/'s gc.probe_* metrics
+// time the same phases at the default worker count); run them quickly with
 //
 //	go test -run='^$' -bench='Benchmark(Mark|Sweep|Alloc)Parallel' -benchtime=1x
 package leakpruning

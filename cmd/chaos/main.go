@@ -36,8 +36,6 @@ type scenario struct {
 	arms    map[faultinject.Point]float64
 	workers int  // tracer parallelism (parallel-only faults need > 1)
 	melt    bool // run the disk-offload baseline instead of pruning
-	// worldLock overrides the mutator/collector protocol ("" = safepoint).
-	worldLock string
 	// markMode overrides the ModeNormal closure strategy ("" = stw).
 	markMode string
 	// equivalent marks faults the degradation machinery must hide
@@ -86,9 +84,6 @@ func scenarios() []scenario {
 		// semantics-free, so the run must match the fault-free control.
 		{name: "safepoint-stall", workers: 4, equivalent: true,
 			arms: map[faultinject.Point]float64{faultinject.SafepointStall: 0.2}},
-		// The legacy world RWMutex with no faults armed: the protocol choice
-		// must be invisible, so this too must match the safepoint control.
-		{name: "world-rwmutex", workers: 4, worldLock: "rwmutex", equivalent: true},
 		// Mostly-concurrent marking, fault-free: the mark mode must be
 		// invisible to program semantics (identical iterations, end reason,
 		// and per-collection audits against the fully-STW control).
@@ -332,7 +327,6 @@ func runOne(s scenario, workload string, seed uint64, iters int, heapLimit uint6
 	if s.melt {
 		cfg.Policy = "melt"
 	}
-	cfg.WorldLock = s.worldLock
 	cfg.MarkMode = s.markMode
 	cfg.HashLiveSet = s.hashCheck
 	if len(s.arms) > 0 {

@@ -212,8 +212,9 @@ func preElisionBaseline() baselinePreElision {
 }
 
 // mutatorModel carries the measured per-load costs the elision report uses
-// to model mutator recovery. The two numbers come from BENCH_mutator_ops.json
-// (op=load, world=safepoint, obs=false, threads=1).
+// to model mutator recovery. The two numbers are one recorded run of
+// BenchmarkMutatorOps in internal/vm (op=load, obs=false, threads=1,
+// barriers off and on); benchmark/'s vm.load_ns is the live equivalent.
 type mutatorModel struct {
 	LoadBarriersOffNs float64 `json:"load_barriers_off_ns"`
 	LoadBarriersOnNs  float64 `json:"load_barriers_on_ns"`
@@ -224,7 +225,7 @@ func measuredMutatorModel() mutatorModel {
 	return mutatorModel{
 		LoadBarriersOffNs: 30.42659902572632,
 		LoadBarriersOnNs:  31.112364768981934,
-		Source:            "BENCH_mutator_ops.json op=load world=safepoint obs=false threads=1",
+		Source:            "internal/vm BenchmarkMutatorOps op=load obs=false threads=1, barriers=false/true",
 	}
 }
 

@@ -70,14 +70,13 @@ Run 'tracetool <subcommand> -h' for flags.
 func cmdRecord(args []string) error {
 	fs := flag.NewFlagSet("record", flag.ExitOnError)
 	var (
-		program   = fs.String("program", "listleak", "workload to record (see leakbench -list)")
-		policy    = fs.String("policy", "default", "pruning policy: off, default, most-stale, indiv-refs, melt")
-		iters     = fs.Int("iters", 900, "iteration cap")
-		heapMB    = fs.Int("heap", 0, "heap limit in MiB (0 = program default)")
-		worldLock = fs.String("world-lock", "", "safepoint or rwmutex (default safepoint)")
-		markMode  = fs.String("mark-mode", "", "stw or concurrent (default stw)")
-		hashLive  = fs.Bool("hash-live", true, "record per-cycle live-set hashes (the replay equivalence anchor)")
-		out       = fs.String("o", "run.trace", "output trace path")
+		program  = fs.String("program", "listleak", "workload to record (see leakbench -list)")
+		policy   = fs.String("policy", "default", "pruning policy: off, default, most-stale, indiv-refs, melt")
+		iters    = fs.Int("iters", 900, "iteration cap")
+		heapMB   = fs.Int("heap", 0, "heap limit in MiB (0 = program default)")
+		markMode = fs.String("mark-mode", "", "stw or concurrent (default stw)")
+		hashLive = fs.Bool("hash-live", true, "record per-cycle live-set hashes (the replay equivalence anchor)")
+		out      = fs.String("o", "run.trace", "output trace path")
 	)
 	fs.Parse(args)
 
@@ -87,7 +86,6 @@ func cmdRecord(args []string) error {
 		Policy:      *policy,
 		HeapLimit:   uint64(*heapMB) << 20,
 		MaxIters:    *iters,
-		WorldLock:   *worldLock,
 		MarkMode:    *markMode,
 		HashLiveSet: *hashLive,
 		Record:      rec,
@@ -122,15 +120,14 @@ func readTraceFile(path string) (*trace.Trace, error) {
 func cmdReplay(args []string) error {
 	fs := flag.NewFlagSet("replay", flag.ExitOnError)
 	var (
-		in        = fs.String("i", "run.trace", "input trace path")
-		policy    = fs.String("policy", "", "override the recorded pruning policy (empty = recorded)")
-		mult      = fs.Int("x", 1, "thread multiplication: N skewed clones on an N×-scaled heap")
-		speed     = fs.Float64("speed", 0, "pace against recorded timestamps (1 = recorded, 0 = flat out)")
-		stagger   = fs.Duration("stagger", 0, "delay clone k's start by k×stagger")
-		worldLock = fs.String("world-lock", "", "override the recorded world lock")
-		markMode  = fs.String("mark-mode", "", "override the recorded mark mode")
-		verify    = fs.Bool("verify", false, "require cycle-exact equivalence with the recording (×1, recorded options)")
-		verbose   = fs.Bool("v", false, "per-clone detail")
+		in       = fs.String("i", "run.trace", "input trace path")
+		policy   = fs.String("policy", "", "override the recorded pruning policy (empty = recorded)")
+		mult     = fs.Int("x", 1, "thread multiplication: N skewed clones on an N×-scaled heap")
+		speed    = fs.Float64("speed", 0, "pace against recorded timestamps (1 = recorded, 0 = flat out)")
+		stagger  = fs.Duration("stagger", 0, "delay clone k's start by k×stagger")
+		markMode = fs.String("mark-mode", "", "override the recorded mark mode")
+		verify   = fs.Bool("verify", false, "require cycle-exact equivalence with the recording (×1, recorded options)")
+		verbose  = fs.Bool("v", false, "per-clone detail")
 	)
 	fs.Parse(args)
 
@@ -139,13 +136,12 @@ func cmdReplay(args []string) error {
 		return err
 	}
 	rr, err := harness.Replay(harness.ReplayConfig{
-		Trace:     tr,
-		Policy:    *policy,
-		WorldLock: *worldLock,
-		MarkMode:  *markMode,
-		Multiply:  *mult,
-		Speed:     *speed,
-		Stagger:   *stagger,
+		Trace:    tr,
+		Policy:   *policy,
+		MarkMode: *markMode,
+		Multiply: *mult,
+		Speed:    *speed,
+		Stagger:  *stagger,
 	})
 	if err != nil {
 		return err
@@ -205,8 +201,8 @@ func cmdStat(args []string) error {
 	}
 	m := tr.Meta
 	fmt.Printf("program      %s\n", m.Program)
-	fmt.Printf("policy       %s (world-lock %s, mark-mode %s, barriers %s)\n",
-		m.Policy, m.WorldLock, m.MarkMode, m.BarrierVariant)
+	fmt.Printf("policy       %s (mark-mode %s, barriers %s)\n",
+		m.Policy, m.MarkMode, m.BarrierVariant)
 	fmt.Printf("heap limit   %d bytes\n", m.HeapLimit)
 	fmt.Printf("flags        %#x  fingerprint %#x\n", m.Flags, m.Fingerprint)
 	fmt.Printf("classes      %d   globals %d   threads %d\n", len(tr.Classes), tr.Globals, len(tr.Threads))

@@ -3,9 +3,8 @@
 // mark-sweep (§5): worker threads exchange batches of work through
 // per-worker Chase–Lev work-stealing deques (see deque.go) and keep local
 // mark stacks; objects are claimed with a compare-and-swap on their mark
-// word so no object is scanned twice. Sweeping is sharded the same way,
-// with each worker freeing the garbage it finds through the heap's
-// shard-safe FreeBatch.
+// word so no object is scanned twice. The sweep scan is sharded the same
+// way; the garbage each worker finds is freed after the join, in ID order.
 //
 // Leak pruning divides the regular transitive closure into the in-use
 // closure and the stale closure (§4.2) and, in the PRUNE state, poisons
@@ -460,17 +459,14 @@ type freeRec struct {
 	size  uint64
 }
 
-// sweepFreeBatch bounds how many dead IDs a sweep worker accumulates
-// before handing them to the (shard-safe) FreeBatch, keeping memory flat
-// and spreading shard-lock acquisitions.
-const sweepFreeBatch = 1024
-
 // sweep reclaims every unmarked object and ages live objects' stale
-// counters when the plan asks for it. Both the scan and the freeing are
-// sharded across the tracer's workers: each worker frees the dead lists it
-// finds through the heap's shard-safe FreeBatch. Only the finalizer hook
-// runs serially afterwards, on identities captured during the scan, so
-// finalizers never observe concurrency.
+// counters when the plan asks for it. The scan is sharded across the
+// tracer's workers over fixed ID ranges; each worker only collects its dead
+// IDs. Freeing happens after the join, in worker order, so every shard's
+// free list receives IDs in ascending order at any worker count and any
+// schedule: which ID the next allocation recycles never depends on
+// GCWorkers. The finalizer hook also runs serially, on identities captured
+// during the scan, so finalizers never observe concurrency.
 func (c *Collector) sweep(plan Plan) sweepResult {
 	maxID := c.heap.MaxID()
 	workers := c.workers
@@ -480,6 +476,7 @@ func (c *Collector) sweep(plan Plan) sweepResult {
 
 	results := make([]sweepResult, workers)
 	finals := make([][]freeRec, workers)
+	dead := make([][]heap.ObjectID, workers)
 	// In a prune cycle every reclaimed object was held only through
 	// poisoned or dead references; the heap's prune histograms sample size
 	// and staleness age at exactly this point, before FreeBatch recycles
@@ -489,7 +486,6 @@ func (c *Collector) sweep(plan Plan) sweepResult {
 		sr := &results[w]
 		lo := heap.ObjectID(1 + (uint64(w)*uint64(maxID-1))/uint64(workers))
 		hi := heap.ObjectID(1 + (uint64(w+1)*uint64(maxID-1))/uint64(workers))
-		dead := make([]heap.ObjectID, 0, sweepFreeBatch)
 		for id := lo; id < hi; id++ {
 			obj, ok := c.heap.Lookup(id)
 			if !ok {
@@ -515,13 +511,8 @@ func (c *Collector) sweep(plan Plan) sweepResult {
 			if plan.OnFree != nil {
 				finals[w] = append(finals[w], freeRec{id: id, class: obj.Class(), size: obj.Size()})
 			}
-			dead = append(dead, id)
-			if len(dead) >= sweepFreeBatch {
-				c.heap.FreeBatch(dead)
-				dead = dead[:0]
-			}
+			dead[w] = append(dead[w], id)
 		}
-		c.heap.FreeBatch(dead)
 	}
 	if workers == 1 {
 		scan(0)
@@ -539,6 +530,7 @@ func (c *Collector) sweep(plan Plan) sweepResult {
 
 	var sr sweepResult
 	for w := range results {
+		c.heap.FreeBatch(dead[w])
 		sr.bytesLive += results[w].bytesLive
 		sr.objectsLive += results[w].objectsLive
 		sr.bytesFreed += results[w].bytesFreed

@@ -282,3 +282,48 @@ func TestPruneModePoisonsAndReclaims(t *testing.T) {
 		t.Fatal("poisoning must preserve the reference's object ID")
 	}
 }
+
+// TestSweepFreeOrderIndependentOfWorkers pins the property every recorded
+// oracle (replay, chaos equivalence, pipeline isolation) rests on: after a
+// collection, the IDs the allocator recycles do not depend on how many
+// sweep workers ran or how they were scheduled.
+func TestSweepFreeOrderIndependentOfWorkers(t *testing.T) {
+	const objects, reallocs = 20000, 6000
+	recycled := func(workers int) []heap.ObjectID {
+		th := newTestHeap(t)
+		node := th.class(t, "Node", 1, 16)
+		ctx := th.h.NewAllocContext()
+		defer th.h.ReleaseContext(&ctx)
+		alloc := func() heap.Ref {
+			r, err := th.h.AllocateCtx(&ctx, node)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return r
+		}
+		for i := 0; i < objects; i++ {
+			if r := alloc(); i%2 == 0 {
+				th.roots.refs = append(th.roots.refs, r) // odd half is garbage
+			}
+		}
+		if res := th.collector(workers).Collect(Plan{Mode: ModeNormal}); res.ObjectsFreed != objects/2 {
+			t.Fatalf("workers=%d freed %d objects, want %d", workers, res.ObjectsFreed, objects/2)
+		}
+		ids := make([]heap.ObjectID, reallocs)
+		for i := range ids {
+			ids[i] = alloc().ID()
+		}
+		return ids
+	}
+
+	want := recycled(1)
+	for run := 0; run < 5; run++ {
+		got := recycled(4)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("run %d: allocation %d after a 4-worker sweep got ID %d, 1-worker sweep gave %d",
+					run, i, got[i], want[i])
+			}
+		}
+	}
+}

@@ -8,7 +8,7 @@ import (
 )
 
 // TestParallelCollectionStress is the -race stress test for the
-// work-stealing tracer and the parallel sweep-free: a large heap is built
+// work-stealing tracer and the parallel sweep scan: a large heap is built
 // by concurrent mutators through TLAB contexts, then collected with 8
 // workers in each mode (normal, select, prune) while the fundamental
 // byte-accounting invariant — allocated == live + freed — is asserted

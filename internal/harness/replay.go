@@ -36,10 +36,8 @@ type ReplayConfig struct {
 	// is the point of the trace substrate: one recording, validated
 	// against every policy.
 	Policy string
-	// WorldLock and MarkMode override the recorded synchronization modes
-	// ("" = recorded).
-	WorldLock string
-	MarkMode  string
+	// MarkMode overrides the recorded mark mode ("" = recorded).
+	MarkMode string
 	// HeapLimit overrides the heap (0 = recorded limit × Multiply, so the
 	// paper's "heap ≈ 2× need" methodology scales with the cloned load).
 	HeapLimit uint64
@@ -180,15 +178,11 @@ func Replay(cfg ReplayConfig) (ReplayResult, error) {
 		// deliberate upgrade, so the pin is dropped.
 		forceState = ""
 	}
-	worldLock := cfg.WorldLock
-	if worldLock == "" {
-		worldLock = tr.Meta.WorldLock
-	}
 	markMode := cfg.MarkMode
 	if markMode == "" {
 		markMode = tr.Meta.MarkMode
 	}
-	if err := applyModeOptions(&opts, forceState, tr.Meta.BarrierVariant, worldLock, markMode); err != nil {
+	if err := applyModeOptions(&opts, forceState, tr.Meta.BarrierVariant, markMode); err != nil {
 		return ReplayResult{}, err
 	}
 

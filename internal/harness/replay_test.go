@@ -31,25 +31,15 @@ func recordRun(t *testing.T, cfg Config) (*trace.Trace, Result) {
 
 // TestReplayDeterminism: a ×1 replay of a recorded micro-leak run under
 // the recorded options reproduces every GC cycle's live-set hash,
-// candidate count, and pruned count byte-identically, across both world
-// locks and both mark modes.
+// candidate count, and pruned count byte-identically, in both mark modes.
 func TestReplayDeterminism(t *testing.T) {
-	for _, tc := range []struct {
-		name      string
-		worldLock string
-		markMode  string
-	}{
-		{"safepoint-stw", "safepoint", "stw"},
-		{"rwmutex-stw", "rwmutex", "stw"},
-		{"safepoint-concurrent", "safepoint", "concurrent"},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
+	for _, markMode := range []string{"stw", "concurrent"} {
+		t.Run(markMode, func(t *testing.T) {
 			tr, rres := recordRun(t, Config{
 				Program:     "listleak",
 				Policy:      "default",
 				MaxIters:    900,
-				WorldLock:   tc.worldLock,
-				MarkMode:    tc.markMode,
+				MarkMode:    markMode,
 				HashLiveSet: true,
 			})
 			if len(tr.Classes) == 0 || len(tr.Threads) == 0 {
@@ -83,10 +73,10 @@ func TestReplayDeterminism(t *testing.T) {
 	}
 }
 
-// TestReplayEquivalence: the SAME recording replays byte-identically under
-// both world locks and both mark modes — the trace is a policy-validation
-// substrate precisely because the synchronization protocol does not change
-// the heap's evolution.
+// TestReplayEquivalence: a recording made under STW marking replays
+// byte-identically under concurrent marking — the trace is a
+// policy-validation substrate precisely because the mark mode does not
+// change the heap's evolution.
 func TestReplayEquivalence(t *testing.T) {
 	tr, _ := recordRun(t, Config{
 		Program:     "listleak",
@@ -94,23 +84,12 @@ func TestReplayEquivalence(t *testing.T) {
 		MaxIters:    900,
 		HashLiveSet: true,
 	})
-	for _, tc := range []struct {
-		name      string
-		worldLock string
-		markMode  string
-	}{
-		{"rwmutex-stw", "rwmutex", "stw"},
-		{"safepoint-concurrent", "safepoint", "concurrent"},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			rr, err := Replay(ReplayConfig{Trace: tr, WorldLock: tc.worldLock, MarkMode: tc.markMode})
-			if err != nil {
-				t.Fatalf("replay: %v", err)
-			}
-			if err := CompareCycles(tr, rr.GCSamples); err != nil {
-				t.Fatalf("replay under %s diverged: %v", tc.name, err)
-			}
-		})
+	rr, err := Replay(ReplayConfig{Trace: tr, MarkMode: "concurrent"})
+	if err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	if err := CompareCycles(tr, rr.GCSamples); err != nil {
+		t.Fatalf("replay under concurrent marking diverged: %v", err)
 	}
 }
 

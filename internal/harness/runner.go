@@ -102,14 +102,10 @@ type Config struct {
 	// STWWatchdog bounds a parallel trace closure before the collection
 	// degrades to the serial tracer (0 = no deadline).
 	STWWatchdog time.Duration
-	// WorldLock selects the mutator/collector synchronization protocol:
-	// "" or "safepoint" (default), or "rwmutex" (the legacy shared-lock
-	// path, kept for equivalence runs).
-	WorldLock string
 	// MarkMode selects the closure strategy for every cycle mode: "" or
 	// "stw" (default), or "concurrent" (mostly-concurrent marking behind
 	// the SATB deletion barrier, including SELECT/PRUNE cycles against a
-	// frozen staleness snapshot; requires the safepoint world lock).
+	// frozen staleness snapshot).
 	MarkMode string
 	// HashLiveSet computes a live-set fingerprint inside every full
 	// collection's final pause and records it in GCSample.LiveHash — the
@@ -228,7 +224,7 @@ func Run(cfg Config) (Result, error) {
 			opts.OffloadDisk = offload.DefaultDiskFactor * heapLimit
 		}
 	}
-	if err := applyModeOptions(&opts, cfg.ForceState, cfg.BarrierVariant, cfg.WorldLock, cfg.MarkMode); err != nil {
+	if err := applyModeOptions(&opts, cfg.ForceState, cfg.BarrierVariant, cfg.MarkMode); err != nil {
 		return Result{}, err
 	}
 	if cfg.Record != nil {
@@ -248,7 +244,6 @@ func Run(cfg Config) (Result, error) {
 		cfg.Record.SetMeta(trace.Meta{
 			Program:        prog.Name(),
 			Policy:         policyLabel(cfg.Policy),
-			WorldLock:      orDefault(cfg.WorldLock, "safepoint"),
 			MarkMode:       orDefault(cfg.MarkMode, "stw"),
 			BarrierVariant: orDefault(cfg.BarrierVariant, "conditional"),
 			ForceState:     cfg.ForceState,
@@ -356,9 +351,9 @@ func orDefault(s, def string) string {
 }
 
 // applyModeOptions maps the harness's string-typed mode selectors
-// (forced controller state, barrier variant, world lock, mark mode) onto
-// vm.Options — shared by Run and Replay.
-func applyModeOptions(opts *vm.Options, forceState, barrierVariant, worldLock, markMode string) error {
+// (forced controller state, barrier variant, mark mode) onto vm.Options —
+// shared by Run and Replay.
+func applyModeOptions(opts *vm.Options, forceState, barrierVariant, markMode string) error {
 	switch forceState {
 	case "":
 	case "observe":
@@ -374,13 +369,6 @@ func applyModeOptions(opts *vm.Options, forceState, barrierVariant, worldLock, m
 		opts.Barrier = vm.BarrierUnconditional
 	default:
 		return fmt.Errorf("harness: unknown barrier variant %q", barrierVariant)
-	}
-	switch worldLock {
-	case "", "safepoint":
-	case "rwmutex":
-		opts.WorldLock = vm.WorldRWMutex
-	default:
-		return fmt.Errorf("harness: unknown world-lock mode %q", worldLock)
 	}
 	switch markMode {
 	case "", "stw":

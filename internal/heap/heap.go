@@ -58,8 +58,8 @@ func (s Stats) Fullness() float64 {
 // in numShards independently locked shards (see shard.go), the used-byte
 // counter is a single atomic charged by CAS, and the chunk table is read
 // through atomic pointers. Slot reads and writes on individual objects are
-// atomic and lock-free (see Object). Free and FreeBatch may be called from
-// multiple sweep workers concurrently, for disjoint objects.
+// atomic and lock-free (see Object). Free and FreeBatch may be called
+// concurrently for disjoint objects.
 type Heap struct {
 	classes *Registry
 	limit   uint64
@@ -411,8 +411,9 @@ func (h *Heap) Free(id ObjectID) {
 }
 
 // FreeBatch releases many objects, bucketed by home shard so each shard
-// lock is taken once. Panics on double frees, like Free. Parallel sweep
-// workers call this concurrently with disjoint dead lists.
+// lock is taken once. Panics on double frees, like Free. Safe to call
+// concurrently with disjoint lists; the collector's sweep calls it
+// serially, in ascending ID order, so free-list order is deterministic.
 func (h *Heap) FreeBatch(ids []ObjectID) {
 	if len(ids) == 0 {
 		return

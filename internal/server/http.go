@@ -91,7 +91,7 @@ func (s *Server) Handler() http.Handler {
 				return
 			}
 			// Range validation happens in RunRequest so every entry point
-			// (HTTP, loadgen-in-process, tests) shares one contract.
+			// (HTTP, in-process callers, tests) shares one contract.
 			iters = n
 		}
 		done, err := s.RunRequest(name, iters)

@@ -130,8 +130,8 @@ func (s *Server) LatencySLOs() map[string]LatencySLO {
 
 // bucketQuantile estimates the q-th quantile from fixed-bucket counts by
 // linear interpolation inside the bucket where the cumulative count
-// crosses the rank; the overflow bucket interpolates toward the observed
-// maximum.
+// crosses the rank. The observed maximum caps every bucket's upper edge
+// (it is the overflow bucket's only edge), so no estimate exceeds it.
 func bucketQuantile(counts, bounds []uint64, total uint64, q float64, max int64) int64 {
 	rank := q * float64(total)
 	cum := 0.0
@@ -144,7 +144,7 @@ func bucketQuantile(counts, bounds []uint64, total uint64, q float64, max int64)
 			lo = int64(bounds[i-1])
 		}
 		hi := max
-		if i < len(bounds) {
+		if i < len(bounds) && int64(bounds[i]) < max {
 			hi = int64(bounds[i])
 		}
 		if hi < lo {

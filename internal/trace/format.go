@@ -127,7 +127,6 @@ func (k Kind) String() string {
 type Meta struct {
 	Program        string
 	Policy         string
-	WorldLock      string
 	MarkMode       string
 	BarrierVariant string
 	ForceState     string

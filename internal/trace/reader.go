@@ -38,8 +38,11 @@ func ReadTrace(data []byte) (*Trace, error) {
 		return nil, fmt.Errorf("%w: %d", ErrBadVersion, version)
 	}
 	tr := &Trace{}
+	// The third header string is reserved: it named a since-removed
+	// synchronization mode, and is skipped so old traces still parse.
+	var reserved string
 	strs := []*string{
-		&tr.Meta.Program, &tr.Meta.Policy, &tr.Meta.WorldLock,
+		&tr.Meta.Program, &tr.Meta.Policy, &reserved,
 		&tr.Meta.MarkMode, &tr.Meta.BarrierVariant, &tr.Meta.ForceState,
 	}
 	for _, p := range strs {

@@ -212,7 +212,7 @@ func (r *Recorder) WriteTo(w io.Writer) (int64, error) {
 	h = appendUvarint(h, Version)
 	h = appendString(h, r.meta.Program)
 	h = appendString(h, r.meta.Policy)
-	h = appendString(h, r.meta.WorldLock)
+	h = appendString(h, "") // reserved slot, see ReadTrace
 	h = appendString(h, r.meta.MarkMode)
 	h = appendString(h, r.meta.BarrierVariant)
 	h = appendString(h, r.meta.ForceState)

@@ -12,7 +12,7 @@ func sampleTraceBytes(t testing.TB) []byte {
 	t.Helper()
 	rec := NewRecorder()
 	rec.SetMeta(Meta{
-		Program: "sample", Policy: "default", WorldLock: "safepoint",
+		Program: "sample", Policy: "default",
 		MarkMode: "stw", BarrierVariant: "conditional",
 		HeapLimit: 1 << 20, Flags: FlagHashLiveSet,
 	})
@@ -77,7 +77,7 @@ func TestHeaderRoundTrip(t *testing.T) {
 		t.Fatalf("ReadTrace: %v", err)
 	}
 	want := Meta{
-		Program: "sample", Policy: "default", WorldLock: "safepoint",
+		Program: "sample", Policy: "default",
 		MarkMode: "stw", BarrierVariant: "conditional",
 		HeapLimit: 1 << 20, Flags: FlagHashLiveSet, Fingerprint: 0xdeadbeef,
 	}
@@ -98,6 +98,48 @@ func TestHeaderRoundTrip(t *testing.T) {
 	}
 	if len(tr.Threads) != 2 || tr.Threads[0] != "main" || tr.Threads[1] != "worker" {
 		t.Errorf("threads = %v, want [main worker]", tr.Threads)
+	}
+}
+
+// TestReservedHeaderSlot: traces written before the world-lock option was
+// removed carry its name in the header's third string slot. They must parse
+// to the same metadata and the same events as a current trace.
+func TestReservedHeaderSlot(t *testing.T) {
+	data := sampleTraceBytes(t)
+	// magic, version, program, policy, then the reserved (empty) string.
+	off := len(magic) + 1
+	for i := 0; i < 2; i++ {
+		_, next, err := readString(data, off)
+		if err != nil {
+			t.Fatal(err)
+		}
+		off = next
+	}
+	if data[off] != 0 {
+		t.Fatalf("reserved slot is not an empty string: length byte %d", data[off])
+	}
+	old := appendString(append([]byte(nil), data[:off]...), "rwmutex")
+	old = append(old, data[off+1:]...)
+
+	cur, err := ReadTrace(data)
+	if err != nil {
+		t.Fatalf("ReadTrace(current): %v", err)
+	}
+	got, err := ReadTrace(old)
+	if err != nil {
+		t.Fatalf("ReadTrace(old header): %v", err)
+	}
+	if got.Meta != cur.Meta {
+		t.Errorf("meta = %+v, want %+v", got.Meta, cur.Meta)
+	}
+	gotEvs, wantEvs := decodeAll(t, got), decodeAll(t, cur)
+	if len(gotEvs) != len(wantEvs) {
+		t.Fatalf("old-header trace decodes to %d events, want %d", len(gotEvs), len(wantEvs))
+	}
+	for i := range wantEvs {
+		if gotEvs[i] != wantEvs[i] {
+			t.Errorf("event %d = %+v, want %+v", i, gotEvs[i], wantEvs[i])
+		}
 	}
 }
 

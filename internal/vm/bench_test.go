@@ -61,12 +61,12 @@ func BenchmarkBarrierColdPath(b *testing.B) {
 // Threads, splitting b.N across them (so ns/op stays per-operation). Each
 // thread works its own object pair, so the measurement isolates the world
 // protocol's cost rather than cache-line contention on shared objects.
-func benchMutatorOp(b *testing.B, mode WorldLockMode, barriers, obsOn bool, op string, threads int) {
+func benchMutatorOp(b *testing.B, barriers, obsOn bool, op string, threads int) {
 	var o *obs.Obs
 	if obsOn {
 		o = obs.New()
 	}
-	v := New(Options{HeapLimit: 32 << 20, EnableBarriers: barriers, GCWorkers: 1, WorldLock: mode, Obs: o})
+	v := New(Options{HeapLimit: 32 << 20, EnableBarriers: barriers, GCWorkers: 1, Obs: o})
 	node := v.DefineClass("Node", 1, 0)
 	scratch := v.DefineClass("Scratch", 0, 64)
 	per := b.N / threads
@@ -118,26 +118,22 @@ func benchMutatorOp(b *testing.B, mode WorldLockMode, barriers, obsOn bool, op s
 	wg.Wait()
 }
 
-// BenchmarkMutatorOps is the mutator fast-path matrix behind
-// BENCH_mutator_ops.json: Load/Store/New, barriers on and off, 1–8 mutator
-// threads, under both world-lock protocols, with the observability layer
-// detached and attached. The single-thread safepoint rows measure the
-// per-operation protocol cost (two thread-local atomics vs an RWMutex
-// acquire/release); the multi-thread rows show the shared RWMutex read path
-// serializing where the safepoint protocol does not; the obs=true rows bound
-// what attaching metrics and per-thread trace rings costs the fast paths.
+// BenchmarkMutatorOps is the mutator fast-path matrix: Load/Store/New,
+// barriers on and off, 1–8 mutator threads, with the observability layer
+// detached and attached. The single-thread rows measure the per-operation
+// protocol cost (two thread-local atomics); the multi-thread rows show
+// whether distinct threads serialize; the obs=true rows bound what
+// attaching metrics and per-thread trace rings costs the fast paths.
 func BenchmarkMutatorOps(b *testing.B) {
 	for _, op := range []string{"load", "store", "new"} {
 		for _, barriers := range []bool{false, true} {
-			for _, mode := range []WorldLockMode{WorldSafepoint, WorldRWMutex} {
-				for _, obsOn := range []bool{false, true} {
-					for _, threads := range []int{1, 2, 4, 8} {
-						name := fmt.Sprintf("op=%s/barriers=%v/world=%s/obs=%v/threads=%d",
-							op, barriers, mode, obsOn, threads)
-						b.Run(name, func(b *testing.B) {
-							benchMutatorOp(b, mode, barriers, obsOn, op, threads)
-						})
-					}
+			for _, obsOn := range []bool{false, true} {
+				for _, threads := range []int{1, 2, 4, 8} {
+					name := fmt.Sprintf("op=%s/barriers=%v/obs=%v/threads=%d",
+						op, barriers, obsOn, threads)
+					b.Run(name, func(b *testing.B) {
+						benchMutatorOp(b, barriers, obsOn, op, threads)
+					})
 				}
 			}
 		}

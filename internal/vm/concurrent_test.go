@@ -26,7 +26,7 @@ type markCycle struct {
 }
 
 // markEquivalenceRun executes the deterministic single-threaded leak
-// workload (the TestWorldLockEquivalence program) under the given mark mode
+// workload (the TestSafepointDeterminism program) under the given mark mode
 // and returns a fingerprint every mode must agree on: per-cycle live-set
 // hashes, SELECT candidate counts, PRUNE decisions, the prune event log,
 // and the post-mortem probe walks. Pause structure and degradation are
@@ -287,7 +287,6 @@ func TestMarkModeValidation(t *testing.T) {
 		option string
 	}{
 		{"unknown", Options{MarkMode: MarkMode(42)}, "MarkMode"},
-		{"rwmutex", Options{MarkMode: MarkConcurrent, WorldLock: WorldRWMutex}, "MarkMode+WorldLock"},
 		{"offload", Options{MarkMode: MarkConcurrent, OffloadDisk: 1 << 20, EnableBarriers: true},
 			"MarkMode+OffloadDisk"},
 	}

@@ -14,7 +14,7 @@ import (
 // single-threaded leak workload with the observability layer attached, probes
 // the pruned structure until it traps, and returns the normalized trace
 // stream (timestamps replaced by sink sequence numbers, durations zeroed).
-func goldenTraceRun(t *testing.T, mode WorldLockMode, mark MarkMode) string {
+func goldenTraceRun(t *testing.T, mark MarkMode) string {
 	t.Helper()
 	o := obs.New()
 	v := New(Options{
@@ -22,7 +22,6 @@ func goldenTraceRun(t *testing.T, mode WorldLockMode, mark MarkMode) string {
 		EnableBarriers: true,
 		GCWorkers:      1,
 		Policy:         core.DefaultPolicy{},
-		WorldLock:      mode,
 		MarkMode:       mark,
 		Obs:            o,
 	})
@@ -44,39 +43,32 @@ func goldenTraceRun(t *testing.T, mode WorldLockMode, mark MarkMode) string {
 		}
 	})
 	if err != nil {
-		t.Fatalf("mode %v: leak workload died: %v", mode, err)
+		t.Fatalf("mark %v: leak workload died: %v", mark, err)
 	}
 	probe := equivalenceProbe(v, g)
 	if !strings.HasPrefix(probe, "trap@") {
-		t.Fatalf("mode %v: probe must hit a pruned edge, got %q", mode, probe)
+		t.Fatalf("mark %v: probe must hit a pruned edge, got %q", mark, probe)
 	}
 	o.Tracer().DrainAll()
 	var buf bytes.Buffer
 	if err := o.Tracer().WriteTrace(&buf, true); err != nil {
-		t.Fatalf("mode %v: WriteTrace: %v", mode, err)
+		t.Fatalf("mark %v: WriteTrace: %v", mark, err)
 	}
 	return buf.String()
 }
 
 // TestGoldenTraceDeterminism is the trace stream's golden test: the same
-// seedless deterministic workload, run twice under the safepoint protocol
-// and once under the legacy RWMutex world lock, must produce byte-identical
+// seedless deterministic workload, run twice, must produce byte-identical
 // normalized traces. Wall-clock timing is the only legitimate source of
 // nondeterminism in a trace, and normalization removes exactly that — any
 // remaining diff is a real ordering bug (a ring drained out of tid order, an
-// event emitted outside the stop-the-world section it claims, a protocol
-// leaking into the event stream).
+// event emitted outside the stop-the-world section it claims).
 func TestGoldenTraceDeterminism(t *testing.T) {
-	first := goldenTraceRun(t, WorldSafepoint, MarkSTW)
-	second := goldenTraceRun(t, WorldSafepoint, MarkSTW)
+	first := goldenTraceRun(t, MarkSTW)
+	second := goldenTraceRun(t, MarkSTW)
 	if first != second {
-		t.Fatalf("safepoint traces differ between identical runs:\nrun1 %d bytes\nrun2 %d bytes\n%s",
+		t.Fatalf("traces differ between identical runs:\nrun1 %d bytes\nrun2 %d bytes\n%s",
 			len(first), len(second), firstDiff(first, second))
-	}
-	legacy := goldenTraceRun(t, WorldRWMutex, MarkSTW)
-	if first != legacy {
-		t.Fatalf("trace differs across world-lock modes:\nsafepoint %d bytes\nrwmutex %d bytes\n%s",
-			len(first), len(legacy), firstDiff(first, legacy))
 	}
 
 	for _, want := range []string{
@@ -111,8 +103,8 @@ func TestGoldenTraceDeterminism(t *testing.T) {
 // byte-identical normalized traces — any diff means the concurrent driver
 // leaked real scheduling nondeterminism into what the collector observed.
 func TestGoldenTraceDeterminismConcurrent(t *testing.T) {
-	first := goldenTraceRun(t, WorldSafepoint, MarkConcurrent)
-	second := goldenTraceRun(t, WorldSafepoint, MarkConcurrent)
+	first := goldenTraceRun(t, MarkConcurrent)
+	second := goldenTraceRun(t, MarkConcurrent)
 	if first != second {
 		t.Fatalf("concurrent-mark traces differ between identical runs:\nrun1 %d bytes\nrun2 %d bytes\n%s",
 			len(first), len(second), firstDiff(first, second))

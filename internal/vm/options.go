@@ -166,20 +166,13 @@ type Options struct {
 	// (0 disables the deadline).
 	STWWatchdog time.Duration
 
-	// WorldLock selects how mutator operations synchronize with
-	// stop-the-world collections: WorldSafepoint (the default) uses
-	// per-thread safepoint state words and a ragged-barrier stop, so
-	// mutator fast paths never touch a shared lock; WorldRWMutex is the
-	// original shared-RWMutex protocol, kept for equivalence testing.
-	WorldLock WorldLockMode
-
 	// MarkMode selects the closure strategy for all cycle modes: MarkSTW
 	// (default) traces inside the pause; MarkConcurrent marks concurrently
 	// with mutators behind an SATB deletion barrier, shrinking pauses to
 	// root snapshot + remark + bookkeeping — including SELECT and PRUNE
 	// cycles, whose selection and poisoning verify against a frozen
-	// staleness snapshot in the final remark. Requires WorldSafepoint and
-	// is mutually exclusive with OffloadDisk.
+	// staleness snapshot in the final remark. Mutually exclusive with
+	// OffloadDisk.
 	MarkMode MarkMode
 
 	// Obs attaches the observability layer (metrics registry + trace-event
@@ -268,11 +261,11 @@ func (o Options) Fingerprint() uint64 {
 	if o.Policy != nil {
 		policy = o.Policy.Name()
 	}
-	s := fmt.Sprintf("heap=%d policy=%s disk=%d barriers=%v gen=%v nursery=%d bvar=%d lazy=%v euf=%g nff=%g fho=%v ets=%d forced=%v/%d world=%d mark=%d",
+	s := fmt.Sprintf("heap=%d policy=%s disk=%d barriers=%v gen=%v nursery=%d bvar=%d lazy=%v euf=%g nff=%g fho=%v ets=%d forced=%v/%d mark=%d",
 		o.HeapLimit, policy, o.OffloadDisk, o.EnableBarriers, o.Generational,
 		o.NurserySize, int(o.Barrier), o.LazyBarriers, o.ExpectedUseFraction,
 		o.NearlyFullFraction, o.FullHeapOnly, o.EdgeTableSlots, o.Forced,
-		int(o.ForceState), int(o.WorldLock), int(o.MarkMode))
+		int(o.ForceState), int(o.MarkMode))
 	h := fnv.New64a()
 	h.Write([]byte(s))
 	return h.Sum64()
@@ -329,29 +322,16 @@ func (o Options) validate() error {
 		return &OptionError{Option: "STWWatchdog",
 			Reason: fmt.Sprintf("must not be negative, got %v", o.STWWatchdog)}
 	}
-	if o.WorldLock != WorldSafepoint && o.WorldLock != WorldRWMutex {
-		return &OptionError{Option: "WorldLock",
-			Reason: fmt.Sprintf("unknown mode %d", int(o.WorldLock))}
-	}
 	if o.MarkMode != MarkSTW && o.MarkMode != MarkConcurrent {
 		return &OptionError{Option: "MarkMode",
 			Reason: fmt.Sprintf("unknown mode %d", int(o.MarkMode))}
 	}
-	if o.MarkMode == MarkConcurrent {
-		if o.WorldLock != WorldSafepoint {
-			// The SATB buffers drain through the safepoint protocol's ragged
-			// barrier; the legacy RWMutex world lock has no per-thread
-			// safepoint state to piggyback on.
-			return &OptionError{Option: "MarkMode+WorldLock",
-				Reason: "concurrent marking requires the safepoint protocol"}
-		}
-		if o.OffloadDisk > 0 {
-			// The offload baseline's fault-in path runs ad-hoc collections
-			// outside the cycle driver's serialization, which a concurrent
-			// cycle cannot tolerate mid-mark.
-			return &OptionError{Option: "MarkMode+OffloadDisk",
-				Reason: "concurrent marking and disk offloading are mutually exclusive"}
-		}
+	if o.MarkMode == MarkConcurrent && o.OffloadDisk > 0 {
+		// The offload baseline's fault-in path runs ad-hoc collections
+		// outside the cycle driver's serialization, which a concurrent
+		// cycle cannot tolerate mid-mark.
+		return &OptionError{Option: "MarkMode+OffloadDisk",
+			Reason: "concurrent marking and disk offloading are mutually exclusive"}
 	}
 	return nil
 }

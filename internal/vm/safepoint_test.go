@@ -17,79 +17,72 @@ import (
 // explicitly forced ones — stop the world underneath them. Run with -race
 // this is the main evidence that the safepoint fast path (two thread-local
 // atomics, no shared lock) still establishes happens-before between
-// mutators and the collector; the RWMutex subtest keeps the legacy protocol
-// honest under the same load.
+// mutators and the collector.
 func TestSafepointStress(t *testing.T) {
-	for _, mode := range []WorldLockMode{WorldSafepoint, WorldRWMutex} {
-		mode := mode
-		t.Run(mode.String(), func(t *testing.T) {
-			v := New(Options{
-				HeapLimit:      2 << 20,
-				EnableBarriers: true,
-				GCWorkers:      2,
-				Policy:         core.DefaultPolicy{},
-				WorldLock:      mode,
-			})
-			node := v.DefineClass("Node", 2, 1024)
-			scratch := v.DefineClass("Scratch", 0, 64)
-			shared := v.AddGlobal()
+	v := New(Options{
+		HeapLimit:      2 << 20,
+		EnableBarriers: true,
+		GCWorkers:      2,
+		Policy:         core.DefaultPolicy{},
+	})
+	node := v.DefineClass("Node", 2, 1024)
+	scratch := v.DefineClass("Scratch", 0, 64)
+	shared := v.AddGlobal()
 
-			const workers = 8
-			const iters = 400
-			var wg sync.WaitGroup
-			errs := make([]error, workers)
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					errs[w] = v.RunThread(fmt.Sprintf("stress-%d", w), func(th *Thread) {
-						for i := 0; i < iters; i++ {
-							th.Scope(func() {
-								n := th.New(node)
-								th.Store(n, 0, th.LoadGlobal(shared))
-								th.StoreGlobal(shared, n)
-								cur := th.LoadGlobal(shared)
-								for d := 0; d < 6 && !cur.IsNull(); d++ {
-									next := th.Load(cur, 0)
-									th.Store(cur, 1, next)
-									cur = next
-								}
-								th.New(scratch)
-								if i%100 == w {
-									// Forced full-heap collection from inside a
-									// mutator loop: the thread is between ops
-									// (at a safepoint), so this must not
-									// deadlock against its own critical region.
-									v.Collect()
-								}
-								if i%64 == 63 {
-									th.StoreGlobal(shared, heap.Null)
-								}
-							})
+	const workers = 8
+	const iters = 400
+	var wg sync.WaitGroup
+	errs := make([]error, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			errs[w] = v.RunThread(fmt.Sprintf("stress-%d", w), func(th *Thread) {
+				for i := 0; i < iters; i++ {
+					th.Scope(func() {
+						n := th.New(node)
+						th.Store(n, 0, th.LoadGlobal(shared))
+						th.StoreGlobal(shared, n)
+						cur := th.LoadGlobal(shared)
+						for d := 0; d < 6 && !cur.IsNull(); d++ {
+							next := th.Load(cur, 0)
+							th.Store(cur, 1, next)
+							cur = next
+						}
+						th.New(scratch)
+						if i%100 == w {
+							// Forced full-heap collection from inside a
+							// mutator loop: the thread is between ops
+							// (at a safepoint), so this must not
+							// deadlock against its own critical region.
+							v.Collect()
+						}
+						if i%64 == 63 {
+							th.StoreGlobal(shared, heap.Null)
 						}
 					})
-				}(w)
-			}
-			wg.Wait()
-			for w, err := range errs {
-				if err == nil {
-					continue
 				}
-				// Poison traps and OOMs are legitimate outcomes of a leak
-				// workload under an aggressive policy; protocol bugs surface
-				// as deadlocks, race reports, or audit violations instead.
-				var ie *vmerrors.InternalError
-				if !errors.As(err, &ie) && !vmerrors.IsOOM(err) {
-					t.Fatalf("worker %d: unexpected error: %v", w, err)
-				}
-			}
-			if v.Stats().Collections == 0 {
-				t.Fatal("expected collections under churn")
-			}
-			if violations := v.Verify(); len(violations) != 0 {
-				t.Fatalf("heap invariants violated after stress: %v", violations)
-			}
-		})
+			})
+		}(w)
+	}
+	wg.Wait()
+	for w, err := range errs {
+		if err == nil {
+			continue
+		}
+		// Poison traps and OOMs are legitimate outcomes of a leak
+		// workload under an aggressive policy; protocol bugs surface
+		// as deadlocks, race reports, or audit violations instead.
+		var ie *vmerrors.InternalError
+		if !errors.As(err, &ie) && !vmerrors.IsOOM(err) {
+			t.Fatalf("worker %d: unexpected error: %v", w, err)
+		}
+	}
+	if v.Stats().Collections == 0 {
+		t.Fatal("expected collections under churn")
+	}
+	if violations := v.Verify(); len(violations) != 0 {
+		t.Fatalf("heap invariants violated after stress: %v", violations)
 	}
 }
 
@@ -121,18 +114,16 @@ func equivalenceProbe(v *VM, g int) string {
 }
 
 // equivalenceRun executes one deterministic single-threaded leak workload
-// under the given world-lock mode and returns every observable the two
-// protocols must agree on: collection counts, pruned totals, per-event
-// prune log, and the exact sequence of trap outcomes from probing the
-// pruned structure afterwards.
-func equivalenceRun(t *testing.T, mode WorldLockMode) string {
+// and returns every observable two runs must agree on: collection counts,
+// pruned totals, per-event prune log, and the exact sequence of trap
+// outcomes from probing the pruned structure afterwards.
+func equivalenceRun(t *testing.T) string {
 	t.Helper()
 	v := New(Options{
 		HeapLimit:      256 << 10,
 		EnableBarriers: true,
 		GCWorkers:      1,
 		Policy:         core.DefaultPolicy{},
-		WorldLock:      mode,
 	})
 	holder := v.DefineClass("Holder", 2, 0)
 	payload := v.DefineClass("Payload", 0, 2048)
@@ -152,7 +143,7 @@ func equivalenceRun(t *testing.T, mode WorldLockMode) string {
 		}
 	})
 	if err != nil {
-		t.Fatalf("mode %v: leak workload died: %v", mode, err)
+		t.Fatalf("leak workload died: %v", err)
 	}
 
 	st := v.Stats()
@@ -169,40 +160,20 @@ func equivalenceRun(t *testing.T, mode WorldLockMode) string {
 	// "identical trap sequences" comparison is vacuous.
 	traps := v.Stats().PoisonTraps
 	if traps == 0 {
-		t.Fatalf("mode %v: probes never hit a pruned edge (probes=%s)", mode, probes)
+		t.Fatalf("probes never hit a pruned edge (probes=%s)", probes)
 	}
 	return fmt.Sprintf("collections=%d pruned=%d traps=%d events=%s probes=%s",
 		st.Collections, st.PrunedRefs, traps, events, probes)
 }
 
-// TestWorldLockEquivalence runs the same deterministic workload under the
-// safepoint protocol and the legacy RWMutex protocol and requires identical
-// GC counts, pruned bytes/refs, and trap sequences: the world-lock choice
-// must be invisible to program semantics.
-func TestWorldLockEquivalence(t *testing.T) {
-	safepoint := equivalenceRun(t, WorldSafepoint)
-	rwmutex := equivalenceRun(t, WorldRWMutex)
-	if safepoint != rwmutex {
-		t.Fatalf("protocols diverged:\nsafepoint: %s\nrwmutex:   %s", safepoint, rwmutex)
+// TestSafepointDeterminism runs the same deterministic workload twice and
+// requires identical GC counts, pruned bytes/refs, and trap sequences: the
+// safepoint protocol must be invisible to program semantics.
+func TestSafepointDeterminism(t *testing.T) {
+	first := equivalenceRun(t)
+	if second := equivalenceRun(t); second != first {
+		t.Fatalf("safepoint run not deterministic:\nfirst:  %s\nsecond: %s", first, second)
 	}
-	if v := equivalenceRun(t, WorldSafepoint); v != safepoint {
-		t.Fatalf("safepoint run not deterministic:\nfirst:  %s\nsecond: %s", safepoint, v)
-	}
-}
-
-// TestWorldLockModeValidation: unknown modes are configuration errors.
-func TestWorldLockModeValidation(t *testing.T) {
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("expected New to panic on an invalid WorldLock")
-		}
-		var oe *OptionError
-		if err, ok := r.(error); !ok || !errors.As(err, &oe) || oe.Option != "WorldLock" {
-			t.Fatalf("unexpected panic: %v", r)
-		}
-	}()
-	New(Options{WorldLock: WorldLockMode(42)})
 }
 
 // TestExitFoldsCounters: Stats totals must survive thread exit (per-thread

@@ -16,21 +16,17 @@ import (
 // time; distinct Threads may run concurrently.
 //
 // Mutator operations run inside a critical region (see beginOp in
-// world.go): under the default safepoint protocol that is two uncontended
-// atomic operations on the thread's own state word, so distinct threads
-// never serialize on a shared lock; collections stop the world by waiting
-// for every thread to reach a safepoint.
+// world.go): two uncontended atomic operations on the thread's own state
+// word, so distinct threads never serialize on a shared lock; collections
+// stop the world by waiting for every thread to reach a safepoint.
 type Thread struct {
 	vm     *VM
 	name   string
 	frames []*Frame
 	exited bool
-	// safepoint caches Options.WorldLock == WorldSafepoint so the hot paths
-	// branch on a thread-local bool.
-	safepoint bool
 	// state is the safepoint state word (threadSafe / threadRunning),
 	// published with sequentially consistent atomics against the world's
-	// stop flag. Unused in RWMutex mode.
+	// stop flag.
 	state atomic.Uint32
 	// alloc is the thread's TLAB-style allocation context: a reserved byte
 	// quota plus a preferred heap shard, so the allocation fast path
@@ -105,12 +101,11 @@ type Frame struct {
 // exactly how the Mckoi workload leaks thread stacks (§6).
 func (v *VM) NewThread(name string) *Thread {
 	t := &Thread{
-		vm:        v,
-		name:      name,
-		safepoint: v.world.mode == WorldSafepoint,
-		alloc:     v.heap.NewAllocContext(),
-		ring:      v.obsTracer.NewRing(name),
-		rec:       v.recorder.NewStream(name),
+		vm:    v,
+		name:  name,
+		alloc: v.heap.NewAllocContext(),
+		ring:  v.obsTracer.NewRing(name),
+		rec:   v.recorder.NewStream(name),
 	}
 	v.threadMu.Lock()
 	// A thread born while a concurrent mark is in flight starts with the

@@ -88,8 +88,7 @@ type VM struct {
 	offloader *offload.Controller // Melt-style baseline; nil unless enabled
 
 	// world synchronizes mutator operations against stop-the-world
-	// collections: the safepoint protocol by default, or the legacy shared
-	// RWMutex under Options.WorldLock == WorldRWMutex (see world.go).
+	// collections with the safepoint protocol (see world.go).
 	world world
 
 	// cycleMu serializes full collection cycles. In STW mark mode the pause
@@ -243,7 +242,7 @@ func New(opts Options) *VM {
 		prunedEdgeCap: maxPrunedEdgeRecords,
 		inj:           opts.FaultInjector,
 	}
-	v.world.init(opts.WorldLock)
+	v.world.init()
 	v.recorder = opts.TraceRecorder
 	v.recorder.SetFingerprint(opts.Fingerprint())
 	v.collector = gc.NewCollector(v.heap, (*rootVisitor)(v), opts.GCWorkers)
@@ -256,7 +255,7 @@ func New(opts Options) *VM {
 		v.obsPoisonTraps = reg.NewCounter("lp_poison_traps_total", "InternalErrors raised for poisoned accesses")
 		v.obsBarrierCold = reg.NewCounter("lp_barrier_cold_hits_total", "read-barrier cold-path executions")
 		v.obsStopNs = reg.NewHistogram("lp_safepoint_stop_ns", "stop-the-world time-to-stop latency",
-			obs.DurationBucketsNs, obs.L("world", opts.WorldLock.String()))
+			obs.DurationBucketsNs)
 		for m := gc.ModeNormal; m <= gc.ModePrune; m++ {
 			v.obsPauseNs[m] = reg.NewHistogram("lp_gc_pause_ns", "stop-the-world pause duration per GC pause",
 				obs.DurationBucketsNs, obs.L("mark", opts.MarkMode.String()), obs.L("mode", m.String()))

@@ -10,55 +10,26 @@ import (
 	"leakpruning/internal/obs"
 )
 
-// WorldLockMode selects how mutator operations synchronize with
-// stop-the-world collections.
-type WorldLockMode int
-
-const (
-	// WorldSafepoint (the default) is the safepoint protocol: each Thread
-	// carries an atomic state word, mutator operations enter and leave a
-	// critical region with two uncontended stores on that thread-local word,
-	// and the collector's stop-the-world performs a ragged barrier — it
-	// raises a global stop flag and waits until every registered thread is
-	// observed at a safepoint. Threads that notice the flag park on a
-	// condition variable until the world restarts.
-	WorldSafepoint WorldLockMode = iota
-	// WorldRWMutex is the original implementation — every mutator operation
-	// takes a shared sync.RWMutex in read mode and the stop-the-world is the
-	// write lock. Kept for equivalence testing against WorldSafepoint; its
-	// contended read path serializes multi-threaded mutators.
-	WorldRWMutex
-)
-
-// String names the mode.
-func (m WorldLockMode) String() string {
-	if m == WorldRWMutex {
-		return "rwmutex"
-	}
-	return "safepoint"
-}
-
 // Thread safepoint states (Thread.state).
 const (
 	threadSafe    uint32 = 0 // at a safepoint: outside any mutator critical region
 	threadRunning uint32 = 1 // inside a mutator critical region
 )
 
-// world is the VM's mutator/collector synchronization. Exactly one of the
-// two mechanisms is active, chosen by mode at construction:
+// world is the VM's mutator/collector synchronization, the safepoint
+// protocol: each Thread carries an atomic state word, mutator operations
+// enter and leave a critical region with two uncontended stores on that
+// thread-local word, and the collector's stop-the-world performs a ragged
+// barrier — it raises a global stop flag and waits until every registered
+// thread is observed at a safepoint. Threads that notice the flag park on
+// a condition variable until the world restarts.
 //
-//   - WorldRWMutex: rw is the world lock (read side = mutator op, write
-//     side = stop-the-world). The safepoint fields are unused.
-//   - WorldSafepoint: stwOwner serializes stop-the-world sections (and
-//     VM-level operations that must merely exclude collections); stop is
-//     the Dekker-style flag mutators test after publishing their state
-//     word; parkMu/parkCond park mutators that observed stop until the
-//     world restarts (parked mirrors stop under parkMu for the condvar).
+// stwOwner serializes stop-the-world sections (and VM-level operations
+// that must merely exclude collections); stop is the Dekker-style flag
+// mutators test after publishing their state word; parkMu/parkCond park
+// mutators that observed stop until the world restarts (parked mirrors
+// stop under parkMu for the condvar).
 type world struct {
-	mode WorldLockMode
-
-	rw sync.RWMutex
-
 	stwOwner sync.Mutex
 	stop     atomic.Bool
 	parkMu   sync.Mutex
@@ -66,8 +37,7 @@ type world struct {
 	parkCond *sync.Cond
 }
 
-func (w *world) init(mode WorldLockMode) {
-	w.mode = mode
+func (w *world) init() {
 	w.parkCond = sync.NewCond(&w.parkMu)
 }
 
@@ -75,7 +45,7 @@ func (w *world) init(mode WorldLockMode) {
 // the exclusive right to mutate the heap, the roots, and the controller.
 // Pair with startTheWorld (callers on throwing paths defer it).
 //
-// Safepoint mode is a ragged barrier: after raising the stop flag the
+// The stop is a ragged barrier: after raising the stop flag the
 // collector waits for each registered thread individually; threads reach
 // their safepoints at different times (or are already there — a thread
 // blocked outside the VM parks on first contact instead). Soundness
@@ -87,19 +57,11 @@ func (w *world) init(mode WorldLockMode) {
 func (v *VM) stopTheWorld() {
 	w := &v.world
 	// Time-to-stop observation is gated on the histogram handle so the
-	// disabled path never reads the clock. Both world-lock modes observe
-	// from the same call site, which keeps traces comparable across modes.
+	// disabled path never reads the clock.
 	timed := v.obsStopNs != nil
 	var t0 time.Time
 	if timed {
 		t0 = time.Now()
-	}
-	if w.mode == WorldRWMutex {
-		w.rw.Lock()
-		if timed {
-			v.observeStop(time.Since(t0))
-		}
-		return
 	}
 	w.stwOwner.Lock()
 	w.parkMu.Lock()
@@ -130,9 +92,9 @@ func (v *VM) stopTheWorld() {
 }
 
 // observeStop records one completed time-to-stop: the latency histogram
-// plus a trace span covering the ragged barrier (or the write-lock
-// acquisition in RWMutex mode). Runs with the world stopped, so the locked
-// Emit is uncontended. Only called when v.obsStopNs is non-nil.
+// plus a trace span covering the ragged barrier. Runs with the world
+// stopped, so the locked Emit is uncontended. Only called when v.obsStopNs
+// is non-nil.
 func (v *VM) observeStop(d time.Duration) {
 	ns := d.Nanoseconds()
 	v.obsStopNs.Observe(uint64(ns))
@@ -145,10 +107,6 @@ func (v *VM) observeStop(d time.Duration) {
 // parked mutator thread.
 func (v *VM) startTheWorld() {
 	w := &v.world
-	if w.mode == WorldRWMutex {
-		w.rw.Unlock()
-		return
-	}
 	w.stop.Store(false)
 	w.parkMu.Lock()
 	w.parked = false
@@ -159,25 +117,12 @@ func (v *VM) startTheWorld() {
 
 // lockOutSTW blocks stop-the-world sections (but not mutator threads) for
 // the duration of a VM-level operation that has no Thread of its own —
-// AddGlobal, SetFinalizer, Stats reads. In RWMutex mode this is the world
-// read lock, exactly as before; in safepoint mode it is the STW owner
-// mutex, which collections also acquire.
-func (v *VM) lockOutSTW() {
-	if v.world.mode == WorldRWMutex {
-		v.world.rw.RLock()
-		return
-	}
-	v.world.stwOwner.Lock()
-}
+// AddGlobal, SetFinalizer, Stats reads — by holding the STW owner mutex,
+// which collections also acquire.
+func (v *VM) lockOutSTW() { v.world.stwOwner.Lock() }
 
 // unlockOutSTW releases lockOutSTW.
-func (v *VM) unlockOutSTW() {
-	if v.world.mode == WorldRWMutex {
-		v.world.rw.RUnlock()
-		return
-	}
-	v.world.stwOwner.Unlock()
-}
+func (v *VM) unlockOutSTW() { v.world.stwOwner.Unlock() }
 
 // beginOp enters a mutator critical region: between beginOp and endOp the
 // thread may read and write heap objects, its own frames, and the globals,
@@ -190,24 +135,14 @@ func (v *VM) unlockOutSTW() {
 // trap paths that unwind with a panic — must pass through endOp exactly
 // once before the region's owner blocks or throws.
 func (t *Thread) beginOp() {
-	if t.safepoint {
-		t.state.Store(threadRunning)
-		if t.vm.world.stop.Load() {
-			t.beginOpSlow()
-		}
-		return
+	t.state.Store(threadRunning)
+	if t.vm.world.stop.Load() {
+		t.beginOpSlow()
 	}
-	t.vm.world.rw.RLock()
 }
 
 // endOp leaves the critical region: one thread-local atomic store.
-func (t *Thread) endOp() {
-	if t.safepoint {
-		t.state.Store(threadSafe)
-		return
-	}
-	t.vm.world.rw.RUnlock()
-}
+func (t *Thread) endOp() { t.state.Store(threadSafe) }
 
 // beginOpSlow is beginOp's parking path: back off to the safepoint, wait
 // for the world to restart, and retry the enter protocol (a back-to-back

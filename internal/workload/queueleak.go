@@ -15,7 +15,7 @@ import (
 // on a long period is the live structure the default policy must protect
 // while pruning the log wholesale.
 //
-// This is also cmd/loadgen's LARGE-request profile: one request = many
+// This is also the benchmark's large-request profile (benchmark/serve.go): one request = many
 // iterations of enqueue/drain/log, which is exactly the kind of
 // long-running call that starves small requests of a serial pipeline.
 
