@@ -63,11 +63,12 @@ bench:
 bench-test:
 	$(GO) test -C benchmark ./...
 
-# One iteration of each go-test phase and mutator benchmark plus a small
-# barrier-elision run — a fast compile-and-run sanity check.
+# One iteration of each go-test phase, mutator, live-set-hash and
+# thread-lifecycle benchmark plus a small barrier-elision run — a fast
+# compile-and-run sanity check.
 bench-smoke:
 	$(GO) test -run='^$$' -bench='Benchmark(Mark|Sweep|Alloc)Parallel' -benchtime=1x .
-	$(GO) test -run='^$$' -bench='BenchmarkMutatorOps' -benchtime=1x ./internal/vm
+	$(GO) test -run='^$$' -bench='Benchmark(MutatorOps|LiveSetHash|RunThreadObs)' -benchtime=1x -benchmem ./internal/vm
 	$(GO) run ./cmd/overheadbench -elision -methods 4 -ops 120 -reps 2 -o /dev/null
 
 # Refresh the tier-1 barrier-elision JSON (static elision ratios, tier-1

@@ -34,6 +34,16 @@ func leakdScenarioNames() []string {
 	return []string{"leakd-evict", "leakd-quarantine", "pipeline-isolation"}
 }
 
+// leakdSiblings are the well-behaved tenants whose per-cycle live-set
+// hashes the daemon scenarios compare against a fault-free control.
+// AuditEveryGC is what makes a tenant log them.
+func leakdSiblings() []server.TenantConfig {
+	return []server.TenantConfig{
+		{Name: leakdSiblingA, Workload: "listleak", Policy: "default", HeapLimit: 256 << 10, AuditEveryGC: true},
+		{Name: leakdSiblingB, Workload: "swapleak", Policy: "default", HeapLimit: 256 << 10, AuditEveryGC: true},
+	}
+}
+
 // leakdCell runs one daemon campaign cell and returns the sibling hash
 // logs plus a partially filled record (evictions, quarantines, audits).
 func leakdCell(scenarioName string, seed uint64, faulty bool) (map[string][]uint64, runRecord, error) {
@@ -58,11 +68,7 @@ func leakdCell(scenarioName string, seed uint64, faulty bool) (map[string][]uint
 	}
 	defer s.Shutdown()
 
-	siblings := []server.TenantConfig{
-		{Name: leakdSiblingA, Workload: "listleak", Policy: "default", HeapLimit: 256 << 10},
-		{Name: leakdSiblingB, Workload: "swapleak", Policy: "default", HeapLimit: 256 << 10},
-	}
-	for _, tc := range siblings {
+	for _, tc := range leakdSiblings() {
 		if _, err := s.Admit(tc); err != nil {
 			return nil, rec, fmt.Errorf("admit %s: %w", tc.Name, err)
 		}

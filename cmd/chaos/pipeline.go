@@ -45,11 +45,7 @@ func pipelineCell(seed uint64, pipelined bool) (map[string][]uint64, runRecord, 
 	}
 	defer s.Shutdown()
 
-	siblings := []server.TenantConfig{
-		{Name: leakdSiblingA, Workload: "listleak", Policy: "default", HeapLimit: 256 << 10},
-		{Name: leakdSiblingB, Workload: "swapleak", Policy: "default", HeapLimit: 256 << 10},
-	}
-	for _, tc := range siblings {
+	for _, tc := range leakdSiblings() {
 		if _, err := s.Admit(tc); err != nil {
 			return nil, rec, fmt.Errorf("admit %s: %w", tc.Name, err)
 		}

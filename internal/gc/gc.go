@@ -191,6 +191,10 @@ type Collector struct {
 	recoveredPanics atomic.Uint64
 	lastPanicMsg    atomic.Value // string
 
+	// sweepers is sweep's per-worker scratch, kept across cycles so a
+	// steady-state sweep allocates nothing.
+	sweepers []sweepWorker
+
 	// Observability handles (all nil when disabled; every method on them
 	// is nil-safe, so call sites stay unconditional). Phase spans reuse the
 	// durations Collect already measures — tracing adds no extra time.Now
@@ -210,7 +214,7 @@ func NewCollector(h *heap.Heap, roots RootVisitor, workers int) *Collector {
 	if workers < 1 {
 		workers = 1
 	}
-	return &Collector{heap: h, roots: roots, workers: workers}
+	return &Collector{heap: h, roots: roots, workers: workers, sweepers: make([]sweepWorker, workers)}
 }
 
 // Workers returns the configured tracer parallelism.
@@ -451,6 +455,15 @@ type sweepResult struct {
 	maxStale                 uint8
 }
 
+// sweepWorker is one sweep worker's output: its tallies, the IDs it found
+// dead (ascending), and — when the plan has an OnFree hook — their
+// finalizer records.
+type sweepWorker struct {
+	sweepResult
+	dead   []heap.ObjectID
+	finals []freeRec
+}
+
 // freeRec captures a reclaimed object's identity for the serial finalizer
 // pass, recorded at scan time before the slot is recycled.
 type freeRec struct {
@@ -474,16 +487,18 @@ func (c *Collector) sweep(plan Plan) sweepResult {
 		workers = 1 // sharding overhead dominates on tiny heaps
 	}
 
-	results := make([]sweepResult, workers)
-	finals := make([][]freeRec, workers)
-	dead := make([][]heap.ObjectID, workers)
+	sweepers := c.sweepers[:workers]
+	for w := range sweepers {
+		sw := &sweepers[w]
+		*sw = sweepWorker{dead: sw.dead[:0], finals: sw.finals[:0]}
+	}
 	// In a prune cycle every reclaimed object was held only through
 	// poisoned or dead references; the heap's prune histograms sample size
 	// and staleness age at exactly this point, before FreeBatch recycles
 	// the slot.
 	pruneMode := plan.Mode == ModePrune
 	scan := func(w int) {
-		sr := &results[w]
+		sr := &sweepers[w]
 		lo := heap.ObjectID(1 + (uint64(w)*uint64(maxID-1))/uint64(workers))
 		hi := heap.ObjectID(1 + (uint64(w+1)*uint64(maxID-1))/uint64(workers))
 		for id := lo; id < hi; id++ {
@@ -509,9 +524,9 @@ func (c *Collector) sweep(plan Plan) sweepResult {
 				c.heap.RecordPrunedFree(obj.Size(), obj.Stale())
 			}
 			if plan.OnFree != nil {
-				finals[w] = append(finals[w], freeRec{id: id, class: obj.Class(), size: obj.Size()})
+				sr.finals = append(sr.finals, freeRec{id: id, class: obj.Class(), size: obj.Size()})
 			}
-			dead[w] = append(dead[w], id)
+			sr.dead = append(sr.dead, id)
 		}
 	}
 	if workers == 1 {
@@ -529,19 +544,20 @@ func (c *Collector) sweep(plan Plan) sweepResult {
 	}
 
 	var sr sweepResult
-	for w := range results {
-		c.heap.FreeBatch(dead[w])
-		sr.bytesLive += results[w].bytesLive
-		sr.objectsLive += results[w].objectsLive
-		sr.bytesFreed += results[w].bytesFreed
-		sr.objectsFreed += results[w].objectsFreed
-		if results[w].maxStale > sr.maxStale {
-			sr.maxStale = results[w].maxStale
+	for w := range sweepers {
+		sw := &sweepers[w]
+		c.heap.FreeBatch(sw.dead)
+		sr.bytesLive += sw.bytesLive
+		sr.objectsLive += sw.objectsLive
+		sr.bytesFreed += sw.bytesFreed
+		sr.objectsFreed += sw.objectsFreed
+		if sw.maxStale > sr.maxStale {
+			sr.maxStale = sw.maxStale
 		}
 	}
 	if plan.OnFree != nil {
-		for _, recs := range finals {
-			for _, f := range recs {
+		for w := range sweepers {
+			for _, f := range sweepers[w].finals {
 				plan.OnFree(f.id, f.class, f.size)
 			}
 		}

@@ -69,6 +69,16 @@ func Instant(name, cat string, ts, tid int64, args ...Arg) Event {
 // overwrites the oldest event and is counted.
 const DefaultRingEvents = 4096
 
+// initialRingEvents is the buffer a ring allocates on its first event; it
+// doubles from there up to DefaultRingEvents.
+const initialRingEvents = 16
+
+// MaxSinkEvents caps the non-metadata events the sink retains. Beyond it
+// the oldest are discarded and counted in Dropped, so a long-running
+// daemon's tracer holds a constant ~14 MB window instead of every GC span
+// since boot. Metadata (process/thread names) is kept regardless.
+const MaxSinkEvents = 1 << 16
+
 // Ring is a per-thread event buffer. The owning thread writes to it only
 // from inside its critical regions (between beginOp and endOp), with no
 // locking; it is read only by the collector during stop-the-world
@@ -76,12 +86,17 @@ const DefaultRingEvents = 4096
 // (Tracer.CloseRing), both of which exclude concurrent writes by
 // construction. A nil *Ring is the disabled path: every method is a no-op
 // behind a single nil check.
+//
+// A ring is lazy: until its first event it holds no buffer and its thread
+// has no thread_name record in the sink, so a thread that never traps costs
+// one small struct.
 type Ring struct {
 	tr      *Tracer
 	tid     int64
-	buf     []Event
-	start   int // index of oldest event
-	n       int // number of valid events
+	name    string
+	buf     []Event // nil until the first push
+	start   int     // index of oldest event
+	n       int     // number of valid events
 	dropped uint64
 }
 
@@ -97,6 +112,9 @@ func (r *Ring) Instant(name, cat string, args ...Arg) {
 }
 
 func (r *Ring) push(ev Event) {
+	if r.n == len(r.buf) && len(r.buf) < DefaultRingEvents {
+		r.grow()
+	}
 	if r.n < len(r.buf) {
 		r.buf[(r.start+r.n)%len(r.buf)] = ev
 		r.n++
@@ -106,6 +124,24 @@ func (r *Ring) push(ev Event) {
 	r.buf[r.start] = ev
 	r.start = (r.start + 1) % len(r.buf)
 	r.dropped++
+}
+
+// grow allocates the buffer on the first push — naming the thread in the
+// sink first, so its thread_name record precedes every event it owns — and
+// doubles it afterwards. A ring below full capacity has never wrapped, so
+// start is 0 and the live events are buf[:n].
+func (r *Ring) grow() {
+	size := 2 * len(r.buf)
+	if r.buf == nil {
+		r.tr.Emit(nameEvent("thread_name", r.tid, r.name))
+		size = initialRingEvents
+	}
+	if size > DefaultRingEvents {
+		size = DefaultRingEvents
+	}
+	buf := make([]Event, size)
+	copy(buf, r.buf[:r.n])
+	r.buf = buf
 }
 
 // Tid returns the ring's trace thread id (0 on nil).
@@ -123,27 +159,47 @@ func (r *Ring) Tid() int64 {
 // thread exit. Holders of the sink mutex never block on anything else, so
 // the tracer cannot deadlock against the safepoint barrier. A nil *Tracer
 // is the disabled path.
+//
+// The sink is bounded: metadata records are kept for the tracer's life,
+// everything else lives in a MaxSinkEvents-deep window that discards
+// oldest-first once full.
 type Tracer struct {
 	startWall time.Time
 
-	mu      sync.Mutex
-	events  []Event
+	mu sync.Mutex
+	// meta holds the metadata records; each remembers how many
+	// non-metadata events preceded it so WriteTrace can interleave the two
+	// in emission order.
+	meta []metaEvent
+	// window holds the newest non-metadata events. It grows by append up
+	// to MaxSinkEvents and is circular from then on, oldest at head.
+	window  []Event
+	head    int
+	emitted uint64 // non-metadata events ever appended
 	rings   []*Ring
 	nextTid int64
 	dropped uint64
+}
+
+type metaEvent struct {
+	ev     Event
+	before uint64 // value of Tracer.emitted when the record arrived
 }
 
 // NewTracer creates a tracer whose clock starts now. Tid 0 is reserved for
 // VM-global events (GC phases, STW).
 func NewTracer() *Tracer {
 	t := &Tracer{startWall: time.Now(), nextTid: 1}
-	t.events = append(t.events,
-		Event{Name: "process_name", Cat: "__metadata", Ph: 'M', Tid: 0, NArgs: 1,
-			Args: [maxArgs]Arg{AS("name", "leakpruning-vm")}},
-		Event{Name: "thread_name", Cat: "__metadata", Ph: 'M', Tid: 0, NArgs: 1,
-			Args: [maxArgs]Arg{AS("name", "gc/stw")}},
-	)
+	t.appendLocked(nameEvent("process_name", 0, "leakpruning-vm"))
+	t.appendLocked(nameEvent("thread_name", 0, "gc/stw"))
 	return t
+}
+
+// nameEvent builds the metadata record (kind "process_name" or
+// "thread_name") that labels a track in the trace viewer.
+func nameEvent(kind string, tid int64, name string) Event {
+	return Event{Name: kind, Cat: "__metadata", Ph: 'M', Tid: tid, NArgs: 1,
+		Args: [maxArgs]Arg{AS("name", name)}}
 }
 
 // Now returns nanoseconds since the tracer started (0 on nil). Callers on
@@ -156,38 +212,53 @@ func (t *Tracer) Now() int64 {
 	return time.Since(t.startWall).Nanoseconds()
 }
 
+// appendLocked adds ev to the sink, discarding the oldest non-metadata
+// event when the window is full. Caller holds t.mu.
+func (t *Tracer) appendLocked(ev Event) {
+	if ev.Ph == 'M' {
+		t.meta = append(t.meta, metaEvent{ev: ev, before: t.emitted})
+		return
+	}
+	t.emitted++
+	if len(t.window) < MaxSinkEvents {
+		t.window = append(t.window, ev)
+		return
+	}
+	t.window[t.head] = ev
+	t.head = (t.head + 1) % len(t.window)
+	t.dropped++
+}
+
 // Emit appends an event to the sink. Safe for concurrent use; no-op on nil.
 func (t *Tracer) Emit(ev Event) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
-	t.events = append(t.events, ev)
+	t.appendLocked(ev)
 	t.mu.Unlock()
 }
 
 // NewRing registers a per-thread ring named name and returns it (nil on a
 // nil tracer). Tids are assigned sequentially in registration order, which
-// keeps traces deterministic for deterministic workloads.
+// keeps traces deterministic for deterministic workloads. Registration is
+// all that happens here: the ring's buffer and its thread_name record wait
+// for the first event (Ring.grow).
 func (t *Tracer) NewRing(name string) *Ring {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
-	tid := t.nextTid
+	r := &Ring{tr: t, tid: t.nextTid, name: name}
 	t.nextTid++
-	r := &Ring{tr: t, tid: tid, buf: make([]Event, DefaultRingEvents)}
 	t.rings = append(t.rings, r)
-	t.events = append(t.events,
-		Event{Name: "thread_name", Cat: "__metadata", Ph: 'M', Tid: tid, NArgs: 1,
-			Args: [maxArgs]Arg{AS("name", name)}})
 	t.mu.Unlock()
 	return r
 }
 
 func (t *Tracer) drainLocked(r *Ring) {
 	for i := 0; i < r.n; i++ {
-		t.events = append(t.events, r.buf[(r.start+i)%len(r.buf)])
+		t.appendLocked(r.buf[(r.start+i)%len(r.buf)])
 	}
 	t.dropped += r.dropped
 	r.start, r.n, r.dropped = 0, 0, 0
@@ -232,10 +303,11 @@ func (t *Tracer) Len() int {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.events)
+	return len(t.meta) + len(t.window)
 }
 
-// Dropped returns how many ring events were overwritten before draining.
+// Dropped returns how many events were lost: ring events overwritten
+// before draining plus sink events discarded past MaxSinkEvents.
 func (t *Tracer) Dropped() uint64 {
 	if t == nil {
 		return 0
@@ -243,6 +315,27 @@ func (t *Tracer) Dropped() uint64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.dropped
+}
+
+// snapshot returns the retained events in emission order: the window's
+// events oldest-first, each metadata record placed before the first
+// retained event that followed it.
+func (t *Tracer) snapshot() []Event {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	out := make([]Event, 0, len(t.meta)+len(t.window))
+	oldest := t.emitted - uint64(len(t.window))
+	mi := 0
+	for i := range t.window {
+		for ; mi < len(t.meta) && t.meta[mi].before <= oldest+uint64(i); mi++ {
+			out = append(out, t.meta[mi].ev)
+		}
+		out = append(out, t.window[(t.head+i)%len(t.window)])
+	}
+	for ; mi < len(t.meta); mi++ {
+		out = append(out, t.meta[mi].ev)
+	}
+	return out
 }
 
 func jsonString(s string) string {
@@ -309,9 +402,7 @@ func writeEvent(b *strings.Builder, ev *Event, seq int, normalize bool) {
 func (t *Tracer) WriteTrace(w io.Writer, normalize bool) error {
 	var events []Event
 	if t != nil {
-		t.mu.Lock()
-		events = append([]Event(nil), t.events...)
-		t.mu.Unlock()
+		events = t.snapshot()
 	}
 	var b strings.Builder
 	b.WriteString("[")

@@ -160,3 +160,115 @@ func TestCloseRingUnregisters(t *testing.T) {
 		t.Fatal("DrainAll touched a closed ring")
 	}
 }
+
+// traceNames exports tr and returns each event's "name" (or, for
+// thread_name records, "thread_name:<thread>") in sink order.
+func traceNames(t *testing.T, tr *Tracer) []string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := tr.WriteTrace(&buf, true); err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, ev := range parseTrace(t, buf.Bytes()) {
+		name := ev["name"].(string)
+		if name == "thread_name" {
+			name += ":" + ev["args"].(map[string]any)["name"].(string)
+		}
+		names = append(names, name)
+	}
+	return names
+}
+
+// TestRingIsLazy pins the idle-thread contract: registering a ring assigns
+// its tid and nothing else — no buffer, no sink event — and a ring that is
+// closed without ever receiving an event leaves the sink untouched. The
+// first event allocates a small buffer and names the thread ahead of it.
+func TestRingIsLazy(t *testing.T) {
+	tr := NewTracer()
+	base := tr.Len()
+	idle := tr.NewRing("idle")
+	busy := tr.NewRing("busy")
+	if idle.Tid() != 1 || busy.Tid() != 2 {
+		t.Fatalf("tids = %d, %d; want registration order 1, 2", idle.Tid(), busy.Tid())
+	}
+	if idle.buf != nil || busy.buf != nil {
+		t.Fatal("a ring allocated its buffer before its first event")
+	}
+	tr.DrainAll()
+	tr.CloseRing(idle)
+	if got := tr.Len(); got != base {
+		t.Fatalf("an eventless ring added %d sink events", got-base)
+	}
+
+	busy.Instant("poison.trap", "vm")
+	if got := len(busy.buf); got != initialRingEvents {
+		t.Fatalf("first event allocated %d slots, want %d", got, initialRingEvents)
+	}
+	for i := 0; i < 3*initialRingEvents; i++ {
+		busy.Instant("e", "t")
+	}
+	tr.CloseRing(busy)
+	names := traceNames(t, tr)[base:]
+	if len(names) != 2+3*initialRingEvents {
+		t.Fatalf("sink gained %d events, want thread_name + %d instants", len(names), 1+3*initialRingEvents)
+	}
+	if names[0] != "thread_name:busy" || names[1] != "poison.trap" {
+		t.Fatalf("sink order = %v..., want thread_name:busy then poison.trap", names[:2])
+	}
+	for _, n := range names {
+		if n == "thread_name:idle" {
+			t.Fatal("the eventless ring's thread was named in the sink")
+		}
+	}
+}
+
+// TestSinkIsBounded drives the sink past MaxSinkEvents: the oldest
+// non-metadata events are discarded and counted, metadata survives, and
+// what remains is still in emission order.
+func TestSinkIsBounded(t *testing.T) {
+	tr := NewTracer()
+	meta := tr.Len() // process_name + gc/stw thread_name
+	const excess = 1000
+	early := tr.NewRing("early")
+	early.Instant("first", "t") // will be discarded; its thread_name must not be
+	tr.CloseRing(early)
+	for i := 1; i < MaxSinkEvents+excess-1; i++ {
+		tr.Emit(Instant("e", "t", 0, 0, A("i", int64(i))))
+	}
+	late := tr.NewRing("late")
+	late.Instant("last", "t")
+	tr.CloseRing(late)
+
+	if got, want := tr.Len(), meta+2+MaxSinkEvents; got != want {
+		t.Fatalf("Len = %d, want %d (metadata + a full window)", got, want)
+	}
+	if got := tr.Dropped(); got != excess {
+		t.Fatalf("Dropped = %d, want %d", got, excess)
+	}
+
+	var buf bytes.Buffer
+	if err := tr.WriteTrace(&buf, false); err != nil {
+		t.Fatal(err)
+	}
+	events := parseTrace(t, buf.Bytes())
+	if len(events) != meta+2+MaxSinkEvents {
+		t.Fatalf("exported %d events, want %d", len(events), meta+2+MaxSinkEvents)
+	}
+	// Metadata whose events were all discarded sorts to the front; the
+	// window follows oldest-first; "late" is named right before its event.
+	if got := events[meta]["args"].(map[string]any)["name"]; got != "early" {
+		t.Fatalf("event %d names thread %v, want the early ring's surviving thread_name", meta, got)
+	}
+	next := int64(excess)
+	for _, ev := range events[meta+1 : len(events)-2] {
+		if got := int64(ev["args"].(map[string]any)["i"].(float64)); got != next {
+			t.Fatalf("window out of order: got i=%d, want %d", got, next)
+		}
+		next++
+	}
+	tail := events[len(events)-2:]
+	if tail[0]["name"] != "thread_name" || tail[1]["name"] != "last" {
+		t.Fatalf("tail = %v, %v; want thread_name then last", tail[0]["name"], tail[1]["name"])
+	}
+}

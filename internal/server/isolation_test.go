@@ -27,7 +27,9 @@ func driveSibling(t *testing.T, s *Server, name string) {
 // live-set hashes BYTE-IDENTICAL to a control daemon that never saw a
 // fault.
 func TestCrashIsolation(t *testing.T) {
-	sibling := TenantConfig{Name: "good", Workload: "listleak", Policy: "default", HeapLimit: 256 << 10}
+	// AuditEveryGC is what makes the sibling log per-cycle hashes at all.
+	sibling := TenantConfig{Name: "good", Workload: "listleak", Policy: "default", HeapLimit: 256 << 10,
+		AuditEveryGC: true}
 
 	// Control: the sibling alone, no faults anywhere.
 	control := mustServer(t, testConfig())
@@ -134,5 +136,66 @@ func TestQuarantineRequiresConsecutive(t *testing.T) {
 	}
 	if got := tn.faults.Load(); got != 8 {
 		t.Fatalf("faults = %d, want 8", got)
+	}
+}
+
+// TestSelfChecksAreOptIn: a tenant admitted without AuditEveryGC collects
+// without fingerprinting, auditing or logging anything per cycle, and its
+// requests leave nothing behind in the daemon's tracer; the same tenant
+// with AuditEveryGC logs exactly one hash per collection.
+func TestSelfChecksAreOptIn(t *testing.T) {
+	cfg := testConfig()
+	cfg.Budget = 16 << 20
+	cfg.Obs = obs.New()
+	s := mustServer(t, cfg)
+	plain := TenantConfig{Name: "plain", Workload: "listleak", Policy: "default", HeapLimit: 256 << 10}
+	audited := plain
+	audited.Name, audited.AuditEveryGC = "audited", true
+	for _, tc := range []TenantConfig{plain, audited} {
+		if _, err := s.Admit(tc); err != nil {
+			t.Fatalf("admit %s: %v", tc.Name, err)
+		}
+		driveSibling(t, s, tc.Name)
+	}
+
+	st := s.tenant("plain").status()
+	if st.Collections == 0 {
+		t.Fatal("plain tenant ran no collections; the test is vacuous")
+	}
+	if n := len(s.tenant("plain").CycleHashes()); n != 0 || st.Cycles != 0 || st.AuditsRun != 0 {
+		t.Fatalf("plain tenant logged %d hashes (live_hash_cycles %d) and ran %d audits over %d collections, want none",
+			n, st.Cycles, st.AuditsRun, st.Collections)
+	}
+
+	st = s.tenant("audited").status()
+	hashes := s.tenant("audited").CycleHashes()
+	if uint64(len(hashes)) != st.Collections || uint64(st.Cycles) != st.Collections || st.AuditsRun == 0 {
+		t.Fatalf("audited tenant: %d hashes, live_hash_cycles %d, %d audits over %d collections; want one per collection",
+			len(hashes), st.Cycles, st.AuditsRun, st.Collections)
+	}
+	for i, h := range hashes {
+		if h == 0 {
+			t.Fatalf("audited cycle %d logged a zero hash", i)
+		}
+	}
+
+	// 1 000 small requests on a heap roomy enough to collect rarely: the
+	// sink may gain those collections' spans, never an event per request
+	// thread.
+	roomy := plain
+	roomy.Name, roomy.HeapLimit = "roomy", 8<<20
+	if _, err := s.Admit(roomy); err != nil {
+		t.Fatalf("admit roomy: %v", err)
+	}
+	const requests = 1000
+	before := cfg.Obs.Tracer().Len()
+	for i := 0; i < requests; i++ {
+		if _, err := s.RunRequest("roomy", 1); err != nil {
+			t.Fatalf("small request %d: %v", i, err)
+		}
+	}
+	grew := cfg.Obs.Tracer().Len() - before
+	if collections := s.tenant("roomy").status().Collections; grew >= requests/4 {
+		t.Fatalf("tracer sink grew by %d events over %d requests and %d collections", grew, requests, collections)
 	}
 }

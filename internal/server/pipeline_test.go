@@ -207,7 +207,8 @@ func TestPipelineIsolationStress(t *testing.T) {
 		stormRequests = 20
 		largeIters    = 16
 	)
-	sibling := TenantConfig{Name: "sib", Workload: "listleak", Policy: "default", HeapLimit: 256 << 10}
+	sibling := TenantConfig{Name: "sib", Workload: "listleak", Policy: "default", HeapLimit: 256 << 10,
+		AuditEveryGC: true}
 	victim := TenantConfig{Name: "victim", Workload: "queueleak", Policy: "default", HeapLimit: 8 << 20,
 		AuditEveryGC: true}
 

@@ -73,7 +73,12 @@ type TenantConfig struct {
 	NearlyFullFraction float64 `json:"nearly_full_fraction,omitempty"`
 	// DiskLimit sizes the melt policy's simulated disk (0 = 2x heap).
 	DiskLimit uint64 `json:"disk_limit,omitempty"`
-	// AuditEveryGC arms the heap invariant audit inside every collection.
+	// AuditEveryGC is the one "verify this tenant" switch: it arms the
+	// heap invariant audit inside every collection and fingerprints the
+	// live set after each one (CycleHashes, live_hash_cycles). Both walk
+	// the whole heap inside the pause, so a production tenant leaves it
+	// off; the isolation tests and chaos scenarios set it on the tenants
+	// whose hash sequences they compare.
 	AuditEveryGC bool `json:"audit_every_gc,omitempty"`
 	// Pipeline selects the request execution model: "" or "serial" (the
 	// default — one request at a time behind the exclusive tenant lock,
@@ -112,7 +117,7 @@ func (tc TenantConfig) vmOptions(o *obs.Obs) (vm.Options, error) {
 		NearlyFullFraction: tc.NearlyFullFraction,
 		FaultInjector:      tc.VMInjector,
 		AuditEveryGC:       tc.AuditEveryGC,
-		HashLiveSet:        true,
+		HashLiveSet:        tc.AuditEveryGC,
 		Obs:                o,
 	}
 	if opts.GCWorkers == 0 {
@@ -243,8 +248,9 @@ type Tenant struct {
 	lastErrMu sync.Mutex
 	lastErr   string
 
-	// hashMu guards the per-cycle live-set hash log (appended from OnGC
-	// inside the tenant VM's stop-the-world pauses; read by chaos).
+	// hashMu guards the per-cycle live-set hash log of an AuditEveryGC
+	// tenant (appended from OnGC inside the tenant VM's stop-the-world
+	// pauses; read by chaos). Empty, and no OnGC hook, otherwise.
 	hashMu sync.Mutex
 	hashes []uint64
 
@@ -292,10 +298,12 @@ func (t *Tenant) startSession(cfg TenantConfig) error {
 	if err != nil {
 		return err
 	}
-	opts.OnGC = func(ev vm.Event) {
-		t.hashMu.Lock()
-		t.hashes = append(t.hashes, ev.LiveHash)
-		t.hashMu.Unlock()
+	if opts.HashLiveSet {
+		opts.OnGC = func(ev vm.Event) {
+			t.hashMu.Lock()
+			t.hashes = append(t.hashes, ev.LiveHash)
+			t.hashMu.Unlock()
+		}
 	}
 	machine := vm.New(opts)
 	t.vmMu.Lock()
@@ -326,9 +334,11 @@ func (t *Tenant) Config() TenantConfig {
 	return t.cfg
 }
 
-// CycleHashes returns the per-cycle live-set hash log across the tenant's
-// current session — the byte-identical-sibling oracle the chaos isolation
-// scenarios compare against a fault-free control.
+// CycleHashes returns the per-cycle live-set hash log of an AuditEveryGC
+// tenant, one entry per collection since admission — the
+// byte-identical-sibling oracle the chaos isolation scenarios compare
+// against a fault-free control. Empty for a tenant admitted without
+// AuditEveryGC.
 func (t *Tenant) CycleHashes() []uint64 {
 	t.hashMu.Lock()
 	defer t.hashMu.Unlock()

@@ -165,3 +165,44 @@ func BenchmarkBarrierVariants(b *testing.B) {
 		})
 	}
 }
+
+var hashSink uint64
+
+// BenchmarkLiveSetHash measures the per-cycle fingerprint (HashLiveSet)
+// over a heap of list nodes — two reference slots and a little scalar
+// payload each, the shape the leak workloads retain — and reports it per
+// live object, since that is how it scales inside a pause.
+func BenchmarkLiveSetHash(b *testing.B) {
+	const objects = 1 << 16
+	reg := heap.NewRegistry()
+	node := reg.Define("Node", 2, 16)
+	h := heap.New(reg, 64<<20)
+	var prev heap.Ref
+	for i := 0; i < objects; i++ {
+		r, err := h.Allocate(node)
+		if err != nil {
+			b.Fatal(err)
+		}
+		h.Get(r).SetRef(0, prev)
+		prev = r
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		hashSink = liveSetHash(h)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/objects, "ns/obj")
+}
+
+// BenchmarkRunThreadObs measures what a leakd request pays to exist as a
+// VM thread with observability attached and nothing to trace: register,
+// base frame, unregister. B/op is the point.
+func BenchmarkRunThreadObs(b *testing.B) {
+	v := New(Options{HeapLimit: 32 << 20, EnableBarriers: true, GCWorkers: 1, Obs: obs.New()})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := v.RunThread("request", func(*Thread) {}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package vm
 import (
 	"bytes"
 	"encoding/json"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -153,5 +154,33 @@ func TestDisabledObsLoadZeroAlloc(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestIdleThreadObsFootprint: a thread that records no trace event costs
+// the observability layer neither a ring buffer (a full 4096-event ring is
+// ~860 KB) nor a sink event.
+func TestIdleThreadObsFootprint(t *testing.T) {
+	o := obs.New()
+	v := New(Options{HeapLimit: 1 << 20, GCWorkers: 1, Obs: o})
+	run := func() {
+		if err := v.RunThread("request", func(*Thread) {}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // warm
+	sinkBefore := o.Tracer().Len()
+	const runs = 64
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 8<<10 {
+		t.Errorf("an eventless RunThread allocates %d bytes with Obs on, want < 8 KiB", per)
+	}
+	if grew := o.Tracer().Len() - sinkBefore; grew != 0 {
+		t.Errorf("%d eventless threads added %d sink events", runs, grew)
 	}
 }

@@ -192,10 +192,13 @@ type Options struct {
 
 	// HashLiveSet computes a live-set fingerprint (see LiveSetHash) inside
 	// every full collection's final stop-the-world pause and delivers it in
-	// Event.LiveHash. It is the cross-run equivalence probe multi-tenant
-	// isolation proofs key on: two tenants whose per-cycle hash sequences
-	// agree have byte-identical live heaps after every collection. Costs a
-	// full object-table walk per collection; off by default.
+	// Event.LiveHash. It is the cross-run equivalence probe replay and the
+	// multi-tenant isolation proofs key on: two runs of one binary whose
+	// per-cycle hash sequences agree have byte-identical live heaps after
+	// every collection. The value is a word-wise multiplicative mix with no
+	// meaning across builds. Costs a full object-table walk per collection,
+	// so it is a verification switch — off by default, and leakd turns it on
+	// only for tenants admitted with AuditEveryGC.
 	HashLiveSet bool
 }
 
