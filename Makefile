@@ -1,8 +1,13 @@
 GO ?= go
 
-.PHONY: all build test race vet cover fuzz-smoke trace-smoke bench bench-test bench-smoke bench-jit chaos chaos-smoke leakd-smoke leakd-demo leakd-soak
+.PHONY: all check build test race vet cover fuzz-smoke trace-smoke bench bench-test bench-smoke bench-jit chaos chaos-smoke leakd-smoke leakd-demo leakd-soak
 
 all: build test vet
+
+# The one tier-1 superset: everything `go build ./... && go test ./...`
+# covers, plus vet and the benchmark module's own tests (a separate module,
+# so the root `go test ./...` does not reach them).
+check: build test vet bench-test
 
 build:
 	$(GO) build ./...
@@ -63,12 +68,12 @@ bench:
 bench-test:
 	$(GO) test -C benchmark ./...
 
-# One iteration of each go-test phase, mutator, live-set-hash and
-# thread-lifecycle benchmark plus a small barrier-elision run — a fast
-# compile-and-run sanity check.
+# One iteration of each go-test phase, mutator, allocation-path,
+# live-set-hash and thread-lifecycle benchmark plus a small barrier-elision
+# run — a fast compile-and-run sanity check.
 bench-smoke:
 	$(GO) test -run='^$$' -bench='Benchmark(Mark|Sweep|Alloc)Parallel' -benchtime=1x .
-	$(GO) test -run='^$$' -bench='Benchmark(MutatorOps|LiveSetHash|RunThreadObs)' -benchtime=1x -benchmem ./internal/vm
+	$(GO) test -run='^$$' -bench='Benchmark(MutatorOps|NewParallel|RequestShapedAlloc|LiveSetHash|RunThreadObs)' -benchtime=1x -benchmem ./internal/vm
 	$(GO) run ./cmd/overheadbench -elision -methods 4 -ops 120 -reps 2 -o /dev/null
 
 # Refresh the tier-1 barrier-elision JSON (static elision ratios, tier-1

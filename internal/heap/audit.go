@@ -10,10 +10,11 @@ import "fmt"
 // runs after collections: any drift between the fast-path counters and the
 // actual objects is reported instead of silently compounding.
 //
-// Audit must run stop-the-world, after outstanding TLAB reservations have
-// been returned (the VM's flushTLABs); otherwise the used-byte counter
-// legitimately exceeds the sum of live object sizes by the reserved quota
-// and the audit would report a false positive.
+// Audit must run stop-the-world, after every allocation context has been
+// released (the VM's flushTLABs); otherwise the used-byte counter
+// legitimately exceeds the sum of live object sizes by the reserved quota,
+// the shard counters lag by the contexts' pending allocations, and the dead
+// slots held in their runs are on no free list — three false positives.
 
 // maxAuditViolations bounds the report so a systematically corrupt heap
 // does not build an unbounded string slice inside a stop-the-world section.
@@ -54,8 +55,8 @@ func (a *auditSink) result() []string {
 //     appears on two free lists (or twice on one); and every dead carved
 //     slot is on exactly one free list.
 //
-// Call only while the heap is quiescent (stop-the-world) with TLAB
-// reservations flushed.
+// Call only while the heap is quiescent (stop-the-world) with every
+// allocation context released.
 func (h *Heap) Audit() []string {
 	var sink auditSink
 
@@ -93,7 +94,7 @@ func (h *Heap) Audit() []string {
 	}
 
 	if used := h.used.Load(); used != residentBytes {
-		sink.addf("global used-bytes %d != sum of live resident object sizes %d (TLABs flushed?)",
+		sink.addf("global used-bytes %d != sum of live resident object sizes %d (contexts released?)",
 			used, residentBytes)
 	}
 	if disk := h.Disk(); disk.BytesUsed != offloadedBytes {
@@ -135,7 +136,7 @@ func (h *Heap) Audit() []string {
 	}
 
 	if carved := uint64(next) - 1; freeCount != carved-totalLive {
-		sink.addf("free lists hold %d slots, want %d (carved %d - live %d)",
+		sink.addf("free lists hold %d slots, want %d (carved %d - live %d; contexts released?)",
 			freeCount, carved-totalLive, carved, totalLive)
 	}
 

@@ -109,10 +109,10 @@ func TestCachedLookupDuringBackgroundFree(t *testing.T) {
 				continue
 			}
 			live++
-			if obj.Size() == 0 {
-				t.Error("GetCached returned an object with a zero liveness word")
-			}
-			if c := obj.Class(); c != cls && !recycled[r.ID()] {
+			// The free may land right after the probe: it zeroes the size
+			// word first, so a class read while the size is still nonzero
+			// afterwards was read from a live object.
+			if c := obj.Class(); obj.Size() != 0 && c != cls && !recycled[r.ID()] {
 				t.Errorf("GetCached returned class %d, want %d", c, cls)
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // Class describes one object type. The simulated heap does not interpret
@@ -22,20 +23,23 @@ type Class struct {
 }
 
 // Registry assigns ClassIDs and resolves them back to metadata. A Registry
-// is safe for concurrent use: workloads define classes up front, but the
-// collector and edge table resolve names concurrently while reporting.
+// is safe for concurrent use. Resolving an ID (Get, Name, Len) is on the
+// allocation path, so it reads an immutable table through one atomic load;
+// Define, which workloads call a handful of times up front, publishes a
+// copy with the new class appended.
 type Registry struct {
-	mu      sync.RWMutex
-	byName  map[string]ClassID
-	classes []Class // index == ClassID; slot 0 is a placeholder
+	mu     sync.Mutex // serializes Define; guards byName
+	byName map[string]ClassID
+	// table is the current ID-indexed class table (index == ClassID; slot 0
+	// is a placeholder). A published table is never written again.
+	table atomic.Pointer[[]Class]
 }
 
 // NewRegistry returns an empty class registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		byName:  make(map[string]ClassID),
-		classes: make([]Class, 1), // reserve ClassID 0
-	}
+	r := &Registry{byName: make(map[string]ClassID)}
+	r.table.Store(&[]Class{{}}) // reserve ClassID 0
+	return r
 }
 
 // Define registers a class and returns its ID. Defining the same name twice
@@ -51,23 +55,27 @@ func (r *Registry) Define(name string, refSlots, scalarBytes int) ClassID {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	old := *r.table.Load()
 	if id, ok := r.byName[name]; ok {
-		c := r.classes[id]
+		c := old[id]
 		if c.RefSlots != refSlots || c.ScalarBytes != scalarBytes {
 			panic(fmt.Sprintf("heap: class %s redefined with different shape", name))
 		}
 		return id
 	}
-	id := ClassID(len(r.classes))
-	r.classes = append(r.classes, Class{ID: id, Name: name, RefSlots: refSlots, ScalarBytes: scalarBytes})
+	id := ClassID(len(old))
+	table := make([]Class, len(old)+1)
+	copy(table, old)
+	table[id] = Class{ID: id, Name: name, RefSlots: refSlots, ScalarBytes: scalarBytes}
+	r.table.Store(&table)
 	r.byName[name] = id
 	return id
 }
 
 // Lookup returns the ID for name, if defined.
 func (r *Registry) Lookup(name string) (ClassID, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	id, ok := r.byName[name]
 	return id, ok
 }
@@ -75,12 +83,11 @@ func (r *Registry) Lookup(name string) (ClassID, bool) {
 // Get returns the class metadata for id. It panics on an unknown ID, which
 // indicates heap corruption.
 func (r *Registry) Get(id ClassID) Class {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if int(id) >= len(r.classes) || id == 0 {
+	table := *r.table.Load()
+	if int(id) >= len(table) || id == 0 {
 		panic(fmt.Sprintf("heap: unknown class id %d", id))
 	}
-	return r.classes[id]
+	return table[id]
 }
 
 // Name returns the class name for id, or "<class0>" for the reserved ID.
@@ -92,20 +99,16 @@ func (r *Registry) Name(id ClassID) string {
 }
 
 // Len returns the number of defined classes.
-func (r *Registry) Len() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.classes) - 1
-}
+func (r *Registry) Len() int { return len(*r.table.Load()) - 1 }
 
 // Names returns all defined class names in sorted order.
 func (r *Registry) Names() []string {
-	r.mu.RLock()
+	r.mu.Lock()
 	names := make([]string, 0, len(r.byName))
 	for n := range r.byName {
 		names = append(names, n)
 	}
-	r.mu.RUnlock()
+	r.mu.Unlock()
 	sort.Strings(names)
 	return names
 }

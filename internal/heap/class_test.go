@@ -1,6 +1,7 @@
 package heap
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 )
@@ -110,5 +111,43 @@ func TestRegistryConcurrentDefine(t *testing.T) {
 		if id != ids[0] {
 			t.Fatal("concurrent Define of the same class returned different IDs")
 		}
+	}
+}
+
+// TestRegistryDefineWhileResolving resolves IDs from several goroutines
+// while another keeps defining classes: readers must always see a complete
+// table (every ID handed out so far resolves to its own definition). Run
+// with -race.
+func TestRegistryDefineWhileResolving(t *testing.T) {
+	r := NewRegistry()
+	const classes = 300
+	ids := make(chan ClassID, classes)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for id := range ids {
+				for probe := ClassID(1); probe <= id; probe += 7 {
+					c := r.Get(probe)
+					if c.ID != probe || c.RefSlots != int(probe)%5 || r.Name(probe) != c.Name {
+						t.Errorf("Get(%d) = %+v", probe, c)
+						return
+					}
+				}
+				if n := r.Len(); n < int(id) {
+					t.Errorf("Len = %d after class %d was defined", n, id)
+					return
+				}
+			}
+		}()
+	}
+	for i := 1; i <= classes; i++ {
+		ids <- r.Define(fmt.Sprintf("C%d", i), i%5, i)
+	}
+	close(ids)
+	wg.Wait()
+	if r.Len() != classes {
+		t.Fatalf("Len = %d, want %d", r.Len(), classes)
 	}
 }

@@ -39,6 +39,11 @@ type Stats struct {
 	// because they named a live or duplicate slot — corruption (injected or
 	// real) that was detected and repaired instead of handed out twice.
 	FreeListRepairs uint64
+	// AllocShardLocks counts shard-mutex acquisitions made by the allocation
+	// path (run refills and settles); AllocShardLocks/ObjectsAlloc is the
+	// locks-per-allocation figure, about 1/freshBlock for a long-lived
+	// context.
+	AllocShardLocks uint64
 }
 
 // Fullness returns BytesUsed/Limit, the quantity that drives the leak
@@ -55,9 +60,10 @@ func (s Stats) Fullness() float64 {
 // valid until the object is freed, because chunks are never moved.
 //
 // Allocation and freeing are sharded: slot free lists and accounting live
-// in numShards independently locked shards (see shard.go), the used-byte
-// counter is a single atomic charged by CAS, and the chunk table is read
-// through atomic pointers. Slot reads and writes on individual objects are
+// in numShards independently locked shards, allocation contexts take slots
+// from them a run at a time (see shard.go), the used-byte counter is a
+// single atomic charged by CAS, and the chunk table is read through atomic
+// pointers. Slot reads and writes on individual objects are
 // atomic and lock-free (see Object). Free and FreeBatch may be called
 // concurrently for disjoint objects.
 type Heap struct {
@@ -73,6 +79,11 @@ type Heap struct {
 	// next is the lowest never-carved ObjectID. Shards carve blocks of
 	// fresh IDs from it; freed IDs recycle through per-shard free lists.
 	next atomic.Uint64
+
+	// runSeq stamps every run handed to a context (SettleContexts orders by
+	// it); allocShardLocks is Stats.AllocShardLocks.
+	runSeq          atomic.Uint64
+	allocShardLocks atomic.Uint64
 
 	// chunkMu serializes chunk creation only; lookups are lock-free.
 	chunkMu sync.Mutex
@@ -185,9 +196,11 @@ func (h *Heap) BytesUsed() uint64 { return h.used.Load() }
 func (h *Heap) AllocatedBytes() uint64 { return h.allocBytes.Load() }
 
 // Stats returns a snapshot of the accounting counters, summed across
-// shards.
+// shards. Allocations a live context has not settled yet are not in it
+// (see AllocContext.AddPending).
 func (h *Heap) Stats() Stats {
-	st := Stats{Limit: h.limit, BytesUsed: h.used.Load(), FreeListRepairs: h.freeListRepairs.Load()}
+	st := Stats{Limit: h.limit, BytesUsed: h.used.Load(),
+		FreeListRepairs: h.freeListRepairs.Load(), AllocShardLocks: h.allocShardLocks.Load()}
 	for i := range h.shards {
 		s := &h.shards[i]
 		s.mu.Lock()
@@ -242,27 +255,38 @@ func (h *Heap) ResolveShape(class ClassID, opts []AllocOption) (refSlots, scalar
 // size against the heap limit. All reference slots start null. It returns
 // ErrHeapFull (without allocating) when the object does not fit; triggering
 // collection is the caller's job, keeping the heap policy-free.
+//
+// It is AllocateCtx through a throwaway context whose run is one slot and
+// whose reservation is exact, settled before returning.
 func (h *Heap) Allocate(class ClassID, opts ...AllocOption) (Ref, error) {
-	return h.allocate(nil, class, opts)
+	var c AllocContext
+	r, err := h.allocate(&c, 1, class, opts)
+	h.settle(&c)
+	return r, err
 }
 
-// AllocateCtx is Allocate through a TLAB-style context: the size is taken
-// from the context's reserved quota when possible, so the shared byte
-// counter is touched at most once (on refill) instead of per object.
+// AllocateCtx is Allocate through a context: the size is taken from the
+// context's reserved quota and the slot from its run, so the shared byte
+// counter and a shard mutex are touched only on refill.
 func (h *Heap) AllocateCtx(ctx *AllocContext, class ClassID, opts ...AllocOption) (Ref, error) {
-	return h.allocate(ctx, class, opts)
+	return h.allocate(ctx, freshBlock, class, opts)
 }
 
-func (h *Heap) allocate(ctx *AllocContext, class ClassID, opts []AllocOption) (Ref, error) {
+// allocate takes runLen slots per refill; runLen 1 marks the context-less
+// path, which also reserves bytes exactly instead of by quota and picks its
+// shard from the rotor once the bytes are granted.
+func (h *Heap) allocate(ctx *AllocContext, runLen int, class ClassID, opts []AllocOption) (Ref, error) {
 	c := h.classes.Get(class)
-	shape := allocShape{refSlots: c.RefSlots, scalarBytes: c.ScalarBytes}
-	for _, o := range opts {
-		o(&shape)
+	refSlots, scalarBytes := c.RefSlots, c.ScalarBytes
+	if len(opts) > 0 {
+		// The options take the shape's address, so it escapes; keeping it
+		// inside the branch keeps the plain-class allocation off the Go heap.
+		refSlots, scalarBytes = h.ResolveShape(class, opts)
+		if refSlots < 0 || scalarBytes < 0 {
+			panic(fmt.Sprintf("heap: negative allocation shape for %s", c.Name))
+		}
 	}
-	if shape.refSlots < 0 || shape.scalarBytes < 0 {
-		panic(fmt.Sprintf("heap: negative allocation shape for %s", c.Name))
-	}
-	size := ObjectSize(shape.refSlots, shape.scalarBytes)
+	size := ObjectSize(refSlots, scalarBytes)
 
 	// Injected allocation-time limit race: behave as if a racing thread
 	// consumed the remaining headroom between the caller's check and our
@@ -272,42 +296,55 @@ func (h *Heap) allocate(ctx *AllocContext, class ClassID, opts []AllocOption) (R
 		return Null, ErrHeapFull
 	}
 
-	var preferred uint32
-	if ctx != nil {
+	if runLen == 1 {
+		if !h.reserveExact(size) {
+			return Null, ErrHeapFull
+		}
+		ctx.shard = h.rotor.Add(1) & shardMask
+	} else {
 		if ctx.reserved < size && !h.refill(ctx, size) {
 			return Null, ErrHeapFull
 		}
 		ctx.reserved -= size
-		preferred = ctx.shard
-	} else {
-		if !h.reserveExact(size) {
-			return Null, ErrHeapFull
-		}
-		preferred = h.rotor.Add(1)
 	}
 	generational := h.generational.Load()
 	if generational {
 		h.allocBytes.Add(size)
 	}
 
-	id, obj, si := h.takeSlot(preferred) // returns with the shard's lock held
-	s := &h.shards[si]
+	// Take the run's next slot. The slot is this context's alone, so the
+	// object is initialised with no lock held. A slot that is already live
+	// is a duplicate free-list entry that landed in the run twice: drop it
+	// and count the repair rather than hand the slot out again.
+	var id ObjectID
+	var obj *Object
+	for {
+		if ctx.next == ctx.n {
+			h.refillRun(ctx, runLen)
+		}
+		id = ctx.run[ctx.next]
+		ctx.next++
+		if obj = h.slot(id); obj.Size() == 0 {
+			break
+		}
+		h.freeListRepairs.Add(1)
+	}
 	atomic.StoreUint32((*uint32)(&obj.class), uint32(class))
 	atomic.StoreUint32(&obj.stale, 0)
 	var flags uint32
 	if generational {
 		flags = flagYoung
-		s.young = append(s.young, id)
+		ctx.young = append(ctx.young, id)
 	}
 	atomic.StoreUint32(&obj.flags, flags)
-	obj.home = uint8(si)
-	if cap(obj.refs) >= shape.refSlots {
-		obj.refs = obj.refs[:shape.refSlots]
+	obj.home = uint8(ctx.home)
+	if cap(obj.refs) >= refSlots {
+		obj.refs = obj.refs[:refSlots]
 		for i := range obj.refs {
 			obj.refs[i] = 0
 		}
 	} else {
-		obj.refs = make([]uint64, shape.refSlots)
+		obj.refs = make([]uint64, refSlots)
 	}
 	// With no concurrent mark in flight the mark word is left at its
 	// previous value: epochs only ever move forward, so a recycled slot can
@@ -321,10 +358,7 @@ func (h *Heap) allocate(ctx *AllocContext, class ClassID, opts []AllocOption) (R
 	// sweeper's index-order probes gate on it. The atomic store orders the
 	// header/refs initialization above before the slot becomes visible.
 	obj.setSize(size)
-	s.bytesAlloc += size
-	s.objectsAlloc++
-	s.objectsUsed++
-	s.mu.Unlock()
+	ctx.pending.Add(size<<pendingCountBits | 1)
 	return MakeRef(id), nil
 }
 

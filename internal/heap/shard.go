@@ -1,33 +1,64 @@
 package heap
 
 import (
+	"sort"
 	"sync"
+	"sync/atomic"
 )
 
-// Allocator sharding. The object table's free lists, nursery lists, and
-// accounting counters are split across numShards independently locked
-// shards so mutator threads and parallel sweep workers do not serialize on
-// one heap-wide mutex. The shared state that remains is two atomics: the
-// used-byte counter (charged against the limit) and the fresh-ID cursor.
+// Allocator sharding and per-context slot runs.
 //
-// Slot ownership is sticky: the shard that hands out a slot records itself
-// in Object.home, and Free/FreeBatch return the slot to that shard's free
-// list and charge that shard's counters. This keeps per-shard accounting
-// monotone and — because a single-threaded allocate/free sequence keeps
-// hitting the same shard's LIFO free list — preserves the heap's
-// deterministic slot-recycling behavior (a freed ID is the next one
-// handed back out).
+// The object table's free lists, nursery lists and accounting counters are
+// split across numShards independently locked shards; the shared state that
+// remains is two atomics, the used-byte counter (charged against the limit)
+// and the fresh-ID cursor.
+//
+// Who owns a slot when. A dead slot sits on exactly one shard's free list
+// (owned by that shard's mutex) or in exactly one AllocContext's run (owned
+// by the context's goroutine, no lock). refillRun moves up to freshBlock
+// slots from one shard to a context inside one critical section: it scans
+// the shards from the context's preferred one, pops LIFO from the first
+// shard that has anything, and carves fresh IDs into the preferred shard
+// when none has. Allocating from the run then takes no mutex: the context
+// initialises the object, publishes its size word last, and notes the
+// allocation in its own pending counters. A live object belongs to the
+// shard it was popped from (Object.home); Free/FreeBatch push the slot back
+// onto that shard's list and charge that shard's counters.
+//
+// What settle restores. Refill, ReleaseContext and the VM's flushes settle
+// the context: under the home shard's lock the pending allocation counts
+// and nursery members are folded into the shard, and the run's unused
+// slots are pushed back in reverse pop order. A single context that
+// allocates, settles and refills therefore sees exactly the IDs a
+// slot-at-a-time LIFO allocator would hand out — the free list between runs
+// is what it would have been — which is what record/replay and the
+// per-cycle live-set hashes rely on. Several contexts are settled newest
+// run first (SettleContexts), so a fixed interleaving of threads gives
+// fixed free lists whatever order the caller lists them in.
+//
+// What Stats means between settles. The used-byte counter is always
+// current (it includes unspent TLAB quota). BytesAlloc, ObjectsAlloc and
+// ObjectsUsed lag by whatever live contexts still hold pending;
+// AllocContext.AddPending supplies the difference, and after every context
+// has been settled Stats is exact.
 const (
 	numShards = 16
 	shardMask = numShards - 1
 
 	// freshBlock is how many never-used object IDs a shard carves from the
-	// global cursor at a time when no free list has a slot to recycle.
+	// global cursor at a time when no free list has a slot to recycle, and
+	// the length of a context's slot run.
 	freshBlock = 64
 
 	// maxTLABBytes caps an AllocContext's reserved byte quota.
 	maxTLABBytes = 8 << 10
+
+	// pendingCountBits is the width of the object count in
+	// AllocContext.pending; it must hold freshBlock (checked below).
+	pendingCountBits = 8
 )
+
+const _ = uint(1<<pendingCountBits - 1 - freshBlock) // does not compile if a run's count could overflow its field
 
 type shard struct {
 	mu sync.Mutex
@@ -35,10 +66,11 @@ type shard struct {
 	free []ObjectID
 	// young lists nursery members whose slots belong to this shard.
 	young []ObjectID
-
-	// Accounting for objects whose slots belong to this shard. An object is
-	// allocated and freed under the same shard lock (via Object.home), so
-	// these never underflow; Stats sums them across shards.
+	// Accounting for objects whose slots belong to this shard. Allocations
+	// arrive in batches when a context settles and frees arrive one sweep at
+	// a time, so between settles objectsUsed may transiently wrap below
+	// zero; sums over shards plus pending are exact modulo 2^64, and Stats
+	// adds them the same way.
 	bytesAlloc   uint64
 	objectsAlloc uint64
 	bytesFreed   uint64
@@ -48,24 +80,50 @@ type shard struct {
 	_ [64]byte // keep neighboring shards off each other's cache line
 }
 
-// AllocContext is a TLAB-style per-thread allocation context: a preferred
-// shard plus a byte quota already reserved against the heap limit. With a
-// context the mutator fast path touches the shared used-byte counter only
-// when the quota runs out (roughly once per maxTLABBytes of allocation)
-// instead of once per object.
+// AllocContext is a per-thread allocation context: a byte quota already
+// reserved against the heap limit (TLAB-style, so the shared used-byte
+// counter is touched roughly once per maxTLABBytes) and a private run of
+// free slot IDs (so a shard mutex is taken once per freshBlock objects).
 //
-// A context must not be used from more than one goroutine at a time, and
-// its unused quota counts toward BytesUsed until ReleaseContext returns it
-// (the VM flushes every thread's context at each stop-the-world
-// collection, so post-GC fullness is exact).
+// A context must not be used from more than one goroutine at a time. Its
+// unused quota counts toward BytesUsed, its unused slots are on no free
+// list and its pending counts are in no shard until ReleaseContext settles
+// it; the VM does that for every thread at each stop-the-world flush.
 type AllocContext struct {
-	shard    uint32
+	// pending is the allocations made from runs since the last fold, as
+	// bytes<<pendingCountBits | objects: one word so that the allocation
+	// path pays one atomic add. Only the owner adds; it is atomic so that
+	// Stats readers on other goroutines can sum it (AddPending). The count
+	// cannot carry into the bytes: every refill folds, and a run has
+	// freshBlock slots.
+	pending atomic.Uint64
+	// young lists the nursery members among them (generational mode).
+	young []ObjectID
+
+	shard    uint32 // preferred shard: refills scan from it and carve into it
 	reserved uint64
+
+	// run[next:n] are the unused slots of the current run, in the order the
+	// home shard's free list popped them; seq is the run's heap-wide stamp.
+	home    uint32
+	next, n uint32
+	seq     uint64
+	run     [freshBlock]ObjectID
 }
 
 // Reserved returns the context's unused byte quota (for tests and
 // introspection).
 func (c *AllocContext) Reserved() uint64 { return c.reserved }
+
+// AddPending adds the allocations the context has made since it was last
+// settled to st, making a Stats snapshot exact while the context is live.
+func (c *AllocContext) AddPending(st *Stats) {
+	p := c.pending.Load()
+	n := p & (1<<pendingCountBits - 1)
+	st.BytesAlloc += p >> pendingCountBits
+	st.ObjectsAlloc += n
+	st.ObjectsUsed += n
+}
 
 // NewAllocContext returns an allocation context bound to the next shard in
 // round-robin order.
@@ -73,12 +131,34 @@ func (h *Heap) NewAllocContext() AllocContext {
 	return AllocContext{shard: h.rotor.Add(1) & shardMask}
 }
 
-// ReleaseContext returns the context's unused byte quota to the heap. It is
-// idempotent; the context remains usable (its next allocation re-reserves).
+// ReleaseContext settles the context (see the top of this file) and
+// returns its unused byte quota to the heap. It is idempotent; the context
+// remains usable (its next allocation refills).
 func (h *Heap) ReleaseContext(c *AllocContext) {
+	h.settle(c)
 	if c.reserved > 0 {
 		h.creditBytes(c.reserved)
 		c.reserved = 0
+	}
+}
+
+// SettleContexts settles several contexts in the one order that leaves
+// every shard's free list independent of the order the caller found them
+// in: newest run first, so runs popped from the same shard go back in
+// reverse. Byte quotas stay reserved.
+func (h *Heap) SettleContexts(cs []*AllocContext) {
+	sort.Slice(cs, func(i, j int) bool { return cs[i].seq > cs[j].seq })
+	for _, c := range cs {
+		h.settle(c)
+	}
+}
+
+// ReleaseContexts is SettleContexts plus returning every context's unused
+// byte quota, after which Stats and BytesUsed are exact.
+func (h *Heap) ReleaseContexts(cs []*AllocContext) {
+	h.SettleContexts(cs)
+	for _, c := range cs {
+		h.ReleaseContext(c)
 	}
 }
 
@@ -136,50 +216,101 @@ func (h *Heap) refill(c *AllocContext, size uint64) bool {
 	}
 }
 
-// takeSlot pops a recyclable slot, preferring the given shard and scanning
-// the others before carving fresh IDs into the preferred shard. It returns
-// the yielding shard's index and keeps that shard's lock HELD so the
-// caller can initialize the object and its accounting atomically with the
-// slot claim.
-func (h *Heap) takeSlot(preferred uint32) (ObjectID, *Object, uint32) {
-	for i := uint32(0); i < numShards; i++ {
-		si := (preferred + i) & shardMask
+// refillRun gives the context a fresh run of up to want slots, all from one
+// shard: the first in scan order from the preferred shard whose free list
+// has a valid entry, else the preferred shard after carving fresh IDs into
+// it (re-checked first: a racing Free may have refilled it). The context
+// must have no unused slots. Its pending counts are folded on the way —
+// under the same lock hold when the scan visits their shard, which in the
+// steady state is where the next run comes from too.
+func (h *Heap) refillRun(c *AllocContext, want int) {
+	var locks uint64
+	old := c.home
+	for i := uint32(0); c.next == c.n; i++ {
+		si := (c.shard + i) & shardMask
 		s := &h.shards[si]
 		s.mu.Lock()
-		if id, ok := h.popFreeLocked(s); ok {
-			return id, h.slot(id), si
+		locks++
+		if si == old {
+			c.foldLocked(s)
+		}
+		n := h.popRunLocked(s, c.run[:want])
+		for n == 0 && i == numShards { // a full scan found nothing to recycle
+			h.carveLocked(s)
+			n = h.popRunLocked(s, c.run[:want])
 		}
 		s.mu.Unlock()
-	}
-	si := preferred & shardMask
-	s := &h.shards[si]
-	s.mu.Lock()
-	for {
-		if id, ok := h.popFreeLocked(s); ok { // re-check: a racing Free may have refilled it
-			return id, h.slot(id), si
+		if n > 0 {
+			c.home, c.next, c.n = si, 0, uint32(n)
+			c.seq = h.runSeq.Add(1)
 		}
-		h.carveLocked(s)
 	}
+	if c.pending.Load() != 0 {
+		s := &h.shards[old]
+		s.mu.Lock()
+		locks++
+		c.foldLocked(s)
+		s.mu.Unlock()
+	}
+	h.allocShardLocks.Add(locks)
 }
 
-// popFreeLocked pops the shard's next recyclable slot, discarding (and
-// counting) corrupt entries that name a live or unmaterialized slot — the
-// last line of defense against handing the same slot to two allocations.
-// Caller holds s.mu.
-func (h *Heap) popFreeLocked(s *shard) (ObjectID, bool) {
-	for {
-		n := len(s.free)
-		if n == 0 {
-			return 0, false
+// settle folds the context's pending counts into its home shard and pushes
+// the run's unused slots back in reverse pop order, so the shard's free
+// list is what a slot-at-a-time allocator would have left. Entries that
+// went live since they were popped (duplicates) are dropped and counted.
+func (h *Heap) settle(c *AllocContext) {
+	if c.next == c.n && c.pending.Load() == 0 {
+		return
+	}
+	s := &h.shards[c.home]
+	s.mu.Lock()
+	c.foldLocked(s)
+	for i := c.n; i > c.next; i-- {
+		if id := c.run[i-1]; h.slot(id).Size() == 0 {
+			s.free = append(s.free, id)
+		} else {
+			h.freeListRepairs.Add(1)
 		}
-		id := s.free[n-1]
-		s.free = s.free[:n-1]
+	}
+	s.mu.Unlock()
+	c.next, c.n = 0, 0
+	h.allocShardLocks.Add(1)
+}
+
+// foldLocked moves the context's pending allocation counts and nursery
+// members into s, which must be the shard its runs since the last fold came
+// from. Caller holds s.mu.
+func (c *AllocContext) foldLocked(s *shard) {
+	var st Stats
+	c.AddPending(&st)
+	c.pending.Store(0)
+	s.bytesAlloc += st.BytesAlloc
+	s.objectsAlloc += st.ObjectsAlloc
+	s.objectsUsed += st.ObjectsUsed
+	s.young = append(s.young, c.young...)
+	c.young = c.young[:0]
+}
+
+// popRunLocked pops up to len(run) recyclable slots off s's free list into
+// run, in LIFO order, discarding (and counting) corrupt entries that name a
+// live or unmaterialized slot. A duplicate of a still-dead slot passes here
+// and is caught when the run reaches it (allocate). Caller holds s.mu.
+func (h *Heap) popRunLocked(s *shard, run []ObjectID) int {
+	k := 0
+	n := len(s.free)
+	for n > 0 && k < len(run) {
+		n--
+		id := s.free[n]
 		if obj := h.slot(id); obj == nil || obj.Size() != 0 {
 			h.freeListRepairs.Add(1)
 			continue
 		}
-		return id, true
+		run[k] = id
+		k++
 	}
+	s.free = s.free[:n]
+	return k
 }
 
 // carveLocked claims a block of fresh IDs from the global cursor and pushes

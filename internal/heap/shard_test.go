@@ -80,7 +80,11 @@ func TestAllocContextTLAB(t *testing.T) {
 		}
 	}
 	st := h.Stats()
-	if st.BytesAlloc != n*size || st.ObjectsAlloc != n {
+	if st.ObjectsAlloc != 0 {
+		t.Fatalf("allocations visible in Stats before the context settled: %+v", st)
+	}
+	ctx.AddPending(&st)
+	if st.BytesAlloc != n*size || st.ObjectsAlloc != n || st.ObjectsUsed != n {
 		t.Fatalf("alloc totals: %+v", st)
 	}
 	if want := n*size + ctx.Reserved(); st.BytesUsed != want {
@@ -93,6 +97,9 @@ func TestAllocContextTLAB(t *testing.T) {
 	}
 	if got := h.BytesUsed(); got != n*size {
 		t.Fatalf("BytesUsed after release = %d, want %d", got, n*size)
+	}
+	if st := h.Stats(); st.BytesAlloc != n*size || st.ObjectsAlloc != n || st.ObjectsUsed != n {
+		t.Fatalf("alloc totals after release: %+v", st)
 	}
 	h.ReleaseContext(&ctx) // idempotent
 	if got := h.BytesUsed(); got != n*size {

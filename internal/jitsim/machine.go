@@ -30,6 +30,9 @@ type Result struct {
 	// BarrierTests counts dynamic barrier-test executions; elision's win is
 	// the oracle's count minus the tier-1 count.
 	BarrierTests int64
+	// Ops counts compiled ops executed (barrier pseudo-ops included): the
+	// run's modelled cost, independent of the host's clock.
+	Ops int64
 }
 
 // Trace is the checked-reference audit trail of an instrumented run: one
@@ -214,6 +217,7 @@ func (cm *CompiledMethod) RunTraced(reps int) (Result, *Trace) {
 
 func (cm *CompiledMethod) run(reps, fuel int, ts *traceState) (Result, int) {
 	m := &machine{fuel: fuel, trace: ts}
+	var ops int64
 	for r := 0; r < reps && m.fuel > 0; r++ {
 		// Each invocation enters through a call safepoint: no barrier fact
 		// survives from the previous invocation, matching the analysis's
@@ -223,9 +227,10 @@ func (cm *CompiledMethod) run(reps, fuel int, ts *traceState) (Result, int) {
 		for m.pc < len(cm.code) {
 			i := m.pc
 			m.pc++
+			ops++
 			cm.code[i](m)
 		}
 	}
 	m.trace.safepoint() // method exit closes the last interval
-	return Result{Regs: m.regs, BarrierHits: m.barrier, BarrierTests: m.tests}, m.fuel
+	return Result{Regs: m.regs, BarrierHits: m.barrier, BarrierTests: m.tests, Ops: ops}, m.fuel
 }

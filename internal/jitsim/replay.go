@@ -21,6 +21,12 @@ type ReplayResult struct {
 	// SecondIteration executes the compiled code only — the steady state
 	// the paper's run-time overhead numbers are measured on.
 	SecondIteration time.Duration
+	// FirstIterationWork and SecondIterationWork are the same two
+	// iterations in modelled units that do not depend on the host: ops
+	// executed, plus for the first the tier-0 compile work (IR ops emitted
+	// and scheduling cost).
+	FirstIterationWork  int64
+	SecondIterationWork int64
 	// BarrierSites is the number of read-barrier expansions in the tier-0
 	// code (= the oracle's site count).
 	BarrierSites int
@@ -64,12 +70,14 @@ func Replay(c *Compiler, corpus []*Method, reps int) ReplayResult {
 		cm, st := c.CompileTier(m, Tier0)
 		res.CompileTime += st.Duration
 		res.BarrierSites += st.BarrierSites
+		res.FirstIterationWork += int64(st.IRSizeOut + st.ScheduleCost)
 		sites[i] = st.BarrierSites
 		compiled = append(compiled, cm)
 	}
 	for _, cm := range compiled {
 		r := cm.Run(reps)
 		res.DynTestsTier0 += r.BarrierTests
+		res.FirstIterationWork += r.Ops
 	}
 	res.FirstIteration = time.Since(start)
 
@@ -104,6 +112,7 @@ func Replay(c *Compiler, corpus []*Method, reps int) ReplayResult {
 	for _, cm := range compiled {
 		r := cm.Run(reps)
 		res.DynTestsTier1 += r.BarrierTests
+		res.SecondIterationWork += r.Ops
 	}
 	res.SecondIteration = time.Since(second)
 	res.ModelledCyclesSaved = (res.DynTestsTier0 - res.DynTestsTier1) * TestCostCycles

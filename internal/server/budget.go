@@ -72,7 +72,9 @@ func (s *Server) ProbeBudget() ProbeResult {
 	for _, t := range tenants {
 		var bytes uint64
 		if machine := t.currentVM(); machine != nil {
-			bytes = machine.HeapStats().BytesUsed
+			hs := machine.HeapStats()
+			bytes = hs.BytesUsed
+			t.publishAllocTotals(machine, hs)
 		}
 		t.residentGauge.Set(int64(bytes))
 		if t.residentGauge != nil {

@@ -132,3 +132,45 @@ func TestLadderHysteresis(t *testing.T) {
 		t.Fatalf("level above evict threshold = %d, want 3", got)
 	}
 }
+
+// TestAllocLocksPerObjectOnMetrics: the allocator's shard locks per object
+// are readable from /metrics per tenant, for the request shape that costs
+// the most locks (one short-lived VM thread per request, many requests).
+func TestAllocLocksPerObjectOnMetrics(t *testing.T) {
+	o := obs.New()
+	cfg := testConfig()
+	cfg.Budget = 8 << 20
+	cfg.Obs = o
+	s := mustServer(t, cfg)
+	if _, err := s.Admit(TenantConfig{Name: "q", Workload: "queueleak", Policy: "default", HeapLimit: 2 << 20}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 200; i++ {
+		if _, err := s.RunRequest("q", 1); err != nil {
+			t.Fatal(err)
+		}
+		if i%50 == 49 {
+			s.ProbeBudget() // counters advance by deltas, probe after probe
+		}
+	}
+	tn := s.tenant("q")
+	objects, locks := tn.allocObjects.Load(), tn.allocLocks.Load()
+	if hs := tn.currentVM().HeapStats(); objects != hs.ObjectsAlloc || locks != hs.AllocShardLocks {
+		t.Fatalf("counters (%d objects, %d locks) disagree with the heap (%d, %d)",
+			objects, locks, hs.ObjectsAlloc, hs.AllocShardLocks)
+	}
+	if objects == 0 || locks == 0 || locks >= objects {
+		t.Fatalf("%d shard locks for %d objects: want well under one lock per object", locks, objects)
+	}
+	var sb strings.Builder
+	o.Registry().WritePrometheus(&sb)
+	for _, want := range []string{
+		`lp_heap_allocations_total{tenant="q"}`,
+		`lp_heap_alloc_shard_locks_total{tenant="q"}`,
+	} {
+		if !strings.Contains(sb.String(), want) {
+			t.Fatalf("metrics missing %q", want)
+		}
+	}
+	t.Logf("%d shard locks / %d objects = %.3f locks per object", locks, objects, float64(locks)/float64(objects))
+}

@@ -166,9 +166,15 @@ func TestPipelineBackpressure(t *testing.T) {
 		waitFor(t, 5*time.Second, "request to occupy the pipeline", func() bool {
 			return p.pending.Load() == want
 		})
+		if i == 0 {
+			// The worker must have taken the first request off the queue
+			// before the second is sent, or the second is the one shed (the
+			// worker goroutine may not even have been scheduled yet).
+			waitFor(t, 5*time.Second, "worker pickup", func() bool { return len(p.queue) == 0 })
+		}
 	}
 	// Worker busy + queue full:
-	waitFor(t, 5*time.Second, "worker pickup", func() bool { return len(p.queue) == 1 })
+	waitFor(t, 5*time.Second, "queue to fill", func() bool { return len(p.queue) == 1 })
 	_, err = s.RunRequest("pipe", 1)
 	var qf *QueueFullError
 	if !errors.As(err, &qf) {

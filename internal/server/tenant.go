@@ -9,6 +9,7 @@ import (
 
 	"leakpruning/internal/core"
 	"leakpruning/internal/faultinject"
+	"leakpruning/internal/heap"
 	"leakpruning/internal/obs"
 	"leakpruning/internal/vm"
 	"leakpruning/internal/workload"
@@ -256,6 +257,18 @@ type Tenant struct {
 
 	// residentGauge is this tenant's lp_tenant_resident_bytes series.
 	residentGauge *obs.Gauge
+	// allocObjects and allocLocks are lp_heap_allocations_total and
+	// lp_heap_alloc_shard_locks_total: their ratio is the allocator's
+	// shard-lock acquisitions per object, readable without a profiler. The
+	// budget prober advances them by what the session VM's heap counted
+	// since its last look (allocSeen, under allocMu); a restarted session's
+	// heap starts again from zero.
+	allocObjects, allocLocks *obs.Counter
+	allocMu                  sync.Mutex
+	allocSeen                struct {
+		vm             *vm.VM
+		objects, locks uint64
+	}
 	// latency holds the tenant's lp_request_latency_ns series, one per
 	// budget-ladder level; queueWait and queueDepth instrument the
 	// concurrent pipeline (registered even for serial tenants so a rolling
@@ -271,6 +284,10 @@ func newTenant(s *Server, cfg TenantConfig) (*Tenant, error) {
 	t.lockCh <- struct{}{} // free
 	t.residentGauge = s.reg().NewGauge("lp_tenant_resident_bytes",
 		"per-tenant resident heap bytes", obs.L("tenant", cfg.Name))
+	t.allocObjects = s.reg().NewCounter("lp_heap_allocations_total",
+		"objects allocated in the tenant's heap", obs.L("tenant", cfg.Name))
+	t.allocLocks = s.reg().NewCounter("lp_heap_alloc_shard_locks_total",
+		"allocator shard-mutex acquisitions made to allocate them", obs.L("tenant", cfg.Name))
 	t.queueWait = s.reg().NewHistogram("lp_request_queue_wait_ns",
 		"time requests spent queued in the tenant pipeline", obs.LatencyBucketsNs,
 		obs.L("tenant", cfg.Name))
@@ -315,6 +332,25 @@ func (t *Tenant) startSession(cfg TenantConfig) error {
 	// Pipeline workers rebind their private sessions on the next request.
 	t.sessionEpoch.Add(1)
 	return nil
+}
+
+// publishAllocTotals advances the tenant's allocation counters to hs, the
+// heap snapshot just read from machine.
+func (t *Tenant) publishAllocTotals(machine *vm.VM, hs heap.Stats) {
+	t.allocMu.Lock()
+	defer t.allocMu.Unlock()
+	seen := &t.allocSeen
+	if seen.vm != machine {
+		seen.vm, seen.objects, seen.locks = machine, 0, 0
+	}
+	if hs.ObjectsAlloc > seen.objects {
+		t.allocObjects.Add(hs.ObjectsAlloc - seen.objects)
+		seen.objects = hs.ObjectsAlloc
+	}
+	if hs.AllocShardLocks > seen.locks {
+		t.allocLocks.Add(hs.AllocShardLocks - seen.locks)
+		seen.locks = hs.AllocShardLocks
+	}
 }
 
 // currentVM returns the live session VM (prober, metrics, audits).

@@ -206,3 +206,47 @@ func BenchmarkRunThreadObs(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkNewParallel measures Thread.New from GOMAXPROCS goroutines, one
+// Thread each, sharing one VM: what the allocation path costs when distinct
+// threads could serialize on it. Run with -cpu 1,2,4; collections triggered
+// by the allocation volume are part of the cost, as they are in a server.
+func BenchmarkNewParallel(b *testing.B) {
+	v := New(Options{HeapLimit: 32 << 20, EnableBarriers: true, GCWorkers: 1})
+	scratch := v.DefineClass("Scratch", 0, 64)
+	b.RunParallel(func(pb *testing.PB) {
+		err := v.RunThread("bench", func(t *Thread) {
+			for more := true; more; {
+				t.Scope(func() {
+					for j := 0; j < 64 && more; j++ {
+						t.New(scratch)
+						more = pb.Next()
+					}
+				})
+			}
+		})
+		if err != nil {
+			b.Error(err)
+		}
+	})
+}
+
+// BenchmarkRequestShapedAlloc is the leakd small-request shape: a thread
+// that lives for one request, allocates 40 short-lived objects and exits.
+// Every thread starts on the next shard, so after a few collections the
+// free slots are spread over all of them.
+func BenchmarkRequestShapedAlloc(b *testing.B) {
+	v := New(Options{HeapLimit: 32 << 20, EnableBarriers: true, GCWorkers: 1})
+	scratch := v.DefineClass("Scratch", 0, 64)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		err := v.RunThread("request", func(t *Thread) {
+			for j := 0; j < 40; j++ {
+				t.New(scratch)
+			}
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -102,6 +102,9 @@ func (v *VM) collectConcurrent() gc.Result {
 	t0 := time.Now()
 	v.stopTheWorld()
 	defer v.startTheWorld()
+	// Mutators allocated through the mark and the sweep: promotion and the
+	// closing bookkeeping need their nursery members and counts in the heap.
+	v.flushRuns()
 	v.heap.SetAllocMarkEpoch(0)
 	v.gcActive.Store(false)
 	res := cm.Finish()

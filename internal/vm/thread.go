@@ -28,11 +28,14 @@ type Thread struct {
 	// published with sequentially consistent atomics against the world's
 	// stop flag.
 	state atomic.Uint32
-	// alloc is the thread's TLAB-style allocation context: a reserved byte
-	// quota plus a preferred heap shard, so the allocation fast path
-	// touches the shared used-byte counter only on refill. The VM returns
-	// unused quota at every stop-the-world collection (flushTLABs), and
-	// Exit returns it for good.
+	// alloc is the thread's allocation context: a byte quota reserved
+	// against the heap limit and a private run of free object slots, so New
+	// takes no lock and touches no shared counter except on refill — plus
+	// the allocation counts not yet folded into the heap, which is why
+	// HeapStats sums live threads' contexts. The owner uses it only inside
+	// critical regions; the VM releases it (slots, counts and quota back to
+	// the heap) with the world stopped at every flush (flushTLABs), and Exit
+	// releases it for good.
 	alloc heap.AllocContext
 	// cache memoizes the last chunk pointer for this thread's object
 	// lookups (heap.GetCached).
@@ -147,8 +150,8 @@ func (t *Thread) Exit() {
 		return
 	}
 	t.exited = true
-	// Return the unused TLAB quota inside a critical region so the store
-	// cannot race a stop-the-world flush of the same context. The trace
+	// Release the allocation context inside a critical region so it cannot
+	// race a stop-the-world flush of the same context. The trace
 	// ring is drained and unregistered in the same region, alongside the
 	// counter fold below: after Exit, nothing references the ring.
 	t.beginOp()

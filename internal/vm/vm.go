@@ -134,8 +134,13 @@ type VM struct {
 	globalCount atomic.Int64
 	globalSpine [globalSpineLen]atomic.Pointer[globalChunk]
 
-	finalMu    sync.Mutex
-	finalizers map[heap.ObjectID]func(FinalizerInfo)
+	// finalMu guards finalizers; finalizerCount mirrors its length so a
+	// collection can tell with one atomic load that no finalizer is
+	// registered and leave the sweep's per-freed-object hook out of its plan
+	// (onFreeHook).
+	finalMu        sync.Mutex
+	finalizers     map[heap.ObjectID]func(FinalizerInfo)
+	finalizerCount atomic.Int64
 
 	// prunedEdges remembers the target class of poisoned references so the
 	// InternalError raised on access can name the edge type. The map is
@@ -320,8 +325,19 @@ func (v *VM) DefineClass(name string, refSlots, scalarBytes int) heap.ClassID {
 // Classes exposes the class registry.
 func (v *VM) Classes() *heap.Registry { return v.classes }
 
-// HeapStats returns the heap accounting snapshot.
-func (v *VM) HeapStats() heap.Stats { return v.heap.Stats() }
+// HeapStats returns the heap accounting snapshot. Allocation counts that
+// live threads have not yet folded into the heap are summed in, the way
+// Stats sums the per-thread operation counters, so the snapshot is exact
+// whenever no mutator is running.
+func (v *VM) HeapStats() heap.Stats {
+	st := v.heap.Stats()
+	v.threadMu.Lock()
+	for t := range v.threads {
+		t.alloc.AddPending(&st)
+	}
+	v.threadMu.Unlock()
+	return st
+}
 
 // HeapLimit returns the configured maximum heap size.
 func (v *VM) HeapLimit() uint64 { return v.opts.HeapLimit }
@@ -464,6 +480,7 @@ func (v *VM) SetFinalizer(r heap.Ref, fn func(FinalizerInfo)) {
 	} else {
 		v.finalizers[r.ID()] = fn
 	}
+	v.finalizerCount.Store(int64(len(v.finalizers)))
 }
 
 // Collect forces one full-heap collection. Must not be called from inside a
@@ -598,10 +615,13 @@ func (v *VM) maybeMinorCollect() {
 	if !v.nurseryFull() {
 		return
 	}
+	// The nursery lists and allocation totals the minor collection reads
+	// must include what the threads' contexts still hold.
+	v.flushRuns()
 	v.remMu.Lock()
 	set := append([]heap.ObjectID(nil), v.remset...)
 	v.remMu.Unlock()
-	res := v.collector.CollectMinor(set, v.runFinalizer)
+	res := v.collector.CollectMinor(set, v.onFreeHook())
 	v.logMinorGC(res)
 	v.minorTime.Add(int64(res.Duration))
 	v.minorFrees.Add(res.ObjectsFreed)
@@ -609,15 +629,26 @@ func (v *VM) maybeMinorCollect() {
 	v.allocAtLastGC.Store(v.heap.Stats().BytesAlloc)
 }
 
-// flushTLABs returns every thread's unused allocation reservation to the
-// heap, making BytesUsed exact for the collection about to run. Caller has
+// flushTLABs returns every thread's unused slots, pending allocation counts
+// and unused byte reservation to the heap, making the heap's free lists,
+// Stats and BytesUsed exact for the collection about to run. Caller has
 // stopped the world, so no context is in use.
-func (v *VM) flushTLABs() {
+func (v *VM) flushTLABs() { v.heap.ReleaseContexts(v.allocContexts()) }
+
+// flushRuns is flushTLABs without the byte reservations: a minor
+// collection needs the nursery lists and free lists whole but leaves
+// BytesUsed, and so the full-collection trigger, as the mutators left it.
+func (v *VM) flushRuns() { v.heap.SettleContexts(v.allocContexts()) }
+
+// allocContexts lists every live thread's allocation context.
+func (v *VM) allocContexts() []*heap.AllocContext {
 	v.threadMu.Lock()
+	defer v.threadMu.Unlock()
+	cs := make([]*heap.AllocContext, 0, len(v.threads))
 	for t := range v.threads {
-		v.heap.ReleaseContext(&t.alloc)
+		cs = append(cs, &t.alloc)
 	}
-	v.threadMu.Unlock()
+	return cs
 }
 
 // collectLocked runs one fully-STW collection cycle. Caller has stopped the
@@ -653,7 +684,7 @@ func (v *VM) preparePlan() gc.Plan {
 		plan.AgeStaleness = false
 	}
 	v.lastGCAlloc = allocNow
-	plan.OnFree = v.runFinalizer
+	plan.OnFree = v.onFreeHook()
 	if plan.Mode == gc.ModePrune {
 		// Record each poisoned slot's target class so a later trap can
 		// name the pruned edge type precisely.
@@ -807,12 +838,26 @@ func fmtBytes(b uint64) string {
 	return fmt.Sprintf("%dB", b)
 }
 
+// onFreeHook returns the callback the sweep runs for every object it frees,
+// or nil when it would do nothing — no finalizer registered, no trace being
+// recorded — so the collector neither records nor calls per freed object.
+// Deciding once, inside the cycle's first pause, is sound for concurrent
+// cycles too: what a cycle frees was unreachable at its snapshot, so no
+// mutator holds a reference to register a finalizer on it later.
+func (v *VM) onFreeHook() func(heap.ObjectID, heap.ClassID, uint64) {
+	if v.recorder == nil && v.finalizerCount.Load() == 0 {
+		return nil
+	}
+	return v.runFinalizer
+}
+
 func (v *VM) runFinalizer(id heap.ObjectID, class heap.ClassID, size uint64) {
 	v.recorder.Free(uint64(id))
 	v.finalMu.Lock()
 	fn, ok := v.finalizers[id]
 	if ok {
 		delete(v.finalizers, id)
+		v.finalizerCount.Store(int64(len(v.finalizers)))
 	}
 	v.finalMu.Unlock()
 	if ok {
