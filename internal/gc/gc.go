@@ -456,12 +456,13 @@ type sweepResult struct {
 }
 
 // sweepWorker is one sweep worker's output: its tallies, the IDs it found
-// dead (ascending), and — when the plan has an OnFree hook — their
-// finalizer records.
+// dead (ascending), their finalizer records when the plan has an OnFree
+// hook, and their prune-histogram samples in a prune cycle.
 type sweepWorker struct {
 	sweepResult
 	dead   []heap.ObjectID
 	finals []freeRec
+	pruned heap.PruneTally
 }
 
 // freeRec captures a reclaimed object's identity for the serial finalizer
@@ -490,12 +491,12 @@ func (c *Collector) sweep(plan Plan) sweepResult {
 	sweepers := c.sweepers[:workers]
 	for w := range sweepers {
 		sw := &sweepers[w]
-		*sw = sweepWorker{dead: sw.dead[:0], finals: sw.finals[:0]}
+		*sw = sweepWorker{dead: sw.dead[:0], finals: sw.finals[:0], pruned: sw.pruned}
 	}
 	// In a prune cycle every reclaimed object was held only through
 	// poisoned or dead references; the heap's prune histograms sample size
 	// and staleness age at exactly this point, before FreeBatch recycles
-	// the slot.
+	// the slot — into the worker's own tally, merged after the join.
 	pruneMode := plan.Mode == ModePrune
 	scan := func(w int) {
 		sr := &sweepers[w]
@@ -521,7 +522,7 @@ func (c *Collector) sweep(plan Plan) sweepResult {
 			sr.bytesFreed += obj.Size()
 			sr.objectsFreed++
 			if pruneMode {
-				c.heap.RecordPrunedFree(obj.Size(), obj.Stale())
+				c.heap.RecordPrunedFree(&sr.pruned, obj.Size(), obj.Stale())
 			}
 			if plan.OnFree != nil {
 				sr.finals = append(sr.finals, freeRec{id: id, class: obj.Class(), size: obj.Size()})
@@ -547,6 +548,9 @@ func (c *Collector) sweep(plan Plan) sweepResult {
 	for w := range sweepers {
 		sw := &sweepers[w]
 		c.heap.FreeBatch(sw.dead)
+		if pruneMode {
+			c.heap.MergePruned(&sw.pruned)
+		}
 		sr.bytesLive += sw.bytesLive
 		sr.objectsLive += sw.objectsLive
 		sr.bytesFreed += sw.bytesFreed

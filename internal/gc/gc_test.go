@@ -1,9 +1,11 @@
 package gc
 
 import (
+	"reflect"
 	"testing"
 
 	"leakpruning/internal/heap"
+	"leakpruning/internal/obs"
 )
 
 // rootSet is a simple RootVisitor over a slice of refs.
@@ -323,6 +325,76 @@ func TestSweepFreeOrderIndependentOfWorkers(t *testing.T) {
 			if got[i] != want[i] {
 				t.Fatalf("run %d: allocation %d after a 4-worker sweep got ID %d, 1-worker sweep gave %d",
 					run, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestPruneHistogramsMatchPerObjectObservation: the sweep tallies the prune
+// histograms' samples per worker and merges them after the join; what
+// lp_prune_freed_bytes and lp_prune_staleness_age end up holding — every
+// bucket, sum and count — must be what observing each reclaimed object one
+// at a time gives, at any worker count.
+func TestPruneHistogramsMatchPerObjectObservation(t *testing.T) {
+	const objects = 12000 // ≥ 4096 slots, so a 4-worker sweep really shards
+	for _, workers := range []int{1, 4} {
+		th := newTestHeap(t)
+		o := obs.New()
+		th.h.SetObs(o)
+		// Sizes on both sides of several lp_prune_freed_bytes bounds.
+		classes := []heap.ClassID{
+			th.class(t, "Tiny", 1, 0), th.class(t, "Small", 1, 47), th.class(t, "Mid", 2, 240),
+			th.class(t, "Page", 0, 1100),
+		}
+		big := th.class(t, "Big", 0, 20000)
+		ref := obs.New().Registry()
+		wantBytes := ref.NewHistogram("bytes", "", obs.ByteBuckets)
+		wantAge := ref.NewHistogram("age", "", obs.StaleAgeBuckets)
+		for i := 0; i < objects; i++ {
+			cls := classes[i%len(classes)]
+			if i%64 == 5 {
+				cls = big
+			}
+			r := th.alloc(t, cls)
+			obj := th.h.Get(r)
+			obj.SetStale(uint8(i * 7 % (heap.MaxStale + 1)))
+			if i%3 == 0 {
+				th.roots.refs = append(th.roots.refs, r)
+				continue
+			}
+			wantBytes.Observe(obj.Size())
+			wantAge.Observe(uint64(obj.Stale()))
+		}
+		c := th.collector(workers)
+		res := c.Collect(Plan{Mode: ModePrune})
+		if res.ObjectsFreed != wantBytes.Count() {
+			t.Fatalf("workers=%d: freed %d objects, want %d", workers, res.ObjectsFreed, wantBytes.Count())
+		}
+		want := map[string]*obs.Histogram{"lp_prune_freed_bytes": wantBytes, "lp_prune_staleness_age": wantAge}
+		for _, m := range o.Registry().Snapshot() {
+			w := want[m.Name]
+			if w == nil {
+				continue
+			}
+			delete(want, m.Name)
+			got := m.Histogram
+			if got.Sum != w.Sum() || got.Count != w.Count() || !reflect.DeepEqual(got.Counts, w.BucketCounts()) {
+				t.Errorf("workers=%d %s: counts %v sum %d count %d, per-object observation gives %v / %d / %d",
+					workers, m.Name, got.Counts, got.Sum, got.Count, w.BucketCounts(), w.Sum(), w.Count())
+			}
+		}
+		if len(want) != 0 {
+			t.Fatalf("workers=%d: prune histograms missing from the registry: %v", workers, want)
+		}
+		// A following non-prune cycle samples nothing.
+		th.roots.refs = th.roots.refs[:len(th.roots.refs)/2]
+		if res := c.Collect(Plan{Mode: ModeNormal}); res.ObjectsFreed == 0 {
+			t.Fatalf("workers=%d: the ModeNormal cycle freed nothing", workers)
+		}
+		for _, m := range o.Registry().Snapshot() {
+			if m.Name == "lp_prune_freed_bytes" && m.Histogram.Count != wantBytes.Count() {
+				t.Errorf("workers=%d: a ModeNormal sweep sampled the prune histograms (%d → %d)",
+					workers, wantBytes.Count(), m.Histogram.Count)
 			}
 		}
 	}

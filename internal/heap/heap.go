@@ -15,11 +15,30 @@ const (
 	chunkSize  = 1 << chunkShift
 	chunkMask  = chunkSize - 1
 	maxChunks  = 1 << 16 // up to ~1 G objects
+
+	// The chunk table is two levels deep so that a heap pays for the part of
+	// it it uses: a spine of spineLen block pointers (2 KB, inside the Heap)
+	// and blocks of spineBlockLen chunk pointers (2 KB, one per 4 M objects,
+	// created with their first chunk). A flat table is 512 KB that every New
+	// has to zero whether the heap ever holds 16 K objects or 1 G.
+	spineShift    = 8
+	spineBlockLen = 1 << spineShift
+	spineLen      = maxChunks >> spineShift
 )
 
 // chunk is one fixed block of the object table. Chunks are never moved or
 // reclaimed, so *Object pointers stay valid until the object is freed.
 type chunk [chunkSize]Object
+
+// spineBlock is one block of the chunk table's second level. Like chunks,
+// blocks are never moved or reclaimed once installed.
+type spineBlock [spineBlockLen]atomic.Pointer[chunk]
+
+// noChunks is the block every spine entry of a new heap points to, and
+// nothing ever writes: lookups go through the spine without a nil check (the
+// sweep's Lookup has to stay inlinable), and a spine entry gets a block of
+// its own with its first chunk.
+var noChunks spineBlock
 
 // ErrHeapFull is returned by Allocate when the requested object does not fit
 // under the heap limit. The caller (the VM's allocation slow path) reacts by
@@ -87,7 +106,7 @@ type Heap struct {
 
 	// chunkMu serializes chunk creation only; lookups are lock-free.
 	chunkMu sync.Mutex
-	chunks  [maxChunks]atomic.Pointer[chunk]
+	chunks  [spineLen]atomic.Pointer[spineBlock]
 
 	shards [numShards]shard
 	// rotor spreads context-less allocations and new AllocContexts across
@@ -133,6 +152,9 @@ func New(classes *Registry, limit uint64) *Heap {
 	}
 	h := &Heap{classes: classes, limit: limit}
 	h.next.Store(1)
+	for i := range h.chunks {
+		h.chunks[i].Store(&noChunks)
+	}
 	return h
 }
 
@@ -329,14 +351,18 @@ func (h *Heap) allocate(ctx *AllocContext, runLen int, class ClassID, opts []All
 		}
 		h.freeListRepairs.Add(1)
 	}
+	// class and size are the two header words birth always has to write.
+	// stale and flags are already zero on every fresh or freed slot
+	// (freeLocked's invariant), so they are loaded first and stored — a
+	// locked instruction each — only when that is not what they hold.
 	atomic.StoreUint32((*uint32)(&obj.class), uint32(class))
-	atomic.StoreUint32(&obj.stale, 0)
 	var flags uint32
 	if generational {
 		flags = flagYoung
 		ctx.young = append(ctx.young, id)
 	}
-	atomic.StoreUint32(&obj.flags, flags)
+	setHeaderWord(&obj.stale, 0)
+	setHeaderWord(&obj.flags, flags)
 	obj.home = uint8(ctx.home)
 	if cap(obj.refs) >= refSlots {
 		obj.refs = obj.refs[:refSlots]
@@ -362,8 +388,14 @@ func (h *Heap) allocate(ctx *AllocContext, runLen int, class ClassID, opts []All
 	return MakeRef(id), nil
 }
 
+// chunkAt returns chunk ci of the table, nil if it was never materialized.
+func (h *Heap) chunkAt(ci int) *chunk {
+	return h.chunks[ci>>spineShift].Load()[ci&(spineBlockLen-1)].Load()
+}
+
 func (h *Heap) slot(id ObjectID) *Object {
-	c := h.chunks[int(id)>>chunkShift].Load()
+	// chunkAt, written out: Lookup is one node short of inlining through it.
+	c := h.chunks[id>>(chunkShift+spineShift)].Load()[id>>chunkShift&(spineBlockLen-1)].Load()
 	if c == nil {
 		return nil
 	}
@@ -410,7 +442,7 @@ func (h *Heap) GetCached(r Ref, cc *ChunkCache) *Object {
 	ci := int32(uint64(id) >> chunkShift)
 	c := cc.c
 	if c == nil || cc.ci != ci {
-		c = h.chunks[ci].Load()
+		c = h.chunkAt(int(ci))
 		if c == nil {
 			return nil
 		}
@@ -531,7 +563,10 @@ func (h *Heap) probeFreeListLocked(s *shard) int {
 
 // freeLocked releases obj (slot id) into shard s, clearing its header so a
 // recycled slot starts clean: flags, stale counter, class, size, and refs
-// are all reset (the mark word is deliberately kept — see Allocate). It
+// are all reset (the mark word is deliberately kept — see Allocate). Size
+// and class always change; flags and stale are stored only when they are
+// not zero already, which is most deaths (an object that dies young was
+// never aged or flagged), so a free costs two locked instructions. It
 // returns the heap-resident bytes to credit back to the used counter (zero
 // for offloaded objects, whose bytes live on disk). Caller holds s.mu.
 func (h *Heap) freeLocked(s *shard, id ObjectID, obj *Object) uint64 {
@@ -549,10 +584,20 @@ func (h *Heap) freeLocked(s *shard, id ObjectID, obj *Object) uint64 {
 	obj.setSize(0)
 	atomic.StoreUint32((*uint32)(&obj.class), 0)
 	obj.refs = obj.refs[:0]
-	atomic.StoreUint32(&obj.flags, 0)
-	atomic.StoreUint32(&obj.stale, 0)
+	setHeaderWord(&obj.flags, 0)
+	setHeaderWord(&obj.stale, 0)
 	s.free = append(s.free, id)
 	return heapBytes
+}
+
+// setHeaderWord leaves *w holding v, storing only if it does not already: an
+// atomic load is a plain MOV, an atomic store is a locked XCHG. For the
+// allocator's own use on a slot no one else is writing (a slot in a
+// context's run, or an unreachable object being freed under its shard lock).
+func setHeaderWord(w *uint32, v uint32) {
+	if atomic.LoadUint32(w) != v {
+		atomic.StoreUint32(w, v)
+	}
 }
 
 // ForEach calls fn for every allocated object, passing its ID. The heap

@@ -386,3 +386,35 @@ func TestConcurrentAllocAndRead(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestChunkTableSecondLevel: the chunk table's spine starts out pointing at
+// one shared empty block; a chunk beyond the first block gets a block of its
+// own, lookups on either side of it resolve or report "never materialized",
+// and the shared block is never written.
+func TestChunkTableSecondLevel(t *testing.T) {
+	h := New(NewRegistry(), 1<<20)
+	far := ObjectID((spineBlockLen+3)<<chunkShift | 5) // 4th chunk of the 2nd block
+	if h.slot(far) != nil || h.slot(1) != nil {
+		t.Fatal("a new heap resolves a slot before any chunk exists")
+	}
+	h.ensureChunks(far, far)
+	if h.slot(far) == nil {
+		t.Fatal("slot in the materialized chunk does not resolve")
+	}
+	if _, ok := h.Lookup(far); ok {
+		t.Fatal("Lookup reports an unallocated slot live")
+	}
+	for _, id := range []ObjectID{1, far - chunkSize, far + chunkSize, far + spineBlockLen<<chunkShift} {
+		if h.slot(id) != nil {
+			t.Fatalf("slot %d resolves though its chunk was never materialized", id)
+		}
+	}
+	if h.chunks[0].Load() != &noChunks || h.chunks[1].Load() == &noChunks {
+		t.Fatal("only the second spine entry should have a block of its own")
+	}
+	for i := range noChunks {
+		if noChunks[i].Load() != nil {
+			t.Fatalf("the shared empty block was written at %d", i)
+		}
+	}
+}

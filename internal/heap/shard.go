@@ -335,12 +335,17 @@ func (h *Heap) carveLocked(s *shard) {
 // through the atomic chunk pointers and never take it.
 func (h *Heap) ensureChunks(lo, hi ObjectID) {
 	for ci := int(lo) >> chunkShift; ci <= int(hi)>>chunkShift; ci++ {
-		if h.chunks[ci].Load() != nil {
+		if h.chunkAt(ci) != nil {
 			continue
 		}
 		h.chunkMu.Lock()
-		if h.chunks[ci].Load() == nil {
-			h.chunks[ci].Store(new(chunk))
+		b := h.chunks[ci>>spineShift].Load()
+		if b == &noChunks {
+			b = new(spineBlock)
+			h.chunks[ci>>spineShift].Store(b)
+		}
+		if e := &b[ci&(spineBlockLen-1)]; e.Load() == nil {
+			e.Store(new(chunk))
 		}
 		h.chunkMu.Unlock()
 	}

@@ -83,6 +83,17 @@ func benchMutatorOp(b *testing.B, barriers, obsOn bool, op string, threads int) 
 				a := t.New(node)
 				t.Store(a, 0, t.New(node))
 				switch op {
+				case "region":
+					// The floor: an empty critical region, the two stores on
+					// the state word every operation below also pays.
+					for i := 0; i < per; i += 64 {
+						t.Scope(func() {
+							for j := 0; j < 64; j++ {
+								t.beginOp()
+								t.endOp()
+							}
+						})
+					}
 				case "load":
 					for i := 0; i < per; i += 64 {
 						t.Scope(func() {
@@ -120,12 +131,15 @@ func benchMutatorOp(b *testing.B, barriers, obsOn bool, op string, threads int) 
 
 // BenchmarkMutatorOps is the mutator fast-path matrix: Load/Store/New,
 // barriers on and off, 1–8 mutator threads, with the observability layer
-// detached and attached. The single-thread rows measure the per-operation
-// protocol cost (two thread-local atomics); the multi-thread rows show
-// whether distinct threads serialize; the obs=true rows bound what
+// detached and attached. op=region is a bare beginOp/endOp pair — the
+// protocol's two locked instructions and nothing else — so the
+// single-thread rows read as floor + work in the same run on the same box:
+// Load adds no locked instruction to the floor, Store one (the slot), New
+// three (class, size, the context's pending word). The multi-thread rows
+// show whether distinct threads serialize; the obs=true rows bound what
 // attaching metrics and per-thread trace rings costs the fast paths.
 func BenchmarkMutatorOps(b *testing.B) {
-	for _, op := range []string{"load", "store", "new"} {
+	for _, op := range []string{"region", "load", "store", "new"} {
 		for _, barriers := range []bool{false, true} {
 			for _, obsOn := range []bool{false, true} {
 				for _, threads := range []int{1, 2, 4, 8} {

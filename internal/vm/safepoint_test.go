@@ -15,9 +15,10 @@ import (
 // mixing Load/Store/New through a shared global while full-heap collections
 // — including SELECT and PRUNE cycles driven by the pruning policy, plus
 // explicitly forced ones — stop the world underneath them. Run with -race
-// this is the main evidence that the safepoint fast path (two thread-local
-// atomics, no shared lock) still establishes happens-before between
-// mutators and the collector.
+// this is the main evidence that the safepoint fast path (two atomic stores
+// on the thread's own state word and nothing else locked — the op=region
+// row of BenchmarkMutatorOps; no shared lock, plain per-thread counters)
+// still establishes happens-before between mutators and the collector.
 func TestSafepointStress(t *testing.T) {
 	v := New(Options{
 		HeapLimit:      2 << 20,

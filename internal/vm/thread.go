@@ -16,9 +16,15 @@ import (
 // time; distinct Threads may run concurrently.
 //
 // Mutator operations run inside a critical region (see beginOp in
-// world.go): two uncontended atomic operations on the thread's own state
-// word, so distinct threads never serialize on a shared lock; collections
-// stop the world by waiting for every thread to reach a safepoint.
+// world.go): two uncontended atomic stores on the thread's own state word —
+// the operation's only locked instructions on Load, and the floor every other
+// operation adds its own work to (BenchmarkMutatorOps op=region beside
+// op=load/store/new) — so distinct threads never serialize on a shared lock;
+// collections stop the world by waiting for every thread to reach a
+// safepoint. Everything else the thread owns between safepoints (frames,
+// alloc, satbOn, the operation counters, ring, rec) is plain memory the
+// state word orders: the owner touches it only inside critical regions,
+// anyone else only with the world stopped.
 type Thread struct {
 	vm     *VM
 	name   string
@@ -26,8 +32,10 @@ type Thread struct {
 	exited bool
 	// state is the safepoint state word (threadSafe / threadRunning),
 	// published with sequentially consistent atomics against the world's
-	// stop flag.
+	// stop flag; stop is that flag (&vm.world.stop), held here so beginOp
+	// reaches it in one load and stays inside the inliner's budget.
 	state atomic.Uint32
+	stop  *atomic.Bool
 	// alloc is the thread's allocation context: a byte quota reserved
 	// against the heap limit and a private run of free object slots, so New
 	// takes no lock and touches no shared counter except on refill — plus
@@ -50,12 +58,13 @@ type Thread struct {
 	// iteration loops stop allocating (bounded by maxFramePool).
 	pool []*Frame
 
-	// Per-thread operation counters. Only this thread increments them (an
-	// uncontended atomic add); Stats aggregates them across live threads
-	// under threadMu and Exit folds them into the VM's retired totals.
-	loads       atomic.Uint64
-	allocs      atomic.Uint64
-	barrierHits atomic.Uint64
+	// Per-thread operation counters: plain words this thread increments
+	// inside its critical regions, under the same discipline as alloc. Stats
+	// reads them across live threads at a safepoint handshake and Exit folds
+	// them into the VM's retired totals.
+	loads       uint64
+	allocs      uint64
+	barrierHits uint64
 
 	// ring is the thread's trace-event buffer (nil when tracing is off).
 	// Written only inside this thread's critical regions; drained by the
@@ -106,6 +115,7 @@ func (v *VM) NewThread(name string) *Thread {
 	t := &Thread{
 		vm:    v,
 		name:  name,
+		stop:  &v.world.stop,
 		alloc: v.heap.NewAllocContext(),
 		ring:  v.obsTracer.NewRing(name),
 		rec:   v.recorder.NewStream(name),
@@ -170,9 +180,9 @@ func (t *Thread) Exit() {
 	}
 	t.endOp()
 	t.vm.threadMu.Lock()
-	t.vm.retired.loads += t.loads.Load()
-	t.vm.retired.allocs += t.allocs.Load()
-	t.vm.retired.barrierHits += t.barrierHits.Load()
+	t.vm.retired.loads += t.loads
+	t.vm.retired.allocs += t.allocs
+	t.vm.retired.barrierHits += t.barrierHits
 	delete(t.vm.threads, t)
 	t.vm.threadMu.Unlock()
 }
@@ -348,8 +358,8 @@ func (t *Thread) trapBadSlot(class heap.ClassID, n, slot int) {
 // OutOfMemoryError when memory is exhausted and pruning cannot help.
 func (t *Thread) New(class heap.ClassID, opts ...heap.AllocOption) heap.Ref {
 	v := t.vm
-	t.allocs.Add(1)
 	t.beginOp()
+	t.allocs++
 	ref, err := v.heap.AllocateCtx(&t.alloc, class, opts...)
 	if err == nil {
 		t.root(ref)
@@ -379,8 +389,8 @@ func (t *Thread) New(class heap.ClassID, opts ...heap.AllocOption) heap.Ref {
 // OutOfMemoryError (§4.4).
 func (t *Thread) Load(a heap.Ref, slot int) heap.Ref {
 	v := t.vm
-	t.loads.Add(1)
 	t.beginOp()
+	t.loads++
 	if t.rec != nil {
 		// Record before the barrier so a poison-trapping load is the last
 		// event on its stream — replay reproduces the trap at the same op.
@@ -443,7 +453,7 @@ func (t *Thread) barrierColdPath(src *heap.Object, srcID heap.ObjectID, slot int
 		t.endOp()
 		v.throwPoisonTrap(srcClass, srcID, slot)
 	}
-	t.barrierHits.Add(1)
+	t.barrierHits++
 	v.obsBarrierCold.Inc()
 	old := b
 	b = b.Untagged()

@@ -197,8 +197,8 @@ type VM struct {
 
 	// poisonTraps stays a VM-global atomic: traps are terminal for their
 	// thread, so the counter is never on a fast path. Loads, allocations,
-	// and barrier hits are counted per thread (see Thread) and aggregated
-	// by Stats.
+	// and barrier hits are counted per thread in plain words (see Thread)
+	// and summed by Stats at a safepoint handshake.
 	poisonTraps atomic.Uint64
 	gcTimeNanos atomic.Int64
 	finalizersN atomic.Uint64
@@ -326,9 +326,10 @@ func (v *VM) DefineClass(name string, refSlots, scalarBytes int) heap.ClassID {
 func (v *VM) Classes() *heap.Registry { return v.classes }
 
 // HeapStats returns the heap accounting snapshot. Allocation counts that
-// live threads have not yet folded into the heap are summed in, the way
-// Stats sums the per-thread operation counters, so the snapshot is exact
-// whenever no mutator is running.
+// live threads have not yet folded into the heap are summed in from each
+// context's atomic pending word, so the snapshot is exact whenever no
+// mutator is running — and, unlike Stats, taking it stops no one, which is
+// what lets the daemon's budget prober poll it.
 func (v *VM) HeapStats() heap.Stats {
 	st := v.heap.Stats()
 	v.threadMu.Lock()
@@ -355,26 +356,30 @@ func (v *VM) PruneEvents() []core.PruneEvent {
 	return append([]core.PruneEvent(nil), v.ctrl.Events()...)
 }
 
-// Stats returns VM counters. Loads, allocations, and barrier hits are
-// sharded per thread on the mutator fast path; Stats sums the live threads'
-// counters plus the totals folded in by exited threads. The sum is a
-// consistent snapshot only while no mutator runs (counters may advance
-// mid-aggregation otherwise, exactly like any monotonic counter read).
+// Stats returns VM counters. Loads, allocations, and barrier hits are plain
+// per-thread words on the mutator fast path, so Stats reads them at a
+// safepoint handshake: every thread is between operations while it sums the
+// live threads' counters plus the totals folded in by exited threads, which
+// makes the sum exact — every operation that returned before Stats was
+// called is in it, a thread that never exited included. The handshake is
+// not a pause (world.go); like Collect, Stats may be called between
+// operations on a live Thread but not from inside a critical region or a GC
+// callback. HeapStats stays handshake-free for callers that poll.
 func (v *VM) Stats() Stats {
-	v.lockOutSTW()
+	v.handshake()
 	pruned := v.ctrl.TotalPrunedRefs()
 	idx := v.collector.Index()
-	v.unlockOutSTW()
 	v.threadMu.Lock()
 	loads := v.retired.loads
 	allocs := v.retired.allocs
 	barrierHits := v.retired.barrierHits
 	for t := range v.threads {
-		loads += t.loads.Load()
-		allocs += t.allocs.Load()
-		barrierHits += t.barrierHits.Load()
+		loads += t.loads
+		allocs += t.allocs
+		barrierHits += t.barrierHits
 	}
 	v.threadMu.Unlock()
+	v.startTheWorld()
 	return Stats{
 		Collections:   idx,
 		MinorGCs:      v.collector.MinorIndex(),

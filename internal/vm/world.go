@@ -19,10 +19,18 @@ const (
 // world is the VM's mutator/collector synchronization, the safepoint
 // protocol: each Thread carries an atomic state word, mutator operations
 // enter and leave a critical region with two uncontended stores on that
-// thread-local word, and the collector's stop-the-world performs a ragged
-// barrier — it raises a global stop flag and waits until every registered
-// thread is observed at a safepoint. Threads that notice the flag park on
-// a condition variable until the world restarts.
+// thread-local word — the only two locked instructions the protocol costs
+// an operation (each Go atomic store is an XCHG on amd64; the stop-flag test
+// between them is a plain load) and all of Load's, see the op=region and
+// op=load rows of BenchmarkMutatorOps — and the collector's stop-the-world
+// performs a ragged barrier: it raises a global stop flag and waits until
+// every registered thread is observed at a safepoint. Threads that notice
+// the flag park on a condition variable until the world restarts.
+//
+// Two is the floor. A thread may be abandoned between operations without
+// ever exiting (Mckoi's workers, one goroutine driving several Threads, a
+// RunThread body that calls Collect), and it must not hold up a stop, so
+// every operation has to publish its own exit as well as its entry.
 //
 // stwOwner serializes stop-the-world sections (and VM-level operations
 // that must merely exclude collections); stop is the Dekker-style flag
@@ -55,7 +63,6 @@ func (w *world) init() {
 // off to its safepoint) or the collector sees running (and waits for the
 // region to end), never neither.
 func (v *VM) stopTheWorld() {
-	w := &v.world
 	// Time-to-stop observation is gated on the histogram handle so the
 	// disabled path never reads the clock.
 	timed := v.obsStopNs != nil
@@ -63,14 +70,44 @@ func (v *VM) stopTheWorld() {
 	if timed {
 		t0 = time.Now()
 	}
-	w.stwOwner.Lock()
+	v.world.stwOwner.Lock()
+	v.world.raiseStop()
+	if v.inj.Should(faultinject.SafepointStall) {
+		safepointStall()
+	}
+	v.awaitSafepoints()
+	if timed {
+		v.observeStop(time.Since(t0))
+	}
+}
+
+// handshake is stopTheWorld for a reader rather than a collection: it
+// brings every thread to a safepoint so the caller may read what threads own
+// between safepoints (Stats and the per-thread operation counters), but it is
+// not a pause — nothing is observed into lp_safepoint_stop_ns, no stw.stop
+// span is emitted, and no fault is injected, so traces and injection
+// sequences are the same whether or not anyone asked. Pair with
+// startTheWorld.
+func (v *VM) handshake() {
+	v.world.stwOwner.Lock()
+	v.world.raiseStop()
+	v.awaitSafepoints()
+}
+
+// raiseStop publishes the stop flag (and its condvar mirror). Caller holds
+// stwOwner.
+func (w *world) raiseStop() {
 	w.parkMu.Lock()
 	w.parked = true
 	w.parkMu.Unlock()
 	w.stop.Store(true)
-	if v.inj.Should(faultinject.SafepointStall) {
-		safepointStall()
-	}
+}
+
+// awaitSafepoints is the ragged barrier: it returns once every thread
+// registered when it looked has been observed at a safepoint. Caller has
+// raised the stop flag. A thread registered later cannot have entered a
+// critical region — its first beginOp sees the flag.
+func (v *VM) awaitSafepoints() {
 	v.threadMu.Lock()
 	threads := make([]*Thread, 0, len(v.threads))
 	for t := range v.threads {
@@ -85,9 +122,6 @@ func (v *VM) stopTheWorld() {
 				time.Sleep(10 * time.Microsecond)
 			}
 		}
-	}
-	if timed {
-		v.observeStop(time.Since(t0))
 	}
 }
 
@@ -117,7 +151,7 @@ func (v *VM) startTheWorld() {
 
 // lockOutSTW blocks stop-the-world sections (but not mutator threads) for
 // the duration of a VM-level operation that has no Thread of its own —
-// AddGlobal, SetFinalizer, Stats reads — by holding the STW owner mutex,
+// AddGlobal, SetFinalizer, PruneEvents — by holding the STW owner mutex,
 // which collections also acquire.
 func (v *VM) lockOutSTW() { v.world.stwOwner.Lock() }
 
@@ -125,23 +159,29 @@ func (v *VM) lockOutSTW() { v.world.stwOwner.Lock() }
 func (v *VM) unlockOutSTW() { v.world.stwOwner.Unlock() }
 
 // beginOp enters a mutator critical region: between beginOp and endOp the
-// thread may read and write heap objects, its own frames, and the globals,
-// and no stop-the-world can be in progress. The fast path is two
-// uncontended thread-local atomic operations (one store, one load of the
-// global stop flag); only when a stop is pending does the thread take the
-// slow parking path.
+// thread may read and write heap objects, its own frames, the globals and
+// every Thread field the protocol orders (DESIGN.md "Safepoint protocol"
+// lists them), and no stop-the-world can be in progress. The fast path is
+// one atomic store to the thread's own state word — the region's first
+// locked instruction — and a load of the global stop flag; only when a stop
+// is pending does the thread take the slow parking path.
 //
 // Critical regions do not nest, and every path out of one — including the
 // trap paths that unwind with a panic — must pass through endOp exactly
 // once before the region's owner blocks or throws.
+//
+// beginOp, endOp and root must stay inlinable (make bench-smoke greps the
+// compiler's -m output): the flag is reached through t.stop because going
+// through t.vm.world costs the inliner three nodes more than its budget.
 func (t *Thread) beginOp() {
 	t.state.Store(threadRunning)
-	if t.vm.world.stop.Load() {
+	if t.stop.Load() {
 		t.beginOpSlow()
 	}
 }
 
-// endOp leaves the critical region: one thread-local atomic store.
+// endOp leaves the critical region: one atomic store to the thread's own
+// state word, the region's second and last locked instruction.
 func (t *Thread) endOp() { t.state.Store(threadSafe) }
 
 // beginOpSlow is beginOp's parking path: back off to the safepoint, wait
