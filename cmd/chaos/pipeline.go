@@ -10,14 +10,14 @@ import (
 )
 
 // The pipeline-isolation scenario: the "fault" injected into the victim
-// tenant is CONCURRENCY itself. A serial-victim control and a
-// concurrent-pipeline victim run the same campaign — a 4-goroutine
-// mixed-size request storm at the victim with the per-GC invariant audit
-// armed, concurrent with the siblings' fixed deterministic schedule — and
-// the oracle is the same as for panic storms and forced evictions: zero
-// audit violations in the victim, and sibling per-cycle live-set hashes
-// byte-identical to the control's. In-tenant concurrency must stay inside
-// the tenant.
+// tenant is CONCURRENCY itself. A control whose victim is the default
+// one-worker tenant and a 4-worker victim run the same campaign — a
+// 4-goroutine mixed-size request storm at the victim with the per-GC
+// invariant audit armed, concurrent with the siblings' fixed deterministic
+// schedule — and the oracle is the same as for panic storms and forced
+// evictions: zero audit violations in the victim, and sibling per-cycle
+// live-set hashes byte-identical to the control's. In-tenant concurrency
+// must stay inside the tenant.
 
 const (
 	pipelineBudget   = 16 << 20
@@ -28,8 +28,9 @@ const (
 )
 
 // pipelineCell runs one campaign cell: siblings on the fixed schedule,
-// the victim under storm — serial when pipelined is false (the control),
-// through a 4-worker bounded-queue pipeline when true.
+// the victim under storm — the default tenant (one worker, queue of 16)
+// when pipelined is false (the control), four workers and a queue of 32
+// when true.
 func pipelineCell(seed uint64, pipelined bool) (map[string][]uint64, runRecord, error) {
 	rec := runRecord{Workload: "multi-tenant", Scenario: "pipeline-isolation", Seed: seed}
 	cfg := server.Config{
@@ -141,7 +142,7 @@ func pipelineCell(seed uint64, pipelined bool) (map[string][]uint64, runRecord, 
 }
 
 // runPipelineIsolation drives the scenario across seeds against one
-// serial-victim control.
+// default-victim control.
 func runPipelineIsolation(seeds int, verbose bool) []runRecord {
 	if seeds > 3 {
 		seeds = 3 // each cell is a full storm campaign; seeds vary only the mix

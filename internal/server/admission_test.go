@@ -2,8 +2,16 @@ package server
 
 import (
 	"errors"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"leakpruning/internal/workload"
 )
 
 func testConfig() Config {
@@ -64,6 +72,12 @@ func TestAdmissionControl(t *testing.T) {
 	wantAdmissionReason(t, err, "invalid-config")
 	_, err = s.Admit(TenantConfig{Name: "", Workload: "listleak", Policy: "default", HeapLimit: 256 << 10})
 	wantAdmissionReason(t, err, "invalid-config")
+	// So is asking for one worker and several at once, or for fewer than none.
+	_, err = s.Admit(TenantConfig{Name: "contra", Workload: "listleak", Policy: "default", HeapLimit: 256 << 10,
+		Pipeline: PipelineSerial, Workers: 2})
+	wantAdmissionReason(t, err, "invalid-config")
+	_, err = s.Admit(TenantConfig{Name: "neg", Workload: "listleak", Policy: "default", HeapLimit: 256 << 10, QueueDepth: -1})
+	wantAdmissionReason(t, err, "invalid-config")
 
 	// Overcommit: 2x * 1 MiB = 2 MiB bound; 512 KiB committed, so a
 	// second 1 MiB fits but a further 1 MiB does not.
@@ -86,6 +100,78 @@ func TestAdmissionControl(t *testing.T) {
 	wantAdmissionReason(t, err, "draining")
 	_, err = s.RunRequest("a", 1)
 	wantAdmissionReason(t, err, "draining")
+}
+
+// heldWorkloads numbers TestConcurrentAdmit's throwaway registry entries
+// (the workload registry has no unregister, and -count reruns the test).
+var heldWorkloads atomic.Int64
+
+// TestConcurrentAdmit: admissions racing each other see one another's name
+// reservations (a nil table entry while the VM is built outside the lock).
+// None may trip over a reservation, and a reservation's heap counts towards
+// the overcommit bound, so together they cannot commit more than it allows.
+// One admission is held open inside its reservation window — its workload
+// factory blocks — while sixteen more race past it.
+func TestConcurrentAdmit(t *testing.T) {
+	s := mustServer(t, testConfig()) // budget 1 MiB, overcommit 2x
+	held := fmt.Sprintf("held-%d", heldWorkloads.Add(1))
+	entered, gate := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	if err := workload.Register(held, false, func() workload.Program {
+		once.Do(func() { close(entered) })
+		<-gate
+		p, _ := workload.New("listleak")
+		return p
+	}); err != nil {
+		t.Fatalf("register: %v", err)
+	}
+	heldErr := make(chan error, 1)
+	go func() {
+		_, err := s.Admit(TenantConfig{Name: "held", Workload: held, Policy: "default", HeapLimit: 1 << 20})
+		heldErr <- err
+	}()
+	<-entered
+
+	// 1 MiB of the 2 MiB bound is reserved: four 256 KiB tenants fit.
+	const admits, fit = 16, 4
+	errs := make([]error, admits)
+	var wg sync.WaitGroup
+	for i := 0; i < admits; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, errs[i] = s.Admit(TenantConfig{Name: fmt.Sprintf("t%02d", i), Workload: "listleak",
+				Policy: "default", HeapLimit: 256 << 10})
+		}(i)
+	}
+	wg.Wait()
+	close(gate)
+	if err := <-heldErr; err != nil {
+		t.Fatalf("held admission: %v", err)
+	}
+	admitted := 0
+	for _, err := range errs {
+		if err == nil {
+			admitted++
+			continue
+		}
+		wantAdmissionReason(t, err, "overcommit-exceeded")
+	}
+	if admitted != fit || len(s.Tenants()) != fit+1 {
+		t.Fatalf("%d of %d racing admissions succeeded and %d tenants are hosted, want %d and %d",
+			admitted, admits, len(s.Tenants()), fit, fit+1)
+	}
+	// Every reservation was handed back exactly once: the bound is full,
+	// and evicting a small tenant makes room for exactly one more.
+	late := TenantConfig{Name: "late", Workload: "listleak", Policy: "default", HeapLimit: 256 << 10}
+	_, err := s.Admit(late)
+	wantAdmissionReason(t, err, "overcommit-exceeded")
+	if _, err := s.EvictTenant(s.Tenants()[1].Name, "test"); err != nil { // [0] is "held"
+		t.Fatalf("evict: %v", err)
+	}
+	if _, err := s.Admit(late); err != nil {
+		t.Fatalf("admit after eviction: %v", err)
+	}
 }
 
 // TestRollingConfigUpdate covers the no-restart reload path: threshold
@@ -136,6 +222,113 @@ func TestRollingConfigUpdate(t *testing.T) {
 
 	if err := s.UpdateTenant("ghost", TenantConfig{}); !errors.As(err, new(*UnknownTenantError)) {
 		t.Fatalf("UpdateTenant(ghost) = %v, want *UnknownTenantError", err)
+	}
+}
+
+// TestConfigUpdateOfEvictedTenant: a tenant evicted between a config
+// update landing and the handler reading its status back is a typed 404,
+// not a nil dereference in the handler. The eviction is slotted into that
+// window from the update's own closing log line.
+func TestConfigUpdateOfEvictedTenant(t *testing.T) {
+	cfg := testConfig()
+	var s *Server
+	cfg.Logf = func(format string, args ...any) {
+		if strings.Contains(format, "config updated in place") {
+			if _, err := s.EvictTenant("a", "test"); err != nil {
+				t.Errorf("evict: %v", err)
+			}
+		}
+	}
+	s = mustServer(t, cfg)
+	if _, err := s.Admit(TenantConfig{Name: "a", Workload: "listleak", Policy: "default", HeapLimit: 256 << 10}); err != nil {
+		t.Fatalf("admit: %v", err)
+	}
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/tenants/a/config",
+		strings.NewReader(`{"nearly_full_fraction": 0.8}`)))
+	if rec.Code != http.StatusNotFound || !strings.Contains(rec.Body.String(), "unknown tenant") {
+		t.Fatalf("config update of an evicted tenant = %d %s, want 404 unknown tenant", rec.Code, rec.Body)
+	}
+}
+
+// TestRollingUpdateUnderLoad: rolling updates terminate under continuous
+// load. Closed-loop callers hammer one tenant while UpdateTenant alternates
+// a heap-limit change (session swap on the same pool) with a worker-count
+// change (swap plus reshape). Every update must get the tenant to itself
+// within the drain timeout however hard the callers keep arriving, and no
+// caller may see an error: requests that arrive during an update wait at
+// the gate and run on the new session.
+func TestRollingUpdateUnderLoad(t *testing.T) {
+	for _, row := range []struct {
+		name, pipeline string
+		workers        [2]int // the two geometries reshapes alternate between
+	}{
+		{name: "default", pipeline: "", workers: [2]int{1, 2}},
+		{name: "concurrent", pipeline: PipelineConcurrent, workers: [2]int{4, 2}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			const callers, updates = 4, 12
+			cfg := testConfig()
+			cfg.Budget = 64 << 20
+			s := mustServer(t, cfg)
+			tc := TenantConfig{Name: "a", Workload: "antlr", Policy: "off", HeapLimit: 8 << 20,
+				Pipeline: row.pipeline, Workers: row.workers[0]}
+			tn, err := s.Admit(tc)
+			if err != nil {
+				t.Fatalf("admit: %v", err)
+			}
+
+			stop := make(chan struct{})
+			var wg sync.WaitGroup
+			for c := 0; c < callers; c++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						if _, err := s.RunRequest("a", 5); err != nil {
+							t.Errorf("caller saw %v (%T)", err, err)
+							return
+						}
+					}
+				}()
+			}
+			defer func() {
+				close(stop)
+				wg.Wait()
+			}()
+
+			for u := 0; u < updates; u++ {
+				// Let the load re-establish itself on the new session first.
+				served := tn.requests.Load()
+				waitFor(t, 5*time.Second, "callers to keep the tenant busy", func() bool {
+					return tn.requests.Load() >= served+callers
+				})
+				if u%2 == 0 {
+					tc.HeapLimit ^= 2 << 20 // 8 MiB <-> 10 MiB
+				} else {
+					tc.Workers = row.workers[(u/2+1)%2]
+				}
+				vmBefore := tn.currentVM()
+				if err := s.UpdateTenant("a", tc); err != nil {
+					t.Fatalf("update %d (%+v): %v", u, tc, err)
+				}
+				if tn.currentVM() == vmBefore {
+					t.Fatalf("update %d kept the old session", u)
+				}
+				if st := tn.status(); st.Workers != tc.Workers || st.HeapLimit != tc.HeapLimit {
+					t.Fatalf("update %d: status workers %d limit %d, want %d/%d", u, st.Workers, st.HeapLimit, tc.Workers, tc.HeapLimit)
+				}
+			}
+			if st := tn.status(); st.Faults != 0 || st.Restarts != 0 || st.Cancelled != 0 {
+				t.Fatalf("faults %d, session restarts %d, cancelled %d after %d updates; want none",
+					st.Faults, st.Restarts, st.Cancelled, updates)
+			}
+		})
 	}
 }
 

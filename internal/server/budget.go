@@ -60,16 +60,12 @@ func (s *Server) ProbeBudget() ProbeResult {
 	// Publish, then read back: the ladder is driven by the same obs gauges
 	// an operator watches, so /metrics can never disagree with the
 	// controller's inputs.
-	s.mu.Lock()
-	tenants := make([]*Tenant, 0, len(s.tenants))
-	for _, t := range s.tenants {
-		if t != nil && t.State() != TenantEvicted {
-			tenants = append(tenants, t)
-		}
-	}
-	s.mu.Unlock()
+	tenants := s.liveTenants()
 	var resident uint64
 	for _, t := range tenants {
+		if t.State() == TenantEvicted {
+			continue // between its last state store and leaving the table
+		}
 		var bytes uint64
 		if machine := t.currentVM(); machine != nil {
 			hs := machine.HeapStats()
@@ -159,7 +155,7 @@ func (s *Server) nextLevel(fraction float64) int {
 
 // tightenAll pushes the pressure threshold onto every serving tenant.
 // SetNearlyFullFraction is lock-free on the VM side, so this never waits
-// on a tenant's request lock.
+// on a tenant's requests.
 func (s *Server) tightenAll(tenants []*Tenant) {
 	if s.tightened.Swap(true) {
 		return

@@ -123,6 +123,10 @@ func (s *Server) Handler() http.Handler {
 			return
 		}
 		t := s.tenant(name)
+		if t == nil { // evicted since the update landed
+			writeError(w, http.StatusNotFound, &UnknownTenantError{Tenant: name})
+			return
+		}
 		writeJSON(w, http.StatusOK, t.status())
 	})
 	return mux

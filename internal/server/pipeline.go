@@ -1,28 +1,28 @@
 package server
 
-// The concurrent request pipeline: a per-tenant pool of K worker
-// goroutines, each driving its own independent session of the tenant's
-// workload inside the one tenant VM, fed by a bounded queue with
-// backpressure. The safepoint protocol (PR 3) and the fully-concurrent
-// mark/SELECT/PRUNE cycles (PR 5/8) are what make K mutator threads in
-// one VM sound; this file is the daemon finally using them.
+// The request pipeline, the daemon's one request engine: a per-tenant pool
+// of K worker goroutines (K = 1 unless the tenant asks for more), each
+// driving its own independent session of the tenant's workload inside the
+// one tenant VM, fed by a bounded queue with backpressure. The safepoint
+// protocol and the concurrent mark/SELECT/PRUNE cycles are what make K > 1
+// mutator threads in one VM sound.
 //
 // The contract with the rest of the package:
 //
-//   - requests enter through Server.runPipelined, which enqueues under
-//     Tenant.pipeMu's read side (so close/reshape, which holds the write
-//     side, can never race an enqueue onto a dead pipeline) and bumps
-//     pending BEFORE the enqueue;
+//   - requests enter through Server.RunRequest, which enqueues under
+//     Tenant.pipeMu's read side — the gate Tenant.exclusive shuts — and
+//     bumps pending BEFORE the enqueue;
 //   - a worker dequeues, executes, records the outcome (finishRequest),
-//     responds, and only THEN decrements pending — so pending == 0 means
-//     "no request is queued, executing, or mid-bookkeeping", which is the
-//     quiescence predicate Tenant.exclusive spins on for eviction drains,
-//     rolling session swaps, and the shutdown audit;
+//     responds, and only THEN decrements pending — so pending == 0 behind
+//     a shut gate means "no request is queued, executing, or
+//     mid-bookkeeping, and none can arrive", which is the quiescence
+//     eviction drains, rolling session swaps and the shutdown audit wait
+//     for;
 //   - the response channel is buffered, so a caller abandoned by the
 //     watchdog never wedges a worker: the late result is still executed,
 //     still recorded, and the buffered send completes immediately.
 //
-// Head-of-line blocking is the enemy: with the serial pipeline a small
+// Head-of-line blocking is what K > 1 buys out of: with one worker a small
 // request queues behind every large request ahead of it, so small-request
 // tail latency is a multiple of the LARGE service time. With K workers
 // the Go scheduler time-slices the sessions (the win needs no extra
@@ -30,6 +30,7 @@ package server
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -56,7 +57,7 @@ type pipelineResp struct {
 	err  error
 }
 
-// pipeline is one tenant's concurrent request engine.
+// pipeline is one tenant's request engine.
 type pipeline struct {
 	workers int
 	depth   int
@@ -71,7 +72,8 @@ type pipeline struct {
 	seq atomic.Uint64
 }
 
-func newPipeline(t *Tenant, workers, depth int) *pipeline {
+func newPipeline(t *Tenant, tc TenantConfig) *pipeline {
+	workers, depth := tc.pipelineSettings()
 	p := &pipeline{
 		workers: workers,
 		depth:   depth,
@@ -105,6 +107,11 @@ type workerSession struct {
 // pipeline is closed (tenant eviction, daemon shutdown, or a reshape to a
 // different pool geometry), then fails any still-queued requests so no
 // caller waits on a dead pipeline.
+//
+// After each response the worker yields once: the send has just readied
+// the caller's goroutine on this P, and dequeuing straight away would keep
+// it waiting behind the whole next request when the pool's workers do not
+// yield per iteration.
 func (t *Tenant) workerLoop(p *pipeline, id int) {
 	defer p.wg.Done()
 	var sess workerSession
@@ -121,6 +128,7 @@ func (t *Tenant) workerLoop(p *pipeline, id int) {
 			}
 		case req := <-p.queue:
 			t.serveQueued(p, &sess, id, req)
+			runtime.Gosched()
 		}
 	}
 }
@@ -162,7 +170,7 @@ func (t *Tenant) serveQueued(p *pipeline, sess *workerSession, id int, req *pipe
 	}
 
 	reqName := fmt.Sprintf("%s/w%d-req-%d", t.Config().Name, id, p.seq.Add(1))
-	st, done, err := t.executeRequest(sess.st, reqName, req.iters, true, func() bool {
+	st, done, err := t.executeRequest(sess.st, reqName, req.iters, p.workers > 1, func() bool {
 		return req.cancel.Load() || t.cancel.Load() || t.srv.cancelAll.Load()
 	})
 	sess.st = st
@@ -171,62 +179,44 @@ func (t *Tenant) serveQueued(p *pipeline, sess *workerSession, id int, req *pipe
 	p.pending.Add(-1)
 }
 
-// pipelineHandle returns the tenant's live pipeline (nil = serial).
-func (t *Tenant) pipelineHandle() *pipeline {
-	t.pipeMu.RLock()
-	defer t.pipeMu.RUnlock()
-	return t.pipe
-}
-
-// enqueue places req on the pipeline's bounded queue, shedding with a
-// typed *QueueFullError when the queue is at depth. It holds pipeMu's
-// read side across the (non-blocking) enqueue so a concurrent
-// close/reshape — which holds the write side — can never strand the
-// request on a pipeline whose workers already exited.
-func (t *Tenant) enqueue(req *pipelineReq) (*pipeline, error) {
+// enqueue places req on the tenant's bounded queue, shedding with a typed
+// *QueueFullError when the queue is at depth. It passes the gate first:
+// while a maintenance path holds the tenant exclusively the caller waits
+// here, then lands on whatever session and pool the maintenance left — or
+// finds the tenant gone.
+func (t *Tenant) enqueue(req *pipelineReq) error {
 	t.pipeMu.RLock()
 	defer t.pipeMu.RUnlock()
 	p := t.pipe
 	if p == nil {
-		// Reshaped to serial between dispatch and enqueue; the caller falls
-		// back to the serial path.
-		return nil, nil
+		return &TenantUnavailableError{Tenant: t.Config().Name, State: t.State()}
 	}
 	p.pending.Add(1)
 	select {
 	case p.queue <- req:
 		t.queueDepth.Set(int64(len(p.queue)))
-		return p, nil
+		return nil
 	default:
 		p.pending.Add(-1)
-		return nil, &QueueFullError{Tenant: t.Config().Name, Depth: p.depth}
+		return &QueueFullError{Tenant: t.Config().Name, Depth: p.depth}
 	}
 }
 
-// reshapePipeline swaps the tenant's request engine to match tc. Caller
-// must hold the tenant exclusively (session swap path). Same-geometry
-// concurrent→concurrent updates keep the pool: the workers rebind their
-// sessions on the epoch bump alone.
+// reshapePipeline swaps the worker pool for one of tc's geometry. Caller
+// holds the tenant exclusively (session swap path). A same-geometry update
+// keeps the pool: the workers rebind their sessions on the epoch bump
+// alone.
 func (t *Tenant) reshapePipeline(tc TenantConfig) {
-	conc, workers, depth := tc.pipelineSettings()
-	t.pipeMu.Lock()
-	defer t.pipeMu.Unlock()
-	if t.pipe != nil && conc && t.pipe.workers == workers && t.pipe.depth == depth {
+	if workers, depth := tc.pipelineSettings(); t.pipe.workers == workers && t.pipe.depth == depth {
 		return
 	}
-	if t.pipe != nil {
-		t.pipe.close()
-		t.pipe = nil
-	}
-	if conc {
-		t.pipe = newPipeline(t, workers, depth)
-	}
+	t.pipe.close()
+	t.pipe = newPipeline(t, tc)
 }
 
-// closePipeline tears the engine down on tenant drop.
+// closePipeline tears the engine down on tenant drop or daemon shutdown.
+// Caller holds the gate's write side.
 func (t *Tenant) closePipeline() {
-	t.pipeMu.Lock()
-	defer t.pipeMu.Unlock()
 	if t.pipe != nil {
 		t.pipe.close()
 		t.pipe = nil

@@ -68,9 +68,9 @@ func TestRequestValidation(t *testing.T) {
 }
 
 // TestWatchdogLateOutcome audits the watchdog-abandonment path: when the
-// caller takes its timeout and walks away, the abandoned serve goroutine's
-// late result must still reach finishRequest (the cancel is counted, the
-// lock is released exactly once) and a late SUCCESS must not reset the
+// caller takes its timeout and walks away, the abandoned request's late
+// result must still reach finishRequest (the cancel is counted, pending
+// comes back to zero exactly once) and a late SUCCESS must not reset the
 // consecutive-fault streak the timeout just started.
 func TestWatchdogLateOutcome(t *testing.T) {
 	cfg := testConfig()
@@ -99,11 +99,12 @@ func TestWatchdogLateOutcome(t *testing.T) {
 		t.Fatalf("consecFaults after timeout = %d, want 1", got)
 	}
 
-	// The reaper must deliver the abandoned request's outcome: the serve
-	// goroutine stops at the next iteration boundary, its cancellation is
-	// recorded, and the tenant lock comes back — exactly once.
+	// The worker must deliver the abandoned request's outcome: it stops at
+	// the next iteration boundary, its cancellation is recorded, and the
+	// request leaves pending — exactly once (a second decrement would read
+	// negative).
 	waitFor(t, 5*time.Second, "late outcome to reach finishRequest", func() bool {
-		return s.mReqCancel.Load() == cancelsBefore+1 && len(tn.lockCh) == 1
+		return s.mReqCancel.Load() == cancelsBefore+1 && tn.pipe.pending.Load() == 0
 	})
 	if got := tn.cancelled.Load(); got != 1 {
 		t.Fatalf("cancelled = %d, want 1", got)
@@ -111,15 +112,16 @@ func TestWatchdogLateOutcome(t *testing.T) {
 	// The late cancellation is the daemon's doing: it must not have grown
 	// the fault streak past the watchdog's own entry.
 	if got := tn.consecFaults.Load(); got != 1 {
-		t.Fatalf("consecFaults after reaper = %d, want 1", got)
+		t.Fatalf("consecFaults after late outcome = %d, want 1", got)
 	}
 
-	// The lock works: a quick follow-up request is served normally.
+	// The worker is free: a quick follow-up request is served normally.
 	if _, err := s.RunRequest("slow", 1); err != nil {
-		t.Fatalf("request after reaper: %v", err)
+		t.Fatalf("request after late outcome: %v", err)
 	}
-	if len(tn.lockCh) != 1 {
-		t.Fatalf("lock tokens after follow-up = %d, want 1 (double release?)", len(tn.lockCh))
+	waitFor(t, 5*time.Second, "follow-up to leave pending", func() bool { return tn.pipe.pending.Load() <= 0 })
+	if got := tn.pipe.pending.Load(); got != 0 {
+		t.Fatalf("pending after follow-up = %d, want 0 (double decrement?)", got)
 	}
 
 	// Late-success rule, tested directly: a request that finishes OK after
@@ -132,81 +134,92 @@ func TestWatchdogLateOutcome(t *testing.T) {
 	tn.consecFaults.Store(0)
 }
 
-// TestPipelineBackpressure: a concurrent tenant with a full queue sheds
-// the overflow request with a typed *QueueFullError (HTTP 429) instead of
-// blocking, and the queue-wait histogram sees the requests that did queue.
+// TestPipelineBackpressure: a tenant whose queue is full sheds the overflow
+// request with a typed *QueueFullError (HTTP 429) instead of parking it —
+// the default one-worker tenant included — and the queue-wait histogram
+// sees the requests that did queue.
 func TestPipelineBackpressure(t *testing.T) {
-	cfg := testConfig()
-	cfg.Budget = 64 << 20
-	cfg.Obs = obs.New()
-	s := mustServer(t, cfg)
-	tn, err := s.Admit(TenantConfig{Name: "pipe", Workload: "antlr", Policy: "off", HeapLimit: 8 << 20,
-		Pipeline: PipelineConcurrent, Workers: 1, QueueDepth: 1})
-	if err != nil {
-		t.Fatalf("admit: %v", err)
-	}
-	if st := tn.status(); st.Pipeline != PipelineConcurrent || st.Workers != 1 {
-		t.Fatalf("status = pipeline %q workers %d, want concurrent/1", st.Pipeline, st.Workers)
-	}
-	p := tn.pipelineHandle()
-	if p == nil {
-		t.Fatal("no pipeline attached")
-	}
+	for _, row := range []struct {
+		name, pipeline string
+		workers, depth int // as configured
+		wantPipe       string
+		wantDepth      int
+	}{
+		{name: "concurrent-1x1", pipeline: PipelineConcurrent, workers: 1, depth: 1, wantPipe: PipelineConcurrent, wantDepth: 1},
+		{name: "default", wantPipe: PipelineSerial, wantDepth: 16},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			cfg := testConfig()
+			cfg.Budget = 64 << 20
+			cfg.Obs = obs.New()
+			s := mustServer(t, cfg)
+			tn, err := s.Admit(TenantConfig{Name: "pipe", Workload: "antlr", Policy: "off", HeapLimit: 8 << 20,
+				Pipeline: row.pipeline, Workers: row.workers, QueueDepth: row.depth})
+			if err != nil {
+				t.Fatalf("admit: %v", err)
+			}
+			if st := tn.status(); st.Pipeline != row.wantPipe || st.Workers != 1 {
+				t.Fatalf("status = pipeline %q workers %d, want %s/1", st.Pipeline, st.Workers, row.wantPipe)
+			}
+			p := tn.pipe
 
-	// Occupy the single worker with a long request, then fill the
-	// depth-1 queue with a second; the third must be shed.
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_, _ = s.RunRequest("pipe", MaxRequestIters)
-		}()
-		want := int64(i + 1)
-		waitFor(t, 5*time.Second, "request to occupy the pipeline", func() bool {
-			return p.pending.Load() == want
+			// Occupy the single worker with a long request, then fill the
+			// queue to its depth; the next request must be shed.
+			var wg sync.WaitGroup
+			for i := 0; i < 1+row.wantDepth; i++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					_, _ = s.RunRequest("pipe", MaxRequestIters)
+				}()
+				want := int64(i + 1)
+				waitFor(t, 5*time.Second, "request to occupy the pipeline", func() bool {
+					return p.pending.Load() == want
+				})
+				if i == 0 {
+					// The worker must have taken the first request off the
+					// queue before the rest are sent, or the last of them is
+					// the one shed (the worker goroutine may not even have
+					// been scheduled yet).
+					waitFor(t, 5*time.Second, "worker pickup", func() bool { return len(p.queue) == 0 })
+				}
+			}
+			// Worker busy + queue full:
+			waitFor(t, 5*time.Second, "queue to fill", func() bool { return len(p.queue) == row.wantDepth })
+			_, err = s.RunRequest("pipe", 1)
+			var qf *QueueFullError
+			if !errors.As(err, &qf) {
+				t.Fatalf("overflow request = %v (%T), want *QueueFullError", err, err)
+			}
+			if qf.Tenant != "pipe" || qf.Depth != row.wantDepth {
+				t.Fatalf("QueueFullError = %+v, want tenant pipe depth %d", qf, row.wantDepth)
+			}
+
+			// Unwedge: cancel at iteration boundaries and wait the callers out.
+			tn.cancel.Store(true)
+			wg.Wait()
+			tn.cancel.Store(false)
+			if got := tn.queueWait.Count(); got < 2 {
+				t.Fatalf("queue-wait observations = %d, want >= 2", got)
+			}
+			// The dispatched requests finished through observeLatency, so the
+			// /pressure SLO block has samples.
+			slos := s.LatencySLOs()
+			if slos["0"].Count < 2 {
+				t.Fatalf("level-0 latency SLO count = %d, want >= 2 (%+v)", slos["0"].Count, slos)
+			}
 		})
-		if i == 0 {
-			// The worker must have taken the first request off the queue
-			// before the second is sent, or the second is the one shed (the
-			// worker goroutine may not even have been scheduled yet).
-			waitFor(t, 5*time.Second, "worker pickup", func() bool { return len(p.queue) == 0 })
-		}
-	}
-	// Worker busy + queue full:
-	waitFor(t, 5*time.Second, "queue to fill", func() bool { return len(p.queue) == 1 })
-	_, err = s.RunRequest("pipe", 1)
-	var qf *QueueFullError
-	if !errors.As(err, &qf) {
-		t.Fatalf("overflow request = %v (%T), want *QueueFullError", err, err)
-	}
-	if qf.Tenant != "pipe" || qf.Depth != 1 {
-		t.Fatalf("QueueFullError = %+v, want tenant pipe depth 1", qf)
-	}
-
-	// Unwedge: cancel at iteration boundaries and wait the callers out.
-	tn.cancel.Store(true)
-	wg.Wait()
-	tn.cancel.Store(false)
-	if got := tn.queueWait.Count(); got < 2 {
-		t.Fatalf("queue-wait observations = %d, want >= 2", got)
-	}
-	// Both dispatched requests finished through observeLatency, so the
-	// /pressure SLO block has samples.
-	slos := s.LatencySLOs()
-	if slos["0"].Count < 2 {
-		t.Fatalf("level-0 latency SLO count = %d, want >= 2 (%+v)", slos["0"].Count, slos)
 	}
 }
 
 // TestPipelineIsolationStress is the in-tenant concurrency proof: K
 // goroutines fire mixed small/large requests at one pipelined tenant with
-// the per-GC invariant audit armed, while a serial sibling runs its fixed
-// deterministic sequence. The pipelined tenant must finish with ZERO audit
-// violations, and the sibling's per-cycle live-set hashes must be
-// byte-identical to a control daemon whose victim tenant is serial — the
-// pipeline must not leak scheduling nondeterminism across tenants. Run it
-// under -race for the full claim.
+// the per-GC invariant audit armed, while a one-worker sibling runs its
+// fixed deterministic sequence. The pipelined tenant must finish with ZERO
+// audit violations, and the sibling's per-cycle live-set hashes must be
+// byte-identical to a control daemon whose victim tenant is the default
+// one-worker one — the pool must not leak scheduling nondeterminism across
+// tenants. Run it under -race for the full claim.
 func TestPipelineIsolationStress(t *testing.T) {
 	const (
 		stormWorkers  = 8
@@ -223,7 +236,7 @@ func TestPipelineIsolationStress(t *testing.T) {
 	base.RequestTimeout = 30 * time.Second
 	base.QuarantineThreshold = -1 // storms may OOM in bursts; keep serving
 
-	// Control: serial victim, identical drive on the sibling.
+	// Control: default one-worker victim, identical drive on the sibling.
 	base.Obs = obs.New()
 	control := mustServer(t, base)
 	if _, err := control.Admit(sibling); err != nil {

@@ -93,6 +93,9 @@ type Server struct {
 
 	mu      sync.Mutex
 	tenants map[string]*Tenant
+	// reserved sums the HeapLimits of admissions that hold a nil name
+	// reservation in tenants while their VM is built outside mu.
+	reserved uint64
 
 	// accepting gates new requests; ready mirrors it for /readyz. Flipped
 	// false first thing in Shutdown, before the drain wait, so the
@@ -246,9 +249,9 @@ func (s *Server) Admit(tc TenantConfig) (*Tenant, error) {
 		s.mu.Unlock()
 		return reject("duplicate-name", "a tenant with this name is already admitted")
 	}
-	var committed uint64
+	committed := s.reserved
 	for _, t := range s.tenants {
-		if t.State() != TenantEvicted {
+		if t != nil && t.State() != TenantEvicted {
 			committed += t.Config().HeapLimit
 		}
 	}
@@ -257,12 +260,14 @@ func (s *Server) Admit(tc TenantConfig) (*Tenant, error) {
 		return reject("overcommit-exceeded", fmt.Sprintf(
 			"committed heap %d + %d would exceed the overcommit bound %d", committed, tc.HeapLimit, limit))
 	}
-	// Reserve the name while building the VM outside the lock.
+	// Reserve the name and the heap while building the VM outside the lock.
 	s.tenants[tc.Name] = nil
+	s.reserved += tc.HeapLimit
 	s.mu.Unlock()
 
 	t, err := newTenant(s, tc)
 	s.mu.Lock()
+	s.reserved -= tc.HeapLimit
 	if err != nil {
 		delete(s.tenants, tc.Name)
 		s.mu.Unlock()
@@ -281,6 +286,20 @@ func (s *Server) tenant(name string) *Tenant {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.tenants[name]
+}
+
+// liveTenants snapshots the admitted tenants (name reservations skipped) so
+// callers can walk them without holding mu.
+func (s *Server) liveTenants() []*Tenant {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	list := make([]*Tenant, 0, len(s.tenants))
+	for _, t := range s.tenants {
+		if t != nil {
+			list = append(list, t)
+		}
+	}
+	return list
 }
 
 // Tenant returns the named tenant's handle, or nil if it was never
@@ -321,93 +340,12 @@ func (s *Server) RunRequest(name string, iters int) (int, error) {
 		s.mReqRejected.Inc()
 		return 0, &TenantUnavailableError{Tenant: name, State: st}
 	}
-	if t.pipelineHandle() != nil {
-		return s.runPipelined(t, iters)
-	}
-	return s.runSerial(t, iters)
-}
-
-// runSerial is the original exclusive-lock request path — one request at
-// a time per tenant — kept byte-for-byte in behavior as the equivalence
-// oracle for the concurrent pipeline.
-func (s *Server) runSerial(t *Tenant, iters int) (int, error) {
-	name := t.Config().Name
-	// The watchdog window covers lock wait plus execution: a tenant wedged
-	// by a sibling request's slowness is still a watchdog trip.
-	start := time.Now()
-	if !t.acquire(s.cfg.RequestTimeout) {
-		s.mReqTimeout.Inc()
-		s.observeLatency(t, start)
-		werr := &WatchdogTimeoutError{Tenant: name, Timeout: s.cfg.RequestTimeout}
-		t.recordOutcome(werr)
-		return 0, werr
-	}
-	if st := t.State(); st != TenantServing {
-		t.release()
-		s.mReqRejected.Inc()
-		return 0, &TenantUnavailableError{Tenant: name, State: st}
-	}
-	t.requests.Add(1)
-
-	type result struct {
-		done int
-		err  error
-	}
-	ch := make(chan result, 1)
-	go func() {
-		done, err := t.serve(iters)
-		ch <- result{done, err}
-	}()
-
-	remaining := s.cfg.RequestTimeout - time.Since(start)
-	if remaining <= 0 {
-		remaining = time.Nanosecond
-	}
-	timer := time.NewTimer(remaining)
-	defer timer.Stop()
-	select {
-	case r := <-ch:
-		s.finishRequest(t, r.err, t.sessionEpoch.Load(), false)
-		t.release()
-		s.observeLatency(t, start)
-		return r.done, r.err
-	case <-timer.C:
-		// The VM thread cannot be killed; ask for an iteration-boundary
-		// stop and hand the cleanup to a reaper so the caller gets its
-		// timeout now. The lock is NOT released until the request actually
-		// ends, so the tenant stays serialized. The reaper guarantees the
-		// late result always reaches finishRequest/recordOutcome — and
-		// marks it late, so a late SUCCESS cannot erase the watchdog fault
-		// recorded below from the consecutive-fault streak.
-		t.cancel.Store(true)
-		go func() {
-			r := <-ch
-			t.cancel.Store(false)
-			s.finishRequest(t, r.err, t.sessionEpoch.Load(), true)
-			t.release()
-		}()
-		s.mReqTimeout.Inc()
-		s.observeLatency(t, start)
-		werr := &WatchdogTimeoutError{Tenant: name, Timeout: s.cfg.RequestTimeout}
-		t.recordOutcome(werr)
-		return 0, werr
-	}
-}
-
-// runPipelined dispatches the request onto the tenant's worker pool. The
-// watchdog window covers queue wait plus execution, mirroring the serial
-// path's lock-wait-plus-execution window.
-func (s *Server) runPipelined(t *Tenant, iters int) (int, error) {
-	name := t.Config().Name
+	// The watchdog window covers queue wait plus execution: a request stuck
+	// behind a sibling's slowness is still a watchdog trip.
 	req := &pipelineReq{iters: iters, enqueued: time.Now(), resp: make(chan pipelineResp, 1)}
-	p, err := t.enqueue(req)
-	if err != nil {
+	if err := t.enqueue(req); err != nil {
 		s.mReqRejected.Inc()
 		return 0, err
-	}
-	if p == nil {
-		// A rolling update reshaped the tenant to serial mid-dispatch.
-		return s.runSerial(t, iters)
 	}
 	t.requests.Add(1)
 	timer := time.NewTimer(s.cfg.RequestTimeout)
@@ -417,9 +355,11 @@ func (s *Server) runPipelined(t *Tenant, iters int) (int, error) {
 		s.observeLatency(t, req.enqueued)
 		return r.done, r.err
 	case <-timer.C:
-		// Abandon the request, never the bookkeeping: the worker cancels it
-		// at the next iteration boundary, records the late outcome, and its
-		// buffered response send completes without a reader.
+		// Abandon the request, never the bookkeeping: a VM thread cannot be
+		// killed, so the worker cancels it at the next iteration boundary,
+		// records the late outcome — marked late, so a late SUCCESS cannot
+		// erase the watchdog fault recorded below from the consecutive-fault
+		// streak — and its buffered response send completes without a reader.
 		req.timedOut.Store(true)
 		req.cancel.Store(true)
 		s.mReqTimeout.Inc()
@@ -432,7 +372,7 @@ func (s *Server) runPipelined(t *Tenant, iters int) (int, error) {
 
 // finishRequest classifies a request outcome into metrics and fault
 // bookkeeping, restarting the tenant session after heap exhaustion.
-// epoch is the session epoch the request executed against (concurrent
+// epoch is the session epoch the request executed against (sibling
 // workers hitting the same dead session must trigger ONE restart); late
 // marks an outcome whose caller already took a watchdog timeout, so a
 // late success must not reset the consecutive-fault streak that timeout
@@ -551,12 +491,15 @@ func (s *Server) UpdateTenant(name string, tc TenantConfig) error {
 		s.logf("tenant %s config updated in place", name)
 		return nil
 	}
-	// Session swap: serialize against requests via the tenant lock, and —
-	// for a concurrent pipeline — wait out the worker pool too.
+	// Session swap: shut the gate and wait out the requests already inside.
 	if !t.exclusive(s.cfg.DrainTimeout) {
 		return &WatchdogTimeoutError{Tenant: name, Timeout: s.cfg.DrainTimeout}
 	}
 	defer t.release()
+	if t.pipe == nil {
+		// Evicted or shut down while this update waited at the gate.
+		return &TenantUnavailableError{Tenant: name, State: t.State()}
+	}
 	if err := t.startSession(tc); err != nil {
 		return &AdmissionError{Tenant: name, Reason: "invalid-config", Detail: err.Error()}
 	}
@@ -601,8 +544,11 @@ func (s *Server) EvictTenant(name, reason string) ([]string, error) {
 		t.cancel.Store(true)
 		if !t.exclusive(s.cfg.DrainTimeout) {
 			// Still wedged. Mark evicted anyway — the slot must come back —
-			// but report it loudly.
+			// but report it loudly. The gate is shut without the wait, so
+			// the pool closes behind the wedged request(s).
 			t.state.Store(int32(TenantEvicted))
+			t.pipeMu.Lock()
+			defer t.release()
 			s.dropTenant(name, t)
 			return nil, fmt.Errorf("server: tenant %q eviction drain timed out with a wedged request", name)
 		}
@@ -626,7 +572,7 @@ func (s *Server) EvictTenant(name, reason string) ([]string, error) {
 }
 
 // dropTenant removes the table entry, stops the worker pool, and zeroes
-// the tenant's gauges.
+// the tenant's gauges. Caller holds the tenant's gate.
 func (s *Server) dropTenant(name string, t *Tenant) {
 	s.mu.Lock()
 	delete(s.tenants, name)
@@ -637,7 +583,6 @@ func (s *Server) dropTenant(name string, t *Tenant) {
 	t.queueDepth.Set(0)
 }
 
-// Tenants snapshots every tenant's status, sorted by name.
 // MaxPausesByMode aggregates, across every live tenant VM, the longest
 // stop-the-world pause observed per GC cycle mode ("normal", "select",
 // "prune"), in nanoseconds. Under concurrent marking the SELECT/PRUNE
@@ -645,16 +590,8 @@ func (s *Server) dropTenant(name string, t *Tenant) {
 // verify the frozen-snapshot machinery is actually keeping those pauses
 // short under multi-tenant load.
 func (s *Server) MaxPausesByMode() map[string]int64 {
-	s.mu.Lock()
-	list := make([]*Tenant, 0, len(s.tenants))
-	for _, t := range s.tenants {
-		if t != nil {
-			list = append(list, t)
-		}
-	}
-	s.mu.Unlock()
 	out := map[string]int64{}
-	for _, t := range list {
+	for _, t := range s.liveTenants() {
 		machine := t.currentVM()
 		if machine == nil {
 			continue
@@ -668,15 +605,9 @@ func (s *Server) MaxPausesByMode() map[string]int64 {
 	return out
 }
 
+// Tenants snapshots every tenant's status, sorted by name.
 func (s *Server) Tenants() []TenantStatus {
-	s.mu.Lock()
-	list := make([]*Tenant, 0, len(s.tenants))
-	for _, t := range s.tenants {
-		if t != nil {
-			list = append(list, t)
-		}
-	}
-	s.mu.Unlock()
+	list := s.liveTenants()
 	out := make([]TenantStatus, 0, len(list))
 	for _, t := range list {
 		out = append(out, t.status())
@@ -734,18 +665,11 @@ func (s *Server) shutdown() (*ShutdownReport, error) {
 		<-drained
 	}
 
-	// Final audit per tenant. All requests are done, so the tenant locks
-	// are free (a wedged watchdog reaper would have surfaced above).
-	s.mu.Lock()
-	tenants := make(map[string]*Tenant, len(s.tenants))
-	for name, t := range s.tenants {
-		if t != nil {
-			tenants[name] = t
-		}
-	}
-	s.mu.Unlock()
+	// Final audit per tenant. Every caller is gone; what can still be
+	// pending is a request its caller abandoned to the watchdog.
 	var firstErr error
-	for name, t := range tenants {
+	for _, t := range s.liveTenants() {
+		name := t.Config().Name
 		rep.Tenants++
 		rep.CancelledInDrain += t.cancelled.Load()
 		if !t.exclusive(s.cfg.DrainTimeout) {
@@ -767,8 +691,8 @@ func (s *Server) shutdown() (*ShutdownReport, error) {
 				}
 			}
 		}
-		t.release()
 		t.closePipeline()
+		t.release()
 	}
 	s.logf("shutdown complete: %d tenants, drained cleanly=%v, cancelled=%d",
 		rep.Tenants, rep.DrainedCleanly, rep.CancelledInDrain)

@@ -81,21 +81,19 @@ type TenantConfig struct {
 	// off; the isolation tests and chaos scenarios set it on the tenants
 	// whose hash sequences they compare.
 	AuditEveryGC bool `json:"audit_every_gc,omitempty"`
-	// Pipeline selects the request execution model: "" or "serial" (the
-	// default — one request at a time behind the exclusive tenant lock,
-	// which keeps per-tenant behavior deterministic and serves as the
-	// equivalence oracle), or "concurrent" (a pool of Workers session
-	// threads fed by a bounded queue, so small requests stop waiting
-	// head-of-line behind large ones).
+	// Pipeline only picks the default for Workers: "" or "serial" means one
+	// worker (one request at a time, which keeps per-tenant behavior
+	// deterministic), "concurrent" means four (small requests stop waiting
+	// head-of-line behind large ones). "serial" with Workers > 1 is rejected
+	// as a contradiction.
 	Pipeline string `json:"pipeline,omitempty"`
-	// Workers is the concurrent pipeline's pool size K (0 = 4). Each
-	// worker drives its own independent session of the workload inside the
-	// tenant VM — the multi-thread mutator shape the safepoint protocol
-	// makes sound. Rejected unless Pipeline is "concurrent".
+	// Workers is the request pool's size K (default 1; 4 under Pipeline
+	// "concurrent"). Each worker drives its own independent session of the
+	// workload inside the tenant VM — the multi-thread mutator shape the
+	// safepoint protocol makes sound.
 	Workers int `json:"workers,omitempty"`
-	// QueueDepth bounds the concurrent pipeline's request queue
-	// (0 = 4*Workers). A full queue sheds the request with a typed
-	// *QueueFullError (HTTP 429). Rejected unless Pipeline is "concurrent".
+	// QueueDepth bounds the request queue (0 = 4*Workers, at least 16). A
+	// full queue sheds the request with a typed *QueueFullError (HTTP 429).
 	QueueDepth int `json:"queue_depth,omitempty"`
 
 	// VMInjector arms fault injection inside this tenant's VM (nil = off).
@@ -148,16 +146,16 @@ func (tc TenantConfig) vmOptions(o *obs.Obs) (vm.Options, error) {
 		return vm.Options{}, fmt.Errorf("server: unknown mark mode %q", tc.MarkMode)
 	}
 	switch tc.Pipeline {
-	case "", PipelineSerial:
-		if tc.Workers != 0 || tc.QueueDepth != 0 {
-			return vm.Options{}, fmt.Errorf("server: Workers/QueueDepth require pipeline %q", PipelineConcurrent)
-		}
-	case PipelineConcurrent:
-		if tc.Workers < 0 || tc.QueueDepth < 0 {
-			return vm.Options{}, fmt.Errorf("server: Workers and QueueDepth must be non-negative")
+	case "", PipelineConcurrent:
+	case PipelineSerial:
+		if tc.Workers > 1 {
+			return vm.Options{}, fmt.Errorf("server: pipeline %q cannot have %d workers", PipelineSerial, tc.Workers)
 		}
 	default:
 		return vm.Options{}, fmt.Errorf("server: unknown pipeline %q", tc.Pipeline)
+	}
+	if tc.Workers < 0 || tc.QueueDepth < 0 {
+		return vm.Options{}, fmt.Errorf("server: Workers and QueueDepth must be non-negative")
 	}
 	if err := vm.ValidateOptions(opts); err != nil {
 		return vm.Options{}, err
@@ -171,27 +169,26 @@ const (
 	PipelineConcurrent = "concurrent"
 )
 
-// pipelineSettings resolves the Pipeline/Workers/QueueDepth triple with
-// its defaults applied.
-func (tc TenantConfig) pipelineSettings() (concurrent bool, workers, depth int) {
-	if tc.Pipeline != PipelineConcurrent {
-		return false, 0, 0
-	}
+// pipelineSettings resolves the Pipeline/Workers/QueueDepth triple into
+// the pool geometry, defaults applied.
+func (tc TenantConfig) pipelineSettings() (workers, depth int) {
 	workers = tc.Workers
 	if workers == 0 {
-		workers = 4
+		workers = 1
+		if tc.Pipeline == PipelineConcurrent {
+			workers = 4
+		}
 	}
 	depth = tc.QueueDepth
 	if depth == 0 {
-		depth = 4 * workers
+		depth = max(4*workers, 16)
 	}
-	return true, workers, depth
+	return workers, depth
 }
 
-// Tenant is one hosted session: a VM, its workload program, and the
-// fault-isolation bookkeeping around them. Requests are serialized per
-// tenant through lockCh (a channel so eviction and shutdown can attempt
-// timed acquisition); distinct tenants serve fully in parallel.
+// Tenant is one hosted session: a VM, the worker pool that runs its
+// requests, and the fault-isolation bookkeeping around them. Distinct
+// tenants serve fully in parallel.
 type Tenant struct {
 	srv *Server
 
@@ -199,20 +196,11 @@ type Tenant struct {
 	cfgMu sync.Mutex
 	cfg   TenantConfig
 
-	// lockCh is the request lock: one token means "free". Serial-pipeline
-	// requests hold it for their whole execution; concurrent-pipeline
-	// requests never take it (the worker pool owns execution), so
-	// maintenance paths that need full quiescence go through exclusive(),
-	// which takes lockCh AND drains the pipeline's pending counter.
-	lockCh chan struct{}
-
-	// vmMu guards the vm/program pointers only (held for pointer swaps and
-	// reads, never across a request), so the budget prober can reach the
-	// current VM while a request holds lockCh.
-	vmMu  sync.Mutex
-	vm    *vm.VM
-	prog  workload.Program
-	ready bool // Setup has run on the current session
+	// vmMu guards the vm pointer only (held for pointer swaps and reads,
+	// never across a request), so the budget prober can reach the current
+	// VM while requests run.
+	vmMu sync.Mutex
+	vm   *vm.VM
 
 	// sessionEpoch increments on every startSession. Pipeline workers
 	// compare it against their private session's epoch to rebind lazily
@@ -223,11 +211,13 @@ type Tenant struct {
 	// can OOM on the same session back to back.
 	restartMu sync.Mutex
 
-	// pipeMu guards the pipe pointer and orders enqueues against pipeline
-	// close/reshape: enqueue happens under the read side, so once a writer
-	// holds pipeMu no request can land on a pipeline it is about to close.
+	// pipeMu is the tenant's gate. enqueue holds the read side; exclusive
+	// holds the write side from entry until release, so during maintenance
+	// (session swap, reshape, eviction, shutdown audit) no request can land
+	// on a pipeline that is draining or about to be closed — arrivals block
+	// on the gate and see whatever the maintenance left behind.
 	pipeMu sync.RWMutex
-	pipe   *pipeline // nil = serial
+	pipe   *pipeline // nil only once evicted or shut down
 
 	state atomic.Int32 // TenantState
 
@@ -235,11 +225,8 @@ type Tenant struct {
 	// boundary (evict drain, daemon shutdown).
 	cancel atomic.Bool
 
-	// iter is the workload's absolute iteration cursor for this session.
-	iter int
-
-	// Fault bookkeeping (mu-free: written only under lockCh plus the
-	// watchdog path, so atomics keep the -race suite honest).
+	// Fault bookkeeping (mu-free: written by the workers and by callers
+	// taking a watchdog timeout).
 	consecFaults atomic.Int64
 	requests     atomic.Uint64
 	faults       atomic.Uint64
@@ -270,9 +257,8 @@ type Tenant struct {
 		objects, locks uint64
 	}
 	// latency holds the tenant's lp_request_latency_ns series, one per
-	// budget-ladder level; queueWait and queueDepth instrument the
-	// concurrent pipeline (registered even for serial tenants so a rolling
-	// swap to concurrent needs no re-registration).
+	// budget-ladder level; queueWait and queueDepth instrument the request
+	// queue.
 	latency    [ladderLevels]*obs.Histogram
 	queueWait  *obs.Histogram
 	queueDepth *obs.Gauge
@@ -280,8 +266,7 @@ type Tenant struct {
 
 // newTenant builds the tenant shell and its first session VM.
 func newTenant(s *Server, cfg TenantConfig) (*Tenant, error) {
-	t := &Tenant{srv: s, cfg: cfg, lockCh: make(chan struct{}, 1)}
-	t.lockCh <- struct{}{} // free
+	t := &Tenant{srv: s, cfg: cfg}
 	t.residentGauge = s.reg().NewGauge("lp_tenant_resident_bytes",
 		"per-tenant resident heap bytes", obs.L("tenant", cfg.Name))
 	t.allocObjects = s.reg().NewCounter("lp_heap_allocations_total",
@@ -297,22 +282,23 @@ func newTenant(s *Server, cfg TenantConfig) (*Tenant, error) {
 	if err := t.startSession(cfg); err != nil {
 		return nil, err
 	}
-	if conc, workers, depth := cfg.pipelineSettings(); conc {
-		t.pipe = newPipeline(t, workers, depth)
-	}
+	t.pipe = newPipeline(t, cfg)
 	return t, nil
 }
 
-// startSession replaces the tenant's VM and program with a fresh session
-// built from cfg. Callers must ensure no request is running (hold the
-// request lock or be the constructor).
+// startSession replaces the tenant's VM with a fresh one built from cfg
+// and bumps the session epoch, on which every worker rebinds its private
+// program and cursor before its next request. Callers are the constructor,
+// a holder of exclusive(), or restartSession (where requests still running
+// on the exhausted VM fail on their own and rebind).
 func (t *Tenant) startSession(cfg TenantConfig) error {
 	opts, err := cfg.vmOptions(t.srv.obs)
 	if err != nil {
 		return err
 	}
-	prog, err := workload.New(cfg.Workload)
-	if err != nil {
+	// The workers build their own program instances; an unknown workload
+	// must still fail here, before any VM exists.
+	if _, err := workload.New(cfg.Workload); err != nil {
 		return err
 	}
 	if opts.HashLiveSet {
@@ -325,11 +311,7 @@ func (t *Tenant) startSession(cfg TenantConfig) error {
 	machine := vm.New(opts)
 	t.vmMu.Lock()
 	t.vm = machine
-	t.prog = prog
-	t.ready = false
 	t.vmMu.Unlock()
-	t.iter = 0
-	// Pipeline workers rebind their private sessions on the next request.
 	t.sessionEpoch.Add(1)
 	return nil
 }
@@ -381,55 +363,28 @@ func (t *Tenant) CycleHashes() []uint64 {
 	return append([]uint64(nil), t.hashes...)
 }
 
-// acquire takes the request lock, or gives up after d (d <= 0: wait
-// forever).
-func (t *Tenant) acquire(d time.Duration) bool {
-	if d <= 0 {
-		<-t.lockCh
-		return true
-	}
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case <-t.lockCh:
-		return true
-	case <-timer.C:
-		return false
-	}
-}
-
-func (t *Tenant) release() { t.lockCh <- struct{}{} }
-
 // exclusive acquires the tenant for maintenance (session swap, eviction
-// drain, shutdown audit): the request lock, plus — when a concurrent
-// pipeline is attached — full quiescence of the worker pool. Serial
-// requests hold lockCh for their whole execution, so the lock alone
-// excludes them; pipelined requests never touch it, so quiescence there
-// is "no request enqueued or in flight", i.e. the pipeline's pending
-// counter at zero. Callers must t.release() on success.
+// drain, shutdown audit). It shuts the gate first — from here until
+// release() no request can enqueue — and then waits up to d for the ones
+// already inside to finish, so the wait ends however hard callers keep
+// arriving. On success the caller owns the tenant and must release(); on
+// timeout the gate is reopened. A tenant whose pipeline is already gone
+// has nothing to wait for.
 func (t *Tenant) exclusive(d time.Duration) bool {
-	var deadline time.Time
-	if d > 0 {
-		deadline = time.Now().Add(d)
-	}
-	if !t.acquire(d) {
-		return false
-	}
-	t.pipeMu.RLock()
-	p := t.pipe
-	t.pipeMu.RUnlock()
-	if p == nil {
-		return true
-	}
-	for p.pending.Load() != 0 {
-		if d > 0 && time.Now().After(deadline) {
-			t.release()
+	deadline := time.Now().Add(d)
+	t.pipeMu.Lock()
+	for t.pipe != nil && t.pipe.pending.Load() != 0 {
+		if time.Now().After(deadline) {
+			t.pipeMu.Unlock()
 			return false
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
 	return true
 }
+
+// release reopens the gate exclusive shut.
+func (t *Tenant) release() { t.pipeMu.Unlock() }
 
 // setLastErr records the most recent fault for /tenants.
 func (t *Tenant) setLastErr(err error) {
@@ -451,10 +406,9 @@ func (t *Tenant) LastError() string {
 }
 
 // execState is one request-execution context: a VM, a program instance,
-// and the session's iteration cursor. The serial path materializes it
-// from the tenant fields each request; every pipeline worker owns a
-// private one, so K workers drive K independent sessions of the workload
-// inside the one tenant VM.
+// and the session's iteration cursor. Every pipeline worker owns a private
+// one, so K workers drive K independent sessions of the workload inside
+// the one tenant VM.
 type execState struct {
 	machine *vm.VM
 	prog    workload.Program
@@ -462,30 +416,8 @@ type execState struct {
 	iter    int  // the session's absolute iteration cursor
 }
 
-// serve executes one request (iters workload iterations) on the tenant's
-// serial session. Caller holds the request lock.
-func (t *Tenant) serve(iters int) (done int, err error) {
-	t.vmMu.Lock()
-	st := execState{machine: t.vm, prog: t.prog, ready: t.ready, iter: t.iter}
-	t.vmMu.Unlock()
-	reqName := fmt.Sprintf("%s/req-%d", t.Config().Name, t.requests.Load())
-	st, done, err = t.executeRequest(st, reqName, iters, false, func() bool {
-		return t.cancel.Load() || t.srv.cancelAll.Load()
-	})
-	t.vmMu.Lock()
-	if t.vm == st.machine { // session not swapped out from under the request
-		t.ready = st.ready
-	}
-	t.vmMu.Unlock()
-	t.iter = st.iter
-	return done, err
-}
-
 // executeRequest runs one request against st and returns the advanced
-// state. It is the shared core of the serial path and the pipeline
-// workers — panic recovery and error typing are identical on both, which
-// is what keeps the serial pipeline a meaningful equivalence oracle. The
-// three failure classes are kept apart deliberately:
+// state. The three failure classes are kept apart deliberately:
 //
 //   - VM traps (OutOfMemoryError, InternalError, OffloadError) arrive as
 //     typed errors from RunThread — the leak-pruning outcome the daemon
@@ -496,17 +428,15 @@ func (t *Tenant) serve(iters int) (done int, err error) {
 //   - cancellation (drain, eviction, watchdog abandonment) surfaces as
 //     *RequestCancelledError at an iteration boundary.
 //
-// yield inserts a cooperative scheduling point after every iteration.
-// Pipeline workers set it: on an oversubscribed host the Go scheduler's
-// preemption slice (~10ms) is three orders of magnitude coarser than one
-// workload iteration, so without an explicit yield a long request holds
-// the processor for whole slices and small requests on sibling workers
-// wait out full scheduler rounds — head-of-line blocking reintroduced by
-// the runtime after the pipeline removed it from the lock. Yielding at
-// iteration granularity lets the run queue rotate per ~25µs of work. The
-// serial path never yields: it is the preserved baseline the pipeline is
-// measured against, and with one session thread there is nobody to yield
-// to.
+// yield inserts a cooperative scheduling point after every iteration. A
+// pool of more than one worker sets it: on an oversubscribed host the Go
+// scheduler's preemption slice (~10ms) is three orders of magnitude
+// coarser than one workload iteration, so without an explicit yield a long
+// request holds the processor for whole slices and small requests on
+// sibling workers wait out full scheduler rounds — head-of-line blocking
+// reintroduced by the runtime after the pool removed it from the queue.
+// Yielding at iteration granularity lets the run queue rotate per ~25µs of
+// work. A lone worker has no sibling to yield to.
 func (t *Tenant) executeRequest(st execState, reqName string, iters int, yield bool, cancelled func() bool) (out execState, done int, err error) {
 	cfg := t.Config()
 	defer func() {
@@ -574,7 +504,7 @@ type TenantStatus struct {
 	Policy     string  `json:"policy"`
 	State      string  `json:"state"`
 	Pipeline   string  `json:"pipeline"`
-	Workers    int     `json:"workers,omitempty"`
+	Workers    int     `json:"workers"`
 	HeapLimit  uint64  `json:"heap_limit"`
 	Resident   uint64  `json:"resident_bytes"`
 	NearlyFull float64 `json:"nearly_full_fraction"`
@@ -603,12 +533,14 @@ func (t *Tenant) Status() TenantStatus { return t.status() }
 func (t *Tenant) status() TenantStatus {
 	cfg := t.Config()
 	machine := t.currentVM()
+	workers, _ := cfg.pipelineSettings()
 	st := TenantStatus{
 		Name:         cfg.Name,
 		Workload:     cfg.Workload,
 		Policy:       policyLabel(cfg.Policy),
 		State:        t.State().String(),
 		Pipeline:     PipelineSerial,
+		Workers:      workers,
 		HeapLimit:    cfg.HeapLimit,
 		Requests:     t.requests.Load(),
 		Faults:       t.faults.Load(),
@@ -617,9 +549,8 @@ func (t *Tenant) status() TenantStatus {
 		Cancelled:    t.cancelled.Load(),
 		LastError:    t.LastError(),
 	}
-	if conc, workers, _ := cfg.pipelineSettings(); conc {
+	if workers > 1 || cfg.Pipeline == PipelineConcurrent {
 		st.Pipeline = PipelineConcurrent
-		st.Workers = workers
 	}
 	if machine != nil {
 		st.Resident = machine.HeapStats().BytesUsed
