@@ -1,6 +1,8 @@
 GO ?= go
+# The reproduction CLI: every table, figure and trace command below.
+LP = $(GO) run ./cmd/lp
 
-.PHONY: all check build test race vet cover fuzz-smoke trace-smoke bench bench-test bench-smoke bench-jit chaos chaos-smoke leakd-smoke leakd-demo leakd-soak
+.PHONY: all check build test race vet cover fuzz-smoke trace-smoke lp-smoke bench bench-test bench-smoke bench-jit chaos chaos-smoke leakd-smoke leakd-demo leakd-soak
 
 all: build test vet
 
@@ -51,12 +53,24 @@ fuzz-smoke:
 # and under a different policy — all audit-clean, exit 1 on any failure.
 trace-smoke:
 	mkdir -p results
-	$(GO) run ./cmd/tracetool record -program listleak -policy default -iters 900 -o results/listleak.trace
-	$(GO) run ./cmd/tracetool verify -i results/listleak.trace
-	$(GO) run ./cmd/tracetool stat -i results/listleak.trace
-	$(GO) run ./cmd/tracetool replay -i results/listleak.trace -verify
-	$(GO) run ./cmd/tracetool replay -i results/listleak.trace -x 4
-	$(GO) run ./cmd/tracetool replay -i results/listleak.trace -policy most-stale
+	$(LP) run -program listleak -policy default -max-iters 900 -record results/listleak.trace
+	$(LP) trace verify -i results/listleak.trace
+	$(LP) trace stat -i results/listleak.trace
+	$(LP) trace replay -i results/listleak.trace -verify
+	$(LP) trace replay -i results/listleak.trace -x 4
+	$(LP) trace replay -i results/listleak.trace -policy most-stale
+
+# Every lp subcommand once at toy size, so a broken table or figure
+# regenerator fails CI instead of being found when EXPERIMENTS.md is next
+# rebuilt (trace-smoke covers 'lp run -record' and 'lp trace').
+lp-smoke:
+	$(LP) list
+	$(LP) run -program eclipsediff -max-iters 300 -report
+	for n in 1 2 3; do $(LP) table $$n -max-iters 300 || exit 1; done
+	for n in 1 9; do $(LP) fig $$n -max-iters 300 >/dev/null || exit 1; done
+	for n in 6 7; do $(LP) fig $$n -iters 20 -trials 1 || exit 1; done
+	$(LP) compile -trials 1
+	$(LP) elision -methods 4 -ops 120 -reps 2 -o /dev/null
 
 # The repo's one benchmark (BENCHMARK.json): four fixed-work workloads,
 # end-to-end metrics plus per-layer numbers. See benchmark/README.md.
@@ -81,12 +95,13 @@ bench-smoke:
 			{ echo "internal/vm: (*Thread).$$f does not inline any more"; exit 1; }; done
 	$(GO) test -run='^$$' -bench='Benchmark(Mark|Sweep|Alloc)Parallel' -benchtime=1x .
 	$(GO) test -run='^$$' -bench='Benchmark(MutatorOps|NewParallel|RequestShapedAlloc|LiveSetHash|RunThreadObs)' -benchtime=1x -benchmem ./internal/vm
-	$(GO) run ./cmd/overheadbench -elision -methods 4 -ops 120 -reps 2 -o /dev/null
+	$(LP) elision -methods 4 -ops 120 -reps 2 -o /dev/null
 
-# Refresh the tier-1 barrier-elision JSON (static elision ratios, tier-1
-# compile surcharge, dynamic test reduction, modelled mutator recovery).
+# Refresh the tier-1 barrier-elision JSON (environment block, barrier-on/off
+# load cost measured in the same run, static elision ratios, tier-1 compile
+# surcharge, dynamic test reduction, modelled mutator recovery).
 bench-jit:
-	$(GO) run ./cmd/overheadbench -elision -o BENCH_jit_elision.json
+	$(LP) elision -o BENCH_jit_elision.json
 
 # Full fault-injection campaign: 20 seeds x fault matrix x micro-leak
 # workloads, invariant audit after every collection.

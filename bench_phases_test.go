@@ -17,6 +17,40 @@ import (
 	"leakpruning/internal/heap"
 )
 
+type benchRoots struct{ refs []heap.Ref }
+
+func (r *benchRoots) VisitRoots(fn func(heap.Ref)) {
+	for _, ref := range r.refs {
+		fn(ref)
+	}
+}
+
+// buildTraceHeap builds four complete binary trees, ~262k objects, all
+// reachable from the roots.
+func buildTraceHeap(b *testing.B) (*heap.Heap, *benchRoots) {
+	b.Helper()
+	reg := heap.NewRegistry()
+	node := reg.Define("Node", 2, 64)
+	h := heap.New(reg, 1<<30)
+	roots := &benchRoots{}
+	var build func(depth int) heap.Ref
+	build = func(depth int) heap.Ref {
+		r, err := h.Allocate(node)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if depth > 0 {
+			h.Get(r).SetRef(0, build(depth-1))
+			h.Get(r).SetRef(1, build(depth-1))
+		}
+		return r
+	}
+	for i := 0; i < 4; i++ {
+		roots.refs = append(roots.refs, build(15)) // 4 * 64K objects
+	}
+	return h, roots
+}
+
 // phaseWorkerCounts is the worker axis shared by the phase benchmarks.
 var phaseWorkerCounts = []int{1, 2, 4, 8}
 

@@ -1,12 +1,13 @@
-// Package leakpruning's root benchmark file maps every table and figure of
-// the paper's evaluation to a testing.B benchmark, plus ablation benches
-// for the design decisions DESIGN.md calls out. Run them all with
+// Package leakpruning's root benchmark file holds the ablation benches for
+// the design decisions DESIGN.md calls out — the ones no other command
+// regenerates. The paper's tables and figures come from cmd/lp; mechanism
+// microcosts from the benchmarks in internal/vm. Run these with
 //
 //	go test -bench=. -benchmem
 //
-// End-to-end leak benchmarks report their scientific outputs as custom
-// metrics: "iterations" (how long the program survived, the unit of
-// Tables 1–2) and "prunes". Wall-clock ns/op is secondary for those.
+// End-to-end runs report their scientific outputs as custom metrics
+// ("iterations": how long the program survived); wall-clock ns/op is
+// secondary for those.
 package leakpruning
 
 import (
@@ -18,156 +19,12 @@ import (
 	"leakpruning/internal/gc"
 	"leakpruning/internal/harness"
 	"leakpruning/internal/heap"
-	"leakpruning/internal/jitsim"
 	"leakpruning/internal/vm"
 	"leakpruning/internal/workload"
 )
 
 // benchCap bounds healthy leak runs inside benchmarks.
 const benchCap = 2000
-
-// runLeak executes one leak/policy configuration per b.N and reports the
-// survived-iterations metric, averaged across the b.N runs (each run is an
-// independent program execution, so the mean — not the last run — is the
-// Table 1/2 statistic).
-func runLeak(b *testing.B, program, policy string, fullHeapOnly bool) {
-	b.Helper()
-	var iterations, prunes float64
-	for i := 0; i < b.N; i++ {
-		res, err := harness.Run(harness.Config{
-			Program:      program,
-			Policy:       policy,
-			MaxIters:     benchCap,
-			MaxDuration:  20 * time.Second,
-			FullHeapOnly: fullHeapOnly,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		iterations += float64(res.Iterations)
-		prunes += float64(len(res.Prunes))
-	}
-	b.ReportMetric(iterations/float64(b.N), "iterations")
-	b.ReportMetric(prunes/float64(b.N), "prunes")
-}
-
-// ---------------------------------------------------------------------------
-// Table 1: ten leaks, base vs. leak pruning.
-
-func BenchmarkTable1(b *testing.B) {
-	for _, leak := range workload.LeakNames() {
-		for _, policy := range []string{"off", "default"} {
-			b.Run(leak+"/"+policy, func(b *testing.B) { runLeak(b, leak, policy, false) })
-		}
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Table 2: the prediction-algorithm comparison (§6.1).
-
-func BenchmarkTable2(b *testing.B) {
-	for _, leak := range workload.LeakNames() {
-		for _, policy := range []string{"most-stale", "indiv-refs"} {
-			b.Run(leak+"/"+policy, func(b *testing.B) { runLeak(b, leak, policy, false) })
-		}
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Figure 6: read-barrier run-time overhead. The microbenchmark here isolates
-// the barrier itself (ns per reference load) for both code shapes; the
-// whole-program version is cmd/overheadbench -fig 6.
-
-func benchLoads(b *testing.B, opts vm.Options) {
-	opts.HeapLimit = 32 << 20
-	opts.GCWorkers = 1
-	machine := vm.New(opts)
-	node := machine.DefineClass("Node", 1, 32)
-	g := machine.AddGlobal()
-	err := machine.RunThread("bench", func(t *vm.Thread) {
-		chain := t.New(node)
-		t.StoreGlobal(g, chain)
-		for i := 0; i < 63; i++ {
-			n := t.New(node)
-			t.Store(n, 0, t.LoadGlobal(g))
-			t.StoreGlobal(g, n)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i += 64 {
-			t.Scope(func() {
-				cur := t.LoadGlobal(g)
-				for !cur.IsNull() {
-					cur = t.Load(cur, 0)
-				}
-			})
-		}
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-}
-
-func BenchmarkFigure6ReadBarrier(b *testing.B) {
-	b.Run("barriers-off", func(b *testing.B) {
-		benchLoads(b, vm.Options{EnableBarriers: false})
-	})
-	b.Run("conditional", func(b *testing.B) {
-		benchLoads(b, vm.Options{EnableBarriers: true, Barrier: vm.BarrierConditional})
-	})
-	b.Run("unconditional", func(b *testing.B) {
-		benchLoads(b, vm.Options{EnableBarriers: true, Barrier: vm.BarrierUnconditional})
-	})
-}
-
-// ---------------------------------------------------------------------------
-// Figure 7: GC time in the Base / Observe / Select configurations.
-
-func benchGC(b *testing.B, force string) {
-	prog, err := workload.New("eclipse") // the largest microbenchmark
-	if err != nil {
-		b.Fatal(err)
-	}
-	var total time.Duration
-	for i := 0; i < b.N; i++ {
-		res, err := harness.Run(harness.Config{
-			Program:    "eclipse",
-			Policy:     "off",
-			HeapLimit:  prog.DefaultHeap(),
-			MaxIters:   120,
-			ForceState: force,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		total += res.VMStats.GCTime
-	}
-	b.ReportMetric(float64(total.Microseconds())/float64(b.N), "gc-us")
-}
-
-func BenchmarkFigure7GCTime(b *testing.B) {
-	b.Run("base", func(b *testing.B) { benchGC(b, "") })
-	b.Run("observe", func(b *testing.B) { benchGC(b, "observe") })
-	b.Run("select", func(b *testing.B) { benchGC(b, "select") })
-}
-
-// ---------------------------------------------------------------------------
-// §5 compilation overhead (jitsim).
-
-func BenchmarkCompile(b *testing.B) {
-	corpus := jitsim.Corpus("bench", 50, 400)
-	b.Run("plain", func(b *testing.B) {
-		c := &jitsim.Compiler{}
-		for i := 0; i < b.N; i++ {
-			jitsim.CompileCorpus("bench", c, corpus)
-		}
-	})
-	b.Run("read-barriers", func(b *testing.B) {
-		c := &jitsim.Compiler{InsertReadBarriers: true}
-		for i := 0; i < b.N; i++ {
-			jitsim.CompileCorpus("bench", c, corpus)
-		}
-	})
-}
 
 // ---------------------------------------------------------------------------
 // Figure 11 / §6.3 ablation: the 90% nearly-full threshold (option 2)
@@ -286,57 +143,7 @@ func BenchmarkAblationStaleGuard(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Ablation: parallel tracing (§4.5). Builds a large object graph and
-// measures one full collection at different tracer widths.
-
-type benchRoots struct{ refs []heap.Ref }
-
-func (r *benchRoots) VisitRoots(fn func(heap.Ref)) {
-	for _, ref := range r.refs {
-		fn(ref)
-	}
-}
-
-func buildTraceHeap(b *testing.B) (*heap.Heap, *benchRoots) {
-	b.Helper()
-	reg := heap.NewRegistry()
-	node := reg.Define("Node", 2, 64)
-	h := heap.New(reg, 1<<30)
-	roots := &benchRoots{}
-	var build func(depth int) heap.Ref
-	build = func(depth int) heap.Ref {
-		r, err := h.Allocate(node)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if depth > 0 {
-			h.Get(r).SetRef(0, build(depth-1))
-			h.Get(r).SetRef(1, build(depth-1))
-		}
-		return r
-	}
-	for i := 0; i < 4; i++ {
-		roots.refs = append(roots.refs, build(15)) // 4 * 64K objects
-	}
-	return h, roots
-}
-
-func BenchmarkParallelTrace(b *testing.B) {
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(map[int]string{1: "workers-1", 2: "workers-2", 4: "workers-4", 8: "workers-8"}[workers],
-			func(b *testing.B) {
-				h, roots := buildTraceHeap(b)
-				col := gc.NewCollector(h, roots, workers)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					col.Collect(gc.Plan{Mode: gc.ModeNormal})
-				}
-			})
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Microbenchmarks of the core mechanisms.
+// Microbenchmark of the edge table.
 
 func BenchmarkEdgeTable(b *testing.B) {
 	b.Run("record-use", func(b *testing.B) {
@@ -365,37 +172,6 @@ func BenchmarkEdgeTable(b *testing.B) {
 			tbl.MaxBytesUsed()
 		}
 	})
-}
-
-func BenchmarkAllocation(b *testing.B) {
-	machine := vm.New(vm.Options{HeapLimit: 64 << 20, EnableBarriers: true, GCWorkers: 2})
-	cls := machine.DefineClass("Temp", 1, 64)
-	err := machine.RunThread("bench", func(t *vm.Thread) {
-		b.ResetTimer()
-		for i := 0; i < b.N; i += 64 {
-			t.Scope(func() {
-				for j := 0; j < 64; j++ {
-					t.New(cls)
-				}
-			})
-		}
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-}
-
-// BenchmarkBarrierColdPath lives in internal/vm (it needs to re-arm slots
-// the way a collection would, which requires heap access).
-
-// ---------------------------------------------------------------------------
-// Extension: maxStaleUse decay (§6's suggested policy change for phased
-// programs like JbbMod). Compares the default algorithm against the decay
-// variant on the program whose phased access pattern motivates it.
-
-func BenchmarkExtensionDecay(b *testing.B) {
-	b.Run("jbbmod/default", func(b *testing.B) { runLeak(b, "jbbmod", "default", false) })
-	b.Run("jbbmod/decay", func(b *testing.B) { runLeak(b, "jbbmod", "decay", false) })
 }
 
 // ---------------------------------------------------------------------------
@@ -427,12 +203,4 @@ func BenchmarkGenerational(b *testing.B) {
 	}
 	b.Run("full-heap-only", func(b *testing.B) { run(b, false) })
 	b.Run("generational", func(b *testing.B) { run(b, true) })
-}
-
-// BenchmarkOffloadVsPruning contrasts the two leak-tolerance mechanisms on
-// the all-dead ListLeak: offloading is bounded by the disk budget, pruning
-// is not.
-func BenchmarkOffloadVsPruning(b *testing.B) {
-	b.Run("listleak/melt", func(b *testing.B) { runLeak(b, "listleak", "melt", false) })
-	b.Run("listleak/default", func(b *testing.B) { runLeak(b, "listleak", "default", false) })
 }

@@ -1,9 +1,11 @@
 package harness
 
 import (
+	"errors"
 	"testing"
 	"time"
 
+	"leakpruning/internal/vm"
 	"leakpruning/internal/vmerrors"
 )
 
@@ -37,6 +39,19 @@ func TestRunConfigValidation(t *testing.T) {
 	}
 	if _, err := Run(Config{Program: "listleak", BarrierVariant: "bogus"}); err == nil {
 		t.Fatal("bad barrier variant must error")
+	}
+	// Combinations each field allows but the VM does not: the typed error
+	// comes back, vm.New's configuration panic is never reached.
+	for name, cfg := range map[string]Config{
+		"melt+concurrent":     {Program: "listleak", Policy: "melt", MarkMode: "concurrent"},
+		"forced state+policy": {Program: "listleak", Policy: "default", ForceState: "select"},
+		"barriers off+policy": {Program: "listleak", Policy: "default", BarriersOff: true},
+	} {
+		_, err := Run(cfg)
+		var oe *vm.OptionError
+		if !errors.As(err, &oe) {
+			t.Errorf("%s: error %v, want a *vm.OptionError", name, err)
+		}
 	}
 }
 

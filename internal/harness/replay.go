@@ -8,11 +8,8 @@ import (
 	"time"
 
 	"leakpruning/internal/core"
-	"leakpruning/internal/faultinject"
 	"leakpruning/internal/gc"
 	"leakpruning/internal/heap"
-	"leakpruning/internal/obs"
-	"leakpruning/internal/offload"
 	"leakpruning/internal/trace"
 	"leakpruning/internal/vm"
 	"leakpruning/internal/vmerrors"
@@ -38,13 +35,12 @@ type ReplayConfig struct {
 	Policy string
 	// MarkMode overrides the recorded mark mode ("" = recorded).
 	MarkMode string
-	// HeapLimit overrides the heap (0 = recorded limit × Multiply, so the
-	// paper's "heap ≈ 2× need" methodology scales with the cloned load).
-	HeapLimit uint64
 	// Multiply replays N skewed clones of the recorded interleaving
 	// (0 or 1 = one). Each clone gets a disjoint block of globals and its
-	// own object-identity map; clones share the one heap and policy, which
-	// is how heavy traffic is simulated on one CPU.
+	// own object-identity map; clones share the one policy and one heap of
+	// N× the recorded limit (the paper's "heap ≈ 2× need" methodology
+	// scales with the cloned load), which is how heavy traffic is simulated
+	// on one CPU.
 	Multiply int
 	// Speed paces iteration boundaries against the recorded timestamps:
 	// 1 = recorded speed, 2 = twice as fast, 0 = as fast as possible.
@@ -52,15 +48,8 @@ type ReplayConfig struct {
 	// Stagger delays clone k's start by k×Stagger, skewing the clones so
 	// their allocation phases do not align (0 = no stagger).
 	Stagger time.Duration
-	// MaxIters caps each clone's replayed iterations (0 = whole trace).
-	MaxIters int
-	// HashLiveSet, AuditEveryGC, GCWorkers, Injector, and Obs mirror the
-	// corresponding Config fields.
-	HashLiveSet  bool
+	// AuditEveryGC mirrors Config.AuditEveryGC.
 	AuditEveryGC bool
-	GCWorkers    int
-	Injector     *faultinject.Injector
-	Obs          *obs.Obs
 }
 
 // CloneResult is one replay clone's outcome, in Result's vocabulary.
@@ -93,8 +82,8 @@ type ReplayResult struct {
 	AuditReport []string
 }
 
-// Capped reports whether every clone ended healthy (at its iteration cap
-// or the end of the trace).
+// Capped reports whether every clone ended healthy (at the end of the
+// trace).
 func (r ReplayResult) Capped() bool {
 	for _, c := range r.Clones {
 		if !(Result{Reason: c.Reason}).Capped() {
@@ -122,90 +111,36 @@ func Replay(cfg ReplayConfig) (ReplayResult, error) {
 	if mult <= 0 {
 		mult = 1
 	}
-	policyName := cfg.Policy
-	if policyName == "" {
-		policyName = tr.Meta.Policy
+	m := tr.Meta
+	if cfg.Policy != "" {
+		m.Policy = cfg.Policy
 	}
-	melt := policyName == "melt"
-	var policy core.Policy
-	var err error
-	if !melt {
-		policy, err = PolicyFromName(policyName)
-		if err != nil {
-			return ReplayResult{}, err
-		}
+	if cfg.MarkMode != "" {
+		m.MarkMode = cfg.MarkMode
 	}
-	heapLimit := cfg.HeapLimit
-	if heapLimit == 0 {
-		heapLimit = tr.Meta.HeapLimit * uint64(mult)
+	if m.Policy = policyLabel(m.Policy); m.Policy != "base" {
+		// A pinned controller state and compiled-out barriers are both
+		// mutually exclusive with a policy; replaying such a recording
+		// under a real policy is a deliberate upgrade, so both are dropped.
+		m.ForceState = ""
+		m.Flags &^= trace.FlagBarriersOff
 	}
-	if heapLimit == 0 {
-		return ReplayResult{}, fmt.Errorf("harness: trace carries no heap limit and none was given")
+	if m.HeapLimit *= uint64(mult); m.HeapLimit == 0 {
+		return ReplayResult{}, fmt.Errorf("harness: trace carries no heap limit")
 	}
 
 	res := ReplayResult{
-		Program:   tr.Meta.Program,
-		Policy:    policyLabel(policyName),
-		HeapLimit: heapLimit,
+		Program:   m.Program,
+		Policy:    m.Policy,
+		HeapLimit: m.HeapLimit,
 		Multiply:  mult,
 	}
 
-	opts := vm.Options{
-		HeapLimit:      heapLimit,
-		Policy:         policy,
-		EnableBarriers: true,
-		FullHeapOnly:   tr.Meta.Flags&trace.FlagFullHeapOnly != 0,
-		Generational:   tr.Meta.Flags&trace.FlagGenerational != 0,
-		GCWorkers:      cfg.GCWorkers,
-		FaultInjector:  cfg.Injector,
-		AuditEveryGC:   cfg.AuditEveryGC,
-		Obs:            cfg.Obs,
-		HashLiveSet:    cfg.HashLiveSet || tr.Meta.Flags&trace.FlagHashLiveSet != 0,
-	}
-	if tr.Meta.Flags&trace.FlagLazyBarriers != 0 {
-		opts.LazyBarriers = true
-	}
-	if policy == nil && !melt && tr.Meta.Flags&trace.FlagBarriersOff != 0 {
-		opts.EnableBarriers = false
-	}
-	if melt {
-		opts.OffloadDisk = offload.DefaultDiskFactor * heapLimit
-	}
-	forceState := tr.Meta.ForceState
-	if policy != nil || melt {
-		// A pinned controller state is mutually exclusive with a policy;
-		// replaying a forced-state recording under a real policy is a
-		// deliberate upgrade, so the pin is dropped.
-		forceState = ""
-	}
-	markMode := cfg.MarkMode
-	if markMode == "" {
-		markMode = tr.Meta.MarkMode
-	}
-	if err := applyModeOptions(&opts, forceState, tr.Meta.BarrierVariant, markMode); err != nil {
+	var smp sampler
+	machine, err := newVM(m, vm.Options{AuditEveryGC: cfg.AuditEveryGC, OnGC: smp.onGC})
+	if err != nil {
 		return ReplayResult{}, err
 	}
-
-	var iterNow atomic.Int64
-	var samplesMu sync.Mutex
-	opts.OnGC = func(ev vm.Event) {
-		samplesMu.Lock()
-		res.GCSamples = append(res.GCSamples, GCSample{
-			GCIndex:    ev.Result.Index,
-			Iteration:  int(iterNow.Load()),
-			BytesLive:  ev.Heap.BytesUsed,
-			State:      ev.State,
-			Mode:       ev.Result.Mode.String(),
-			GCTime:     ev.Result.Duration,
-			LiveHash:   ev.LiveHash,
-			Candidates: ev.Result.Candidates,
-			Pruned:     ev.Result.PrunedRefs,
-			Degraded:   ev.Result.Degraded,
-		})
-		samplesMu.Unlock()
-	}
-
-	machine := vm.New(opts)
 
 	// Rebuild the recorded class table; IDs must come out identical or the
 	// trace's class references would dangle.
@@ -231,11 +166,12 @@ func Replay(cfg ReplayConfig) (ReplayResult, error) {
 			if cfg.Stagger > 0 && k > 0 {
 				time.Sleep(time.Duration(k) * cfg.Stagger)
 			}
-			res.Clones[k] = replayClone(machine, tr, k, cfg, &iterNow, start)
+			res.Clones[k] = replayClone(machine, tr, k, cfg, &smp.iter, start)
 		}(k)
 	}
 	wg.Wait()
 	res.Duration = time.Since(start)
+	res.GCSamples = smp.samples
 	res.VMStats = machine.Stats()
 	res.Prunes = machine.PruneEvents()
 	res.FinalState = machine.State()
@@ -320,10 +256,6 @@ func replayClone(machine *vm.VM, tr *trace.Trace, k int, cfg ReplayConfig, iterN
 			cr.Iterations = ev.Arg + 1
 			if n := int64(ev.Arg); n > iterNow.Load() {
 				iterNow.Store(n)
-			}
-			if cfg.MaxIters > 0 && ev.Arg >= cfg.MaxIters {
-				cr.Reason = EndIterCap
-				return cr
 			}
 			if speed > 0 {
 				paced += time.Duration(float64(ev.DT) / speed)
@@ -435,10 +367,11 @@ func (e *CycleMismatchError) Error() string {
 // is not part of the heap state). Returns nil when every recorded cycle
 // matches.
 func CompareCycles(tr *trace.Trace, samples []GCSample) error {
-	recorded, err := RecordedCycles(tr)
+	st, err := tr.Stats()
 	if err != nil {
 		return err
 	}
+	recorded := st.Cycles
 	if len(samples) != len(recorded) {
 		return fmt.Errorf("harness: replay ran %d GC cycles, recorded %d", len(samples), len(recorded))
 	}
@@ -461,13 +394,4 @@ func CompareCycles(tr *trace.Trace, samples []GCSample) error {
 		}
 	}
 	return nil
-}
-
-// RecordedCycles extracts the trace's GC-cycle records in order.
-func RecordedCycles(tr *trace.Trace) ([]trace.GCInfo, error) {
-	st, err := tr.Stats()
-	if err != nil {
-		return nil, err
-	}
-	return st.Cycles, nil
 }

@@ -2,9 +2,11 @@ package harness
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"leakpruning/internal/trace"
+	"leakpruning/internal/vm"
 	"leakpruning/internal/workload"
 )
 
@@ -90,6 +92,18 @@ func TestReplayEquivalence(t *testing.T) {
 	}
 	if err := CompareCycles(tr, rr.GCSamples); err != nil {
 		t.Fatalf("replay under concurrent marking diverged: %v", err)
+	}
+}
+
+// TestReplayRejectsInvalidOverride: an override the recorded options cannot
+// take — concurrent marking over a disk-offloading recording — is the typed
+// option error, not vm.New's panic.
+func TestReplayRejectsInvalidOverride(t *testing.T) {
+	tr, _ := recordRun(t, Config{Program: "listleak", Policy: "melt", MaxIters: 50})
+	_, err := Replay(ReplayConfig{Trace: tr, MarkMode: "concurrent"})
+	var oe *vm.OptionError
+	if !errors.As(err, &oe) {
+		t.Fatalf("replay error %v, want a *vm.OptionError", err)
 	}
 }
 
@@ -189,6 +203,10 @@ func TestReplayMultiply(t *testing.T) {
 func TestReplayCorpusMultiply(t *testing.T) {
 	for _, e := range workload.Corpus() {
 		tr, _ := recordRun(t, Config{Program: e.Name, Policy: "off", MaxIters: 400})
+		if n := framelessAllocs(t, tr); n != 0 {
+			t.Errorf("%s: %d allocations outside any frame: unrooted until the program stores them, "+
+				"so a multiplied replay can collect them first", e.Name, n)
+		}
 		for _, policy := range []string{"default", "most-stale", "indiv-refs"} {
 			t.Run(e.Name+"/"+policy, func(t *testing.T) {
 				rr, err := Replay(ReplayConfig{Trace: tr, Policy: policy, Multiply: 10})
@@ -207,6 +225,38 @@ func TestReplayCorpusMultiply(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// framelessAllocs counts the recorded allocations made while their thread
+// had no frame pushed. Nothing roots such an object until the program
+// stores it somewhere; the recording survives that (one driver, no
+// collection in between), a ×N replay does not — another clone can trigger
+// a collection inside the window.
+func framelessAllocs(t *testing.T, tr *trace.Trace) int {
+	t.Helper()
+	depth := map[int]int{}
+	n := 0
+	it := tr.Iter()
+	var ev trace.Event
+	for {
+		ok, err := it.Next(&ev)
+		if err != nil {
+			t.Fatalf("decode trace: %v", err)
+		}
+		if !ok {
+			return n
+		}
+		switch ev.Kind {
+		case trace.EvPush:
+			depth[ev.Stream]++
+		case trace.EvPop:
+			depth[ev.Stream]--
+		case trace.EvAlloc, trace.EvAllocShaped:
+			if depth[ev.Stream] == 0 {
+				n++
+			}
 		}
 	}
 }

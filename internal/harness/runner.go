@@ -8,7 +8,6 @@ package harness
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"leakpruning/internal/core"
@@ -66,11 +65,9 @@ type Config struct {
 	// Program names the workload (see workload.Names).
 	Program string
 	// Policy is the pruning policy name: "off", "default", "most-stale",
-	// "indiv-refs", "decay", or "melt" (the disk-offloading baseline).
+	// "indiv-refs", "decay", or "melt" (the disk-offloading baseline, with
+	// a simulated disk of offload.DefaultDiskFactor x the heap limit).
 	Policy string
-	// DiskLimit sizes the simulated disk for the "melt" policy
-	// (0 = offload.DefaultDiskFactor x the heap limit).
-	DiskLimit uint64
 	// HeapLimit overrides the program's default heap (0 = default).
 	HeapLimit uint64
 	// MaxIters caps the run (0 = DefaultMaxIters).
@@ -99,9 +96,6 @@ type Config struct {
 	// AuditEveryGC runs the full heap invariant audit inside every
 	// collection's stop-the-world section (the chaos campaign's oracle).
 	AuditEveryGC bool
-	// STWWatchdog bounds a parallel trace closure before the collection
-	// degrades to the serial tracer (0 = no deadline).
-	STWWatchdog time.Duration
 	// MarkMode selects the closure strategy for every cycle mode: "" or
 	// "stw" (default), or "concurrent" (mostly-concurrent marking behind
 	// the SATB deletion barrier, including SELECT/PRUNE cycles against a
@@ -149,6 +143,12 @@ type Result struct {
 	// AuditReport is the last invariant audit's violation list (nil if no
 	// audit ran; empty means the final audit was clean).
 	AuditReport []string
+	// OOMWarning is the out-of-memory warning as first issued (§3.2: deferred
+	// while pruning keeps the program alive); "" if memory never ran short.
+	OOMWarning string
+	// VM is the finished machine, for the views a diagnosis reads off it:
+	// the edge table, the live-heap histogram, a heap dump.
+	VM *vm.VM
 }
 
 // Ratio returns this run's iterations relative to base's (Table 1/2's
@@ -165,117 +165,50 @@ func (r Result) Capped() bool {
 	return r.Reason == EndIterCap || r.Reason == EndTimeCap || r.Reason == EndCompleted
 }
 
-// PolicyFromName maps harness policy names to core policies; "off" (or "",
-// or "base") means pruning disabled.
-func PolicyFromName(name string) (core.Policy, error) {
-	switch name {
-	case "", "off", "base", "none":
-		return nil, nil
-	}
-	return core.PolicyByName(name)
-}
-
 // Run executes one configured run to completion.
 func Run(cfg Config) (Result, error) {
 	prog, err := workload.New(cfg.Program)
 	if err != nil {
 		return Result{}, err
 	}
-	melt := cfg.Policy == "melt"
-	var policy core.Policy
-	if !melt {
-		policy, err = PolicyFromName(cfg.Policy)
-		if err != nil {
-			return Result{}, err
-		}
-	}
-	heapLimit := cfg.HeapLimit
-	if heapLimit == 0 {
-		heapLimit = prog.DefaultHeap()
-	}
+	m := cfg.meta(prog)
 	maxIters := cfg.MaxIters
 	if maxIters == 0 {
 		maxIters = DefaultMaxIters
 	}
+	verbose := cfg.Verbose
+	if verbose == nil {
+		verbose = func(string, ...any) {}
+	}
 
 	res := Result{
-		Program:   prog.Name(),
-		Policy:    policyLabel(cfg.Policy),
-		HeapLimit: heapLimit,
-	}
-
-	var iterNow atomic.Int64
-	opts := vm.Options{
-		HeapLimit:      heapLimit,
-		Policy:         policy,
-		EnableBarriers: !cfg.BarriersOff,
-		FullHeapOnly:   cfg.FullHeapOnly,
-		GCWorkers:      cfg.GCWorkers,
-		FaultInjector:  cfg.Injector,
-		AuditEveryGC:   cfg.AuditEveryGC,
-		STWWatchdog:    cfg.STWWatchdog,
-		Obs:            cfg.Obs,
-		HashLiveSet:    cfg.HashLiveSet,
-	}
-	opts.Generational = cfg.Generational
-	if melt {
-		opts.OffloadDisk = cfg.DiskLimit
-		if opts.OffloadDisk == 0 {
-			opts.OffloadDisk = offload.DefaultDiskFactor * heapLimit
-		}
-	}
-	if err := applyModeOptions(&opts, cfg.ForceState, cfg.BarrierVariant, cfg.MarkMode); err != nil {
-		return Result{}, err
+		Program:   m.Program,
+		Policy:    m.Policy,
+		HeapLimit: m.HeapLimit,
 	}
 	if cfg.Record != nil {
-		flags := uint64(0)
-		if cfg.HashLiveSet {
-			flags |= trace.FlagHashLiveSet
-		}
-		if cfg.Generational {
-			flags |= trace.FlagGenerational
-		}
-		if cfg.FullHeapOnly {
-			flags |= trace.FlagFullHeapOnly
-		}
-		if cfg.BarriersOff {
-			flags |= trace.FlagBarriersOff
-		}
-		cfg.Record.SetMeta(trace.Meta{
-			Program:        prog.Name(),
-			Policy:         policyLabel(cfg.Policy),
-			MarkMode:       orDefault(cfg.MarkMode, "stw"),
-			BarrierVariant: orDefault(cfg.BarrierVariant, "conditional"),
-			ForceState:     cfg.ForceState,
-			HeapLimit:      heapLimit,
-			Flags:          flags,
-		})
-		opts.TraceRecorder = cfg.Record
+		cfg.Record.SetMeta(m)
 	}
-	opts.OnGC = func(ev vm.Event) {
-		res.GCSamples = append(res.GCSamples, GCSample{
-			GCIndex:    ev.Result.Index,
-			Iteration:  int(iterNow.Load()),
-			BytesLive:  ev.Heap.BytesUsed,
-			State:      ev.State,
-			Mode:       ev.Result.Mode.String(),
-			GCTime:     ev.Result.Duration,
-			LiveHash:   ev.LiveHash,
-			Candidates: ev.Result.Candidates,
-			Pruned:     ev.Result.PrunedRefs,
-			Degraded:   ev.Result.Degraded,
-		})
+	var smp sampler
+	machine, err := newVM(m, vm.Options{
+		GCWorkers:     cfg.GCWorkers,
+		FaultInjector: cfg.Injector,
+		AuditEveryGC:  cfg.AuditEveryGC,
+		Obs:           cfg.Obs,
+		TraceRecorder: cfg.Record,
+		OnGC:          smp.onGC,
+		OnPrune: func(ev core.PruneEvent) {
+			verbose("  [gc %d, iter %d] pruned %d refs: %s (freed %d bytes)",
+				ev.GCIndex, smp.iter.Load(), ev.PrunedRefs, ev.Selection, ev.BytesFreed)
+		},
+		OnOOM: func(oom *vmerrors.OutOfMemoryError) {
+			res.OOMWarning = oom.Error()
+			verbose("  [iter %d] out-of-memory warning recorded: %v", smp.iter.Load(), oom)
+		},
+	})
+	if err != nil {
+		return Result{}, err
 	}
-	if cfg.Verbose != nil {
-		opts.OnPrune = func(ev core.PruneEvent) {
-			cfg.Verbose("  [gc %d, iter %d] pruned %d refs: %s (freed %d bytes)",
-				ev.GCIndex, iterNow.Load(), ev.PrunedRefs, ev.Selection, ev.BytesFreed)
-		}
-		opts.OnOOM = func(oom *vmerrors.OutOfMemoryError) {
-			cfg.Verbose("  [iter %d] out-of-memory warning recorded: %v", iterNow.Load(), oom)
-		}
-	}
-	machine := vm.New(opts)
 
 	start := time.Now()
 	deadline := time.Time{}
@@ -286,7 +219,7 @@ func Run(cfg Config) (Result, error) {
 	runErr := machine.RunThread("main", func(t *vm.Thread) {
 		t.Scope(func() { prog.Setup(t) })
 		for iter := 0; iter < maxIters; iter++ {
-			iterNow.Store(int64(iter))
+			smp.iter.Store(int64(iter))
 			t.MarkIteration(iter)
 			t0 := time.Now()
 			done := false
@@ -310,6 +243,7 @@ func Run(cfg Config) (Result, error) {
 	})
 
 	res.Duration = time.Since(start)
+	res.GCSamples = smp.samples
 	res.Err = runErr
 	if runErr != nil {
 		var ie *vmerrors.InternalError
@@ -331,53 +265,8 @@ func Run(cfg Config) (Result, error) {
 	res.EdgeTypes = machine.EdgeTable().Len()
 	res.FinalState = machine.State()
 	res.AuditReport = machine.LastAudit()
+	res.VM = machine
 	return res, nil
-}
-
-func policyLabel(name string) string {
-	switch name {
-	case "", "off", "base", "none":
-		return "base"
-	}
-	return name
-}
-
-// orDefault normalizes an empty mode selector to its default's name.
-func orDefault(s, def string) string {
-	if s == "" {
-		return def
-	}
-	return s
-}
-
-// applyModeOptions maps the harness's string-typed mode selectors
-// (forced controller state, barrier variant, mark mode) onto vm.Options —
-// shared by Run and Replay.
-func applyModeOptions(opts *vm.Options, forceState, barrierVariant, markMode string) error {
-	switch forceState {
-	case "":
-	case "observe":
-		opts.Forced, opts.ForceState = true, core.StateObserve
-	case "select":
-		opts.Forced, opts.ForceState = true, core.StateSelect
-	default:
-		return fmt.Errorf("harness: unknown forced state %q", forceState)
-	}
-	switch barrierVariant {
-	case "", "conditional":
-	case "unconditional":
-		opts.Barrier = vm.BarrierUnconditional
-	default:
-		return fmt.Errorf("harness: unknown barrier variant %q", barrierVariant)
-	}
-	switch markMode {
-	case "", "stw":
-	case "concurrent":
-		opts.MarkMode = vm.MarkConcurrent
-	default:
-		return fmt.Errorf("harness: unknown mark mode %q", markMode)
-	}
-	return nil
 }
 
 // DiskExhausted reports whether a melt run's disk budget was the binding

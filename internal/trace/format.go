@@ -145,6 +145,8 @@ const (
 	FlagGenerational
 	FlagFullHeapOnly
 	FlagBarriersOff
+	// FlagLazyBarriers is reserved: no recorder writes it and replay ignores
+	// it; the bit stays allocated so later flags do not reuse it.
 	FlagLazyBarriers
 )
 

@@ -102,7 +102,7 @@ func ReadTrace(data []byte) (*Trace, error) {
 }
 
 // Validate decodes every event in the body, returning the event count or
-// the first decode error. It is the structural check tracetool's verify
+// the first decode error. It is the structural check 'lp trace verify'
 // and the fuzz target run.
 func (tr *Trace) Validate() (int, error) {
 	it := tr.Iter()
@@ -352,7 +352,7 @@ func (it *Iter) decodeEvent(ev *Event) error {
 	return nil
 }
 
-// Stat summarizes a trace for tracetool's stat subcommand.
+// Stat summarizes a trace for 'lp trace stat'.
 type Stat struct {
 	Events   int
 	ByKind   [kindMax]int

@@ -11,7 +11,8 @@ import (
 // structural leak family, written to stress a *mechanism* rather than to
 // mimic a particular application. They complement the Table 1 analogues:
 // each is registered with the per-policy outcomes the corpus tests pin
-// down, and each is a record/replay fixture for cmd/tracetool.
+// down, and each is a record/replay fixture ('lp run -record', 'lp trace
+// replay').
 
 func init() {
 	registerCorpus("collectionleak", TaxCollection, map[string]Outcome{
@@ -365,8 +366,12 @@ func (p *threadLocalLeak) Setup(t *vm.Thread) {
 	p.scratch = v.DefineClass("TLScratch", 0, 64)
 	for i := 0; i < tlWorkers; i++ {
 		w := v.NewThread(fmt.Sprintf("tl-worker-%d", i))
-		m := w.New(p.tlMap)
+		// The frame comes first: New roots its result in the innermost
+		// frame, and on a frameless thread the map would sit unrooted until
+		// Set — a window in which another thread of the same VM (a replay
+		// clone, a sibling pipeline worker) can run a collection.
 		wf := w.PushFrame(1)
+		m := w.New(p.tlMap)
 		wf.Set(0, m) // the worker's stack roots its map, ThreadLocal-style
 		g := v.AddGlobal()
 		w.StoreGlobal(g, m) // the pool's registry also sees every map

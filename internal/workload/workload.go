@@ -23,7 +23,7 @@ import (
 
 // Program is one benchmark program run by the harness.
 type Program interface {
-	// Name is the identifier used by cmd/leakbench (e.g. "eclipsediff").
+	// Name is the identifier cmd/lp takes as -program (e.g. "eclipsediff").
 	Name() string
 	// Description summarizes the program and its leak in one line.
 	Description() string
