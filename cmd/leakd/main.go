@@ -12,7 +12,7 @@
 //	leakd -smoke                     # CI smoke: drive, scrape, assert, exit
 //	leakd -soak -duration 60s        # budget-holding soak (one leaky tenant)
 //
-// Endpooints: GET /healthz, /readyz, /metrics (Prometheus or JSON),
+// Endpoints: GET /healthz, /readyz, /metrics (Prometheus or JSON),
 // /tenants, /pressure; POST /tenants (admit), /tenants/{name}/run?iters=N,
 // /tenants/{name}/config (rolling update); DELETE /tenants/{name} (evict).
 package main

@@ -18,12 +18,6 @@ type Options struct {
 	// (the unmodified-VM baseline).
 	Policy Policy
 
-	// ExpectedUseFraction is the INACTIVE → OBSERVE threshold on heap
-	// fullness after a full collection. The paper defaults to 0.5: users
-	// typically run programs in heaps at least twice maximum reachable
-	// memory (§3.1).
-	ExpectedUseFraction float64
-
 	// NearlyFullFraction is the OBSERVE → SELECT threshold. Default 0.9.
 	NearlyFullFraction float64
 
@@ -32,9 +26,6 @@ type Options struct {
 	// pruning as soon as a SELECT collection finishes (option (2), the
 	// default). After the first exhaustion both options behave the same.
 	FullHeapOnly bool
-
-	// EdgeTableSlots sizes the edge table (default 16K, §6.2).
-	EdgeTableSlots int
 
 	// ForceState pins the controller to one state for overhead measurement
 	// (Figure 6/7's "Observe" and "Select" configurations). Forced
@@ -52,15 +43,14 @@ type Options struct {
 	OnOOM func(*vmerrors.OutOfMemoryError)
 }
 
+// expectedUseFraction is the INACTIVE → OBSERVE threshold on heap fullness
+// after a full collection. The paper's 0.5: users typically run programs in
+// heaps at least twice maximum reachable memory (§3.1).
+const expectedUseFraction = 0.5
+
 func (o Options) withDefaults() Options {
-	if o.ExpectedUseFraction == 0 {
-		o.ExpectedUseFraction = 0.5
-	}
 	if o.NearlyFullFraction == 0 {
 		o.NearlyFullFraction = 0.9
-	}
-	if o.EdgeTableSlots == 0 {
-		o.EdgeTableSlots = edgetable.DefaultSlots
 	}
 	return o
 }
@@ -119,7 +109,7 @@ func NewController(classes *heap.Registry, opts Options) *Controller {
 	c := &Controller{
 		opts:    opts,
 		classes: classes,
-		edges:   edgetable.New(opts.EdgeTableSlots),
+		edges:   edgetable.New(edgetable.DefaultSlots),
 		state:   StateInactive,
 	}
 	if opts.Forced {
@@ -241,7 +231,7 @@ func (c *Controller) FinishCycle(res gc.Result, hs heap.Stats) {
 	fullness := hs.Fullness()
 	switch c.state {
 	case StateInactive:
-		if fullness > c.opts.ExpectedUseFraction {
+		if fullness > expectedUseFraction {
 			// Entering OBSERVE is permanent: the application is now
 			// considered to be in an unexpected state (§3.1).
 			c.state = StateObserve

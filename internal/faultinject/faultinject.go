@@ -11,7 +11,7 @@
 // campaign run with the same seed and the same serial draw order makes the
 // same decisions. Under parallel GC workers the draw order follows the
 // goroutine schedule; determinism then holds per (point, draw count), which
-// is what the chaos campaign's per-seed reports key on.
+// is what the fault matrix (harness.TestFaultMatrix) relies on per seed.
 //
 // The package deliberately imports nothing from the rest of the runtime
 // (except the equally leaf-like obs package) so every layer can depend on

@@ -361,10 +361,9 @@ func (c *Collector) runClosure(plan Plan, workers int) (*tracer, uint32) {
 }
 
 // Collect runs one stop-the-world collection cycle under the given plan.
-// The caller must have stopped all mutator threads — under the VM's
-// default safepoint protocol, by completing the ragged barrier (every
-// registered thread observed at a safepoint with the stop flag raised);
-// under the legacy RWMutex protocol, by holding the world write lock.
+// The caller must have stopped all mutator threads: under the VM's
+// safepoint protocol, by completing the ragged barrier (every registered
+// thread observed at a safepoint with the stop flag raised).
 //
 // Collect never lets a parallel-tracer fault escape: a worker panic or a
 // watchdog-aborted closure is recovered, the partial marks are invalidated

@@ -10,6 +10,10 @@ import (
 	"leakpruning/internal/workload"
 )
 
+// microLeaks are the §6 micro-leak workloads the fault matrix and the replay
+// oracles run.
+var microLeaks = []string{"listleak", "swapleak", "dualleak"}
+
 // recordRun records one workload run and returns the parsed trace plus the
 // recording run's result.
 func recordRun(t *testing.T, cfg Config) (*trace.Trace, Result) {
@@ -75,23 +79,38 @@ func TestReplayDeterminism(t *testing.T) {
 	}
 }
 
-// TestReplayEquivalence: a recording made under STW marking replays
-// byte-identically under concurrent marking — the trace is a
-// policy-validation substrate precisely because the mark mode does not
-// change the heap's evolution.
+// TestReplayEquivalence: a recording of each micro-leak made under STW
+// marking replays byte-identically under concurrent marking, audit-clean —
+// the trace is a policy-validation substrate precisely because the mark
+// mode does not change the heap's evolution.
 func TestReplayEquivalence(t *testing.T) {
-	tr, _ := recordRun(t, Config{
-		Program:     "listleak",
-		Policy:      "default",
-		MaxIters:    900,
-		HashLiveSet: true,
-	})
-	rr, err := Replay(ReplayConfig{Trace: tr, MarkMode: "concurrent"})
-	if err != nil {
-		t.Fatalf("replay: %v", err)
-	}
-	if err := CompareCycles(tr, rr.GCSamples); err != nil {
-		t.Fatalf("replay under concurrent marking diverged: %v", err)
+	for _, program := range microLeaks {
+		t.Run(program, func(t *testing.T) {
+			tr, rres := recordRun(t, Config{
+				Program:     program,
+				Policy:      "default",
+				HeapLimit:   matrixHeap,
+				MaxIters:    900,
+				HashLiveSet: true,
+			})
+			rr, err := Replay(ReplayConfig{Trace: tr, MarkMode: "concurrent", AuditEveryGC: true})
+			if err != nil {
+				t.Fatalf("replay: %v", err)
+			}
+			if len(rr.GCSamples) == 0 {
+				t.Fatal("replay ran no collections; the oracle is vacuous")
+			}
+			if err := CompareCycles(tr, rr.GCSamples); err != nil {
+				t.Fatalf("replay under concurrent marking diverged: %v", err)
+			}
+			if !rr.Capped() && rr.Clones[0].Reason != rres.Reason {
+				t.Errorf("replay ended %v, recording ended %v", rr.Clones[0].Reason, rres.Reason)
+			}
+			if rr.VMStats.AuditsRun == 0 || rr.VMStats.AuditViolations != 0 || len(rr.AuditReport) != 0 {
+				t.Errorf("%d audits, %d violations, final audit: %v",
+					rr.VMStats.AuditsRun, rr.VMStats.AuditViolations, rr.AuditReport)
+			}
+		})
 	}
 }
 
@@ -171,28 +190,33 @@ func TestReplayCrossPolicy(t *testing.T) {
 	}
 }
 
-// TestReplayMultiply: a ×4 thread-multiplied replay completes with zero
-// audit violations and every clone makes progress.
+// TestReplayMultiply: a ×4 thread-multiplied replay of each micro-leak
+// completes with zero audit violations and every clone makes progress.
 func TestReplayMultiply(t *testing.T) {
-	tr, _ := recordRun(t, Config{
-		Program:  "listleak",
-		Policy:   "default",
-		MaxIters: 400,
-	})
-	rr, err := Replay(ReplayConfig{Trace: tr, Multiply: 4})
-	if err != nil {
-		t.Fatalf("replay: %v", err)
-	}
-	if len(rr.AuditReport) != 0 {
-		t.Errorf("audit violations: %v", rr.AuditReport)
-	}
-	for _, c := range rr.Clones {
-		if c.Iterations == 0 {
-			t.Errorf("clone %d made no progress: %v (%v)", c.Clone, c.Reason, c.Err)
-		}
-		if c.Reason == EndReplayDiverged || c.Reason == EndTraceCorrupt {
-			t.Errorf("clone %d failed structurally: %v (%v)", c.Clone, c.Reason, c.Err)
-		}
+	for _, program := range microLeaks {
+		t.Run(program, func(t *testing.T) {
+			tr, _ := recordRun(t, Config{
+				Program:   program,
+				Policy:    "default",
+				HeapLimit: matrixHeap,
+				MaxIters:  400,
+			})
+			rr, err := Replay(ReplayConfig{Trace: tr, Multiply: 4, AuditEveryGC: true})
+			if err != nil {
+				t.Fatalf("replay: %v", err)
+			}
+			if rr.VMStats.AuditViolations != 0 || len(rr.AuditReport) != 0 {
+				t.Errorf("%d audit violations, final audit: %v", rr.VMStats.AuditViolations, rr.AuditReport)
+			}
+			for _, c := range rr.Clones {
+				if c.Iterations == 0 {
+					t.Errorf("clone %d made no progress: %v (%v)", c.Clone, c.Reason, c.Err)
+				}
+				if c.Reason == EndReplayDiverged || c.Reason == EndTraceCorrupt {
+					t.Errorf("clone %d failed structurally: %v (%v)", c.Clone, c.Reason, c.Err)
+				}
+			}
+		})
 	}
 }
 

@@ -94,7 +94,7 @@ type Config struct {
 	// Injector arms deterministic fault injection for the run (nil = off).
 	Injector *faultinject.Injector
 	// AuditEveryGC runs the full heap invariant audit inside every
-	// collection's stop-the-world section (the chaos campaign's oracle).
+	// collection's stop-the-world section (the fault matrix's oracle).
 	AuditEveryGC bool
 	// MarkMode selects the closure strategy for every cycle mode: "" or
 	// "stw" (default), or "concurrent" (mostly-concurrent marking behind
@@ -103,8 +103,8 @@ type Config struct {
 	MarkMode string
 	// HashLiveSet computes a live-set fingerprint inside every full
 	// collection's final pause and records it in GCSample.LiveHash — the
-	// cross-run equivalence probe the chaos campaign's concurrent-mark
-	// scenarios key on.
+	// cross-run equivalence probe the fault matrix's hash-checked rows and
+	// replay key on.
 	HashLiveSet bool
 	// Obs attaches the observability layer (metrics + trace-event tracer)
 	// to the run's VM; after Run returns, obs.WriteArtifacts exports the

@@ -6,10 +6,30 @@ import (
 	"leakpruning/internal/faultinject"
 )
 
-// hysteresis is how far below a trip point the resident fraction must fall
-// before the ladder steps back down, so a tenant oscillating around a
-// threshold cannot flap the level (and with it the tighten/restore churn).
-const hysteresis = 0.05
+// The pressure controller's parameters.
+const (
+	// overcommitFactor bounds sum(HeapLimit) <= overcommitFactor * Budget
+	// at admission. Heap limits may collectively exceed the budget — that
+	// is the bet leak pruning underwrites — but not without bound.
+	overcommitFactor = 2
+	// tightenThreshold, forceThreshold and evictThreshold are the ladder's
+	// resident/budget trip points. Each level includes the actions of
+	// those below it.
+	tightenThreshold = 0.70
+	forceThreshold   = 0.85
+	evictThreshold   = 0.95
+	// tightenTo is the NearlyFullFraction pushed onto tenants at ladder
+	// level >= 1; their configured value is restored when pressure clears.
+	tightenTo = 0.75
+	// maxForceRetries bounds the forced-cycle retry-with-backoff loop when
+	// a collection reports Degraded.
+	maxForceRetries = 3
+	// hysteresis is how far below a trip point the resident fraction must
+	// fall before the ladder steps back down, so a tenant oscillating
+	// around a threshold cannot flap the level (and with it the
+	// tighten/restore churn).
+	hysteresis = 0.05
+)
 
 // ProbeResult reports one budget-pressure probe: what the controller saw
 // and which rung of the ladder it acted on.
@@ -38,15 +58,15 @@ type ProbeResult struct {
 // levels below it:
 //
 //	level 1: tighten every serving tenant's OBSERVE → SELECT threshold to
-//	         TightenTo, engaging pruning earlier than the paper's 0.9;
+//	         tightenTo, engaging pruning earlier than the paper's 0.9;
 //	level 2: additionally force a full SELECT/PRUNE collection on the
 //	         worst offender, retrying with backoff when the cycle reports
 //	         Degraded (serial-fallback) instead of trusting a bad cycle;
 //	level 3: additionally evict the worst offender — drain, final forced
 //	         collection, invariant audit, slot released.
 //
-// Tests and the chaos harness call it directly (ProbeInterval 0) so every
-// ladder transition is deterministic; cmd/leakd runs it on a ticker.
+// Tests call it directly (ProbeInterval 0) so every ladder transition is
+// deterministic; cmd/leakd runs it on a ticker.
 func (s *Server) ProbeBudget() ProbeResult {
 	s.mProbes.Inc()
 	var res ProbeResult
@@ -122,11 +142,11 @@ func (s *Server) nextLevel(fraction float64) int {
 	cur := int(s.level.Load())
 	up := 0
 	switch {
-	case fraction >= s.cfg.EvictThreshold:
+	case fraction >= evictThreshold:
 		up = 3
-	case fraction >= s.cfg.ForceThreshold:
+	case fraction >= forceThreshold:
 		up = 2
-	case fraction >= s.cfg.TightenThreshold:
+	case fraction >= tightenThreshold:
 		up = 1
 	}
 	if up >= cur {
@@ -139,11 +159,11 @@ func (s *Server) nextLevel(fraction float64) int {
 		var trip float64
 		switch down {
 		case 3:
-			trip = s.cfg.EvictThreshold
+			trip = evictThreshold
 		case 2:
-			trip = s.cfg.ForceThreshold
+			trip = forceThreshold
 		default:
-			trip = s.cfg.TightenThreshold
+			trip = tightenThreshold
 		}
 		if fraction >= trip-hysteresis {
 			break
@@ -165,14 +185,14 @@ func (s *Server) tightenAll(tenants []*Tenant) {
 			continue
 		}
 		if machine := t.currentVM(); machine != nil {
-			if machine.NearlyFullFraction() > s.cfg.TightenTo {
-				if err := machine.SetNearlyFullFraction(s.cfg.TightenTo); err != nil {
+			if machine.NearlyFullFraction() > tightenTo {
+				if err := machine.SetNearlyFullFraction(tightenTo); err != nil {
 					s.logf("tighten %s: %v", t.Config().Name, err)
 				}
 			}
 		}
 	}
-	s.logf("budget pressure: tightened nearly-full fraction to %g", s.cfg.TightenTo)
+	s.logf("budget pressure: tightened nearly-full fraction to %g", tightenTo)
 }
 
 // restoreAll undoes tightenAll once pressure clears, returning each tenant
@@ -222,7 +242,7 @@ func worstOffender(tenants []*Tenant) *Tenant {
 // when the cycle reports Degraded (the parallel tracer fell back to serial
 // after a worker fault): a degraded cycle still freed memory, but pressure
 // decisions deserve a clean signal, so the controller retries up to
-// MaxForceRetries before accepting the degraded result. Returns how many
+// maxForceRetries before accepting the degraded result. Returns how many
 // degraded cycles were observed.
 func (s *Server) forceCycle(t *Tenant) int {
 	machine := t.currentVM()
@@ -238,7 +258,7 @@ func (s *Server) forceCycle(t *Tenant) int {
 			return degraded
 		}
 		degraded++
-		if attempt+1 >= s.cfg.MaxForceRetries {
+		if attempt+1 >= maxForceRetries {
 			s.logf("forced cycle on %s still degraded after %d attempts", t.Config().Name, attempt+1)
 			return degraded
 		}

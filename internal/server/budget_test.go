@@ -48,7 +48,7 @@ func TestBudgetLadder(t *testing.T) {
 		case 1:
 			sawTighten = true
 			// Level 1 tightened the live threshold on serving tenants.
-			if got := s.tenant("leaky").currentVM().NearlyFullFraction(); got != cfg.TightenTo && got != 0.75 {
+			if got := s.tenant("leaky").currentVM().NearlyFullFraction(); got != tightenTo {
 				t.Fatalf("nearly-full under pressure = %g, want tightened to 0.75", got)
 			}
 		case 2:
@@ -116,11 +116,11 @@ func TestLadderHysteresis(t *testing.T) {
 	s := mustServer(t, testConfig())
 	s.level.Store(2)
 	// Just below the force threshold but within the hysteresis band: hold.
-	if got := s.nextLevel(s.cfg.ForceThreshold - hysteresis/2); got != 2 {
+	if got := s.nextLevel(forceThreshold - hysteresis/2); got != 2 {
 		t.Fatalf("level within hysteresis band = %d, want held at 2", got)
 	}
 	// Clear of the band: step down one rung at a time.
-	if got := s.nextLevel(s.cfg.TightenThreshold + 0.01); got != 1 {
+	if got := s.nextLevel(tightenThreshold + 0.01); got != 1 {
 		t.Fatalf("level below force band = %d, want 1", got)
 	}
 	if got := s.nextLevel(0.1); got != 0 {
@@ -128,7 +128,7 @@ func TestLadderHysteresis(t *testing.T) {
 	}
 	// Upward moves are immediate.
 	s.level.Store(0)
-	if got := s.nextLevel(s.cfg.EvictThreshold + 0.01); got != 3 {
+	if got := s.nextLevel(evictThreshold + 0.01); got != 3 {
 		t.Fatalf("level above evict threshold = %d, want 3", got)
 	}
 }

@@ -15,8 +15,8 @@
 //     convert VM traps into typed per-tenant error responses, quarantine a
 //     tenant after K consecutive faults, and restart a tenant session whose
 //     VM exhausted memory — all without any sibling tenant observing a
-//     difference (proven byte-for-byte by the cmd/chaos live-set-hash
-//     scenarios);
+//     difference (proven byte-for-byte by the live-set-hash isolation
+//     tests);
 //   - graceful shutdown drains in-flight requests against a deadline,
 //     cancels stragglers at iteration boundaries, and runs a final
 //     invariant audit per tenant.

@@ -3,6 +3,7 @@ package server
 import (
 	"errors"
 	"testing"
+	"time"
 
 	"leakpruning/internal/faultinject"
 	"leakpruning/internal/obs"
@@ -16,6 +17,24 @@ func driveSibling(t *testing.T, s *Server, name string) {
 	for i := 0; i < 12; i++ {
 		if _, err := s.RunRequest(name, 25); err != nil {
 			t.Fatalf("sibling %s request %d: %v", name, i, err)
+		}
+	}
+}
+
+// wantSameHashes is the isolation oracle: a sibling's per-cycle live-set
+// hashes must be byte-identical to the fault-free control's, and there must
+// be some.
+func wantSameHashes(t *testing.T, got, control []uint64) {
+	t.Helper()
+	if len(control) == 0 {
+		t.Fatal("control sibling ran no collections; the oracle is vacuous")
+	}
+	if len(got) != len(control) {
+		t.Fatalf("sibling ran %d collections, control ran %d", len(got), len(control))
+	}
+	for i := range got {
+		if got[i] != control[i] {
+			t.Fatalf("cycle %d live-set hash diverged: %#x vs control %#x", i, got[i], control[i])
 		}
 	}
 }
@@ -38,9 +57,6 @@ func TestCrashIsolation(t *testing.T) {
 	}
 	driveSibling(t, control, "good")
 	controlHashes := control.tenant("good").CycleHashes()
-	if len(controlHashes) == 0 {
-		t.Fatal("control sibling ran no collections; the oracle is vacuous")
-	}
 
 	// Faulty daemon: same sibling plus a tenant that panics on every
 	// request.
@@ -88,15 +104,7 @@ func TestCrashIsolation(t *testing.T) {
 
 	// The isolation proof: the sibling's per-cycle live-set hashes are
 	// byte-identical to the fault-free control's.
-	gotHashes := s.tenant("good").CycleHashes()
-	if len(gotHashes) != len(controlHashes) {
-		t.Fatalf("sibling ran %d collections, control ran %d", len(gotHashes), len(controlHashes))
-	}
-	for i := range gotHashes {
-		if gotHashes[i] != controlHashes[i] {
-			t.Fatalf("cycle %d live-set hash diverged: %#x vs control %#x", i, gotHashes[i], controlHashes[i])
-		}
-	}
+	wantSameHashes(t, s.tenant("good").CycleHashes(), controlHashes)
 
 	// A success resets the consecutive-fault counter (no spurious
 	// quarantine from interleaved faults).
@@ -198,4 +206,105 @@ func TestSelfChecksAreOptIn(t *testing.T) {
 	if collections := s.tenant("roomy").status().Collections; grew >= requests/4 {
 		t.Fatalf("tracer sink grew by %d events over %d requests and %d collections", grew, requests, collections)
 	}
+}
+
+// TestEvictionIsolation: evicting a tenant — by the pressure ladder, with
+// the probe stalled and the drain forced onto its deadline, or with a
+// request still in flight — is invisible to a sibling and leaves every heap
+// audit-clean.
+func TestEvictionIsolation(t *testing.T) {
+	t.Run("ladder", func(t *testing.T) {
+		sibling := TenantConfig{Name: "good", Workload: "listleak", Policy: "default", HeapLimit: 256 << 10,
+			AuditEveryGC: true}
+		// The victim leaks ~23 KiB per request with pruning off and a
+		// budget-sized heap: only the ladder can (and must) stop it.
+		victim := TenantConfig{Name: "victim", Workload: "listleak", Policy: "off", HeapLimit: 1 << 20}
+
+		// run drives one daemon through the fixed round-robin schedule with
+		// manual probes and returns the sibling's hash log.
+		run := func(probeInj, drainInj *faultinject.Injector) []uint64 {
+			cfg := testConfig() // budget 1 MiB
+			cfg.Injector = probeInj
+			s := mustServer(t, cfg)
+			armed := victim
+			armed.DaemonInjector = drainInj
+			for _, tc := range []TenantConfig{sibling, armed} {
+				if _, err := s.Admit(tc); err != nil {
+					t.Fatalf("admit %s: %v", tc.Name, err)
+				}
+			}
+			evictions := 0
+			for round := 0; round < 80; round++ {
+				if _, err := s.RunRequest("good", 2); err != nil {
+					t.Fatalf("round %d: sibling: %v", round, err)
+				}
+				if s.tenant("victim") != nil {
+					if _, err := s.RunRequest("victim", 1); err != nil {
+						t.Fatalf("round %d: victim: %v (the ladder should evict before the tenant's own OOM)", round, err)
+					}
+				}
+				if s.ProbeBudget().Evicted == "victim" {
+					evictions++
+				}
+			}
+			if evictions != 1 {
+				t.Fatalf("the ladder evicted the victim %d times, want 1", evictions)
+			}
+			hashes := s.tenant("good").CycleHashes()
+			if rep, err := s.Shutdown(); err != nil || len(rep.AuditViolations) != 0 {
+				t.Fatalf("shutdown: %v (audit violations %v)", err, rep.AuditViolations)
+			}
+			return hashes
+		}
+
+		controlHashes := run(nil, nil)
+		probeInj, drainInj := faultinject.New(1), faultinject.New(1)
+		probeInj.Arm(faultinject.BudgetProbeStall, 0.25)
+		drainInj.Arm(faultinject.EvictDrainTimeout, 1.0)
+		wantSameHashes(t, run(probeInj, drainInj), controlHashes)
+		if probeInj.Fires(faultinject.BudgetProbeStall) == 0 || drainInj.Fires(faultinject.EvictDrainTimeout) != 1 {
+			t.Fatalf("%d probe stalls and %d drain timeouts fired; the faulty run is vacuous",
+				probeInj.Fires(faultinject.BudgetProbeStall), drainInj.Fires(faultinject.EvictDrainTimeout))
+		}
+	})
+
+	// On the sequential schedule above the drain finds nothing pending, so
+	// the injected deadline never bites. With a request in flight it must:
+	// the eviction cancels the request at an iteration boundary, and the
+	// cancellation is the daemon's doing — not a fault of the tenant.
+	t.Run("request in flight", func(t *testing.T) {
+		cfg := testConfig()
+		cfg.Budget = 64 << 20
+		s := mustServer(t, cfg)
+		inj := faultinject.New(1)
+		inj.Arm(faultinject.EvictDrainTimeout, 1.0)
+		tn, err := s.Admit(TenantConfig{Name: "busy", Workload: "antlr", Policy: "off", HeapLimit: 8 << 20,
+			DaemonInjector: inj})
+		if err != nil {
+			t.Fatalf("admit: %v", err)
+		}
+		p := tn.pipe
+		reqErr := make(chan error, 1)
+		go func() {
+			_, err := s.RunRequest("busy", MaxRequestIters)
+			reqErr <- err
+		}()
+		waitFor(t, 5*time.Second, "the request to be in flight", func() bool { return p.pending.Load() == 1 })
+
+		findings, err := s.EvictTenant("busy", "test")
+		if err != nil || len(findings) != 0 {
+			t.Fatalf("eviction = %v, findings %v; want a clean teardown", err, findings)
+		}
+		var ce *RequestCancelledError
+		if err := <-reqErr; !errors.As(err, &ce) {
+			t.Fatalf("in-flight request = %v (%T), want *RequestCancelledError", err, err)
+		}
+		if inj.Fires(faultinject.EvictDrainTimeout) != 1 {
+			t.Fatal("EvictDrainTimeout never fired")
+		}
+		if tn.State() != TenantEvicted || tn.cancelled.Load() != 1 || tn.faults.Load() != 0 {
+			t.Fatalf("state %v, %d cancelled, %d faults; want evicted, 1, 0",
+				tn.State(), tn.cancelled.Load(), tn.faults.Load())
+		}
+	})
 }

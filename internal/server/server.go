@@ -17,10 +17,6 @@ type Config struct {
 	// Budget is the global resident-byte budget across all tenant heaps.
 	// The pressure ladder keeps sum(BytesUsed) under it; required.
 	Budget uint64
-	// OvercommitFactor bounds sum(HeapLimit) <= OvercommitFactor * Budget at
-	// admission (0 = 2). Heap limits may collectively exceed the budget —
-	// that is the bet leak pruning underwrites — but not without bound.
-	OvercommitFactor float64
 	// QuarantineThreshold is K: consecutive faults before a tenant is
 	// quarantined (0 = 5, negative = never).
 	QuarantineThreshold int
@@ -29,21 +25,8 @@ type Config struct {
 	// DrainTimeout bounds eviction and shutdown drains (0 = 5s).
 	DrainTimeout time.Duration
 	// ProbeInterval is the budget prober's period (0 = manual ProbeBudget
-	// calls only — what tests and chaos use for determinism).
+	// calls only — what the tests use for determinism).
 	ProbeInterval time.Duration
-	// TightenThreshold, ForceThreshold, EvictThreshold are the ladder's
-	// resident/budget trip points (0 = 0.70 / 0.85 / 0.95). Each level
-	// includes the actions of those below it.
-	TightenThreshold float64
-	ForceThreshold   float64
-	EvictThreshold   float64
-	// TightenTo is the NearlyFullFraction pushed onto tenants at ladder
-	// level >= 1 (0 = 0.75); their configured value is restored when
-	// pressure clears.
-	TightenTo float64
-	// MaxForceRetries bounds the forced-cycle retry-with-backoff loop when a
-	// collection reports Degraded (0 = 3).
-	MaxForceRetries int
 	// Obs receives every daemon metric; nil disables observability.
 	Obs *obs.Obs
 	// Injector arms the daemon-level points (BudgetProbeStall here;
@@ -54,9 +37,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.OvercommitFactor == 0 {
-		c.OvercommitFactor = 2
-	}
 	if c.QuarantineThreshold == 0 {
 		c.QuarantineThreshold = 5
 	}
@@ -65,21 +45,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DrainTimeout == 0 {
 		c.DrainTimeout = 5 * time.Second
-	}
-	if c.TightenThreshold == 0 {
-		c.TightenThreshold = 0.70
-	}
-	if c.ForceThreshold == 0 {
-		c.ForceThreshold = 0.85
-	}
-	if c.EvictThreshold == 0 {
-		c.EvictThreshold = 0.95
-	}
-	if c.TightenTo == 0 {
-		c.TightenTo = 0.75
-	}
-	if c.MaxForceRetries == 0 {
-		c.MaxForceRetries = 3
 	}
 	return c
 }
@@ -114,7 +79,7 @@ type Server struct {
 
 	// level is the ladder position last computed by ProbeBudget (0-3).
 	level atomic.Int64
-	// tightened remembers that level >= 1 pushed TightenTo onto tenants.
+	// tightened remembers that level >= 1 pushed tightenTo onto tenants.
 	tightened atomic.Bool
 
 	stopProbe chan struct{}
@@ -155,13 +120,6 @@ func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Budget == 0 {
 		return nil, fmt.Errorf("server: Config.Budget is required")
-	}
-	if !(cfg.TightenThreshold < cfg.ForceThreshold && cfg.ForceThreshold < cfg.EvictThreshold) {
-		return nil, fmt.Errorf("server: pressure thresholds must be strictly increasing, got %g/%g/%g",
-			cfg.TightenThreshold, cfg.ForceThreshold, cfg.EvictThreshold)
-	}
-	if cfg.TightenTo <= 0 || cfg.TightenTo >= 1 {
-		return nil, fmt.Errorf("server: TightenTo must be in (0, 1), got %g", cfg.TightenTo)
 	}
 	s := &Server{
 		cfg:       cfg,
@@ -255,7 +213,7 @@ func (s *Server) Admit(tc TenantConfig) (*Tenant, error) {
 			committed += t.Config().HeapLimit
 		}
 	}
-	if limit := uint64(s.cfg.OvercommitFactor * float64(s.cfg.Budget)); committed+tc.HeapLimit > limit {
+	if limit := overcommitFactor * s.cfg.Budget; committed+tc.HeapLimit > limit {
 		s.mu.Unlock()
 		return reject("overcommit-exceeded", fmt.Sprintf(
 			"committed heap %d + %d would exceed the overcommit bound %d", committed, tc.HeapLimit, limit))
@@ -301,11 +259,6 @@ func (s *Server) liveTenants() []*Tenant {
 	}
 	return list
 }
-
-// Tenant returns the named tenant's handle, or nil if it was never
-// admitted (or has been evicted). The chaos harness uses it to read
-// per-cycle live-set hashes for the isolation oracle.
-func (s *Server) Tenant(name string) *Tenant { return s.tenant(name) }
 
 // RunRequest executes one request of iters workload iterations on the
 // named tenant, guarded by the watchdog. It returns the iterations
@@ -518,8 +471,8 @@ func (s *Server) UpdateTenant(name string, tc TenantConfig) error {
 // EvictTenant removes a tenant: reject new requests, drain the in-flight
 // one against DrainTimeout (cancelling at an iteration boundary if it
 // overstays), run a final forced collection and invariant audit, release
-// the slot. The audit findings are returned so callers (and the chaos
-// harness) can assert a clean teardown.
+// the slot. The audit findings are returned so callers can assert a clean
+// teardown.
 func (s *Server) EvictTenant(name, reason string) ([]string, error) {
 	t := s.tenant(name)
 	if t == nil {

@@ -78,8 +78,8 @@ type TenantConfig struct {
 	// heap invariant audit inside every collection and fingerprints the
 	// live set after each one (CycleHashes, live_hash_cycles). Both walk
 	// the whole heap inside the pause, so a production tenant leaves it
-	// off; the isolation tests and chaos scenarios set it on the tenants
-	// whose hash sequences they compare.
+	// off; the isolation tests set it on the tenants whose hash sequences
+	// they compare.
 	AuditEveryGC bool `json:"audit_every_gc,omitempty"`
 	// Pipeline only picks the default for Workers: "" or "serial" means one
 	// worker (one request at a time, which keeps per-tenant behavior
@@ -99,8 +99,8 @@ type TenantConfig struct {
 	// VMInjector arms fault injection inside this tenant's VM (nil = off).
 	VMInjector *faultinject.Injector `json:"-"`
 	// DaemonInjector arms the daemon-level points (TenantRequestPanic,
-	// EvictDrainTimeout) for this tenant only (nil = off). Chaos scenarios
-	// use it to storm one tenant while its siblings run clean.
+	// EvictDrainTimeout) for this tenant only (nil = off). The isolation
+	// tests use it to storm one tenant while its siblings run clean.
 	DaemonInjector *faultinject.Injector `json:"-"`
 }
 
@@ -238,7 +238,8 @@ type Tenant struct {
 
 	// hashMu guards the per-cycle live-set hash log of an AuditEveryGC
 	// tenant (appended from OnGC inside the tenant VM's stop-the-world
-	// pauses; read by chaos). Empty, and no OnGC hook, otherwise.
+	// pauses; read by the isolation tests). Empty, and no OnGC hook,
+	// otherwise.
 	hashMu sync.Mutex
 	hashes []uint64
 
@@ -354,8 +355,8 @@ func (t *Tenant) Config() TenantConfig {
 
 // CycleHashes returns the per-cycle live-set hash log of an AuditEveryGC
 // tenant, one entry per collection since admission — the
-// byte-identical-sibling oracle the chaos isolation scenarios compare
-// against a fault-free control. Empty for a tenant admitted without
+// byte-identical-sibling oracle the isolation tests compare against a
+// fault-free control. Empty for a tenant admitted without
 // AuditEveryGC.
 func (t *Tenant) CycleHashes() []uint64 {
 	t.hashMu.Lock()
@@ -524,10 +525,6 @@ type TenantStatus struct {
 	Cycles          int    `json:"live_hash_cycles"`
 	LastError       string `json:"last_error,omitempty"`
 }
-
-// Status snapshots the tenant: the /tenants JSON row, also what the chaos
-// and load-generation harnesses read their oracles from.
-func (t *Tenant) Status() TenantStatus { return t.status() }
 
 // status snapshots the tenant for /tenants and logs.
 func (t *Tenant) status() TenantStatus {

@@ -57,7 +57,8 @@ func TestRequestShapedIDsMatchParent(t *testing.T) {
 // order a flush happens to visit the threads in (they live in a map).
 func TestFlushOrderIsDeterministic(t *testing.T) {
 	run := func() string {
-		v := New(Options{HeapLimit: 1 << 20, EnableBarriers: true, GCWorkers: 1, Generational: true, NurserySize: 8 << 10})
+		v := New(Options{HeapLimit: 1 << 20, EnableBarriers: true, GCWorkers: 1, Generational: true})
+		v.nurserySize = 8 << 10
 		node := v.DefineClass("Node", 1, 24)
 		// Pile free slots into one shard first, so the three threads below
 		// all draw their runs from it and their flushes touch one free list.

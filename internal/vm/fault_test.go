@@ -28,7 +28,6 @@ func TestOptionsValidateTable(t *testing.T) {
 		{"valid offload config", func(o *Options) { o.OffloadDisk = 1 << 20 }, ""},
 		{"fractions in range", func(o *Options) {
 			o.Policy = core.DefaultPolicy{}
-			o.ExpectedUseFraction = 0.5
 			o.NearlyFullFraction = 0.9
 		}, ""},
 		{"policy without barriers", func(o *Options) {
@@ -51,15 +50,11 @@ func TestOptionsValidateTable(t *testing.T) {
 			o.OffloadDisk = 1 << 20
 			o.Forced = true
 		}, "OffloadDisk+Forced"},
-		{"NaN ExpectedUseFraction", func(o *Options) { o.ExpectedUseFraction = math.NaN() }, "ExpectedUseFraction"},
-		{"negative ExpectedUseFraction", func(o *Options) { o.ExpectedUseFraction = -0.25 }, "ExpectedUseFraction"},
-		{"ExpectedUseFraction above one", func(o *Options) { o.ExpectedUseFraction = 1.5 }, "ExpectedUseFraction"},
 		{"NaN NearlyFullFraction", func(o *Options) { o.NearlyFullFraction = math.NaN() }, "NearlyFullFraction"},
 		{"negative NearlyFullFraction", func(o *Options) { o.NearlyFullFraction = -1 }, "NearlyFullFraction"},
 		{"NearlyFullFraction exactly one", func(o *Options) { o.NearlyFullFraction = 1.0 }, "NearlyFullFraction"},
 		{"NearlyFullFraction above one", func(o *Options) { o.NearlyFullFraction = 2.5 }, "NearlyFullFraction"},
 		{"negative GCWorkers", func(o *Options) { o.GCWorkers = -2 }, "GCWorkers"},
-		{"negative EdgeTableSlots", func(o *Options) { o.EdgeTableSlots = -16 }, "EdgeTableSlots"},
 		{"negative STWWatchdog", func(o *Options) { o.STWWatchdog = -time.Second }, "STWWatchdog"},
 	}
 	for _, tc := range cases {
@@ -217,11 +212,19 @@ func defineLeakClasses(v *VM) leakClasses {
 }
 
 func leakDriver(v *VM, c leakClasses, g int, iters int) error {
+	return leakDriverWith(v, c, g, iters, func(heap.Ref) {})
+}
+
+// leakDriverWith is leakDriver with a hook called on every payload as it is
+// allocated.
+func leakDriverWith(v *VM, c leakClasses, g int, iters int, onPayload func(heap.Ref)) error {
 	return v.RunThread("leaker", func(th *Thread) {
 		for i := 0; i < iters; i++ {
 			th.Scope(func() {
 				h := th.New(c.holder)
-				th.Store(h, 0, th.New(c.payload))
+				payload := th.New(c.payload)
+				onPayload(payload)
+				th.Store(h, 0, payload)
 				th.Store(h, 1, th.LoadGlobal(g))
 				th.StoreGlobal(g, h)
 				for j := 0; j < 4; j++ {
@@ -368,7 +371,9 @@ func TestEndToEndChaosSmoke(t *testing.T) {
 	})
 	lc := defineLeakClasses(v)
 	g := v.AddGlobal()
-	err := leakDriver(v, lc, g, 1200)
+	// Every payload carries a finalizer, so pruning the chain gives the
+	// FinalizerPanic arm something to fire in.
+	err := leakDriverWith(v, lc, g, 1200, func(r heap.Ref) { v.SetFinalizer(r, func(FinalizerInfo) {}) })
 	if err != nil && !vmerrors.IsOOM(err) && !vmerrors.IsInternal(err) {
 		t.Fatalf("non-typed failure escaped the VM API: %v", err)
 	}
@@ -382,6 +387,10 @@ func TestEndToEndChaosSmoke(t *testing.T) {
 	}
 	if fires := inj.Fires(faultinject.TraceWorkerPanic); fires > 0 && st.DegradedTraces == 0 {
 		t.Fatalf("%d trace panics fired but no degradation recorded", fires)
+	}
+	if st.FinalizerPanics == 0 || st.FinalizerPanics != inj.Fires(faultinject.FinalizerPanic) {
+		t.Fatalf("%d finalizer panics recovered, %d injected over %d finalizers run; want equal and nonzero",
+			st.FinalizerPanics, inj.Fires(faultinject.FinalizerPanic), st.FinalizersRun)
 	}
 	t.Logf("chaos smoke: %d collections, %d degraded, %d finalizer panics, %d free-list repairs",
 		st.Collections, st.DegradedTraces, st.FinalizerPanics, st.FreeListRepairs)

@@ -426,8 +426,8 @@ func TestGenerationalWriteBarrierProtectsOldToYoung(t *testing.T) {
 		EnableBarriers: true,
 		GCWorkers:      1,
 		Generational:   true,
-		NurserySize:    1, // every allocation fills the nursery
 	})
+	v.nurserySize = 1 // every allocation fills the nursery
 	node := v.DefineClass("Node", 1, 64)
 	g := v.AddGlobal()
 	err := v.RunThread("main", func(th *Thread) {

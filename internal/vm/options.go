@@ -98,14 +98,10 @@ type Options struct {
 
 	// Generational enables nursery (minor) collections between full-heap
 	// collections, as in the paper's generational mark-sweep substrate
-	// (§5). Minor collections reclaim short-lived objects cheaply; the
-	// staleness clock and all leak-pruning activity stay on the full-heap
-	// collection cadence.
+	// (§5), one per HeapLimit/8 bytes allocated. Minor collections reclaim
+	// short-lived objects cheaply; the staleness clock and all leak-pruning
+	// activity stay on the full-heap collection cadence.
 	Generational bool
-
-	// NurserySize is the allocation volume (bytes) between minor
-	// collections (default HeapLimit/8; generational mode only).
-	NurserySize uint64
 
 	// Barrier selects the read-barrier implementation.
 	Barrier BarrierVariant
@@ -118,15 +114,11 @@ type Options struct {
 	// programs pay nothing.
 	LazyBarriers bool
 
-	// ExpectedUseFraction, NearlyFullFraction, and FullHeapOnly pass
-	// through to the pruning controller (§3.1); zero values mean the
-	// paper's defaults (0.5, 0.9, option (2)).
-	ExpectedUseFraction float64
-	NearlyFullFraction  float64
-	FullHeapOnly        bool
-
-	// EdgeTableSlots sizes the edge table (default 16K).
-	EdgeTableSlots int
+	// NearlyFullFraction and FullHeapOnly pass through to the pruning
+	// controller (§3.1); zero values mean the paper's defaults (0.9,
+	// option (2)).
+	NearlyFullFraction float64
+	FullHeapOnly       bool
 
 	// ForceState pins the controller state for overhead experiments
 	// (Figure 6/7); Forced enables it.
@@ -158,7 +150,7 @@ type Options struct {
 	// AuditEveryGC runs the full heap invariant audit (vm.Verify) inside
 	// every full-heap collection's stop-the-world section. Violations are
 	// counted in Stats and retained for LastAudit. Expensive (a full object
-	// table scan per collection); meant for the chaos campaign and tests.
+	// table scan per collection); meant for tests.
 	AuditEveryGC bool
 
 	// STWWatchdog bounds how long a parallel trace closure may run before
@@ -264,11 +256,10 @@ func (o Options) Fingerprint() uint64 {
 	if o.Policy != nil {
 		policy = o.Policy.Name()
 	}
-	s := fmt.Sprintf("heap=%d policy=%s disk=%d barriers=%v gen=%v nursery=%d bvar=%d lazy=%v euf=%g nff=%g fho=%v ets=%d forced=%v/%d mark=%d",
+	s := fmt.Sprintf("heap=%d policy=%s disk=%d barriers=%v gen=%v bvar=%d lazy=%v nff=%g fho=%v forced=%v/%d mark=%d",
 		o.HeapLimit, policy, o.OffloadDisk, o.EnableBarriers, o.Generational,
-		o.NurserySize, int(o.Barrier), o.LazyBarriers, o.ExpectedUseFraction,
-		o.NearlyFullFraction, o.FullHeapOnly, o.EdgeTableSlots, o.Forced,
-		int(o.ForceState), int(o.MarkMode))
+		int(o.Barrier), o.LazyBarriers, o.NearlyFullFraction, o.FullHeapOnly,
+		o.Forced, int(o.ForceState), int(o.MarkMode))
 	h := fnv.New64a()
 	h.Write([]byte(s))
 	return h.Sum64()
@@ -297,13 +288,6 @@ func (o Options) validate() error {
 				Reason: "forced state and disk offloading are mutually exclusive"}
 		}
 	}
-	if why := badFraction(o.ExpectedUseFraction); why != "" {
-		return &OptionError{Option: "ExpectedUseFraction", Reason: why}
-	}
-	if o.ExpectedUseFraction > 1 {
-		return &OptionError{Option: "ExpectedUseFraction",
-			Reason: fmt.Sprintf("must be at most 1.0, got %g", o.ExpectedUseFraction)}
-	}
 	if why := badFraction(o.NearlyFullFraction); why != "" {
 		return &OptionError{Option: "NearlyFullFraction", Reason: why}
 	}
@@ -316,10 +300,6 @@ func (o Options) validate() error {
 	if o.GCWorkers < 0 {
 		return &OptionError{Option: "GCWorkers",
 			Reason: fmt.Sprintf("must not be negative, got %d", o.GCWorkers)}
-	}
-	if o.EdgeTableSlots < 0 {
-		return &OptionError{Option: "EdgeTableSlots",
-			Reason: fmt.Sprintf("must not be negative, got %d", o.EdgeTableSlots)}
 	}
 	if o.STWWatchdog < 0 {
 		return &OptionError{Option: "STWWatchdog",

@@ -177,7 +177,10 @@ type VM struct {
 	remset []heap.ObjectID
 	// allocAtLastGC is the cumulative allocation byte count at the last
 	// collection of either kind; the nursery trigger compares against it.
+	// nurserySize is the allocation volume between minor collections
+	// (HeapLimit/8, lowered by tests; generational mode only).
 	allocAtLastGC atomic.Uint64
+	nurserySize   uint64
 	minorTime     atomic.Int64
 	minorFrees    atomic.Uint64
 
@@ -274,15 +277,13 @@ func New(opts Options) *VM {
 		v.barriersActive.Store(true)
 	}
 	ctrlOpts := core.Options{
-		Policy:              opts.Policy,
-		ExpectedUseFraction: opts.ExpectedUseFraction,
-		NearlyFullFraction:  opts.NearlyFullFraction,
-		FullHeapOnly:        opts.FullHeapOnly,
-		EdgeTableSlots:      opts.EdgeTableSlots,
-		ForceState:          opts.ForceState,
-		Forced:              opts.Forced,
-		OnPrune:             opts.OnPrune,
-		OnOOM:               opts.OnOOM,
+		Policy:             opts.Policy,
+		NearlyFullFraction: opts.NearlyFullFraction,
+		FullHeapOnly:       opts.FullHeapOnly,
+		ForceState:         opts.ForceState,
+		Forced:             opts.Forced,
+		OnPrune:            opts.OnPrune,
+		OnOOM:              opts.OnOOM,
 	}
 	if opts.OffloadDisk > 0 {
 		// The offload baseline needs staleness tracking on every
@@ -302,9 +303,7 @@ func New(opts Options) *VM {
 	}
 	if opts.Generational {
 		v.heap.EnableGenerations()
-		if v.opts.NurserySize == 0 {
-			v.opts.NurserySize = opts.HeapLimit / 8
-		}
+		v.nurserySize = opts.HeapLimit / 8
 	}
 	v.ctrl = core.NewController(classes, ctrlOpts)
 	v.ctrl.Edges().SetFaultInjector(v.inj)
@@ -603,7 +602,7 @@ func (v *VM) nurseryFull() bool {
 	// AllocatedBytes is the lock-free cumulative-allocation counter the
 	// heap maintains in generational mode; this check runs on the
 	// allocation fast path, so it must not sum the shard counters.
-	return v.heap.AllocatedBytes()-v.allocAtLastGC.Load() > v.opts.NurserySize
+	return v.heap.AllocatedBytes()-v.allocAtLastGC.Load() > v.nurserySize
 }
 
 // maybeMinorCollect runs a nursery collection if the nursery is full. It

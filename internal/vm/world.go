@@ -213,8 +213,8 @@ func (t *Thread) beginOpSlow() {
 // raises the stop flag — a world that is slow to stop — or in a mutator
 // right before it parks — a thread that is slow to reach its safepoint.
 // Both stretch the ragged barrier's vulnerable window without changing any
-// observable result, so chaos scenarios built on it are equivalence-checked
-// against fault-free controls.
+// observable result, so the fault-matrix row built on it is
+// equivalence-checked against the fault-free control.
 func safepointStall() {
 	for i := 0; i < 64; i++ {
 		runtime.Gosched()
