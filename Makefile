@@ -22,12 +22,17 @@ test:
 # and replay-harness packages. -short skips only TestFaultMatrix: under the
 # race detector internal/harness already takes 152 s (4.1 s plain) on a
 # 2-vCPU box, and the matrix's ~13 s of plain single-core work would add
-# minutes to a gate it was never part of.
+# minutes to a gate it was never part of. The tracer's workers park when
+# idle, and a lost wake-up in a park protocol shows at one P, where nothing
+# spins, and hides at two: internal/gc runs again at GOMAXPROCS 1 and 4
+# (~13 s each).
 race:
 	$(GO) test -race -short ./internal/gc/... ./internal/heap/... ./internal/vm/... \
 		./internal/edgetable/... ./internal/offload/... ./internal/faultinject/... \
 		./internal/obs/... ./internal/jitsim/... ./internal/server/... \
 		./internal/trace/... ./internal/harness/...
+	GOMAXPROCS=1 $(GO) test -race -short -count=1 ./internal/gc/...
+	GOMAXPROCS=4 $(GO) test -race -short -count=1 ./internal/gc/...
 
 vet:
 	$(GO) vet ./...

@@ -25,9 +25,9 @@ func (r *benchRoots) VisitRoots(fn func(heap.Ref)) {
 	}
 }
 
-// buildTraceHeap builds four complete binary trees, ~262k objects, all
-// reachable from the roots.
-func buildTraceHeap(b *testing.B) (*heap.Heap, *benchRoots) {
+// buildTraceHeap builds `trees` complete binary trees of the given depth,
+// each its own root, all reachable.
+func buildTraceHeap(b *testing.B, trees, depth int) (*heap.Heap, *benchRoots) {
 	b.Helper()
 	reg := heap.NewRegistry()
 	node := reg.Define("Node", 2, 64)
@@ -45,8 +45,8 @@ func buildTraceHeap(b *testing.B) (*heap.Heap, *benchRoots) {
 		}
 		return r
 	}
-	for i := 0; i < 4; i++ {
-		roots.refs = append(roots.refs, build(15)) // 4 * 64K objects
+	for i := 0; i < trees; i++ {
+		roots.refs = append(roots.refs, build(depth))
 	}
 	return h, roots
 }
@@ -54,28 +54,41 @@ func buildTraceHeap(b *testing.B) (*heap.Heap, *benchRoots) {
 // phaseWorkerCounts is the worker axis shared by the phase benchmarks.
 var phaseWorkerCounts = []int{1, 2, 4, 8}
 
-// BenchmarkMarkParallel measures the mark (in-use closure) phase on the
-// ~262k-object tree heap from buildTraceHeap. Everything is reachable, so
+// BenchmarkMarkParallel measures the mark (in-use closure) phase over the
+// worker axis on two heaps in the same run. Everything is reachable, so
 // each iteration re-traces the same live graph and sweep frees nothing.
+//
+//   - small: 4 trees of depth 11, ~16k objects — leak_prune's live set. The
+//     depth-first mark stack of a binary tree never passes its depth, so
+//     nothing spills and no helper starts: every worker count should read
+//     the same ns/object as workers-1.
+//   - large: 1024 trees of depth 7, ~261k objects. The root deal alone is 8
+//     batches, so helpers start at once and steal; whether that pays is the
+//     box's core count, which the benchmark's name line reports.
 func BenchmarkMarkParallel(b *testing.B) {
-	for _, workers := range phaseWorkerCounts {
-		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
-			h, roots := buildTraceHeap(b)
-			col := gc.NewCollector(h, roots, workers)
-			var mark time.Duration
-			var objs uint64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res := col.Collect(gc.Plan{Mode: gc.ModeNormal})
-				mark += res.MarkDuration
-				objs += res.ObjectsLive
-			}
-			b.StopTimer()
-			if objs == 0 {
-				b.Fatal("no live objects traced")
-			}
-			b.ReportMetric(float64(mark.Nanoseconds())/float64(objs), "mark-ns/obj")
-		})
+	for _, hp := range []struct {
+		name         string
+		trees, depth int
+	}{{"small", 4, 11}, {"large", 1024, 7}} {
+		for _, workers := range phaseWorkerCounts {
+			b.Run(fmt.Sprintf("%s/workers-%d", hp.name, workers), func(b *testing.B) {
+				h, roots := buildTraceHeap(b, hp.trees, hp.depth)
+				col := gc.NewCollector(h, roots, workers)
+				var mark time.Duration
+				var objs uint64
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					res := col.Collect(gc.Plan{Mode: gc.ModeNormal})
+					mark += res.MarkDuration
+					objs += res.ObjectsLive
+				}
+				b.StopTimer()
+				if objs == 0 {
+					b.Fatal("no live objects traced")
+				}
+				b.ReportMetric(float64(mark.Nanoseconds())/float64(objs), "mark-ns/obj")
+			})
+		}
 	}
 }
 

@@ -76,7 +76,6 @@ type guard1Cycle struct{ env core.Env }
 func (c *guard1Cycle) Candidate(src, tgt heap.ClassID, stale uint8) bool {
 	return stale >= c.env.Edges.MaxStaleUseFor(src, tgt)+1 && stale >= 2
 }
-func (c *guard1Cycle) StaleEdge(src, tgt heap.ClassID, stale uint8, tgtBytes uint64) {}
 func (c *guard1Cycle) AccountStaleBytes(src, tgt heap.ClassID, bytes uint64) {
 	c.env.Edges.AddBytesUsed(src, tgt, bytes)
 }

@@ -42,8 +42,6 @@ func (c *targetClassCycle) Candidate(src, tgt heap.ClassID, stale uint8) bool {
 	return stale >= c.env.Edges.MaxStaleUseFor(src, tgt)+2
 }
 
-func (c *targetClassCycle) StaleEdge(src, tgt heap.ClassID, stale uint8, tgtBytes uint64) {}
-
 // AccountStaleBytes aggregates by target class only.
 func (c *targetClassCycle) AccountStaleBytes(src, tgt heap.ClassID, bytes uint64) {
 	c.mu.Lock()

@@ -191,7 +191,9 @@ func (c *Controller) PlanCycle() gc.Plan {
 		// start (DecayPolicy) have their effect inside the frozen cut.
 		c.snap.Pin(c.edges.Freeze())
 		plan.Candidate = c.cycle.Candidate
-		plan.StaleEdge = c.cycle.StaleEdge
+		if o, ok := c.cycle.(StaleEdgeObserver); ok {
+			plan.StaleEdge = o.StaleEdge
+		}
 		plan.AccountStaleBytes = c.cycle.AccountStaleBytes
 		return plan
 	case StatePrune:

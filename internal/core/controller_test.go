@@ -222,6 +222,27 @@ func TestForcedControllerNeverTransitions(t *testing.T) {
 	}
 }
 
+// TestSelectPlanStaleEdgeOnlyWhenConsumed: the collector buffers one record
+// per traced stale edge whenever Plan.StaleEdge is set, so a SELECT plan
+// carries the hook only for the policies that account through it.
+func TestSelectPlanStaleEdgeOnlyWhenConsumed(t *testing.T) {
+	for _, tc := range []struct {
+		policy Policy
+		want   bool
+	}{
+		{nil, false}, // forced SELECT measures the default algorithm
+		{DefaultPolicy{}, false},
+		{MostStalePolicy{}, false},
+		{&DecayPolicy{}, false},
+		{IndivRefsPolicy{}, true},
+	} {
+		c := newTestController(Options{Policy: tc.policy, Forced: true, ForceState: StateSelect})
+		if plan := c.PlanCycle(); (plan.StaleEdge != nil) != tc.want {
+			t.Errorf("policy %v: SELECT plan has StaleEdge = %v, want %v", tc.policy, plan.StaleEdge != nil, tc.want)
+		}
+	}
+}
+
 func TestOnPruneAndOnOOMCallbacks(t *testing.T) {
 	var prunes []PruneEvent
 	var ooms int

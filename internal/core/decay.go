@@ -50,10 +50,6 @@ func (c *decayCycle) Candidate(src, tgt heap.ClassID, stale uint8) bool {
 	return c.inner.Candidate(src, tgt, stale)
 }
 
-func (c *decayCycle) StaleEdge(src, tgt heap.ClassID, stale uint8, tgtBytes uint64) {
-	c.inner.StaleEdge(src, tgt, stale, tgtBytes)
-}
-
 func (c *decayCycle) AccountStaleBytes(src, tgt heap.ClassID, bytes uint64) {
 	c.inner.AccountStaleBytes(src, tgt, bytes)
 }

@@ -99,7 +99,6 @@ func TestPaperFigureExample(t *testing.T) {
 		Mode:              gc.ModeSelect,
 		TagRefs:           true,
 		Candidate:         cycle.Candidate,
-		StaleEdge:         cycle.StaleEdge,
 		AccountStaleBytes: cycle.AccountStaleBytes,
 	}
 	res := col.Collect(plan)

@@ -70,15 +70,21 @@ type Cycle interface {
 	// Candidate implements gc.Plan.Candidate: defer this reference to the
 	// stale closure? Policies that elide the stale closure return false.
 	Candidate(src, tgt heap.ClassID, stale uint8) bool
-	// StaleEdge implements gc.Plan.StaleEdge: called for every traced
-	// reference whose target has stale counter >= 2.
-	StaleEdge(src, tgt heap.ClassID, stale uint8, tgtBytes uint64)
 	// AccountStaleBytes implements gc.Plan.AccountStaleBytes: called with
 	// the stale closure's per-candidate subgraph sizes.
 	AccountStaleBytes(src, tgt heap.ClassID, bytes uint64)
 	// Finish inspects the collection result and returns what to prune, or
 	// false when nothing is worth pruning.
 	Finish(res gc.Result) (Selection, bool)
+}
+
+// StaleEdgeObserver is the optional part of a Cycle that implements
+// gc.Plan.StaleEdge: called, serially, for every traced reference whose
+// target has stale counter >= 2. The collector buffers one record per such
+// reference for the replay, so only a Cycle that has the method pays for
+// it.
+type StaleEdgeObserver interface {
+	StaleEdge(src, tgt heap.ClassID, stale uint8, tgtBytes uint64)
 }
 
 // Selection decides, during a PRUNE-state collection, which references are
@@ -119,8 +125,6 @@ type defaultCycle struct {
 func (c *defaultCycle) Candidate(src, tgt heap.ClassID, stale uint8) bool {
 	return stale >= c.env.MaxStaleUseFor(src, tgt)+staleGuard
 }
-
-func (c *defaultCycle) StaleEdge(src, tgt heap.ClassID, stale uint8, tgtBytes uint64) {}
 
 func (c *defaultCycle) AccountStaleBytes(src, tgt heap.ClassID, bytes uint64) {
 	c.env.Edges.AddBytesUsed(src, tgt, bytes)
@@ -187,7 +191,6 @@ func (MostStalePolicy) Begin(env Env) Cycle { return &mostStaleCycle{} }
 type mostStaleCycle struct{}
 
 func (c *mostStaleCycle) Candidate(src, tgt heap.ClassID, stale uint8) bool     { return false }
-func (c *mostStaleCycle) StaleEdge(src, tgt heap.ClassID, s uint8, b uint64)    {}
 func (c *mostStaleCycle) AccountStaleBytes(src, tgt heap.ClassID, bytes uint64) {}
 
 func (c *mostStaleCycle) Finish(res gc.Result) (Selection, bool) {

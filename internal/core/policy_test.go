@@ -135,9 +135,13 @@ func TestMostStalePolicy(t *testing.T) {
 
 func TestIndivRefsAccountsTargetSizesOnly(t *testing.T) {
 	env := testEnv()
-	c := IndivRefsPolicy{}.Begin(env)
-	if c.Candidate(1, 2, 7) {
+	cycle := IndivRefsPolicy{}.Begin(env)
+	if cycle.Candidate(1, 2, 7) {
 		t.Fatal("indiv-refs elides the candidate queue")
+	}
+	c, ok := cycle.(StaleEdgeObserver)
+	if !ok {
+		t.Fatal("indiv-refs accounts bytes per stale edge: its cycle must observe them")
 	}
 	// Two stale references to big individual targets on edge (1,2); one
 	// bigger aggregate structure would have been on (3,4), but without the
@@ -148,7 +152,7 @@ func TestIndivRefsAccountsTargetSizesOnly(t *testing.T) {
 	// Not stale enough relative to maxStaleUse: ignored.
 	env.Edges.RecordUse(3, 4, 4)
 	c.StaleEdge(3, 4, 5, 100000)
-	sel, ok := c.Finish(gc.Result{})
+	sel, ok := cycle.Finish(gc.Result{})
 	if !ok {
 		t.Fatal("no selection")
 	}

@@ -74,7 +74,7 @@ func (c *Collector) StartConcurrent(plan Plan) *ConcurrentMark {
 	c.epoch++
 	c.index++
 	cm.res = Result{Mode: plan.Mode, Epoch: c.epoch, Index: c.index, Concurrent: true}
-	cm.tr = newTracer(c.heap, c.epoch, plan, c.workers)
+	cm.tr = c.scratch.newTracer(c.heap, c.epoch, plan, c.workers)
 	cm.tr.concurrent = true
 	cm.tr.deferOps = plan.Mode != ModeNormal
 	if c.workers > 1 {
@@ -202,8 +202,8 @@ func (cm *ConcurrentMark) FinishMark(grays []heap.Ref, degradeCause string) {
 		// dropped — nothing was poisoned for them, so the serial re-run
 		// re-derives those decisions from scratch.
 		carried := cm.tr.prunedRefs
-		for _, w := range cm.tr.workers {
-			carried += w.pruned
+		for i := range cm.tr.workers {
+			carried += cm.tr.workers[i].pruned
 		}
 		c.epoch++
 		cm.res.Epoch = c.epoch
@@ -231,7 +231,7 @@ func (cm *ConcurrentMark) FinishMark(grays []heap.Ref, degradeCause string) {
 		// every surviving candidate in one serial pass.
 		t := cm.tr
 		for i := len(t.staleBytesPer); i < len(t.candidates); i++ {
-			t.staleBytesPer = append(t.staleBytesPer, t.traceStaleRoot(t.candidates[i].ref))
+			t.staleBytesPer = append(t.staleBytesPer, t.workers[0].traceStaleRoot(t.candidates[i].ref))
 		}
 		cm.res.StaleBytes = t.accountStale()
 	}
@@ -270,7 +270,8 @@ func (cm *ConcurrentMark) verifySnapshot() {
 		}
 		t.candidates, t.staleBytesPer = kept, keptBytes
 	case ModePrune:
-		for _, w := range t.workers {
+		for i := range t.workers {
+			w := &t.workers[i]
 			for _, rec := range w.pruneRecs {
 				src, ok := t.heap.Lookup(rec.srcID)
 				if ok && src.Ref(rec.slot) == rec.expect &&
@@ -297,7 +298,7 @@ func (cm *ConcurrentMark) verifySnapshot() {
 					}
 				}
 			}
-			w.pruneRecs = nil
+			w.pruneRecs = w.pruneRecs[:0]
 		}
 		if len(t.roots) > 0 {
 			// Trace the demoted targets' subgraphs to completion inside the

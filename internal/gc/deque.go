@@ -23,6 +23,9 @@ type workBatch struct {
 // Go's sync/atomic operations are sequentially consistent, which satisfies
 // the fences the original algorithm needs: pop's bottom store is visible
 // before its top load, and steal's element read happens before its CAS.
+//
+// The three words below are everything another worker reads of this one;
+// traceWorker keeps them on cache lines of their own.
 type wsDeque struct {
 	bottom atomic.Int64
 	top    atomic.Int64
@@ -40,8 +43,14 @@ func newRing(capacity int64) *dequeRing {
 	return &dequeRing{mask: capacity - 1, slots: make([]atomic.Pointer[workBatch], capacity)}
 }
 
-func (d *wsDeque) init() {
-	d.ring.Store(newRing(initialDequeCap))
+// reset empties the deque for a new closure, keeping the ring it has grown.
+// Only while no worker is running.
+func (d *wsDeque) reset() {
+	if d.ring.Load() == nil {
+		d.ring.Store(newRing(initialDequeCap))
+	}
+	d.bottom.Store(0)
+	d.top.Store(0)
 }
 
 // push appends a batch at the bottom. Only the owning worker may call it.
@@ -110,9 +119,11 @@ func (d *wsDeque) steal() *workBatch {
 	return b
 }
 
-// empty reports whether the deque has no batches. It is exact when the
-// owner is quiescent, which is the only case termination detection relies
-// on.
-func (d *wsDeque) empty() bool {
-	return d.top.Load() >= d.bottom.Load()
+// size is the number of queued batches. It is exact when the owner is
+// quiescent, which is the only case termination detection and the root
+// deal's helper count rely on.
+func (d *wsDeque) size() int {
+	return max(0, int(d.bottom.Load()-d.top.Load()))
 }
+
+func (d *wsDeque) empty() bool { return d.size() == 0 }

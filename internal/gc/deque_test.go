@@ -13,7 +13,7 @@ func batchOf(id heap.ObjectID) *workBatch {
 
 func TestDequeOwnerLIFO(t *testing.T) {
 	var d wsDeque
-	d.init()
+	d.reset()
 	for i := 1; i <= 200; i++ { // crosses a grow at 64 and 128
 		d.push(batchOf(heap.ObjectID(i)))
 	}
@@ -33,7 +33,7 @@ func TestDequeOwnerLIFO(t *testing.T) {
 
 func TestDequeStealFIFO(t *testing.T) {
 	var d wsDeque
-	d.init()
+	d.reset()
 	for i := 1; i <= 10; i++ {
 		d.push(batchOf(heap.ObjectID(i)))
 	}
@@ -52,7 +52,7 @@ func TestDequeConcurrentSteal(t *testing.T) {
 	const total = 20000
 	const thieves = 4
 	var d wsDeque
-	d.init()
+	d.reset()
 
 	counts := make([][]int, thieves+1) // per-consumer tallies, merged later
 	for i := range counts {

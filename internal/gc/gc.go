@@ -1,10 +1,13 @@
 // Package gc implements the stop-the-world parallel tracing collector the
 // leak-pruning runtime piggybacks on. It is modelled on MMTk's parallel
-// mark-sweep (§5): worker threads exchange batches of work through
-// per-worker Chase–Lev work-stealing deques (see deque.go) and keep local
-// mark stacks; objects are claimed with a compare-and-swap on their mark
-// word so no object is scanned twice. The sweep scan is sharded the same
-// way; the garbage each worker finds is freed after the join, in ID order.
+// mark-sweep (§5): trace workers keep local mark stacks and exchange
+// batches of work through per-worker Chase–Lev work-stealing deques (see
+// deque.go); objects are claimed with a compare-and-swap on their mark word
+// so no object is scanned twice. The closure starts on the calling
+// goroutine and adds a worker only when a batch is waiting for one (see
+// tracer), so a small heap is traced serially whatever the worker count.
+// The sweep scan is sharded over fixed ID ranges; the garbage each worker
+// finds is freed after the join, in ID order.
 //
 // Leak pruning divides the regular transitive closure into the in-use
 // closure and the stale closure (§4.2) and, in the PRUNE state, poisons
@@ -191,9 +194,11 @@ type Collector struct {
 	recoveredPanics atomic.Uint64
 	lastPanicMsg    atomic.Value // string
 
-	// sweepers is sweep's per-worker scratch, kept across cycles so a
-	// steady-state sweep allocates nothing.
+	// sweepers and scratch are the sweep's and the tracer's per-worker
+	// memory, kept across cycles so a steady-state cycle allocates next to
+	// nothing. One full cycle runs at a time (the VM's cycle lock).
 	sweepers []sweepWorker
+	scratch  traceScratch
 
 	// Observability handles (all nil when disabled; every method on them
 	// is nil-safe, so call sites stay unconditional). Phase spans reuse the
@@ -214,7 +219,8 @@ func NewCollector(h *heap.Heap, roots RootVisitor, workers int) *Collector {
 	if workers < 1 {
 		workers = 1
 	}
-	return &Collector{heap: h, roots: roots, workers: workers, sweepers: make([]sweepWorker, workers)}
+	return &Collector{heap: h, roots: roots, workers: workers, sweepers: make([]sweepWorker, workers),
+		scratch: traceScratch{pool: make([]traceWorker, workers)}}
 }
 
 // Workers returns the configured tracer parallelism.
@@ -339,7 +345,7 @@ func (c *Collector) LastTracePanic() string {
 // is stable across attempts), the closure runs to termination or abort, and
 // the tracer is returned along with its abort cause (abortNone on success).
 func (c *Collector) runClosure(plan Plan, workers int) (*tracer, uint32) {
-	tr := newTracer(c.heap, c.epoch, plan, workers)
+	tr := c.scratch.newTracer(c.heap, c.epoch, plan, workers)
 	if workers > 1 {
 		tr.inj = c.inj
 	}

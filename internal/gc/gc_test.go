@@ -172,9 +172,18 @@ func TestOnFreeHook(t *testing.T) {
 	}
 }
 
+// TestParallelTraceEquivalence: over a heap whose closure spills (so
+// helpers are launched and steal) every cycle's result and surviving heap —
+// identities, staleness, tagged reference words — are those of the serial
+// tracer, at any worker count.
 func TestParallelTraceEquivalence(t *testing.T) {
-	build := func(th *testHeap) {
-		node := th.class(t, "Node", 2, 32)
+	type cycle struct {
+		res  Result
+		live map[heap.ObjectID]string
+	}
+	run := func(workers int) []cycle {
+		th := newTestHeap(t)
+		node := th.class(t, "TreeNode", 2, 32)
 		// A binary tree of depth 10 plus some garbage.
 		var grow func(depth int) heap.Ref
 		grow = func(depth int) heap.Ref {
@@ -185,27 +194,39 @@ func TestParallelTraceEquivalence(t *testing.T) {
 			}
 			return r
 		}
-		root := grow(10)
+		tree := grow(10)
 		for i := 0; i < 500; i++ {
 			th.alloc(t, node) // garbage
 		}
-		th.roots.refs = []heap.Ref{root}
+		hg, dropped := buildHourglass(t, th), buildHourglass(t, th)
+		th.roots.refs = []heap.Ref{tree, hg.root, dropped.root}
+		col := th.collector(workers)
+		var out []cycle
+		for i, plan := range []Plan{
+			{Mode: ModeNormal, TagRefs: true, AgeStaleness: true},
+			{Mode: ModeSelect, TagRefs: true, AgeStaleness: true, Candidate: staleTarget},
+			{Mode: ModePrune, TagRefs: true, AgeStaleness: true, ShouldPrune: staleTarget},
+		} {
+			if i == 1 {
+				th.roots.refs = th.roots.refs[:2] // the second hourglass dies here
+			}
+			res := col.Collect(plan)
+			res.Duration, res.MarkDuration, res.StaleDuration, res.SweepDuration = 0, 0, 0, 0
+			out = append(out, cycle{res, liveSnapshot(th.h)})
+		}
+		if workers > 1 && col.scratch.launches == 0 {
+			t.Fatalf("workers=%d: no helper was launched, the heap does not spill", workers)
+		}
+		return out
 	}
-
-	th1 := newTestHeap(t)
-	build(th1)
-	res1 := th1.collector(1).Collect(Plan{Mode: ModeNormal})
-
-	th8 := newTestHeap(t)
-	build(th8)
-	res8 := th8.collector(8).Collect(Plan{Mode: ModeNormal})
-
-	if res1.ObjectsLive != res8.ObjectsLive || res1.BytesLive != res8.BytesLive {
-		t.Fatalf("parallel trace diverges: serial %d/%d, parallel %d/%d",
-			res1.ObjectsLive, res1.BytesLive, res8.ObjectsLive, res8.BytesLive)
-	}
-	if res1.ObjectsFreed != res8.ObjectsFreed {
-		t.Fatalf("freed counts diverge: %d vs %d", res1.ObjectsFreed, res8.ObjectsFreed)
+	want := run(1)
+	for _, workers := range []int{2, 4, 8} {
+		for i, got := range run(workers) {
+			if got.res != want[i].res {
+				t.Fatalf("workers=%d cycle %d: result %+v, serial %+v", workers, i, got.res, want[i].res)
+			}
+			assertSameLiveSet(t, got.live, want[i].live)
+		}
 	}
 }
 
@@ -294,6 +315,10 @@ func TestSweepFreeOrderIndependentOfWorkers(t *testing.T) {
 	recycled := func(workers int) []heap.ObjectID {
 		th := newTestHeap(t)
 		node := th.class(t, "Node", 1, 16)
+		// One hub holds the live half, so its scan spills and helpers steal:
+		// who marks an object must not show in the free lists either.
+		hub := th.alloc(t, th.class(t, "Hub", objects/2, 0))
+		th.roots.refs = []heap.Ref{hub}
 		ctx := th.h.NewAllocContext()
 		defer th.h.ReleaseContext(&ctx)
 		alloc := func() heap.Ref {
@@ -305,11 +330,15 @@ func TestSweepFreeOrderIndependentOfWorkers(t *testing.T) {
 		}
 		for i := 0; i < objects; i++ {
 			if r := alloc(); i%2 == 0 {
-				th.roots.refs = append(th.roots.refs, r) // odd half is garbage
+				th.link(hub, i/2, r) // odd half is garbage
 			}
 		}
-		if res := th.collector(workers).Collect(Plan{Mode: ModeNormal}); res.ObjectsFreed != objects/2 {
+		col := th.collector(workers)
+		if res := col.Collect(Plan{Mode: ModeNormal}); res.ObjectsFreed != objects/2 {
 			t.Fatalf("workers=%d freed %d objects, want %d", workers, res.ObjectsFreed, objects/2)
+		}
+		if workers > 1 && col.scratch.launches == 0 {
+			t.Fatalf("workers=%d: the closure launched no helper", workers)
 		}
 		ids := make([]heap.ObjectID, reallocs)
 		for i := range ids {
@@ -319,12 +348,13 @@ func TestSweepFreeOrderIndependentOfWorkers(t *testing.T) {
 	}
 
 	want := recycled(1)
-	for run := 0; run < 5; run++ {
-		got := recycled(4)
+	for run := 0; run < 6; run++ {
+		workers := []int{2, 4, 8}[run%3]
+		got := recycled(workers)
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("run %d: allocation %d after a 4-worker sweep got ID %d, 1-worker sweep gave %d",
-					run, i, got[i], want[i])
+				t.Fatalf("run %d: allocation %d after a %d-worker cycle got ID %d, 1-worker cycle gave %d",
+					run, i, workers, got[i], want[i])
 			}
 		}
 	}

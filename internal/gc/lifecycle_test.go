@@ -1,0 +1,285 @@
+package gc
+
+import (
+	"fmt"
+	"runtime"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"leakpruning/internal/faultinject"
+	"leakpruning/internal/heap"
+)
+
+// Tests of the tracer's worker life-cycle: helpers start when there is a
+// batch for them, park when there is none, and are all joined when process
+// returns. They assert on counts (helper launches, objects, edges), never on
+// wall time.
+
+// hourglass is a narrow → wide → narrow graph: a neck chain from the root,
+// a hub fanning out to spokes (the hub's scan overflows the mark stack, so
+// it spills), and every spoke converging on one stale tail chain of its own
+// class. Workers park along the chains and are woken by the hub.
+type hourglass struct {
+	root    heap.Ref
+	objects uint64 // everything reachable from root
+	tail    uint64 // objects in the tail chain
+	tailCls heap.ClassID
+	edges   uint64 // non-null reference slots reachable from root
+}
+
+const (
+	hgNeck  = 100
+	hgFan   = 800 // > spillAt + 2*batchSize: the hub's scan spills three batches
+	hgSpoke = 2
+	hgTail  = 200
+)
+
+func buildHourglass(t *testing.T, th *testHeap) hourglass {
+	t.Helper()
+	node := th.class(t, "Node", 1, 16)
+	hub := th.class(t, "Hub", hgFan, 0)
+	tailCls := th.class(t, "Tail", 1, 16)
+	chain := func(cls heap.ClassID, n int, end heap.Ref) heap.Ref {
+		for i := 0; i < n; i++ {
+			r := th.alloc(t, cls)
+			if !end.IsNull() {
+				th.link(r, 0, end)
+			}
+			end = r
+		}
+		return end
+	}
+	tail := chain(tailCls, hgTail, heap.Ref(0))
+	th.h.ForEach(func(_ heap.ObjectID, obj *heap.Object) {
+		if obj.Class() == tailCls {
+			obj.SetStale(3)
+		}
+	})
+	h := th.alloc(t, hub)
+	for i := 0; i < hgFan; i++ {
+		th.link(h, i, chain(node, hgSpoke, tail))
+	}
+	hg := hourglass{root: chain(node, hgNeck, h), tail: hgTail, tailCls: tailCls}
+	hg.objects = hgNeck + 1 + hgFan*hgSpoke + hgTail
+	hg.edges = hgNeck + hgFan*(hgSpoke+1) + hgTail - 1
+	return hg
+}
+
+func staleTarget(_, _ heap.ClassID, stale uint8) bool { return stale >= 2 }
+
+// TestHelpersFollowTheWork: a chain never holds two mark-stack entries, so
+// a 4-worker closure over it launches no helper; a wide tree spills, so it
+// launches them, and every object is still scanned exactly once (each edge
+// of a tree is offered to Candidate once).
+func TestHelpersFollowTheWork(t *testing.T) {
+	th := newTestHeap(t)
+	node := th.class(t, "Node", 1, 0)
+	var head heap.Ref
+	const chainLen = 50000
+	for i := 0; i < chainLen; i++ {
+		r := th.alloc(t, node)
+		if !head.IsNull() {
+			th.link(r, 0, head)
+		}
+		head = r
+	}
+	th.roots.refs = []heap.Ref{head}
+	col := th.collector(4)
+	for _, plan := range []Plan{{Mode: ModeNormal}, {Mode: ModeSelect, Candidate: staleTarget}, {Mode: ModePrune}} {
+		if res := col.Collect(plan); res.ObjectsLive != chainLen {
+			t.Fatalf("%v: chain has %d live objects, want %d", plan.Mode, res.ObjectsLive, chainLen)
+		}
+	}
+	if n := col.scratch.launches; n != 0 {
+		t.Fatalf("3 closures over a chain launched %d helpers, want 0", n)
+	}
+
+	th = newTestHeap(t)
+	wide := th.class(t, "Wide", 1024, 0)
+	mid := th.class(t, "Mid", 8, 0)
+	leaf := th.class(t, "Leaf", 0, 8)
+	root := th.alloc(t, wide)
+	for i := 0; i < 1024; i++ {
+		m := th.alloc(t, mid)
+		th.link(root, i, m)
+		for j := 0; j < 8; j++ {
+			th.link(m, j, th.alloc(t, leaf))
+		}
+	}
+	th.roots.refs = []heap.Ref{root}
+	const objects = 1 + 1024 + 1024*8
+	col = th.collector(4)
+	var edges atomic.Int64
+	res := col.Collect(Plan{Mode: ModeSelect, Candidate: func(_, _ heap.ClassID, _ uint8) bool {
+		edges.Add(1)
+		return false
+	}})
+	if res.ObjectsLive != objects || edges.Load() != objects-1 {
+		t.Fatalf("wide tree: %d live objects, %d edges scanned; want %d and %d",
+			res.ObjectsLive, edges.Load(), objects, objects-1)
+	}
+	if n := col.scratch.launches; n < 1 || n > 3 {
+		t.Fatalf("a spilling 4-worker closure launched %d helpers, want 1..3", n)
+	}
+}
+
+// TestTerminationStress drives closures whose width goes narrow → wide →
+// narrow, so helpers are launched, parked, woken and joined many times per
+// run, in every mode and through the concurrent driver, whose remark runs
+// process a second time on a tracer whose helpers have all exited. Counts
+// must match the graph at every worker count. Run under -race, and at
+// GOMAXPROCS=1 where a lost wake-up cannot hide behind a spinning thread.
+func TestTerminationStress(t *testing.T) {
+	rounds := 25
+	if testing.Short() {
+		rounds = 8
+	}
+	for _, workers := range []int{2, 4, 8} {
+		t.Run(fmt.Sprintf("workers-%d", workers), func(t *testing.T) {
+			th := newTestHeap(t)
+			hg := buildHourglass(t, th)
+			th.roots.refs = []heap.Ref{hg.root}
+			col := th.collector(workers)
+			var edges atomic.Uint64
+			selectPlan := Plan{Mode: ModeSelect, TagRefs: true,
+				Candidate: func(_, _ heap.ClassID, stale uint8) bool {
+					edges.Add(1)
+					return stale >= 2
+				}}
+			checkSelect := func(stage string, res Result, live uint64) {
+				t.Helper()
+				// Every spoke's edge into the stale tail is a candidate; the
+				// first one traced owns the whole tail.
+				if res.ObjectsLive != live || res.Candidates != hgFan || edges.Swap(0) != hg.edges-(hg.tail-1) {
+					t.Fatalf("%s: live %d candidates %d, want %d and %d", stage, res.ObjectsLive, res.Candidates, live, hgFan)
+				}
+			}
+			for i := 0; i < rounds; i++ {
+				if res := col.Collect(Plan{Mode: ModeNormal, TagRefs: true}); res.ObjectsLive != hg.objects {
+					t.Fatalf("round %d normal: live %d, want %d", i, res.ObjectsLive, hg.objects)
+				}
+				checkSelect(fmt.Sprintf("round %d select", i), col.Collect(selectPlan), hg.objects)
+
+				// Concurrent SELECT: a second hourglass, unreachable from the
+				// roots, arrives as one SATB gray at the remark, so the second
+				// process call has a hub of its own to spill.
+				cm := col.StartConcurrent(selectPlan)
+				cm.RunMark()
+				before := col.scratch.launches
+				gray := buildHourglass(t, th)
+				cm.FinishMark([]heap.Ref{gray.root}, "")
+				if col.scratch.launches == before {
+					t.Fatalf("round %d: the remark's closure over a spilling gray launched no helper", i)
+				}
+				cm.Sweep()
+				res := cm.Finish()
+				if res.Degraded || res.Candidates != 2*hgFan {
+					t.Fatalf("round %d concurrent select: %+v", i, res)
+				}
+				edges.Store(0)
+				// The gray hourglass is garbage by the next cycle.
+				if res := col.Collect(Plan{Mode: ModeNormal}); res.ObjectsFreed != gray.objects {
+					t.Fatalf("round %d: freed %d, want the gray hourglass's %d", i, res.ObjectsFreed, gray.objects)
+				}
+			}
+			res := col.Collect(Plan{Mode: ModePrune, TagRefs: true, ShouldPrune: staleTarget})
+			if res.PrunedRefs != hgFan || res.ObjectsFreed != hg.tail {
+				t.Fatalf("prune: poisoned %d refs and freed %d objects, want %d and %d", res.PrunedRefs, res.ObjectsFreed, hgFan, hg.tail)
+			}
+			assertCleanAudit(t, th.h, "after prune")
+		})
+	}
+}
+
+// TestAbortWhileParked: each way a parallel closure can be abandoned — the
+// injected watchdog trip, the real watchdog timer, a panic out of a plan
+// callback, and an injected panic in worker 0 before any helper exists —
+// must wake the parked helpers, join every one, and hand a correct live set
+// to the serial re-run. The first three are raised from the scan of the
+// tail chain after every other launched worker has parked.
+func TestAbortWhileParked(t *testing.T) {
+	cycles := 1000
+	if testing.Short() {
+		cycles = 200
+	}
+	th := newTestHeap(t)
+	hg := buildHourglass(t, th)
+	th.roots.refs = []heap.Ref{hg.root}
+	inj := faultinject.New(5)
+	col := th.collector(4)
+	col.SetFaultInjector(inj)
+
+	// onTail runs once per cycle, inside the first scan that offers an edge
+	// out of the tail class, on a parallel closure only (the serial re-run
+	// offers the same edges).
+	var onTail atomic.Pointer[func(tr *tracer)]
+	var parkedAborts int
+	plan := Plan{Mode: ModeSelect, Candidate: func(src, _ heap.ClassID, _ uint8) bool {
+		tr := col.scratch.pool[0].t
+		if src != hg.tailCls || len(tr.workers) == 1 {
+			return false
+		}
+		if f := onTail.Swap(nil); f != nil {
+			// The hub spilled on the way here, so there are helpers to wait for.
+			for tr.idle.Load() != tr.launched.Load()-1 {
+				if tr.aborted.Load() {
+					return false // the real timer won the race to the tail
+				}
+				time.Sleep(10 * time.Microsecond)
+			}
+			parkedAborts++
+			(*f)(tr)
+		}
+		return false
+	}}
+	arm := func(f func(tr *tracer)) { onTail.Store(&f) }
+
+	before := runtime.NumGoroutine()
+	for i := 0; i < cycles; i++ {
+		want := ""
+		col.SetWatchdog(0)
+		onTail.Store(nil) // a hook the real timer beat to the tail is still armed
+		switch i % 5 {
+		case 0: // no fault
+		case 1:
+			want = "watchdog"
+			arm(func(*tracer) { inj.Arm(faultinject.TraceWatchdogTrip, 1) })
+		case 2:
+			want = "watchdog"
+			col.SetWatchdog(time.Millisecond)
+			arm(func(tr *tracer) {
+				for !tr.aborted.Load() { // a closure that cannot finish in time
+					time.Sleep(10 * time.Microsecond)
+				}
+			})
+		case 3:
+			want = "worker-panic"
+			arm(func(*tracer) { panic("plan callback panic") })
+		case 4:
+			want = "worker-panic"
+			inj.Arm(faultinject.TraceWorkerPanic, 1) // fires in the first scan: worker 0, no helper yet
+		}
+		res := col.Collect(plan)
+		inj.Arm(faultinject.TraceWatchdogTrip, 0)
+		inj.Arm(faultinject.TraceWorkerPanic, 0)
+		if res.DegradeCause != want || res.Degraded != (want != "") {
+			t.Fatalf("cycle %d: degraded %v cause %q, want cause %q", i, res.Degraded, res.DegradeCause, want)
+		}
+		if res.ObjectsLive != hg.objects || res.ObjectsFreed != 0 {
+			t.Fatalf("cycle %d (%s): live %d freed %d, want %d and 0", i, want, res.ObjectsLive, res.ObjectsFreed, hg.objects)
+		}
+	}
+	if want := cycles / 5 * 2; parkedAborts < want {
+		t.Fatalf("%d aborts were raised with every other worker parked, want at least %d", parkedAborts, want)
+	}
+	// Every helper is joined before Collect returns; only a watchdog timer's
+	// own goroutine may still be on its way out.
+	for try := 0; runtime.NumGoroutine() > before; try++ {
+		if try == 200 {
+			t.Fatalf("%d goroutines before %d cycles, %d after", before, cycles, runtime.NumGoroutine())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	assertCleanAudit(t, th.h, "after aborts")
+}

@@ -2,7 +2,6 @@ package gc
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -57,11 +56,6 @@ const (
 	spillAt = 4 * batchSize
 )
 
-// tracer runs one transitive closure with work stealing, mirroring MMTk's
-// parallel tracing (§4.5) but replacing the mutex/condvar shared pool with
-// per-worker Chase–Lev deques: owners push and pop their own deque without
-// locks, idle workers steal batches with a CAS, and termination is
-// detected with an atomic idle counter.
 // Abort causes, recorded when a parallel closure is cut short. The
 // collector maps them to its degradation counters and re-runs the closure
 // with the serial tracer.
@@ -75,7 +69,27 @@ const (
 	abortWatchdog
 )
 
+// tracer runs one transitive closure with work stealing, mirroring MMTk's
+// parallel tracing (§4.5): workers keep local mark stacks and exchange
+// batches through per-worker Chase–Lev deques. Parallelism follows the
+// work. Worker 0 runs on the calling goroutine; a helper goroutine is
+// launched only when a batch exists for it to take (one per root batch
+// beyond the first, then one per spill), an idle worker parks on cond, and
+// process joins every helper before it returns — so a closure that never
+// spills is the serial tracer at any worker count.
+//
+// Termination: a worker parks only with its stack and deque empty, having
+// failed to steal; idle and launched change under mu, and only a worker
+// that is not idle (spill) or process itself launches. So idle == launched
+// means no worker holds work, none can push or launch, and every deque is
+// empty: the closure is complete, and stays so for each waker to see.
+//
+// The tracer itself is one small per-closure header; everything that grows
+// (workers, rings, stacks, buffers) is the Collector's traceScratch. A
+// fresh header per closure means a watchdog timer that fires late aborts a
+// closure nobody is running.
 type tracer struct {
+	*traceScratch
 	heap  *heap.Heap
 	epoch uint32
 	plan  Plan
@@ -95,10 +109,15 @@ type tracer struct {
 	// references discovered with the world stopped.
 	deferOps bool
 
-	workers []*traceWorker
-	// idle counts workers that found no work anywhere. When it reaches
-	// len(workers) with every deque empty, the closure is complete.
-	idle atomic.Int32
+	// workers is this closure's share of the scratch's pool; launched counts
+	// those running (worker 0 included), idle those parked. Both are written
+	// under mu and read without it by spill's fast path.
+	workers  []traceWorker
+	mu       sync.Mutex
+	cond     sync.Cond // on mu: a batch was queued, the closure ended, or abort
+	launched atomic.Int32
+	idle     atomic.Int32
+	helpers  sync.WaitGroup
 
 	// aborted flips when the parallel closure must be abandoned (worker
 	// panic or watchdog); workers poll it and drain out promptly. The
@@ -108,17 +127,26 @@ type tracer struct {
 	abortWhy  atomic.Uint32 // first abort cause wins (abortPanic/abortWatchdog)
 	lastPanic atomic.Value  // string: the recovered panic, for diagnostics
 
-	// inj injects worker faults; armed only while tracing in parallel (the
-	// serial fallback must be reliable, so it is never injected).
+	// inj injects worker faults; armed only when more than one worker is
+	// configured (the serial fallback must be reliable, so it is never
+	// injected).
 	inj *faultinject.Injector
 
-	// roots accumulates root IDs during the serial markRoot phase; run()
-	// deals them out to the worker deques.
+	prunedRefs int64 // merged after run() from the per-worker counts
+}
+
+// traceScratch is the tracer's memory, owned by the Collector and reused
+// across cycles the way sweepers is: a steady-state closure allocates its
+// header and the batches it deals or spills, nothing else.
+type traceScratch struct {
+	pool []traceWorker // one per configured worker; a closure uses a prefix
+
+	// roots accumulates root IDs during the serial markRoot phase;
+	// dealRoots queues them on worker 0's deque.
 	roots []heap.ObjectID
 
-	// Merged after run() from the per-worker buffers.
+	// candidates is merged from the per-worker buffers after the closure.
 	candidates []candidate
-	prunedRefs int64
 
 	// staleBytesPer holds the stale closure's per-candidate subgraph sizes,
 	// aligned with candidates. Byte ATTRIBUTION (AccountStaleBytes) is
@@ -127,12 +155,56 @@ type tracer struct {
 	// candidates that survive drift verification in the final pause — and
 	// so a degrade leaves the edge table unpolluted.
 	staleBytesPer []uint64
+
+	// launches counts helper goroutines started, over the collector's life
+	// (the package's tests assert on it instead of on wall time).
+	launches uint64
 }
 
-// abort requests that every worker drain out; the first cause is kept.
+// traceWorker is one tracer worker's private state: its local mark stack,
+// the buffers merged serially once the closure finishes, and its deque. The
+// deque's indices are what other workers read; the padding keeps them off
+// the cache lines the owner writes on every mark-stack push, whatever the
+// array's alignment.
+type traceWorker struct {
+	t     *tracer
+	id    int
+	local []heap.ObjectID
+
+	candidates []candidate
+	staleEdges []staleEdge
+	pruneRecs  []pruneRec
+	pruned     int64
+
+	_     [64]byte
+	deque wsDeque
+	_     [64]byte
+}
+
+// newTracer readies the scratch for one closure over the first workers
+// entries of its worker set and returns the closure's header.
+func (s *traceScratch) newTracer(h *heap.Heap, epoch uint32, plan Plan, workers int) *tracer {
+	t := &tracer{traceScratch: s, heap: h, epoch: epoch, plan: plan, workers: s.pool[:workers]}
+	t.cond.L = &t.mu
+	s.roots, s.candidates, s.staleBytesPer = s.roots[:0], s.candidates[:0], s.staleBytesPer[:0]
+	for i := range t.workers {
+		w := &t.workers[i]
+		w.t, w.id, w.pruned = t, i, 0
+		w.local, w.candidates = w.local[:0], w.candidates[:0]
+		w.staleEdges, w.pruneRecs = w.staleEdges[:0], w.pruneRecs[:0]
+		w.deque.reset() // an aborted closure leaves batches behind
+	}
+	return t
+}
+
+// abort requests that every worker drain out, parked ones included; the
+// first cause is kept.
 func (t *tracer) abort(why uint32) {
 	t.abortWhy.CompareAndSwap(abortNone, why)
 	t.aborted.Store(true)
+	t.mu.Lock()
+	t.cond.Broadcast()
+	t.mu.Unlock()
 }
 
 // recordPanic recovers one worker's panic: the closure is aborted and the
@@ -141,32 +213,6 @@ func (t *tracer) abort(why uint32) {
 func (t *tracer) recordPanic(v any) {
 	t.lastPanic.Store(fmt.Sprint(v))
 	t.abort(abortPanic)
-}
-
-// traceWorker is one tracer worker's private state: its deque, local mark
-// stack, and the buffers that replace the old global candMu/StaleEdge
-// locking — merged serially once the closure finishes.
-type traceWorker struct {
-	t     *tracer
-	id    int
-	deque wsDeque
-	local []heap.ObjectID
-
-	candidates []candidate
-	staleEdges []staleEdge
-	pruneRecs  []pruneRec
-	pruned     int64
-}
-
-func newTracer(h *heap.Heap, epoch uint32, plan Plan, workers int) *tracer {
-	t := &tracer{heap: h, epoch: epoch, plan: plan}
-	t.workers = make([]*traceWorker, workers)
-	for i := range t.workers {
-		w := &traceWorker{t: t, id: i}
-		w.deque.init()
-		t.workers[i] = w
-	}
-	return t
 }
 
 // markRoot claims a root-referenced object and queues it for tracing. Roots
@@ -191,67 +237,68 @@ func (t *tracer) run() {
 	t.merge()
 }
 
-// dealRoots distributes the accumulated root IDs across the worker deques
-// in batches (round-robin, so large root sets start balanced) and empties
-// t.roots, so markRoot can refill it for a later remark pass.
+// dealRoots queues the accumulated root IDs on worker 0's deque in batches
+// — at any worker count, so a closure no helper joins visits objects in
+// the serial tracer's order — and empties t.roots, so markRoot can refill
+// it for a later remark pass.
 func (t *tracer) dealRoots() {
-	n := len(t.workers)
-	for i := 0; len(t.roots) > 0; i++ {
-		bn := batchSize
-		if bn > len(t.roots) {
-			bn = len(t.roots)
-		}
-		ids := make([]heap.ObjectID, bn)
-		copy(ids, t.roots[:bn])
-		t.roots = t.roots[bn:]
-		t.workers[i%n].deque.push(&workBatch{ids: ids})
+	for roots := t.roots; len(roots) > 0; {
+		bn := min(batchSize, len(roots))
+		t.workers[0].deque.push(&workBatch{ids: append([]heap.ObjectID(nil), roots[:bn]...)})
+		roots = roots[bn:]
 	}
+	t.roots = t.roots[:0]
 }
 
-// process drives the dealt work to termination (or abort). It resets the
-// idle barrier first so it can be called again after a remark re-seed.
-// recoverPanics wraps each worker (including a lone serial worker) with
-// panic recovery; the STW serial fallback passes false because it is the
-// path of last resort — a panic there is a genuine runtime bug that must
-// crash loudly.
+// process drives the dealt work to termination (or abort) and returns with
+// every helper it or its workers launched joined, so it can be called again
+// after a remark re-seed. recoverPanics wraps worker 0 with the panic
+// recovery every helper has; the STW serial fallback passes false because
+// it is the path of last resort — a panic there is a genuine runtime bug
+// that must crash loudly.
 func (t *tracer) process(recoverPanics bool) {
 	t.idle.Store(0)
-	if len(t.workers) == 1 {
-		if !recoverPanics {
-			t.workers[0].run()
-			return
-		}
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					t.recordPanic(r)
-				}
-			}()
-			t.workers[0].run()
+	t.launched.Store(1)
+	// One helper per root batch beyond the one worker 0 is about to pop.
+	t.mu.Lock()
+	for want := min(t.workers[0].deque.size(), len(t.workers)); int(t.launched.Load()) < want; {
+		t.launchLocked()
+	}
+	t.mu.Unlock()
+	t.runWorker(&t.workers[0], recoverPanics)
+	t.helpers.Wait()
+}
+
+// launchLocked starts the next unlaunched worker on its own goroutine.
+// Caller holds t.mu and is not idle, so the termination test cannot pass
+// between the count going up and the helper looking for work.
+func (t *tracer) launchLocked() {
+	w := &t.workers[t.launched.Add(1)-1]
+	t.launches++
+	t.helpers.Add(1)
+	go func() {
+		defer t.helpers.Done()
+		t.runWorker(w, true)
+	}()
+}
+
+func (t *tracer) runWorker(w *traceWorker, recoverPanics bool) {
+	if recoverPanics {
+		defer func() {
+			if r := recover(); r != nil {
+				t.recordPanic(r)
+			}
 		}()
-		return
 	}
-	var wg sync.WaitGroup
-	for _, w := range t.workers {
-		wg.Add(1)
-		go func(w *traceWorker) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					t.recordPanic(r)
-				}
-			}()
-			w.run()
-		}(w)
-	}
-	wg.Wait()
+	w.run()
 }
 
 // merge folds the workers' private buffers into the tracer: candidates and
 // prune counts are concatenated, and buffered StaleEdge observations are
 // replayed serially. Call exactly once, after the final process pass.
 func (t *tracer) merge() {
-	for _, w := range t.workers {
+	for i := range t.workers {
+		w := &t.workers[i]
 		// Poison side effects are kept even on abort (a poisoned slot stays
 		// poisoned; the re-run skips it), so prune counts always merge.
 		t.prunedRefs += w.pruned
@@ -261,10 +308,8 @@ func (t *tracer) merge() {
 			continue
 		}
 		t.candidates = append(t.candidates, w.candidates...)
-		if t.plan.StaleEdge != nil {
-			for _, e := range w.staleEdges {
-				t.plan.StaleEdge(e.src, e.tgt, e.stale, e.bytes)
-			}
+		for _, e := range w.staleEdges {
+			t.plan.StaleEdge(e.src, e.tgt, e.stale, e.bytes)
 		}
 	}
 }
@@ -307,20 +352,35 @@ func (w *traceWorker) run() {
 
 // spill donates the oldest batchSize entries of the local stack to the
 // worker's own deque, where idle workers can steal them (§4.5's batch
-// donation). Donating the oldest entries hands thieves the shallow,
-// high-fanout part of the graph.
+// donation), and makes sure someone is awake to take it: a parked worker
+// if there is one, else a new helper while any is left to launch. Donating
+// the oldest entries hands thieves the shallow, high-fanout part of the
+// graph.
 func (w *traceWorker) spill() {
 	batch := make([]heap.ObjectID, batchSize)
 	copy(batch, w.local[:batchSize])
 	w.local = append(w.local[:0], w.local[batchSize:]...)
 	w.deque.push(&workBatch{ids: batch})
+
+	// The push above and the parker's idle.Add are sequentially consistent
+	// with the loads on the other side (here idle, there anyQueued): either
+	// this worker sees the parker, or the parker sees the batch.
+	t := w.t
+	if t.idle.Load() == 0 && int(t.launched.Load()) == len(t.workers) {
+		return
+	}
+	t.mu.Lock()
+	if t.idle.Load() > 0 {
+		t.cond.Signal()
+	} else if int(t.launched.Load()) < len(t.workers) && !t.aborted.Load() {
+		t.launchLocked()
+	}
+	t.mu.Unlock()
 }
 
-// acquire obtains work from another worker's deque, or detects global
-// termination. It returns false only when every worker is idle and every
-// deque is empty; since only owners push (and an owner drains its own
-// deque before idling), that state is stable and means the closure is
-// complete.
+// acquire obtains work from another worker's deque, parking while there is
+// none, or detects termination (see tracer). It returns false when the
+// closure is complete or aborted.
 func (w *traceWorker) acquire() bool {
 	t := w.t
 	n := len(t.workers)
@@ -331,40 +391,44 @@ func (w *traceWorker) acquire() bool {
 				return true
 			}
 		}
-		// Nothing stolen: announce idleness, then either retract (work is
-		// still queued somewhere — e.g. a steal lost a CAS race) or
-		// terminate once every worker is idle. An abort also terminates:
-		// a panicked worker never reaches the idle barrier, so without this
-		// check the surviving workers would spin here forever.
+		t.mu.Lock()
 		t.idle.Add(1)
 		for {
-			if t.aborted.Load() {
+			// An abort ends the wait too: a panicked worker never parks, so
+			// idle could not reach launched.
+			if t.aborted.Load() || t.idle.Load() == t.launched.Load() {
+				t.cond.Broadcast()
+				t.mu.Unlock()
 				return false
 			}
 			if t.anyQueued() {
-				t.idle.Add(-1)
-				break // rescan the deques
+				break // e.g. a steal lost a CAS race: rescan the deques
 			}
-			if int(t.idle.Load()) == n {
-				return false
-			}
-			runtime.Gosched()
+			t.cond.Wait()
 		}
+		t.idle.Add(-1)
+		t.mu.Unlock()
 	}
 }
 
-// setStaleTag arms the read barrier on a scanned slot currently holding r.
-// A concurrent tracer must CAS: a blind store could overwrite a reference a
-// mutator installed after the tracer loaded r, resurrecting the old value.
-// CAS failure just skips the tag — the mutator's new value stays untagged
-// until the next cycle scans it, which only delays staleness detection.
-func (t *tracer) setStaleTag(obj *heap.Object, slot int, r heap.Ref) {
-	t.applyStaleTag(obj, slot, r)
+// anyQueued reports whether any worker's deque still holds a batch.
+func (t *tracer) anyQueued() bool {
+	for i := range t.workers {
+		if !t.workers[i].deque.empty() {
+			return true
+		}
+	}
+	return false
 }
 
-// applyStaleTag is setStaleTag returning the value the slot is now expected
-// to hold: the tagged reference when the tag landed, the original r when a
-// concurrent CAS lost to a mutator. Candidate deferral records this as the
+// applyStaleTag arms the read barrier on a scanned slot currently holding r
+// and returns the value the slot is now expected to hold: the tagged
+// reference when the tag landed, the original r when a concurrent CAS lost
+// to a mutator. A concurrent tracer must CAS: a blind store could overwrite
+// a reference a mutator installed after the tracer loaded r, resurrecting
+// the old value. CAS failure just skips the tag — the mutator's new value
+// stays untagged until the next cycle scans it, which only delays staleness
+// detection. Candidate deferral records the result as the
 // drift-verification baseline — a lost CAS means the mutator already
 // touched the slot, so verification will (correctly) see a mismatch and
 // demote.
@@ -378,16 +442,6 @@ func (t *tracer) applyStaleTag(obj *heap.Object, slot int, r heap.Ref) heap.Ref 
 	}
 	obj.SetRef(slot, tagged)
 	return tagged
-}
-
-// anyQueued reports whether any worker's deque still holds a batch.
-func (t *tracer) anyQueued() bool {
-	for _, w := range t.workers {
-		if !w.deque.empty() {
-			return true
-		}
-	}
-	return false
 }
 
 // scan processes one marked object's reference slots: tagging, candidate
@@ -483,7 +537,7 @@ func (w *traceWorker) scan(id heap.ObjectID) {
 		// set (references stay tagged until the program uses them, so this
 		// avoids re-dirtying most of the heap every collection).
 		if t.plan.TagRefs && !r.IsStaleTagged() {
-			t.setStaleTag(obj, slot, r)
+			t.applyStaleTag(obj, slot, r)
 		}
 		if tgt.TryMark(t.epoch) {
 			w.local = append(w.local, r.ID())
@@ -497,42 +551,42 @@ func (w *traceWorker) scan(id heap.ObjectID) {
 // stale closure (which indexes t.candidates); the buffers are cleared so
 // the eventual merge() appends only remark-discovered candidates.
 func (t *tracer) gatherCandidates() {
-	for _, w := range t.workers {
+	for i := range t.workers {
+		w := &t.workers[i]
 		t.candidates = append(t.candidates, w.candidates...)
-		w.candidates = nil
+		w.candidates = w.candidates[:0]
 	}
 }
 
 // staleClosure runs the SELECT state's second phase: from each candidate
 // reference, mark the objects reachable only through it and size the
 // subgraph (§4.2). Each candidate's closure is processed by a single
-// worker; distinct candidates run in parallel (§4.5). Objects shared
-// between candidates are attributed to whichever closure claims them
-// first, matching the prototype's claim-based accounting. Sizes land in
-// t.staleBytesPer; attribution to the edge table is a separate step
-// (accountStale) so a concurrent cycle can verify candidates against the
-// frozen snapshot — and demote drifted ones — before any bytes count.
+// worker; distinct candidates run in parallel (§4.5) on the in-use
+// closure's worker set, worker 0 on the caller — alone when one worker or
+// one candidate is all there is. Objects shared between candidates are
+// attributed to whichever closure claims them first, matching the
+// prototype's claim-based accounting. Sizes land in t.staleBytesPer;
+// attribution to the edge table is a separate step (accountStale) so a
+// concurrent cycle can verify candidates against the frozen snapshot — and
+// demote drifted ones — before any bytes count.
 func (t *tracer) staleClosure() {
-	t.staleBytesPer = make([]uint64, len(t.candidates))
+	n := len(t.candidates)
+	t.staleBytesPer = append(t.staleBytesPer[:0], make([]uint64, n)...)
 	var next atomic.Int64
-	workers := len(t.workers)
-	if workers > len(t.candidates) {
-		workers = len(t.candidates)
+	drain := func(w *traceWorker) {
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			t.staleBytesPer[i] = w.traceStaleRoot(t.candidates[i].ref)
+		}
 	}
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for i := 1; i < min(len(t.workers), n); i++ {
 		wg.Add(1)
-		go func() {
+		go func(w *traceWorker) {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(t.candidates) {
-					return
-				}
-				t.staleBytesPer[i] = t.traceStaleRoot(t.candidates[i].ref)
-			}
-		}()
+			drain(w)
+		}(&t.workers[i])
 	}
+	drain(&t.workers[0])
 	wg.Wait()
 }
 
@@ -554,14 +608,16 @@ func (t *tracer) accountStale() uint64 {
 
 // traceStaleRoot marks and sizes the subgraph reachable from one candidate
 // reference, skipping anything the in-use closure (or an earlier candidate)
-// already claimed.
-func (t *tracer) traceStaleRoot(root heap.Ref) uint64 {
+// already claimed. The worker's mark stack, empty since the in-use closure
+// ended, is the stack.
+func (w *traceWorker) traceStaleRoot(root heap.Ref) uint64 {
+	t := w.t
 	obj := t.heap.Get(root)
 	if !obj.TryMark(t.epoch) {
 		return 0
 	}
 	var bytes uint64
-	stack := []heap.ObjectID{root.ID()}
+	stack := append(w.local[:0], root.ID())
 	for len(stack) > 0 {
 		id := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -577,12 +633,13 @@ func (t *tracer) traceStaleRoot(root heap.Ref) uint64 {
 			}
 			child := t.heap.Get(r)
 			if t.plan.TagRefs && !r.IsStaleTagged() {
-				t.setStaleTag(o, slot, r)
+				t.applyStaleTag(o, slot, r)
 			}
 			if child.TryMark(t.epoch) {
 				stack = append(stack, r.ID())
 			}
 		}
 	}
+	w.local = stack
 	return bytes
 }
