@@ -70,7 +70,9 @@ trace-smoke:
 
 # Every lp subcommand once at toy size, so a broken table or figure
 # regenerator fails CI instead of being found when EXPERIMENTS.md is next
-# rebuilt (trace-smoke covers 'lp run -record' and 'lp trace').
+# rebuilt (trace-smoke covers 'lp run -record' and 'lp trace'), then every
+# examples/ program once, so one that compiles but no longer runs fails
+# too (~20 s, most of it dbstatements).
 lp-smoke:
 	$(LP) list
 	$(LP) run -program eclipsediff -max-iters 300 -report
@@ -79,6 +81,7 @@ lp-smoke:
 	for n in 6 7; do $(LP) fig $$n -iters 20 -trials 1 || exit 1; done
 	$(LP) compile -trials 1
 	$(LP) elision -methods 4 -ops 120 -reps 2 -o /dev/null
+	for d in examples/*/; do $(GO) run ./$$d >/dev/null || exit 1; done
 
 # The repo's one benchmark (BENCHMARK.json): four fixed-work workloads,
 # end-to-end metrics plus per-layer numbers. See benchmark/README.md.

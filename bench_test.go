@@ -172,34 +172,3 @@ func BenchmarkEdgeTable(b *testing.B) {
 		}
 	})
 }
-
-// ---------------------------------------------------------------------------
-// Substrate ablation: generational (nursery) collection vs. full-heap-only.
-// Minor collections reclaim transient garbage without tracing the whole
-// heap, so total collector time drops on churn-heavy programs.
-
-func BenchmarkGenerational(b *testing.B) {
-	run := func(b *testing.B, generational bool) {
-		var full, minor uint64
-		var gcTime time.Duration
-		for i := 0; i < b.N; i++ {
-			res, err := harness.Run(harness.Config{
-				Program:      "eclipse",
-				Policy:       "off",
-				MaxIters:     150,
-				Generational: generational,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			full = res.VMStats.Collections
-			minor = res.VMStats.MinorGCs
-			gcTime = res.VMStats.GCTime + res.VMStats.MinorGCTime
-		}
-		b.ReportMetric(float64(full), "full-gcs")
-		b.ReportMetric(float64(minor), "minor-gcs")
-		b.ReportMetric(float64(gcTime.Microseconds()), "gc-us")
-	}
-	b.Run("full-heap-only", func(b *testing.B) { run(b, false) })
-	b.Run("generational", func(b *testing.B) { run(b, true) })
-}

@@ -35,7 +35,6 @@ func (c *cli) run(args []string) error {
 		maxIters = fs.Int("max-iters", harness.DefaultMaxIters, "iteration cap for healthy runs")
 		timeCap  = fs.Duration("time-cap", 2*time.Minute, "wall-clock cap")
 		fullHeap = fs.Bool("full-heap-only", false, "use the paper's option (1): prune only at 100% heap fullness")
-		genMode  = fs.Bool("generational", false, "enable nursery (minor) collections")
 		markMode = fs.String("mark-mode", "", "stw or concurrent (default stw)")
 		obsDir   = fs.String("obs-dir", "", "write trace_*.json and metrics_*.json artifacts to this directory (empty = off)")
 		record   = fs.String("record", "", "record an allocation trace to this path (replay with 'lp trace replay')")
@@ -57,7 +56,6 @@ func (c *cli) run(args []string) error {
 		MaxIters:     *maxIters,
 		MaxDuration:  *timeCap,
 		FullHeapOnly: *fullHeap,
-		Generational: *genMode,
 		MarkMode:     *markMode,
 		Verbose:      c.verboseFn(*verbose),
 	}
@@ -154,8 +152,8 @@ func (c *cli) leakReport(res harness.Result) {
 	}
 
 	st := res.VMStats
-	fmt.Fprintf(out, "\ncollections: %d full, %d minor; pruned references: %d; poison traps: %d\n",
-		st.Collections, st.MinorGCs, st.PrunedRefs, st.PoisonTraps)
+	fmt.Fprintf(out, "\ncollections: %d; pruned references: %d; poison traps: %d\n",
+		st.Collections, st.PrunedRefs, st.PoisonTraps)
 
 	fmt.Fprintf(out, "\npruned data structures (the likely leaks), first %d events:\n", reportRows)
 	w := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)

@@ -1,6 +1,6 @@
 // Observability example: the runtime's operational surfaces — verbose-GC
-// logging, generational (nursery) collection, lazy barrier activation, the
-// prune report, and a Graphviz dump of the final heap.
+// logging, lazy barrier activation, the prune report, and a Graphviz dump of
+// the final heap (written under os.TempDir()).
 //
 //	go run ./examples/observability
 package main
@@ -8,6 +8,7 @@ package main
 import (
 	"fmt"
 	"os"
+	"path/filepath"
 
 	"leakpruning/internal/core"
 	"leakpruning/internal/vm"
@@ -18,7 +19,6 @@ func main() {
 		HeapLimit:      1 << 20, // 1 MB
 		EnableBarriers: true,
 		LazyBarriers:   true, // barriers "recompile in" at OBSERVE (§5)
-		Generational:   true, // nursery collections between full-heap GCs
 		Policy:         core.DefaultPolicy{},
 		GCLog:          os.Stdout,
 		OnPrune: func(ev core.PruneEvent) {
@@ -28,7 +28,6 @@ func main() {
 
 	cache := machine.DefineClass("CacheEntry", 2, 0) // value, next
 	blob := machine.DefineClass("Blob", 0, 4096)
-	temp := machine.DefineClass("Temp", 0, 256)
 	head := machine.AddGlobal()
 
 	err := machine.RunThread("main", func(t *vm.Thread) {
@@ -39,18 +38,13 @@ func main() {
 				t.Store(e, 0, t.New(blob))
 				t.Store(e, 1, t.LoadGlobal(head))
 				t.StoreGlobal(head, e)
-				// Nursery churn for the minor collections to chew on.
-				for j := 0; j < 6; j++ {
-					t.New(temp)
-				}
 			})
 		}
 	})
 
 	st := machine.Stats()
 	fmt.Printf("\nrun ended: err=%v\n", err)
-	fmt.Printf("collections: %d full + %d minor (minor freed %d objects)\n",
-		st.Collections, st.MinorGCs, st.MinorFrees)
+	fmt.Printf("collections: %d\n", st.Collections)
 	fmt.Printf("barrier cold-path hits: %d (zero until OBSERVE armed them)\n", st.BarrierHits)
 	fmt.Printf("pruned references: %d\n", st.PrunedRefs)
 
@@ -62,7 +56,8 @@ func main() {
 		fmt.Printf("  %-12s %6d objects %8d bytes\n", row.Class, row.Objects, row.Bytes)
 	}
 
-	f, ferr := os.Create("heap.dot")
+	path := filepath.Join(os.TempDir(), "heap.dot")
+	f, ferr := os.Create(path)
 	if ferr != nil {
 		fmt.Fprintln(os.Stderr, ferr)
 		os.Exit(1)
@@ -72,5 +67,5 @@ func main() {
 		fmt.Fprintln(os.Stderr, derr)
 		os.Exit(1)
 	}
-	fmt.Println("\nheap graph written to heap.dot (render: dot -Tsvg heap.dot)")
+	fmt.Printf("\nheap graph written to %s (render: dot -Tsvg %s)\n", path, path)
 }

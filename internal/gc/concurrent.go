@@ -21,7 +21,7 @@ import (
 //	               PRUNE poisonings against the frozen snapshot (demoting
 //	               drifted edges), or degrade to a fresh fully-STW closure
 //	concurrent     Sweep: reclaim unmarked objects via shard-safe FreeBatch
-//	pause 3 (STW)  Finish: generational promotion, Result assembly
+//	pause 3 (STW)  Finish: Result assembly
 //
 // Soundness is the snapshot-at-the-beginning argument (DESIGN.md,
 // "Concurrent marking"): every object reachable at pause 1 stays marked
@@ -348,11 +348,10 @@ func (cm *ConcurrentMark) Sweep() {
 	cm.res.SweepDuration = time.Since(sweepStart)
 }
 
-// Finish completes the cycle inside the closing pause: generational
-// promotion, result assembly, and observability. After it returns the
-// caller disarms black allocation and publishes the Result.
+// Finish completes the cycle inside the closing pause: result assembly and
+// observability. After it returns the caller disarms black allocation and
+// publishes the Result.
 func (cm *ConcurrentMark) Finish() Result {
-	c := cm.c
 	cm.res.Candidates = len(cm.tr.candidates)
 	cm.res.PrunedRefs = int(cm.tr.prunedRefs)
 	cm.res.BytesFreed = cm.sw.bytesFreed
@@ -360,8 +359,7 @@ func (cm *ConcurrentMark) Finish() Result {
 	cm.res.BytesLive = cm.sw.bytesLive
 	cm.res.ObjectsLive = cm.sw.objectsLive
 	cm.res.MaxStale = cm.sw.maxStale
-	c.promoteSurvivors()
 	cm.res.Duration = time.Since(cm.start)
-	c.observeCycle(cm.traceBase, &cm.res)
+	cm.c.observeCycle(cm.traceBase, &cm.res)
 	return cm.res
 }

@@ -177,9 +177,8 @@ type Collector struct {
 	roots   RootVisitor
 	workers int
 
-	epoch      uint32
-	index      uint64
-	minorIndex uint64
+	epoch uint32
+	index uint64
 
 	// inj injects tracer faults into parallel closures (nil = disabled).
 	inj *faultinject.Injector
@@ -436,22 +435,9 @@ func (c *Collector) Collect(plan Plan) Result {
 	res.ObjectsLive = sw.objectsLive
 	res.MaxStale = sw.maxStale
 
-	c.promoteSurvivors()
-
 	res.Duration = time.Since(start)
 	c.observeCycle(traceBase, &res)
 	return res
-}
-
-// promoteSurvivors is the generational bookkeeping run after a full-heap
-// collection: everything that survived is old now. Call stop-the-world.
-func (c *Collector) promoteSurvivors() {
-	for _, id := range c.heap.YoungIDs() {
-		if obj, ok := c.heap.Lookup(id); ok {
-			obj.Promote()
-		}
-	}
-	c.heap.ResetYoung()
 }
 
 type sweepResult struct {

@@ -3,6 +3,8 @@ package harness
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"leakpruning/internal/trace"
@@ -123,6 +125,64 @@ func TestReplayRejectsInvalidOverride(t *testing.T) {
 	var oe *vm.OptionError
 	if !errors.As(err, &oe) {
 		t.Fatalf("replay error %v, want a *vm.OptionError", err)
+	}
+}
+
+// TestReplayRejectsUnknownFlags: a recording with a flag bit replay does not
+// apply — a reserved one, or one from a newer recorder — is refused before a
+// VM is built, instead of replaying as a different program.
+func TestReplayRejectsUnknownFlags(t *testing.T) {
+	tr, _ := recordRun(t, Config{Program: "listleak", Policy: "default", MaxIters: 10})
+	for _, tc := range []struct {
+		name string
+		flag uint64
+	}{
+		{"generational", trace.FlagGenerational},
+		{"lazy-barriers", trace.FlagLazyBarriers},
+		{"bit-40", 1 << 40},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := *tr
+			bad.Meta.Flags |= tc.flag
+			_, err := Replay(ReplayConfig{Trace: &bad})
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%#x", tc.flag)) {
+				t.Fatalf("replay with flag %#x: err %v, want it refused naming the bit", tc.flag, err)
+			}
+		})
+	}
+}
+
+// TestReplayAcceptsKnownFlags is the other side of that gate: every flag bit
+// a recorder sets is one replay applies, so a recording made with it
+// replays ×1 cycle-exactly instead of being refused.
+func TestReplayAcceptsKnownFlags(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		flag uint64
+	}{
+		{"hash-live-set", Config{Policy: "default"}, trace.FlagHashLiveSet},
+		{"full-heap-only", Config{Policy: "default", FullHeapOnly: true}, trace.FlagFullHeapOnly},
+		{"barriers-off", Config{Policy: "off", BarriersOff: true}, trace.FlagBarriersOff},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			cfg.Program, cfg.HeapLimit, cfg.MaxIters, cfg.HashLiveSet = "listleak", matrixHeap, 300, true
+			tr, _ := recordRun(t, cfg)
+			if tr.Meta.Flags&tc.flag == 0 {
+				t.Fatalf("recording's flags %#x lack %#x: the case is vacuous", tr.Meta.Flags, tc.flag)
+			}
+			rr, err := Replay(ReplayConfig{Trace: tr})
+			if err != nil {
+				t.Fatalf("replay with flags %#x: %v", tr.Meta.Flags, err)
+			}
+			if len(rr.GCSamples) == 0 {
+				t.Fatal("replay ran no collections; the oracle is vacuous")
+			}
+			if err := CompareCycles(tr, rr.GCSamples); err != nil {
+				t.Fatalf("×1 replay with flags %#x diverged: %v", tr.Meta.Flags, err)
+			}
+		})
 	}
 }
 

@@ -87,8 +87,6 @@ type Config struct {
 	BarrierVariant string
 	// GCWorkers sets tracer parallelism (0 = default).
 	GCWorkers int
-	// Generational enables nursery (minor) collections.
-	Generational bool
 	// RecordIterTimes keeps the per-iteration duration series.
 	RecordIterTimes bool
 	// Injector arms deterministic fault injection for the run (nil = off).

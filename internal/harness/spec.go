@@ -35,9 +35,6 @@ func (cfg Config) meta(prog workload.Program) trace.Meta {
 	if cfg.HashLiveSet {
 		m.Flags |= trace.FlagHashLiveSet
 	}
-	if cfg.Generational {
-		m.Flags |= trace.FlagGenerational
-	}
 	if cfg.FullHeapOnly {
 		m.Flags |= trace.FlagFullHeapOnly
 	}
@@ -47,16 +44,23 @@ func (cfg Config) meta(prog workload.Program) trace.Meta {
 	return m
 }
 
+// knownFlags are the trace.Meta flag bits newVM applies.
+const knownFlags = trace.FlagHashLiveSet | trace.FlagFullHeapOnly | trace.FlagBarriersOff
+
 // newVM builds the VM a spec describes. attach carries what observes or
 // perturbs a run without being part of its recording (workers, injector,
 // audit, obs, recorder, callbacks); the spec's fields are laid over it. The
 // combination is validated first, so an invalid one comes back as the
-// *vm.OptionError that vm.New would panic with.
+// *vm.OptionError that vm.New would panic with. A flag bit newVM does not
+// apply (a reserved one, or one from a newer recorder) is an error too: the
+// VM it built would run a different program than the one recorded.
 func newVM(m trace.Meta, attach vm.Options) (*vm.VM, error) {
+	if extra := m.Flags &^ knownFlags; extra != 0 {
+		return nil, fmt.Errorf("harness: unsupported trace flags %#x", extra)
+	}
 	opts := attach
 	opts.HeapLimit = m.HeapLimit
 	opts.HashLiveSet = m.Flags&trace.FlagHashLiveSet != 0
-	opts.Generational = m.Flags&trace.FlagGenerational != 0
 	opts.FullHeapOnly = m.Flags&trace.FlagFullHeapOnly != 0
 	opts.EnableBarriers = m.Flags&trace.FlagBarriersOff == 0
 	if m.Policy == "melt" {

@@ -113,18 +113,12 @@ type Heap struct {
 	// shards.
 	rotor atomic.Uint32
 
-	// generational enables nursery tracking: new objects are flagged young
-	// and listed for minor sweeps.
-	generational atomic.Bool
 	// allocMark, when nonzero, is the mark epoch stamped onto every new
 	// object at birth ("allocate black"): while a concurrent mark is in
 	// flight, objects born after the snapshot are live by definition and
 	// must not be collected by the cycle's sweep. Zero (the STW default)
 	// leaves the recycled slot's old mark word in place.
 	allocMark atomic.Uint32
-	// allocBytes counts cumulative allocated bytes, maintained only in
-	// generational mode where the nursery trigger needs a cheap exact read.
-	allocBytes atomic.Uint64
 
 	// diskMu guards the offload accounting and offload-state transitions.
 	// Lock order: shard.mu before diskMu.
@@ -170,10 +164,6 @@ func (h *Heap) SetFaultInjector(inj *faultinject.Injector) { h.inj = inj }
 // detected and repaired.
 func (h *Heap) FreeListRepairs() uint64 { return h.freeListRepairs.Load() }
 
-// EnableGenerations turns on nursery tracking: subsequently allocated
-// objects are young until they survive a collection.
-func (h *Heap) EnableGenerations() { h.generational.Store(true) }
-
 // SetAllocMarkEpoch arms (nonzero) or disarms (zero) black allocation:
 // while armed, every new object's mark word is stamped with the given epoch
 // at birth, so a concurrent mark cycle's sweep treats it as live. The VM
@@ -181,41 +171,12 @@ func (h *Heap) EnableGenerations() { h.generational.Store(true) }
 // after sweep completes.
 func (h *Heap) SetAllocMarkEpoch(epoch uint32) { h.allocMark.Store(epoch) }
 
-// YoungIDs returns a copy of the current nursery membership. Call only
-// stop-the-world.
-func (h *Heap) YoungIDs() []ObjectID {
-	var out []ObjectID
-	for i := range h.shards {
-		s := &h.shards[i]
-		s.mu.Lock()
-		out = append(out, s.young...)
-		s.mu.Unlock()
-	}
-	return out
-}
-
-// ResetYoung empties the nursery lists after a collection promoted or freed
-// their members. Call only stop-the-world.
-func (h *Heap) ResetYoung() {
-	for i := range h.shards {
-		s := &h.shards[i]
-		s.mu.Lock()
-		s.young = s.young[:0]
-		s.mu.Unlock()
-	}
-}
-
 // Limit returns the heap's maximum size in simulated bytes.
 func (h *Heap) Limit() uint64 { return h.limit }
 
 // BytesUsed returns the current used-byte count without locking (it may
 // include outstanding TLAB reservations between collections).
 func (h *Heap) BytesUsed() uint64 { return h.used.Load() }
-
-// AllocatedBytes returns cumulative allocated bytes with one atomic load.
-// Maintained only in generational mode (the nursery trigger's fast path);
-// Stats().BytesAlloc is the always-exact locked reading.
-func (h *Heap) AllocatedBytes() uint64 { return h.allocBytes.Load() }
 
 // Stats returns a snapshot of the accounting counters, summed across
 // shards. Allocations a live context has not settled yet are not in it
@@ -329,10 +290,6 @@ func (h *Heap) allocate(ctx *AllocContext, runLen int, class ClassID, opts []All
 		}
 		ctx.reserved -= size
 	}
-	generational := h.generational.Load()
-	if generational {
-		h.allocBytes.Add(size)
-	}
 
 	// Take the run's next slot. The slot is this context's alone, so the
 	// object is initialised with no lock held. A slot that is already live
@@ -356,13 +313,8 @@ func (h *Heap) allocate(ctx *AllocContext, runLen int, class ClassID, opts []All
 	// (freeLocked's invariant), so they are loaded first and stored — a
 	// locked instruction each — only when that is not what they hold.
 	atomic.StoreUint32((*uint32)(&obj.class), uint32(class))
-	var flags uint32
-	if generational {
-		flags = flagYoung
-		ctx.young = append(ctx.young, id)
-	}
 	setHeaderWord(&obj.stale, 0)
-	setHeaderWord(&obj.flags, flags)
+	setHeaderWord(&obj.flags, 0)
 	obj.home = uint8(ctx.home)
 	if cap(obj.refs) >= refSlots {
 		obj.refs = obj.refs[:refSlots]

@@ -87,50 +87,6 @@ func (o *Object) AgeStale(gcIndex uint64) uint8 {
 	return uint8(k)
 }
 
-// IsYoung reports whether the object is in the nursery generation.
-func (o *Object) IsYoung() bool { return atomic.LoadUint32(&o.flags)&flagYoung != 0 }
-
-// Promote moves the object to the old generation (clearing its nursery and
-// remembered-set flags).
-func (o *Object) Promote() {
-	for {
-		cur := atomic.LoadUint32(&o.flags)
-		if cur&(flagYoung|flagLogged) == 0 {
-			return
-		}
-		if atomic.CompareAndSwapUint32(&o.flags, cur, cur&^(flagYoung|flagLogged)) {
-			return
-		}
-	}
-}
-
-// Unlog clears the remembered-set flag after a collection consumed the set.
-func (o *Object) Unlog() {
-	for {
-		cur := atomic.LoadUint32(&o.flags)
-		if cur&flagLogged == 0 {
-			return
-		}
-		if atomic.CompareAndSwapUint32(&o.flags, cur, cur&^flagLogged) {
-			return
-		}
-	}
-}
-
-// TryLog sets the remembered-set flag and reports whether this caller set
-// it (so each old object is recorded at most once per collection cycle).
-func (o *Object) TryLog() bool {
-	for {
-		cur := atomic.LoadUint32(&o.flags)
-		if cur&flagLogged != 0 {
-			return false
-		}
-		if atomic.CompareAndSwapUint32(&o.flags, cur, cur|flagLogged) {
-			return true
-		}
-	}
-}
-
 // Ref atomically loads the tagged reference word in the given slot.
 func (o *Object) Ref(slot int) Ref { return Ref(atomic.LoadUint64(&o.refs[slot])) }
 

@@ -24,13 +24,6 @@ var ErrDiskFull = errors.New("heap: offload disk is full")
 // flagOffloaded marks an object whose bytes live on the simulated disk.
 const flagOffloaded uint32 = 1 << 0
 
-// flagYoung marks an object allocated since the last collection (the
-// nursery generation when generational collection is enabled).
-const flagYoung uint32 = 1 << 1
-
-// flagLogged marks an old object already recorded in the remembered set.
-const flagLogged uint32 = 1 << 2
-
 // IsOffloaded reports whether the object currently resides on disk.
 func (o *Object) IsOffloaded() bool {
 	return atomic.LoadUint32(&o.flags)&flagOffloaded != 0

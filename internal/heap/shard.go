@@ -8,10 +8,10 @@ import (
 
 // Allocator sharding and per-context slot runs.
 //
-// The object table's free lists, nursery lists and accounting counters are
-// split across numShards independently locked shards; the shared state that
-// remains is two atomics, the used-byte counter (charged against the limit)
-// and the fresh-ID cursor.
+// The object table's free lists and accounting counters are split across
+// numShards independently locked shards; the shared state that remains is
+// two atomics, the used-byte counter (charged against the limit) and the
+// fresh-ID cursor.
 //
 // Who owns a slot when. A dead slot sits on exactly one shard's free list
 // (owned by that shard's mutex) or in exactly one AllocContext's run (owned
@@ -27,12 +27,11 @@ import (
 //
 // What settle restores. Refill, ReleaseContext and the VM's flushes settle
 // the context: under the home shard's lock the pending allocation counts
-// and nursery members are folded into the shard, and the run's unused
-// slots are pushed back in reverse pop order. A single context that
-// allocates, settles and refills therefore sees exactly the IDs a
-// slot-at-a-time LIFO allocator would hand out — the free list between runs
-// is what it would have been — which is what record/replay and the
-// per-cycle live-set hashes rely on. Several contexts are settled newest
+// are folded into the shard, and the run's unused slots are pushed back in
+// reverse pop order. A single context that allocates, settles and refills
+// therefore sees exactly the IDs a slot-at-a-time LIFO allocator would hand
+// out — the free list between runs is what it would have been — which is
+// what record/replay and the per-cycle live-set hashes rely on. Several contexts are settled newest
 // run first (SettleContexts), so a fixed interleaving of threads gives
 // fixed free lists whatever order the caller lists them in.
 //
@@ -64,8 +63,6 @@ type shard struct {
 	mu sync.Mutex
 	// free holds recyclable slot IDs, popped LIFO.
 	free []ObjectID
-	// young lists nursery members whose slots belong to this shard.
-	young []ObjectID
 	// Accounting for objects whose slots belong to this shard. Allocations
 	// arrive in batches when a context settles and frees arrive one sweep at
 	// a time, so between settles objectsUsed may transiently wrap below
@@ -97,8 +94,6 @@ type AllocContext struct {
 	// cannot carry into the bytes: every refill folds, and a run has
 	// freshBlock slots.
 	pending atomic.Uint64
-	// young lists the nursery members among them (generational mode).
-	young []ObjectID
 
 	shard    uint32 // preferred shard: refills scan from it and carve into it
 	reserved uint64
@@ -278,9 +273,9 @@ func (h *Heap) settle(c *AllocContext) {
 	h.allocShardLocks.Add(1)
 }
 
-// foldLocked moves the context's pending allocation counts and nursery
-// members into s, which must be the shard its runs since the last fold came
-// from. Caller holds s.mu.
+// foldLocked moves the context's pending allocation counts into s, which
+// must be the shard its runs since the last fold came from. Caller holds
+// s.mu.
 func (c *AllocContext) foldLocked(s *shard) {
 	var st Stats
 	c.AddPending(&st)
@@ -288,8 +283,6 @@ func (c *AllocContext) foldLocked(s *shard) {
 	s.bytesAlloc += st.BytesAlloc
 	s.objectsAlloc += st.ObjectsAlloc
 	s.objectsUsed += st.ObjectsUsed
-	s.young = append(s.young, c.young...)
-	c.young = c.young[:0]
 }
 
 // popRunLocked pops up to len(run) recyclable slots off s's free list into

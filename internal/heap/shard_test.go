@@ -15,6 +15,7 @@ func TestRecycledSlotStateCleared(t *testing.T) {
 	reg := NewRegistry()
 	cls := reg.Define("N", 2, 0)
 	h := New(reg, 1<<20)
+	h.SetDiskLimit(1 << 20)
 
 	r, err := h.Allocate(cls)
 	if err != nil {
@@ -24,8 +25,8 @@ func TestRecycledSlotStateCleared(t *testing.T) {
 	obj := h.Get(r)
 	obj.SetStale(5)
 	obj.TryMark(9) // a past collection reached it
-	if !obj.TryLog() {
-		t.Fatal("TryLog on fresh object failed")
+	if err := h.Offload(id); err != nil || !obj.IsOffloaded() {
+		t.Fatalf("offload of a fresh object: %v", err)
 	}
 	h.Free(id)
 
@@ -50,11 +51,11 @@ func TestRecycledSlotStateCleared(t *testing.T) {
 	if obj2.Stale() != 0 {
 		t.Fatalf("recycled stale = %d", obj2.Stale())
 	}
-	if obj2.IsYoung() || obj2.IsOffloaded() {
-		t.Fatal("recycled object inherited flag bits")
+	if obj2.IsOffloaded() {
+		t.Fatal("recycled object inherited the offload bit")
 	}
-	if !obj2.TryLog() {
-		t.Fatal("recycled object still appears logged")
+	if d := h.Disk(); d.BytesUsed != 0 {
+		t.Fatalf("disk still charged %d bytes for the freed object", d.BytesUsed)
 	}
 	// Epochs only move forward, so the kept mark word (9) must not alias
 	// any future collection's epoch.

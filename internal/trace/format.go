@@ -139,14 +139,15 @@ type Meta struct {
 	Fingerprint uint64
 }
 
-// Meta.Flags bits.
+// Meta.Flags bits. FlagGenerational and FlagLazyBarriers are reserved: no
+// recorder writes them and a replay refuses a trace that sets one (it could
+// not run the recorded program); the bits stay allocated so later flags do
+// not reuse them.
 const (
 	FlagHashLiveSet uint64 = 1 << iota
 	FlagGenerational
 	FlagFullHeapOnly
 	FlagBarriersOff
-	// FlagLazyBarriers is reserved: no recorder writes it and replay ignores
-	// it; the bit stays allocated so later flags do not reuse it.
 	FlagLazyBarriers
 )
 

@@ -24,8 +24,8 @@ import (
 //	         the frozen snapshot (drifted edges are demoted per-edge) —
 //	         or degrade to a fresh fully-STW closure on any fault
 //	         ... concurrent sweep (gc.Sweep) ...
-//	pause 3  promotion, triggers, controller transition (SELECT scoring,
-//	         PRUNE bookkeeping), OnGC
+//	pause 3  settle the allocation contexts, triggers, controller
+//	         transition (SELECT scoring, PRUNE bookkeeping), OnGC
 //
 // Exhaustion-driven collections (allocSlow) still take the one-pause STW
 // path in both mark modes: they run because the heap is full, so there is
@@ -102,8 +102,8 @@ func (v *VM) collectConcurrent() gc.Result {
 	t0 := time.Now()
 	v.stopTheWorld()
 	defer v.startTheWorld()
-	// Mutators allocated through the mark and the sweep: promotion and the
-	// closing bookkeeping need their nursery members and counts in the heap.
+	// Mutators allocated through the mark and the sweep: the closing
+	// bookkeeping needs their counts in the heap.
 	v.flushRuns()
 	v.heap.SetAllocMarkEpoch(0)
 	v.gcActive.Store(false)

@@ -45,29 +45,6 @@ func TestGCLogFullAndPrune(t *testing.T) {
 	}
 }
 
-func TestGCLogMinor(t *testing.T) {
-	var buf bytes.Buffer
-	v := New(Options{
-		HeapLimit:      1 << 20,
-		EnableBarriers: true,
-		GCWorkers:      1,
-		Generational:   true,
-		GCLog:          &buf,
-	})
-	temp := v.DefineClass("Temp", 0, 512)
-	err := v.RunThread("main", func(th *Thread) {
-		for i := 0; i < 1000; i++ {
-			th.Scope(func() { th.New(temp) })
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "[gc minor 1] nursery ") {
-		t.Fatalf("minor GC log missing:\n%s", firstLines(buf.String(), 10))
-	}
-}
-
 func TestFmtBytes(t *testing.T) {
 	for in, want := range map[uint64]string{
 		512:     "512B",

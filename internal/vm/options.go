@@ -96,13 +96,6 @@ type Options struct {
 	// policy set is a configuration error.
 	EnableBarriers bool
 
-	// Generational enables nursery (minor) collections between full-heap
-	// collections, as in the paper's generational mark-sweep substrate
-	// (§5), one per HeapLimit/8 bytes allocated. Minor collections reclaim
-	// short-lived objects cheaply; the staleness clock and all leak-pruning
-	// activity stay on the full-heap collection cadence.
-	Generational bool
-
 	// Barrier selects the read-barrier implementation.
 	Barrier BarrierVariant
 
@@ -125,9 +118,9 @@ type Options struct {
 	ForceState core.State
 	Forced     bool
 
-	// GCLog, if set, receives one human-readable line per collection
-	// (full and minor), in the style of a JVM's verbose-GC log. Written
-	// inside the stop-the-world section.
+	// GCLog, if set, receives one human-readable line per collection, in
+	// the style of a JVM's verbose-GC log. Written inside the stop-the-world
+	// section.
 	GCLog io.Writer
 
 	// OnGC, if set, is called after every full-heap collection with the
@@ -256,10 +249,10 @@ func (o Options) Fingerprint() uint64 {
 	if o.Policy != nil {
 		policy = o.Policy.Name()
 	}
-	s := fmt.Sprintf("heap=%d policy=%s disk=%d barriers=%v gen=%v bvar=%d lazy=%v nff=%g fho=%v forced=%v/%d mark=%d",
-		o.HeapLimit, policy, o.OffloadDisk, o.EnableBarriers, o.Generational,
-		int(o.Barrier), o.LazyBarriers, o.NearlyFullFraction, o.FullHeapOnly,
-		o.Forced, int(o.ForceState), int(o.MarkMode))
+	s := fmt.Sprintf("heap=%d policy=%s disk=%d barriers=%v bvar=%d lazy=%v nff=%g fho=%v forced=%v/%d mark=%d",
+		o.HeapLimit, policy, o.OffloadDisk, o.EnableBarriers, int(o.Barrier),
+		o.LazyBarriers, o.NearlyFullFraction, o.FullHeapOnly, o.Forced,
+		int(o.ForceState), int(o.MarkMode))
 	h := fnv.New64a()
 	h.Write([]byte(s))
 	return h.Sum64()

@@ -34,7 +34,6 @@ func TestRandomProgramsQuick(t *testing.T) {
 			EnableBarriers: true,
 			GCWorkers:      1 + int(seed)%3,
 			Policy:         policies[int(seed)%len(policies)],
-			Generational:   seed%2 == 0,
 		})
 		classes := []heap.ClassID{
 			v.DefineClass("R0", 3, 64),

@@ -367,9 +367,6 @@ func (t *Thread) New(class heap.ClassID, opts ...heap.AllocOption) heap.Ref {
 			t.recordAlloc(class, opts, ref)
 		}
 		t.endOp()
-		if v.opts.Generational && v.nurseryFull() {
-			v.maybeMinorCollect()
-		}
 		if v.heap.BytesUsed() > v.gcTrigger.Load() {
 			v.maybeCollect()
 		}
@@ -478,7 +475,6 @@ func (t *Thread) barrierColdPath(src *heap.Object, srcID heap.ObjectID, slot int
 // Stored references are untagged (a reference in hand was necessarily
 // loaded through the barrier or freshly allocated).
 func (t *Thread) Store(a heap.Ref, slot int, val heap.Ref) {
-	v := t.vm
 	t.beginOp()
 	if t.rec != nil {
 		t.rec.Store(uint64(a.ID()), slot, uint64(val.ID()))
@@ -496,14 +492,6 @@ func (t *Thread) Store(a heap.Ref, slot int, val heap.Ref) {
 		t.satbLog(src.SwapRef(slot, val.Untagged()))
 	} else {
 		src.SetRef(slot, val.Untagged())
-	}
-	// Generational write barrier: an old object now holding a young
-	// reference must be in the remembered set for the next minor
-	// collection.
-	if v.opts.Generational && !val.IsNull() && !src.IsYoung() {
-		if tgt, ok := v.heap.Lookup(val.ID()); ok && tgt.IsYoung() {
-			v.rememberStore(src, a.ID())
-		}
 	}
 	t.endOp()
 }

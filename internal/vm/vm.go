@@ -38,9 +38,6 @@ type Event struct {
 // Stats aggregates VM-level counters.
 type Stats struct {
 	Collections   uint64
-	MinorGCs      uint64
-	MinorGCTime   time.Duration
-	MinorFrees    uint64
 	GCTime        time.Duration
 	Loads         uint64 // reference loads through the mutator API
 	BarrierHits   uint64 // cold-path executions (tag bit set)
@@ -94,9 +91,9 @@ type VM struct {
 	// cycleMu serializes full collection cycles. In STW mark mode the pause
 	// itself already excludes overlap, so the lock is uncontended paperwork;
 	// in concurrent mark mode a cycle spans three pauses with the world
-	// running in between, and cycleMu is what keeps a second trigger (or a
-	// minor collection) from starting a cycle inside that window. Always
-	// acquired BEFORE stopping the world, never while it is stopped.
+	// running in between, and cycleMu is what keeps a second trigger from
+	// starting a cycle inside that window. Always acquired BEFORE stopping
+	// the world, never while it is stopped.
 	cycleMu sync.Mutex
 	// gcActive is true while a concurrent cycle is between its first and
 	// last pauses — the allocation-trigger fast-out, so mutators do not
@@ -170,19 +167,6 @@ type VM struct {
 	// lastOffloaded is how many bytes the offload baseline moved to disk in
 	// the most recent collection (progress for the allocation slow path).
 	lastOffloaded uint64
-
-	// remMu guards the remembered set: old objects into which a young
-	// reference was stored since the last collection (generational mode).
-	remMu  sync.Mutex
-	remset []heap.ObjectID
-	// allocAtLastGC is the cumulative allocation byte count at the last
-	// collection of either kind; the nursery trigger compares against it.
-	// nurserySize is the allocation volume between minor collections
-	// (HeapLimit/8, lowered by tests; generational mode only).
-	allocAtLastGC atomic.Uint64
-	nurserySize   uint64
-	minorTime     atomic.Int64
-	minorFrees    atomic.Uint64
 
 	// barriersActive gates the read-barrier fast path under LazyBarriers:
 	// it flips to true (permanently — OBSERVE is permanent) when the
@@ -301,10 +285,6 @@ func New(opts Options) *VM {
 			v.barriersActive.Store(true)
 		}
 	}
-	if opts.Generational {
-		v.heap.EnableGenerations()
-		v.nurserySize = opts.HeapLimit / 8
-	}
 	v.ctrl = core.NewController(classes, ctrlOpts)
 	v.ctrl.Edges().SetFaultInjector(v.inj)
 	if opts.OffloadDisk > 0 {
@@ -381,9 +361,6 @@ func (v *VM) Stats() Stats {
 	v.startTheWorld()
 	return Stats{
 		Collections:   idx,
-		MinorGCs:      v.collector.MinorIndex(),
-		MinorGCTime:   time.Duration(v.minorTime.Load()),
-		MinorFrees:    v.minorFrees.Load(),
 		GCTime:        time.Duration(v.gcTimeNanos.Load()),
 		Loads:         loads,
 		BarrierHits:   barrierHits,
@@ -570,78 +547,18 @@ func (v *VM) maybeCollect() {
 	}
 }
 
-// rememberStore is the generational write barrier's slow path: record an
-// old object that now holds a young reference, once per cycle.
-func (v *VM) rememberStore(src *heap.Object, id heap.ObjectID) {
-	if src.TryLog() {
-		v.remMu.Lock()
-		v.remset = append(v.remset, id)
-		v.remMu.Unlock()
-	}
-}
-
-// drainRemset consumes the remembered set (after any collection).
-func (v *VM) drainRemset() {
-	v.remMu.Lock()
-	set := v.remset
-	v.remset = nil
-	v.remMu.Unlock()
-	for _, id := range set {
-		if obj, ok := v.heap.Lookup(id); ok {
-			obj.Unlog()
-		}
-	}
-}
-
-// nurseryFull reports whether enough allocation has happened since the last
-// collection to warrant a minor collection.
-func (v *VM) nurseryFull() bool {
-	if !v.opts.Generational {
-		return false
-	}
-	// AllocatedBytes is the lock-free cumulative-allocation counter the
-	// heap maintains in generational mode; this check runs on the
-	// allocation fast path, so it must not sum the shard counters.
-	return v.heap.AllocatedBytes()-v.allocAtLastGC.Load() > v.nurserySize
-}
-
-// maybeMinorCollect runs a nursery collection if the nursery is full. It
-// stands down while a full cycle is in flight: a minor collection frees
-// unmarked nursery objects, which is unsound mid-concurrent-mark, and
-// pointless right after the full sweep that cycle is about to run.
-func (v *VM) maybeMinorCollect() {
-	if v.gcActive.Load() || !v.cycleMu.TryLock() {
-		return
-	}
-	defer v.cycleMu.Unlock()
-	v.stopTheWorld()
-	defer v.startTheWorld()
-	if !v.nurseryFull() {
-		return
-	}
-	// The nursery lists and allocation totals the minor collection reads
-	// must include what the threads' contexts still hold.
-	v.flushRuns()
-	v.remMu.Lock()
-	set := append([]heap.ObjectID(nil), v.remset...)
-	v.remMu.Unlock()
-	res := v.collector.CollectMinor(set, v.onFreeHook())
-	v.logMinorGC(res)
-	v.minorTime.Add(int64(res.Duration))
-	v.minorFrees.Add(res.ObjectsFreed)
-	v.drainRemset()
-	v.allocAtLastGC.Store(v.heap.Stats().BytesAlloc)
-}
-
 // flushTLABs returns every thread's unused slots, pending allocation counts
 // and unused byte reservation to the heap, making the heap's free lists,
 // Stats and BytesUsed exact for the collection about to run. Caller has
 // stopped the world, so no context is in use.
 func (v *VM) flushTLABs() { v.heap.ReleaseContexts(v.allocContexts()) }
 
-// flushRuns is flushTLABs without the byte reservations: a minor
-// collection needs the nursery lists and free lists whole but leaves
-// BytesUsed, and so the full-collection trigger, as the mutators left it.
+// flushRuns is flushTLABs without the byte reservations, for a concurrent
+// cycle's closing pause: the closing bookkeeping needs the counts and slots
+// mutators took during the mark and the sweep back in the heap. It must not
+// release the quotas — that would move BytesUsed, and with it the next soft
+// trigger, off where the mutators left it, and shift every later cycle (and
+// every simulated count on a concurrent-mark run).
 func (v *VM) flushRuns() { v.heap.SettleContexts(v.allocContexts()) }
 
 // allocContexts lists every live thread's allocation context.
@@ -716,9 +633,7 @@ func (v *VM) finishCollect(res gc.Result, priorPauses []time.Duration, pauseStar
 	v.lastOffloaded = offloaded
 	v.logFullGC(res, offloaded)
 	v.gcTimeNanos.Add(int64(res.Duration))
-	v.drainRemset() // a full collection subsumes the remembered set
 	hs := v.heap.Stats()
-	v.allocAtLastGC.Store(hs.BytesAlloc)
 	v.gcTrigger.Store(softTrigger(hs.BytesUsed, hs.Limit))
 	v.ctrl.FinishCycle(res, hs)
 	if v.opts.AuditEveryGC {
@@ -818,17 +733,6 @@ func (v *VM) logFullGC(res gc.Result, offloaded uint64) {
 			fmtBytes(offloaded), fmtBytes(v.heap.Disk().BytesUsed), fmtBytes(v.heap.Disk().Limit))
 	}
 	fmt.Fprintln(v.opts.GCLog)
-}
-
-// logMinorGC writes one verbose-GC line for a nursery collection.
-func (v *VM) logMinorGC(res gc.MinorResult) {
-	if v.opts.GCLog == nil {
-		return
-	}
-	fmt.Fprintf(v.opts.GCLog,
-		"[gc minor %d] nursery %d scanned, %d promoted, freed %s in %v (remset %d)\n",
-		res.Index, res.YoungScanned, res.Promoted, fmtBytes(res.BytesFreed),
-		res.Duration.Round(time.Microsecond), res.RemsetEntries)
 }
 
 // fmtBytes renders byte counts with a binary-unit suffix.

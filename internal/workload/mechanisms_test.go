@@ -212,31 +212,34 @@ func TestListLeakPrunesOnlyNodeChain(t *testing.T) {
 	}
 }
 
-// TestGenerationalMatrix: the Table 1 outcomes are insensitive to turning
-// on the generational substrate — pruning still saves the dead leaks and
-// still cannot save the live one.
-func TestGenerationalMatrix(t *testing.T) {
+// TestConcurrentMarkMatrix: the Table 1 outcomes are insensitive to the mark
+// mode — under mostly-concurrent marking pruning still saves the dead leaks
+// and still cannot save the live one.
+func TestConcurrentMarkMatrix(t *testing.T) {
 	for _, tc := range []struct {
 		program string
 		capped  bool
 	}{
 		{"listleak", true},
+		{"swapleak", true},
 		{"eclipsediff", true},
 		{"dualleak", false},
 	} {
-		res, err := harness.Run(harness.Config{
-			Program: tc.program, Policy: "default", MaxIters: 1500, Generational: true,
+		t.Run(tc.program, func(t *testing.T) {
+			res, err := harness.Run(harness.Config{
+				Program: tc.program, Policy: "default", MaxIters: 1500, MarkMode: "concurrent",
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.VMStats.Collections == 0 {
+				t.Fatalf("%s: no collections ran", tc.program)
+			}
+			if res.Capped() != tc.capped {
+				t.Fatalf("%s under concurrent marking: got %s at %d iterations, capped=%v want %v",
+					tc.program, res.Reason, res.Iterations, res.Capped(), tc.capped)
+			}
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.VMStats.MinorGCs == 0 {
-			t.Errorf("%s: no minor collections under generational mode", tc.program)
-		}
-		if res.Capped() != tc.capped {
-			t.Errorf("%s under generational pruning: got %s at %d iterations, capped=%v want %v",
-				tc.program, res.Reason, res.Iterations, res.Capped(), tc.capped)
-		}
 	}
 }
 
