@@ -2,14 +2,14 @@ GO ?= go
 # The reproduction CLI: every table, figure and trace command below.
 LP = $(GO) run ./cmd/lp
 
-.PHONY: all check build test race vet cover fuzz-smoke trace-smoke lp-smoke bench bench-test bench-smoke bench-jit chaos leakd-smoke leakd-demo leakd-soak
+.PHONY: all check build test race vet fmt cover fuzz-smoke trace-smoke lp-smoke bench bench-test bench-smoke bench-jit chaos leakd-smoke leakd-demo leakd-soak
 
 all: build test vet
 
 # The one tier-1 superset: everything `go build ./... && go test ./...`
-# covers, plus vet and the benchmark module's own tests (a separate module,
-# so the root `go test ./...` does not reach them).
-check: build test vet bench-test
+# covers, plus vet, the gofmt gate and the benchmark module's own tests (a
+# separate module, so the root `go test ./...` does not reach them).
+check: build test vet fmt bench-test
 
 build:
 	$(GO) build ./...
@@ -36,6 +36,10 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# Every Go file is gofmt-clean; on failure, the files gofmt would rewrite.
+fmt:
+	@out=$$(gofmt -l .); test -z "$$out" || { echo "gofmt -l:"; echo "$$out"; exit 1; }
 
 # Per-package statement coverage.
 cover:

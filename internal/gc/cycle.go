@@ -1,0 +1,352 @@
+package gc
+
+import (
+	"time"
+
+	"leakpruning/internal/faultinject"
+	"leakpruning/internal/heap"
+)
+
+// Cycle is one full-heap collection, driven through its phases in order:
+//
+//	start   advance the epoch and the staleness clock, claim the roots and
+//	        deal them to the tracer
+//	Mark    the work-stealing closure; for SELECT also the stale closure
+//	        over the candidate queue (sizes only)
+//	Remark  a concurrent cycle re-seeds from the roots and the SATB grays
+//	        and verifies its deferred SELECT/PRUNE decisions; any fault
+//	        degrades the cycle to the serial closure; stale bytes are
+//	        attributed
+//	Sweep   reclaim every unmarked object
+//	Finish  assemble the Result and record it
+//
+// Collect runs the phases back to back with the world stopped. A
+// mostly-concurrent cycle (StartConcurrent) runs the same phases with the
+// world restarted around Mark and Sweep, so its caller holds three short
+// pauses — start, Remark, Finish — instead of one. Two things depend on the
+// form: only the concurrent Remark re-seeds, verifies and may draw
+// SelectSnapshotDrift; and a concurrent single-worker closure recovers
+// panics, because it has a sound fallback, while the serial STW closure is
+// that fallback and must crash loudly.
+//
+// The concurrent form is sound by the snapshot-at-the-beginning argument
+// (DESIGN.md, "Concurrent marking"): every object reachable at start stays
+// marked because (a) the closure covers the snapshot, (b) every heap
+// reference overwritten while Mark runs is logged by the mutators' SATB
+// deletion barrier and re-seeded at Remark, and (c) objects allocated
+// during the cycle are born black (heap.SetAllocMarkEpoch — armed by the
+// VM, which owns allocation). Floating garbage may live one extra cycle; a
+// live object is never freed.
+//
+// SELECT and PRUNE need one consistent staleness cut (§3.2, §4.2): the
+// caller freezes the edge table's maxStaleUse values in the start pause
+// (core.Controller.PlanCycle) and every policy predicate reads that cut.
+// Decisions taken while mutators run are provisional: candidate and
+// deferred-prune slots stay stale-tagged, so any mutator access either goes
+// through the read barrier's cold path (untagging the slot) or replaces the
+// slot value — both visible to Remark's expect-compare, which demotes the
+// edge (SnapshotDrift) instead of selecting or poisoning it. With no
+// unobservable pointer races on deferred edges, a verified decision is the
+// one an STW cycle at the same cut takes.
+type Cycle struct {
+	c          *Collector
+	plan       Plan
+	concurrent bool
+	tr         *tracer
+	res        Result
+	sw         sweepResult
+
+	began     time.Time
+	traceBase int64
+}
+
+// start begins a cycle under plan. A concurrent cycle's caller runs it in
+// the first pause, after freezing the staleness snapshot for SELECT and
+// PRUNE, then arms black allocation (Epoch) and the mutators' SATB barriers
+// and restarts the world before Mark.
+func (c *Collector) start(plan Plan, concurrent bool) *Cycle {
+	cy := &Cycle{c: c, plan: plan, concurrent: concurrent, began: time.Now()}
+	if c.obsTrace != nil {
+		cy.traceBase = c.obsTrace.Now()
+	}
+	c.epoch++
+	c.index++
+	cy.res = Result{Mode: plan.Mode, Epoch: c.epoch, Index: c.index, Concurrent: concurrent}
+	cy.tr = c.closure(plan, c.workers)
+	// A closure that runs beside mutators must CAS its barrier tags, and
+	// defers SELECT/PRUNE side effects to the remark.
+	cy.tr.concurrent = concurrent
+	cy.tr.deferOps = concurrent && plan.Mode != ModeNormal
+	return cy
+}
+
+// StartConcurrent begins a mostly-concurrent cycle (any mode); see Cycle.
+func (c *Collector) StartConcurrent(plan Plan) *Cycle { return c.start(plan, true) }
+
+// closure readies a tracer of the given width on the current epoch, its
+// roots claimed and dealt. Faults are injected into parallel tracers only:
+// the serial one is the degrade target.
+func (c *Collector) closure(plan Plan, workers int) *tracer {
+	tr := c.scratch.newTracer(c.heap, c.epoch, plan, workers)
+	if workers > 1 {
+		tr.inj = c.inj
+	}
+	tr.markRoots(c.roots)
+	tr.dealRoots()
+	return tr
+}
+
+// Epoch returns the cycle's mark epoch — after a degraded Remark, the
+// bumped re-run epoch. The VM stamps it into heap.SetAllocMarkEpoch so
+// objects allocated while the cycle is in flight are born black.
+func (cy *Cycle) Epoch() uint32 { return cy.res.Epoch }
+
+// Mode returns the cycle's plan mode.
+func (cy *Cycle) Mode() Mode { return cy.plan.Mode }
+
+// Mark drives the closure to termination or abort: inside the pause for an
+// STW cycle, under the watchdog deadline when one is set and the closure is
+// parallel; beside the mutators for a concurrent one (at GOMAXPROCS=1 its
+// workers interleave with them through the scheduler).
+//
+// For SELECT the stale closure runs here too. It marks and sizes each
+// candidate's subgraph — the bulk of a SELECT cycle's work on a leaking
+// heap, which a concurrent cycle must keep out of its pauses. Only sizes
+// are recorded: attribution waits until Remark knows which candidates
+// survived, so neither a demotion nor a degrade leaves phantom bytes.
+func (cy *Cycle) Mark() {
+	t := cy.tr
+	t0 := time.Now()
+	var timer *time.Timer
+	if !cy.concurrent && len(t.workers) > 1 && cy.c.watchdog > 0 {
+		timer = time.AfterFunc(cy.c.watchdog, func() { t.abort(abortWatchdog) })
+	}
+	t.process(cy.concurrent || len(t.workers) > 1)
+	if timer != nil {
+		timer.Stop()
+	}
+	cy.res.MarkDuration = time.Since(t0)
+	if cy.plan.Mode == ModeSelect && !t.aborted.Load() {
+		t0 = time.Now()
+		t.gatherCandidates()
+		t.staleClosure()
+		cy.res.StaleDuration = time.Since(t0)
+	}
+}
+
+// Remark finishes the mark with the world stopped. A concurrent cycle's
+// caller hands over every reference the SATB deletion barriers logged
+// (grays) and a degrade cause it detected itself ("satb-drop" on barrier
+// loss); an STW cycle has neither. An aborted closure, the caller's cause,
+// or a fault during the concurrent re-scan degrades the cycle; otherwise
+// the workers' buffers are merged. Then, for SELECT, every surviving
+// candidate's stale bytes are attributed in one serial pass.
+func (cy *Cycle) Remark(grays []heap.Ref, cause string) {
+	t0 := time.Now()
+	if cause == "" {
+		cause = cy.abortCause()
+	}
+	if cause == "" && cy.concurrent {
+		cause = cy.rescan(grays)
+	}
+	if cause != "" {
+		cy.degrade(cause)
+	} else {
+		cy.tr.merge()
+	}
+	if d := time.Since(t0); cy.concurrent || cause != "" {
+		cy.res.RemarkDuration = d
+	} else {
+		cy.res.MarkDuration += d // an undisturbed STW mark ends with its merge
+	}
+	if cy.plan.Mode == ModeSelect {
+		// Candidates Mark's stale closure did not size — every one after a
+		// degrade, else the few the concurrent re-scan found — were found
+		// with the world stopped: trace them here, serially, in order.
+		t0 = time.Now()
+		t := cy.tr
+		for i := len(t.staleBytesPer); i < len(t.candidates); i++ {
+			t.staleBytesPer = append(t.staleBytesPer, t.workers[0].traceStaleRoot(t.candidates[i].ref))
+		}
+		cy.res.StaleBytes = t.accountStale()
+		cy.res.StaleDuration += time.Since(t0)
+	}
+}
+
+// rescan is the concurrent remark proper. The closure is re-seeded from
+// the current roots (live by definition) and the grays — tri-color-wise
+// exactly the snapshot edges the mutators deleted — and driven to
+// termination on the same epoch, so the marked set covers everything
+// reachable at the snapshot plus everything born black. SELECT and PRUNE
+// then verify every decision the concurrent phase deferred. The pause
+// stays bounded: the closure is already complete, so it scans the grays,
+// the roots and the deferred-decision lists, never the heap. It returns a
+// degrade cause, or "".
+func (cy *Cycle) rescan(grays []heap.Ref) string {
+	if cy.plan.Mode != ModeNormal && cy.c.inj.Should(faultinject.SelectSnapshotDrift) {
+		// Injected unresolvable drift: a window whose frozen snapshot cannot
+		// be reconciled per edge (say the verification bookkeeping was
+		// lost). The only sound answer is to degrade.
+		return "snapshot-drift"
+	}
+	t := cy.tr
+	// The world is stopped: from here on the tracer applies SELECT/PRUNE
+	// decisions directly, as in an STW cycle.
+	t.deferOps = false
+	t.markRoots(cy.c.roots)
+	for _, r := range grays {
+		if !r.IsNull() && !r.IsPoisoned() {
+			t.markRoot(r.Untagged())
+		}
+	}
+	t.dealRoots()
+	t.process(true)
+	if cause := cy.abortCause(); cause != "" || cy.plan.Mode == ModeNormal {
+		return cause
+	}
+	cy.verifySnapshot()
+	return cy.abortCause()
+}
+
+// abortCause maps the tracer's abort to a degrade cause and counts it; ""
+// when the closure was not aborted.
+func (cy *Cycle) abortCause() string {
+	c := cy.c
+	switch cy.tr.abortWhy.Load() {
+	case abortPanic:
+		c.recoveredPanics.Add(1)
+		if msg := cy.tr.lastPanic.Load(); msg != nil {
+			c.lastPanicMsg.Store(msg)
+		}
+		return "worker-panic"
+	case abortWatchdog:
+		c.watchdogAborts.Add(1)
+		return "watchdog"
+	}
+	return ""
+}
+
+// degrade abandons the attempt and re-runs the closure on the serial
+// tracer, inside the remark's pause. Moving to a fresh epoch turns every
+// mark the attempt left — born-black allocations included — into history;
+// the re-run traces from the current roots under the same plan and, for
+// SELECT/PRUNE, the same frozen cut, so it yields the live set, candidates
+// and prune decisions of a fault-free STW cycle. References the attempt
+// already poisoned stay poisoned (the re-run would poison them too, and
+// skips poisoned slots), so their count carries over; a concurrent
+// cycle's unverified prune records poisoned nothing and are re-derived.
+func (cy *Cycle) degrade(cause string) {
+	c := cy.c
+	c.degradedTraces.Add(1)
+	cy.res.Degraded, cy.res.DegradeCause = true, cause
+	carried := cy.tr.prunedRefs
+	for i := range cy.tr.workers {
+		carried += cy.tr.workers[i].pruned
+	}
+	c.epoch++
+	cy.res.Epoch = c.epoch
+	cy.tr = c.closure(cy.plan, 1)
+	cy.tr.process(false)
+	cy.tr.merge()
+	cy.tr.prunedRefs += carried
+}
+
+// verifySnapshot re-validates, inside the remark pause, every decision the
+// concurrent phase took against the frozen staleness snapshot. A decision
+// survives if the recorded slot still holds the exact reference value the
+// tracer left there AND the policy predicate still holds for the target's
+// current stale counter (the maxStaleUse side reads the frozen cut, so only
+// mutator activity can change the outcome). Anything else is drift: the
+// mutator used or overwrote the edge in the window, so the edge is demoted
+// — dropped from candidacy (SELECT) or left unpoisoned (PRUNE) — and
+// SnapshotDrift counts it. Demotion is sound: a used or overwritten slot's
+// old target was re-marked via the SATB grays, the stale closure, or the
+// demote re-trace below, so the live set stays a superset of the truly
+// reachable set.
+func (cy *Cycle) verifySnapshot() {
+	t := cy.tr
+	switch cy.plan.Mode {
+	case ModeSelect:
+		kept := t.candidates[:0]
+		keptBytes := t.staleBytesPer[:0]
+		for i, cand := range t.candidates {
+			if src, ok := t.heap.Lookup(cand.srcID); ok && src.Ref(cand.slot) == cand.expect &&
+				t.plan.Candidate != nil && t.plan.Candidate(cand.src, cand.tgt, t.heap.Get(cand.ref).Stale()) {
+				kept = append(kept, cand)
+				keptBytes = append(keptBytes, t.staleBytesPer[i])
+				continue
+			}
+			// Demoted. The concurrent stale closure already marked the
+			// subgraph, so liveness needs nothing; the edge just stops
+			// contributing to the cost function.
+			cy.res.SnapshotDrift++
+		}
+		t.candidates, t.staleBytesPer = kept, keptBytes
+	case ModePrune:
+		for i := range t.workers {
+			w := &t.workers[i]
+			for _, rec := range w.pruneRecs {
+				src, ok := t.heap.Lookup(rec.srcID)
+				if ok && src.Ref(rec.slot) == rec.expect &&
+					t.plan.ShouldPrune != nil &&
+					t.plan.ShouldPrune(rec.src, rec.tgt, t.heap.Get(rec.expect).Stale()) {
+					// Verified: no mutator touched the edge in the window.
+					// Poison with the world stopped — byte-identical to an
+					// STW cycle's in-closure poisoning.
+					src.SetRef(rec.slot, rec.expect.Untagged().WithPoison())
+					t.prunedRefs++
+					if t.plan.OnPrune != nil {
+						t.plan.OnPrune(rec.srcID, rec.slot, rec.src, rec.tgt)
+					}
+					continue
+				}
+				// Demoted: the program used or overwrote the reference, so
+				// pruning it now would poison a live edge. The current slot
+				// value's target must be in the live set — its subgraph was
+				// left untraced when the decision was deferred.
+				cy.res.SnapshotDrift++
+				if ok {
+					if cur := src.Ref(rec.slot); !cur.IsNull() && !cur.IsPoisoned() {
+						t.markRoot(cur.Untagged())
+					}
+				}
+			}
+			w.pruneRecs = w.pruneRecs[:0]
+		}
+		if len(t.roots) > 0 {
+			// Trace the demoted targets' subgraphs to completion inside the
+			// pause; demotions are rare (one per mutator-touched edge), so
+			// this stays bounded.
+			t.dealRoots()
+			t.process(true)
+		}
+	}
+}
+
+// Sweep reclaims every object the cycle left unmarked. In a concurrent
+// cycle it runs beside the mutators: unmarked objects are unreachable (the
+// SATB argument above), probes and frees go through atomic liveness words
+// and the shard locks, and anything allocated meanwhile is born black under
+// the still-armed alloc-mark epoch, so the sweeper cannot touch it. OnFree
+// callbacks (finalizers) are replayed serially on the calling goroutine.
+func (cy *Cycle) Sweep() {
+	t0 := time.Now()
+	cy.sw = cy.c.sweep(cy.plan)
+	cy.res.SweepDuration = time.Since(t0)
+}
+
+// Finish assembles the Result and records it in the observability layer.
+// A concurrent cycle's caller runs it in the closing pause, then disarms
+// black allocation and publishes the Result.
+func (cy *Cycle) Finish() Result {
+	cy.res.Candidates = len(cy.tr.candidates)
+	cy.res.PrunedRefs = int(cy.tr.prunedRefs)
+	cy.res.BytesFreed = cy.sw.bytesFreed
+	cy.res.ObjectsFreed = cy.sw.objectsFreed
+	cy.res.BytesLive = cy.sw.bytesLive
+	cy.res.ObjectsLive = cy.sw.objectsLive
+	cy.res.MaxStale = cy.sw.maxStale
+	cy.res.Duration = time.Since(cy.began)
+	cy.c.observeCycle(cy.traceBase, &cy.res)
+	return cy.res
+}

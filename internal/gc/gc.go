@@ -1,13 +1,19 @@
-// Package gc implements the stop-the-world parallel tracing collector the
-// leak-pruning runtime piggybacks on. It is modelled on MMTk's parallel
-// mark-sweep (§5): trace workers keep local mark stacks and exchange
-// batches of work through per-worker Chase–Lev work-stealing deques (see
-// deque.go); objects are claimed with a compare-and-swap on their mark word
-// so no object is scanned twice. The closure starts on the calling
-// goroutine and adds a worker only when a batch is waiting for one (see
-// tracer), so a small heap is traced serially whatever the worker count.
-// The sweep scan is sharded over fixed ID ranges; the garbage each worker
-// finds is freed after the join, in ID order.
+// Package gc implements the parallel tracing collector the leak-pruning
+// runtime piggybacks on. It is modelled on MMTk's parallel mark-sweep (§5):
+// trace workers keep local mark stacks and exchange batches of work through
+// per-worker Chase–Lev work-stealing deques (see deque.go); objects are
+// claimed with a compare-and-swap on their mark word so no object is
+// scanned twice. The closure starts on the calling goroutine and adds a
+// worker only when a batch is waiting for one (see tracer), so a small heap
+// is traced serially whatever the worker count. The sweep scan is sharded
+// over fixed ID ranges; the garbage each worker finds is freed after the
+// join, in ID order.
+//
+// Every full-heap collection is one Cycle driven through the same phases
+// (start, Mark, Remark, Sweep, Finish). The stop-the-world form (Collect)
+// holds the world across all of them; the mostly-concurrent form
+// (StartConcurrent) restarts it around Mark and Sweep. Either form degrades
+// to the serial closure on a tracer fault.
 //
 // Leak pruning divides the regular transitive closure into the in-use
 // closure and the stale closure (§4.2) and, in the PRUNE state, poisons
@@ -130,12 +136,19 @@ type Result struct {
 	// MaxStale is the highest stale counter among live objects after aging.
 	MaxStale uint8
 
-	Duration      time.Duration
-	MarkDuration  time.Duration
-	StaleDuration time.Duration
-	SweepDuration time.Duration
-	// RemarkDuration is the final-remark pause's closure time (concurrent
-	// cycles only).
+	// The phase durations do not overlap. Duration is the whole cycle, from
+	// start to Finish; for a concurrent cycle it includes the time the world
+	// ran between the phases. MarkDuration is the Mark phase's closure.
+	// StaleDuration is the SELECT stale closure and its attribution.
+	// RemarkDuration is the Remark phase less its stale-closure work: a
+	// concurrent cycle's re-scan, verification and merge and, in either mark
+	// mode, a degraded cycle's serial re-run. It is 0 for an STW cycle that
+	// did not degrade, whose merge counts in MarkDuration. SweepDuration is
+	// the sweep.
+	Duration       time.Duration
+	MarkDuration   time.Duration
+	StaleDuration  time.Duration
+	SweepDuration  time.Duration
 	RemarkDuration time.Duration
 
 	// Concurrent reports that the cycle's closure ran mostly-concurrently
@@ -153,13 +166,13 @@ type Result struct {
 	// single-threaded runs (no mutator runs during the concurrent phase).
 	SnapshotDrift int
 
-	// Degraded reports that the parallel closure was abandoned (worker
-	// panic or watchdog deadline) and the collection completed via the
-	// serial fallback tracer. The live set is identical to a fault-free
-	// run; only the trace cost differs.
+	// Degraded reports that the closure was abandoned and the collection
+	// completed via the serial fallback tracer. The live set is identical
+	// to a fault-free run; only the trace cost differs.
 	Degraded bool
-	// DegradeCause names why ("worker-panic", "watchdog", or for concurrent
-	// cycles "satb-drop"); empty when not degraded.
+	// DegradeCause names why: "worker-panic" or "watchdog" in either mark
+	// mode, and for concurrent cycles also "satb-drop" or "snapshot-drift";
+	// empty when not degraded.
 	DegradeCause string
 }
 
@@ -201,7 +214,7 @@ type Collector struct {
 
 	// Observability handles (all nil when disabled; every method on them
 	// is nil-safe, so call sites stay unconditional). Phase spans reuse the
-	// durations Collect already measures — tracing adds no extra time.Now
+	// durations the cycle already measures — tracing adds no extra time.Now
 	// on the disabled path.
 	obsTrace  *obs.Tracer
 	mMark     *obs.Histogram
@@ -237,10 +250,11 @@ func (c *Collector) Epoch() uint32 { return c.epoch }
 // (worker panics, watchdog trips). The serial fallback is never injected.
 func (c *Collector) SetFaultInjector(inj *faultinject.Injector) { c.inj = inj }
 
-// SetWatchdog sets the stop-the-world deadline for parallel closures: if a
-// parallel trace has not terminated within d, it is aborted and the
-// collection re-runs with the serial tracer instead of hanging the world
-// (0 disables the deadline).
+// SetWatchdog sets the deadline for an STW cycle's parallel closure: if it
+// has not terminated within d, it is aborted and the collection re-runs
+// with the serial tracer instead of hanging the world (0 disables the
+// deadline). A concurrent cycle's closure runs outside the pause and has
+// no deadline.
 func (c *Collector) SetWatchdog(d time.Duration) { c.watchdog = d }
 
 // SetObs attaches the observability layer: per-phase duration histograms,
@@ -264,9 +278,10 @@ func (c *Collector) SetObs(o *obs.Obs) {
 
 // observeCycle records one finished collection into the metrics registry
 // and, when tracing, emits the phase spans. base is the tracer clock at
-// Collect entry (0 when tracing is off). Every call below is nil-safe, so
-// with observability disabled this reduces to a handful of nil checks on
-// the STW path.
+// cycle start (0 when tracing is off). Every call below is nil-safe, so
+// with observability disabled this reduces to a handful of nil checks. A
+// remark span is emitted for concurrent cycles and for degraded ones, whose
+// serial re-run it times.
 func (c *Collector) observeCycle(base int64, res *Result) {
 	if int(res.Mode) < len(c.cCycles) {
 		c.cCycles[res.Mode].Inc()
@@ -300,7 +315,7 @@ func (c *Collector) observeCycle(base int64, res *Result) {
 		tr.Emit(obs.Span("gc.prune", "gc", ts, mark, 0, gcArg, obs.A("pruned_refs", int64(res.PrunedRefs))))
 	}
 	ts += mark
-	if res.Concurrent {
+	if res.Concurrent || res.Degraded {
 		remark := res.RemarkDuration.Nanoseconds()
 		tr.Emit(obs.Span("gc.remark", "gc", ts, remark, 0, gcArg, obs.AS("degraded", fmt.Sprint(res.Degraded))))
 		ts += remark
@@ -339,105 +354,19 @@ func (c *Collector) LastTracePanic() string {
 	return ""
 }
 
-// runClosure performs one transitive closure attempt with the given
-// parallelism: roots are re-scanned (the world is stopped, so the root set
-// is stable across attempts), the closure runs to termination or abort, and
-// the tracer is returned along with its abort cause (abortNone on success).
-func (c *Collector) runClosure(plan Plan, workers int) (*tracer, uint32) {
-	tr := c.scratch.newTracer(c.heap, c.epoch, plan, workers)
-	if workers > 1 {
-		tr.inj = c.inj
-	}
-	c.roots.VisitRoots(func(r heap.Ref) {
-		if r.IsNull() {
-			return
-		}
-		tr.markRoot(r.Untagged())
-	})
-	var timer *time.Timer
-	if workers > 1 && c.watchdog > 0 {
-		timer = time.AfterFunc(c.watchdog, func() { tr.abort(abortWatchdog) })
-	}
-	tr.run()
-	if timer != nil {
-		timer.Stop()
-	}
-	return tr, tr.abortWhy.Load()
-}
-
-// Collect runs one stop-the-world collection cycle under the given plan.
+// Collect runs one stop-the-world collection cycle under the given plan:
+// the Cycle's phases back to back, with the world held across all of them.
 // The caller must have stopped all mutator threads: under the VM's
 // safepoint protocol, by completing the ragged barrier (every registered
-// thread observed at a safepoint with the stop flag raised).
-//
-// Collect never lets a parallel-tracer fault escape: a worker panic or a
-// watchdog-aborted closure is recovered, the partial marks are invalidated
-// by moving to a fresh epoch, and the closure transparently re-runs with
-// the serial tracer. The resulting live set is byte-identical to a
-// fault-free run; Result.Degraded records that the fallback was taken.
+// thread observed at a safepoint with the stop flag raised). A tracer fault
+// never escapes: the cycle degrades to the serial closure (Cycle.Remark),
+// whose live set is byte-identical to a fault-free run.
 func (c *Collector) Collect(plan Plan) Result {
-	start := time.Now()
-	var traceBase int64
-	if c.obsTrace != nil {
-		traceBase = c.obsTrace.Now()
-	}
-	c.epoch++
-	c.index++
-	res := Result{Mode: plan.Mode, Epoch: c.epoch, Index: c.index}
-
-	// Phase 1: the (in-use) transitive closure from the roots.
-	markStart := time.Now()
-	tr, cause := c.runClosure(plan, c.workers)
-	if cause != abortNone {
-		c.degradedTraces.Add(1)
-		switch cause {
-		case abortPanic:
-			c.recoveredPanics.Add(1)
-			if msg := tr.lastPanic.Load(); msg != nil {
-				c.lastPanicMsg.Store(msg)
-			}
-			res.DegradeCause = "worker-panic"
-		case abortWatchdog:
-			c.watchdogAborts.Add(1)
-			res.DegradeCause = "watchdog"
-		}
-		res.Degraded = true
-		// Invalidate the aborted closure's partial marks: epochs only move
-		// forward, so bumping the epoch makes them unreachable history.
-		// References the aborted closure already poisoned stay poisoned —
-		// the policy would have poisoned them anyway and the re-run skips
-		// them — so their count is carried over.
-		carriedPruned := tr.prunedRefs
-		c.epoch++
-		res.Epoch = c.epoch
-		tr, _ = c.runClosure(plan, 1)
-		tr.prunedRefs += carriedPruned
-	}
-	res.MarkDuration = time.Since(markStart)
-
-	// Phase 2 (SELECT only): the stale closure from the candidate queue.
-	if plan.Mode == ModeSelect && len(tr.candidates) > 0 {
-		staleStart := time.Now()
-		tr.staleClosure()
-		res.StaleBytes = tr.accountStale()
-		res.StaleDuration = time.Since(staleStart)
-	}
-	res.Candidates = len(tr.candidates)
-	res.PrunedRefs = int(tr.prunedRefs)
-
-	// Phase 3: sweep, staleness aging, and accounting.
-	sweepStart := time.Now()
-	sw := c.sweep(plan)
-	res.SweepDuration = time.Since(sweepStart)
-	res.BytesFreed = sw.bytesFreed
-	res.ObjectsFreed = sw.objectsFreed
-	res.BytesLive = sw.bytesLive
-	res.ObjectsLive = sw.objectsLive
-	res.MaxStale = sw.maxStale
-
-	res.Duration = time.Since(start)
-	c.observeCycle(traceBase, &res)
-	return res
+	cy := c.start(plan, false)
+	cy.Mark()
+	cy.Remark(nil, "")
+	cy.Sweep()
+	return cy.Finish()
 }
 
 type sweepResult struct {

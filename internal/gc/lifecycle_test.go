@@ -164,16 +164,16 @@ func TestTerminationStress(t *testing.T) {
 				// Concurrent SELECT: a second hourglass, unreachable from the
 				// roots, arrives as one SATB gray at the remark, so the second
 				// process call has a hub of its own to spill.
-				cm := col.StartConcurrent(selectPlan)
-				cm.RunMark()
+				cy := col.StartConcurrent(selectPlan)
+				cy.Mark()
 				before := col.scratch.launches
 				gray := buildHourglass(t, th)
-				cm.FinishMark([]heap.Ref{gray.root}, "")
+				cy.Remark([]heap.Ref{gray.root}, "")
 				if col.scratch.launches == before {
 					t.Fatalf("round %d: the remark's closure over a spilling gray launched no helper", i)
 				}
-				cm.Sweep()
-				res := cm.Finish()
+				cy.Sweep()
+				res := cy.Finish()
 				if res.Degraded || res.Candidates != 2*hgFan {
 					t.Fatalf("round %d concurrent select: %+v", i, res)
 				}
@@ -198,7 +198,15 @@ func TestTerminationStress(t *testing.T) {
 // must wake the parked helpers, join every one, and hand a correct live set
 // to the serial re-run. The first three are raised from the scan of the
 // tail chain after every other launched worker has parked.
-func TestAbortWhileParked(t *testing.T) {
+func TestAbortWhileParked(t *testing.T) { abortWhileParked(t, false) }
+
+// TestAbortWhileParkedConcurrent raises the same aborts inside a concurrent
+// cycle's Mark, driven through start(plan, true) and the phases — all but
+// the real timer, which guards STW closures only. Each must degrade with
+// the cause, counters and live set an STW cycle gets.
+func TestAbortWhileParkedConcurrent(t *testing.T) { abortWhileParked(t, true) }
+
+func abortWhileParked(t *testing.T, concurrent bool) {
 	cycles := 1000
 	if testing.Short() {
 		cycles = 200
@@ -236,6 +244,7 @@ func TestAbortWhileParked(t *testing.T) {
 	arm := func(f func(tr *tracer)) { onTail.Store(&f) }
 
 	before := runtime.NumGoroutine()
+	var watchdogs, panics uint64
 	for i := 0; i < cycles; i++ {
 		want := ""
 		col.SetWatchdog(0)
@@ -246,6 +255,9 @@ func TestAbortWhileParked(t *testing.T) {
 			want = "watchdog"
 			arm(func(*tracer) { inj.Arm(faultinject.TraceWatchdogTrip, 1) })
 		case 2:
+			if concurrent {
+				continue
+			}
 			want = "watchdog"
 			col.SetWatchdog(time.Millisecond)
 			arm(func(tr *tracer) {
@@ -260,7 +272,16 @@ func TestAbortWhileParked(t *testing.T) {
 			want = "worker-panic"
 			inj.Arm(faultinject.TraceWorkerPanic, 1) // fires in the first scan: worker 0, no helper yet
 		}
-		res := col.Collect(plan)
+		var res Result
+		if concurrent {
+			cy := col.start(plan, true)
+			cy.Mark()
+			cy.Remark(nil, "")
+			cy.Sweep()
+			res = cy.Finish()
+		} else {
+			res = col.Collect(plan)
+		}
 		inj.Arm(faultinject.TraceWatchdogTrip, 0)
 		inj.Arm(faultinject.TraceWorkerPanic, 0)
 		if res.DegradeCause != want || res.Degraded != (want != "") {
@@ -269,9 +290,19 @@ func TestAbortWhileParked(t *testing.T) {
 		if res.ObjectsLive != hg.objects || res.ObjectsFreed != 0 {
 			t.Fatalf("cycle %d (%s): live %d freed %d, want %d and 0", i, want, res.ObjectsLive, res.ObjectsFreed, hg.objects)
 		}
+		switch want {
+		case "watchdog":
+			watchdogs++
+		case "worker-panic":
+			panics++
+		}
 	}
 	if want := cycles / 5 * 2; parkedAborts < want {
 		t.Fatalf("%d aborts were raised with every other worker parked, want at least %d", parkedAborts, want)
+	}
+	if col.WatchdogAborts() != watchdogs || col.RecoveredPanics() != panics || col.DegradedTraces() != watchdogs+panics {
+		t.Fatalf("counted %d watchdog aborts, %d panics, %d degraded; want %d, %d, %d",
+			col.WatchdogAborts(), col.RecoveredPanics(), col.DegradedTraces(), watchdogs, panics, watchdogs+panics)
 	}
 	// Every helper is joined before Collect returns; only a watchdog timer's
 	// own goroutine may still be on its way out.

@@ -39,8 +39,8 @@ type pruneRec struct {
 }
 
 // staleEdge is one buffered StaleEdge observation: workers record these
-// locally during the in-use closure and the tracer replays them serially
-// after run(), so the callback needs no locking.
+// locally during the in-use closure and merge replays them serially, so
+// the callback needs no locking.
 type staleEdge struct {
 	src, tgt heap.ClassID
 	stale    uint8
@@ -64,8 +64,8 @@ const (
 	// abortPanic: a trace worker panicked (injected or real) and was
 	// recovered at its goroutine boundary.
 	abortPanic
-	// abortWatchdog: the STW watchdog deadline fired (or was injected)
-	// before the parallel closure terminated.
+	// abortWatchdog: the STW watchdog deadline fired before the parallel
+	// closure terminated, or a trip was injected (in either mark mode).
 	abortWatchdog
 )
 
@@ -132,7 +132,7 @@ type tracer struct {
 	// injected).
 	inj *faultinject.Injector
 
-	prunedRefs int64 // merged after run() from the per-worker counts
+	prunedRefs int64 // merged from the per-worker counts
 }
 
 // traceScratch is the tracer's memory, owned by the Collector and reused
@@ -218,7 +218,8 @@ func (t *tracer) recordPanic(v any) {
 // markRoot claims a root-referenced object and queues it for tracing. Roots
 // are never pruning candidates: candidates are heap edges keyed by their
 // source class, and roots have none (§3.1's example shows candidates only
-// on object-to-object references). markRoot runs serially before run().
+// on object-to-object references). markRoot runs serially, between
+// closures.
 func (t *tracer) markRoot(r heap.Ref) {
 	obj := t.heap.Get(r)
 	if !obj.TryMark(t.epoch) {
@@ -227,14 +228,13 @@ func (t *tracer) markRoot(r heap.Ref) {
 	t.roots = append(t.roots, r.ID())
 }
 
-// run is the one-shot STW closure: deal the claimed roots, process to
-// exhaustion, merge the worker buffers. The concurrent driver calls the
-// three phases separately so it can re-seed and re-process at the final
-// remark before merging once.
-func (t *tracer) run() {
-	t.dealRoots()
-	t.process(len(t.workers) > 1)
-	t.merge()
+// markRoots claims every non-null root the visitor reports.
+func (t *tracer) markRoots(rv RootVisitor) {
+	rv.VisitRoots(func(r heap.Ref) {
+		if !r.IsNull() {
+			t.markRoot(r.Untagged())
+		}
+	})
 }
 
 // dealRoots queues the accumulated root IDs on worker 0's deque in batches
@@ -546,10 +546,10 @@ func (w *traceWorker) scan(id heap.ObjectID) {
 }
 
 // gatherCandidates moves the per-worker candidate buffers into
-// t.candidates without touching the other merge() work. The concurrent
-// SELECT driver calls it between the in-use closure and the concurrent
-// stale closure (which indexes t.candidates); the buffers are cleared so
-// the eventual merge() appends only remark-discovered candidates.
+// t.candidates without touching the other merge() work. A SELECT cycle's
+// Mark calls it between the in-use closure and the stale closure (which
+// indexes t.candidates); the buffers are cleared so the eventual merge()
+// appends only remark-discovered candidates.
 func (t *tracer) gatherCandidates() {
 	for i := range t.workers {
 		w := &t.workers[i]

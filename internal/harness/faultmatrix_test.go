@@ -88,6 +88,13 @@ func scenarios() []scenario {
 		// run must still match the control bit-for-bit.
 		{name: "concurrent-remark-stall", workers: 2, markMode: "concurrent", equivalent: true,
 			arms: map[faultinject.Point]float64{faultinject.RemarkStall: 0.5}},
+		// Tracer faults inside the concurrent closure: the remark degrades
+		// to the serial closure exactly as an STW cycle does, with the same
+		// cause and counters.
+		{name: "concurrent-trace-panic", workers: 2, markMode: "concurrent", equivalent: true,
+			arms: map[faultinject.Point]float64{faultinject.TraceWorkerPanic: 0.05}},
+		{name: "concurrent-watchdog-trip", workers: 2, markMode: "concurrent", equivalent: true,
+			arms: map[faultinject.Point]float64{faultinject.TraceWatchdogTrip: 0.05}},
 		// Concurrent SELECT/PRUNE against the frozen staleness snapshot:
 		// every cycle mode runs mostly-concurrently, with the PRUNE
 		// final-remark stall fault armed on every draw (semantics-free
@@ -238,6 +245,12 @@ func runOne(t *testing.T, s scenario, workload string, seed uint64,
 	}
 	if res.VMStats.AuditViolations > 0 {
 		t.Errorf("seed %d: %d audit violations, last audit: %v", seed, res.VMStats.AuditViolations, res.AuditReport)
+	}
+	if st := res.VMStats; len(s.arms) == 1 && s.arms[faultinject.TraceWatchdogTrip] > 0 &&
+		(st.DegradedTraces == 0 || st.WatchdogAborts != st.DegradedTraces) {
+		// Only the trip is armed, so every degraded cycle is a watchdog abort.
+		t.Errorf("seed %d: %d watchdog aborts over %d degraded traces, want equal and > 0",
+			seed, st.WatchdogAborts, st.DegradedTraces)
 	}
 
 	if s.equivalent {

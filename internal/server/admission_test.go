@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -11,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"leakpruning/internal/offload"
 	"leakpruning/internal/workload"
 )
 
@@ -362,5 +364,94 @@ func TestSessionRestartOnOOM(t *testing.T) {
 	// The fresh session serves normally.
 	if _, err := s.RunRequest("leaky", 1); err != nil {
 		t.Fatalf("request after restart: %v", err)
+	}
+}
+
+// postJSON sends body to the daemon's handler and returns the status and
+// the decoded JSON response.
+func postJSON(t *testing.T, h http.Handler, path, body string) (int, map[string]any) {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+	var out map[string]any
+	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+		t.Fatalf("POST %s: %d with a non-JSON body %q", path, rec.Code, rec.Body)
+	}
+	return rec.Code, out
+}
+
+// TestConfigBodies: both TenantConfig routes take exactly one JSON object
+// with known keys under a size cap. Each malformed body is a 4xx with an
+// error body — never a 5xx — and changes nothing; a valid one still lands.
+func TestConfigBodies(t *testing.T) {
+	s := mustServer(t, testConfig())
+	h := s.Handler()
+	oversized := `{"name":"a","workload":"` + strings.Repeat("x", maxBodyBytes) + `"}`
+	for _, route := range []struct {
+		path, valid string
+		ok          int
+	}{
+		{"/tenants", `{"name":"a","workload":"listleak","policy":"default","heap_limit":262144}`, http.StatusCreated},
+		{"/tenants/a/config", `{"nearly_full_fraction":0.8}`, http.StatusOK},
+	} {
+		for _, row := range []struct {
+			name, body string
+			want       int
+		}{
+			// A misspelt policy key used to admit a tenant with pruning off.
+			{"unknown key", `{"name":"a","workload":"listleak","heap_limit":262144,"polcy":"default"}`, http.StatusBadRequest},
+			{"trailing object", route.valid + `{}`, http.StatusBadRequest},
+			{"oversized", oversized, http.StatusRequestEntityTooLarge},
+			{"wrong type", `{"heap_limit":"big"}`, http.StatusBadRequest},
+			{"valid", route.valid, route.ok},
+		} {
+			code, out := postJSON(t, h, route.path, row.body)
+			if code != row.want {
+				t.Fatalf("POST %s %s: %d %v, want %d", route.path, row.name, code, out, row.want)
+			}
+			if msg, _ := out["error"].(string); (row.want >= 400) != (msg != "") {
+				t.Fatalf("POST %s %s: %d with body %v", route.path, row.name, code, out)
+			}
+		}
+	}
+	tenants := s.Tenants()
+	if len(tenants) != 1 {
+		t.Fatalf("%d tenants hosted, want the one valid admission", len(tenants))
+	}
+	if tc := s.tenant("a").Config(); tc.Policy != "default" || tc.NearlyFullFraction != 0.8 {
+		t.Fatalf("tenant config %+v, want policy default and nearly-full 0.8", tc)
+	}
+}
+
+// TestMeltTenantAdmission: the disk-offload baseline is admitted with a disk
+// of offload.DefaultDiskFactor times its heap and serves requests;
+// concurrent marking with it is an invalid config, and a body naming a
+// tenant setting that does not exist is rejected rather than ignored.
+func TestMeltTenantAdmission(t *testing.T) {
+	s := mustServer(t, testConfig())
+	h := s.Handler()
+	for _, row := range []struct {
+		name, body string
+		want       int
+	}{
+		{"melt", `{"name":"m","workload":"listleak","policy":"melt","heap_limit":262144}`, http.StatusCreated},
+		{"melt concurrent", `{"name":"mc","workload":"listleak","policy":"melt","heap_limit":262144,"mark_mode":"concurrent"}`,
+			http.StatusBadRequest},
+		{"gc_workers", `{"name":"g","workload":"listleak","policy":"default","heap_limit":262144,"gc_workers":2}`,
+			http.StatusBadRequest},
+	} {
+		if code, out := postJSON(t, h, "/tenants", row.body); code != row.want {
+			t.Fatalf("admit %s: %d %v, want %d", row.name, code, out, row.want)
+		}
+	}
+	if code, out := postJSON(t, h, "/tenants/m/run?iters=20", ""); code != http.StatusOK || out["error"] != nil {
+		t.Fatalf("melt request: %d %v", code, out)
+	}
+	opts, err := s.tenant("m").Config().vmOptions(nil)
+	if err != nil || opts.OffloadDisk != offload.DefaultDiskFactor*262144 || opts.GCWorkers != 1 {
+		t.Fatalf("melt tenant options: disk %d, %d GC workers (%v)", opts.OffloadDisk, opts.GCWorkers, err)
+	}
+	if n := len(s.Tenants()); n != 1 {
+		t.Fatalf("%d tenants hosted, want only the melt one", n)
 	}
 }

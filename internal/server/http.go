@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"strconv"
 
@@ -53,8 +54,7 @@ func (s *Server) Handler() http.Handler {
 	})
 	mux.HandleFunc("POST /tenants", func(w http.ResponseWriter, r *http.Request) {
 		var tc TenantConfig
-		if err := json.NewDecoder(r.Body).Decode(&tc); err != nil {
-			writeError(w, http.StatusBadRequest, err)
+		if !decodeBody(w, r, &tc) {
 			return
 		}
 		t, err := s.Admit(tc)
@@ -113,8 +113,7 @@ func (s *Server) Handler() http.Handler {
 	})
 	mux.HandleFunc("POST /tenants/{name}/config", func(w http.ResponseWriter, r *http.Request) {
 		var tc TenantConfig
-		if err := json.NewDecoder(r.Body).Decode(&tc); err != nil {
-			writeError(w, http.StatusBadRequest, err)
+		if !decodeBody(w, r, &tc) {
 			return
 		}
 		name := r.PathValue("name")
@@ -130,6 +129,33 @@ func (s *Server) Handler() http.Handler {
 		writeJSON(w, http.StatusOK, t.status())
 	})
 	return mux
+}
+
+// maxBodyBytes caps a TenantConfig request body, which is a few hundred
+// bytes in practice.
+const maxBodyBytes = 64 << 10
+
+// decodeBody decodes a request body that must be exactly one JSON object
+// with known keys, at most maxBodyBytes long: a misspelt key would
+// otherwise be dropped silently (a "polcy" admits a tenant with pruning
+// off). On failure it writes the 400 — 413 past the cap — and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	if err == nil {
+		if err = dec.Decode(&json.RawMessage{}); err == io.EOF {
+			return true
+		} else if err == nil {
+			err = errors.New("request body holds more than one JSON value")
+		}
+	}
+	status := http.StatusBadRequest
+	if errors.As(err, new(*http.MaxBytesError)) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeError(w, status, err)
+	return false
 }
 
 // statusFor maps the package's typed errors onto HTTP statuses.

@@ -428,7 +428,6 @@ func (s *Server) UpdateTenant(name string, tc TenantConfig) error {
 
 	sameSession := tc.Workload == old.Workload && tc.Policy == old.Policy &&
 		tc.HeapLimit == old.HeapLimit && tc.MarkMode == old.MarkMode &&
-		tc.GCWorkers == old.GCWorkers && tc.DiskLimit == old.DiskLimit &&
 		tc.AuditEveryGC == old.AuditEveryGC &&
 		tc.Pipeline == old.Pipeline && tc.Workers == old.Workers &&
 		tc.QueueDepth == old.QueueDepth

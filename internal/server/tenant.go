@@ -11,6 +11,7 @@ import (
 	"leakpruning/internal/faultinject"
 	"leakpruning/internal/heap"
 	"leakpruning/internal/obs"
+	"leakpruning/internal/offload"
 	"leakpruning/internal/vm"
 	"leakpruning/internal/workload"
 )
@@ -65,15 +66,9 @@ type TenantConfig struct {
 	HeapLimit uint64 `json:"heap_limit"`
 	// MarkMode is "" or "stw" (default), or "concurrent".
 	MarkMode string `json:"mark_mode,omitempty"`
-	// GCWorkers sets tracer parallelism (0 = 1: tenants are many, cores are
-	// few, and single-worker tracing keeps per-tenant behavior
-	// deterministic for the isolation proofs).
-	GCWorkers int `json:"gc_workers,omitempty"`
 	// NearlyFullFraction seeds the tenant's OBSERVE → SELECT threshold
 	// (0 = the paper's 0.9). The budget ladder may tighten it at runtime.
 	NearlyFullFraction float64 `json:"nearly_full_fraction,omitempty"`
-	// DiskLimit sizes the melt policy's simulated disk (0 = 2x heap).
-	DiskLimit uint64 `json:"disk_limit,omitempty"`
 	// AuditEveryGC is the one "verify this tenant" switch: it arms the
 	// heap invariant audit inside every collection and fingerprints the
 	// live set after each one (CycleHashes, live_hash_cycles). Both walk
@@ -107,27 +102,23 @@ type TenantConfig struct {
 // vmOptions translates the tenant config into vm.Options. The result is
 // validated with vm.ValidateOptions before any VM is constructed, so a bad
 // rolling update is rejected with a typed error instead of panicking the
-// daemon mid-swap.
+// daemon mid-swap. Tenant VMs trace with one worker: tenants are many,
+// cores are few, and a tenant's heap is far below the size where a closure
+// spills to a second one.
 func (tc TenantConfig) vmOptions(o *obs.Obs) (vm.Options, error) {
 	opts := vm.Options{
 		HeapLimit:          tc.HeapLimit,
 		EnableBarriers:     true,
-		GCWorkers:          tc.GCWorkers,
+		GCWorkers:          1,
 		NearlyFullFraction: tc.NearlyFullFraction,
 		FaultInjector:      tc.VMInjector,
 		AuditEveryGC:       tc.AuditEveryGC,
 		HashLiveSet:        tc.AuditEveryGC,
 		Obs:                o,
 	}
-	if opts.GCWorkers == 0 {
-		opts.GCWorkers = 1
-	}
 	switch tc.Policy {
 	case "melt":
-		opts.OffloadDisk = tc.DiskLimit
-		if opts.OffloadDisk == 0 {
-			opts.OffloadDisk = 2 * tc.HeapLimit
-		}
+		opts.OffloadDisk = offload.DefaultDiskFactor * tc.HeapLimit
 	case "", "off", "base", "none":
 		// No pruning: barriers stay on so staleness metrics exist, but the
 		// tenant relies on plain collection (and session restarts at OOM).

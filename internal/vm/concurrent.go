@@ -10,29 +10,28 @@ import (
 // collectConcurrent runs one full collection cycle in mostly-concurrent
 // mark mode (Options.MarkMode == MarkConcurrent). Caller holds cycleMu.
 //
-// Every cycle mode is split into three short pauses with the expensive
-// phases running while mutators execute:
+// It drives the same gc.Cycle phases an STW collection (gc.Collect) runs
+// back to back in one pause, but restarts the world around Mark and Sweep:
 //
 //	pause 1  plan the cycle — for SELECT/PRUNE this freezes the edge
 //	         table's staleness snapshot (core.Controller.PlanCycle) —
-//	         snapshot roots (gc.StartConcurrent), arm black allocation and
-//	         the SATB deletion barriers
-//	         ... concurrent mark (gc.RunMark; SELECT also runs the stale
-//	         closure here) ...
-//	pause 2  drain the SATB buffers, final remark (gc.FinishMark): finish
-//	         the closure, verify deferred SELECT/PRUNE decisions against
-//	         the frozen snapshot (drifted edges are demoted per-edge) —
-//	         or degrade to a fresh fully-STW closure on any fault
-//	         ... concurrent sweep (gc.Sweep) ...
-//	pause 3  settle the allocation contexts, triggers, controller
+//	         start it (gc.StartConcurrent: claim the roots), arm black
+//	         allocation and the SATB deletion barriers
+//	         ... Mark (SELECT also sizes its stale closure here) ...
+//	pause 2  drain the SATB buffers, Remark: finish the closure, verify
+//	         deferred SELECT/PRUNE decisions against the frozen snapshot
+//	         (drifted edges are demoted per edge) — or degrade to the
+//	         serial closure on any fault
+//	         ... Sweep ...
+//	pause 3  Finish, settle the allocation contexts, triggers, controller
 //	         transition (SELECT scoring, PRUNE bookkeeping), OnGC
 //
-// Exhaustion-driven collections (allocSlow) still take the one-pause STW
-// path in both mark modes: they run because the heap is full, so there is
-// no mutator progress to protect.
+// Exhaustion-driven collections (allocSlow) take the one-pause STW form in
+// both mark modes: they run because the heap is full, so there is no
+// mutator progress to protect.
 func (v *VM) collectConcurrent() gc.Result {
 	var (
-		cm     *gc.ConcurrentMark
+		cy     *gc.Cycle
 		pause1 time.Duration
 	)
 	// Pause 1 — snapshot. Each pause body holds the world via its own defer
@@ -42,11 +41,11 @@ func (v *VM) collectConcurrent() gc.Result {
 		v.stopTheWorld()
 		defer v.startTheWorld()
 		plan := v.preparePlan()
-		cm = v.collector.StartConcurrent(plan)
+		cy = v.collector.StartConcurrent(plan)
 		// Everything allocated from here to the end of the cycle is born
 		// black on the cycle's epoch, so neither the marker nor the sweeper
 		// ever needs to see it.
-		v.heap.SetAllocMarkEpoch(cm.Epoch())
+		v.heap.SetAllocMarkEpoch(cy.Epoch())
 		v.armSATB()
 		v.gcActive.Store(true)
 		pause1 = time.Since(t0)
@@ -56,14 +55,13 @@ func (v *VM) collectConcurrent() gc.Result {
 	// GOMAXPROCS=1 its workers interleave with mutators through the Go
 	// scheduler. Mutators may allocate (born black) and overwrite references
 	// (logged by the SATB barrier) freely.
-	cm.RunMark()
+	cy.Mark()
 
 	// Pause 2 — final remark: hand the marker everything the deletion
-	// barriers logged plus a fresh root snapshot, and drive the closure to
-	// termination. Any fault — a detected barrier drop, a worker panic, an
-	// abort — makes FinishMark bump the epoch and re-run the whole closure
-	// serially under this pause: exactly the STW oracle, just inside a
-	// longer pause.
+	// barriers logged, and let it re-scan the roots and finish the closure.
+	// Any fault — a detected barrier drop, a worker panic, an abort — makes
+	// Remark bump the epoch and re-run the whole closure serially under this
+	// pause: exactly an STW cycle, just inside a longer pause.
 	pause2 := func() time.Duration {
 		t0 := time.Now()
 		v.stopTheWorld()
@@ -73,19 +71,19 @@ func (v *VM) collectConcurrent() gc.Result {
 		if v.satbDropped.Load() {
 			cause = "satb-drop"
 		}
-		cm.FinishMark(grays, cause)
-		// Re-arm black allocation on the cycle's epoch — FinishMark may have
+		cy.Remark(grays, cause)
+		// Re-arm black allocation on the cycle's epoch — Remark may have
 		// bumped it while degrading, which invalidated every earlier mark
 		// including the born-black ones. Objects allocated during the
 		// concurrent sweep below must be born black on the final epoch so
 		// the sweeper cannot free them.
-		v.heap.SetAllocMarkEpoch(cm.Epoch())
+		v.heap.SetAllocMarkEpoch(cy.Epoch())
 		if v.inj.Should(faultinject.RemarkStall) {
 			// A remark that is slow to finish: stretches this pause without
 			// changing any observable result.
 			safepointStall()
 		}
-		if cm.Mode() == gc.ModePrune && v.inj.Should(faultinject.PruneRemarkStall) {
+		if cy.Mode() == gc.ModePrune && v.inj.Should(faultinject.PruneRemarkStall) {
 			// A slow deferred-poisoning verification pass: stretches the
 			// PRUNE final pause without changing any observable result.
 			safepointStall()
@@ -96,7 +94,7 @@ func (v *VM) collectConcurrent() gc.Result {
 	// Concurrent sweep: unmarked objects are unreachable (the SATB
 	// argument), so reclaiming them under the shard locks is invisible to
 	// mutators. Finalizers run here, outside any pause.
-	cm.Sweep()
+	cy.Sweep()
 
 	// Pause 3 — close out the cycle.
 	t0 := time.Now()
@@ -107,6 +105,6 @@ func (v *VM) collectConcurrent() gc.Result {
 	v.flushRuns()
 	v.heap.SetAllocMarkEpoch(0)
 	v.gcActive.Store(false)
-	res := cm.Finish()
+	res := cy.Finish()
 	return v.finishCollect(res, []time.Duration{pause1, pause2}, t0)
 }
