@@ -100,14 +100,21 @@ bench-test:
 # One iteration of each go-test phase, mutator, allocation-path,
 # live-set-hash and thread-lifecycle benchmark plus a small barrier-elision
 # run — a fast compile-and-run sanity check. It starts by asking the
-# compiler whether the three helpers every mutator op is built from still
-# inline (beginOp sits two nodes under the budget; a CALL each would be paid
-# per Load). Here and not in `make check`: another toolchain's inliner may
-# count differently, and that must not turn tier-1 red.
+# compiler whether the helpers paid once per mutator op or traced edge
+# still inline: the three every mutator op is built from (beginOp sits two
+# nodes under the budget), the chunk-cached lookup behind every Load and
+# every traced edge (GetCached, three under), and the tracer's mark claim;
+# a CALL each would be paid per Load or per edge. Here and not in `make
+# check`: another toolchain's inliner may count differently, and that must
+# not turn tier-1 red.
 bench-smoke:
 	@out=$$($(GO) build -gcflags=-m ./internal/vm 2>&1); for f in beginOp endOp root; do \
 		echo "$$out" | grep -q "can inline (\*Thread)\.$$f$$" || \
 			{ echo "internal/vm: (*Thread).$$f does not inline any more"; exit 1; }; done
+	@$(GO) build -gcflags=-m ./internal/heap 2>&1 | grep -q "can inline (\*Heap)\.GetCached$$" || \
+		{ echo "internal/heap: (*Heap).GetCached does not inline any more"; exit 1; }
+	@$(GO) build -gcflags=-m ./internal/gc 2>&1 | grep -q "can inline (\*traceWorker)\.claim$$" || \
+		{ echo "internal/gc: (*traceWorker).claim does not inline any more"; exit 1; }
 	$(GO) test -run='^$$' -bench='Benchmark(Mark|Sweep|Alloc)Parallel' -benchtime=1x .
 	$(GO) test -run='^$$' -bench='Benchmark(MutatorOps|NewParallel|RequestShapedAlloc|LiveSetHash|RunThreadObs)' -benchtime=1x -benchmem ./internal/vm
 	$(LP) elision -methods 4 -ops 120 -reps 2 -o /dev/null

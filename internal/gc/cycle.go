@@ -165,6 +165,7 @@ func (cy *Cycle) Remark(grays []heap.Ref, cause string) {
 		// with the world stopped: trace them here, serially, in order.
 		t0 = time.Now()
 		t := cy.tr
+		t.workers[0].alone = true // every helper has been joined
 		for i := len(t.staleBytesPer); i < len(t.candidates); i++ {
 			t.staleBytesPer = append(t.staleBytesPer, t.workers[0].traceStaleRoot(t.candidates[i].ref))
 		}

@@ -3,11 +3,12 @@
 // trace workers keep local mark stacks and exchange batches of work through
 // per-worker Chase–Lev work-stealing deques (see deque.go); objects are
 // claimed with a compare-and-swap on their mark word so no object is
-// scanned twice. The closure starts on the calling goroutine and adds a
-// worker only when a batch is waiting for one (see tracer), so a small heap
-// is traced serially whatever the worker count. The sweep scan is sharded
-// over fixed ID ranges; the garbage each worker finds is freed after the
-// join, in ID order.
+// scanned twice, or with a plain store while one worker traces alone. The
+// closure starts on the calling goroutine and adds a worker only when a
+// batch is waiting for one (see tracer), so a small heap is traced serially
+// whatever the worker count. The sweep scan is sharded over fixed ID
+// ranges, a chunk at a time; the garbage every worker finds is freed after
+// the join in one batch, in ID order.
 //
 // Every full-heap collection is one Cycle driven through the same phases
 // (start, Mark, Remark, Sweep, Finish). The stop-the-world form (Collect)
@@ -210,6 +211,7 @@ type Collector struct {
 	// memory, kept across cycles so a steady-state cycle allocates next to
 	// nothing. One full cycle runs at a time (the VM's cycle lock).
 	sweepers []sweepWorker
+	dead     []heap.ObjectID // the sweepers' dead lists, joined for FreeBatch
 	scratch  traceScratch
 
 	// Observability handles (all nil when disabled; every method on them
@@ -395,10 +397,11 @@ type freeRec struct {
 
 // sweep reclaims every unmarked object and ages live objects' stale
 // counters when the plan asks for it. The scan is sharded across the
-// tracer's workers over fixed ID ranges; each worker only collects its dead
-// IDs. Freeing happens after the join, in worker order, so every shard's
-// free list receives IDs in ascending order at any worker count and any
-// schedule: which ID the next allocation recycles never depends on
+// tracer's workers over fixed ID ranges, worker 0 on the caller; each walks
+// its range chunk by chunk (heap.Entries) and only collects its dead IDs.
+// After the join they are freed in one FreeBatch, in worker order, so every
+// shard's free list receives IDs in ascending order at any worker count and
+// any schedule: which ID the next allocation recycles never depends on
 // GCWorkers. The finalizer hook also runs serially, on identities captured
 // during the scan, so finalizers never observe concurrency.
 func (c *Collector) sweep(plan Plan) sweepResult {
@@ -418,56 +421,59 @@ func (c *Collector) sweep(plan Plan) sweepResult {
 	// and staleness age at exactly this point, before FreeBatch recycles
 	// the slot — into the worker's own tally, merged after the join.
 	pruneMode := plan.Mode == ModePrune
+	epoch := c.epoch
 	scan := func(w int) {
 		sr := &sweepers[w]
 		lo := heap.ObjectID(1 + (uint64(w)*uint64(maxID-1))/uint64(workers))
 		hi := heap.ObjectID(1 + (uint64(w+1)*uint64(maxID-1))/uint64(workers))
-		for id := lo; id < hi; id++ {
-			obj, ok := c.heap.Lookup(id)
-			if !ok {
-				continue
-			}
-			if obj.Marked(c.epoch) {
-				sr.bytesLive += obj.Size()
-				sr.objectsLive++
-				s := obj.Stale()
-				if plan.AgeStaleness {
-					s = obj.AgeStale(c.index)
+		for base := lo; base < hi; {
+			objs, end := c.heap.Entries(base, hi)
+			for i := range objs {
+				obj := &objs[i]
+				size := obj.Size()
+				if size == 0 {
+					continue
 				}
-				if s > sr.maxStale {
-					sr.maxStale = s
+				if obj.Marked(epoch) {
+					sr.bytesLive += size
+					sr.objectsLive++
+					s := obj.Stale()
+					if plan.AgeStaleness {
+						s = obj.AgeStale(c.index)
+					}
+					sr.maxStale = max(sr.maxStale, s)
+					continue
 				}
-				continue
+				id := base + heap.ObjectID(i)
+				sr.bytesFreed += size
+				sr.objectsFreed++
+				if pruneMode {
+					c.heap.RecordPrunedFree(&sr.pruned, size, obj.Stale())
+				}
+				if plan.OnFree != nil {
+					sr.finals = append(sr.finals, freeRec{id: id, class: obj.Class(), size: size})
+				}
+				sr.dead = append(sr.dead, id)
 			}
-			sr.bytesFreed += obj.Size()
-			sr.objectsFreed++
-			if pruneMode {
-				c.heap.RecordPrunedFree(&sr.pruned, obj.Size(), obj.Stale())
-			}
-			if plan.OnFree != nil {
-				sr.finals = append(sr.finals, freeRec{id: id, class: obj.Class(), size: obj.Size()})
-			}
-			sr.dead = append(sr.dead, id)
+			base = end
 		}
 	}
-	if workers == 1 {
-		scan(0)
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				scan(w)
-			}(w)
-		}
-		wg.Wait()
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			scan(w)
+		}()
 	}
+	scan(0)
+	wg.Wait()
 
 	var sr sweepResult
+	dead := c.dead[:0]
 	for w := range sweepers {
 		sw := &sweepers[w]
-		c.heap.FreeBatch(sw.dead)
+		dead = append(dead, sw.dead...)
 		if pruneMode {
 			c.heap.MergePruned(&sw.pruned)
 		}
@@ -475,10 +481,10 @@ func (c *Collector) sweep(plan Plan) sweepResult {
 		sr.objectsLive += sw.objectsLive
 		sr.bytesFreed += sw.bytesFreed
 		sr.objectsFreed += sw.objectsFreed
-		if sw.maxStale > sr.maxStale {
-			sr.maxStale = sw.maxStale
-		}
+		sr.maxStale = max(sr.maxStale, sw.maxStale)
 	}
+	c.heap.FreeBatch(dead)
+	c.dead = dead
 	if plan.OnFree != nil {
 		for w := range sweepers {
 			for _, f := range sweepers[w].finals {

@@ -314,3 +314,114 @@ func abortWhileParked(t *testing.T, concurrent bool) {
 	}
 	assertCleanAudit(t, th.h, "after aborts")
 }
+
+// handOffHeap builds a graph whose closure starts alone and then spills: a
+// single root, a neck chain worker 0 walks by itself, then a hub whose scan
+// overflows the mark stack, so helpers launch while worker 0 holds marks it
+// made with plain stores. Every hub child points at two other children and
+// at one of several stale tails that share a common end, so workers race to
+// claim the same objects and a SELECT cycle has many candidates whose stale
+// closures overlap. The builder is deterministic: every call gives the same
+// IDs and graph.
+func handOffHeap(t *testing.T) *testHeap {
+	t.Helper()
+	const neck, fan, tails, tailLen = 300, 1200, 8, 50
+	th := newTestHeap(t)
+	node := th.class(t, "Node", 1, 16)
+	kid := th.class(t, "Kid", 3, 8)
+	tailCls := th.class(t, "Tail", 1, 16)
+	shared := th.alloc(t, tailCls)
+	var tailHeads []heap.Ref
+	for i := 0; i < tails; i++ {
+		end := shared
+		for j := 0; j < tailLen; j++ {
+			r := th.alloc(t, tailCls)
+			th.link(r, 0, end)
+			end = r
+		}
+		tailHeads = append(tailHeads, end)
+	}
+	th.h.ForEach(func(_ heap.ObjectID, obj *heap.Object) { obj.SetStale(3) })
+	hub := th.alloc(t, th.class(t, "Hub", fan, 0))
+	kids := make([]heap.Ref, fan)
+	for i := range kids {
+		kids[i] = th.alloc(t, kid)
+		th.link(hub, i, kids[i])
+	}
+	for i, k := range kids {
+		th.link(k, 0, kids[(i*7+1)%fan])
+		th.link(k, 1, kids[(i*13+5)%fan])
+		th.link(k, 2, tailHeads[i%tails])
+	}
+	root := hub
+	for i := 0; i < neck; i++ {
+		r := th.alloc(t, node)
+		th.link(r, 0, root)
+		root = r
+	}
+	for i := 0; i < 200; i++ {
+		th.alloc(t, node) // garbage
+	}
+	th.roots.refs = []heap.Ref{root}
+	return th
+}
+
+// TestClaimHandOff: worker 0 claims with plain stores while it traces alone
+// and must switch to the CAS before its first helper starts. Over a closure
+// that starts alone and then spills, at 4 workers, GOMAXPROCS 1 and 4, STW
+// and concurrent, Normal and SELECT (whose stale closure runs on several
+// workers over overlapping candidates): every live object is scanned
+// exactly once, the live set is the serial closure's, and helpers did
+// launch. A worker 0 that kept plain-storing after a launch double-claims
+// objects, which the scan count shows, and races the helpers' CAS, which
+// -race reports.
+func TestClaimHandOff(t *testing.T) {
+	plans := map[string]Plan{
+		"normal": {Mode: ModeNormal, TagRefs: true},
+		"select": {Mode: ModeSelect, TagRefs: true, Candidate: staleTarget},
+	}
+	collect := func(col *Collector, plan Plan, concurrent bool) Result {
+		cy := col.start(plan, concurrent)
+		cy.Mark()
+		cy.Remark(nil, "")
+		cy.Sweep()
+		return cy.Finish()
+	}
+	for _, procs := range []int{1, 4} {
+		for _, name := range []string{"normal", "select"} {
+			for _, concurrent := range []bool{false, true} {
+				t.Run(fmt.Sprintf("gomaxprocs=%d/%s/concurrent=%v", procs, name, concurrent), func(t *testing.T) {
+					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+					plan := plans[name]
+					serial := handOffHeap(t)
+					want := collect(serial.collector(1), plan, concurrent)
+					wantLive := liveSnapshot(serial.h)
+
+					th := handOffHeap(t)
+					col := th.collector(4)
+					for round := 0; round < 5; round++ {
+						res := collect(col, plan, concurrent)
+						var scans uint64
+						for i := range col.scratch.pool {
+							scans += col.scratch.pool[i].scans
+						}
+						if res.Degraded || scans != res.ObjectsLive || res.ObjectsLive != want.ObjectsLive {
+							t.Fatalf("round %d: scanned %d objects, %d live (serial %d), degraded %v",
+								round, scans, res.ObjectsLive, want.ObjectsLive, res.Degraded)
+						}
+						if name == "select" && (res.Candidates < 2 || res.Candidates != want.Candidates || res.StaleBytes != want.StaleBytes) {
+							t.Fatalf("round %d: %d candidates, %d stale bytes; serial %d, %d",
+								round, res.Candidates, res.StaleBytes, want.Candidates, want.StaleBytes)
+						}
+						if round == 0 {
+							assertSameLiveSet(t, liveSnapshot(th.h), wantLive)
+						}
+					}
+					if col.scratch.launches == 0 {
+						t.Fatal("no helper was launched: the closure never left worker 0")
+					}
+				})
+			}
+		}
+	}
+}

@@ -78,6 +78,13 @@ const (
 // process joins every helper before it returns — so a closure that never
 // spills is the serial tracer at any worker count.
 //
+// Claims: a worker claims an object by moving its mark word to the epoch.
+// While worker 0 is the only one running (launched == 1) nobody else writes
+// mark words, so it claims with a load and a plain store; it switches to
+// the CAS before it launches the first helper, whose go statement orders
+// every plain store before the helper's first load, and helpers always CAS
+// (DESIGN.md, "Work-stealing tracer"). markRoot runs with no helper alive.
+//
 // Termination: a worker parks only with its stack and deque empty, having
 // failed to steal; idle and launched change under mu, and only a worker
 // that is not idle (spill) or process itself launches. So idle == launched
@@ -162,14 +169,20 @@ type traceScratch struct {
 }
 
 // traceWorker is one tracer worker's private state: its local mark stack,
-// the buffers merged serially once the closure finishes, and its deque. The
-// deque's indices are what other workers read; the padding keeps them off
-// the cache lines the owner writes on every mark-stack push, whatever the
-// array's alignment.
+// its chunk cache, the buffers merged serially once the closure finishes,
+// and its deque. The deque's indices are what other workers read; the
+// padding keeps them off the cache lines the owner writes on every
+// mark-stack push, whatever the array's alignment.
 type traceWorker struct {
 	t     *tracer
 	id    int
 	local []heap.ObjectID
+	cc    heap.ChunkCache
+	// alone: no other worker can be marking (worker 0 only; see tracer).
+	alone bool
+	// scans counts the objects this worker has scanned (tests compare it
+	// with the live set: every live object is scanned exactly once).
+	scans uint64
 
 	candidates []candidate
 	staleEdges []staleEdge
@@ -189,7 +202,7 @@ func (s *traceScratch) newTracer(h *heap.Heap, epoch uint32, plan Plan, workers 
 	s.roots, s.candidates, s.staleBytesPer = s.roots[:0], s.candidates[:0], s.staleBytesPer[:0]
 	for i := range t.workers {
 		w := &t.workers[i]
-		w.t, w.id, w.pruned = t, i, 0
+		w.t, w.id, w.pruned, w.alone, w.scans = t, i, 0, false, 0
 		w.local, w.candidates = w.local[:0], w.candidates[:0]
 		w.staleEdges, w.pruneRecs = w.staleEdges[:0], w.pruneRecs[:0]
 		w.deque.reset() // an aborted closure leaves batches behind
@@ -219,10 +232,10 @@ func (t *tracer) recordPanic(v any) {
 // are never pruning candidates: candidates are heap edges keyed by their
 // source class, and roots have none (§3.1's example shows candidates only
 // on object-to-object references). markRoot runs serially, between
-// closures.
+// closures, with every helper joined, so it claims with a plain store.
 func (t *tracer) markRoot(r heap.Ref) {
 	obj := t.heap.Get(r)
-	if !obj.TryMark(t.epoch) {
+	if !obj.TryMarkOwned(t.epoch) {
 		return
 	}
 	t.roots = append(t.roots, r.ID())
@@ -259,6 +272,7 @@ func (t *tracer) dealRoots() {
 func (t *tracer) process(recoverPanics bool) {
 	t.idle.Store(0)
 	t.launched.Store(1)
+	t.workers[0].alone = true
 	// One helper per root batch beyond the one worker 0 is about to pop.
 	t.mu.Lock()
 	for want := min(t.workers[0].deque.size(), len(t.workers)); int(t.launched.Load()) < want; {
@@ -271,8 +285,13 @@ func (t *tracer) process(recoverPanics bool) {
 
 // launchLocked starts the next unlaunched worker on its own goroutine.
 // Caller holds t.mu and is not idle, so the termination test cannot pass
-// between the count going up and the helper looking for work.
+// between the count going up and the helper looking for work. Worker 0
+// stops claiming alone first; while it is alone it is the only possible
+// caller, so a helper launching another only reads the flag.
 func (t *tracer) launchLocked() {
+	if w0 := &t.workers[0]; w0.alone {
+		w0.alone = false
+	}
 	w := &t.workers[t.launched.Add(1)-1]
 	t.launches++
 	t.helpers.Add(1)
@@ -464,10 +483,11 @@ func (w *traceWorker) scan(id heap.ObjectID) {
 			return
 		}
 	}
-	obj, ok := t.heap.Lookup(id)
-	if !ok {
+	obj := t.heap.GetCached(heap.MakeRef(id), &w.cc)
+	if obj == nil {
 		return
 	}
+	w.scans++
 	src := obj.Class()
 	for slot, n := 0, obj.NumRefs(); slot < n; slot++ {
 		r := obj.Ref(slot)
@@ -479,7 +499,10 @@ func (w *traceWorker) scan(id heap.ObjectID) {
 		if r.IsPoisoned() {
 			continue
 		}
-		tgt := t.heap.Get(r)
+		tgt := t.heap.GetCached(r, &w.cc)
+		if tgt == nil {
+			dangling(r)
+		}
 		tgtClass := tgt.Class()
 		stale := tgt.Stale()
 
@@ -539,10 +562,28 @@ func (w *traceWorker) scan(id heap.ObjectID) {
 		if t.plan.TagRefs && !r.IsStaleTagged() {
 			t.applyStaleTag(obj, slot, r)
 		}
-		if tgt.TryMark(t.epoch) {
+		if w.claim(tgt, t.epoch) {
 			w.local = append(w.local, r.ID())
 		}
 	}
+}
+
+// claim marks obj for the closure and reports whether this worker won it:
+// a load and a plain store while the worker traces alone, the CAS
+// otherwise (see tracer). It inlines (make bench-smoke checks), so an edge
+// pays no call for it.
+func (w *traceWorker) claim(obj *heap.Object, epoch uint32) bool {
+	if w.alone {
+		return obj.TryMarkOwned(epoch)
+	}
+	return obj.TryMark(epoch)
+}
+
+// dangling reports a traced reference that resolved to no live object.
+// Like heap.Get's panic it is a runtime bug: the closure only follows
+// references out of live objects.
+func dangling(r heap.Ref) {
+	panic(fmt.Sprintf("gc: traced a dead or unallocated %v", r.Untagged()))
 }
 
 // gatherCandidates moves the per-worker candidate buffers into
@@ -562,13 +603,13 @@ func (t *tracer) gatherCandidates() {
 // reference, mark the objects reachable only through it and size the
 // subgraph (§4.2). Each candidate's closure is processed by a single
 // worker; distinct candidates run in parallel (§4.5) on the in-use
-// closure's worker set, worker 0 on the caller — alone when one worker or
-// one candidate is all there is. Objects shared between candidates are
-// attributed to whichever closure claims them first, matching the
-// prototype's claim-based accounting. Sizes land in t.staleBytesPer;
-// attribution to the edge table is a separate step (accountStale) so a
-// concurrent cycle can verify candidates against the frozen snapshot — and
-// demote drifted ones — before any bytes count.
+// closure's worker set, worker 0 on the caller — alone, claiming with
+// plain stores, when one worker or one candidate is all there is. Objects
+// shared between candidates are attributed to whichever closure claims
+// them first, matching the prototype's claim-based accounting. Sizes land
+// in t.staleBytesPer; attribution to the edge table is a separate step
+// (accountStale) so a concurrent cycle can verify candidates against the
+// frozen snapshot — and demote drifted ones — before any bytes count.
 func (t *tracer) staleClosure() {
 	n := len(t.candidates)
 	t.staleBytesPer = append(t.staleBytesPer[:0], make([]uint64, n)...)
@@ -578,8 +619,10 @@ func (t *tracer) staleClosure() {
 			t.staleBytesPer[i] = w.traceStaleRoot(t.candidates[i].ref)
 		}
 	}
+	helpers := min(len(t.workers), n) - 1
+	t.workers[0].alone = helpers <= 0
 	var wg sync.WaitGroup
-	for i := 1; i < min(len(t.workers), n); i++ {
+	for i := 1; i <= helpers; i++ {
 		wg.Add(1)
 		go func(w *traceWorker) {
 			defer wg.Done()
@@ -612,8 +655,11 @@ func (t *tracer) accountStale() uint64 {
 // ended, is the stack.
 func (w *traceWorker) traceStaleRoot(root heap.Ref) uint64 {
 	t := w.t
-	obj := t.heap.Get(root)
-	if !obj.TryMark(t.epoch) {
+	obj := t.heap.GetCached(root, &w.cc)
+	if obj == nil {
+		dangling(root)
+	}
+	if !w.claim(obj, t.epoch) {
 		return 0
 	}
 	var bytes uint64
@@ -621,21 +667,25 @@ func (w *traceWorker) traceStaleRoot(root heap.Ref) uint64 {
 	for len(stack) > 0 {
 		id := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		o, ok := t.heap.Lookup(id)
-		if !ok {
+		o := t.heap.GetCached(heap.MakeRef(id), &w.cc)
+		if o == nil {
 			continue
 		}
+		w.scans++
 		bytes += o.Size()
 		for slot, n := 0, o.NumRefs(); slot < n; slot++ {
 			r := o.Ref(slot)
 			if r.IsNull() || r.IsPoisoned() {
 				continue
 			}
-			child := t.heap.Get(r)
+			child := t.heap.GetCached(r, &w.cc)
+			if child == nil {
+				dangling(r)
+			}
 			if t.plan.TagRefs && !r.IsStaleTagged() {
 				t.applyStaleTag(o, slot, r)
 			}
-			if child.TryMark(t.epoch) {
+			if w.claim(child, t.epoch) {
 				stack = append(stack, r.ID())
 			}
 		}

@@ -28,14 +28,23 @@ func headerOf(o *Object) header {
 // object dies at any stale value, resident or offloaded (the one flag bit,
 // which Free must clear along with its disk charge), and with its class's
 // shape or a per-allocation one (the array path through allocate's opts).
+// The ladder shape recycles one slot through 0, 2, 4, 5, 9 reference slots
+// and back down, across the inline boundary both ways: each birth has the
+// right NumRefs and null slots, keeps up to inlineRefs of them in its own
+// entry, and never has a separate array that is another entry's inline
+// words.
 func TestHeaderInvariantsAcrossRecycling(t *testing.T) {
-	shapes := map[string][]AllocOption{
-		"class": nil,
-		"array": {WithRefSlots(4), WithScalarBytes(40)},
+	shapes := map[string][][]AllocOption{
+		"class":  {nil, nil},
+		"array":  {{WithRefSlots(4), WithScalarBytes(40)}, {WithRefSlots(4), WithScalarBytes(40)}},
+		"ladder": nil,
+	}
+	for _, n := range []int{0, 2, 4, 5, 9, 5, 4, 2, 0} {
+		shapes["ladder"] = append(shapes["ladder"], []AllocOption{WithRefSlots(n)})
 	}
 	for _, stale := range []uint8{0, 3, MaxStale} {
 		for _, offloaded := range []bool{false, true} {
-			for _, shape := range []string{"class", "array"} {
+			for _, shape := range []string{"class", "array", "ladder"} {
 				for _, how := range []string{"Free", "FreeBatch", "dirtied"} {
 					name := fmt.Sprintf("stale=%d/offloaded=%v/shape=%s/%s", stale, offloaded, shape, how)
 					t.Run(name, func(t *testing.T) {
@@ -44,64 +53,84 @@ func TestHeaderInvariantsAcrossRecycling(t *testing.T) {
 						h := New(reg, 1<<20)
 						h.SetDiskLimit(1 << 20)
 						ctx := h.NewAllocContext()
-						opts := shapes[shape]
-						alloc := func() (ObjectID, *Object) {
+						alloc := func(opts []AllocOption) (ObjectID, *Object) {
 							r, err := h.AllocateCtx(&ctx, cls, opts...)
 							if err != nil {
 								t.Fatal(err)
 							}
 							return r.ID(), h.Get(r)
 						}
-
-						id, obj := alloc()
-						fresh := headerOf(obj)
-						refSlots, scalarBytes := h.ResolveShape(cls, opts)
-						if want := (header{class: cls, size: ObjectSize(refSlots, scalarBytes), refs: refSlots}); fresh != want {
-							t.Fatalf("fresh slot header %+v, want %+v", fresh, want)
-						}
-
-						// Age (and offload) the object the way collections
-						// do, then let it die.
-						obj.SetStale(stale)
-						obj.SetRef(1, MakeRef(id))
-						if offloaded {
-							if err := h.Offload(id); err != nil || !obj.IsOffloaded() {
-								t.Fatalf("offload of a fresh object: %v", err)
+						// born checks a birth against the shape it was asked for.
+						born := func(stage string, obj *Object, opts []AllocOption) header {
+							t.Helper()
+							refSlots, scalarBytes := h.ResolveShape(cls, opts)
+							got := headerOf(obj)
+							if want := (header{class: cls, size: ObjectSize(refSlots, scalarBytes), refs: refSlots}); got != want {
+								t.Fatalf("%s: header %+v, want %+v", stage, got, want)
 							}
-						}
-						h.ReleaseContext(&ctx) // the freed slot goes on top of the settled run
-						if how == "FreeBatch" {
-							h.FreeBatch([]ObjectID{id})
-						} else {
-							h.Free(id)
-						}
-						if got := headerOf(obj); got != (header{}) {
-							t.Fatalf("after %s: header %+v, want every word zero", how, got)
-						}
-						if d := h.Disk(); d.BytesUsed != 0 {
-							t.Fatalf("after %s: disk still charged %d bytes", how, d.BytesUsed)
-						}
-						if how == "dirtied" {
-							// Behind the allocator's back: the invariant above
-							// is broken before the slot is handed out again.
-							atomic.StoreUint32(&obj.stale, uint32(stale)|1)
-							atomic.StoreUint32(&obj.flags, flagOffloaded)
+							for slot := 0; slot < obj.NumRefs(); slot++ {
+								if obj.Ref(slot) != Null {
+									t.Fatalf("%s: reference %d not null at birth: %v", stage, slot, obj.Ref(slot))
+								}
+							}
+							inline := cap(obj.refs) == inlineRefs && &obj.refs[:1][0] == &obj.inline[0]
+							if inline != (refSlots <= inlineRefs) {
+								t.Fatalf("%s: %d slots inline=%v", stage, refSlots, inline)
+							}
+							if !inline {
+								h.ForEach(func(_ ObjectID, o *Object) {
+									for i := range o.inline {
+										if &o.inline[i] == &obj.refs[0] || &o.inline[i] == &obj.refs[refSlots-1] {
+											t.Fatalf("%s: separate array aliases an entry's inline word %d", stage, i)
+										}
+									}
+								})
+							}
+							return got
 						}
 
-						again, reborn := alloc()
-						if again != id {
-							t.Fatalf("re-allocation got slot %d, not the freed slot %d: the test is not exercising recycling", again, id)
-						}
-						if got := headerOf(reborn); got != fresh {
-							t.Fatalf("recycled slot header %+v, fresh slot's was %+v", got, fresh)
-						}
-						for slot := 0; slot < reborn.NumRefs(); slot++ {
-							if reborn.Ref(slot) != Null {
-								t.Fatalf("recycled slot's reference %d not cleared: %v", slot, reborn.Ref(slot))
+						steps := shapes[shape]
+						id, obj := alloc(steps[0])
+						born("fresh slot", obj, steps[0])
+						for i, opts := range steps[1:] {
+							// Age (and offload) the object the way collections
+							// do, then let it die.
+							obj.SetStale(stale)
+							if obj.NumRefs() > 1 {
+								obj.SetRef(1, MakeRef(id))
 							}
-						}
-						if _, next := alloc(); headerOf(next) != fresh {
-							t.Fatalf("never-used neighbour's header %+v differs from %+v", headerOf(next), fresh)
+							if offloaded {
+								if err := h.Offload(id); err != nil || !obj.IsOffloaded() {
+									t.Fatalf("offload of a live object: %v", err)
+								}
+							}
+							h.ReleaseContext(&ctx) // the freed slot goes on top of the settled run
+							if how == "FreeBatch" {
+								h.FreeBatch([]ObjectID{id})
+							} else {
+								h.Free(id)
+							}
+							if got := headerOf(obj); got != (header{}) {
+								t.Fatalf("after %s: header %+v, want every word zero", how, got)
+							}
+							if d := h.Disk(); d.BytesUsed != 0 {
+								t.Fatalf("after %s: disk still charged %d bytes", how, d.BytesUsed)
+							}
+							if how == "dirtied" {
+								// Behind the allocator's back: the invariant above
+								// is broken before the slot is handed out again.
+								atomic.StoreUint32(&obj.stale, uint32(stale)|1)
+								atomic.StoreUint32(&obj.flags, flagOffloaded)
+							}
+							again, reborn := alloc(opts)
+							if again != id {
+								t.Fatalf("re-allocation got slot %d, not the freed slot %d: the test is not exercising recycling", again, id)
+							}
+							recycled := born(fmt.Sprintf("birth %d", i+1), reborn, opts)
+							if _, next := alloc(opts); born("never-used neighbour", next, opts) != recycled {
+								t.Fatalf("never-used neighbour's header %+v differs from the recycled %+v", headerOf(next), recycled)
+							}
+							obj = reborn
 						}
 						h.ReleaseContext(&ctx)
 						auditMustBeClean(t, h, name)

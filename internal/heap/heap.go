@@ -11,34 +11,18 @@ import (
 )
 
 const (
-	chunkShift = 14 // 16384 objects per chunk
+	// A chunk is 4096 objects (352 KB): a new heap zeroes one before its
+	// first object exists, and ChunkCache lookups do not depend on staying
+	// inside one chunk, so small chunks cost nothing.
+	chunkShift = 12
 	chunkSize  = 1 << chunkShift
 	chunkMask  = chunkSize - 1
-	maxChunks  = 1 << 16 // up to ~1 G objects
-
-	// The chunk table is two levels deep so that a heap pays for the part of
-	// it it uses: a spine of spineLen block pointers (2 KB, inside the Heap)
-	// and blocks of spineBlockLen chunk pointers (2 KB, one per 4 M objects,
-	// created with their first chunk). A flat table is 512 KB that every New
-	// has to zero whether the heap ever holds 16 K objects or 1 G.
-	spineShift    = 8
-	spineBlockLen = 1 << spineShift
-	spineLen      = maxChunks >> spineShift
+	maxChunks  = 1 << 18 // up to ~1 G objects
 )
 
 // chunk is one fixed block of the object table. Chunks are never moved or
 // reclaimed, so *Object pointers stay valid until the object is freed.
 type chunk [chunkSize]Object
-
-// spineBlock is one block of the chunk table's second level. Like chunks,
-// blocks are never moved or reclaimed once installed.
-type spineBlock [spineBlockLen]atomic.Pointer[chunk]
-
-// noChunks is the block every spine entry of a new heap points to, and
-// nothing ever writes: lookups go through the spine without a nil check (the
-// sweep's Lookup has to stay inlinable), and a spine entry gets a block of
-// its own with its first chunk.
-var noChunks spineBlock
 
 // ErrHeapFull is returned by Allocate when the requested object does not fit
 // under the heap limit. The caller (the VM's allocation slow path) reacts by
@@ -104,9 +88,12 @@ type Heap struct {
 	runSeq          atomic.Uint64
 	allocShardLocks atomic.Uint64
 
-	// chunkMu serializes chunk creation only; lookups are lock-free.
+	// chunks indexes the table: entry ci is chunk ci, and a heap pays for
+	// the chunks it uses. Lookups load the slice header and index it with no
+	// lock; chunkMu serializes growth, which appends in place (no reader
+	// indexes past the length it loaded) and publishes a new header.
 	chunkMu sync.Mutex
-	chunks  [spineLen]atomic.Pointer[spineBlock]
+	chunks  atomic.Pointer[[]*chunk]
 
 	shards [numShards]shard
 	// rotor spreads context-less allocations and new AllocContexts across
@@ -119,6 +106,13 @@ type Heap struct {
 	// must not be collected by the cycle's sweep. Zero (the STW default)
 	// leaves the recycled slot's old mark word in place.
 	allocMark atomic.Uint32
+
+	// freeMu guards FreeBatch's buffers: the resolved objects of a batch
+	// and, per entry, the next entry of the same home shard. Lock order:
+	// freeMu before shard.mu.
+	freeMu   sync.Mutex
+	freeObjs []*Object
+	freeNext []int32
 
 	// diskMu guards the offload accounting and offload-state transitions.
 	// Lock order: shard.mu before diskMu.
@@ -146,9 +140,7 @@ func New(classes *Registry, limit uint64) *Heap {
 	}
 	h := &Heap{classes: classes, limit: limit}
 	h.next.Store(1)
-	for i := range h.chunks {
-		h.chunks[i].Store(&noChunks)
-	}
+	h.chunks.Store(new([]*chunk))
 	return h
 }
 
@@ -316,12 +308,16 @@ func (h *Heap) allocate(ctx *AllocContext, runLen int, class ClassID, opts []All
 	setHeaderWord(&obj.stale, 0)
 	setHeaderWord(&obj.flags, 0)
 	obj.home = uint8(ctx.home)
-	if cap(obj.refs) >= refSlots {
+	// An inline slice has capacity inlineRefs, so a larger capacity is this
+	// slot's own separate array from an earlier birth.
+	switch {
+	case refSlots <= inlineRefs:
+		obj.refs = obj.inline[:refSlots]
+		clear(obj.refs)
+	case cap(obj.refs) >= refSlots:
 		obj.refs = obj.refs[:refSlots]
-		for i := range obj.refs {
-			obj.refs[i] = 0
-		}
-	} else {
+		clear(obj.refs)
+	default:
 		obj.refs = make([]uint64, refSlots)
 	}
 	// With no concurrent mark in flight the mark word is left at its
@@ -342,16 +338,17 @@ func (h *Heap) allocate(ctx *AllocContext, runLen int, class ClassID, opts []All
 
 // chunkAt returns chunk ci of the table, nil if it was never materialized.
 func (h *Heap) chunkAt(ci int) *chunk {
-	return h.chunks[ci>>spineShift].Load()[ci&(spineBlockLen-1)].Load()
+	if t := *h.chunks.Load(); ci < len(t) {
+		return t[ci]
+	}
+	return nil
 }
 
 func (h *Heap) slot(id ObjectID) *Object {
-	// chunkAt, written out: Lookup is one node short of inlining through it.
-	c := h.chunks[id>>(chunkShift+spineShift)].Load()[id>>chunkShift&(spineBlockLen-1)].Load()
-	if c == nil {
-		return nil
+	if c := h.chunkAt(int(id >> chunkShift)); c != nil {
+		return &c[id&chunkMask]
 	}
-	return &c[int(id)&chunkMask]
+	return nil
 }
 
 // Get resolves a reference to its object. Tag bits are ignored. It panics
@@ -370,42 +367,32 @@ func (h *Heap) Get(r Ref) *Object {
 	return obj
 }
 
-// ChunkCache memoizes the chunk pointer of the most recent lookup so a run
-// of lookups that stays within one chunk (16384 consecutive IDs — the
-// common case for a mutator working a small object graph) resolves with one
-// compare, one shift, and one index instead of re-reading the chunk table's
-// atomic pointer. Chunks are never moved or reclaimed, so a cached pointer
-// never goes stale. A cache belongs to one mutator thread and must not be
-// shared.
+// ChunkCache is one goroutine's view of the chunk table: the slice header
+// it last loaded. Entries below its length never change (the table only
+// grows, and chunks are never moved or reclaimed), so a lookup indexes the
+// view with no atomic load and reloads the header only for an ID past it.
+// A cache belongs to one goroutine and must not be shared.
 type ChunkCache struct {
-	ci int32
-	c  *chunk
+	t []*chunk
 }
 
 // GetCached resolves a reference through cc. Unlike Get it does not panic:
 // it returns nil for null references and for dead or unallocated IDs, so a
 // caller holding a lock-free critical region can leave it cleanly before
-// reporting the bad reference.
+// reporting the bad reference. Null needs no test of its own: ID 0's entry
+// is never allocated. GetCached inlines (make bench-smoke checks it), so a
+// lookup costs no call.
 func (h *Heap) GetCached(r Ref, cc *ChunkCache) *Object {
-	if r.IsNull() {
-		return nil
-	}
-	id := r.ID()
-	ci := int32(uint64(id) >> chunkShift)
-	c := cc.c
-	if c == nil || cc.ci != ci {
-		c = h.chunkAt(int(ci))
-		if c == nil {
+	ci := r >> (refShift + chunkShift)
+	if ci >= Ref(len(cc.t)) {
+		if cc.t = *h.chunks.Load(); ci >= Ref(len(cc.t)) {
 			return nil
 		}
-		cc.ci = ci
-		cc.c = c
 	}
-	obj := &c[uint64(id)&chunkMask]
-	if obj.Size() == 0 {
-		return nil
+	if obj := &cc.t[ci][r>>refShift&chunkMask]; obj.Size() != 0 {
+		return obj
 	}
-	return obj
+	return nil
 }
 
 // Free releases the object and credits its bytes back through its home
@@ -428,37 +415,48 @@ func (h *Heap) Free(id ObjectID) {
 	h.creditBytes(credit)
 }
 
-// FreeBatch releases many objects, bucketed by home shard so each shard
-// lock is taken once. Panics on double frees, like Free. Safe to call
-// concurrently with disjoint lists; the collector's sweep calls it
-// serially, in ascending ID order, so free-list order is deterministic.
+// FreeBatch releases many objects. Each is resolved once and chained to
+// the others of its home shard in list order, then each shard lock is taken
+// once and its chain freed, so a shard's free list receives its IDs in list
+// order. Panics on double frees, like Free. Safe to call concurrently (calls
+// take turns on the heap's batch buffers); the collector's sweep calls it
+// once per cycle with every dead ID in ascending order, so free-list order
+// is deterministic. A steady-state call allocates nothing.
 func (h *Heap) FreeBatch(ids []ObjectID) {
 	if len(ids) == 0 {
 		return
 	}
-	var buckets [numShards][]ObjectID
-	for _, id := range ids {
-		obj := h.slot(id)
+	h.freeMu.Lock()
+	defer h.freeMu.Unlock()
+	if cap(h.freeObjs) < len(ids) {
+		h.freeObjs, h.freeNext = make([]*Object, len(ids)), make([]int32, len(ids))
+	}
+	objs, next := h.freeObjs[:len(ids)], h.freeNext[:len(ids)]
+	var head [numShards]int32
+	for si := range head {
+		head[si] = -1
+	}
+	for i := len(ids) - 1; i >= 0; i-- { // backwards, so each chain is in list order
+		obj := h.slot(ids[i])
 		if obj == nil || obj.Size() == 0 {
-			panic(fmt.Sprintf("heap: double free of object %d", id))
+			panic(fmt.Sprintf("heap: double free of object %d", ids[i]))
 		}
 		si := obj.home & shardMask
-		buckets[si] = append(buckets[si], id)
+		objs[i], next[i], head[si] = obj, head[si], int32(i)
 	}
 	var credit uint64
-	for si := range buckets {
-		if len(buckets[si]) == 0 {
+	for si := range h.shards {
+		if head[si] < 0 {
 			continue
 		}
 		s := &h.shards[si]
 		s.mu.Lock()
-		for _, id := range buckets[si] {
-			obj := h.slot(id)
-			if obj.Size() == 0 {
+		for i := head[si]; i >= 0; i = next[i] {
+			if objs[i].Size() == 0 { // an ID listed twice
 				s.mu.Unlock()
-				panic(fmt.Sprintf("heap: double free of object %d", id))
+				panic(fmt.Sprintf("heap: double free of object %d", ids[i]))
 			}
-			credit += h.freeLocked(s, id, obj)
+			credit += h.freeLocked(s, ids[i], objs[i])
 		}
 		h.maybeCorruptFreeListLocked(s)
 		s.mu.Unlock()
@@ -553,8 +551,7 @@ func setHeaderWord(w *uint32, v uint32) {
 }
 
 // ForEach calls fn for every allocated object, passing its ID. The heap
-// must be quiescent (stop-the-world): sweep and staleness aging run under
-// this. fn must not allocate or free.
+// must be quiescent (stop-the-world). fn must not allocate or free.
 func (h *Heap) ForEach(fn func(ObjectID, *Object)) {
 	next := ObjectID(h.next.Load())
 	for id := ObjectID(1); id < next; id++ {
@@ -569,8 +566,21 @@ func (h *Heap) ForEach(fn func(ObjectID, *Object)) {
 // letting the sweeper shard the table across workers.
 func (h *Heap) MaxID() ObjectID { return ObjectID(h.next.Load()) }
 
-// Lookup returns the object for an ID if it is currently allocated. The
-// sweeper uses this to shard iteration without holding any heap lock.
+// Entries returns the table entries of IDs lo, lo+1, … up to hi or the
+// end of lo's chunk, whichever comes first, and the ID after the last one;
+// the entries are nil when that chunk was never materialized. A scan over
+// [lo, hi) through it resolves one chunk pointer per chunk, not one per ID.
+func (h *Heap) Entries(lo, hi ObjectID) ([]Object, ObjectID) {
+	end := min(hi, lo|chunkMask+1)
+	c := h.chunkAt(int(lo >> chunkShift))
+	if c == nil {
+		return nil, end
+	}
+	return c[lo&chunkMask : lo&chunkMask+(end-lo)], end
+}
+
+// Lookup returns the object for an ID if it is currently allocated,
+// without holding any heap lock.
 func (h *Heap) Lookup(id ObjectID) (*Object, bool) {
 	obj := h.slot(id)
 	if obj == nil || obj.Size() == 0 {

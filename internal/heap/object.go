@@ -10,6 +10,10 @@ const HeaderBytes = 16
 // RefSlotBytes is the simulated size of one reference field.
 const RefSlotBytes = 8
 
+// inlineRefs is how many reference words an Object holds in its own table
+// entry. A shape with more slots keeps them in a separate array.
+const inlineRefs = 4
+
 // MaxStale is the saturation value of the three-bit logarithmic stale
 // counter (§4.1): a value k means the object was last used about 2^k
 // full-heap collections ago.
@@ -17,8 +21,8 @@ const MaxStale = 7
 
 // Object is one heap object. Mutators and the collector share Objects:
 // reference slots and the stale counter are accessed atomically; the mark
-// word is claimed by CAS during parallel tracing. Everything else is
-// immutable after allocation.
+// word is claimed by CAS while several tracer workers run, by a plain store
+// while one does. Everything else is immutable after allocation.
 type Object struct {
 	// class is accessed atomically: a slot being recycled by a background
 	// free (FreeBatch) is still reachable through warm chunk caches, and a
@@ -42,8 +46,12 @@ type Object struct {
 	// allocation. allocate publishes it last, so a nonzero size load acquires
 	// the rest of the object's initialization.
 	size uint64
-	// refs are the object's tagged reference words.
-	refs []uint64
+	// refs are the object's tagged reference words: a prefix of inline when
+	// the shape has at most inlineRefs slots (so a slot read touches the
+	// header's own cache lines, not a second allocation), else a separate
+	// array that later births of the slot with as many slots or more reuse.
+	refs   []uint64
+	inline [inlineRefs]uint64
 }
 
 // Class returns the object's class ID.
@@ -111,6 +119,18 @@ func (o *Object) SwapRef(slot int, r Ref) Ref {
 // Marked reports whether the object has been reached in the collection with
 // the given epoch.
 func (o *Object) Marked(epoch uint32) bool { return atomic.LoadUint32(&o.mark) == epoch }
+
+// TryMarkOwned is TryMark for a caller that is the only one marking: a
+// load and a plain store instead of the CAS. The caller's exclusivity has to
+// be ordered before any other marker starts (the tracer launches its first
+// helper with a go statement after it stops using this).
+func (o *Object) TryMarkOwned(epoch uint32) bool {
+	if o.mark == epoch {
+		return false
+	}
+	o.mark = epoch
+	return true
+}
 
 // TryMark attempts to claim the object for the collection with the given
 // epoch. It returns true iff this caller performed the transition, which is

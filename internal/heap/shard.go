@@ -314,7 +314,7 @@ func (h *Heap) carveLocked(s *shard) {
 	if base+freshBlock > uint64(maxChunks)<<chunkShift {
 		panic("heap: object table exhausted")
 	}
-	h.ensureChunks(ObjectID(base), ObjectID(base+freshBlock-1))
+	h.ensureChunks(ObjectID(base + freshBlock - 1))
 	for id := base + freshBlock - 1; ; id-- {
 		s.free = append(s.free, ObjectID(id))
 		if id == base {
@@ -323,23 +323,20 @@ func (h *Heap) carveLocked(s *shard) {
 	}
 }
 
-// ensureChunks materializes every chunk covering [lo, hi]. Chunk creation
-// is rare (once per 16384 objects), so a plain mutex guards it; readers go
-// through the atomic chunk pointers and never take it.
-func (h *Heap) ensureChunks(lo, hi ObjectID) {
-	for ci := int(lo) >> chunkShift; ci <= int(hi)>>chunkShift; ci++ {
-		if h.chunkAt(ci) != nil {
-			continue
-		}
-		h.chunkMu.Lock()
-		b := h.chunks[ci>>spineShift].Load()
-		if b == &noChunks {
-			b = new(spineBlock)
-			h.chunks[ci>>spineShift].Store(b)
-		}
-		if e := &b[ci&(spineBlockLen-1)]; e.Load() == nil {
-			e.Store(new(chunk))
-		}
-		h.chunkMu.Unlock()
+// ensureChunks materializes every chunk up to hi's (a racing carve may
+// need a later chunk first). Chunk creation is rare (once per 4096
+// objects), so a plain mutex guards it; readers go through the atomic
+// table header and never take it.
+func (h *Heap) ensureChunks(hi ObjectID) {
+	ci := int(hi >> chunkShift)
+	if h.chunkAt(ci) != nil {
+		return
 	}
+	h.chunkMu.Lock()
+	t := *h.chunks.Load()
+	for len(t) <= ci {
+		t = append(t, new(chunk))
+	}
+	h.chunks.Store(&t)
+	h.chunkMu.Unlock()
 }

@@ -45,7 +45,7 @@ type Thread struct {
 	// the heap) with the world stopped at every flush (flushTLABs), and Exit
 	// releases it for good.
 	alloc heap.AllocContext
-	// cache memoizes the last chunk pointer for this thread's object
+	// cache is this thread's view of the chunk table for its object
 	// lookups (heap.GetCached).
 	cache heap.ChunkCache
 	// satbOn arms the SATB deletion barrier in Store while a concurrent mark
