@@ -25,7 +25,9 @@ test:
 # minutes to a gate it was never part of. The tracer's workers park when
 # idle, and a lost wake-up in a park protocol shows at one P, where nothing
 # spins, and hides at two: internal/gc runs again at GOMAXPROCS 1 and 4
-# (~13 s each).
+# (~13 s each). A thread inside Thread.Region parks through the safepoint
+# protocol's own park path, for the same reason internal/vm runs again at
+# GOMAXPROCS 1.
 race:
 	$(GO) test -race -short ./internal/gc/... ./internal/heap/... ./internal/vm/... \
 		./internal/edgetable/... ./internal/offload/... ./internal/faultinject/... \
@@ -33,6 +35,7 @@ race:
 		./internal/trace/... ./internal/harness/...
 	GOMAXPROCS=1 $(GO) test -race -short -count=1 ./internal/gc/...
 	GOMAXPROCS=4 $(GO) test -race -short -count=1 ./internal/gc/...
+	GOMAXPROCS=1 $(GO) test -race -short -count=1 ./internal/vm/...
 
 vet:
 	$(GO) vet ./...
@@ -101,8 +104,8 @@ bench-test:
 # live-set-hash and thread-lifecycle benchmark plus a small barrier-elision
 # run — a fast compile-and-run sanity check. It starts by asking the
 # compiler whether the helpers paid once per mutator op or traced edge
-# still inline: the three every mutator op is built from (beginOp sits two
-# nodes under the budget), the chunk-cached lookup behind every Load and
+# still inline: the three every mutator op is built from (beginOp sits one
+# node under the budget), the chunk-cached lookup behind every Load and
 # every traced edge (GetCached, three under), and the tracer's mark claim;
 # a CALL each would be paid per Load or per edge. Here and not in `make
 # check`: another toolchain's inliner may count differently, and that must

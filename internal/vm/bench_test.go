@@ -2,6 +2,7 @@ package vm
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -60,8 +61,12 @@ func BenchmarkBarrierColdPath(b *testing.B) {
 // benchMutatorOp drives one mutator operation from `threads` concurrent
 // Threads, splitting b.N across them (so ns/op stays per-operation). Each
 // thread works its own object pair, so the measurement isolates the world
-// protocol's cost rather than cache-line contention on shared objects.
+// protocol's cost rather than cache-line contention on shared objects. An op
+// suffixed -region runs each batch of 64 inside one Thread.Region, as a
+// workload iteration does.
 func benchMutatorOp(b *testing.B, barriers, obsOn bool, op string, threads int) {
+	held := strings.HasSuffix(op, "-region")
+	op = strings.TrimSuffix(op, "-region")
 	var o *obs.Obs
 	if obsOn {
 		o = obs.New()
@@ -82,12 +87,21 @@ func benchMutatorOp(b *testing.B, barriers, obsOn bool, op string, threads int) 
 			err := v.RunThread("bench", func(t *Thread) {
 				a := t.New(node)
 				t.Store(a, 0, t.New(node))
+				batch := func(body func()) {
+					t.Scope(func() {
+						if held {
+							t.Region(body)
+						} else {
+							body()
+						}
+					})
+				}
 				switch op {
 				case "region":
 					// The floor: an empty critical region, the two stores on
 					// the state word every operation below also pays.
 					for i := 0; i < per; i += 64 {
-						t.Scope(func() {
+						batch(func() {
 							for j := 0; j < 64; j++ {
 								t.beginOp()
 								t.endOp()
@@ -96,7 +110,7 @@ func benchMutatorOp(b *testing.B, barriers, obsOn bool, op string, threads int) 
 					}
 				case "load":
 					for i := 0; i < per; i += 64 {
-						t.Scope(func() {
+						batch(func() {
 							for j := 0; j < 64; j++ {
 								t.Load(a, 0)
 							}
@@ -105,7 +119,7 @@ func benchMutatorOp(b *testing.B, barriers, obsOn bool, op string, threads int) 
 				case "store":
 					tgt := t.Load(a, 0)
 					for i := 0; i < per; i += 64 {
-						t.Scope(func() {
+						batch(func() {
 							for j := 0; j < 64; j++ {
 								t.Store(a, 0, tgt)
 							}
@@ -113,7 +127,7 @@ func benchMutatorOp(b *testing.B, barriers, obsOn bool, op string, threads int) 
 					}
 				case "new":
 					for i := 0; i < per; i += 64 {
-						t.Scope(func() {
+						batch(func() {
 							for j := 0; j < 64; j++ {
 								t.New(scratch)
 							}
@@ -135,11 +149,14 @@ func benchMutatorOp(b *testing.B, barriers, obsOn bool, op string, threads int) 
 // protocol's two locked instructions and nothing else — so the
 // single-thread rows read as floor + work in the same run on the same box:
 // Load adds no locked instruction to the floor, Store one (the slot), New
-// three (class, size, the context's pending word). The multi-thread rows
-// show whether distinct threads serialize; the obs=true rows bound what
-// attaching metrics and per-thread trace rings costs the fast paths.
+// three (class, size, the context's pending word). The -region rows run the
+// same operations inside a Thread.Region, where the pair is paid once per
+// 64 operations and each operation only polls the stop flag. The
+// multi-thread rows show whether distinct threads serialize; the obs=true
+// rows bound what attaching metrics and per-thread trace rings costs the
+// fast paths.
 func BenchmarkMutatorOps(b *testing.B) {
-	for _, op := range []string{"region", "load", "store", "new"} {
+	for _, op := range []string{"region", "load", "load-region", "store", "store-region", "new", "new-region"} {
 		for _, barriers := range []bool{false, true} {
 			for _, obsOn := range []bool{false, true} {
 				for _, threads := range []int{1, 2, 4, 8} {

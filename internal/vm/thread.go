@@ -16,10 +16,10 @@ import (
 // time; distinct Threads may run concurrently.
 //
 // Mutator operations run inside a critical region (see beginOp in
-// world.go): two uncontended atomic stores on the thread's own state word —
-// the operation's only locked instructions on Load, and the floor every other
-// operation adds its own work to (BenchmarkMutatorOps op=region beside
-// op=load/store/new) — so distinct threads never serialize on a shared lock;
+// world.go): two uncontended atomic stores on the thread's own state word
+// per operation, or, inside Region, two per region and a stop-flag load per
+// operation (BenchmarkMutatorOps op=region beside op=load/store/new and their
+// -region rows) — so distinct threads never serialize on a shared lock;
 // collections stop the world by waiting for every thread to reach a
 // safepoint. Everything else the thread owns between safepoints (frames,
 // alloc, satbOn, the operation counters, ring, rec) is plain memory the
@@ -30,12 +30,15 @@ type Thread struct {
 	name   string
 	frames []*Frame
 	exited bool
+	// held is true while the thread runs a Region body: its state word stays
+	// running across operations, which only poll the stop flag. Owner-only.
+	held bool
 	// state is the safepoint state word (threadSafe / threadRunning),
 	// published with sequentially consistent atomics against the world's
 	// stop flag; stop is that flag (&vm.world.stop), held here so beginOp
 	// reaches it in one load and stays inside the inliner's budget.
 	state atomic.Uint32
-	stop  *atomic.Bool
+	stop  *uint32
 	// alloc is the thread's allocation context: a byte quota reserved
 	// against the heap limit and a private run of free object slots, so New
 	// takes no lock and touches no shared counter except on refill — plus
@@ -258,6 +261,33 @@ func (t *Thread) Scope(body func()) {
 	body()
 }
 
+// Region runs body inside one critical region of t: the thread enters once,
+// its operations inside body skip the two state-word stores and only poll
+// the stop flag (parking there when a stop is pending), and it leaves when
+// body returns or unwinds. A collection, fault-in or trap inside body
+// suspends the region exactly where a per-op thread would be outside one,
+// so the thread is at its safepoint across every block and every throw.
+// A nested Region is a plain call of body.
+//
+// The contract: body may call only operations of t — Load, Store, New,
+// NumRefs, ClassOf, SizeOf, the globals, frames, Scope, InFrame,
+// MarkIteration — and must not block on anything else. In particular not
+// Collect or Stats (they stop the world and would wait for t), AddGlobal or
+// SetFinalizer (they take the lock a stopper holds while it waits for t),
+// nor another Thread's operations (parked there, t could never reach its
+// safepoint). A held thread is still stoppable because it polls; what it
+// cannot do is stop polling.
+func (t *Thread) Region(body func()) {
+	if t.held {
+		body()
+		return
+	}
+	t.beginOp()
+	t.held = true
+	defer t.suspend()
+	body()
+}
+
 // root records a reference as a local of the innermost frame. Must be
 // called inside a critical region (so it cannot race with a collection's
 // root scan).
@@ -306,7 +336,8 @@ func (t *Thread) visitRoots(fn func(heap.Ref)) {
 // deref resolves a mutator-held reference inside the current critical
 // region, faulting offloaded objects back in when the Melt baseline is
 // active. It leaves the critical region only across the fault-in (which
-// may itself stop the world) and always returns inside it.
+// may itself stop the world) and always returns inside it — held again if
+// it was held.
 func (t *Thread) deref(a heap.Ref) *heap.Object {
 	v := t.vm
 	obj := v.heap.GetCached(a, &t.cache)
@@ -318,9 +349,13 @@ func (t *Thread) deref(a heap.Ref) *heap.Object {
 		// access that follows, so the common resident case pays one flag
 		// load and no second world transition.
 		for obj.IsOffloaded() {
-			t.endOp()
+			held := t.suspend()
 			v.faultIn(t, a.ID())
-			t.beginOp()
+			if held {
+				t.resume()
+			} else {
+				t.beginOp()
+			}
 			obj = v.heap.GetCached(a, &t.cache)
 			if obj == nil {
 				t.trapDeadRef(a)
@@ -336,7 +371,7 @@ func (t *Thread) deref(a heap.Ref) *heap.Object {
 //
 //go:noinline
 func (t *Thread) trapDeadRef(a heap.Ref) {
-	t.endOp()
+	t.suspend()
 	if a.IsNull() {
 		panic("heap: dereference of null reference")
 	}
@@ -348,7 +383,7 @@ func (t *Thread) trapDeadRef(a heap.Ref) {
 //
 //go:noinline
 func (t *Thread) trapBadSlot(class heap.ClassID, n, slot int) {
-	t.endOp()
+	t.suspend()
 	panic(fmt.Sprintf("vm: reference slot %d out of range for %s (%d slots)",
 		slot, t.vm.classes.Name(class), n))
 }
@@ -368,14 +403,35 @@ func (t *Thread) New(class heap.ClassID, opts ...heap.AllocOption) heap.Ref {
 		}
 		t.endOp()
 		if v.heap.BytesUsed() > v.gcTrigger.Load() {
-			v.maybeCollect()
+			t.collect()
 		}
 		return ref
 	}
-	t.endOp()
+	held := t.suspend()
 	c := v.classes.Get(class)
 	size := heap.ObjectSize(c.RefSlots, c.ScalarBytes) // upper-bound estimate for the OOM report
-	return v.allocSlow(t, class, opts, size)
+	ref = v.allocSlow(t, class, opts, size)
+	if held {
+		t.resume()
+	}
+	return ref
+}
+
+// collect is New's trigger path, kept out of line so New's fast path is the
+// same whether or not the thread is held: a held thread leaves its region
+// around the collection, which stops the world, and re-enters after it.
+//
+//go:noinline
+func (t *Thread) collect() {
+	v := t.vm
+	if v.gcActive.Load() {
+		return // a cycle is in flight: maybeCollect would drop the trigger anyway
+	}
+	held := t.suspend()
+	v.maybeCollect()
+	if held {
+		t.resume()
+	}
 }
 
 // Load reads reference slot `slot` of the object behind a, applying the
@@ -436,7 +492,7 @@ func (t *Thread) loadUnconditional(src *heap.Object, srcID heap.ObjectID, slot i
 
 // barrierColdPath implements the out-of-line barrier body from §4.1/§4.4.
 // It runs inside the caller's critical region; the poison-trap path leaves
-// the region before unwinding.
+// the region (suspends it, when held) before unwinding.
 //
 //go:noinline
 func (t *Thread) barrierColdPath(src *heap.Object, srcID heap.ObjectID, slot int, b heap.Ref) heap.Ref {
@@ -447,7 +503,7 @@ func (t *Thread) barrierColdPath(src *heap.Object, srcID heap.ObjectID, slot int
 		// where ring writes are drain-safe (nil-safe when tracing is off).
 		t.ring.Instant("poison.trap", "vm",
 			obs.A("src_class", int64(srcClass)), obs.A("src", int64(srcID)), obs.A("slot", int64(slot)))
-		t.endOp()
+		t.suspend()
 		v.throwPoisonTrap(srcClass, srcID, slot)
 	}
 	t.barrierHits++
@@ -555,6 +611,6 @@ func (t *Thread) StoreGlobal(g int, r heap.Ref) {
 //
 //go:noinline
 func (t *Thread) trapBadGlobal(g int) {
-	t.endOp()
+	t.suspend()
 	panic(fmt.Sprintf("vm: global %d out of range (%d globals)", g, t.vm.globalCount.Load()))
 }

@@ -342,8 +342,9 @@ func (v *VM) PruneEvents() []core.PruneEvent {
 // makes the sum exact — every operation that returned before Stats was
 // called is in it, a thread that never exited included. The handshake is
 // not a pause (world.go); like Collect, Stats may be called between
-// operations on a live Thread but not from inside a critical region or a GC
-// callback. HeapStats stays handshake-free for callers that poll.
+// operations on a live Thread but not from inside a critical region, a
+// Thread.Region body or a GC callback. HeapStats stays handshake-free for
+// callers that poll.
 func (v *VM) Stats() Stats {
 	v.handshake()
 	pruned := v.ctrl.TotalPrunedRefs()
@@ -465,8 +466,9 @@ func (v *VM) SetFinalizer(r heap.Ref, fn func(FinalizerInfo)) {
 }
 
 // Collect forces one full-heap collection. Must not be called from inside a
-// mutator critical region (i.e. not from a finalizer or GC callback);
-// calling it between operations on a live Thread is fine. In STW mark mode
+// mutator critical region (i.e. not from a finalizer, a GC callback or a
+// Thread.Region body); calling it between operations on a live Thread is
+// fine. In STW mark mode
 // the whole cycle runs inside one stop-the-world pause; under
 // Options.MarkMode == MarkConcurrent a ModeNormal cycle marks and sweeps
 // concurrently with mutators (concurrent.go), and Collect returns when the

@@ -19,27 +19,28 @@ const (
 // world is the VM's mutator/collector synchronization, the safepoint
 // protocol: each Thread carries an atomic state word, mutator operations
 // enter and leave a critical region with two uncontended stores on that
-// thread-local word — the only two locked instructions the protocol costs
-// an operation (each Go atomic store is an XCHG on amd64; the stop-flag test
-// between them is a plain load) and all of Load's, see the op=region and
-// op=load rows of BenchmarkMutatorOps — and the collector's stop-the-world
+// thread-local word (each Go atomic store is an XCHG on amd64; the stop-flag
+// test between them is a plain load), and the collector's stop-the-world
 // performs a ragged barrier: it raises a global stop flag and waits until
 // every registered thread is observed at a safepoint. Threads that notice
 // the flag park on a condition variable until the world restarts.
 //
-// Two is the floor. A thread may be abandoned between operations without
-// ever exiting (Mckoi's workers, one goroutine driving several Threads, a
-// RunThread body that calls Collect), and it must not hold up a stop, so
-// every operation has to publish its own exit as well as its entry.
+// A per-op thread pays the pair on every operation: it may be abandoned
+// between operations without ever exiting (Mckoi's workers, one goroutine
+// driving several Threads, a RunThread body that calls Collect) and must not
+// hold up a stop. A thread inside Thread.Region pays it once per region: its
+// operations only load the stop flag, and it reaches its safepoint by parking
+// at the next one (see Region for the contract that makes that sound).
 //
 // stwOwner serializes stop-the-world sections (and VM-level operations
 // that must merely exclude collections); stop is the Dekker-style flag
-// mutators test after publishing their state word; parkMu/parkCond park
+// mutators test after publishing their state word (0 or 1, a uint32 read
+// with atomic.LoadUint32 so beginOp stays inlinable); parkMu/parkCond park
 // mutators that observed stop until the world restarts (parked mirrors
 // stop under parkMu for the condvar).
 type world struct {
 	stwOwner sync.Mutex
-	stop     atomic.Bool
+	stop     uint32
 	parkMu   sync.Mutex
 	parked   bool
 	parkCond *sync.Cond
@@ -100,7 +101,7 @@ func (w *world) raiseStop() {
 	w.parkMu.Lock()
 	w.parked = true
 	w.parkMu.Unlock()
-	w.stop.Store(true)
+	atomic.StoreUint32(&w.stop, 1)
 }
 
 // awaitSafepoints is the ragged barrier: it returns once every thread
@@ -141,7 +142,7 @@ func (v *VM) observeStop(d time.Duration) {
 // parked mutator thread.
 func (v *VM) startTheWorld() {
 	w := &v.world
-	w.stop.Store(false)
+	atomic.StoreUint32(&w.stop, 0)
 	w.parkMu.Lock()
 	w.parked = false
 	w.parkCond.Broadcast()
@@ -164,29 +165,57 @@ func (v *VM) unlockOutSTW() { v.world.stwOwner.Unlock() }
 // lists them), and no stop-the-world can be in progress. The fast path is
 // one atomic store to the thread's own state word — the region's first
 // locked instruction — and a load of the global stop flag; only when a stop
-// is pending does the thread take the slow parking path.
+// is pending does the thread take the slow parking path. A held thread
+// (Region) is already running and skips the store: its operation is the
+// flag load alone, a safepoint poll.
 //
-// Critical regions do not nest, and every path out of one — including the
-// trap paths that unwind with a panic — must pass through endOp exactly
-// once before the region's owner blocks or throws.
+// Critical regions do not nest, and every path out of one that blocks or
+// throws — a collection, a fault-in, a trap — must pass through suspend
+// before the region's owner blocks or throws.
 //
 // beginOp, endOp and root must stay inlinable (make bench-smoke greps the
-// compiler's -m output): the flag is reached through t.stop because going
-// through t.vm.world costs the inliner three nodes more than its budget.
+// compiler's -m output): the flag is reached through t.stop, a *uint32,
+// because going through t.vm.world or an atomic.Bool costs the inliner more
+// than its budget.
 func (t *Thread) beginOp() {
-	t.state.Store(threadRunning)
-	if t.stop.Load() {
+	if !t.held {
+		t.state.Store(threadRunning)
+	}
+	if atomic.LoadUint32(t.stop) != 0 {
 		t.beginOpSlow()
 	}
 }
 
 // endOp leaves the critical region: one atomic store to the thread's own
-// state word, the region's second and last locked instruction.
-func (t *Thread) endOp() { t.state.Store(threadSafe) }
+// state word, the region's second and last locked instruction — none when
+// the thread is held, whose region ends with Region.
+func (t *Thread) endOp() {
+	if !t.held {
+		t.state.Store(threadSafe)
+	}
+}
+
+// suspend leaves the critical region ahead of a path that blocks or throws:
+// it clears held and stores safe whether or not the thread was held, so a
+// trapping thread is at its safepoint exactly as a per-op one is. It reports
+// whether the thread was held, for the paths that return and resume.
+func (t *Thread) suspend() (held bool) {
+	held = t.held
+	t.held = false
+	t.state.Store(threadSafe)
+	return held
+}
+
+// resume re-enters the held region suspend left.
+func (t *Thread) resume() {
+	t.beginOp()
+	t.held = true
+}
 
 // beginOpSlow is beginOp's parking path: back off to the safepoint, wait
 // for the world to restart, and retry the enter protocol (a back-to-back
-// collection may have re-raised the flag).
+// collection may have re-raised the flag). A held thread parks here too,
+// between two of its operations, and returns still held.
 //
 //go:noinline
 func (t *Thread) beginOpSlow() {
@@ -202,7 +231,7 @@ func (t *Thread) beginOpSlow() {
 		}
 		w.parkMu.Unlock()
 		t.state.Store(threadRunning)
-		if !w.stop.Load() {
+		if atomic.LoadUint32(&w.stop) == 0 {
 			return
 		}
 	}

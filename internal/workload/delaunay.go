@@ -51,7 +51,9 @@ func (p *delaunay) Setup(t *vm.Thread) {
 	p.meshG = v.AddGlobal()
 }
 
-func (p *delaunay) Iterate(t *vm.Thread, iter int) bool {
+func (p *delaunay) Iterate(t *vm.Thread, iter int) bool { return held(t, iter, p.iterate) }
+
+func (p *delaunay) iterate(t *vm.Thread, iter int) bool {
 	t.InFrame(2, func(f *vm.Frame) {
 		// Transient refinement scratch (collected normally).
 		for j := 0; j < delaunayTempsPer; j++ {

@@ -119,7 +119,9 @@ func (p *eclipseCP) newString(t *vm.Thread, f *vm.Frame, slot int, bytes int) he
 	return s
 }
 
-func (p *eclipseCP) Iterate(t *vm.Thread, iter int) bool {
+func (p *eclipseCP) Iterate(t *vm.Thread, iter int) bool { return held(t, iter, p.iterate) }
+
+func (p *eclipseCP) iterate(t *vm.Thread, iter int) bool {
 	t.InFrame(3, func(f *vm.Frame) {
 		// One cut-save-paste-save: the undo manager records a TextCommand
 		// and the editor fires a DocumentEvent, each holding the cut text.

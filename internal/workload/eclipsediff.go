@@ -119,7 +119,9 @@ func (p *eclipseDiff) buildDiffTree(t *vm.Thread, f *vm.Frame, slot int) heap.Re
 	return root
 }
 
-func (p *eclipseDiff) Iterate(t *vm.Thread, iter int) bool {
+func (p *eclipseDiff) Iterate(t *vm.Thread, iter int) bool { return held(t, iter, p.iterate) }
+
+func (p *eclipseDiff) iterate(t *vm.Thread, iter int) bool {
 	t.InFrame(3, func(f *vm.Frame) {
 		// Perform one structural compare: build the diff results.
 		tree := p.buildDiffTree(t, f, 0)

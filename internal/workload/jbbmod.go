@@ -64,7 +64,9 @@ func (p *jbbMod) Setup(t *vm.Thread) {
 	p.blocksG = v.AddGlobal()
 }
 
-func (p *jbbMod) Iterate(t *vm.Thread, iter int) bool {
+func (p *jbbMod) Iterate(t *vm.Thread, iter int) bool { return held(t, iter, p.iterate) }
+
+func (p *jbbMod) iterate(t *vm.Thread, iter int) bool {
 	t.InFrame(2, func(f *vm.Frame) {
 		for j := 0; j < jbbModOrdersPer; j++ {
 			if p.fillSlot >= jbbModBlockSlots {

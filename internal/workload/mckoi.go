@@ -52,6 +52,8 @@ func (p *mckoi) Setup(t *vm.Thread) {
 	p.temp = v.DefineClass("QueryTemp", 0, mckoiTempBytes)
 }
 
+// Iterate stays per-op (no held region): it registers and drives a worker
+// Thread from the calling goroutine.
 func (p *mckoi) Iterate(t *vm.Thread, iter int) bool {
 	// Serve one connection: ordinary transient query work...
 	t.InFrame(1, func(f *vm.Frame) {

@@ -119,7 +119,9 @@ func (m *microBench) buildChain(t *vm.Thread, ring heap.Ref, i int) {
 	}
 }
 
-func (m *microBench) Iterate(t *vm.Thread, iter int) bool {
+func (m *microBench) Iterate(t *vm.Thread, iter int) bool { return held(t, iter, m.iterate) }
+
+func (m *microBench) iterate(t *vm.Thread, iter int) bool {
 	ring := t.LoadGlobal(m.ringG)
 
 	// Pointer-chase loads over the working set: the barrier-dominated

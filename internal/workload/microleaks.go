@@ -49,7 +49,9 @@ func (p *listLeak) Setup(t *vm.Thread) {
 	p.head = v.AddGlobal()
 }
 
-func (p *listLeak) Iterate(t *vm.Thread, iter int) bool {
+func (p *listLeak) Iterate(t *vm.Thread, iter int) bool { return held(t, iter, p.iterate) }
+
+func (p *listLeak) iterate(t *vm.Thread, iter int) bool {
 	t.InFrame(1, func(f *vm.Frame) {
 		for j := 0; j < listLeakNodesPerIter; j++ {
 			node := t.New(p.node)
@@ -123,7 +125,9 @@ func (p *swapLeak) Setup(t *vm.Thread) {
 	})
 }
 
-func (p *swapLeak) Iterate(t *vm.Thread, iter int) bool {
+func (p *swapLeak) Iterate(t *vm.Thread, iter int) bool { return held(t, iter, p.iterate) }
+
+func (p *swapLeak) iterate(t *vm.Thread, iter int) bool {
 	t.InFrame(2, func(f *vm.Frame) {
 		for j := 0; j < swapBuffersPerIter; j++ {
 			buf := t.New(p.buffer)
@@ -180,7 +184,9 @@ func (p *dualLeak) Setup(t *vm.Thread) {
 	p.head = v.AddGlobal()
 }
 
-func (p *dualLeak) Iterate(t *vm.Thread, iter int) bool {
+func (p *dualLeak) Iterate(t *vm.Thread, iter int) bool { return held(t, iter, p.iterate) }
+
+func (p *dualLeak) iterate(t *vm.Thread, iter int) bool {
 	t.InFrame(1, func(f *vm.Frame) {
 		for j := 0; j < dualNodesPerIter; j++ {
 			node := t.New(p.node)

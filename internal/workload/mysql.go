@@ -72,7 +72,9 @@ func (p *mySQL) Setup(t *vm.Thread) {
 	})
 }
 
-func (p *mySQL) Iterate(t *vm.Thread, iter int) bool {
+func (p *mySQL) Iterate(t *vm.Thread, iter int) bool { return held(t, iter, p.iterate) }
+
+func (p *mySQL) iterate(t *vm.Thread, iter int) bool {
 	t.InFrame(3, func(f *vm.Frame) {
 		for j := 0; j < mysqlStmtsPerIter; j++ {
 			// Execute a statement: the JDBC driver allocates the statement

@@ -97,7 +97,9 @@ func (p *queueLeak) Setup(t *vm.Thread) {
 	})
 }
 
-func (p *queueLeak) Iterate(t *vm.Thread, iter int) bool {
+func (p *queueLeak) Iterate(t *vm.Thread, iter int) bool { return held(t, iter, p.iterate) }
+
+func (p *queueLeak) iterate(t *vm.Thread, iter int) bool {
 	t.InFrame(3, func(f *vm.Frame) {
 		q := t.LoadGlobal(p.queueG)
 		f.Set(0, q)

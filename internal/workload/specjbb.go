@@ -96,7 +96,9 @@ func (p *specJBB) Setup(t *vm.Thread) {
 	})
 }
 
-func (p *specJBB) Iterate(t *vm.Thread, iter int) bool {
+func (p *specJBB) Iterate(t *vm.Thread, iter int) bool { return held(t, iter, p.iterate) }
+
+func (p *specJBB) iterate(t *vm.Thread, iter int) bool {
 	t.InFrame(2, func(f *vm.Frame) {
 		// New-order transactions: each order lands in the processing list
 		// (the leak: some are never removed — here, none are) with a detail

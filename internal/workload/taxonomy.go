@@ -86,7 +86,9 @@ func (p *collectionLeak) Setup(t *vm.Thread) {
 	})
 }
 
-func (p *collectionLeak) Iterate(t *vm.Thread, iter int) bool {
+func (p *collectionLeak) Iterate(t *vm.Thread, iter int) bool { return held(t, iter, p.iterate) }
+
+func (p *collectionLeak) iterate(t *vm.Thread, iter int) bool {
 	t.InFrame(2, func(f *vm.Frame) {
 		vec := t.LoadGlobal(p.vecG)
 		f.Set(0, vec)
@@ -179,7 +181,9 @@ func (p *listenerLeak) Setup(t *vm.Thread) {
 	})
 }
 
-func (p *listenerLeak) Iterate(t *vm.Thread, iter int) bool {
+func (p *listenerLeak) Iterate(t *vm.Thread, iter int) bool { return held(t, iter, p.iterate) }
+
+func (p *listenerLeak) iterate(t *vm.Thread, iter int) bool {
 	t.InFrame(2, func(f *vm.Frame) {
 		src := t.LoadGlobal(p.sourceG)
 		f.Set(0, src)
@@ -293,7 +297,9 @@ func (p *cacheLeak) insert(t *vm.Thread, cache heap.Ref, b int) heap.Ref {
 	return e
 }
 
-func (p *cacheLeak) Iterate(t *vm.Thread, iter int) bool {
+func (p *cacheLeak) Iterate(t *vm.Thread, iter int) bool { return held(t, iter, p.iterate) }
+
+func (p *cacheLeak) iterate(t *vm.Thread, iter int) bool {
 	t.InFrame(2, func(f *vm.Frame) {
 		c := t.LoadGlobal(p.cacheG)
 		f.Set(0, c)
@@ -381,6 +387,8 @@ func (p *threadLocalLeak) Setup(t *vm.Thread) {
 	}
 }
 
+// Iterate stays per-op (no held region): it drives the pool's Threads from
+// the calling goroutine.
 func (p *threadLocalLeak) Iterate(t *vm.Thread, iter int) bool {
 	// Dispatch tasks round-robin over the pool. Each worker performs its
 	// own heap traffic on its own vm thread (and, when recording, its own

@@ -153,6 +153,18 @@ func registerCorpus(name string, tax Taxonomy, expected map[string]Outcome, f Fa
 	corpus = append(corpus, CorpusEntry{Name: name, Taxonomy: tax, Expected: expected})
 }
 
+// held runs one iteration inside a single critical region of t
+// (vm.Thread.Region), so the iteration's operations poll the stop flag
+// instead of each entering and leaving a region of its own. Every program
+// whose Iterate touches only its own Thread goes through it; mckoi and
+// threadlocalleak drive other Threads from the same goroutine, which the
+// Region contract forbids, and stay per-op. Setup stays per-op everywhere:
+// it calls DefineClass and AddGlobal.
+func held(t *vm.Thread, iter int, iterate func(*vm.Thread, int) bool) (done bool) {
+	t.Region(func() { done = iterate(t, iter) })
+	return done
+}
+
 // churn allocates n short-lived objects of the given class and drops them,
 // modelling the transient allocation every managed program performs
 // (iterators, boxing, scratch buffers). The temporaries are what ordinary

@@ -1,8 +1,12 @@
 package workload
 
 import (
+	"runtime"
+	"sync"
 	"testing"
+	"time"
 
+	"leakpruning/internal/core"
 	"leakpruning/internal/vm"
 )
 
@@ -84,6 +88,84 @@ func TestEveryProgramRunsInAmpleHeap(t *testing.T) {
 				t.Fatalf("%s allocated nothing", name)
 			}
 		})
+	}
+}
+
+// TestIterateUnderStatsPolling runs every program for a few hundred
+// iterations while another goroutine polls v.Stats(), a stop-the-world
+// handshake, back to back. An Iterate that runs in a held region
+// (vm.Thread.Region) and breaks its contract — blocks, calls a VM-level
+// method, drives another Thread — deadlocks here instead of in a production
+// run. Handshakes are not pauses, so the polled run must count exactly the
+// loads, allocations and collections an unpolled one does.
+func TestIterateUnderStatsPolling(t *testing.T) {
+	iters := 300
+	if testing.Short() {
+		iters = 100
+	}
+	run := func(name string, poll bool) (vm.Stats, error) {
+		prog, err := New(name)
+		if err != nil {
+			return vm.Stats{}, err
+		}
+		v := vm.New(vm.Options{
+			HeapLimit:      prog.DefaultHeap(),
+			Policy:         core.DefaultPolicy{},
+			EnableBarriers: true,
+			GCWorkers:      1,
+		})
+		stop := make(chan struct{})
+		var poller sync.WaitGroup
+		if poll {
+			// The first handshake releases the run, so the rest overlap it.
+			first := make(chan struct{})
+			poller.Add(1)
+			go func() {
+				defer poller.Done()
+				for n := 0; ; n++ {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					v.Stats()
+					if n == 0 {
+						close(first)
+					}
+					runtime.Gosched()
+				}
+			}()
+			<-first
+		}
+		err = v.RunThread("main", func(th *vm.Thread) {
+			th.Scope(func() { prog.Setup(th) })
+			for i := 0; i < iters; i++ {
+				th.Scope(func() { prog.Iterate(th, i) })
+			}
+		})
+		close(stop)
+		poller.Wait()
+		return v.Stats(), err
+	}
+	for _, name := range Names() {
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			want, wantErr := run(name, false)
+			got, err := run(name, true)
+			if (err == nil) != (wantErr == nil) {
+				t.Errorf("%s: polled run ended with %v, unpolled with %v", name, err, wantErr)
+			}
+			if got.Loads != want.Loads || got.Allocations != want.Allocations || got.Collections != want.Collections {
+				t.Errorf("%s: polled run counted %d loads / %d allocations / %d collections, unpolled %d / %d / %d",
+					name, got.Loads, got.Allocations, got.Collections, want.Loads, want.Allocations, want.Collections)
+			}
+		}()
+		select {
+		case <-done:
+		case <-time.After(60 * time.Second):
+			t.Fatalf("%s deadlocked under Stats polling: its Iterate breaks the Region contract", name)
+		}
 	}
 }
 
