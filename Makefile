@@ -79,10 +79,19 @@ trace-smoke:
 # regenerator fails CI instead of being found when EXPERIMENTS.md is next
 # rebuilt (trace-smoke covers 'lp run -record' and 'lp trace'), then every
 # examples/ program once, so one that compiles but no longer runs fails
-# too (~20 s, most of it dbstatements).
+# too (~20 s, most of it dbstatements). The Perfetto export is checked on a
+# run that traps (cacheleak, iteration 679): its trace must name the main
+# thread's track and hold a poison.trap on it. The artifacts go to a
+# temporary directory, removed on exit.
 lp-smoke:
 	$(LP) list
 	$(LP) run -program eclipsediff -max-iters 300 -report
+	@d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && \
+		$(LP) run -program cacheleak -policy indiv-refs -obs-dir "$$d" >/dev/null && \
+		f="$$d/trace_cacheleak_indiv-refs.json" && \
+		tid=$$(grep '"name":"thread_name"' "$$f" | grep '"args":{"name":"main"}' | sed 's/.*"tid":\([0-9]*\).*/\1/') && \
+		test -n "$$tid" && grep '"name":"poison.trap"' "$$f" | grep -q "\"tid\":$$tid," || \
+		{ echo "lp-smoke: want a cacheleak trace with a poison.trap on a track named main"; exit 1; }
 	for n in 1 2 3; do $(LP) table $$n -max-iters 300 || exit 1; done
 	for n in 1 9; do $(LP) fig $$n -max-iters 300 >/dev/null || exit 1; done
 	for n in 6 7; do $(LP) fig $$n -iters 20 -trials 1 || exit 1; done

@@ -31,7 +31,7 @@ func TestAuditCleanHeap(t *testing.T) {
 	auditMustBeClean(t, h, "after alloc")
 
 	for _, id := range ids[:150] {
-		h.Free(id)
+		h.FreeBatch([]ObjectID{id})
 	}
 	auditMustBeClean(t, h, "after free")
 
@@ -66,7 +66,7 @@ func TestAuditWithOffloadedObjects(t *testing.T) {
 	if err := h.FaultIn(ids[0]); err != nil {
 		t.Fatal(err)
 	}
-	h.Free(ids[1]) // free an offloaded object: disk account must follow
+	h.FreeBatch([]ObjectID{ids[1]}) // free an offloaded object: disk account must follow
 	auditMustBeClean(t, h, "after fault-in and free")
 }
 
@@ -144,7 +144,7 @@ func TestInjectedFreeListCorruptionIsRepaired(t *testing.T) {
 		ids = append(ids, r.ID())
 	}
 	for _, id := range ids {
-		h.Free(id)
+		h.FreeBatch([]ObjectID{id})
 	}
 	if inj.Fires(faultinject.ShardFreeListCorruption) != 1 {
 		t.Fatalf("corruption fired %d times, want 1", inj.Fires(faultinject.ShardFreeListCorruption))

@@ -31,7 +31,7 @@ func TestChunkCacheSeesFreeAndRecycle(t *testing.T) {
 	if h.GetCached(ref, &cc) == nil {
 		t.Fatal("live object invisible through cache")
 	}
-	h.Free(ref.ID())
+	h.FreeBatch([]ObjectID{ref.ID()})
 	if obj := h.GetCached(ref, &cc); obj != nil {
 		t.Fatalf("freed slot still served through warm cache: %+v", obj)
 	}

@@ -26,8 +26,10 @@ func headerOf(o *Object) header {
 // never-used slot's, and allocate still initialises a slot whose stale or
 // flags are not zero — it loads before it stores, it does not assume. The
 // object dies at any stale value, resident or offloaded (the one flag bit,
-// which Free must clear along with its disk charge), and with its class's
-// shape or a per-allocation one (the array path through allocate's opts).
+// which FreeBatch must clear along with its disk charge), alone or beside a
+// partner in one FreeBatch call (as the sweep frees a cycle's dead objects),
+// and with its class's shape or a per-allocation one (the array path through
+// allocate's opts).
 // The ladder shape recycles one slot through 0, 2, 4, 5, 9 reference slots
 // and back down, across the inline boundary both ways: each birth has the
 // right NumRefs and null slots, keeps up to inlineRefs of them in its own
@@ -45,7 +47,7 @@ func TestHeaderInvariantsAcrossRecycling(t *testing.T) {
 	for _, stale := range []uint8{0, 3, MaxStale} {
 		for _, offloaded := range []bool{false, true} {
 			for _, shape := range []string{"class", "array", "ladder"} {
-				for _, how := range []string{"Free", "FreeBatch", "dirtied"} {
+				for _, how := range []string{"FreeBatch", "batched", "dirtied"} {
 					name := fmt.Sprintf("stale=%d/offloaded=%v/shape=%s/%s", stale, offloaded, shape, how)
 					t.Run(name, func(t *testing.T) {
 						reg := NewRegistry()
@@ -104,14 +106,20 @@ func TestHeaderInvariantsAcrossRecycling(t *testing.T) {
 									t.Fatalf("offload of a live object: %v", err)
 								}
 							}
-							h.ReleaseContext(&ctx) // the freed slot goes on top of the settled run
-							if how == "FreeBatch" {
-								h.FreeBatch([]ObjectID{id})
-							} else {
-								h.Free(id)
+							dead := []ObjectID{id}
+							var partner *Object
+							if how == "batched" {
+								pid, p := alloc(nil)
+								// id last: it goes on top, so it is handed out first.
+								dead, partner = []ObjectID{pid, id}, p
 							}
+							h.ReleaseContext(&ctx) // the freed slots go on top of the settled run
+							h.FreeBatch(dead)
 							if got := headerOf(obj); got != (header{}) {
 								t.Fatalf("after %s: header %+v, want every word zero", how, got)
+							}
+							if partner != nil && headerOf(partner) != (header{}) {
+								t.Fatalf("after %s: the partner's header %+v, want every word zero", how, headerOf(partner))
 							}
 							if d := h.Disk(); d.BytesUsed != 0 {
 								t.Fatalf("after %s: disk still charged %d bytes", how, d.BytesUsed)
@@ -127,8 +135,16 @@ func TestHeaderInvariantsAcrossRecycling(t *testing.T) {
 								t.Fatalf("re-allocation got slot %d, not the freed slot %d: the test is not exercising recycling", again, id)
 							}
 							recycled := born(fmt.Sprintf("birth %d", i+1), reborn, opts)
-							if _, next := alloc(opts); born("never-used neighbour", next, opts) != recycled {
-								t.Fatalf("never-used neighbour's header %+v differs from the recycled %+v", headerOf(next), recycled)
+							neighbour := "never-used neighbour"
+							if partner != nil {
+								neighbour = "recycled partner"
+							}
+							nextID, next := alloc(opts)
+							if partner != nil && nextID != dead[0] {
+								t.Fatalf("the next allocation got slot %d, not the partner's %d", nextID, dead[0])
+							}
+							if born(neighbour, next, opts) != recycled {
+								t.Fatalf("%s's header %+v differs from the recycled %+v", neighbour, headerOf(next), recycled)
 							}
 							obj = reborn
 						}

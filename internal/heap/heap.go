@@ -67,7 +67,7 @@ func (s Stats) Fullness() float64 {
 // from them a run at a time (see shard.go), the used-byte counter is a
 // single atomic charged by CAS, and the chunk table is read through atomic
 // pointers. Slot reads and writes on individual objects are
-// atomic and lock-free (see Object). Free and FreeBatch may be called
+// atomic and lock-free (see Object). FreeBatch may be called
 // concurrently for disjoint objects.
 type Heap struct {
 	classes *Registry
@@ -395,30 +395,11 @@ func (h *Heap) GetCached(r Ref, cc *ChunkCache) *Object {
 	return nil
 }
 
-// Free releases the object and credits its bytes back through its home
-// shard. Only the collector's sweep calls this; sweep workers may free
-// disjoint objects concurrently. Freeing an already-free slot panics.
-func (h *Heap) Free(id ObjectID) {
-	obj := h.slot(id)
-	if obj == nil || obj.Size() == 0 {
-		panic(fmt.Sprintf("heap: double free of object %d", id))
-	}
-	s := &h.shards[obj.home&shardMask]
-	s.mu.Lock()
-	if obj.Size() == 0 { // re-check under the home shard's lock
-		s.mu.Unlock()
-		panic(fmt.Sprintf("heap: double free of object %d", id))
-	}
-	credit := h.freeLocked(s, id, obj)
-	h.maybeCorruptFreeListLocked(s)
-	s.mu.Unlock()
-	h.creditBytes(credit)
-}
-
-// FreeBatch releases many objects. Each is resolved once and chained to
-// the others of its home shard in list order, then each shard lock is taken
-// once and its chain freed, so a shard's free list receives its IDs in list
-// order. Panics on double frees, like Free. Safe to call concurrently (calls
+// FreeBatch releases objects and credits their bytes back through their
+// home shards. Each is resolved once and chained to the others of its home
+// shard in list order, then each shard lock is taken once and its chain
+// freed, so a shard's free list receives its IDs in list order. Freeing an
+// already-free slot panics. Safe to call concurrently (calls
 // take turns on the heap's batch buffers); the collector's sweep calls it
 // once per cycle with every dead ID in ascending order, so free-list order
 // is deterministic. A steady-state call allocates nothing.

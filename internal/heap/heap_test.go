@@ -81,7 +81,7 @@ func TestFreeAndRecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	id := r.ID()
-	h.Free(id)
+	h.FreeBatch([]ObjectID{id})
 	st := h.Stats()
 	if st.BytesUsed != 0 || st.ObjectsUsed != 0 || st.ObjectsFreed != 1 {
 		t.Fatalf("stats after free: %+v", st)
@@ -124,7 +124,7 @@ func TestGetCached(t *testing.T) {
 	if h.GetCached(r2, &cc) != h.Get(r2) {
 		t.Fatal("cached-chunk lookup disagrees with Get")
 	}
-	h.Free(r1.ID())
+	h.FreeBatch([]ObjectID{r1.ID()})
 	if h.GetCached(r1, &cc) != nil {
 		t.Fatal("GetCached on a freed slot must be nil")
 	}
@@ -140,19 +140,19 @@ func TestGetCached(t *testing.T) {
 func TestDoubleFreePanics(t *testing.T) {
 	h, pair, _ := newTestHeap(t, 1<<20)
 	r, _ := h.Allocate(pair)
-	h.Free(r.ID())
+	h.FreeBatch([]ObjectID{r.ID()})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("double free must panic")
 		}
 	}()
-	h.Free(r.ID())
+	h.FreeBatch([]ObjectID{r.ID()})
 }
 
 func TestGetDeadPanics(t *testing.T) {
 	h, pair, _ := newTestHeap(t, 1<<20)
 	r, _ := h.Allocate(pair)
-	h.Free(r.ID())
+	h.FreeBatch([]ObjectID{r.ID()})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Get of a freed object must panic")
@@ -181,8 +181,7 @@ func TestForEachAndLookup(t *testing.T) {
 		}
 		refs = append(refs, r)
 	}
-	h.Free(refs[3].ID())
-	h.Free(refs[7].ID())
+	h.FreeBatch([]ObjectID{refs[3].ID(), refs[7].ID()})
 
 	seen := map[ObjectID]bool{}
 	h.ForEach(func(id ObjectID, obj *Object) {
@@ -214,7 +213,7 @@ func TestAllocFreeAccountingQuick(t *testing.T) {
 		for _, op := range ops {
 			if op%3 == 0 && len(live) > 0 {
 				i := int(op/3) % len(live)
-				h.Free(live[i].ID())
+				h.FreeBatch([]ObjectID{live[i].ID()})
 				live = append(live[:i], live[i+1:]...)
 				continue
 			}
@@ -288,7 +287,7 @@ func TestChunkBoundaryGrowth(t *testing.T) {
 	// Free every third object and verify the rest survive.
 	freed := 0
 	for i := 0; i < n; i += 3 {
-		h.Free(refs[i].ID())
+		h.FreeBatch([]ObjectID{refs[i].ID()})
 		freed++
 	}
 	if got := h.Stats().ObjectsUsed; got != uint64(n-freed) {
@@ -331,7 +330,7 @@ func TestRecycledSlotShrinksAndGrows(t *testing.T) {
 	h := New(reg, 1<<20)
 	r1, _ := h.Allocate(big)
 	id := r1.ID()
-	h.Free(id)
+	h.FreeBatch([]ObjectID{id})
 	r2, _ := h.Allocate(small)
 	if r2.ID() != id {
 		t.Skip("allocator did not recycle the slot")
@@ -339,7 +338,7 @@ func TestRecycledSlotShrinksAndGrows(t *testing.T) {
 	if h.Get(r2).NumRefs() != 2 {
 		t.Fatalf("recycled NumRefs = %d", h.Get(r2).NumRefs())
 	}
-	h.Free(id)
+	h.FreeBatch([]ObjectID{id})
 	r3, _ := h.Allocate(big)
 	if r3.ID() == id && h.Get(r3).NumRefs() != 16 {
 		t.Fatalf("re-grown NumRefs = %d", h.Get(r3).NumRefs())

@@ -36,9 +36,10 @@ type Object struct {
 	mark uint32
 	// flags holds miscellaneous state bits (offload residency).
 	flags uint32
-	// home is the allocator shard that owns this object's slot: Free returns
-	// the slot to this shard's free list and charges this shard's accounting,
-	// so an object is allocated and freed under the same shard lock.
+	// home is the allocator shard that owns this object's slot: FreeBatch
+	// returns the slot to this shard's free list and charges this shard's
+	// accounting, so an object is allocated and freed under the same shard
+	// lock.
 	home uint8
 	// size is the total simulated byte size (header + ref slots + scalar).
 	// Accessed atomically: it doubles as the slot's liveness word (0 = free),

@@ -120,7 +120,7 @@ func TestFreeOffloadedObjectCreditsDisk(t *testing.T) {
 	if err := h.Offload(r.ID()); err != nil {
 		t.Fatal(err)
 	}
-	h.Free(r.ID())
+	h.FreeBatch([]ObjectID{r.ID()})
 	if h.Disk().BytesUsed != 0 {
 		t.Fatal("freeing an offloaded object must credit the disk")
 	}

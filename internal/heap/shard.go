@@ -22,7 +22,7 @@ import (
 // when none has. Allocating from the run then takes no mutex: the context
 // initialises the object, publishes its size word last, and notes the
 // allocation in its own pending counters. A live object belongs to the
-// shard it was popped from (Object.home); Free/FreeBatch push the slot back
+// shard it was popped from (Object.home); FreeBatch pushes the slot back
 // onto that shard's list and charge that shard's counters.
 //
 // What settle restores. Refill, ReleaseContext and the VM's flushes settle
@@ -214,7 +214,7 @@ func (h *Heap) refill(c *AllocContext, size uint64) bool {
 // refillRun gives the context a fresh run of up to want slots, all from one
 // shard: the first in scan order from the preferred shard whose free list
 // has a valid entry, else the preferred shard after carving fresh IDs into
-// it (re-checked first: a racing Free may have refilled it). The context
+// it (re-checked first: a racing FreeBatch may have refilled it). The context
 // must have no unused slots. Its pending counts are folded on the way —
 // under the same lock hold when the scan visits their shard, which in the
 // steady state is where the next run comes from too.

@@ -8,7 +8,7 @@ import (
 )
 
 // TestRecycledSlotStateCleared is the regression test for recycled-slot
-// hygiene: Free must clear flags and the stale counter (not just
+// hygiene: FreeBatch must clear flags and the stale counter (not just
 // size/class/refs), and the kept mark word must never make a recycled slot
 // appear already-marked to a later collection.
 func TestRecycledSlotStateCleared(t *testing.T) {
@@ -28,9 +28,9 @@ func TestRecycledSlotStateCleared(t *testing.T) {
 	if err := h.Offload(id); err != nil || !obj.IsOffloaded() {
 		t.Fatalf("offload of a fresh object: %v", err)
 	}
-	h.Free(id)
+	h.FreeBatch([]ObjectID{id})
 
-	// The dead slot itself is clean (flags and stale are cleared by Free,
+	// The dead slot itself is clean (flags and stale are cleared by FreeBatch,
 	// not by a later Allocate happening to overwrite them).
 	slot := h.slot(id)
 	if got := atomic.LoadUint32(&slot.flags); got != 0 {

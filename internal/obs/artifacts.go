@@ -5,9 +5,9 @@ import (
 	"path/filepath"
 )
 
-// WriteArtifacts drains the tracer and writes trace_<tag>.json (Chrome
-// trace-event array) and metrics_<tag>.json (registry snapshot) under dir,
-// creating it if needed. Returns the two paths. A nil *Obs writes nothing.
+// WriteArtifacts writes trace_<tag>.json (Chrome trace-event array) and
+// metrics_<tag>.json (registry snapshot) under dir, creating it if needed.
+// Returns the two paths. A nil *Obs writes nothing.
 func WriteArtifacts(o *Obs, dir, tag string) (tracePath, metricsPath string, err error) {
 	if o == nil {
 		return "", "", nil
@@ -15,7 +15,6 @@ func WriteArtifacts(o *Obs, dir, tag string) (tracePath, metricsPath string, err
 	if err = os.MkdirAll(dir, 0o755); err != nil {
 		return "", "", err
 	}
-	o.Tracer().DrainAll()
 
 	tracePath = filepath.Join(dir, "trace_"+tag+".json")
 	f, err := os.Create(tracePath)

@@ -64,101 +64,19 @@ func Instant(name, cat string, ts, tid int64, args ...Arg) Event {
 	return ev
 }
 
-// DefaultRingEvents is the per-thread ring capacity. At 4096 events a ring
-// holds far more than one GC interval's worth of traps/fault-ins; overflow
-// overwrites the oldest event and is counted.
-const DefaultRingEvents = 4096
-
-// initialRingEvents is the buffer a ring allocates on its first event; it
-// doubles from there up to DefaultRingEvents.
-const initialRingEvents = 16
-
 // MaxSinkEvents caps the non-metadata events the sink retains. Beyond it
 // the oldest are discarded and counted in Dropped, so a long-running
 // daemon's tracer holds a constant ~14 MB window instead of every GC span
 // since boot. Metadata (process/thread names) is kept regardless.
 const MaxSinkEvents = 1 << 16
 
-// Ring is a per-thread event buffer. The owning thread writes to it only
-// from inside its critical regions (between beginOp and endOp), with no
-// locking; it is read only by the collector during stop-the-world
-// (Tracer.DrainAll) or by the owner itself at thread exit
-// (Tracer.CloseRing), both of which exclude concurrent writes by
-// construction. A nil *Ring is the disabled path: every method is a no-op
-// behind a single nil check.
-//
-// A ring is lazy: until its first event it holds no buffer and its thread
-// has no thread_name record in the sink, so a thread that never traps costs
-// one small struct.
-type Ring struct {
-	tr      *Tracer
-	tid     int64
-	name    string
-	buf     []Event // nil until the first push
-	start   int     // index of oldest event
-	n       int     // number of valid events
-	dropped uint64
-}
-
-// Instant records an instant event on the ring's thread. Must only be
-// called by the owning thread inside a critical region.
-func (r *Ring) Instant(name, cat string, args ...Arg) {
-	if r == nil {
-		return
-	}
-	ev := Event{Name: name, Cat: cat, Ph: 'i', TS: r.tr.Now(), Tid: r.tid}
-	fillArgs(&ev, args)
-	r.push(ev)
-}
-
-func (r *Ring) push(ev Event) {
-	if r.n == len(r.buf) && len(r.buf) < DefaultRingEvents {
-		r.grow()
-	}
-	if r.n < len(r.buf) {
-		r.buf[(r.start+r.n)%len(r.buf)] = ev
-		r.n++
-		return
-	}
-	// Full: overwrite the oldest event.
-	r.buf[r.start] = ev
-	r.start = (r.start + 1) % len(r.buf)
-	r.dropped++
-}
-
-// grow allocates the buffer on the first push — naming the thread in the
-// sink first, so its thread_name record precedes every event it owns — and
-// doubles it afterwards. A ring below full capacity has never wrapped, so
-// start is 0 and the live events are buf[:n].
-func (r *Ring) grow() {
-	size := 2 * len(r.buf)
-	if r.buf == nil {
-		r.tr.Emit(nameEvent("thread_name", r.tid, r.name))
-		size = initialRingEvents
-	}
-	if size > DefaultRingEvents {
-		size = DefaultRingEvents
-	}
-	buf := make([]Event, size)
-	copy(buf, r.buf[:r.n])
-	r.buf = buf
-}
-
-// Tid returns the ring's trace thread id (0 on nil).
-func (r *Ring) Tid() int64 {
-	if r == nil {
-		return 0
-	}
-	return r.tid
-}
-
-// Tracer collects events into a central sink. Rare, non-mutator-path
-// events (GC phase spans, stop-the-world latencies, fault firings, offload
-// write retries) are Emit()ed directly under a short mutex; mutator-path
-// events go through per-thread Rings and reach the sink only at STW or
-// thread exit. Holders of the sink mutex never block on anything else, so
-// the tracer cannot deadlock against the safepoint barrier. A nil *Tracer
-// is the disabled path.
+// Tracer collects events into a central sink. Every event — GC phase
+// spans, stop-the-world latencies, fault firings, offload retries, and the
+// rare mutator events (poison traps, fault-ins) — is Emit()ed directly
+// under a short mutex, so the sink holds events in emission order. Holders
+// of the sink mutex never block on anything else, so the tracer cannot
+// deadlock against the safepoint barrier. A nil *Tracer is the disabled
+// path.
 //
 // The sink is bounded: metadata records are kept for the tracer's life,
 // everything else lives in a MaxSinkEvents-deep window that discards
@@ -176,7 +94,6 @@ type Tracer struct {
 	window  []Event
 	head    int
 	emitted uint64 // non-metadata events ever appended
-	rings   []*Ring
 	nextTid int64
 	dropped uint64
 }
@@ -203,8 +120,8 @@ func nameEvent(kind string, tid int64, name string) Event {
 }
 
 // Now returns nanoseconds since the tracer started (0 on nil). Callers on
-// the mutator fast path must not reach this when tracing is disabled; the
-// nil-safe Ring/Tracer wrappers guarantee that.
+// the mutator fast path must not reach this when tracing is disabled: they
+// test the *Tracer for nil first.
 func (t *Tracer) Now() int64 {
 	if t == nil {
 		return 0
@@ -239,64 +156,24 @@ func (t *Tracer) Emit(ev Event) {
 	t.mu.Unlock()
 }
 
-// NewRing registers a per-thread ring named name and returns it (nil on a
-// nil tracer). Tids are assigned sequentially in registration order, which
-// keeps traces deterministic for deterministic workloads. Registration is
-// all that happens here: the ring's buffer and its thread_name record wait
-// for the first event (Ring.grow).
-func (t *Tracer) NewRing(name string) *Ring {
+// NewTrack opens a track named name: it assigns the next tid and emits the
+// track's thread_name record (0 and nothing on a nil tracer). Tids follow
+// call order, which keeps traces deterministic for deterministic
+// workloads. A mutator thread calls it before its first event, so a thread
+// that never emits has no track.
+func (t *Tracer) NewTrack(name string) int64 {
 	if t == nil {
-		return nil
+		return 0
 	}
 	t.mu.Lock()
-	r := &Ring{tr: t, tid: t.nextTid, name: name}
+	tid := t.nextTid
 	t.nextTid++
-	t.rings = append(t.rings, r)
+	t.appendLocked(nameEvent("thread_name", tid, name))
 	t.mu.Unlock()
-	return r
+	return tid
 }
 
-func (t *Tracer) drainLocked(r *Ring) {
-	for i := 0; i < r.n; i++ {
-		t.appendLocked(r.buf[(r.start+i)%len(r.buf)])
-	}
-	t.dropped += r.dropped
-	r.start, r.n, r.dropped = 0, 0, 0
-}
-
-// DrainAll moves every ring's buffered events into the sink, in ring
-// registration (tid) order. Must only be called while all ring owners are
-// stopped (STW) — the collector calls it at the start of each collection.
-func (t *Tracer) DrainAll() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	for _, r := range t.rings {
-		t.drainLocked(r)
-	}
-	t.mu.Unlock()
-}
-
-// CloseRing drains r and unregisters it. Called by the owning thread at
-// exit, from inside its final critical region.
-func (t *Tracer) CloseRing(r *Ring) {
-	if t == nil || r == nil {
-		return
-	}
-	t.mu.Lock()
-	t.drainLocked(r)
-	for i, x := range t.rings {
-		if x == r {
-			t.rings = append(t.rings[:i], t.rings[i+1:]...)
-			break
-		}
-	}
-	t.mu.Unlock()
-}
-
-// Len returns the number of events currently in the sink (drained rings
-// excluded until DrainAll/CloseRing).
+// Len returns the number of events currently in the sink.
 func (t *Tracer) Len() int {
 	if t == nil {
 		return 0
@@ -306,8 +183,7 @@ func (t *Tracer) Len() int {
 	return len(t.meta) + len(t.window)
 }
 
-// Dropped returns how many events were lost: ring events overwritten
-// before draining plus sink events discarded past MaxSinkEvents.
+// Dropped returns how many events the sink discarded past MaxSinkEvents.
 func (t *Tracer) Dropped() uint64 {
 	if t == nil {
 		return 0
@@ -394,11 +270,10 @@ func writeEvent(b *strings.Builder, ev *Event, seq int, normalize bool) {
 }
 
 // WriteTrace writes the sink as a Chrome trace-event JSON array (the
-// format Perfetto and chrome://tracing load directly). It does NOT drain
-// rings first — call DrainAll (or let thread exit / STW do it) before
-// exporting. With normalize set, timestamps are replaced by sequence
-// indices and durations by zero; two deterministic runs then produce
-// byte-identical output. Safe on a nil tracer (writes an empty array).
+// format Perfetto and chrome://tracing load directly), in emission order.
+// With normalize set, timestamps are replaced by sequence indices and
+// durations by zero; two deterministic runs then produce byte-identical
+// output. Safe on a nil tracer (writes an empty array).
 func (t *Tracer) WriteTrace(w io.Writer, normalize bool) error {
 	var events []Event
 	if t != nil {

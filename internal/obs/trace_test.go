@@ -23,9 +23,8 @@ func TestTraceJSONShape(t *testing.T) {
 	tr := NewTracer()
 	tr.Emit(Span("gc.mark", "gc", 1500, 2500, 0, A("gc", 3), AS("mode", "prune")))
 	tr.Emit(Instant("fault.fire", "fault", 4200, 0, AS("point", "alloc-limit-race")))
-	r := tr.NewRing("mutator")
-	r.Instant("poison.trap", "vm", A("src_class", 7))
-	tr.DrainAll()
+	tid := tr.NewTrack("mutator")
+	tr.Emit(Instant("poison.trap", "vm", tr.Now(), tid, A("src_class", 7)))
 
 	var buf bytes.Buffer
 	if err := tr.WriteTrace(&buf, false); err != nil {
@@ -79,41 +78,6 @@ func TestTraceJSONShape(t *testing.T) {
 	}
 }
 
-// TestRingOverflow fills a ring past capacity and checks the oldest events
-// are overwritten and counted as dropped.
-func TestRingOverflow(t *testing.T) {
-	tr := NewTracer()
-	r := tr.NewRing("hot")
-	total := DefaultRingEvents + 100
-	for i := 0; i < total; i++ {
-		r.Instant("e", "t", A("i", int64(i)))
-	}
-	tr.DrainAll()
-	if got := tr.Dropped(); got != 100 {
-		t.Fatalf("dropped = %d, want 100", got)
-	}
-	var buf bytes.Buffer
-	if err := tr.WriteTrace(&buf, false); err != nil {
-		t.Fatal(err)
-	}
-	events := parseTrace(t, buf.Bytes())
-	// The survivors must be the LAST DefaultRingEvents instants, in order.
-	var seen []int64
-	for _, ev := range events {
-		if ev["name"] == "e" {
-			seen = append(seen, int64(ev["args"].(map[string]any)["i"].(float64)))
-		}
-	}
-	if len(seen) != DefaultRingEvents {
-		t.Fatalf("survivors = %d, want %d", len(seen), DefaultRingEvents)
-	}
-	for k, v := range seen {
-		if want := int64(100 + k); v != want {
-			t.Fatalf("survivor[%d] = %d, want %d", k, v, want)
-		}
-	}
-}
-
 // TestNormalizedDeterminism runs the same logical event sequence through
 // two tracers (whose wall-clock timestamps necessarily differ) and checks
 // the normalized exports are byte-identical while the raw ones are not
@@ -121,11 +85,10 @@ func TestRingOverflow(t *testing.T) {
 func TestNormalizedDeterminism(t *testing.T) {
 	build := func() *Tracer {
 		tr := NewTracer()
-		r := tr.NewRing("worker")
 		tr.Emit(Span("gc.mark", "gc", tr.Now(), 10, 0, A("gc", 1)))
-		r.Instant("poison.trap", "vm", A("slot", 2))
+		tid := tr.NewTrack("worker")
+		tr.Emit(Instant("poison.trap", "vm", tr.Now(), tid, A("slot", 2)))
 		tr.Emit(Instant("stw.stop", "safepoint", tr.Now(), 0))
-		tr.CloseRing(r)
 		return tr
 	}
 	var a, b bytes.Buffer
@@ -144,20 +107,6 @@ func TestNormalizedDeterminism(t *testing.T) {
 	events := parseTrace(t, a.Bytes())
 	if len(events) == 0 {
 		t.Fatal("empty normalized trace")
-	}
-}
-
-// TestCloseRingUnregisters checks a closed ring is drained once and no
-// longer touched by DrainAll.
-func TestCloseRingUnregisters(t *testing.T) {
-	tr := NewTracer()
-	r := tr.NewRing("t")
-	r.Instant("e", "c")
-	tr.CloseRing(r)
-	n := tr.Len()
-	tr.DrainAll()
-	if tr.Len() != n {
-		t.Fatal("DrainAll touched a closed ring")
 	}
 }
 
@@ -180,46 +129,29 @@ func traceNames(t *testing.T, tr *Tracer) []string {
 	return names
 }
 
-// TestRingIsLazy pins the idle-thread contract: registering a ring assigns
-// its tid and nothing else — no buffer, no sink event — and a ring that is
-// closed without ever receiving an event leaves the sink untouched. The
-// first event allocates a small buffer and names the thread ahead of it.
-func TestRingIsLazy(t *testing.T) {
+// TestNewTrack pins what opening a track does: it assigns the next tid, in
+// call order, and adds exactly one sink record — the track's thread_name —
+// so the name precedes every event emitted on the track. A thread opens
+// its track on its first event; one that never emits costs the tracer
+// nothing.
+func TestNewTrack(t *testing.T) {
 	tr := NewTracer()
 	base := tr.Len()
-	idle := tr.NewRing("idle")
-	busy := tr.NewRing("busy")
-	if idle.Tid() != 1 || busy.Tid() != 2 {
-		t.Fatalf("tids = %d, %d; want registration order 1, 2", idle.Tid(), busy.Tid())
+	first := tr.NewTrack("first")
+	if got := tr.Len(); got != base+1 {
+		t.Fatalf("NewTrack added %d sink records, want 1 (the thread_name)", got-base)
 	}
-	if idle.buf != nil || busy.buf != nil {
-		t.Fatal("a ring allocated its buffer before its first event")
+	tr.Emit(Instant("poison.trap", "vm", tr.Now(), first))
+	second := tr.NewTrack("second")
+	tr.Emit(Instant("offload.faultin", "offload", tr.Now(), second))
+	tr.Emit(Instant("poison.trap", "vm", tr.Now(), first))
+	if first != 1 || second != 2 {
+		t.Fatalf("tids = %d, %d; want call order 1, 2", first, second)
 	}
-	tr.DrainAll()
-	tr.CloseRing(idle)
-	if got := tr.Len(); got != base {
-		t.Fatalf("an eventless ring added %d sink events", got-base)
-	}
-
-	busy.Instant("poison.trap", "vm")
-	if got := len(busy.buf); got != initialRingEvents {
-		t.Fatalf("first event allocated %d slots, want %d", got, initialRingEvents)
-	}
-	for i := 0; i < 3*initialRingEvents; i++ {
-		busy.Instant("e", "t")
-	}
-	tr.CloseRing(busy)
 	names := traceNames(t, tr)[base:]
-	if len(names) != 2+3*initialRingEvents {
-		t.Fatalf("sink gained %d events, want thread_name + %d instants", len(names), 1+3*initialRingEvents)
-	}
-	if names[0] != "thread_name:busy" || names[1] != "poison.trap" {
-		t.Fatalf("sink order = %v..., want thread_name:busy then poison.trap", names[:2])
-	}
-	for _, n := range names {
-		if n == "thread_name:idle" {
-			t.Fatal("the eventless ring's thread was named in the sink")
-		}
+	want := []string{"thread_name:first", "poison.trap", "thread_name:second", "offload.faultin", "poison.trap"}
+	if strings.Join(names, " ") != strings.Join(want, " ") {
+		t.Fatalf("sink order = %v, want %v", names, want)
 	}
 }
 
@@ -230,15 +162,13 @@ func TestSinkIsBounded(t *testing.T) {
 	tr := NewTracer()
 	meta := tr.Len() // process_name + gc/stw thread_name
 	const excess = 1000
-	early := tr.NewRing("early")
-	early.Instant("first", "t") // will be discarded; its thread_name must not be
-	tr.CloseRing(early)
+	early := tr.NewTrack("early")
+	tr.Emit(Instant("first", "t", 0, early)) // will be discarded; its thread_name must not be
 	for i := 1; i < MaxSinkEvents+excess-1; i++ {
 		tr.Emit(Instant("e", "t", 0, 0, A("i", int64(i))))
 	}
-	late := tr.NewRing("late")
-	late.Instant("last", "t")
-	tr.CloseRing(late)
+	late := tr.NewTrack("late")
+	tr.Emit(Instant("last", "t", 0, late))
 
 	if got, want := tr.Len(), meta+2+MaxSinkEvents; got != want {
 		t.Fatalf("Len = %d, want %d (metadata + a full window)", got, want)
@@ -258,7 +188,7 @@ func TestSinkIsBounded(t *testing.T) {
 	// Metadata whose events were all discarded sorts to the front; the
 	// window follows oldest-first; "late" is named right before its event.
 	if got := events[meta]["args"].(map[string]any)["name"]; got != "early" {
-		t.Fatalf("event %d names thread %v, want the early ring's surviving thread_name", meta, got)
+		t.Fatalf("event %d names thread %v, want the early track's surviving thread_name", meta, got)
 	}
 	next := int64(excess)
 	for _, ev := range events[meta+1 : len(events)-2] {

@@ -124,8 +124,7 @@ func (r *Recorder) NewStream(name string) *Stream {
 }
 
 // DrainAll flushes every stream's buffer into the sink. Must be called
-// with the world stopped (no mutator inside a critical region), the same
-// contract as the obs tracer's DrainAll.
+// with the world stopped (no mutator inside a critical region).
 func (r *Recorder) DrainAll() {
 	if r == nil {
 		return
@@ -375,8 +374,8 @@ func (s *Stream) Iter(iter int) {
 }
 
 // Close records the thread's exit and flushes its buffer. Must be called
-// by the owning thread inside its final critical region (alongside the obs
-// ring close); the stream must not be used afterwards.
+// by the owning thread inside its final critical region; the stream must
+// not be used afterwards.
 func (s *Stream) Close() {
 	if s == nil || s.closed {
 		return

@@ -153,8 +153,7 @@ func benchMutatorOp(b *testing.B, barriers, obsOn bool, op string, threads int) 
 // same operations inside a Thread.Region, where the pair is paid once per
 // 64 operations and each operation only polls the stop flag. The
 // multi-thread rows show whether distinct threads serialize; the obs=true
-// rows bound what attaching metrics and per-thread trace rings costs the
-// fast paths.
+// rows bound what attaching metrics and the tracer costs the fast paths.
 func BenchmarkMutatorOps(b *testing.B) {
 	for _, op := range []string{"region", "load", "load-region", "store", "store-region", "new", "new-region"} {
 		for _, barriers := range []bool{false, true} {

@@ -314,7 +314,7 @@ func TestVerifyCleanAndDetectsPlantedDamage(t *testing.T) {
 
 	// Plant a use-after-free: free the referenced object behind the VM's
 	// back. The audit must flag both the dangling slot and the root path.
-	v.heap.Free(victim)
+	v.heap.FreeBatch([]heap.ObjectID{victim})
 	viol := v.Verify()
 	joined := strings.Join(viol, "\n")
 	if !strings.Contains(joined, "dangling") {

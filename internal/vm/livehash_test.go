@@ -39,7 +39,7 @@ func hashFixture(t *testing.T, vary string) uint64 {
 		b = alloc(node)
 	}
 	if !pad.IsNull() {
-		h.Free(pad.ID())
+		h.FreeBatch([]heap.ObjectID{pad.ID()})
 	}
 	// The hash reads reference words without following them, so a fixed
 	// word keeps the "id" variant from also changing a reference.

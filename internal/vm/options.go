@@ -162,7 +162,8 @@ type Options struct {
 
 	// Obs attaches the observability layer (metrics registry + trace-event
 	// tracer, see internal/obs): GC phase spans, safepoint stop-latency
-	// histograms, trap/barrier/fault counters, and per-thread trace rings.
+	// histograms, trap/barrier/fault counters, and one trace track per
+	// thread that emits (poison traps, offload fault-ins).
 	// Nil (the default) disables it; every instrumentation site then
 	// reduces to a single nil check with no allocation and no clock read.
 	Obs *obs.Obs
@@ -170,7 +171,7 @@ type Options struct {
 	// TraceRecorder attaches an allocation-trace recorder (internal/trace):
 	// every mutator operation, collector free, and completed GC cycle is
 	// recorded into per-thread streams, buffered thread-locally inside
-	// critical regions and drained at stop-the-world like the obs rings.
+	// critical regions and drained at stop-the-world.
 	// Nil (the default) disables recording; every record site then reduces
 	// to one nil check.
 	TraceRecorder *trace.Recorder

@@ -8,9 +8,9 @@ import (
 
 // Allocation-trace record helpers. Every site in the mutator hot paths is
 // a single `t.rec != nil` branch (or one nil-safe method call) when
-// recording is off, mirroring the obs ring discipline: streams are written
-// only by the owning thread inside its critical regions and drained at
-// stop-the-world (trace.Recorder.DrainAll in preparePlan).
+// recording is off. Streams are written only by the owning thread inside
+// its critical regions and drained at stop-the-world
+// (trace.Recorder.DrainAll in preparePlan).
 
 // recordAlloc records a successful allocation, distinguishing the class's
 // default shape (the common case, two varints) from a WithRefSlots /

@@ -217,7 +217,6 @@ func statsTraceRun(t *testing.T, callStats bool) (trace string, pauses int, stop
 	if err != nil {
 		t.Fatal(err)
 	}
-	o.Tracer().DrainAll()
 	var buf bytes.Buffer
 	if err := o.Tracer().WriteTrace(&buf, true); err != nil {
 		t.Fatal(err)

@@ -22,7 +22,7 @@ import (
 // -region rows) — so distinct threads never serialize on a shared lock;
 // collections stop the world by waiting for every thread to reach a
 // safepoint. Everything else the thread owns between safepoints (frames,
-// alloc, satbOn, the operation counters, ring, rec) is plain memory the
+// alloc, satbOn, the operation counters, rec) is plain memory the
 // state word orders: the owner touches it only inside critical regions,
 // anyone else only with the world stopped.
 type Thread struct {
@@ -69,16 +69,14 @@ type Thread struct {
 	allocs      uint64
 	barrierHits uint64
 
-	// ring is the thread's trace-event buffer (nil when tracing is off).
-	// Written only inside this thread's critical regions; drained by the
-	// collector at stop-the-world and closed by Exit inside its final
-	// critical region, so ring access never needs a lock. Kept after the
-	// hot counters so attaching tracing cannot shift their offsets.
-	ring *obs.Ring
+	// tid is the thread's obs trace track, 0 until its first trace event
+	// opens it (traceInstant). Owner-only, like cache.
+	tid int64
 
 	// rec is the thread's allocation-trace stream (nil when recording is
-	// off), under the same write discipline as ring: owner-only appends
-	// inside critical regions, drained at stop-the-world, closed by Exit.
+	// off): owner-only appends inside critical regions, drained by the
+	// collector at stop-the-world (preparePlan), closed by Exit inside its
+	// final critical region, so stream access never needs a lock.
 	rec *trace.Stream
 }
 
@@ -120,7 +118,6 @@ func (v *VM) NewThread(name string) *Thread {
 		name:  name,
 		stop:  &v.world.stop,
 		alloc: v.heap.NewAllocContext(),
-		ring:  v.obsTracer.NewRing(name),
 		rec:   v.recorder.NewStream(name),
 	}
 	v.threadMu.Lock()
@@ -164,19 +161,15 @@ func (t *Thread) Exit() {
 	}
 	t.exited = true
 	// Release the allocation context inside a critical region so it cannot
-	// race a stop-the-world flush of the same context. The trace
-	// ring is drained and unregistered in the same region, alongside the
-	// counter fold below: after Exit, nothing references the ring.
+	// race a stop-the-world flush of the same context. The allocation-trace
+	// stream is closed in the same region: after Exit, nothing references
+	// it.
 	t.beginOp()
 	t.vm.heap.ReleaseContext(&t.alloc)
 	// Hand any SATB entries this thread still buffers to the VM's overflow
 	// list: after Exit the remark drain will not visit this thread, and a
 	// logged deletion must never be lost (satb.go).
 	t.satb.flush(t.vm.spillSATB)
-	if t.ring != nil {
-		t.vm.obsTracer.CloseRing(t.ring)
-		t.ring = nil
-	}
 	if t.rec != nil {
 		t.rec.Close()
 		t.rec = nil
@@ -499,11 +492,9 @@ func (t *Thread) barrierColdPath(src *heap.Object, srcID heap.ObjectID, slot int
 	v := t.vm
 	if b.IsPoisoned() {
 		srcClass := src.Class()
-		// Record the trap instant while still inside the critical region,
-		// where ring writes are drain-safe (nil-safe when tracing is off).
-		t.ring.Instant("poison.trap", "vm",
-			obs.A("src_class", int64(srcClass)), obs.A("src", int64(srcID)), obs.A("slot", int64(slot)))
 		t.suspend()
+		t.traceInstant("poison.trap", "vm",
+			obs.A("src_class", int64(srcClass)), obs.A("src", int64(srcID)), obs.A("slot", int64(slot)))
 		v.throwPoisonTrap(srcClass, srcID, slot)
 	}
 	t.barrierHits++
@@ -613,4 +604,20 @@ func (t *Thread) StoreGlobal(g int, r heap.Ref) {
 func (t *Thread) trapBadGlobal(g int) {
 	t.suspend()
 	panic(fmt.Sprintf("vm: global %d out of range (%d globals)", g, t.vm.globalCount.Load()))
+}
+
+// traceInstant emits an instant event on t's trace track, opening the track
+// (tid and thread_name record) on the thread's first event; a no-op when
+// tracing is off. It takes the tracer's sink mutex, which no holder keeps
+// across a safepoint wait, so it is safe inside or outside a critical
+// region.
+func (t *Thread) traceInstant(name, cat string, args ...obs.Arg) {
+	tr := t.vm.obsTracer
+	if tr == nil {
+		return
+	}
+	if t.tid == 0 {
+		t.tid = tr.NewTrack(t.name)
+	}
+	tr.Emit(obs.Instant(name, cat, tr.Now(), t.tid, args...))
 }

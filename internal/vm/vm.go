@@ -199,7 +199,7 @@ type VM struct {
 
 	// Observability handles (all nil when Options.Obs is nil; every method
 	// on them is nil-safe, so instrumentation sites stay unconditional and
-	// cost one branch when disabled). Per-thread trace rings live on
+	// cost one branch when disabled). A thread's trace track id lives on
 	// Thread; these are the VM-global pieces.
 	obsTracer      *obs.Tracer
 	obsPoisonTraps *obs.Counter
@@ -590,10 +590,8 @@ func (v *VM) collectLocked() gc.Result {
 func (v *VM) preparePlan() gc.Plan {
 	v.flushTLABs()
 	// The world is stopped: no thread is inside a critical region, so every
-	// per-thread trace ring is safe to drain into the sink (nil-safe no-op
-	// when tracing is off). The allocation-trace streams follow the same
-	// discipline.
-	v.obsTracer.DrainAll()
+	// allocation-trace stream is safe to drain (nil-safe no-op when
+	// recording is off).
 	v.recorder.DrainAll()
 	plan := v.ctrl.PlanCycle()
 	// Stale counters measure program time, not collector invocations: a
@@ -934,13 +932,12 @@ func (v *VM) faultIn(t *Thread, id heap.ObjectID) {
 		vmerrors.Throw(&vmerrors.OffloadError{Op: "read", ObjectID: uint64(id), Attempts: attempts})
 	}
 	if err := v.heap.FaultIn(id); err == nil {
-		t.beginOp()
+		// The caller has the object rooted, so it stays allocated without a
+		// critical region; RecordFault is atomic.
 		if obj, ok := v.heap.Lookup(id); ok {
 			v.offloader.RecordFault(obj.Size())
 		}
-		// Inside the critical region, so the ring write is drain-safe.
-		t.ring.Instant("offload.faultin", "offload", obs.A("object", int64(id)), obs.A("attempts", int64(attempts)))
-		t.endOp()
+		t.traceInstant("offload.faultin", "offload", obs.A("object", int64(id)), obs.A("attempts", int64(attempts)))
 		return
 	}
 	v.stopTheWorld()
