@@ -27,7 +27,9 @@ test:
 # spins, and hides at two: internal/gc runs again at GOMAXPROCS 1 and 4
 # (~13 s each). A thread inside Thread.Region parks through the safepoint
 # protocol's own park path, for the same reason internal/vm runs again at
-# GOMAXPROCS 1.
+# GOMAXPROCS 1. internal/vm's TestClearDuringConcurrentSweep raises
+# GOMAXPROCS to 4 itself: mutators clear stale counters on their own Ps
+# while concurrent sweeps run.
 race:
 	$(GO) test -race -short ./internal/gc/... ./internal/heap/... ./internal/vm/... \
 		./internal/edgetable/... ./internal/offload/... ./internal/faultinject/... \
@@ -48,14 +50,16 @@ fmt:
 cover:
 	$(GO) test -cover ./...
 
-# Short native-fuzzing pass over the fuzz targets: the edge table's
-# shadow-model fuzz, the tagged-reference round trip, the SATB
+# Short native-fuzzing pass over the fuzz targets: the stale clock against
+# the eager aging rule, the edge table's shadow-model fuzz, the
+# tagged-reference round trip, the SATB
 # deletion-barrier buffer against its shadow model, the tier-1 barrier
 # elision against the always-barrier oracle, and the allocation-trace
 # codec round trip (hostile-parse + script round trip). The checked-in
 # corpora under testdata/fuzz run in every plain `go test`; this adds ten
 # seconds of fresh input generation per target.
 fuzz-smoke:
+	$(GO) test -run='^$$' -fuzz='^FuzzStaleClock$$' -fuzztime=10s ./internal/heap
 	$(GO) test -run='^$$' -fuzz='^FuzzEdgeTable$$' -fuzztime=10s ./internal/edgetable
 	$(GO) test -run='^$$' -fuzz='^FuzzPoisonRoundTrip$$' -fuzztime=10s ./internal/vm
 	$(GO) test -run='^$$' -fuzz='^FuzzSATBBuffer$$' -fuzztime=10s ./internal/vm
@@ -109,25 +113,30 @@ bench:
 bench-test:
 	$(GO) test -C benchmark ./...
 
-# One iteration of each go-test phase, mutator, allocation-path,
+# One iteration of each go-test phase, sweep, mutator, allocation-path,
 # live-set-hash and thread-lifecycle benchmark plus a small barrier-elision
 # run — a fast compile-and-run sanity check. It starts by asking the
 # compiler whether the helpers paid once per mutator op or traced edge
 # still inline: the three every mutator op is built from (beginOp sits one
 # node under the budget), the chunk-cached lookup behind every Load and
-# every traced edge (GetCached, three under), and the tracer's mark claim;
-# a CALL each would be paid per Load or per edge. Here and not in `make
-# check`: another toolchain's inliner may count differently, and that must
-# not turn tier-1 red.
+# every traced edge (GetCached, three under), the tracer's mark claim and
+# the bitmap/tally record of a scanned object (take), and the stale-clock read
+# (Clock.Stale) behind every counter a plan asks for; a CALL each would be
+# paid per Load or per edge. Here and not in `make check`: another
+# toolchain's inliner may count differently, and that must not turn
+# tier-1 red.
 bench-smoke:
 	@out=$$($(GO) build -gcflags=-m ./internal/vm 2>&1); for f in beginOp endOp root; do \
 		echo "$$out" | grep -q "can inline (\*Thread)\.$$f$$" || \
 			{ echo "internal/vm: (*Thread).$$f does not inline any more"; exit 1; }; done
-	@$(GO) build -gcflags=-m ./internal/heap 2>&1 | grep -q "can inline (\*Heap)\.GetCached$$" || \
-		{ echo "internal/heap: (*Heap).GetCached does not inline any more"; exit 1; }
-	@$(GO) build -gcflags=-m ./internal/gc 2>&1 | grep -q "can inline (\*traceWorker)\.claim$$" || \
-		{ echo "internal/gc: (*traceWorker).claim does not inline any more"; exit 1; }
-	$(GO) test -run='^$$' -bench='Benchmark(Mark|Sweep|Alloc)Parallel' -benchtime=1x .
+	@out=$$($(GO) build -gcflags=-m ./internal/heap 2>&1); for f in "Heap).GetCached" "Clock).Stale"; do \
+		echo "$$out" | grep -qF "can inline (*$$f" || \
+			{ echo "internal/heap: (*$$f does not inline any more"; exit 1; }; done
+	@out=$$($(GO) build -gcflags=-m ./internal/gc 2>&1); for f in claim take; do \
+		echo "$$out" | grep -q "can inline (\*traceWorker)\.$$f$$" || \
+			{ echo "internal/gc: (*traceWorker).$$f does not inline any more"; exit 1; }; done
+	$(GO) test -run='^$$' -bench='Benchmark(Mark|Alloc)Parallel' -benchtime=1x .
+	$(GO) test -run='^$$' -bench='^BenchmarkSweep$$' -benchtime=1x ./internal/gc
 	$(GO) test -run='^$$' -bench='Benchmark(MutatorOps|NewParallel|RequestShapedAlloc|LiveSetHash|RunThreadObs)' -benchtime=1x -benchmem ./internal/vm
 	$(LP) elision -methods 4 -ops 120 -reps 2 -o /dev/null
 

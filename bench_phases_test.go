@@ -1,10 +1,10 @@
-// Phase-level GC benchmarks: mark, sweep, and allocation throughput as a
-// function of worker count, isolating each phase of the collector. These
-// are the scaling proof for the work-stealing tracer, the range-sharded
-// sweep scan, and the sharded allocator (benchmark/'s gc.probe_* metrics
-// time the same phases at the default worker count); run them quickly with
+// Phase-level benchmarks: mark and allocation throughput as a function of
+// worker count. These are the scaling proof for the work-stealing tracer
+// and the sharded allocator (benchmark/'s gc.probe_* metrics time the
+// phases at the default worker count; the sweep, which is serial, has
+// internal/gc's BenchmarkSweep); run them quickly with
 //
-//	go test -run='^$' -bench='Benchmark(Mark|Sweep|Alloc)Parallel' -benchtime=1x
+//	go test -run='^$' -bench='Benchmark(Mark|Alloc)Parallel' -benchtime=1x
 package leakpruning
 
 import (
@@ -89,55 +89,6 @@ func BenchmarkMarkParallel(b *testing.B) {
 				b.ReportMetric(float64(mark.Nanoseconds())/float64(objs), "mark-ns/obj")
 			})
 		}
-	}
-}
-
-// buildGarbageHeap fills a heap with unreachable chain objects so a
-// collection's work is dominated by the sweep-free phase.
-func buildGarbageHeap(b *testing.B, n int) (*heap.Heap, *benchRoots) {
-	b.Helper()
-	reg := heap.NewRegistry()
-	node := reg.Define("Node", 1, 48)
-	h := heap.New(reg, 1<<30)
-	var prev heap.Ref
-	for i := 0; i < n; i++ {
-		r, err := h.Allocate(node)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !prev.IsNull() {
-			h.Get(r).SetRef(0, prev)
-		}
-		prev = r
-	}
-	return h, &benchRoots{}
-}
-
-// BenchmarkSweepParallel measures the sweep phase (scan + parallel
-// FreeBatch) on a ~131k-object fully-garbage heap, rebuilt outside the
-// timer each iteration.
-func BenchmarkSweepParallel(b *testing.B) {
-	const objects = 1 << 17
-	for _, workers := range phaseWorkerCounts {
-		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
-			var sweep time.Duration
-			var objs uint64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				h, roots := buildGarbageHeap(b, objects)
-				col := gc.NewCollector(h, roots, workers)
-				b.StartTimer()
-				res := col.Collect(gc.Plan{Mode: gc.ModeNormal})
-				sweep += res.SweepDuration
-				objs += res.ObjectsFreed
-			}
-			b.StopTimer()
-			if objs == 0 {
-				b.Fatal("no objects swept")
-			}
-			b.ReportMetric(float64(sweep.Nanoseconds())/float64(objs), "sweep-ns/obj")
-		})
 	}
 }
 

@@ -80,10 +80,10 @@ func TestPaperFigureExample(t *testing.T) {
 	link(e1, 0, c[4])
 
 	// Stale counters from Figure 5.
-	h.Get(c[1]).SetStale(2)
-	h.Get(c[2]).SetStale(1)
-	h.Get(c[3]).SetStale(3)
-	h.Get(c[4]).SetStale(3)
+	h.SetStale(h.Get(c[1]), 2)
+	h.SetStale(h.Get(c[2]), 1)
+	h.SetStale(h.Get(c[3]), 3)
+	h.SetStale(h.Get(c[4]), 3)
 
 	edges := edgetable.New(64)
 	// The program previously used an E -> C reference at staleness 2.

@@ -9,7 +9,7 @@ import (
 
 // Cycle is one full-heap collection, driven through its phases in order:
 //
-//	start   advance the epoch and the staleness clock, claim the roots and
+//	start   advance the epoch and the collection index, claim the roots and
 //	        deal them to the tracer
 //	Mark    the work-stealing closure; for SELECT also the stale closure
 //	        over the candidate queue (sizes only)
@@ -18,7 +18,8 @@ import (
 //	        degrades the cycle to the serial closure; stale bytes are
 //	        attributed
 //	Sweep   reclaim every unmarked object
-//	Finish  assemble the Result and record it
+//	Finish  advance the stale clock (aging cycles), assemble the Result
+//	        and record it
 //
 // Collect runs the phases back to back with the world stopped. A
 // mostly-concurrent cycle (StartConcurrent) runs the same phases with the
@@ -272,7 +273,7 @@ func (cy *Cycle) verifySnapshot() {
 		keptBytes := t.staleBytesPer[:0]
 		for i, cand := range t.candidates {
 			if src, ok := t.heap.Lookup(cand.srcID); ok && src.Ref(cand.slot) == cand.expect &&
-				t.plan.Candidate != nil && t.plan.Candidate(cand.src, cand.tgt, t.heap.Get(cand.ref).Stale()) {
+				t.plan.Candidate != nil && t.plan.Candidate(cand.src, cand.tgt, t.clock.Stale(t.heap.Get(cand.ref).StalePos())) {
 				kept = append(kept, cand)
 				keptBytes = append(keptBytes, t.staleBytesPer[i])
 				continue
@@ -290,7 +291,7 @@ func (cy *Cycle) verifySnapshot() {
 				src, ok := t.heap.Lookup(rec.srcID)
 				if ok && src.Ref(rec.slot) == rec.expect &&
 					t.plan.ShouldPrune != nil &&
-					t.plan.ShouldPrune(rec.src, rec.tgt, t.heap.Get(rec.expect).Stale()) {
+					t.plan.ShouldPrune(rec.src, rec.tgt, t.clock.Stale(t.heap.Get(rec.expect).StalePos())) {
 					// Verified: no mutator touched the edge in the window.
 					// Poison with the world stopped — byte-identical to an
 					// STW cycle's in-closure poisoning.
@@ -328,25 +329,33 @@ func (cy *Cycle) verifySnapshot() {
 // cycle it runs beside the mutators: unmarked objects are unreachable (the
 // SATB argument above), probes and frees go through atomic liveness words
 // and the shard locks, and anything allocated meanwhile is born black under
-// the still-armed alloc-mark epoch, so the sweeper cannot touch it. OnFree
+// the still-armed alloc-mark epoch, so the sweeper frees none of it. OnFree
 // callbacks (finalizers) are replayed serially on the calling goroutine.
 func (cy *Cycle) Sweep() {
 	t0 := time.Now()
-	cy.sw = cy.c.sweep(cy.plan)
+	cy.sw = cy.c.sweep(cy.plan, cy.tr)
 	cy.res.SweepDuration = time.Since(t0)
 }
 
-// Finish assembles the Result and records it in the observability layer.
-// A concurrent cycle's caller runs it in the closing pause, then disarms
-// black allocation and publishes the Result.
+// Finish advances the stale clock for an aging cycle, assembles the Result
+// and records it in the observability layer. The clock steps after the
+// sweep has sampled the dead and with no mutator running: an STW cycle
+// finishes right after its sweep, inside the one pause; a concurrent
+// cycle's caller runs Finish in the closing pause, then disarms black
+// allocation and publishes the Result. Every object born or used during
+// the cycle holds the position before the step, so it reads 1 after it,
+// as if the sweep had aged it.
 func (cy *Cycle) Finish() Result {
+	if cy.plan.AgeStaleness {
+		cy.c.heap.AgeStale(cy.res.Index)
+	}
 	cy.res.Candidates = len(cy.tr.candidates)
 	cy.res.PrunedRefs = int(cy.tr.prunedRefs)
 	cy.res.BytesFreed = cy.sw.bytesFreed
 	cy.res.ObjectsFreed = cy.sw.objectsFreed
 	cy.res.BytesLive = cy.sw.bytesLive
 	cy.res.ObjectsLive = cy.sw.objectsLive
-	cy.res.MaxStale = cy.sw.maxStale
+	cy.res.MaxStale = cy.c.heap.Clock().Stale(cy.sw.minPos)
 	cy.res.Duration = time.Since(cy.began)
 	cy.c.observeCycle(cy.traceBase, &cy.res)
 	return cy.res

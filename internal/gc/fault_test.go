@@ -49,7 +49,7 @@ func faultHeap(t *testing.T, chains, chainLen int) (*heap.Heap, *rootSet) {
 func liveSnapshot(h *heap.Heap) map[heap.ObjectID]string {
 	snap := make(map[heap.ObjectID]string)
 	h.ForEach(func(id heap.ObjectID, obj *heap.Object) {
-		sig := fmt.Sprintf("c%d s%d st%d", obj.Class(), obj.Size(), obj.Stale())
+		sig := fmt.Sprintf("c%d s%d st%d", obj.Class(), obj.Size(), h.Stale(obj))
 		for slot, n := 0, obj.NumRefs(); slot < n; slot++ {
 			sig += fmt.Sprintf(" r%d=%x", slot, obj.Ref(slot))
 		}
@@ -145,7 +145,7 @@ func TestWorkerPanicDuringPruneEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				h.Get(l).SetStale(3)
+				h.SetStale(h.Get(l), 3)
 				h.Get(r).SetRef(2, l)
 				if !prev.IsNull() {
 					h.Get(r).SetRef(0, prev)

@@ -129,12 +129,12 @@ func TestAgingOnlyWhenRequested(t *testing.T) {
 	col := th.collector(1)
 
 	col.Collect(Plan{Mode: ModeNormal}) // no aging
-	if th.h.Get(a).Stale() != 0 {
+	if th.h.Stale(th.h.Get(a)) != 0 {
 		t.Fatal("stale counter aged without AgeStaleness")
 	}
 	col.Collect(Plan{Mode: ModeNormal, AgeStaleness: true}) // index 2: 0->1
-	if th.h.Get(a).Stale() != 1 {
-		t.Fatalf("stale = %d after first aged GC", th.h.Get(a).Stale())
+	if th.h.Stale(th.h.Get(a)) != 1 {
+		t.Fatalf("stale = %d after first aged GC", th.h.Stale(th.h.Get(a)))
 	}
 }
 
@@ -238,7 +238,7 @@ func TestSelectModeCandidatesAndStaleClosure(t *testing.T) {
 	h1 := th.alloc(t, holder)
 	l1 := th.alloc(t, leaf)
 	th.link(h1, 0, l1)
-	th.h.Get(l1).SetStale(3) // stale target: candidate
+	th.h.SetStale(th.h.Get(l1), 3) // stale target: candidate
 	th.roots.refs = []heap.Ref{h1}
 
 	var got []struct {
@@ -280,7 +280,7 @@ func TestPruneModePoisonsAndReclaims(t *testing.T) {
 	l2 := th.alloc(t, leaf) // reachable only through l1
 	th.link(h1, 0, l1)
 	th.link(l1, 0, l2)
-	th.h.Get(l1).SetStale(3)
+	th.h.SetStale(th.h.Get(l1), 3)
 	th.roots.refs = []heap.Ref{h1}
 
 	pruned := 0
@@ -309,7 +309,8 @@ func TestPruneModePoisonsAndReclaims(t *testing.T) {
 // TestSweepFreeOrderIndependentOfWorkers pins the property every recorded
 // oracle (replay, chaos equivalence, pipeline isolation) rests on: after a
 // collection, the IDs the allocator recycles do not depend on how many
-// sweep workers ran or how they were scheduled.
+// trace workers marked (and so filled the sweep's bitmaps) or how they
+// were scheduled.
 func TestSweepFreeOrderIndependentOfWorkers(t *testing.T) {
 	const objects, reallocs = 20000, 6000
 	recycled := func(workers int) []heap.ObjectID {
@@ -387,13 +388,13 @@ func TestPruneHistogramsMatchPerObjectObservation(t *testing.T) {
 			}
 			r := th.alloc(t, cls)
 			obj := th.h.Get(r)
-			obj.SetStale(uint8(i * 7 % (heap.MaxStale + 1)))
+			th.h.SetStale(obj, uint8(i*7%(heap.MaxStale+1)))
 			if i%3 == 0 {
 				th.roots.refs = append(th.roots.refs, r)
 				continue
 			}
 			wantBytes.Observe(obj.Size())
-			wantAge.Observe(uint64(obj.Stale()))
+			wantAge.Observe(uint64(th.h.Stale(obj)))
 		}
 		c := th.collector(workers)
 		res := c.Collect(Plan{Mode: ModePrune})

@@ -53,7 +53,7 @@ func buildHourglass(t *testing.T, th *testHeap) hourglass {
 	tail := chain(tailCls, hgTail, heap.Ref(0))
 	th.h.ForEach(func(_ heap.ObjectID, obj *heap.Object) {
 		if obj.Class() == tailCls {
-			obj.SetStale(3)
+			th.h.SetStale(obj, 3)
 		}
 	})
 	h := th.alloc(t, hub)
@@ -341,7 +341,7 @@ func handOffHeap(t *testing.T) *testHeap {
 		}
 		tailHeads = append(tailHeads, end)
 	}
-	th.h.ForEach(func(_ heap.ObjectID, obj *heap.Object) { obj.SetStale(3) })
+	th.h.ForEach(func(_ heap.ObjectID, obj *heap.Object) { th.h.SetStale(obj, 3) })
 	hub := th.alloc(t, th.class(t, "Hub", fan, 0))
 	kids := make([]heap.Ref, fan)
 	for i := range kids {

@@ -26,8 +26,8 @@ func TestStaleClosureSharedSubgraphCountedOnce(t *testing.T) {
 	th.link(h2, 0, m2)
 	th.link(m1, 0, s)
 	th.link(m2, 0, s)
-	th.h.Get(m1).SetStale(3)
-	th.h.Get(m2).SetStale(3)
+	th.h.SetStale(th.h.Get(m1), 3)
+	th.h.SetStale(th.h.Get(m2), 3)
 	th.roots.refs = []heap.Ref{h1, h2}
 
 	var mu sync.Mutex
@@ -67,7 +67,7 @@ func TestStaleClosureCandidateReachableFromInUse(t *testing.T) {
 	l1 := th.alloc(t, leaf)
 	th.link(h1, 0, l1)
 	th.link(k1, 0, l1)
-	th.h.Get(l1).SetStale(5)
+	th.h.SetStale(th.h.Get(l1), 5)
 	th.roots.refs = []heap.Ref{h1, k1}
 
 	var got []uint64
@@ -168,7 +168,7 @@ func TestPruneSoundnessQuick(t *testing.T) {
 			if i >= n {
 				break
 			}
-			th.h.Get(refs[i]).SetStale(s % 8)
+			th.h.SetStale(th.h.Get(refs[i]), s%8)
 		}
 		slotUsed := make([]int, n)
 		for _, e := range edges {

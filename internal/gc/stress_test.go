@@ -86,7 +86,7 @@ func TestParallelCollectionStress(t *testing.T) {
 
 	// Make the surviving chains stale and run SELECT: candidates are
 	// deferred, attributed by the stale closure, and still retained.
-	h.ForEach(func(id heap.ObjectID, obj *heap.Object) { obj.SetStale(3) })
+	h.ForEach(func(id heap.ObjectID, obj *heap.Object) { h.SetStale(obj, 3) })
 	var accMu sync.Mutex
 	var staleBytes uint64
 	res = col.Collect(Plan{

@@ -2,6 +2,7 @@ package gc
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -84,6 +85,10 @@ const (
 // the CAS before it launches the first helper, whose go statement orders
 // every plain store before the helper's first load, and helpers always CAS
 // (DESIGN.md, "Work-stealing tracer"). markRoot runs with no helper alive.
+// A claimed object is scanned exactly once, by whichever worker pops it;
+// that worker also sets the object's bit in its own mark bitmap and adds
+// it to its live tallies (take), so the sweep reads the bitmaps instead of
+// the living.
 //
 // Termination: a worker parks only with its stack and deque empty, having
 // failed to steal; idle and launched change under mu, and only a worker
@@ -100,6 +105,12 @@ type tracer struct {
 	heap  *heap.Heap
 	epoch uint32
 	plan  Plan
+
+	// clock is the stale clock the cycle reads counters on (it advances
+	// only when the cycle finishes); needStale says whether the plan has a
+	// callback that takes a counter, so a normal cycle never reads one.
+	clock     *heap.Clock
+	needStale bool
 
 	// concurrent marks a closure that runs while mutators are live (the
 	// mostly-concurrent cycles). It changes one thing: barrier
@@ -143,8 +154,8 @@ type tracer struct {
 }
 
 // traceScratch is the tracer's memory, owned by the Collector and reused
-// across cycles the way sweepers is: a steady-state closure allocates its
-// header and the batches it deals or spills, nothing else.
+// across cycles: a steady-state closure allocates its header and the
+// batches it deals or spills, nothing else.
 type traceScratch struct {
 	pool []traceWorker // one per configured worker; a closure uses a prefix
 
@@ -169,10 +180,11 @@ type traceScratch struct {
 }
 
 // traceWorker is one tracer worker's private state: its local mark stack,
-// its chunk cache, the buffers merged serially once the closure finishes,
-// and its deque. The deque's indices are what other workers read; the
-// padding keeps them off the cache lines the owner writes on every
-// mark-stack push, whatever the array's alignment.
+// its chunk cache, its mark bitmap and live tallies, the buffers merged
+// serially once the closure finishes, and its deque. The deque's indices
+// are what other workers read; the padding keeps them off the cache lines
+// the owner writes on every mark-stack push, whatever the array's
+// alignment.
 type traceWorker struct {
 	t     *tracer
 	id    int
@@ -183,6 +195,13 @@ type traceWorker struct {
 	// scans counts the objects this worker has scanned (tests compare it
 	// with the live set: every live object is scanned exactly once).
 	scans uint64
+
+	// bits has bit id set for every object this worker scanned; bytesLive
+	// sums their sizes and minPos is the lowest stale-clock position among
+	// them (Result.MaxStale). The sweep counts the bits for ObjectsLive.
+	bits      []uint64
+	bytesLive uint64
+	minPos    uint32
 
 	candidates []candidate
 	staleEdges []staleEdge
@@ -196,16 +215,29 @@ type traceWorker struct {
 
 // newTracer readies the scratch for one closure over the first workers
 // entries of its worker set and returns the closure's header.
+// Every bitmap covers the IDs carved so far: an object carved later is
+// born black in a concurrent cycle, which no claim can win (take grows the
+// bitmap if it is not).
 func (s *traceScratch) newTracer(h *heap.Heap, epoch uint32, plan Plan, workers int) *tracer {
-	t := &tracer{traceScratch: s, heap: h, epoch: epoch, plan: plan, workers: s.pool[:workers]}
+	t := &tracer{traceScratch: s, heap: h, epoch: epoch, plan: plan, workers: s.pool[:workers],
+		clock:     h.Clock(),
+		needStale: plan.Candidate != nil || plan.ShouldPrune != nil || plan.StaleEdge != nil}
 	t.cond.L = &t.mu
 	s.roots, s.candidates, s.staleBytesPer = s.roots[:0], s.candidates[:0], s.staleBytesPer[:0]
+	words := (int(h.MaxID()) + 63) / 64
 	for i := range t.workers {
 		w := &t.workers[i]
 		w.t, w.id, w.pruned, w.alone, w.scans = t, i, 0, false, 0
 		w.local, w.candidates = w.local[:0], w.candidates[:0]
 		w.staleEdges, w.pruneRecs = w.staleEdges[:0], w.pruneRecs[:0]
 		w.deque.reset() // an aborted closure leaves batches behind
+		if cap(w.bits) < words {
+			w.bits = make([]uint64, words, words+words/4)
+		} else {
+			w.bits = w.bits[:words]
+			clear(w.bits)
+		}
+		w.bytesLive, w.minPos = 0, math.MaxUint32
 	}
 	return t
 }
@@ -487,7 +519,7 @@ func (w *traceWorker) scan(id heap.ObjectID) {
 	if obj == nil {
 		return
 	}
-	w.scans++
+	w.take(obj, id)
 	src := obj.Class()
 	for slot, n := 0, obj.NumRefs(); slot < n; slot++ {
 		r := obj.Ref(slot)
@@ -504,7 +536,10 @@ func (w *traceWorker) scan(id heap.ObjectID) {
 			dangling(r)
 		}
 		tgtClass := tgt.Class()
-		stale := tgt.Stale()
+		var stale uint8
+		if t.needStale {
+			stale = t.clock.Stale(tgt.StalePos())
+		}
 
 		if t.plan.StaleEdge != nil && stale >= 2 {
 			w.staleEdges = append(w.staleEdges, staleEdge{src: src, tgt: tgtClass, stale: stale, bytes: tgt.Size()})
@@ -577,6 +612,30 @@ func (w *traceWorker) claim(obj *heap.Object, epoch uint32) bool {
 		return obj.TryMarkOwned(epoch)
 	}
 	return obj.TryMark(epoch)
+}
+
+// take records a claimed object, obj (object id), as this worker scans it:
+// the scan count, the object's bit in this worker's bitmap — a plain OR on
+// a word no other worker writes — and its size and stale-clock position in
+// the live tallies. At scan time the object's header is already in cache,
+// and the per-edge loop stays as lean as the claim. It inlines (make
+// bench-smoke checks).
+func (w *traceWorker) take(obj *heap.Object, id heap.ObjectID) {
+	w.scans++
+	wi := int(id >> 6)
+	if wi >= len(w.bits) {
+		w.grow(wi)
+	}
+	w.bits[wi] |= 1 << (id & 63)
+	w.bytesLive += obj.Size()
+	w.minPos = min(w.minPos, obj.StalePos())
+}
+
+// grow extends the bitmap, zeroed, to cover word wi: an object carved after
+// the closure started that was not born black, which only a caller that
+// allocates into a concurrent cycle without arming black allocation makes.
+func (w *traceWorker) grow(wi int) {
+	w.bits = append(w.bits, make([]uint64, wi+1-len(w.bits))...)
 }
 
 // dangling reports a traced reference that resolved to no live object.
@@ -671,7 +730,7 @@ func (w *traceWorker) traceStaleRoot(root heap.Ref) uint64 {
 		if o == nil {
 			continue
 		}
-		w.scans++
+		w.take(o, id)
 		bytes += o.Size()
 		for slot, n := 0, o.NumRefs(); slot < n; slot++ {
 			r := o.Ref(slot)

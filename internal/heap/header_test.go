@@ -7,7 +7,8 @@ import (
 )
 
 // header is every Object word the allocator is responsible for except mark
-// (deliberately kept across recycling, see allocate).
+// (deliberately kept across recycling, see allocate). stale is the raw
+// stale word, a clock position.
 type header struct {
 	class        ClassID
 	stale, flags uint32
@@ -16,15 +17,17 @@ type header struct {
 }
 
 func headerOf(o *Object) header {
-	return header{class: o.Class(), stale: uint32(o.Stale()), flags: atomic.LoadUint32(&o.flags),
+	return header{class: o.Class(), stale: o.StalePos(), flags: atomic.LoadUint32(&o.flags),
 		size: o.Size(), refs: len(o.refs)}
 }
 
 // TestHeaderInvariantsAcrossRecycling pins what lets birth and death skip
-// header stores: a freed slot's header is all zero (so allocate may load
-// stale and flags and find them right), a recycled slot's header equals a
-// never-used slot's, and allocate still initialises a slot whose stale or
-// flags are not zero — it loads before it stores, it does not assume. The
+// header stores: a freed slot's header is all zero but for the stale word,
+// which death leaves and birth sets to the clock's position (so allocate
+// may load flags and find it right), a recycled slot's header equals a
+// never-used slot's, and allocate still initialises a slot whose stale
+// word or flags are not what birth wants — it loads flags before it
+// stores, it does not assume. The
 // object dies at any stale value, resident or offloaded (the one flag bit,
 // which FreeBatch must clear along with its disk charge), alone or beside a
 // partner in one FreeBatch call (as the sweep frees a cycle's dead objects),
@@ -67,7 +70,7 @@ func TestHeaderInvariantsAcrossRecycling(t *testing.T) {
 							t.Helper()
 							refSlots, scalarBytes := h.ResolveShape(cls, opts)
 							got := headerOf(obj)
-							if want := (header{class: cls, size: ObjectSize(refSlots, scalarBytes), refs: refSlots}); got != want {
+							if want := (header{class: cls, stale: h.Clock().Now(), size: ObjectSize(refSlots, scalarBytes), refs: refSlots}); got != want {
 								t.Fatalf("%s: header %+v, want %+v", stage, got, want)
 							}
 							for slot := 0; slot < obj.NumRefs(); slot++ {
@@ -97,7 +100,7 @@ func TestHeaderInvariantsAcrossRecycling(t *testing.T) {
 						for i, opts := range steps[1:] {
 							// Age (and offload) the object the way collections
 							// do, then let it die.
-							obj.SetStale(stale)
+							h.SetStale(obj, stale)
 							if obj.NumRefs() > 1 {
 								obj.SetRef(1, MakeRef(id))
 							}
@@ -115,11 +118,13 @@ func TestHeaderInvariantsAcrossRecycling(t *testing.T) {
 							}
 							h.ReleaseContext(&ctx) // the freed slots go on top of the settled run
 							h.FreeBatch(dead)
-							if got := headerOf(obj); got != (header{}) {
-								t.Fatalf("after %s: header %+v, want every word zero", how, got)
+							if got := headerOf(obj); got != (header{stale: got.stale}) {
+								t.Fatalf("after %s: header %+v, want every word but stale zero", how, got)
 							}
-							if partner != nil && headerOf(partner) != (header{}) {
-								t.Fatalf("after %s: the partner's header %+v, want every word zero", how, headerOf(partner))
+							if partner != nil {
+								if got := headerOf(partner); got != (header{stale: got.stale}) {
+									t.Fatalf("after %s: the partner's header %+v, want every word but stale zero", how, got)
+								}
 							}
 							if d := h.Disk(); d.BytesUsed != 0 {
 								t.Fatalf("after %s: disk still charged %d bytes", how, d.BytesUsed)

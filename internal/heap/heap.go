@@ -100,6 +100,9 @@ type Heap struct {
 	// shards.
 	rotor atomic.Uint32
 
+	// clock is the stale clock (clock.go); AgeStale publishes each step.
+	clock atomic.Pointer[Clock]
+
 	// allocMark, when nonzero, is the mark epoch stamped onto every new
 	// object at birth ("allocate black"): while a concurrent mark is in
 	// flight, objects born after the snapshot are live by definition and
@@ -141,6 +144,7 @@ func New(classes *Registry, limit uint64) *Heap {
 	h := &Heap{classes: classes, limit: limit}
 	h.next.Store(1)
 	h.chunks.Store(new([]*chunk))
+	h.clock.Store(firstClock())
 	return h
 }
 
@@ -301,11 +305,15 @@ func (h *Heap) allocate(ctx *AllocContext, runLen int, class ClassID, opts []All
 		h.freeListRepairs.Add(1)
 	}
 	// class and size are the two header words birth always has to write.
-	// stale and flags are already zero on every fresh or freed slot
-	// (freeLocked's invariant), so they are loaded first and stored — a
-	// locked instruction each — only when that is not what they hold.
+	// flags is already zero on every fresh or freed slot (freeLocked's
+	// invariant), so it is loaded first and stored — a locked instruction —
+	// only when that is not what it holds. stale gets the clock's position
+	// in a plain store: every reader of it reaches the object through its
+	// size word, which publishes the slot below, so none can see the slot
+	// before the store (the sweep reads a dead object's stale word before
+	// FreeBatch hands the slot on, under the shard lock).
 	atomic.StoreUint32((*uint32)(&obj.class), uint32(class))
-	setHeaderWord(&obj.stale, 0)
+	obj.stale = h.clock.Load().Now()
 	setHeaderWord(&obj.flags, 0)
 	obj.home = uint8(ctx.home)
 	// An inline slice has capacity inlineRefs, so a larger capacity is this
@@ -493,13 +501,13 @@ func (h *Heap) probeFreeListLocked(s *shard) int {
 }
 
 // freeLocked releases obj (slot id) into shard s, clearing its header so a
-// recycled slot starts clean: flags, stale counter, class, size, and refs
-// are all reset (the mark word is deliberately kept — see Allocate). Size
-// and class always change; flags and stale are stored only when they are
-// not zero already, which is most deaths (an object that dies young was
-// never aged or flagged), so a free costs two locked instructions. It
-// returns the heap-resident bytes to credit back to the used counter (zero
-// for offloaded objects, whose bytes live on disk). Caller holds s.mu.
+// recycled slot starts clean: flags, class, size, and refs are all reset
+// (the mark word is deliberately kept — see Allocate — and the stale word
+// too, which birth always sets). Size and class always change; flags is
+// stored only when it is not zero already, which is most deaths, so a free
+// costs two locked instructions. It returns the heap-resident bytes to
+// credit back to the used counter (zero for offloaded objects, whose bytes
+// live on disk). Caller holds s.mu.
 func (h *Heap) freeLocked(s *shard, id ObjectID, obj *Object) uint64 {
 	size := obj.Size()
 	heapBytes := size
@@ -516,7 +524,6 @@ func (h *Heap) freeLocked(s *shard, id ObjectID, obj *Object) uint64 {
 	atomic.StoreUint32((*uint32)(&obj.class), 0)
 	obj.refs = obj.refs[:0]
 	setHeaderWord(&obj.flags, 0)
-	setHeaderWord(&obj.stale, 0)
 	s.free = append(s.free, id)
 	return heapBytes
 }
@@ -543,8 +550,8 @@ func (h *Heap) ForEach(fn func(ObjectID, *Object)) {
 	}
 }
 
-// MaxID returns the exclusive upper bound of object IDs ever carved,
-// letting the sweeper shard the table across workers.
+// MaxID returns the exclusive upper bound of object IDs ever carved: how
+// far the sweep walks the table and the tracer's mark bitmaps reach.
 func (h *Heap) MaxID() ObjectID { return ObjectID(h.next.Load()) }
 
 // Entries returns the table entries of IDs lo, lo+1, … up to hi or the

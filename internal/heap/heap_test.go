@@ -95,7 +95,7 @@ func TestFreeAndRecycle(t *testing.T) {
 		t.Fatalf("expected slot recycling: got %d, want %d", r2.ID(), id)
 	}
 	obj := h.Get(r2)
-	if obj.Stale() != 0 {
+	if h.Stale(obj) != 0 {
 		t.Fatal("recycled object must have a clear stale counter")
 	}
 	for i := 0; i < obj.NumRefs(); i++ {

@@ -20,19 +20,19 @@ func allocObject(t *testing.T, refs, scalar int) (*Heap, Ref) {
 func TestStaleCounterBasics(t *testing.T) {
 	h, r := allocObject(t, 1, 0)
 	obj := h.Get(r)
-	if obj.Stale() != 0 {
+	if h.Stale(obj) != 0 {
 		t.Fatal("fresh object must have stale 0")
 	}
-	obj.SetStale(3)
-	if obj.Stale() != 3 {
-		t.Fatalf("Stale = %d", obj.Stale())
+	h.SetStale(obj, 3)
+	if s := h.Stale(obj); s != 3 {
+		t.Fatalf("Stale = %d", s)
 	}
-	obj.SetStale(250) // saturates
-	if obj.Stale() != MaxStale {
-		t.Fatalf("SetStale must saturate at %d, got %d", MaxStale, obj.Stale())
+	h.SetStale(obj, 250) // saturates
+	if s := h.Stale(obj); s != MaxStale {
+		t.Fatalf("SetStale must saturate at %d, got %d", MaxStale, s)
 	}
-	obj.ClearStale()
-	if obj.Stale() != 0 {
+	h.ClearStale(obj)
+	if h.Stale(obj) != 0 {
 		t.Fatal("ClearStale failed")
 	}
 }
@@ -46,8 +46,8 @@ func TestAgeStaleRule(t *testing.T) {
 	// Simulate collections 1..128 with no intervening use.
 	values := map[uint64]uint8{}
 	for i := uint64(1); i <= 128; i++ {
-		obj.AgeStale(i)
-		values[i] = obj.Stale()
+		h.AgeStale(i)
+		values[i] = h.Stale(obj)
 	}
 	// After collection 1: 0 -> 1 (2^0 divides everything).
 	if values[1] != 1 {
@@ -82,9 +82,10 @@ func TestAgeStaleRule(t *testing.T) {
 // TestAgeStaleSchedule pins the full aging schedule for collections 1..64
 // against a direct transcription of the §4.1 rule — "collection gcIndex
 // increments a counter at value k iff 2^k evenly divides gcIndex" — written
-// with the modulo operator. AgeStale implements the divisibility test as a
-// bit mask (the divisor is always a power of two); this is the oracle that
-// keeps the mask form honest step by step, not just at spot-checked points.
+// with the modulo operator. The clock implements the divisibility test as a
+// bit mask (the divisor is always a power of two) and applies it to
+// thresholds, not counters; this is the oracle that keeps both honest step
+// by step, not just at spot-checked points.
 func TestAgeStaleSchedule(t *testing.T) {
 	h, r := allocObject(t, 0, 0)
 	obj := h.Get(r)
@@ -93,18 +94,15 @@ func TestAgeStaleSchedule(t *testing.T) {
 		if want < MaxStale && i%(uint64(1)<<want) == 0 {
 			want++
 		}
-		got := obj.AgeStale(i)
-		if uint64(got) != want {
-			t.Fatalf("after GC %d: AgeStale returned %d, want %d", i, got, want)
-		}
-		if uint64(obj.Stale()) != want {
-			t.Fatalf("after GC %d: Stale() = %d, want %d", i, obj.Stale(), want)
+		h.AgeStale(i)
+		if got := h.Stale(obj); uint64(got) != want {
+			t.Fatalf("after GC %d: Stale = %d, want %d", i, got, want)
 		}
 	}
 	// The schedule above must have saturated: 2^0+2^1+...+2^6 opportunities
 	// comfortably exceed what MaxStale requires.
-	if obj.Stale() != MaxStale {
-		t.Fatalf("schedule did not saturate: stale = %d, want %d", obj.Stale(), MaxStale)
+	if s := h.Stale(obj); s != MaxStale {
+		t.Fatalf("schedule did not saturate: stale = %d, want %d", s, MaxStale)
 	}
 }
 
@@ -118,9 +116,9 @@ func TestAgeStaleApproximatesLog(t *testing.T) {
 		base := uint64(start) + 1
 		gcs := uint64(0)
 		for i := base; ; i++ {
-			obj.AgeStale(i)
+			h.AgeStale(i)
 			gcs++
-			if obj.Stale() >= 4 {
+			if h.Stale(obj) >= 4 {
 				break
 			}
 			if gcs > 64 {
@@ -134,6 +132,85 @@ func TestAgeStaleApproximatesLog(t *testing.T) {
 	if err := quick.Check(prop, &quick.Config{MaxCount: 64}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// eagerAge is the §4.1 rule applied in place to one counter: collection
+// gcIndex moves k to k+1 iff 2^k divides gcIndex, saturating at MaxStale.
+func eagerAge(k uint8, gcIndex uint64) uint8 {
+	if k < MaxStale && gcIndex&(uint64(1)<<k-1) == 0 {
+		k++
+	}
+	return k
+}
+
+// FuzzStaleClock drives births, uses (ClearStale), SetStale, aging
+// collections and collections that do not age against a model that keeps
+// one eager counter per object (eagerAge): after every step every object's
+// counter on the clock must equal the model's.
+func FuzzStaleClock(f *testing.F) {
+	f.Add([]byte{0, 2, 2, 2, 2, 2, 2, 2, 2, 0, 1, 2, 3, 2})
+	f.Add([]byte{0, 0, 0, 30, 2, 6, 3, 2, 7, 10, 2, 2, 3, 3, 2})
+	// Long runs with few uses, so counters reach MaxStale and the high
+	// thresholds move.
+	rnd := uint64(0x9e3779b97f4a7c15)
+	for _, n := range []int{600, 2000} {
+		ops := make([]byte, n)
+		for i := range ops {
+			rnd ^= rnd << 13
+			rnd ^= rnd >> 7
+			rnd ^= rnd << 17
+			ops[i] = byte(rnd)
+			if ops[i]%8 < 3 && rnd>>40%4 != 0 {
+				ops[i] = ops[i]&^7 | 2 // mostly aging collections
+			}
+		}
+		f.Add(ops)
+	}
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		reg := NewRegistry()
+		cls := reg.Define("T", 0, 0)
+		h := New(reg, 1<<24)
+		var objs []*Object
+		var model []uint8
+		gcIndex := uint64(0)
+		for step, op := range ops {
+			arg := int(op >> 3)
+			switch op % 8 {
+			case 0, 1: // birth
+				r, err := h.Allocate(cls)
+				if err != nil {
+					t.Fatal(err)
+				}
+				objs, model = append(objs, h.Get(r)), append(model, 0)
+			case 2, 3: // aging collection
+				gcIndex++
+				h.AgeStale(gcIndex)
+				for i := range model {
+					model[i] = eagerAge(model[i], gcIndex)
+				}
+			case 4: // a collection that does not age
+				gcIndex++
+			case 5, 6: // use
+				if len(objs) > 0 {
+					i := arg % len(objs)
+					h.ClearStale(objs[i])
+					model[i] = 0
+				}
+			case 7: // set a counter outright
+				if len(objs) > 0 {
+					i, v := arg%len(objs), uint8(arg%(MaxStale+1))
+					h.SetStale(objs[i], v)
+					model[i] = v
+				}
+			}
+			for i, obj := range objs {
+				if got := h.Stale(obj); got != model[i] {
+					t.Fatalf("step %d (op %d, collection %d): object %d reads %d, the eager rule has %d",
+						step, op, gcIndex, i, got, model[i])
+				}
+			}
+		}
+	})
 }
 
 func TestTryMarkEpochs(t *testing.T) {

@@ -17,42 +17,14 @@ func (h *Heap) SetObs(o *obs.Obs) {
 		"stale counter of objects reclaimed by PRUNE-mode collections", obs.StaleAgeBuckets)
 }
 
-// PruneTally is one sweep worker's share of a prune cycle's samples: the
-// two prune histograms' per-bucket counts and sums in plain words the worker
-// owns, so sampling inside the sweep scan touches no shared counter.
-// MergePruned adds it to the histograms once the workers have joined.
-type PruneTally struct {
-	bytes, age       []uint64
-	bytesSum, ageSum uint64
-}
-
 // RecordPrunedFree samples one object reclaimed during a prune cycle into
-// the caller's tally. The GC sweep calls it (ModePrune only) while the
-// object's size and stale counter are still readable. Disabled observability
-// reduces it to one nil check.
-func (h *Heap) RecordPrunedFree(t *PruneTally, size uint64, stale uint8) {
+// the prune histograms. The GC sweep calls it (ModePrune only) while the
+// object's size and stale counter are still readable, before the clock
+// advances. Disabled observability reduces it to one nil check.
+func (h *Heap) RecordPrunedFree(obj *Object) {
 	if h.pruneFreedBytes == nil {
 		return
 	}
-	if t.bytes == nil {
-		t.bytes = make([]uint64, len(h.pruneFreedBytes.Bounds())+1)
-		t.age = make([]uint64, len(h.pruneStaleAge.Bounds())+1)
-	}
-	t.bytes[h.pruneFreedBytes.Bucket(size)]++
-	t.bytesSum += size
-	t.age[h.pruneStaleAge.Bucket(uint64(stale))]++
-	t.ageSum += uint64(stale)
-}
-
-// MergePruned adds a tally's samples to the prune histograms and empties it
-// for reuse. Not for concurrent use on one tally.
-func (h *Heap) MergePruned(t *PruneTally) {
-	if t.bytes == nil {
-		return
-	}
-	h.pruneFreedBytes.AddBatch(t.bytes, t.bytesSum)
-	h.pruneStaleAge.AddBatch(t.age, t.ageSum)
-	clear(t.bytes)
-	clear(t.age)
-	t.bytesSum, t.ageSum = 0, 0
+	h.pruneFreedBytes.Observe(obj.Size())
+	h.pruneStaleAge.Observe(uint64(h.Stale(obj)))
 }

@@ -161,7 +161,7 @@ func (c *Controller) AfterGC(h *heap.Heap) uint64 {
 	diskFull := false
 	for level := uint8(heap.MaxStale); level >= c.cfg.MinStale && !diskFull; level-- {
 		h.ForEach(func(id heap.ObjectID, obj *heap.Object) {
-			if diskFull || obj.IsOffloaded() || obj.Stale() != level {
+			if diskFull || obj.IsOffloaded() || h.Stale(obj) != level {
 				return
 			}
 			if h.Stats().BytesUsed <= target {

@@ -18,7 +18,7 @@ func buildHeap(t *testing.T, limit, disk uint64) (*heap.Heap, heap.ClassID) {
 func TestAfterGCNoopBelowThreshold(t *testing.T) {
 	h, blob := buildHeap(t, 100000, 100000)
 	r, _ := h.Allocate(blob)
-	h.Get(r).SetStale(7)
+	h.SetStale(h.Get(r), 7)
 	c := New(Config{DiskLimit: 100000})
 	if moved := c.AfterGC(h); moved != 0 {
 		t.Fatalf("moved %d bytes below the threshold", moved)
@@ -34,7 +34,7 @@ func TestAfterGCMovesStalestFirst(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		h.Get(r).SetStale(uint8(7 - i%6)) // 7,6,5,4,3,2,7,6,5,4
+		h.SetStale(h.Get(r), uint8(7-i%6)) // 7,6,5,4,3,2,7,6,5,4
 		refs = append(refs, r)
 	}
 	c := New(Config{DiskLimit: 100000, TargetFraction: 0.5})
@@ -51,10 +51,10 @@ func TestAfterGCMovesStalestFirst(t *testing.T) {
 	for _, r := range refs {
 		obj := h.Get(r)
 		if obj.IsOffloaded() {
-			if s := obj.Stale(); s < minOff {
+			if s := h.Stale(obj); s < minOff {
 				minOff = s
 			}
-		} else if s := obj.Stale(); s > maxRes {
+		} else if s := h.Stale(obj); s > maxRes {
 			maxRes = s
 		}
 	}
@@ -73,7 +73,7 @@ func TestAfterGCRespectsMinStale(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		h.Get(r).SetStale(1) // below the bar
+		h.SetStale(h.Get(r), 1) // below the bar
 	}
 	c := New(Config{DiskLimit: 100000})
 	if moved := c.AfterGC(h); moved != 0 {
@@ -88,7 +88,7 @@ func TestAfterGCStopsAtDiskFull(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		h.Get(r).SetStale(7)
+		h.SetStale(h.Get(r), 7)
 	}
 	c := New(Config{DiskLimit: 1500})
 	moved := c.AfterGC(h)

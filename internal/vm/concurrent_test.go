@@ -3,7 +3,9 @@ package vm
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"leakpruning/internal/core"
@@ -304,5 +306,121 @@ func TestMarkModeValidation(t *testing.T) {
 			}()
 			New(tc.opts)
 		})
+	}
+}
+
+// TestClearDuringConcurrentSweep: a use's clear must survive a concurrent
+// cycle's sweep. Mutators keep loading stale-tagged references to old
+// objects while concurrent cycles mark and sweep beside them; after each
+// cycle, every object whose use went through the read barrier's cold path
+// since that cycle started must read stale ≤ 1 — the clear counts as a use
+// before the cycle's one clock step at most. An aging pass that loads a
+// counter and stores it back incremented could overwrite a clear landing
+// in between; birth and clear are single stores of the clock's position,
+// and no cycle writes a live object. Run at GOMAXPROCS 4, so mutators run
+// beside the sweep on their own Ps, and under -race by make race.
+func TestClearDuringConcurrentSweep(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	cycles := 40
+	if testing.Short() {
+		cycles = 12
+	}
+	const leaves, garbage, mutators = 2048, 6000, 3
+	v := New(Options{
+		HeapLimit:      64 << 20,
+		EnableBarriers: true,
+		GCWorkers:      2,
+		MarkMode:       MarkConcurrent,
+		Forced:         true,
+		ForceState:     core.StateObserve, // every cycle tags references and ages
+	})
+	dirClass := v.DefineClass("Dir", leaves, 0)
+	leafClass := v.DefineClass("Leaf", 0, 32)
+	scratch := v.DefineClass("Scratch", 0, 16)
+	g := v.AddGlobal()
+	var leafRefs [leaves]heap.Ref
+	if err := v.RunThread("setup", func(th *Thread) {
+		th.Scope(func() {
+			dir := th.New(dirClass)
+			th.StoreGlobal(g, dir)
+			for i := range leafRefs {
+				leafRefs[i] = th.New(leafClass)
+				th.Store(dir, i, leafRefs[i])
+			}
+		})
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	// seq is the number of the cycle most recently started; used[i] is the
+	// seq a mutator read before a load of slot i that took the cold path.
+	var seq atomic.Int64
+	var used [leaves]atomic.Int64
+	var stop atomic.Bool
+	var oldUses atomic.Int64 // cold-path uses of an object at stale >= 2
+	var wg sync.WaitGroup
+	errs := make([]error, mutators)
+	for m := 0; m < mutators; m++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[m] = v.RunThread(fmt.Sprintf("user-%d", m), func(th *Thread) {
+				rnd := uint64(m)*0x9e3779b97f4a7c15 | 1
+				for !stop.Load() {
+					rnd ^= rnd << 13
+					rnd ^= rnd >> 7
+					rnd ^= rnd << 17
+					i := int(rnd % leaves)
+					s := seq.Load()
+					stale := v.heap.Stale(v.heap.Get(leafRefs[i]))
+					hits := th.barrierHits
+					th.Load(th.LoadGlobal(g), i)
+					if th.barrierHits != hits {
+						used[i].Store(s)
+						if stale >= 2 {
+							oldUses.Add(1)
+						}
+					}
+					if rnd%64 == 0 {
+						runtime.Gosched() // leave leaves unused for a few cycles
+					}
+				}
+			})
+		}()
+	}
+
+	var checked int
+	err := v.RunThread("collector", func(th *Thread) {
+		for k := int64(1); k <= int64(cycles); k++ {
+			th.Scope(func() {
+				for i := 0; i < garbage; i++ { // dead by the sweep, and the cycle ages
+					th.New(scratch)
+				}
+			})
+			seq.Store(k)
+			v.Collect()
+			for i := range used {
+				if used[i].Load() < k {
+					continue
+				}
+				checked++
+				if s := v.heap.Stale(v.heap.Get(leafRefs[i])); s > 1 {
+					t.Errorf("cycle %d: leaf %d was used since the cycle started but reads stale %d", k, i, s)
+				}
+			}
+		}
+	})
+	stop.Store(true)
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for m, err := range errs {
+		if err != nil {
+			t.Fatalf("mutator %d: %v", m, err)
+		}
+	}
+	if checked == 0 || oldUses.Load() == 0 {
+		t.Fatalf("vacuous: %d uses checked, %d of an object at stale >= 2", checked, oldUses.Load())
 	}
 }

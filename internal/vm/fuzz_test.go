@@ -79,7 +79,7 @@ func FuzzPoisonRoundTrip(f *testing.F) {
 				v.heap.Get(a).SetRef(0, b.WithPoison())
 			} else {
 				v.heap.Get(a).SetRef(0, b.WithStale())
-				v.heap.Get(b).SetStale(stale)
+				v.heap.SetStale(v.heap.Get(b), stale)
 			}
 			got := th.Load(a, 0)
 			if poison {
@@ -91,8 +91,8 @@ func FuzzPoisonRoundTrip(f *testing.F) {
 			if v.heap.Get(a).Ref(0) != b {
 				t.Fatalf("cold path left slot %v", v.heap.Get(a).Ref(0))
 			}
-			if v.heap.Get(b).Stale() != 0 {
-				t.Fatalf("cold path left stale counter %d", v.heap.Get(b).Stale())
+			if v.heap.Stale(v.heap.Get(b)) != 0 {
+				t.Fatalf("cold path left stale counter %d", v.heap.Stale(v.heap.Get(b)))
 			}
 		})
 		if poison {

@@ -16,7 +16,7 @@ func liveSetHash(h *heap.Heap) uint64 {
 		sum = hashWord(sum, uint64(id))
 		sum = hashWord(sum, uint64(obj.Class()))
 		sum = hashWord(sum, obj.Size())
-		sum = hashWord(sum, uint64(obj.Stale()))
+		sum = hashWord(sum, uint64(h.Stale(obj)))
 		for slot, n := 0, obj.NumRefs(); slot < n; slot++ {
 			sum = hashWord(sum, uint64(obj.Ref(slot)))
 		}

@@ -47,7 +47,7 @@ func hashFixture(t *testing.T, vary string) uint64 {
 	h.Get(a).SetRef(1, target)
 	switch vary {
 	case "stale":
-		h.Get(b).SetStale(3)
+		h.SetStale(h.Get(b), 3)
 	case "ref-tag":
 		h.Get(a).SetRef(1, target.WithStale())
 	}

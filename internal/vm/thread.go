@@ -510,11 +510,11 @@ func (t *Thread) barrierColdPath(src *heap.Object, srcID heap.ObjectID, slot int
 		t.trapDeadRef(b)
 	}
 	if v.ctrl.Observing() {
-		if s := tgt.Stale(); s > 1 {
+		if s := v.heap.Stale(tgt); s > 1 {
 			v.ctrl.Edges().RecordUse(src.Class(), tgt.Class(), s)
 		}
 	}
-	tgt.ClearStale()
+	v.heap.ClearStale(tgt)
 	return b
 }
 

@@ -125,7 +125,7 @@ func TestBarrierColdPathClearsTagAndStaleness(t *testing.T) {
 		th.StoreGlobal(g, a)
 		// Manually arm the barrier the way an OBSERVE collection would.
 		v.heap.Get(a).SetRef(0, b.WithStale())
-		v.heap.Get(b).SetStale(4)
+		v.heap.SetStale(v.heap.Get(b), 4)
 
 		before := v.Stats().BarrierHits
 		got := th.Load(a, 0)
@@ -138,7 +138,7 @@ func TestBarrierColdPathClearsTagAndStaleness(t *testing.T) {
 		if v.heap.Get(a).Ref(0).IsStaleTagged() {
 			t.Error("cold path must clear the tag")
 		}
-		if v.heap.Get(b).Stale() != 0 {
+		if v.heap.Stale(v.heap.Get(b)) != 0 {
 			t.Error("cold path must reset the target's stale counter")
 		}
 		// Second load: fast path only.
@@ -167,7 +167,7 @@ func TestBarrierUpdatesEdgeTableWhenObserving(t *testing.T) {
 			t.Fatalf("state = %v, want OBSERVE", v.State())
 		}
 		v.heap.Get(a).SetRef(0, b.WithStale())
-		v.heap.Get(b).SetStale(5)
+		v.heap.SetStale(v.heap.Get(b), 5)
 		th.Load(a, 0)
 		if got := v.EdgeTable().MaxStaleUseFor(node, node); got != 5 {
 			t.Errorf("maxStaleUse = %d, want 5", got)
