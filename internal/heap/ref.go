@@ -1,7 +1,7 @@
 // Package heap implements the simulated managed heap that the leak-pruning
-// runtime is built on: tagged references, object headers with stale
-// counters, a class registry, and byte-accounted allocation against a fixed
-// maximum heap size.
+// runtime is built on: tagged references, object headers, the stale clock
+// behind their stale counters, a class registry, and byte-accounted
+// allocation against a fixed maximum heap size.
 //
 // The heap stores objects in a chunked table indexed by ObjectID so that
 // *Object pointers remain stable while the table grows. All reference slots
