@@ -2,7 +2,7 @@ GO ?= go
 # The reproduction CLI: every table, figure and trace command below.
 LP = $(GO) run ./cmd/lp
 
-.PHONY: all check build test race vet fmt cover fuzz-smoke trace-smoke lp-smoke bench bench-test bench-smoke bench-jit chaos leakd-smoke leakd-demo leakd-soak
+.PHONY: all check build test race vet fmt cover fuzz-smoke trace-smoke lp-smoke bench bench-test bench-smoke chaos leakd-smoke leakd-demo leakd-soak
 
 all: build test vet
 
@@ -52,18 +52,17 @@ cover:
 
 # Short native-fuzzing pass over the fuzz targets: the stale clock against
 # the eager aging rule, the edge table's shadow-model fuzz, the
-# tagged-reference round trip, the SATB
-# deletion-barrier buffer against its shadow model, the tier-1 barrier
-# elision against the always-barrier oracle, and the allocation-trace
-# codec round trip (hostile-parse + script round trip). The checked-in
-# corpora under testdata/fuzz run in every plain `go test`; this adds ten
-# seconds of fresh input generation per target.
+# tagged-reference round trip, the SATB deletion-barrier buffer against its
+# shadow model, barrier-expanded jitsim code against the plain compile, and
+# the allocation-trace codec round trip (hostile-parse + script round
+# trip). The checked-in corpora under testdata/fuzz run in every plain `go
+# test`; this adds ten seconds of fresh input generation per target.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzStaleClock$$' -fuzztime=10s ./internal/heap
 	$(GO) test -run='^$$' -fuzz='^FuzzEdgeTable$$' -fuzztime=10s ./internal/edgetable
 	$(GO) test -run='^$$' -fuzz='^FuzzPoisonRoundTrip$$' -fuzztime=10s ./internal/vm
 	$(GO) test -run='^$$' -fuzz='^FuzzSATBBuffer$$' -fuzztime=10s ./internal/vm
-	$(GO) test -run='^$$' -fuzz='^FuzzElision$$' -fuzztime=10s ./internal/jitsim
+	$(GO) test -run='^$$' -fuzz='^FuzzCompile$$' -fuzztime=10s ./internal/jitsim
 	$(GO) test -run='^$$' -fuzz='^FuzzTraceRoundTrip$$' -fuzztime=10s ./internal/trace
 
 # Trace record/replay smoke gate: record a listleak run, structurally
@@ -100,7 +99,6 @@ lp-smoke:
 	for n in 1 9; do $(LP) fig $$n -max-iters 300 >/dev/null || exit 1; done
 	for n in 6 7; do $(LP) fig $$n -iters 20 -trials 1 || exit 1; done
 	$(LP) compile -trials 1
-	$(LP) elision -methods 4 -ops 120 -reps 2 -o /dev/null
 	for d in examples/*/; do $(GO) run ./$$d >/dev/null || exit 1; done
 
 # The repo's one benchmark (BENCHMARK.json): four fixed-work workloads,
@@ -114,15 +112,15 @@ bench-test:
 	$(GO) test -C benchmark ./...
 
 # One iteration of each go-test phase, sweep, mutator, allocation-path,
-# live-set-hash and thread-lifecycle benchmark plus a small barrier-elision
-# run — a fast compile-and-run sanity check. It starts by asking the
-# compiler whether the helpers paid once per mutator op or traced edge
-# still inline: the three every mutator op is built from (beginOp sits one
-# node under the budget), the chunk-cached lookup behind every Load and
-# every traced edge (GetCached, three under), the tracer's mark claim and
-# the bitmap/tally record of a scanned object (take), and the stale-clock read
-# (Clock.Stale) behind every counter a plan asks for; a CALL each would be
-# paid per Load or per edge. Here and not in `make check`: another
+# live-set-hash and thread-lifecycle benchmark — a fast compile-and-run
+# sanity check. It starts by asking the compiler whether the helpers paid
+# once per mutator op or traced edge still inline: the three every mutator
+# op is built from (beginOp sits one node under the budget), the
+# chunk-cached lookup behind every Load and every traced edge (GetCached,
+# three under), the tracer's mark claim and the bitmap/tally record of a
+# scanned object (take), and the stale-clock read (Clock.Stale) behind
+# every counter a plan asks for; a CALL each would be paid per Load or per
+# edge. Here and not in `make check`: another
 # toolchain's inliner may count differently, and that must not turn
 # tier-1 red.
 bench-smoke:
@@ -138,13 +136,6 @@ bench-smoke:
 	$(GO) test -run='^$$' -bench='Benchmark(Mark|Alloc)Parallel' -benchtime=1x .
 	$(GO) test -run='^$$' -bench='^BenchmarkSweep$$' -benchtime=1x ./internal/gc
 	$(GO) test -run='^$$' -bench='Benchmark(MutatorOps|NewParallel|RequestShapedAlloc|LiveSetHash|RunThreadObs)' -benchtime=1x -benchmem ./internal/vm
-	$(LP) elision -methods 4 -ops 120 -reps 2 -o /dev/null
-
-# Refresh the tier-1 barrier-elision JSON (environment block, barrier-on/off
-# load cost measured in the same run, static elision ratios, tier-1 compile
-# surcharge, dynamic test reduction, modelled mutator recovery).
-bench-jit:
-	$(LP) elision -o BENCH_jit_elision.json
 
 # Full fault-injection campaign: 20 seeds x fault matrix x micro-leak
 # workloads, invariant audit after every collection. Every `go test ./...`

@@ -86,6 +86,9 @@ func (c *cli) fig(args []string) error {
 	if err := c.parse(fs, rest); err != nil {
 		return err
 	}
+	if *iters < 1 || *trials < 1 {
+		return c.usagef("fig %s: -iters and -trials must be at least 1, got %d and %d", which, *iters, *trials)
+	}
 	return overhead(c, *iters, *trials)
 }
 

@@ -1,42 +1,13 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"math"
-	"os"
-	"os/exec"
-	"runtime"
-	"strings"
 	"text/tabwriter"
-	"time"
 
 	"leakpruning/internal/jitsim"
 	"leakpruning/internal/stats"
-	"leakpruning/internal/vm"
 	"leakpruning/internal/workload"
 )
-
-// baselinePreElision pins the numbers barrier elision started from, measured
-// with the tier-0 always-barrier compile (lp compile, 5 trials) at the commit
-// before tier 1 existed: compile-time geomean +19.6%, code size +10.2%. The
-// paper reports +17% / +10% on its hardware (§5). Elision is judged against
-// these, not against whatever the tree produces after further changes.
-type baselinePreElision struct {
-	CompileTimeOverheadPct float64 `json:"compile_time_overhead_pct"`
-	CodeSizeOverheadPct    float64 `json:"code_size_overhead_pct"`
-	PaperCompileTimePct    float64 `json:"paper_compile_time_pct"`
-	PaperCodeSizePct       float64 `json:"paper_code_size_pct"`
-	Note                   string  `json:"note"`
-}
-
-var preElisionBaseline = baselinePreElision{
-	CompileTimeOverheadPct: 19.6,
-	CodeSizeOverheadPct:    10.2,
-	PaperCompileTimePct:    17,
-	PaperCodeSizePct:       10,
-	Note:                   "tier-0 always-barrier compile measured at the commit before tier 1; paper values from §5",
-}
 
 // compile reproduces §5's compilation measurements: inserting read
 // barriers bloats the IR, adding to compile time (paper: +17% average, +34%
@@ -46,6 +17,9 @@ func (c *cli) compile(args []string) error {
 	trials := fs.Int("trials", 5, "trials per configuration (minimum reported)")
 	if err := c.parse(fs, args); err != nil {
 		return err
+	}
+	if *trials < 1 {
+		return c.usagef("compile: -trials must be at least 1, got %d", *trials)
 	}
 
 	fmt.Fprintln(c.stdout, "Compilation overhead of read-barrier insertion (jitsim)")
@@ -72,275 +46,4 @@ func (c *cli) compile(args []string) error {
 	}
 	fmt.Fprintf(w, "geomean\t%.1f\t%.1f\t\n", (stats.GeoMean(timeRatios)-1)*100, (stats.GeoMean(sizeRatios)-1)*100)
 	return w.Flush()
-}
-
-// environment is the block the benchmark stores beside its results
-// (benchmark/host.go): a number without its machine is not comparable.
-type environment struct {
-	NumCPU     int    `json:"num_cpu"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	GoVersion  string `json:"go_version"`
-	GitCommit  string `json:"git_commit"`
-}
-
-func captureEnvironment() environment {
-	commit := "unknown" // not a git checkout
-	if out, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output(); err == nil {
-		commit = strings.TrimSpace(string(out))
-	}
-	return environment{
-		NumCPU:     runtime.NumCPU(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		GoVersion:  runtime.Version(),
-		GitCommit:  commit,
-	}
-}
-
-// mutatorModel carries the per-load costs the elision report uses to model
-// mutator recovery, measured by this process (measureMutatorModel).
-type mutatorModel struct {
-	LoadBarriersOffNs float64 `json:"load_barriers_off_ns"`
-	LoadBarriersOnNs  float64 `json:"load_barriers_on_ns"`
-	Source            string  `json:"source"`
-}
-
-const (
-	// One timing walks the chain for loadBatch reference loads; each
-	// configuration is timed loadRounds times and the fastest timing kept.
-	loadBatch  = 64 << 10
-	loadRounds = 64
-)
-
-// measureMutatorModel times a reference load with read barriers compiled
-// out and compiled in, in this process on this machine, so the modelled
-// recovery is anchored to the mutator the report was generated with. The
-// two configurations are alive together and timed alternately in short
-// batches: the difference between them is a fraction of a nanosecond, and
-// only a paired design keeps machine drift out of it.
-func measureMutatorModel() mutatorModel {
-	walkOff, walkOn := chainWalker(false), chainWalker(true)
-	off, on := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
-	for i := 0; i < loadRounds; i++ {
-		off = min(off, walkOff())
-		on = min(on, walkOn())
-	}
-	return mutatorModel{
-		LoadBarriersOffNs: float64(off.Nanoseconds()) / loadBatch,
-		LoadBarriersOnNs:  float64(on.Nanoseconds()) / loadBatch,
-		Source: fmt.Sprintf("measured in this run: 64-node chain walk inside one Thread.Region, barriers off/on timed alternately, fastest of %d timings of %d loads each",
-			loadRounds, loadBatch),
-	}
-}
-
-// chainWalker builds a 64-node chain on a fresh VM and returns a function
-// that walks it for loadBatch reference loads and reports the time taken.
-func chainWalker(barriers bool) func() time.Duration {
-	machine := vm.New(vm.Options{HeapLimit: 32 << 20, GCWorkers: 1, EnableBarriers: barriers})
-	node := machine.DefineClass("Node", 1, 32)
-	g := machine.AddGlobal()
-	t := machine.NewThread("loads")
-	t.Scope(func() {
-		t.StoreGlobal(g, t.New(node))
-		for i := 0; i < 63; i++ {
-			n := t.New(node)
-			t.Store(n, 0, t.LoadGlobal(g))
-			t.StoreGlobal(g, n)
-		}
-	})
-	// The walk runs inside one held region, as a workload iteration does, so
-	// a load's cost is the barrier and the load, not the per-op region pair.
-	return func() time.Duration {
-		start := time.Now()
-		t.Region(func() {
-			for i := 0; i < loadBatch; i += 64 {
-				t.Scope(func() {
-					cur := t.LoadGlobal(g)
-					for !cur.IsNull() {
-						cur = t.Load(cur, 0)
-					}
-				})
-			}
-		})
-		return time.Since(start)
-	}
-}
-
-type elisionMethodRow struct {
-	Method  string `json:"method"`
-	Sites   int    `json:"sites"`
-	Emitted int    `json:"emitted"`
-	Elided  int    `json:"elided"`
-	Hoisted int    `json:"hoisted"`
-}
-
-type elisionBenchRow struct {
-	Benchmark string `json:"benchmark"`
-
-	// Static outcome of the tier-1 analysis over the corpus.
-	Sites           int     `json:"sites"`
-	Emitted         int     `json:"emitted"`
-	Elided          int     `json:"elided"`
-	Hoisted         int     `json:"hoisted"`
-	ElisionRatio    float64 `json:"elision_ratio"`
-	MethodsTotal    int     `json:"methods_total"`
-	MethodsAt30Pct  int     `json:"methods_at_30pct_elision"`
-	Tier0CodeBytes  int     `json:"tier0_code_bytes"`
-	Tier1CodeBytes  int     `json:"tier1_code_bytes"`
-	Tier0SchedCost  int     `json:"tier0_schedule_cost"`
-	Tier1SchedCost  int     `json:"tier1_schedule_cost"`
-	Tier0CompileNs  int64   `json:"tier0_compile_ns"`
-	Tier1CompileNs  int64   `json:"tier1_compile_ns"`
-	CompileDeltaPct float64 `json:"tier1_compile_delta_pct"`
-
-	// Dynamic outcome from the tiered replay.
-	Tier1Methods        int     `json:"tier1_methods_recompiled"`
-	DynTestsTier0       int64   `json:"dyn_tests_tier0"`
-	DynTestsTier1       int64   `json:"dyn_tests_tier1"`
-	DynElisionRatio     float64 `json:"dyn_elision_ratio"`
-	ModelledCyclesSaved int64   `json:"modelled_cycles_saved"`
-
-	// Modelled mutator recovery: the barrier's per-load surcharge shrinks
-	// by the dynamic elision ratio.
-	ModelledLoadNsAfter       float64 `json:"modelled_load_ns_after_elision"`
-	ModelledMutatorSpeedupPct float64 `json:"modelled_mutator_speedup_pct"`
-
-	Methods []elisionMethodRow `json:"methods"`
-}
-
-type elisionReport struct {
-	Environment    environment        `json:"environment"`
-	Baseline       baselinePreElision `json:"baseline_pre_elision"`
-	Mutator        mutatorModel       `json:"mutator_model"`
-	CorpusMethods  int                `json:"corpus_methods"`
-	CorpusOps      int                `json:"corpus_ops_per_method"`
-	RepsPerIter    int                `json:"reps_per_iteration"`
-	TestCostCycles int                `json:"test_cost_cycles"`
-	Benchmarks     []elisionBenchRow  `json:"benchmarks"`
-
-	GeomeanElisionRatio    float64 `json:"geomean_elision_ratio"`
-	GeomeanCompileDeltaPct float64 `json:"geomean_tier1_compile_delta_pct"`
-	GeomeanDynElisionRatio float64 `json:"geomean_dyn_elision_ratio"`
-	GeomeanSpeedupPct      float64 `json:"geomean_modelled_mutator_speedup_pct"`
-}
-
-// elision measures what tier 1 buys: per benchmark, the static fraction of
-// barrier sites the analysis removed, the tier-1 compile-time surcharge
-// over tier 0, the dynamic barrier-test reduction under the tiered replay,
-// and the mutator time that reduction models out, anchored to the
-// barrier-on/off load costs measured in the same run.
-func (c *cli) elision(args []string) error {
-	fs := c.flagSet("elision")
-	var (
-		methods = fs.Int("methods", 40, "corpus methods per benchmark")
-		opsPer  = fs.Int("ops", 300, "ops per corpus method")
-		reps    = fs.Int("reps", 2, "executions per method per replay iteration")
-		out     = fs.String("o", "BENCH_jit_elision.json", "output path ('-' for stdout)")
-	)
-	if err := c.parse(fs, args); err != nil {
-		return err
-	}
-
-	mm := measureMutatorModel()
-	rep := elisionReport{
-		Environment:    captureEnvironment(),
-		Baseline:       preElisionBaseline,
-		Mutator:        mm,
-		CorpusMethods:  *methods,
-		CorpusOps:      *opsPer,
-		RepsPerIter:    *reps,
-		TestCostCycles: jitsim.TestCostCycles,
-	}
-	surcharge := mm.LoadBarriersOnNs - mm.LoadBarriersOffNs
-
-	w := tabwriter.NewWriter(c.stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(c.stdout, "Tier-1 barrier elision (jitsim)")
-	fmt.Fprintf(c.stdout, "(measured load: %.2f ns barriers off, %.2f ns on)\n", mm.LoadBarriersOffNs, mm.LoadBarriersOnNs)
-	fmt.Fprintln(c.stdout)
-	fmt.Fprintln(w, "Benchmark\tsites\telided\thoisted\tratio\t>=30% methods\tcompile +%\tdyn tests t0->t1\tmodelled load ns")
-	var ratios, deltas, dynRatios, speedups []float64
-	for _, name := range workload.MicroBenchNames() {
-		corpus := jitsim.Corpus(name, *methods, *opsPer)
-		row := elisionBenchRow{Benchmark: name, MethodsTotal: len(corpus)}
-		comp := &jitsim.Compiler{InsertReadBarriers: true}
-		for _, m := range corpus {
-			_, st0 := comp.CompileTier(m, jitsim.Tier0)
-			_, st1 := comp.CompileTier(m, jitsim.Tier1)
-			row.Sites += st0.BarrierSites
-			row.Emitted += st1.BarrierSites
-			row.Elided += st1.BarriersElided
-			row.Hoisted += st1.BarriersHoisted
-			row.Tier0CodeBytes += st0.CodeBytes
-			row.Tier1CodeBytes += st1.CodeBytes
-			row.Tier0SchedCost += st0.ScheduleCost
-			row.Tier1SchedCost += st1.ScheduleCost
-			row.Tier0CompileNs += int64(st0.Duration)
-			row.Tier1CompileNs += int64(st1.Duration)
-			if st0.BarrierSites > 0 &&
-				float64(st1.BarriersElided+st1.BarriersHoisted)/float64(st0.BarrierSites) >= 0.30 {
-				row.MethodsAt30Pct++
-			}
-			row.Methods = append(row.Methods, elisionMethodRow{
-				Method:  m.Name,
-				Sites:   st0.BarrierSites,
-				Emitted: st1.BarrierSites,
-				Elided:  st1.BarriersElided,
-				Hoisted: st1.BarriersHoisted,
-			})
-		}
-		if row.Sites > 0 {
-			row.ElisionRatio = float64(row.Elided+row.Hoisted) / float64(row.Sites)
-		}
-		if row.Tier0CompileNs > 0 {
-			row.CompileDeltaPct = (float64(row.Tier1CompileNs)/float64(row.Tier0CompileNs) - 1) * 100
-		}
-
-		rr := jitsim.Replay(&jitsim.Compiler{InsertReadBarriers: true, HotThreshold: *reps}, corpus, *reps)
-		row.Tier1Methods = rr.Tier1Methods
-		row.DynTestsTier0 = rr.DynTestsTier0
-		row.DynTestsTier1 = rr.DynTestsTier1
-		row.ModelledCyclesSaved = rr.ModelledCyclesSaved
-		if rr.DynTestsTier0 > 0 {
-			row.DynElisionRatio = 1 - float64(rr.DynTestsTier1)/float64(rr.DynTestsTier0)
-		}
-		// A load that kept its barrier pays the full surcharge; an elided
-		// one pays none. Averaged over loads that is off + (1-rho)*(on-off).
-		row.ModelledLoadNsAfter = mm.LoadBarriersOffNs + (1-row.DynElisionRatio)*surcharge
-		row.ModelledMutatorSpeedupPct =
-			(1 - row.ModelledLoadNsAfter/mm.LoadBarriersOnNs) * 100
-
-		rep.Benchmarks = append(rep.Benchmarks, row)
-		ratios = append(ratios, row.ElisionRatio)
-		deltas = append(deltas, 1+row.CompileDeltaPct/100)
-		dynRatios = append(dynRatios, row.DynElisionRatio)
-		speedups = append(speedups, row.ModelledLoadNsAfter/mm.LoadBarriersOnNs)
-		fmt.Fprintf(w, "%s\t%d\t%d\t%d\t%.2f\t%d/%d\t%.1f\t%d->%d\t%.2f\n",
-			name, row.Sites, row.Elided, row.Hoisted, row.ElisionRatio,
-			row.MethodsAt30Pct, row.MethodsTotal, row.CompileDeltaPct,
-			row.DynTestsTier0, row.DynTestsTier1, row.ModelledLoadNsAfter)
-	}
-	rep.GeomeanElisionRatio = stats.GeoMean(ratios)
-	rep.GeomeanCompileDeltaPct = (stats.GeoMean(deltas) - 1) * 100
-	rep.GeomeanDynElisionRatio = stats.GeoMean(dynRatios)
-	rep.GeomeanSpeedupPct = (1 - stats.GeoMean(speedups)) * 100
-	fmt.Fprintf(w, "geomean\t\t\t\t%.2f\t\t%.1f\t\t%.2f ns (%.1f%% of surcharge back)\n",
-		rep.GeomeanElisionRatio, rep.GeomeanCompileDeltaPct,
-		mm.LoadBarriersOffNs+(1-rep.GeomeanDynElisionRatio)*surcharge,
-		rep.GeomeanDynElisionRatio*100)
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if *out == "-" {
-		_, err = c.stdout.Write(data)
-		return err
-	}
-	if err := os.WriteFile(*out, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(c.stderr, "lp: wrote %s\n", *out)
-	return nil
 }

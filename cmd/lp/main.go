@@ -10,7 +10,6 @@
 //	lp fig 1|8|9|10|11 > fig.csv              # §6 time-series figures as CSV
 //	lp fig 6|7                                # §5 barrier and GC-time overheads
 //	lp compile                                # §5 compile-time / code-size cost
-//	lp elision                                # tier-1 barrier elision report
 //	lp trace replay|stat|verify -i l.trace    # re-execute or inspect a trace
 //
 // Every run goes through harness.Run and every replay through
@@ -46,7 +45,6 @@ const usageText = `usage: lp <command> [flags]
   fig 1|8|9|10|11           §6 time-series figures, CSV on stdout
   fig 6|7                   §5 read-barrier overhead, GC time vs. heap size
   compile                   §5 compile-time and code-size cost of barriers
-  elision                   tier-1 barrier elision (BENCH_jit_elision.json)
   trace replay|stat|verify  re-execute, summarize or validate a recorded trace
 
 Run 'lp <command> -h' for flags.
@@ -90,8 +88,6 @@ func (c *cli) dispatch(args []string) error {
 		return c.fig(rest)
 	case "compile":
 		return c.compile(rest)
-	case "elision":
-		return c.elision(rest)
 	case "trace":
 		return c.trace(rest)
 	case "help", "-h", "-help", "--help":

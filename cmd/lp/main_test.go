@@ -31,6 +31,9 @@ func TestCommandLine(t *testing.T) {
 		{"unknown flag", []string{"run", "-iters", "3"}, 2, "", "flag provided but not defined"},
 		{"stray argument", []string{"table", "1", "2"}, 2, "", `unexpected argument "2"`},
 		{"no program", []string{"run"}, 2, "", "-program is required"},
+		{"compile zero trials", []string{"compile", "-trials", "0"}, 2, "", "-trials must be at least 1, got 0"},
+		{"fig 6 zero trials", []string{"fig", "6", "-iters", "5", "-trials", "0"}, 2, "", "must be at least 1, got 5 and 0"},
+		{"fig 7 negative iters", []string{"fig", "7", "-iters", "-3"}, 2, "", "must be at least 1, got -3 and 5"},
 		{"help", []string{"help"}, 0, "usage: lp", ""},
 
 		{"unknown program", []string{"run", "-program", "nosuch"}, 1, "", `unknown program "nosuch"`},

@@ -1,38 +1,19 @@
 package jitsim
 
 // Control-flow graph construction. Branch offsets in the source IR are in
-// source-op units; every later phase (barrier expansion, elision, local
+// source-op units; every later phase (barrier expansion, local
 // optimization, emission) changes op counts, so the compiler works on basic
 // blocks with branch targets held as block indices and re-resolves concrete
 // instruction offsets only at layout time.
-
-// edgeKind distinguishes the safepoint-carrying backedge from ordinary
-// edges: a taken backward branch is the VM's loop GC poll, so barrier facts
-// die along it.
-type edgeKind uint8
-
-const (
-	edgeFallthrough edgeKind = iota
-	edgeForward              // taken forward branch: no safepoint
-	edgeBackedge             // taken backward branch: safepoint, kills facts
-)
-
-type edge struct {
-	to   int // successor block index; len(blocks) means method exit
-	kind edgeKind
-}
 
 // block is one basic block: straight-line ops, terminated either by the
 // method end, by the op before a leader, or by an OpBranch (which is the
 // block's last op).
 type block struct {
-	ops   []Op
-	succs []edge
+	ops []Op
 	// branchTarget is the block index a terminating OpBranch jumps to
 	// (len(blocks) = exit); -1 when the block does not end in a branch.
 	branchTarget int
-	// branchBack records whether that branch is backward (a safepoint edge).
-	branchBack bool
 }
 
 // cfg is the block-structured method body.
@@ -89,38 +70,10 @@ func buildCFG(ops []Op) *cfg {
 		}
 		g.blocks[bi].ops = append(g.blocks[bi].ops, op)
 		if op.Kind == OpBranch {
-			b := g.blocks[bi]
-			ti := branchTargetIndex(i, op, n)
-			b.branchTarget = blockOf[ti]
-			if ti == n {
-				b.branchTarget = nb
-			}
-			b.branchBack = ti <= i
-			kind := edgeForward
-			if b.branchBack {
-				kind = edgeBackedge
-			}
-			b.succs = append(b.succs, edge{to: b.branchTarget, kind: kind})
-			// Fall-through on the not-taken path.
-			b.succs = append(b.succs, edge{to: blockIndexAfter(blockOf, i, n, nb), kind: edgeFallthrough})
-		}
-	}
-	// Non-branch block terminators fall through to the next block.
-	for i, b := range g.blocks {
-		if len(b.succs) == 0 {
-			b.succs = append(b.succs, edge{to: i + 1, kind: edgeFallthrough})
+			g.blocks[bi].branchTarget = blockOf[branchTargetIndex(i, op, n)]
 		}
 	}
 	return g
-}
-
-// blockIndexAfter resolves the block that op index i+1 starts (exit when i
-// is the last op).
-func blockIndexAfter(blockOf []int, i, n, nb int) int {
-	if i+1 >= n {
-		return nb
-	}
-	return blockOf[i+1]
 }
 
 // flatten lays the blocks back out as linear IR, recomputing each

@@ -1,39 +1,13 @@
 package jitsim
 
-import (
-	"time"
-
-	"leakpruning/internal/obs"
-)
+import "time"
 
 // instr is one lowered instruction: a small closure over the machine state.
 type instr func(*machine)
 
-// Tier is a compilation tier. Tier 0 is the cheap always-barrier compile;
-// tier 1 pays for the access-graph dataflow and elides or hoists barriers
-// that are provably redundant.
-type Tier int
-
-const (
-	// Tier0 expands every reference load into the full barrier sequence.
-	Tier0 Tier = iota
-	// Tier1 runs the checked-on-all-paths analysis and emits only the
-	// barrier pairs the dataflow cannot prove redundant.
-	Tier1
-)
-
-func (t Tier) String() string {
-	if t == Tier1 {
-		return "tier1"
-	}
-	return "tier0"
-}
-
 // CompiledMethod is the compiler's output.
 type CompiledMethod struct {
 	Name string
-	// Tier records which pipeline produced the code.
-	Tier Tier
 	// IRSize is the post-expansion, post-optimization IR length.
 	IRSize int
 	// CodeBytes is the modelled machine-code size (instruction count times
@@ -42,26 +16,19 @@ type CompiledMethod struct {
 	code      []instr
 }
 
-// CompileStats reports one compilation's cost, the quantities Figure 6's
-// accompanying text measures, plus the tier-1 elision outcome.
+// CompileStats reports one compilation's cost, the quantities §5's
+// accompanying text measures.
 type CompileStats struct {
 	Method    string
-	Tier      Tier
 	Duration  time.Duration
 	IRSizeIn  int // ops before expansion
 	IRSizeOut int // ops after barrier expansion + optimization
 	CodeBytes int
-	// BarrierSites is the number of barrier test/call pairs emitted
-	// (at tier 1 this includes hoisted header pairs).
+	// BarrierSites is the number of barrier test/call pairs emitted.
 	BarrierSites int
-	// BarriersElided counts load sites whose pair the dataflow dropped.
-	BarriersElided int
-	// BarriersHoisted counts load sites covered by a hoisted header check.
-	BarriersHoisted int
 	// ScheduleCost is the modelled cost of the downstream scheduling pass —
 	// the dependence count its quadratic window scan found. Barrier
-	// expansion bloats the IR and therefore this number; elision claws it
-	// back.
+	// expansion bloats the IR and therefore this number.
 	ScheduleCost int
 }
 
@@ -72,51 +39,19 @@ type Compiler struct {
 	// paper's compilers do ("the compilers insert only the conditional
 	// test and a method call for the barrier's body", §5).
 	InsertReadBarriers bool
-	// ElideBarriers makes Compile use the tier-1 pipeline directly
-	// (analysis + elision). Only meaningful with InsertReadBarriers.
-	ElideBarriers bool
-	// HotThreshold, when positive, enables the tiered controller in
-	// Replay: methods whose execution count reaches the threshold are
-	// recompiled at tier 1.
-	HotThreshold int
-	// Obs, when non-nil, feeds lp_jit_elided_total and
-	// lp_jit_recompiles_total.
-	Obs *obs.Obs
 }
 
-// Compile lowers one method at the compiler's default tier: tier 1 when
-// ElideBarriers is set, tier 0 otherwise.
+// Compile lowers one method: barrier expansion of every reference load,
+// then the optimization passes (whose cost scales with IR size — that is
+// where barrier bloat turns into compile-time overhead), then code
+// emission.
 func (c *Compiler) Compile(m *Method) (*CompiledMethod, CompileStats) {
-	tier := Tier0
-	if c.InsertReadBarriers && c.ElideBarriers {
-		tier = Tier1
-	}
-	return c.CompileTier(m, tier)
-}
-
-// CompileTier lowers one method at an explicit tier: barrier expansion
-// (full at tier 0, analyzed at tier 1), then the optimization passes
-// (whose cost scales with IR size — that is where barrier bloat turns into
-// compile-time overhead), then code emission.
-func (c *Compiler) CompileTier(m *Method, tier Tier) (*CompiledMethod, CompileStats) {
 	start := time.Now()
-	stats := CompileStats{Method: m.Name, Tier: tier, IRSizeIn: len(m.Ops)}
+	stats := CompileStats{Method: m.Name, IRSizeIn: len(m.Ops)}
 
 	g := buildCFG(m.Ops)
 	if c.InsertReadBarriers {
-		if tier >= Tier1 {
-			res := g.expandBarriersAnalyzed()
-			stats.BarrierSites = res.Emitted
-			stats.BarriersElided = res.Elided
-			stats.BarriersHoisted = res.Hoisted
-			if reg := c.Obs.Registry(); reg != nil {
-				reg.NewCounter("lp_jit_elided_total",
-					"barrier sites statically removed by tier-1 elision/hoisting").
-					Add(uint64(res.Elided + res.Hoisted))
-			}
-		} else {
-			stats.BarrierSites = g.expandBarriersAll()
-		}
+		stats.BarrierSites = g.expandBarriers()
 	}
 	// Local optimizations run per block: they change op counts, and branch
 	// offsets are re-resolved from block lengths at flatten time.
@@ -128,16 +63,15 @@ func (c *Compiler) CompileTier(m *Method, tier Tier) (*CompiledMethod, CompileSt
 	stats.ScheduleCost = scheduleCost(flat)
 
 	cm := emit(m.Name, flat)
-	cm.Tier = tier
 	stats.Duration = time.Since(start)
 	stats.IRSizeOut = len(flat)
 	stats.CodeBytes = cm.CodeBytes
 	return cm, stats
 }
 
-// expandBarriersAll is the tier-0 expansion: every reference load gets the
-// test + out-of-line call pair. Returns the site count.
-func (g *cfg) expandBarriersAll() int {
+// expandBarriers gives every reference load the test + out-of-line call
+// pair. Returns the site count.
+func (g *cfg) expandBarriers() int {
 	sites := 0
 	for _, b := range g.blocks {
 		out := make([]Op, 0, len(b.ops)+len(b.ops)/4)
@@ -157,9 +91,9 @@ func (g *cfg) expandBarriersAll() int {
 
 // simplify folds adjacent constant/arith pairs — a stand-in for the local
 // optimizations whose work grows with IR length. Barrier pseudo-ops are
-// only ever inserted before loads, so the foldable adjacencies are
-// identical at every tier and folding never changes cross-tier
-// equivalence.
+// only ever inserted before loads, so the foldable adjacencies are the
+// same with and without barriers and folding never changes what the
+// program computes.
 func simplify(ir []Op) []Op {
 	out := ir[:0:len(ir)]
 	for i := 0; i < len(ir); i++ {

@@ -1,14 +1,10 @@
-// Package jitsim models the adaptive compiler side of §5: a small method IR
-// with real control flow, a compiler that optionally expands reference loads
-// into read-barrier sequences, a dataflow analysis that statically elides or
-// hoists provably-redundant barriers (tier 1), and an interpreter to execute
-// the compiled code. The paper reports that inserting read barriers bloats
-// the intermediate representation and thereby adds ~17% to compilation time
-// and ~10% to code size; this package reproduces that experiment and then
-// models what an optimizing JIT claws back: a forward "checked-on-all-paths"
-// analysis over the method's access graph elides the barrier test/call pair
-// wherever the base reference was provably checked (or freshly allocated)
-// on every path since the last safepoint.
+// Package jitsim models the compiler side of §5: a small method IR with
+// real control flow, a compiler that optionally expands every reference
+// load into the read-barrier sequence, and an interpreter to execute the
+// compiled code. The paper reports that inserting read barriers bloats the
+// intermediate representation and thereby adds ~17% to compilation time
+// and ~10% to code size; this package reproduces that experiment, and the
+// interpreter shows the expansion is semantically transparent.
 package jitsim
 
 import "fmt"
@@ -22,24 +18,19 @@ const (
 	// OpArith computes A = A*31 + B with a cheap integer operation.
 	OpArith
 	// OpLoadField loads a reference field: A = heap[C].field[B]. C is the
-	// base reference the conditional read barrier must test; A is the
-	// destination (the loaded reference, unchecked until its own first
-	// dereference). The compiler expands this into the read-barrier
+	// base reference the conditional read barrier tests; A is the
+	// destination. The compiler expands this into the read-barrier
 	// sequence when barriers are enabled.
 	OpLoadField
 	// OpStoreField stores a reference field: heap[A].field[B] = C.
 	OpStoreField
-	// OpAlloc allocates an object with B fields into register A. Allocation
-	// is a safepoint, and the new reference is black-allocated: it cannot
-	// be stale, so A is barrier-checked by construction afterwards.
+	// OpAlloc allocates an object with B fields into register A.
 	OpAlloc
 	// OpBranch jumps to op index i-B (i = the branch's own index) when
-	// register A is non-zero. B > 0 is a backward branch: taking it crosses
-	// a safepoint (the VM's GC poll on loop backedges) and costs one unit
-	// of interpreter fuel. B < 0 is a forward branch (no safepoint).
+	// register A is non-zero. B > 0 is a backward branch: taking it costs
+	// one unit of interpreter fuel. B < 0 is a forward branch.
 	OpBranch
-	// OpCall models a call: a safepoint that clobbers register A
-	// (A ^= B). Every barrier fact dies across it.
+	// OpCall models a call that clobbers register A (A ^= B).
 	OpCall
 
 	// The pseudo-ops below exist only after barrier expansion.
@@ -101,24 +92,4 @@ func (m *Method) NumLoads() int {
 		}
 	}
 	return n
-}
-
-// isSafepointOp reports whether the op is a full safepoint in straight-line
-// code: every barrier fact dies across it. Backward OpBranch edges are also
-// safepoints, but only along the taken (backedge) path — the CFG models
-// those as edge-level kills, not op-level ones.
-func isSafepointOp(k OpKind) bool {
-	return k == OpCall || k == OpAlloc
-}
-
-// defReg returns the register the op overwrites, or -1 if none. A register
-// definition kills any barrier fact on it: the new value has not been
-// checked (except OpAlloc, whose result is black-allocated — the analysis
-// special-cases it as def-then-check).
-func defReg(op Op) int {
-	switch op.Kind {
-	case OpConst, OpArith, OpAlloc, OpCall, OpLoadField:
-		return int(op.A) & 15
-	}
-	return -1
 }

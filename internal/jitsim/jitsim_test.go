@@ -1,6 +1,7 @@
 package jitsim
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -128,8 +129,12 @@ func TestMachineExecution(t *testing.T) {
 	c.InsertReadBarriers = true
 	cmB, _ := c.Compile(m)
 	resB := cmB.Run(1)
-	if resB.Regs[2] != res.Regs[2] {
+	if resB.Regs != res.Regs {
 		t.Fatal("barrier compilation changed program results")
+	}
+	if res.BarrierTests != 0 || resB.BarrierTests != 1 {
+		t.Fatalf("barrier tests executed: %d plain, %d with barriers; want 0 and 1",
+			res.BarrierTests, resB.BarrierTests)
 	}
 }
 
@@ -161,27 +166,82 @@ func TestOpKindString(t *testing.T) {
 	}
 }
 
-func TestReplayMethodology(t *testing.T) {
-	corpus := Corpus("replay", 30, 200)
-	res := Replay(&Compiler{InsertReadBarriers: true}, corpus, 3)
-	if res.CompileTime <= 0 {
-		t.Fatal("no compile time recorded")
+// TestScheduleCostRecorded: scheduleCost's result reaches CompileStats,
+// and barrier expansion (more IR) increases it.
+func TestScheduleCostRecorded(t *testing.T) {
+	corpus := Corpus("schedcost", 20, 200)
+	plain := CompileCorpus("schedcost", &Compiler{}, corpus)
+	barrier := CompileCorpus("schedcost", &Compiler{InsertReadBarriers: true}, corpus)
+	if plain.ScheduleCost <= 0 {
+		t.Fatal("ScheduleCost not recorded")
 	}
-	if res.FirstIteration < res.CompileTime {
-		t.Fatal("the first iteration includes compilation")
+	if barrier.ScheduleCost <= plain.ScheduleCost {
+		t.Fatalf("barrier expansion must increase the modelled scheduling cost: %d vs %d",
+			barrier.ScheduleCost, plain.ScheduleCost)
 	}
-	if res.SecondIteration <= 0 {
-		t.Fatal("second iteration did not run")
+}
+
+// decodeMethod turns fuzz bytes into a bounded method: each 4-byte chunk
+// is one op (kind, A, B-as-signed-byte, C), capped at 96 ops. Branch
+// offsets are small signed values, so the decoder reaches backward loops,
+// forward diamonds, self-branches, and degenerate clamped targets.
+func decodeMethod(data []byte) *Method {
+	m := &Method{Name: "fuzz"}
+	for i := 0; i+4 <= len(data) && len(m.Ops) < 96; i += 4 {
+		k := OpKind(data[i] % 7)
+		op := Op{
+			Kind: k,
+			A:    int32(data[i+1] & 15),
+			B:    int32(int8(data[i+2])),
+			C:    int32(data[i+3] & 15),
+		}
+		if k == OpAlloc {
+			op.B = op.B&7 + 1
+		}
+		m.Ops = append(m.Ops, op)
 	}
-	if res.BarrierSites == 0 {
-		t.Fatal("barrier sites not counted")
+	return m
+}
+
+// FuzzCompile is the adversarial twin of TestCompileEquivalenceQuick: for
+// arbitrary methods, barrier expansion must emit one pair per load and
+// leave execution byte-for-byte what the plain compile computes.
+func FuzzCompile(f *testing.F) {
+	// Seed with generated methods, encoded through the same decoder the
+	// fuzzer uses.
+	encode := func(m *Method) []byte {
+		var out []byte
+		for _, op := range m.Ops {
+			b := min(max(op.B, -128), 127)
+			out = append(out, byte(op.Kind), byte(op.A&15), byte(int8(b)), byte(op.C&15))
+		}
+		return out
 	}
-	// Steady state excludes compilation: it must be cheaper than the first
-	// iteration (which is second-iteration work plus all compilation).
-	// Compared in modelled work, not wall time: two timings a few hundred
-	// microseconds long invert whenever the scheduler preempts the second.
-	if res.SecondIterationWork <= 0 || res.SecondIterationWork >= res.FirstIterationWork {
-		t.Fatalf("second iteration (%d work units) not cheaper than first (%d)",
-			res.SecondIterationWork, res.FirstIterationWork)
+	for _, m := range Corpus("fuzzseed", 5, 60) {
+		f.Add(encode(m))
 	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m := decodeMethod(data)
+		if len(m.Ops) == 0 {
+			return
+		}
+		cmPlain, _ := (&Compiler{}).Compile(m)
+		cmBarrier, st := (&Compiler{InsertReadBarriers: true}).Compile(m)
+		if st.BarrierSites != m.NumLoads() {
+			t.Fatalf("emitted %d barrier pairs for %d loads", st.BarrierSites, m.NumLoads())
+		}
+		plain, barrier := cmPlain.Run(2), cmBarrier.Run(2)
+		if plain.Regs != barrier.Regs {
+			t.Fatalf("execution diverged:\n ops     %v\n plain   %v\n barrier %v", dumpOps(m), plain.Regs, barrier.Regs)
+		}
+	})
+}
+
+func dumpOps(m *Method) string {
+	s := ""
+	for i, op := range m.Ops {
+		s += fmt.Sprintf("%3d: %s A=%d B=%d C=%d\n", i, op.Kind, op.A, op.B, op.C)
+	}
+	return s
 }
