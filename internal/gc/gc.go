@@ -211,11 +211,12 @@ type Collector struct {
 	recoveredPanics atomic.Uint64
 	lastPanicMsg    atomic.Value // string
 
-	// dead, finals and scratch are the sweep's and the tracer's memory,
-	// kept across cycles so a steady-state cycle allocates next to nothing.
-	// One full cycle runs at a time (the VM's cycle lock).
+	// dead, finals, pruned and scratch are the sweep's and the tracer's
+	// memory, kept across cycles so a steady-state cycle allocates next to
+	// nothing. One full cycle runs at a time (the VM's cycle lock).
 	dead    []heap.ObjectID // the sweep's dead IDs, ascending, for FreeBatch
 	finals  []freeRec       // their finalizer records (Plan.OnFree only)
+	pruned  heap.PruneTally // a prune sweep's histogram samples, merged once
 	scratch traceScratch
 
 	// Observability handles (all nil when disabled; every method on them
@@ -426,9 +427,10 @@ func (c *Collector) sweep(plan Plan, t *tracer) sweepResult {
 	live = c.heap.MarkFreeSlots(live)
 	t.workers[0].bits = live
 	// In a prune cycle every reclaimed object was held only through
-	// poisoned or dead references; the heap's prune histograms sample size
-	// and staleness age at exactly this point, before FreeBatch recycles
-	// the slot and before the clock advances.
+	// poisoned or dead references; the sweep tallies their size and
+	// staleness age at exactly this point, before FreeBatch recycles the
+	// slot and before the clock advances, and merges the tally into the
+	// heap's prune histograms once, after the scan.
 	pruneMode := plan.Mode == ModePrune
 	epoch := t.epoch
 	dead, finals := c.dead[:0], c.finals[:0]
@@ -460,7 +462,7 @@ func (c *Collector) sweep(plan Plan, t *tracer) sweepResult {
 				sr.bytesFreed += size
 				sr.objectsFreed++
 				if pruneMode {
-					c.heap.RecordPrunedFree(obj)
+					c.heap.RecordPrunedFree(&c.pruned, obj)
 				}
 				if plan.OnFree != nil {
 					finals = append(finals, freeRec{id: id, class: obj.Class(), size: size})
@@ -470,6 +472,7 @@ func (c *Collector) sweep(plan Plan, t *tracer) sweepResult {
 		}
 		base = end
 	}
+	c.heap.MergePruned(&c.pruned)
 	c.heap.FreeBatch(dead)
 	c.dead, c.finals = dead, finals
 	for _, f := range finals {

@@ -362,10 +362,11 @@ func TestSweepFreeOrderIndependentOfWorkers(t *testing.T) {
 }
 
 // TestPruneHistogramsMatchPerObjectObservation: the sweep tallies the prune
-// histograms' samples per worker and merges them after the join; what
+// histograms' samples privately and merges them once per cycle; what
 // lp_prune_freed_bytes and lp_prune_staleness_age end up holding — every
 // bucket, sum and count — must be what observing each reclaimed object one
-// at a time gives, at any worker count.
+// at a time gives, at any worker count, and a second PRUNE cycle adds only
+// its own samples.
 func TestPruneHistogramsMatchPerObjectObservation(t *testing.T) {
 	const objects = 12000 // ≥ 4096 slots, so a 4-worker sweep really shards
 	for _, workers := range []int{1, 4} {
@@ -401,32 +402,40 @@ func TestPruneHistogramsMatchPerObjectObservation(t *testing.T) {
 		if res.ObjectsFreed != wantBytes.Count() {
 			t.Fatalf("workers=%d: freed %d objects, want %d", workers, res.ObjectsFreed, wantBytes.Count())
 		}
-		want := map[string]*obs.Histogram{"lp_prune_freed_bytes": wantBytes, "lp_prune_staleness_age": wantAge}
-		for _, m := range o.Registry().Snapshot() {
-			w := want[m.Name]
-			if w == nil {
-				continue
+		check := func(cycle string) {
+			t.Helper()
+			want := map[string]*obs.Histogram{"lp_prune_freed_bytes": wantBytes, "lp_prune_staleness_age": wantAge}
+			for _, m := range o.Registry().Snapshot() {
+				w := want[m.Name]
+				if w == nil {
+					continue
+				}
+				delete(want, m.Name)
+				got := m.Histogram
+				if got.Sum != w.Sum() || got.Count != w.Count() || !reflect.DeepEqual(got.Counts, w.BucketCounts()) {
+					t.Errorf("workers=%d %s after the %s: counts %v sum %d count %d, per-object observation gives %v / %d / %d",
+						workers, m.Name, cycle, got.Counts, got.Sum, got.Count, w.BucketCounts(), w.Sum(), w.Count())
+				}
 			}
-			delete(want, m.Name)
-			got := m.Histogram
-			if got.Sum != w.Sum() || got.Count != w.Count() || !reflect.DeepEqual(got.Counts, w.BucketCounts()) {
-				t.Errorf("workers=%d %s: counts %v sum %d count %d, per-object observation gives %v / %d / %d",
-					workers, m.Name, got.Counts, got.Sum, got.Count, w.BucketCounts(), w.Sum(), w.Count())
+			if len(want) != 0 {
+				t.Fatalf("workers=%d: prune histograms missing from the registry: %v", workers, want)
 			}
 		}
-		if len(want) != 0 {
-			t.Fatalf("workers=%d: prune histograms missing from the registry: %v", workers, want)
-		}
+		check("first PRUNE cycle")
 		// A following non-prune cycle samples nothing.
 		th.roots.refs = th.roots.refs[:len(th.roots.refs)/2]
 		if res := c.Collect(Plan{Mode: ModeNormal}); res.ObjectsFreed == 0 {
 			t.Fatalf("workers=%d: the ModeNormal cycle freed nothing", workers)
 		}
-		for _, m := range o.Registry().Snapshot() {
-			if m.Name == "lp_prune_freed_bytes" && m.Histogram.Count != wantBytes.Count() {
-				t.Errorf("workers=%d: a ModeNormal sweep sampled the prune histograms (%d → %d)",
-					workers, wantBytes.Count(), m.Histogram.Count)
-			}
+		check("ModeNormal cycle")
+		// A second PRUNE cycle reclaims every remaining object.
+		for _, r := range th.roots.refs {
+			obj := th.h.Get(r)
+			wantBytes.Observe(obj.Size())
+			wantAge.Observe(uint64(th.h.Stale(obj)))
 		}
+		th.roots.refs = nil
+		c.Collect(Plan{Mode: ModePrune})
+		check("second PRUNE cycle")
 	}
 }

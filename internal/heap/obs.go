@@ -17,14 +17,43 @@ func (h *Heap) SetObs(o *obs.Obs) {
 		"stale counter of objects reclaimed by PRUNE-mode collections", obs.StaleAgeBuckets)
 }
 
+// PruneTally is a prune sweep's samples for the two prune histograms: the
+// per-bucket counts and sums in plain words the sweep owns, so sampling a
+// reclaimed object costs no atomic add. MergePruned adds it to the
+// histograms once per cycle.
+type PruneTally struct {
+	bytes, age       []uint64
+	bytesSum, ageSum uint64
+}
+
 // RecordPrunedFree samples one object reclaimed during a prune cycle into
-// the prune histograms. The GC sweep calls it (ModePrune only) while the
+// the sweep's tally. The GC sweep calls it (ModePrune only) while the
 // object's size and stale counter are still readable, before the clock
 // advances. Disabled observability reduces it to one nil check.
-func (h *Heap) RecordPrunedFree(obj *Object) {
+func (h *Heap) RecordPrunedFree(t *PruneTally, obj *Object) {
 	if h.pruneFreedBytes == nil {
 		return
 	}
-	h.pruneFreedBytes.Observe(obj.Size())
-	h.pruneStaleAge.Observe(uint64(h.Stale(obj)))
+	if t.bytes == nil {
+		t.bytes = make([]uint64, len(h.pruneFreedBytes.Bounds())+1)
+		t.age = make([]uint64, len(h.pruneStaleAge.Bounds())+1)
+	}
+	size, stale := obj.Size(), uint64(h.Stale(obj))
+	t.bytes[h.pruneFreedBytes.Bucket(size)]++
+	t.bytesSum += size
+	t.age[h.pruneStaleAge.Bucket(stale)]++
+	t.ageSum += stale
+}
+
+// MergePruned adds a tally's samples to the prune histograms, one atomic
+// add per touched bucket, and empties it for the next cycle.
+func (h *Heap) MergePruned(t *PruneTally) {
+	if t.bytes == nil {
+		return
+	}
+	h.pruneFreedBytes.AddBatch(t.bytes, t.bytesSum)
+	h.pruneStaleAge.AddBatch(t.age, t.ageSum)
+	clear(t.bytes)
+	clear(t.age)
+	t.bytesSum, t.ageSum = 0, 0
 }

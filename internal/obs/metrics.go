@@ -111,6 +111,25 @@ func (h *Histogram) Bucket(v uint64) int {
 	return i
 }
 
+// AddBatch records observations tallied elsewhere, merged once instead of
+// three shared adds per value: counts[i] more in bucket i (indexed as Bucket
+// does, len(Bounds())+1 entries), their values adding up to sum. The
+// histogram ends up exactly as if each had been Observed.
+func (h *Histogram) AddBatch(counts []uint64, sum uint64) {
+	if h == nil {
+		return
+	}
+	var n uint64
+	for i, c := range counts {
+		if c != 0 {
+			h.counts[i].Add(c)
+			n += c
+		}
+	}
+	h.sum.Add(sum)
+	h.count.Add(n)
+}
+
 // Count returns the total number of observations (0 on nil).
 func (h *Histogram) Count() uint64 {
 	if h == nil {

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -94,6 +95,18 @@ func TestHistogramHalfOpenBuckets(t *testing.T) {
 			}
 			if h.Count() != uint64(len(tc.obs)) || h.Sum() != sum {
 				t.Fatalf("count/sum = %d/%d, want %d/%d", h.Count(), h.Sum(), len(tc.obs), sum)
+			}
+			// The same values tallied privately and merged with AddBatch
+			// leave a histogram in the same state as observing them.
+			b := reg.NewHistogram("lp_test_hist_batch", "test", tc.bounds)
+			tally := make([]uint64, len(tc.bounds)+1)
+			for _, v := range tc.obs {
+				tally[b.Bucket(v)]++
+			}
+			b.AddBatch(tally, sum)
+			if !reflect.DeepEqual(b.BucketCounts(), got) || b.Count() != h.Count() || b.Sum() != h.Sum() {
+				t.Fatalf("AddBatch: %v count %d sum %d, Observe: %v count %d sum %d",
+					b.BucketCounts(), b.Count(), b.Sum(), got, h.Count(), h.Sum())
 			}
 		})
 	}

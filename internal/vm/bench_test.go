@@ -116,6 +116,27 @@ func benchMutatorOp(b *testing.B, barriers, obsOn bool, op string, threads int) 
 							}
 						})
 					}
+				case "chase":
+					// A dependent chase around a ring of six nodes: each
+					// load's source is the previous load's result, so the
+					// latency of every op is on the critical path, as in
+					// pseudojbb's walks. op=load reloads one slot, so its
+					// loads overlap.
+					ring := []heap.Ref{a}
+					for len(ring) < 6 {
+						n := t.New(node)
+						t.Store(ring[len(ring)-1], 0, n)
+						ring = append(ring, n)
+					}
+					t.Store(ring[5], 0, a)
+					r := a
+					for i := 0; i < per; i += 64 {
+						batch(func() {
+							for j := 0; j < 64; j++ {
+								r = t.Load(r, 0)
+							}
+						})
+					}
 				case "store":
 					tgt := t.Load(a, 0)
 					for i := 0; i < per; i += 64 {
@@ -151,11 +172,13 @@ func benchMutatorOp(b *testing.B, barriers, obsOn bool, op string, threads int) 
 // Load adds no locked instruction to the floor, Store one (the slot), New
 // three (class, size, the context's pending word). The -region rows run the
 // same operations inside a Thread.Region, where the pair is paid once per
-// 64 operations and each operation only polls the stop flag. The
+// 64 operations and each operation only polls the stop flag. op=chase-region
+// is load-region with each load depending on the one before (a six-node
+// ring), so a call or a cache miss on the fast path shows in full. The
 // multi-thread rows show whether distinct threads serialize; the obs=true
 // rows bound what attaching metrics and the tracer costs the fast paths.
 func BenchmarkMutatorOps(b *testing.B) {
-	for _, op := range []string{"region", "load", "load-region", "store", "store-region", "new", "new-region"} {
+	for _, op := range []string{"region", "load", "load-region", "chase-region", "store", "store-region", "new", "new-region"} {
 		for _, barriers := range []bool{false, true} {
 			for _, obsOn := range []bool{false, true} {
 				for _, threads := range []int{1, 2, 4, 8} {

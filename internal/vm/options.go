@@ -43,6 +43,31 @@ func (b BarrierVariant) String() string {
 	return "conditional"
 }
 
+// opMode is the VM's mode word (VM.mode). Its low bits are the read-barrier
+// shape Load runs inline; opsOutOfLine sends every Load and Store, and every
+// object lookup, through the out-of-line slow path first: the offload
+// baseline must check residency, and a recording VM appends each op to the
+// thread's trace stream.
+type opMode uint32
+
+const (
+	// barriersOff: no barrier test (EnableBarriers false, or LazyBarriers
+	// before OBSERVE).
+	barriersOff opMode = iota
+	barriersConditional
+	barriersUnconditional
+
+	opsOutOfLine opMode = 4
+)
+
+// barrierShape is the mode word's barrier shape for o.Barrier.
+func (o Options) barrierShape() opMode {
+	if o.Barrier == BarrierUnconditional {
+		return barriersUnconditional
+	}
+	return barriersConditional
+}
+
 // MarkMode selects how ModeNormal collections compute the in-use closure.
 type MarkMode int
 

@@ -168,11 +168,13 @@ type VM struct {
 	// the most recent collection (progress for the allocation slow path).
 	lastOffloaded uint64
 
-	// barriersActive gates the read-barrier fast path under LazyBarriers:
-	// it flips to true (permanently — OBSERVE is permanent) when the
-	// controller starts observing, standing in for the recompilation of
-	// all methods with barriers.
-	barriersActive atomic.Bool
+	// mode is the mode word every Load and Store reads (opMode): the
+	// read-barrier shape and whether ops leave the inline path. Plain
+	// memory: New writes it before any thread exists, and finishCollect's
+	// LazyBarriers flip writes it in the cycle's final stop-the-world pause,
+	// so the safepoint protocol orders it against every critical region
+	// that reads it.
+	mode opMode
 
 	// gcTrigger is the soft collection threshold: once BytesUsed exceeds
 	// it, the next allocation runs a full-heap collection even though the
@@ -257,8 +259,13 @@ func New(opts Options) *VM {
 		v.inj.SetObs(opts.Obs)
 	}
 	v.gcTrigger.Store(softTrigger(0, opts.HeapLimit))
-	if opts.EnableBarriers && !opts.LazyBarriers {
-		v.barriersActive.Store(true)
+	// Offloading and forced-state overhead runs need barriers from the
+	// start regardless of laziness.
+	if opts.EnableBarriers && (!opts.LazyBarriers || opts.OffloadDisk > 0 || opts.Forced) {
+		v.mode = opts.barrierShape()
+	}
+	if opts.OffloadDisk > 0 || opts.TraceRecorder != nil {
+		v.mode |= opsOutOfLine
 	}
 	ctrlOpts := core.Options{
 		Policy:             opts.Policy,
@@ -277,13 +284,6 @@ func New(opts Options) *VM {
 		ctrlOpts.ForceState = core.StateObserve
 		v.heap.SetDiskLimit(opts.OffloadDisk)
 		v.offloader = offload.New(offload.Config{DiskLimit: opts.OffloadDisk})
-	}
-	if opts.OffloadDisk > 0 || opts.Forced {
-		// Offloading and forced-state overhead runs need barriers from the
-		// start regardless of laziness.
-		if opts.EnableBarriers {
-			v.barriersActive.Store(true)
-		}
 	}
 	v.ctrl = core.NewController(classes, ctrlOpts)
 	v.ctrl.Edges().SetFaultInjector(v.inj)
@@ -644,10 +644,10 @@ func (v *VM) finishCollect(res gc.Result, priorPauses []time.Duration, pauseStar
 		// check holds there too.)
 		v.verifyLocked(true)
 	}
-	if v.opts.EnableBarriers && !v.barriersActive.Load() && v.ctrl.Observing() {
+	if v.opts.EnableBarriers && v.mode&^opsOutOfLine == barriersOff && v.ctrl.Observing() {
 		// The "recompilation" moment: from now on every load runs the
 		// barrier test. OBSERVE is permanent, so this never reverts.
-		v.barriersActive.Store(true)
+		v.mode |= v.opts.barrierShape()
 	}
 	pauses := append(priorPauses, time.Since(pauseStart))
 	mode := res.Mode
