@@ -80,9 +80,9 @@ func (h *Heap) Audit() []string {
 		}
 		live[id] = true
 		totalLive++
-		si := obj.home & shardMask
-		if obj.home >= numShards {
-			sink.addf("object %d: home shard %d out of range", id, obj.home)
+		si := obj.home() & shardMask
+		if obj.home() >= numShards {
+			sink.addf("object %d: home shard %d out of range", id, obj.home())
 		}
 		perShard[si].liveBytes += obj.Size()
 		perShard[si].liveObjs++

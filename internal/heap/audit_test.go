@@ -110,7 +110,7 @@ func TestAuditDetectsFreeListCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Plant a free-list entry naming the live object.
-	s := &h.shards[h.Get(r).home]
+	s := &h.shards[h.Get(r).home()]
 	s.mu.Lock()
 	s.free = append(s.free, r.ID())
 	s.mu.Unlock()
@@ -170,7 +170,7 @@ func TestPopFreeDiscardsCorruptEntry(t *testing.T) {
 	// Corrupt a free list directly (no injector): push the live object's ID
 	// onto its home shard's free list, then allocate until that shard's list
 	// drains. The corrupt entry must be discarded, not handed out.
-	home := h.Get(r).home
+	home := h.Get(r).home()
 	s := &h.shards[home]
 	s.mu.Lock()
 	s.free = append(s.free, r.ID())

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 )
 
 // header is every Object word the allocator is responsible for except mark
@@ -18,7 +19,48 @@ type header struct {
 
 func headerOf(o *Object) header {
 	return header{class: o.Class(), stale: o.StalePos(), flags: atomic.LoadUint32(&o.flags),
-		size: o.Size(), refs: len(o.refs)}
+		size: o.Size(), refs: o.NumRefs()}
+}
+
+// TestObjectIsOneCacheLine pins the table entry's layout: 64 bytes, in
+// chunks whose base addresses are 64-aligned, so no entry straddles two
+// cache lines.
+func TestObjectIsOneCacheLine(t *testing.T) {
+	if n := unsafe.Sizeof(Object{}); n != 64 {
+		t.Fatalf("sizeof(Object) = %d, want 64", n)
+	}
+	reg := NewRegistry()
+	cls := reg.Define("N", 1, 0)
+	h := New(reg, 1<<30)
+	ctx := h.NewAllocContext()
+	for i := 0; i < 3*chunkSize; i++ {
+		if _, err := h.AllocateCtx(&ctx, cls); err != nil {
+			t.Fatal(err)
+		}
+	}
+	chunks := *h.chunks.Load()
+	if len(chunks) < 3 {
+		t.Fatalf("%d chunks after %d allocations, want at least 3", len(chunks), 3*chunkSize)
+	}
+	for ci, c := range chunks {
+		if base := uintptr(unsafe.Pointer(c)); base%64 != 0 {
+			t.Errorf("chunk %d at %#x is not 64-aligned", ci, base)
+		}
+	}
+}
+
+// aliasesChunk reports whether the n words at p, or the capacity word
+// before them, lie inside any chunk of the object table.
+func aliasesChunk(h *Heap, p unsafe.Pointer, n int) bool {
+	lo := uintptr(p) - RefSlotBytes
+	hi := uintptr(p) + uintptr(n)*RefSlotBytes
+	for _, c := range *h.chunks.Load() {
+		base := uintptr(unsafe.Pointer(c))
+		if lo < base+unsafe.Sizeof(*c) && base < hi {
+			return true
+		}
+	}
+	return false
 }
 
 // TestHeaderInvariantsAcrossRecycling pins what lets birth and death skip
@@ -36,8 +78,8 @@ func headerOf(o *Object) header {
 // The ladder shape recycles one slot through 0, 2, 4, 5, 9 reference slots
 // and back down, across the inline boundary both ways: each birth has the
 // right NumRefs and null slots, keeps up to inlineRefs of them in its own
-// entry, and never has a separate array that is another entry's inline
-// words.
+// entry, never has a separate array that aliases any table entry, and
+// reuses the slot's separate array when it is large enough.
 func TestHeaderInvariantsAcrossRecycling(t *testing.T) {
 	shapes := map[string][][]AllocOption{
 		"class":  {nil, nil},
@@ -65,6 +107,9 @@ func TestHeaderInvariantsAcrossRecycling(t *testing.T) {
 							}
 							return r.ID(), h.Get(r)
 						}
+						// spare is each slot's separate array as of its last
+						// birth, which a wider birth that fits it must reuse.
+						spare := map[*Object]unsafe.Pointer{}
 						// born checks a birth against the shape it was asked for.
 						born := func(stage string, obj *Object, opts []AllocOption) header {
 							t.Helper()
@@ -78,18 +123,24 @@ func TestHeaderInvariantsAcrossRecycling(t *testing.T) {
 									t.Fatalf("%s: reference %d not null at birth: %v", stage, slot, obj.Ref(slot))
 								}
 							}
-							inline := cap(obj.refs) == inlineRefs && &obj.refs[:1][0] == &obj.inline[0]
+							inline := obj.refs == unsafe.Pointer(&obj.inline)
 							if inline != (refSlots <= inlineRefs) {
 								t.Fatalf("%s: %d slots inline=%v", stage, refSlots, inline)
 							}
-							if !inline {
-								h.ForEach(func(_ ObjectID, o *Object) {
-									for i := range o.inline {
-										if &o.inline[i] == &obj.refs[0] || &o.inline[i] == &obj.refs[refSlots-1] {
-											t.Fatalf("%s: separate array aliases an entry's inline word %d", stage, i)
-										}
-									}
-								})
+							if inline {
+								delete(spare, obj)
+							} else {
+								if c := obj.spareCap(); c < refSlots {
+									t.Fatalf("%s: %d slots in a separate array of capacity %d", stage, refSlots, c)
+								}
+								if aliasesChunk(h, obj.refs, obj.spareCap()) {
+									t.Fatalf("%s: separate array aliases the object table", stage)
+								}
+								if old, ok := spare[obj]; ok && obj.refs != old &&
+									*(*uint64)(unsafe.Add(old, -RefSlotBytes)) >= uint64(refSlots) {
+									t.Fatalf("%s: %d slots got a new array, not the slot's own that fits them", stage, refSlots)
+								}
+								spare[obj] = obj.refs
 							}
 							return got
 						}

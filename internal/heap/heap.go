@@ -5,15 +5,16 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"leakpruning/internal/faultinject"
 	"leakpruning/internal/obs"
 )
 
 const (
-	// A chunk is 4096 objects (352 KB): a new heap zeroes one before its
-	// first object exists, and ChunkCache lookups do not depend on staying
-	// inside one chunk, so small chunks cost nothing.
+	// A chunk is 4096 64-byte objects (256 KiB): a new heap zeroes one
+	// before its first object exists, and ChunkCache lookups do not depend
+	// on staying inside one chunk, so small chunks cost nothing.
 	chunkShift = 12
 	chunkSize  = 1 << chunkShift
 	chunkMask  = chunkSize - 1
@@ -232,8 +233,10 @@ func (h *Heap) ResolveShape(class ClassID, opts []AllocOption) (refSlots, scalar
 
 // Allocate creates a new object of the given class, charging exactly its
 // size against the heap limit. All reference slots start null. It returns
-// ErrHeapFull (without allocating) when the object does not fit; triggering
-// collection is the caller's job, keeping the heap policy-free.
+// ErrHeapFull (without allocating) when the object does not fit, or when
+// its shape has more than 2^24-1 slots or a size of 4 GiB or more, which
+// the object's header words cannot hold; triggering collection is the
+// caller's job, keeping the heap policy-free.
 //
 // It is AllocateCtx through a throwaway context whose run is one slot and
 // whose reservation is exact, settled before returning.
@@ -265,7 +268,15 @@ func (h *Heap) allocate(ctx *AllocContext, runLen int, class ClassID, opts []All
 			panic(fmt.Sprintf("heap: negative allocation shape for %s", c.Name))
 		}
 	}
+	// A shape the narrowed header words cannot hold fails like one that
+	// does not fit under the limit.
+	if refSlots > maxRefSlots {
+		return Null, ErrHeapFull
+	}
 	size := ObjectSize(refSlots, scalarBytes)
+	if size > maxObjectSize {
+		return Null, ErrHeapFull
+	}
 
 	// Injected allocation-time limit race: behave as if a racing thread
 	// consumed the remaining headroom between the caller's check and our
@@ -315,18 +326,19 @@ func (h *Heap) allocate(ctx *AllocContext, runLen int, class ClassID, opts []All
 	atomic.StoreUint32((*uint32)(&obj.class), uint32(class))
 	obj.stale = h.clock.Load().Now()
 	setHeaderWord(&obj.flags, 0)
-	obj.home = uint8(ctx.home)
-	// An inline slice has capacity inlineRefs, so a larger capacity is this
-	// slot's own separate array from an earlier birth.
+	obj.shape = ctx.home<<numRefsBits | uint32(refSlots)
+	// A separate array large enough is this slot's own from an earlier
+	// birth; a new one carries its capacity in the word before refs.
 	switch {
 	case refSlots <= inlineRefs:
-		obj.refs = obj.inline[:refSlots]
-		clear(obj.refs)
-	case cap(obj.refs) >= refSlots:
-		obj.refs = obj.refs[:refSlots]
-		clear(obj.refs)
+		obj.refs = unsafe.Pointer(&obj.inline)
+		clear(obj.words())
+	case obj.spareCap() >= refSlots:
+		clear(obj.words())
 	default:
-		obj.refs = make([]uint64, refSlots)
+		a := make([]uint64, 1+refSlots)
+		a[0] = uint64(refSlots)
+		obj.refs = unsafe.Pointer(&a[1])
 	}
 	// With no concurrent mark in flight the mark word is left at its
 	// previous value: epochs only ever move forward, so a recycled slot can
@@ -430,7 +442,7 @@ func (h *Heap) FreeBatch(ids []ObjectID) {
 		if obj == nil || obj.Size() == 0 {
 			panic(fmt.Sprintf("heap: double free of object %d", ids[i]))
 		}
-		si := obj.home & shardMask
+		si := obj.home() & shardMask
 		objs[i], next[i], head[si] = obj, head[si], int32(i)
 	}
 	var credit uint64
@@ -501,13 +513,14 @@ func (h *Heap) probeFreeListLocked(s *shard) int {
 }
 
 // freeLocked releases obj (slot id) into shard s, clearing its header so a
-// recycled slot starts clean: flags, class, size, and refs are all reset
+// recycled slot starts clean: flags, class, size, and shape are all reset
 // (the mark word is deliberately kept — see Allocate — and the stale word
-// too, which birth always sets). Size and class always change; flags is
-// stored only when it is not zero already, which is most deaths, so a free
-// costs two locked instructions. It returns the heap-resident bytes to
-// credit back to the used counter (zero for offloaded objects, whose bytes
-// live on disk). Caller holds s.mu.
+// too, which birth always sets; refs keeps pointing at the slot's words, so
+// a later birth can reuse a separate array). Size and class always change;
+// flags is stored only when it is not zero already, which is most deaths,
+// so a free costs two locked instructions. It returns the heap-resident
+// bytes to credit back to the used counter (zero for offloaded objects,
+// whose bytes live on disk). Caller holds s.mu.
 func (h *Heap) freeLocked(s *shard, id ObjectID, obj *Object) uint64 {
 	size := obj.Size()
 	heapBytes := size
@@ -522,7 +535,7 @@ func (h *Heap) freeLocked(s *shard, id ObjectID, obj *Object) uint64 {
 	s.objectsUsed--
 	obj.setSize(0)
 	atomic.StoreUint32((*uint32)(&obj.class), 0)
-	obj.refs = obj.refs[:0]
+	obj.shape = 0
 	setHeaderWord(&obj.flags, 0)
 	s.free = append(s.free, id)
 	return heapBytes

@@ -2,6 +2,7 @@ package heap
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -295,6 +296,65 @@ func TestChunkBoundaryGrowth(t *testing.T) {
 	}
 	if _, ok := h.Lookup(refs[1].ID()); !ok {
 		t.Fatal("survivor lost")
+	}
+}
+
+// TestOversizedShapeRefused pins that a shape the 32-bit size word or the
+// slot-count field cannot hold fails with ErrHeapFull, on a heap whose limit
+// would admit it, and is never born with a wrapped size or slot count; the
+// largest size the word holds is still born whole. The limit is only a
+// number: scalar bytes use no memory.
+func TestOversizedShapeRefused(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		opts   []AllocOption
+		refuse bool
+	}{
+		{"slots 1<<29", []AllocOption{WithRefSlots(1 << 29)}, true},
+		{"slots past the count field", []AllocOption{WithRefSlots(maxRefSlots + 1)}, true},
+		{"scalar 4 GiB", []AllocOption{WithScalarBytes(4 << 30)}, true},
+		{"scalar 16 GiB", []AllocOption{WithScalarBytes(16 << 30)}, true},
+		{"size one past the word", []AllocOption{WithRefSlots(1), WithScalarBytes(maxObjectSize - int(ObjectSize(1, 0)) + 1)}, true},
+		{"size fills the word", []AllocOption{WithRefSlots(1), WithScalarBytes(maxObjectSize - int(ObjectSize(1, 0)))}, false},
+	} {
+		for _, withCtx := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/ctx=%v", tc.name, withCtx), func(t *testing.T) {
+				reg := NewRegistry()
+				cls := reg.Define("A", 0, 0)
+				h := New(reg, 1<<40)
+				ctx := h.NewAllocContext()
+				var r Ref
+				var err error
+				if withCtx {
+					r, err = h.AllocateCtx(&ctx, cls, tc.opts...)
+				} else {
+					r, err = h.Allocate(cls, tc.opts...)
+				}
+				h.ReleaseContext(&ctx)
+				refSlots, scalarBytes := h.ResolveShape(cls, tc.opts)
+				if tc.refuse {
+					if !errors.Is(err, ErrHeapFull) {
+						t.Fatalf("got %v, %v; want ErrHeapFull", r, err)
+					}
+					if st := h.Stats(); st.BytesUsed != 0 || st.ObjectsAlloc != 0 {
+						t.Fatalf("a refused allocation was charged: %+v", st)
+					}
+				} else {
+					if err != nil {
+						t.Fatal(err)
+					}
+					obj := h.Get(r)
+					if obj.Size() != ObjectSize(refSlots, scalarBytes) || obj.NumRefs() != refSlots {
+						t.Fatalf("born with size %d and %d slots, want %d and %d",
+							obj.Size(), obj.NumRefs(), ObjectSize(refSlots, scalarBytes), refSlots)
+					}
+					if h.BytesUsed() != obj.Size() {
+						t.Fatalf("BytesUsed = %d, want %d", h.BytesUsed(), obj.Size())
+					}
+				}
+				auditMustBeClean(t, h, tc.name)
+			})
+		}
 	}
 }
 

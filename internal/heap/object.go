@@ -1,6 +1,9 @@
 package heap
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+	"unsafe"
+)
 
 // HeaderBytes is the simulated per-object header cost charged by the byte
 // accounting, standing in for the two-word Jikes RVM object header that
@@ -19,11 +22,27 @@ const inlineRefs = 4
 // full-heap collections ago.
 const MaxStale = 7
 
-// Object is one heap object. Mutators and the collector share Objects:
-// reference slots, and the stale word once the object is born, are accessed
-// atomically; the mark
-// word is claimed by CAS while several tracer workers run, by a plain store
-// while one does. Everything else is immutable after allocation.
+// The shape word packs an object's slot count under its home shard.
+const (
+	numRefsBits = 24
+	numRefsMask = 1<<numRefsBits - 1
+)
+
+const _ = uint(1<<(32-numRefsBits) - numShards) // does not compile if a home shard could overflow its byte
+
+// Allocations that would not fit the narrowed header words are refused
+// (ErrHeapFull), never born with a wrapped size or slot count.
+const (
+	maxRefSlots   = numRefsMask
+	maxObjectSize = 1<<32 - 1
+)
+
+// Object is one heap object: one 64-byte table entry, so a barrier or a
+// trace step touches one cache line per object. Mutators and the collector
+// share Objects: reference slots, and the stale word once the object is
+// born, are accessed atomically; the mark word is claimed by CAS while
+// several tracer workers run, by a plain store while one does. Everything
+// else is immutable after allocation.
 type Object struct {
 	// class is accessed atomically: a slot being recycled by a background
 	// free (FreeBatch) is still reachable through warm chunk caches, and a
@@ -38,22 +57,25 @@ type Object struct {
 	mark uint32
 	// flags holds miscellaneous state bits (offload residency).
 	flags uint32
-	// home is the allocator shard that owns this object's slot: FreeBatch
-	// returns the slot to this shard's free list and charges this shard's
-	// accounting, so an object is allocated and freed under the same shard
-	// lock.
-	home uint8
 	// size is the total simulated byte size (header + ref slots + scalar).
 	// Accessed atomically: it doubles as the slot's liveness word (0 = free),
 	// and with concurrent sweep the background sweeper's liveness probes race
 	// allocation. allocate publishes it last, so a nonzero size load acquires
 	// the rest of the object's initialization.
-	size uint64
-	// refs are the object's tagged reference words: a prefix of inline when
-	// the shape has at most inlineRefs slots (so a slot read touches the
-	// header's own cache lines, not a second allocation), else a separate
-	// array that later births of the slot with as many slots or more reuse.
-	refs   []uint64
+	size uint32
+	// shape is home<<numRefsBits | the number of reference slots. home is
+	// the allocator shard that owns this object's slot: FreeBatch returns
+	// the slot to this shard's free list and charges this shard's
+	// accounting, so an object is allocated and freed under the same shard
+	// lock. A freed slot's shape is 0.
+	shape uint32
+	// refs points at the object's first tagged reference word: inline[0]
+	// when the shape has at most inlineRefs slots (so a slot read touches
+	// the entry's own cache line, not a second allocation), else the first
+	// word of a separate array whose capacity is the word just before it,
+	// which later births of the slot with as many slots or fewer reuse. One
+	// pointer instead of a slice header is what fits the entry in 64 bytes.
+	refs   unsafe.Pointer
 	inline [inlineRefs]uint64
 }
 
@@ -61,29 +83,50 @@ type Object struct {
 func (o *Object) Class() ClassID { return ClassID(atomic.LoadUint32((*uint32)(&o.class))) }
 
 // Size returns the object's total simulated size in bytes.
-func (o *Object) Size() uint64 { return atomic.LoadUint64(&o.size) }
+func (o *Object) Size() uint64 { return uint64(atomic.LoadUint32(&o.size)) }
 
-// setSize atomically stores the size/liveness word.
-func (o *Object) setSize(n uint64) { atomic.StoreUint64(&o.size, n) }
+// setSize atomically stores the size/liveness word; n is at most
+// maxObjectSize.
+func (o *Object) setSize(n uint64) { atomic.StoreUint32(&o.size, uint32(n)) }
 
 // NumRefs returns the number of reference slots.
-func (o *Object) NumRefs() int { return len(o.refs) }
+func (o *Object) NumRefs() int { return int(o.shape & numRefsMask) }
+
+// home returns the allocator shard that owns the object's slot.
+func (o *Object) home() uint32 { return o.shape >> numRefsBits }
+
+// words returns the object's reference words, NumRefs of them, so that an
+// index past them fails the slice's bounds check.
+func (o *Object) words() []uint64 {
+	n := o.shape & numRefsMask
+	return (*[1 << 32]uint64)(o.refs)[:n:n]
+}
+
+// spareCap returns the capacity of the separate reference array refs
+// points at: 0 when it points at the inline words or, on a never-born
+// slot, nowhere.
+func (o *Object) spareCap() int {
+	if o.refs == nil || o.refs == unsafe.Pointer(&o.inline) {
+		return 0
+	}
+	return int(*(*uint64)(unsafe.Add(o.refs, -RefSlotBytes)))
+}
 
 // StalePos returns the stale-clock position stored at the object's birth or
 // last use; Clock.Stale turns it into the stale counter.
 func (o *Object) StalePos() uint32 { return atomic.LoadUint32(&o.stale) }
 
 // Ref atomically loads the tagged reference word in the given slot.
-func (o *Object) Ref(slot int) Ref { return Ref(atomic.LoadUint64(&o.refs[slot])) }
+func (o *Object) Ref(slot int) Ref { return Ref(atomic.LoadUint64(&o.words()[slot])) }
 
 // SetRef atomically stores a reference word into the given slot.
-func (o *Object) SetRef(slot int, r Ref) { atomic.StoreUint64(&o.refs[slot], uint64(r)) }
+func (o *Object) SetRef(slot int, r Ref) { atomic.StoreUint64(&o.words()[slot], uint64(r)) }
 
 // CompareAndSwapRef atomically replaces the slot's value iff it still holds
 // old. The read barrier uses this so it never overwrites a concurrent
 // mutator store (§4.1: "[iff a.f == t]").
 func (o *Object) CompareAndSwapRef(slot int, old, new Ref) bool {
-	return atomic.CompareAndSwapUint64(&o.refs[slot], uint64(old), uint64(new))
+	return atomic.CompareAndSwapUint64(&o.words()[slot], uint64(old), uint64(new))
 }
 
 // SwapRef atomically stores r into the slot and returns the previous value.
@@ -91,7 +134,7 @@ func (o *Object) CompareAndSwapRef(slot int, old, new Ref) bool {
 // log is exactly the one evicted — a separate load-then-store pair could
 // lose a value stored by a racing mutator without ever logging it.
 func (o *Object) SwapRef(slot int, r Ref) Ref {
-	return Ref(atomic.SwapUint64(&o.refs[slot], uint64(r)))
+	return Ref(atomic.SwapUint64(&o.words()[slot], uint64(r)))
 }
 
 // Marked reports whether the object has been reached in the collection with

@@ -22,7 +22,7 @@ import (
 // when none has. Allocating from the run then takes no mutex: the context
 // initialises the object, publishes its size word last, and notes the
 // allocation in its own pending counters. A live object belongs to the
-// shard it was popped from (Object.home); FreeBatch pushes the slot back
+// shard it was popped from (the home byte of Object.shape); FreeBatch pushes the slot back
 // onto that shard's list and charge that shard's counters.
 //
 // What settle restores. Refill, ReleaseContext and the VM's flushes settle

@@ -2,6 +2,7 @@ package vm
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"strings"
 	"sync"
 	"testing"
@@ -57,6 +58,9 @@ func BenchmarkBarrierColdPath(b *testing.B) {
 		b.Fatal(err)
 	}
 }
+
+// farRing is the node count of op=chase-far-region's ring.
+const farRing = 256 << 10
 
 // benchMutatorOp drives one mutator operation from `threads` concurrent
 // Threads, splitting b.N across them (so ns/op stays per-operation). Each
@@ -137,6 +141,34 @@ func benchMutatorOp(b *testing.B, barriers, obsOn bool, op string, threads int) 
 							}
 						})
 					}
+				case "chase-far":
+					// The same chase around a shuffled ring of farRing
+					// nodes, whose table entries (16 MiB) are far larger
+					// than a 2 MiB L2: almost every load misses, so the
+					// entry's size and the cache lines it spans show. The
+					// ring is built with the timer stopped (threads=1 only)
+					// and is reachable from a alone.
+					b.StopTimer()
+					t.Scope(func() {
+						ring := make([]heap.Ref, farRing)
+						for i := range ring {
+							ring[i] = t.New(node)
+						}
+						order := rand.New(rand.NewPCG(1, 2)).Perm(farRing)
+						for i, o := range order {
+							t.Store(ring[o], 0, ring[order[(i+1)%farRing]])
+						}
+						t.Store(a, 0, ring[order[0]])
+					})
+					b.StartTimer()
+					r := t.Load(a, 0)
+					for i := 0; i < per; i += 64 {
+						batch(func() {
+							for j := 0; j < 64; j++ {
+								r = t.Load(r, 0)
+							}
+						})
+					}
 				case "store":
 					tgt := t.Load(a, 0)
 					for i := 0; i < per; i += 64 {
@@ -174,14 +206,20 @@ func benchMutatorOp(b *testing.B, barriers, obsOn bool, op string, threads int) 
 // same operations inside a Thread.Region, where the pair is paid once per
 // 64 operations and each operation only polls the stop flag. op=chase-region
 // is load-region with each load depending on the one before (a six-node
-// ring), so a call or a cache miss on the fast path shows in full. The
-// multi-thread rows show whether distinct threads serialize; the obs=true
-// rows bound what attaching metrics and the tracer costs the fast paths.
+// ring, all in L1), so a call on the fast path shows in full;
+// op=chase-far-region chases a shuffled ring of farRing nodes instead, so
+// the cache misses on the object table show, and runs at one thread only.
+// The multi-thread rows show whether distinct threads serialize; the
+// obs=true rows bound what attaching metrics and the tracer costs the fast
+// paths.
 func BenchmarkMutatorOps(b *testing.B) {
-	for _, op := range []string{"region", "load", "load-region", "chase-region", "store", "store-region", "new", "new-region"} {
+	for _, op := range []string{"region", "load", "load-region", "chase-region", "chase-far-region", "store", "store-region", "new", "new-region"} {
 		for _, barriers := range []bool{false, true} {
 			for _, obsOn := range []bool{false, true} {
 				for _, threads := range []int{1, 2, 4, 8} {
+					if op == "chase-far-region" && threads > 1 {
+						continue
+					}
 					name := fmt.Sprintf("op=%s/barriers=%v/obs=%v/threads=%d",
 						op, barriers, obsOn, threads)
 					b.Run(name, func(b *testing.B) {
