@@ -148,6 +148,7 @@ bench-smoke:
 		test -z "$$bad" || { echo "internal/vm: (*Thread).Load/Store call off their named out-of-line paths:"; echo "$$bad"; exit 1; }
 	$(GO) test -run='^$$' -bench='Benchmark(Mark|Alloc)Parallel' -benchtime=1x .
 	$(GO) test -run='^$$' -bench='^BenchmarkSweep$$' -benchtime=1x ./internal/gc
+	$(GO) test -run='^$$' -bench='^Benchmark(RecordUse|PlanWalk)$$' -benchtime=1x ./internal/edgetable
 	$(GO) test -run='^$$' -bench='Benchmark(MutatorOps|NewParallel|RequestShapedAlloc|LiveSetHash|RunThreadObs)' -benchtime=1x -benchmem ./internal/vm
 
 # Full fault-injection campaign: 20 seeds x fault matrix x micro-leak

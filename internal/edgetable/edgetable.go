@@ -34,11 +34,15 @@ type Key struct {
 	Src, Tgt heap.ClassID
 }
 
+// chunkLen is how many entries one storage chunk holds. Chunks are
+// allocated as the table fills and never move, so an *Entry stays valid.
+const chunkLen = 256
+
 // Entry is one edge-type record. Fields are updated atomically; read them
 // through the accessor methods.
 type Entry struct {
 	key          Key
-	used         uint32 // 1 once the slot is occupied (set under t.mu)
+	slot         uint32 // the hash slot this entry occupies (set under t.mu)
 	maxStaleUse  uint32
 	bytesUsed    uint64
 	timesPruned  uint64 // diagnostic: how many refs of this type were poisoned
@@ -57,11 +61,17 @@ func (e *Entry) BytesUsed() uint64 { return atomic.LoadUint64(&e.bytesUsed) }
 // TimesPruned returns how many references of this type have been poisoned.
 func (e *Entry) TimesPruned() uint64 { return atomic.LoadUint64(&e.timesPruned) }
 
-// Table is the fixed-size closed-hashing edge table.
+// Table is the fixed-size closed-hashing edge table. The hash slots hold
+// only an index: 0 for a free slot, else 1 + the entry's position in
+// insertion order. The entries live in chunkLen-entry chunks allocated as
+// they fill, so a table costs 4 bytes per slot (64 KiB at DefaultSlots)
+// plus 40 bytes per edge type seen, and a whole-table walk visits Len()
+// entries rather than Cap() slots.
 type Table struct {
-	mu    sync.Mutex // serializes inserts only (rare; §4.5)
-	slots []Entry
-	count atomic.Uint64
+	mu     sync.Mutex // serializes inserts only (rare; §4.5)
+	index  []uint32   // per slot: 0 = free, else 1 + entry position (atomic)
+	chunks [][]Entry  // entry storage; chunk c holds positions c*chunkLen...
+	count  atomic.Uint64
 
 	// overflows counts insertions dropped because the table was full (or an
 	// injected overflow); the affected updates degrade to no-ops instead of
@@ -84,7 +94,10 @@ func New(n int) *Table {
 	for size < n {
 		size <<= 1
 	}
-	return &Table{slots: make([]Entry, size)}
+	return &Table{
+		index:  make([]uint32, size),
+		chunks: make([][]Entry, (size+chunkLen-1)/chunkLen),
+	}
 }
 
 // Len returns the number of occupied entries — the paper's "edge types"
@@ -101,24 +114,30 @@ func (t *Table) Overflows() uint64 { return t.overflows.Load() }
 func (t *Table) SetFaultInjector(inj *faultinject.Injector) { t.inj = inj }
 
 // Cap returns the slot count.
-func (t *Table) Cap() int { return len(t.slots) }
+func (t *Table) Cap() int { return len(t.index) }
+
+// at returns the entry at position pos, which an index word or count has
+// published (the atomic load orders the reads of the entry after its write).
+func (t *Table) at(pos uint32) *Entry {
+	return &t.chunks[pos/chunkLen][pos%chunkLen]
+}
 
 func (t *Table) hash(k Key) int {
 	// Fibonacci hashing over the packed pair; the table size is a power of
 	// two so we mask.
 	h := (uint64(k.Src)<<32 | uint64(k.Tgt)) * 0x9e3779b97f4a7c15
-	return int(h>>33) & (len(t.slots) - 1)
+	return int(h>>33) & (len(t.index) - 1)
 }
 
 // lookup finds the entry for k, or nil without inserting.
 func (t *Table) lookup(k Key) *Entry {
-	mask := len(t.slots) - 1
-	for i, probes := t.hash(k), 0; probes < len(t.slots); i, probes = (i+1)&mask, probes+1 {
-		e := &t.slots[i]
-		if atomic.LoadUint32(&e.used) == 0 {
+	mask := len(t.index) - 1
+	for i, probes := t.hash(k), 0; probes < len(t.index); i, probes = (i+1)&mask, probes+1 {
+		x := atomic.LoadUint32(&t.index[i])
+		if x == 0 {
 			return nil
 		}
-		if e.key == k {
+		if e := t.at(x - 1); e.key == k {
 			return e
 		}
 	}
@@ -150,16 +169,22 @@ func (t *Table) GetOrInsert(src, tgt heap.ClassID) *Entry {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	mask := len(t.slots) - 1
-	for i, probes := t.hash(k), 0; probes < len(t.slots); i, probes = (i+1)&mask, probes+1 {
-		e := &t.slots[i]
-		if atomic.LoadUint32(&e.used) == 0 {
-			e.key = k
-			atomic.StoreUint32(&e.used, 1) // publish after key write
+	mask := len(t.index) - 1
+	for i, probes := t.hash(k), 0; probes < len(t.index); i, probes = (i+1)&mask, probes+1 {
+		x := t.index[i] // inserts are serialized: a plain read sees every store
+		if x == 0 {
+			pos := uint32(t.count.Load())
+			c := pos / chunkLen
+			if t.chunks[c] == nil {
+				t.chunks[c] = make([]Entry, min(chunkLen, len(t.index)))
+			}
+			e := t.at(pos)
+			e.key, e.slot = k, uint32(i)
+			atomic.StoreUint32(&t.index[i], pos+1) // publish after the entry write
 			t.count.Add(1)
 			return e
 		}
-		if e.key == k {
+		if e := t.at(x - 1); e.key == k {
 			return e
 		}
 	}
@@ -218,15 +243,11 @@ func (t *Table) RecordPrune(src, tgt heap.ClassID) {
 func (t *Table) MaxBytesUsed() (*Entry, bool) {
 	var best *Entry
 	var bestBytes uint64
-	for i := range t.slots {
-		e := &t.slots[i]
-		if atomic.LoadUint32(&e.used) == 0 {
-			continue
-		}
-		if b := e.BytesUsed(); b > bestBytes {
+	t.ForEach(func(e *Entry) {
+		if b := e.BytesUsed(); b > bestBytes || b == bestBytes && best != nil && e.slot < best.slot {
 			best, bestBytes = e, b
 		}
-	}
+	})
 	return best, best != nil
 }
 
@@ -235,11 +256,7 @@ func (t *Table) MaxBytesUsed() (*Entry, bool) {
 // phased programs like JbbMod, whose reference types are used rarely enough
 // to accrue a high maxStaleUse that then protects dead data forever (§6).
 func (t *Table) DecayMaxStaleUse() {
-	for i := range t.slots {
-		e := &t.slots[i]
-		if atomic.LoadUint32(&e.used) == 0 {
-			continue
-		}
+	t.ForEach(func(e *Entry) {
 		for {
 			cur := atomic.LoadUint32(&e.maxStaleUse)
 			if cur == 0 {
@@ -249,27 +266,21 @@ func (t *Table) DecayMaxStaleUse() {
 				break
 			}
 		}
-	}
+	})
 }
 
 // ResetBytesUsed zeroes every entry's bytesUsed, as the SELECT state does
 // after choosing an edge type (§4.2).
 func (t *Table) ResetBytesUsed() {
-	for i := range t.slots {
-		e := &t.slots[i]
-		if atomic.LoadUint32(&e.used) != 0 {
-			atomic.StoreUint64(&e.bytesUsed, 0)
-		}
-	}
+	t.ForEach(func(e *Entry) { atomic.StoreUint64(&e.bytesUsed, 0) })
 }
 
-// ForEach calls fn on every occupied entry.
+// ForEach calls fn on every occupied entry, in insertion order. Entries
+// inserted while it runs may or may not be visited.
 func (t *Table) ForEach(fn func(*Entry)) {
-	for i := range t.slots {
-		e := &t.slots[i]
-		if atomic.LoadUint32(&e.used) != 0 {
-			fn(e)
-		}
+	n := uint32(t.count.Load())
+	for pos := uint32(0); pos < n; pos++ {
+		fn(t.at(pos))
 	}
 }
 

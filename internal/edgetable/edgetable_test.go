@@ -1,6 +1,8 @@
 package edgetable
 
 import (
+	"math"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -341,5 +343,138 @@ func TestDecayMaxStaleUse(t *testing.T) {
 	}
 	if got := tbl.MaxStaleUseFor(3, 4); got != 0 {
 		t.Fatalf("maxStaleUse after repeated decay = %d", got)
+	}
+}
+
+// TestMaxBytesUsedTieTakesLowestSlot: entries live in insertion order, but
+// a bytesUsed tie still goes to the lowest hash slot, as a walk of the
+// paper's slot array would pick it.
+func TestMaxBytesUsedTieTakesLowestSlot(t *testing.T) {
+	tbl := New(64)
+	var lowest *Entry
+	for i := 10; i > 0; i-- { // insert in an order unrelated to the slots
+		e := tbl.GetOrInsert(heap.ClassID(i), heap.ClassID(i+1))
+		tbl.AddBytesUsed(heap.ClassID(i), heap.ClassID(i+1), 64)
+		if lowest == nil || e.slot < lowest.slot {
+			lowest = e
+		}
+	}
+	var first *Entry
+	tbl.ForEach(func(e *Entry) {
+		if first == nil {
+			first = e
+		}
+	})
+	if first == lowest {
+		t.Fatal("the first inserted entry has the lowest slot; the test cannot tell the orders apart")
+	}
+	if best, ok := tbl.MaxBytesUsed(); !ok || best != lowest {
+		t.Fatalf("MaxBytesUsed = %v (slot %d), want %v (slot %d)", best.Key(), best.slot, lowest.Key(), lowest.slot)
+	}
+}
+
+// TestOverflowAtCap: a table takes exactly Cap() edge types, and the next
+// new one overflows.
+func TestOverflowAtCap(t *testing.T) {
+	tbl := New(512)
+	for i := 0; i < tbl.Cap(); i++ {
+		tbl.GetOrInsert(heap.ClassID(i+1), 1)
+		if tbl.Overflows() != 0 {
+			t.Fatalf("overflow at %d entries, Cap %d", i+1, tbl.Cap())
+		}
+	}
+	if tbl.Len() != tbl.Cap() {
+		t.Fatalf("Len = %d, want Cap %d", tbl.Len(), tbl.Cap())
+	}
+	tbl.GetOrInsert(heap.ClassID(tbl.Cap()+1), 1)
+	if tbl.Overflows() != 1 || tbl.Len() != tbl.Cap() {
+		t.Fatalf("after Cap+1 keys: overflows=%d len=%d", tbl.Overflows(), tbl.Len())
+	}
+	for i := 0; i < tbl.Cap(); i++ {
+		if _, ok := tbl.Get(heap.ClassID(i+1), 1); !ok {
+			t.Fatalf("resident edge type %d lost", i+1)
+		}
+	}
+}
+
+// TestEntriesDoNotMoveAcrossChunks: an *Entry taken before the insert that
+// opens a new storage chunk still is the entry Get returns, with its
+// updates.
+func TestEntriesDoNotMoveAcrossChunks(t *testing.T) {
+	tbl := New(1024)
+	held := make([]*Entry, chunkLen)
+	for i := range held {
+		held[i] = tbl.GetOrInsert(heap.ClassID(i+1), 2)
+		tbl.RecordUse(heap.ClassID(i+1), 2, uint8(2+i%5))
+	}
+	for i := chunkLen; i < 3*chunkLen; i++ { // opens chunks 1 and 2
+		tbl.GetOrInsert(heap.ClassID(i+1), 2)
+	}
+	for i, e := range held {
+		got, ok := tbl.Get(heap.ClassID(i+1), 2)
+		if !ok || got != e {
+			t.Fatalf("entry %d moved: Get = %p, held %p", i, got, e)
+		}
+		if got.MaxStaleUse() != uint8(2+i%5) {
+			t.Fatalf("entry %d: maxStaleUse %d, want %d", i, got.MaxStaleUse(), 2+i%5)
+		}
+	}
+}
+
+// TestForEachDuringInserts: walks run beside inserts that open new chunks;
+// every visited entry is fully written (run under -race).
+func TestForEachDuringInserts(t *testing.T) {
+	tbl := New(2048)
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 900; i++ {
+				tbl.RecordUse(heap.ClassID(i+1), heap.ClassID(w+1), 3)
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	for walking := true; walking; {
+		select {
+		case <-done:
+			walking = false
+		default:
+		}
+		seen := 0
+		tbl.ForEach(func(e *Entry) {
+			if k := e.Key(); k.Src == 0 || k.Tgt == 0 || k.Tgt > 2 {
+				t.Errorf("ForEach saw a half-written entry %v", k)
+			}
+			seen++
+		})
+		if seen > tbl.Len() {
+			t.Fatalf("ForEach visited %d entries, Len %d", seen, tbl.Len())
+		}
+		tbl.MaxBytesUsed()
+		tbl.Freeze()
+	}
+	if tbl.Len() != 1800 {
+		t.Fatalf("Len = %d, want 1800", tbl.Len())
+	}
+}
+
+// TestNewFootprint: a default table allocates its 64 KiB slot index and
+// no entry storage; the slot array of entries it replaced was 640 KiB.
+func TestNewFootprint(t *testing.T) {
+	const limit = 128 << 10
+	least := uint64(math.MaxUint64)
+	for try := 0; try < 3; try++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		tbl := New(0)
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(tbl)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if least > limit {
+		t.Fatalf("New(0) allocated %d bytes, limit %d", least, limit)
 	}
 }

@@ -8,14 +8,18 @@ import (
 
 // FuzzEdgeTable drives a deliberately tiny table (8 slots, 16 possible edge
 // types) with an arbitrary operation sequence and checks every step against
-// a shadow map. The properties under test are the table's degradation
-// contract: no operation may panic, Len always equals the number of distinct
-// inserted keys, a full table routes new keys to the inert scratch entry and
-// advances Overflows instead of evicting or corrupting an occupied slot,
-// per-entry maxStaleUse/bytesUsed arithmetic (including decay and reset)
-// matches a straightforward model, and a Freeze taken at any point stays
-// pinned at its freeze-point values no matter what decay/reset/use traffic
-// crosses the freeze boundary afterwards.
+// a shadow map and a model of the paper's slot array (each slot holds its
+// entry in place; linear probing from the table's hash). The properties
+// under test are the table's degradation contract: no operation may panic,
+// Len always equals the number of distinct inserted keys, every entry sits
+// in the slot the slot model gives it, a full table (exactly Cap entries)
+// routes new keys to the inert scratch entry and advances Overflows instead
+// of evicting or corrupting an occupied slot, per-entry maxStaleUse and
+// bytesUsed arithmetic (including decay and reset) matches a
+// straightforward model, MaxBytesUsed picks what a walk of the slot model
+// in ascending order picks (ties go to the lowest slot), and a Freeze taken
+// at any point stays pinned at its freeze-point values no matter what
+// decay/reset/use traffic crosses the freeze boundary afterwards.
 func FuzzEdgeTable(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 2, 0})
@@ -49,6 +53,11 @@ func FuzzEdgeTable(f *testing.F) {
 		8, 0, 0, 0, // Freeze again (captures the post-decay cut)
 		6, 0, 0, 0, // DecayMaxStaleUse
 	})
+	// Equal bytesUsed on several edge types, inserted out of slot order:
+	// MaxBytesUsed must take the lowest slot, not the first inserted.
+	f.Add([]byte{
+		4, 3, 3, 7, 4, 2, 1, 7, 4, 0, 2, 7, 4, 1, 0, 7, 4, 3, 1, 7,
+	})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tab := New(8)
 		type model struct {
@@ -56,23 +65,32 @@ func FuzzEdgeTable(f *testing.F) {
 			bytes uint64
 		}
 		shadow := map[Key]*model{}
+		slots := make([]Key, tab.Cap()) // the slot model; the zero Key is free
+		slotOf := map[Key]int{}
 		wantOverflows := uint64(0)
 		var frozen *Frozen
 		var shadowFrozen map[Key]uint8
 		// insert applies GetOrInsert's model semantics: existing keys hit,
-		// new keys occupy a slot while there is room, and a full table drops
-		// the insertion (nil = the update landed on scratch).
+		// new keys take the first free slot on their probe sequence, and a
+		// table with no free slot drops the insertion (nil = the update
+		// landed on scratch).
 		insert := func(k Key) *model {
 			if m, ok := shadow[k]; ok {
 				return m
 			}
-			if len(shadow) >= tab.Cap() {
-				wantOverflows++
-				return nil
+			for i, probes := tab.hash(k), 0; probes < len(slots); i, probes = (i+1)%len(slots), probes+1 {
+				if slots[i] == (Key{}) {
+					slots[i], slotOf[k] = k, i
+					m := &model{}
+					shadow[k] = m
+					return m
+				}
 			}
-			m := &model{}
-			shadow[k] = m
-			return m
+			if len(shadow) != tab.Cap() {
+				t.Fatalf("slot model overflowed at %d keys, Cap %d", len(shadow), tab.Cap())
+			}
+			wantOverflows++
+			return nil
 		}
 		for i := 0; i+3 < len(data); i += 4 {
 			op := data[i] % 9
@@ -161,6 +179,9 @@ func FuzzEdgeTable(f *testing.F) {
 			if e.BytesUsed() != m.bytes {
 				t.Fatalf("key %v: bytesUsed = %d, model %d", k, e.BytesUsed(), m.bytes)
 			}
+			if int(e.slot) != slotOf[k] {
+				t.Fatalf("key %v: in slot %d, slot model %d", k, e.slot, slotOf[k])
+			}
 		}
 		if frozen != nil {
 			for s := heap.ClassID(1); s <= 4; s++ {
@@ -172,17 +193,18 @@ func FuzzEdgeTable(f *testing.F) {
 			}
 		}
 		var wantMax uint64
-		for _, m := range shadow {
-			if m.bytes > wantMax {
-				wantMax = m.bytes
+		var wantKey Key
+		for _, k := range slots { // ascending slots, strictly greater wins
+			if m := shadow[k]; m != nil && m.bytes > wantMax {
+				wantMax, wantKey = m.bytes, k
 			}
 		}
 		e, ok := tab.MaxBytesUsed()
 		if ok != (wantMax > 0) {
 			t.Fatalf("MaxBytesUsed ok = %t, model max %d", ok, wantMax)
 		}
-		if ok && e.BytesUsed() != wantMax {
-			t.Fatalf("MaxBytesUsed = %d, model %d", e.BytesUsed(), wantMax)
+		if ok && (e.BytesUsed() != wantMax || e.Key() != wantKey) {
+			t.Fatalf("MaxBytesUsed = %v/%d, slot model %v/%d", e.Key(), e.BytesUsed(), wantKey, wantMax)
 		}
 	})
 }

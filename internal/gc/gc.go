@@ -214,7 +214,7 @@ type Collector struct {
 	// dead, finals, pruned and scratch are the sweep's and the tracer's
 	// memory, kept across cycles so a steady-state cycle allocates next to
 	// nothing. One full cycle runs at a time (the VM's cycle lock).
-	dead    []heap.ObjectID // the sweep's dead IDs, ascending, for FreeBatch
+	dead    []heap.ObjectID // the sweep's next FreeBatch: up to sweepBatch dead IDs, ascending
 	finals  []freeRec       // their finalizer records (Plan.OnFree only)
 	pruned  heap.PruneTally // a prune sweep's histogram samples, merged once
 	scratch traceScratch
@@ -239,6 +239,7 @@ func NewCollector(h *heap.Heap, roots RootVisitor, workers int) *Collector {
 		workers = 1
 	}
 	return &Collector{heap: h, roots: roots, workers: workers,
+		dead:    make([]heap.ObjectID, 0, sweepBatch),
 		scratch: traceScratch{pool: make([]traceWorker, workers)}}
 }
 
@@ -392,6 +393,11 @@ type freeRec struct {
 	size  uint64
 }
 
+// sweepBatch is how many dead IDs the sweep collects before it frees them:
+// enough to take each shard lock for a run of frees, few enough that the
+// batch's table entries are still in cache and its scratch stays small.
+const sweepBatch = 256
+
 // sweep reclaims every object the closure t left unmarked. The workers'
 // bitmaps, ORed one word at a time, hold a bit for every object they
 // scanned, which is every object they claimed; the sweep counts the bits,
@@ -400,11 +406,14 @@ type freeRec struct {
 // a clear bit only, which is a dead object, a free slot a mutator's
 // allocation run holds, or an object born black during a concurrent cycle
 // (live, and counted here). It walks the table in ascending order, chunk by
-// chunk, and frees the dead in one FreeBatch, so every shard's free list
-// receives IDs in ascending order at any worker count and any schedule:
-// which ID the next allocation recycles never depends on GCWorkers. The
-// finalizer hook runs after the free, on identities captured during the
-// scan, so finalizers never observe concurrency.
+// chunk, and hands the dead to FreeBatch sweepBatch IDs at a time, while
+// their entries are still in cache. The batches ascend and the IDs ascend
+// within each, so every shard's free list receives its IDs in ascending
+// order — the same list one FreeBatch of every dead ID would leave — at
+// any worker count and any schedule: which ID the next allocation recycles
+// never depends on GCWorkers. The finalizer hook runs after the last free,
+// on identities captured during the scan, so finalizers never observe
+// concurrency.
 func (c *Collector) sweep(plan Plan, t *tracer) sweepResult {
 	sr := sweepResult{minPos: math.MaxUint32}
 	live := t.workers[0].bits
@@ -467,7 +476,10 @@ func (c *Collector) sweep(plan Plan, t *tracer) sweepResult {
 				if plan.OnFree != nil {
 					finals = append(finals, freeRec{id: id, class: obj.Class(), size: size})
 				}
-				dead = append(dead, id)
+				if dead = append(dead, id); len(dead) == sweepBatch {
+					c.heap.FreeBatch(dead)
+					dead = dead[:0]
+				}
 			}
 		}
 		base = end

@@ -2,6 +2,7 @@ package gc
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"leakpruning/internal/heap"
@@ -437,5 +438,76 @@ func TestPruneHistogramsMatchPerObjectObservation(t *testing.T) {
 		th.roots.refs = nil
 		c.Collect(Plan{Mode: ModePrune})
 		check("second PRUNE cycle")
+	}
+}
+
+// TestSweepBatchesLeaveOneBatchFreeLists: the sweep frees its dead
+// sweepBatch IDs at a time, yet every shard's free list ends up as one
+// FreeBatch of all the dead IDs in ascending order leaves it, and the
+// sweep's ID scratch stays one batch long.
+func TestSweepBatchesLeaveOneBatchFreeLists(t *testing.T) {
+	const objects = 6000 // two thirds garbage: 4000 dead, over 15 batches
+	script := func() (*testHeap, []heap.Ref) {
+		th := newTestHeap(t)
+		node := th.class(t, "Node", 1, 16)
+		hub := th.alloc(t, th.class(t, "Hub", objects/3, 0))
+		th.roots.refs = []heap.Ref{hub}
+		// Four allocation contexts, taking turns in runs of 50, spread the
+		// objects over several shards.
+		ctxs := make([]heap.AllocContext, 4)
+		for i := range ctxs {
+			ctxs[i] = th.h.NewAllocContext()
+		}
+		refs := make([]heap.Ref, objects)
+		for i := range refs {
+			r, err := th.h.AllocateCtx(&ctxs[i/50%len(ctxs)], node)
+			if err != nil {
+				t.Fatal(err)
+			}
+			refs[i] = r
+			if i%3 == 0 {
+				th.link(hub, i/3, r)
+			}
+		}
+		for i := range ctxs {
+			th.h.ReleaseContext(&ctxs[i])
+		}
+		return th, refs
+	}
+	for _, workers := range []int{1, 2, 4} {
+		swept, refs := script()
+		col := swept.collector(workers)
+		res := col.Collect(Plan{Mode: ModeNormal})
+		if res.ObjectsFreed < 10*sweepBatch {
+			t.Fatalf("workers=%d: freed %d objects, want at least %d", workers, res.ObjectsFreed, 10*sweepBatch)
+		}
+		if c := cap(col.dead); c > sweepBatch {
+			t.Fatalf("workers=%d: cap(dead) = %d after the cycle, want at most %d", workers, c, sweepBatch)
+		}
+		var dead []heap.ObjectID
+		for _, r := range refs {
+			if !swept.alive(r) {
+				dead = append(dead, r.ID())
+			}
+		}
+		if uint64(len(dead)) != res.ObjectsFreed {
+			t.Fatalf("workers=%d: %d script objects dead, cycle freed %d", workers, len(dead), res.ObjectsFreed)
+		}
+		slices.Sort(dead)
+		ref, _ := script()
+		ref.h.FreeBatch(dead)
+		got, want := swept.h.FreeLists(), ref.h.FreeLists()
+		shards := 0
+		for si := range want {
+			if !slices.Equal(got[si], want[si]) {
+				t.Fatalf("workers=%d: shard %d free list %v, one FreeBatch leaves %v", workers, si, got[si], want[si])
+			}
+			if len(want[si]) > 0 {
+				shards++
+			}
+		}
+		if shards < 2 {
+			t.Fatalf("workers=%d: the dead landed on %d shard(s); the test needs several", workers, shards)
+		}
 	}
 }

@@ -421,8 +421,9 @@ func (h *Heap) GetCached(r Ref, cc *ChunkCache) *Object {
 // freed, so a shard's free list receives its IDs in list order. Freeing an
 // already-free slot panics. Safe to call concurrently (calls
 // take turns on the heap's batch buffers); the collector's sweep calls it
-// once per cycle with every dead ID in ascending order, so free-list order
-// is deterministic. A steady-state call allocates nothing.
+// once per 256 dead IDs, the batches ascending and the IDs ascending in
+// each, so free-list order is deterministic and the buffers stay a batch
+// long. A steady-state call allocates nothing.
 func (h *Heap) FreeBatch(ids []ObjectID) {
 	if len(ids) == 0 {
 		return

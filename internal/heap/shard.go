@@ -327,6 +327,19 @@ func (h *Heap) MarkFreeSlots(bits []uint64) []uint64 {
 	return bits
 }
 
+// FreeLists returns a copy of every shard's free list, bottom first (the
+// next allocation from a shard pops the last entry).
+func (h *Heap) FreeLists() [][]ObjectID {
+	out := make([][]ObjectID, len(h.shards))
+	for i := range h.shards {
+		s := &h.shards[i]
+		s.mu.Lock()
+		out[i] = append([]ObjectID(nil), s.free...)
+		s.mu.Unlock()
+	}
+	return out
+}
+
 // carveLocked claims a block of fresh IDs from the global cursor and pushes
 // them onto s's free list in descending order, so LIFO pops hand them out
 // ascending. Caller holds s.mu.
