@@ -118,10 +118,11 @@ bench-test:
 # op is built from (beginOp sits one node under the budget), the
 # chunk-cached lookup behind every Load and every traced edge (GetCached,
 # three under), the object-table entry's slot accessors (Ref, SetRef and
-# NumRefs: an unsafe pointer and one bounds-checked index), the tracer's
-# mark claim and the bitmap/tally record of a scanned object (take), and
-# the stale-clock read (Clock.Stale) behind every counter a plan asks for; a CALL each would be paid per Load or per
-# edge. Then it disassembles (*Thread).Load and (*Thread).Store and fails
+# NumRefs: an unsafe pointer and one bounds-checked index), the mark
+# bitmap's test-and-set (ChunkCache.Mark) and the tracer's claim built on
+# it, the live-tally record of a scanned object (take), and the
+# stale-clock read (Clock.Stale) behind every counter a plan asks for; a
+# CALL each would be paid per Load or per edge. Then it disassembles (*Thread).Load and (*Thread).Store and fails
 # on a CALL to anything but their named out-of-line paths — the barrier
 # cold path, the resolve slow path and the load/store slow paths (which
 # also record), the traps, beginOpSlow and the SATB log — or the runtime's
@@ -134,7 +135,7 @@ bench-smoke:
 	@out=$$($(GO) build -gcflags=-m ./internal/vm 2>&1); for f in beginOp endOp root; do \
 		echo "$$out" | grep -q "can inline (\*Thread)\.$$f$$" || \
 			{ echo "internal/vm: (*Thread).$$f does not inline any more"; exit 1; }; done
-	@out=$$($(GO) build -gcflags=-m ./internal/heap 2>&1); for f in "Heap).GetCached" "Object).Ref" "Object).SetRef" "Object).NumRefs" "Clock).Stale"; do \
+	@out=$$($(GO) build -gcflags=-m ./internal/heap 2>&1); for f in "Heap).GetCached" "ChunkCache).Mark" "Object).Ref" "Object).SetRef" "Object).NumRefs" "Clock).Stale"; do \
 		echo "$$out" | grep -qF "can inline (*$$f" || \
 			{ echo "internal/heap: (*$$f does not inline any more"; exit 1; }; done
 	@out=$$($(GO) build -gcflags=-m ./internal/gc 2>&1); for f in claim take; do \

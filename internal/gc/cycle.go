@@ -1,6 +1,7 @@
 package gc
 
 import (
+	"math"
 	"time"
 
 	"leakpruning/internal/faultinject"
@@ -9,8 +10,8 @@ import (
 
 // Cycle is one full-heap collection, driven through its phases in order:
 //
-//	start   advance the epoch and the collection index, claim the roots and
-//	        deal them to the tracer
+//	start   clear the mark bitmap, advance the collection index, claim the
+//	        roots and deal them to the tracer
 //	Mark    the work-stealing closure; for SELECT also the stale closure
 //	        over the candidate queue (sizes only)
 //	Remark  a concurrent cycle re-seeds from the roots and the SATB grays
@@ -35,8 +36,8 @@ import (
 // marked because (a) the closure covers the snapshot, (b) every heap
 // reference overwritten while Mark runs is logged by the mutators' SATB
 // deletion barrier and re-seeded at Remark, and (c) objects allocated
-// during the cycle are born black (heap.SetAllocMarkEpoch — armed by the
-// VM, which owns allocation). Floating garbage may live one extra cycle; a
+// during the cycle are born black (heap.SetAllocBlack — armed by the VM,
+// which owns allocation). Floating garbage may live one extra cycle; a
 // live object is never freed.
 //
 // SELECT and PRUNE need one consistent staleness cut (§3.2, §4.2): the
@@ -55,7 +56,6 @@ type Cycle struct {
 	concurrent bool
 	tr         *tracer
 	res        Result
-	sw         sweepResult
 
 	began     time.Time
 	traceBase int64
@@ -63,20 +63,18 @@ type Cycle struct {
 
 // start begins a cycle under plan. A concurrent cycle's caller runs it in
 // the first pause, after freezing the staleness snapshot for SELECT and
-// PRUNE, then arms black allocation (Epoch) and the mutators' SATB barriers
-// and restarts the world before Mark.
+// PRUNE, then arms black allocation and the mutators' SATB barriers and
+// restarts the world before Mark.
 func (c *Collector) start(plan Plan, concurrent bool) *Cycle {
 	cy := &Cycle{c: c, plan: plan, concurrent: concurrent, began: time.Now()}
 	if c.obsTrace != nil {
 		cy.traceBase = c.obsTrace.Now()
 	}
-	c.epoch++
 	c.index++
-	cy.res = Result{Mode: plan.Mode, Epoch: c.epoch, Index: c.index, Concurrent: concurrent}
-	cy.tr = c.closure(plan, c.workers)
-	// A closure that runs beside mutators must CAS its barrier tags, and
-	// defers SELECT/PRUNE side effects to the remark.
-	cy.tr.concurrent = concurrent
+	cy.res = Result{Mode: plan.Mode, Index: c.index, Concurrent: concurrent}
+	cy.tr = c.closure(plan, c.workers, concurrent)
+	// A closure that runs beside mutators defers SELECT/PRUNE side effects
+	// to the remark.
 	cy.tr.deferOps = concurrent && plan.Mode != ModeNormal
 	return cy
 }
@@ -84,11 +82,12 @@ func (c *Collector) start(plan Plan, concurrent bool) *Cycle {
 // StartConcurrent begins a mostly-concurrent cycle (any mode); see Cycle.
 func (c *Collector) StartConcurrent(plan Plan) *Cycle { return c.start(plan, true) }
 
-// closure readies a tracer of the given width on the current epoch, its
-// roots claimed and dealt. Faults are injected into parallel tracers only:
-// the serial one is the degrade target.
-func (c *Collector) closure(plan Plan, workers int) *tracer {
-	tr := c.scratch.newTracer(c.heap, c.epoch, plan, workers)
+// closure clears the mark bitmap and readies a tracer of the given width,
+// its roots claimed and dealt. Faults are injected into parallel tracers
+// only: the serial one is the degrade target.
+func (c *Collector) closure(plan Plan, workers int, concurrent bool) *tracer {
+	c.heap.ClearMarks()
+	tr := c.scratch.newTracer(c.heap, plan, workers, concurrent)
 	if workers > 1 {
 		tr.inj = c.inj
 	}
@@ -96,11 +95,6 @@ func (c *Collector) closure(plan Plan, workers int) *tracer {
 	tr.dealRoots()
 	return tr
 }
-
-// Epoch returns the cycle's mark epoch — after a degraded Remark, the
-// bumped re-run epoch. The VM stamps it into heap.SetAllocMarkEpoch so
-// objects allocated while the cycle is in flight are born black.
-func (cy *Cycle) Epoch() uint32 { return cy.res.Epoch }
 
 // Mode returns the cycle's plan mode.
 func (cy *Cycle) Mode() Mode { return cy.plan.Mode }
@@ -166,7 +160,7 @@ func (cy *Cycle) Remark(grays []heap.Ref, cause string) {
 		// with the world stopped: trace them here, serially, in order.
 		t0 = time.Now()
 		t := cy.tr
-		t.workers[0].alone = true // every helper has been joined
+		t.workers[0].alone = !t.concurrent // every helper has been joined
 		for i := len(t.staleBytesPer); i < len(t.candidates); i++ {
 			t.staleBytesPer = append(t.staleBytesPer, t.workers[0].traceStaleRoot(t.candidates[i].ref))
 		}
@@ -178,7 +172,7 @@ func (cy *Cycle) Remark(grays []heap.Ref, cause string) {
 // rescan is the concurrent remark proper. The closure is re-seeded from
 // the current roots (live by definition) and the grays — tri-color-wise
 // exactly the snapshot edges the mutators deleted — and driven to
-// termination on the same epoch, so the marked set covers everything
+// termination on the same bitmap, so the marked set covers everything
 // reachable at the snapshot plus everything born black. SELECT and PRUNE
 // then verify every decision the concurrent phase deferred. The pause
 // stays bounded: the closure is already complete, so it scans the grays,
@@ -229,9 +223,9 @@ func (cy *Cycle) abortCause() string {
 }
 
 // degrade abandons the attempt and re-runs the closure on the serial
-// tracer, inside the remark's pause. Moving to a fresh epoch turns every
-// mark the attempt left — born-black allocations included — into history;
-// the re-run traces from the current roots under the same plan and, for
+// tracer, inside the remark's pause. Clearing the mark bitmap drops every
+// mark the attempt left — born-black allocations included; the re-run
+// traces from the current roots under the same plan and, for
 // SELECT/PRUNE, the same frozen cut, so it yields the live set, candidates
 // and prune decisions of a fault-free STW cycle. References the attempt
 // already poisoned stay poisoned (the re-run would poison them too, and
@@ -245,9 +239,7 @@ func (cy *Cycle) degrade(cause string) {
 	for i := range cy.tr.workers {
 		carried += cy.tr.workers[i].pruned
 	}
-	c.epoch++
-	cy.res.Epoch = c.epoch
-	cy.tr = c.closure(cy.plan, 1)
+	cy.tr = c.closure(cy.plan, 1, cy.concurrent)
 	cy.tr.process(false)
 	cy.tr.merge()
 	cy.tr.prunedRefs += carried
@@ -328,12 +320,12 @@ func (cy *Cycle) verifySnapshot() {
 // Sweep reclaims every object the cycle left unmarked. In a concurrent
 // cycle it runs beside the mutators: unmarked objects are unreachable (the
 // SATB argument above), probes and frees go through atomic liveness words
-// and the shard locks, and anything allocated meanwhile is born black under
-// the still-armed alloc-mark epoch, so the sweeper frees none of it. OnFree
+// and the shard locks, and anything allocated meanwhile is born black while
+// black allocation stays armed, so the sweeper frees none of it. OnFree
 // callbacks (finalizers) are replayed serially on the calling goroutine.
 func (cy *Cycle) Sweep() {
 	t0 := time.Now()
-	cy.sw = cy.c.sweep(cy.plan, cy.tr)
+	cy.c.sweep(cy.plan, &cy.res)
 	cy.res.SweepDuration = time.Since(t0)
 }
 
@@ -351,11 +343,14 @@ func (cy *Cycle) Finish() Result {
 	}
 	cy.res.Candidates = len(cy.tr.candidates)
 	cy.res.PrunedRefs = int(cy.tr.prunedRefs)
-	cy.res.BytesFreed = cy.sw.bytesFreed
-	cy.res.ObjectsFreed = cy.sw.objectsFreed
-	cy.res.BytesLive = cy.sw.bytesLive
-	cy.res.ObjectsLive = cy.sw.objectsLive
-	cy.res.MaxStale = cy.c.heap.Clock().Stale(cy.sw.minPos)
+	minPos := uint32(math.MaxUint32)
+	for i := range cy.tr.workers {
+		w := &cy.tr.workers[i]
+		cy.res.ObjectsLive += w.scans
+		cy.res.BytesLive += w.bytesLive
+		minPos = min(minPos, w.minPos)
+	}
+	cy.res.MaxStale = cy.c.heap.Clock().Stale(minPos)
 	cy.res.Duration = time.Since(cy.began)
 	cy.c.observeCycle(cy.traceBase, &cy.res)
 	return cy.res

@@ -2,14 +2,14 @@
 // runtime piggybacks on. It is modelled on MMTk's parallel mark-sweep (§5):
 // trace workers keep local mark stacks and exchange batches of work through
 // per-worker Chase–Lev work-stealing deques (see deque.go); objects are
-// claimed with a compare-and-swap on their mark word so no object is
-// scanned twice, or with a plain store while one worker traces alone. The
-// closure starts on the calling goroutine and adds a worker only when a
-// batch is waiting for one (see tracer), so a small heap is traced serially
-// whatever the worker count. Each worker also sets the bits of the objects
-// it claims in its own bitmap and tallies them, so the sweep reads only the
-// table entries of clear bits — the dead and the free — and frees the dead
-// in one batch, in ID order.
+// claimed by setting their bit in the heap's mark bitmap, with a
+// compare-and-swap so no object is scanned twice, or with a plain store
+// while one worker traces a stop-the-world closure alone. The closure
+// starts on the calling goroutine and adds a worker only when a batch is
+// waiting for one (see tracer), so a small heap is traced serially whatever
+// the worker count. The workers tally what they scan, and the sweep reads
+// only the table entries of clear bits — the dead and the free — and frees
+// the dead in batches, in ID order.
 //
 // Every full-heap collection is one Cycle driven through the same phases
 // (start, Mark, Remark, Sweep, Finish). The stop-the-world form (Collect)
@@ -27,7 +27,6 @@ package gc
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 	"sync/atomic"
 	"time"
@@ -120,12 +119,14 @@ type Plan struct {
 
 // Result summarizes one collection cycle.
 type Result struct {
-	Mode  Mode
-	Epoch uint32
+	Mode Mode
 	// Index is the 1-based count of full-heap collections performed by this
 	// collector; an aging cycle steps the stale clock by it.
 	Index uint64
 
+	// BytesLive and ObjectsLive count the objects the cycle's closure
+	// reached. A concurrent cycle does not count the objects born during it
+	// (born black, so neither traced nor freed).
 	BytesLive    uint64
 	ObjectsLive  uint64
 	BytesFreed   uint64
@@ -189,13 +190,12 @@ type RootVisitor interface {
 	VisitRoots(fn func(heap.Ref))
 }
 
-// Collector owns the epoch and GC-count state for one heap.
+// Collector owns the GC-count state and the cycle scratch for one heap.
 type Collector struct {
 	heap    *heap.Heap
 	roots   RootVisitor
 	workers int
 
-	epoch uint32
 	index uint64
 
 	// inj injects tracer faults into parallel closures (nil = disabled).
@@ -232,8 +232,7 @@ type Collector struct {
 }
 
 // NewCollector creates a collector with the given parallelism (values < 1
-// mean 1). The zero epoch never marks anything, so freshly allocated
-// objects are unmarked until their first collection.
+// mean 1).
 func NewCollector(h *heap.Heap, roots RootVisitor, workers int) *Collector {
 	if workers < 1 {
 		workers = 1
@@ -248,11 +247,6 @@ func (c *Collector) Workers() int { return c.workers }
 
 // Index returns the number of full-heap collections performed so far.
 func (c *Collector) Index() uint64 { return c.index }
-
-// Epoch returns the mark epoch of the most recent collection. The invariant
-// auditor uses it: immediately after a collection, every live object's mark
-// word holds exactly this epoch.
-func (c *Collector) Epoch() uint32 { return c.epoch }
 
 // SetFaultInjector arms fault injection inside parallel trace closures
 // (worker panics, watchdog trips). The serial fallback is never injected.
@@ -377,14 +371,6 @@ func (c *Collector) Collect(plan Plan) Result {
 	return cy.Finish()
 }
 
-// sweepResult is a cycle's live and freed tallies and the lowest
-// stale-clock position among the live (Result.MaxStale).
-type sweepResult struct {
-	bytesLive, objectsLive   uint64
-	bytesFreed, objectsFreed uint64
-	minPos                   uint32
-}
-
 // freeRec captures a reclaimed object's identity for the serial finalizer
 // pass, recorded at scan time before the slot is recycled.
 type freeRec struct {
@@ -398,78 +384,49 @@ type freeRec struct {
 // batch's table entries are still in cache and its scratch stays small.
 const sweepBatch = 256
 
-// sweep reclaims every object the closure t left unmarked. The workers'
-// bitmaps, ORed one word at a time, hold a bit for every object they
-// scanned, which is every object they claimed; the sweep counts the bits,
-// and the workers' tallies have the rest. The slots on the shard free
-// lists are added as set bits too, so the sweep reads the table entry of
-// a clear bit only, which is a dead object, a free slot a mutator's
-// allocation run holds, or an object born black during a concurrent cycle
-// (live, and counted here). It walks the table in ascending order, chunk by
-// chunk, and hands the dead to FreeBatch sweepBatch IDs at a time, while
-// their entries are still in cache. The batches ascend and the IDs ascend
-// within each, so every shard's free list receives its IDs in ascending
-// order — the same list one FreeBatch of every dead ID would leave — at
-// any worker count and any schedule: which ID the next allocation recycles
-// never depends on GCWorkers. The finalizer hook runs after the last free,
-// on identities captured during the scan, so finalizers never observe
-// concurrency.
-func (c *Collector) sweep(plan Plan, t *tracer) sweepResult {
-	sr := sweepResult{minPos: math.MaxUint32}
-	live := t.workers[0].bits
-	for i := range t.workers {
-		w := &t.workers[i]
-		sr.bytesLive += w.bytesLive
-		sr.minPos = min(sr.minPos, w.minPos)
-		if i > 0 && w.scans > 0 {
-			if n := len(w.bits) - len(live); n > 0 {
-				live = append(live, make([]uint64, n)...)
-			}
-			for j, b := range w.bits {
-				live[j] |= b
-			}
-		}
-	}
-	for _, b := range live {
-		sr.objectsLive += uint64(bits.OnesCount64(b))
-	}
-	live = c.heap.MarkFreeSlots(live)
-	t.workers[0].bits = live
+// sweep reclaims every object whose mark bit is clear. The slots on the
+// shard free lists get their bits set first, so the sweep reads the table
+// entry of a clear bit only, which is a dead object, a free slot a
+// mutator's allocation run holds, or an object born black during a
+// concurrent cycle after the sweep loaded its bitmap word. Birth sets the
+// bit before it publishes the size, so the sweep re-loads the word before
+// it frees an entry whose size is nonzero, and spares it if the bit is now
+// set. It walks the table in ascending order, chunk by chunk, and hands the
+// dead to FreeBatch sweepBatch IDs at a time, while their entries are
+// still in cache. The batches ascend and the IDs ascend within each, so
+// every shard's free list receives its IDs in ascending order — the same
+// list one FreeBatch of every dead ID would leave — at any worker count and
+// any schedule: which ID the next allocation recycles never depends on
+// GCWorkers. The finalizer hook runs after the last free, on identities
+// captured during the scan, so finalizers never observe concurrency. It
+// adds the freed tallies to res.
+func (c *Collector) sweep(plan Plan, res *Result) {
+	c.heap.MarkFreeSlots()
 	// In a prune cycle every reclaimed object was held only through
 	// poisoned or dead references; the sweep tallies their size and
 	// staleness age at exactly this point, before FreeBatch recycles the
 	// slot and before the clock advances, and merges the tally into the
 	// heap's prune histograms once, after the scan.
 	pruneMode := plan.Mode == ModePrune
-	epoch := t.epoch
 	dead, finals := c.dead[:0], c.finals[:0]
 	maxID := c.heap.MaxID()
 	for base := heap.ObjectID(0); base < maxID; {
-		objs, end := c.heap.Entries(base, maxID) // base is a chunk start, so word-aligned
+		objs, marks, end := c.heap.Entries(base, maxID) // base is a chunk start, so word-aligned
 		for i := 0; i < len(objs); i += 64 {
-			var m uint64
-			if wi := int(base>>6) + i>>6; wi < len(live) {
-				m = live[wi]
-			}
-			for clr := ^m; clr != 0; clr &= clr - 1 {
+			w := &marks[i>>6]
+			for clr := ^atomic.LoadUint64(w); clr != 0; clr &= clr - 1 {
 				j := i + bits.TrailingZeros64(clr)
 				if j >= len(objs) {
 					break
 				}
 				obj := &objs[j]
 				size := obj.Size()
-				if size == 0 {
-					continue
-				}
-				if obj.Marked(epoch) { // born black
-					sr.bytesLive += size
-					sr.objectsLive++
-					sr.minPos = min(sr.minPos, obj.StalePos())
+				if size == 0 || atomic.LoadUint64(w)&(1<<(j&63)) != 0 { // free, or born black
 					continue
 				}
 				id := base + heap.ObjectID(j)
-				sr.bytesFreed += size
-				sr.objectsFreed++
+				res.BytesFreed += size
+				res.ObjectsFreed++
 				if pruneMode {
 					c.heap.RecordPrunedFree(&c.pruned, obj)
 				}
@@ -490,5 +447,4 @@ func (c *Collector) sweep(plan Plan, t *tracer) sweepResult {
 	for _, f := range finals {
 		plan.OnFree(f.id, f.class, f.size)
 	}
-	return sr
 }

@@ -79,16 +79,17 @@ const (
 // process joins every helper before it returns — so a closure that never
 // spills is the serial tracer at any worker count.
 //
-// Claims: a worker claims an object by moving its mark word to the epoch.
-// While worker 0 is the only one running (launched == 1) nobody else writes
-// mark words, so it claims with a load and a plain store; it switches to
-// the CAS before it launches the first helper, whose go statement orders
-// every plain store before the helper's first load, and helpers always CAS
-// (DESIGN.md, "Work-stealing tracer"). markRoot runs with no helper alive.
+// Claims: a worker claims an object by setting its bit in the heap's mark
+// bitmap (heap.ChunkCache.Mark). In a stop-the-world closure, while worker
+// 0 is the only one running (launched == 1), nobody else writes the
+// bitmap, so it claims with a load and a plain store; it switches to the
+// CAS before it launches the first helper, whose go statement orders every
+// plain store before the helper's first load, and helpers always CAS
+// (DESIGN.md, "Work-stealing tracer"). A concurrent closure always CASes:
+// mutators set the bits of the objects they allocate in the same words.
 // A claimed object is scanned exactly once, by whichever worker pops it;
-// that worker also sets the object's bit in its own mark bitmap and adds
-// it to its live tallies (take), so the sweep reads the bitmaps instead of
-// the living.
+// that worker adds it to its live tallies (take), which are the cycle's
+// live counts.
 //
 // Termination: a worker parks only with its stack and deque empty, having
 // failed to steal; idle and launched change under mu, and only a worker
@@ -102,9 +103,8 @@ const (
 // closure nobody is running.
 type tracer struct {
 	*traceScratch
-	heap  *heap.Heap
-	epoch uint32
-	plan  Plan
+	heap *heap.Heap
+	plan Plan
 
 	// clock is the stale clock the cycle reads counters on (it advances
 	// only when the cycle finishes); needStale says whether the plan has a
@@ -112,11 +112,12 @@ type tracer struct {
 	clock     *heap.Clock
 	needStale bool
 
-	// concurrent marks a closure that runs while mutators are live (the
-	// mostly-concurrent cycles). It changes one thing: barrier
-	// tagging must CAS instead of blind-store, because a plain SetRef could
-	// overwrite a reference a mutator stored after the tracer loaded the
-	// slot, silently resurrecting the old value.
+	// concurrent marks a closure of a mostly-concurrent cycle, which runs
+	// while mutators are live. It changes two things: barrier tagging must
+	// CAS instead of blind-store, because a plain SetRef could overwrite a
+	// reference a mutator stored after the tracer loaded the slot, silently
+	// resurrecting the old value; and claims CAS even while worker 0 traces
+	// alone, because a plain store could drop a born-black bit.
 	concurrent bool
 
 	// deferOps marks the concurrent phase of a SELECT or PRUNE cycle:
@@ -139,8 +140,7 @@ type tracer struct {
 
 	// aborted flips when the parallel closure must be abandoned (worker
 	// panic or watchdog); workers poll it and drain out promptly. The
-	// partial marks left behind are invalidated by the collector moving to
-	// a fresh epoch before the serial re-run.
+	// partial marks left behind are cleared before the serial re-run.
 	aborted   atomic.Bool
 	abortWhy  atomic.Uint32 // first abort cause wins (abortPanic/abortWatchdog)
 	lastPanic atomic.Value  // string: the recovered panic, for diagnostics
@@ -180,26 +180,23 @@ type traceScratch struct {
 }
 
 // traceWorker is one tracer worker's private state: its local mark stack,
-// its chunk cache, its mark bitmap and live tallies, the buffers merged
-// serially once the closure finishes, and its deque. The deque's indices
-// are what other workers read; the padding keeps them off the cache lines
-// the owner writes on every mark-stack push, whatever the array's
-// alignment.
+// its chunk cache, its live tallies, the buffers merged serially once the
+// closure finishes, and its deque. The deque's indices are what other
+// workers read; the padding keeps them off the cache lines the owner writes
+// on every mark-stack push, whatever the array's alignment.
 type traceWorker struct {
 	t     *tracer
 	id    int
 	local []heap.ObjectID
 	cc    heap.ChunkCache
-	// alone: no other worker can be marking (worker 0 only; see tracer).
+	// alone: a stop-the-world closure in which no other worker can be
+	// marking (worker 0 only; see tracer).
 	alone bool
-	// scans counts the objects this worker has scanned (tests compare it
-	// with the live set: every live object is scanned exactly once).
-	scans uint64
-
-	// bits has bit id set for every object this worker scanned; bytesLive
-	// sums their sizes and minPos is the lowest stale-clock position among
-	// them (Result.MaxStale). The sweep counts the bits for ObjectsLive.
-	bits      []uint64
+	// scans counts the objects this worker has scanned, bytesLive sums
+	// their sizes and minPos is the lowest stale-clock position among them:
+	// every claimed object is scanned exactly once, so their sums are the
+	// cycle's ObjectsLive, BytesLive and MaxStale.
+	scans     uint64
 	bytesLive uint64
 	minPos    uint32
 
@@ -214,29 +211,21 @@ type traceWorker struct {
 }
 
 // newTracer readies the scratch for one closure over the first workers
-// entries of its worker set and returns the closure's header.
-// Every bitmap covers the IDs carved so far: an object carved later is
-// born black in a concurrent cycle, which no claim can win (take grows the
-// bitmap if it is not).
-func (s *traceScratch) newTracer(h *heap.Heap, epoch uint32, plan Plan, workers int) *tracer {
-	t := &tracer{traceScratch: s, heap: h, epoch: epoch, plan: plan, workers: s.pool[:workers],
-		clock:     h.Clock(),
-		needStale: plan.Candidate != nil || plan.ShouldPrune != nil || plan.StaleEdge != nil}
+// entries of its worker set and returns the closure's header. Worker 0
+// starts alone unless the closure is concurrent.
+func (s *traceScratch) newTracer(h *heap.Heap, plan Plan, workers int, concurrent bool) *tracer {
+	t := &tracer{traceScratch: s, heap: h, plan: plan, workers: s.pool[:workers],
+		clock:      h.Clock(),
+		needStale:  plan.Candidate != nil || plan.ShouldPrune != nil || plan.StaleEdge != nil,
+		concurrent: concurrent}
 	t.cond.L = &t.mu
 	s.roots, s.candidates, s.staleBytesPer = s.roots[:0], s.candidates[:0], s.staleBytesPer[:0]
-	words := (int(h.MaxID()) + 63) / 64
 	for i := range t.workers {
 		w := &t.workers[i]
-		w.t, w.id, w.pruned, w.alone, w.scans = t, i, 0, false, 0
+		w.t, w.id, w.pruned, w.alone, w.scans = t, i, 0, i == 0 && !concurrent, 0
 		w.local, w.candidates = w.local[:0], w.candidates[:0]
 		w.staleEdges, w.pruneRecs = w.staleEdges[:0], w.pruneRecs[:0]
 		w.deque.reset() // an aborted closure leaves batches behind
-		if cap(w.bits) < words {
-			w.bits = make([]uint64, words, words+words/4)
-		} else {
-			w.bits = w.bits[:words]
-			clear(w.bits)
-		}
 		w.bytesLive, w.minPos = 0, math.MaxUint32
 	}
 	return t
@@ -264,13 +253,15 @@ func (t *tracer) recordPanic(v any) {
 // are never pruning candidates: candidates are heap edges keyed by their
 // source class, and roots have none (§3.1's example shows candidates only
 // on object-to-object references). markRoot runs serially, between
-// closures, with every helper joined, so it claims with a plain store.
+// closures, with every helper joined, so it claims as worker 0.
 func (t *tracer) markRoot(r heap.Ref) {
-	obj := t.heap.Get(r)
-	if !obj.TryMarkOwned(t.epoch) {
-		return
+	w := &t.workers[0]
+	if t.heap.GetCached(r, &w.cc) == nil {
+		dangling(r)
 	}
-	t.roots = append(t.roots, r.ID())
+	if w.claim(r.ID()) {
+		t.roots = append(t.roots, r.ID())
+	}
 }
 
 // markRoots claims every non-null root the visitor reports.
@@ -304,7 +295,7 @@ func (t *tracer) dealRoots() {
 func (t *tracer) process(recoverPanics bool) {
 	t.idle.Store(0)
 	t.launched.Store(1)
-	t.workers[0].alone = true
+	t.workers[0].alone = !t.concurrent
 	// One helper per root batch beyond the one worker 0 is about to pop.
 	t.mu.Lock()
 	for want := min(t.workers[0].deque.size(), len(t.workers)); int(t.launched.Load()) < want; {
@@ -519,7 +510,7 @@ func (w *traceWorker) scan(id heap.ObjectID) {
 	if obj == nil {
 		return
 	}
-	w.take(obj, id)
+	w.take(obj)
 	src := obj.Class()
 	for slot, n := 0, obj.NumRefs(); slot < n; slot++ {
 		r := obj.Ref(slot)
@@ -597,45 +588,26 @@ func (w *traceWorker) scan(id heap.ObjectID) {
 		if t.plan.TagRefs && !r.IsStaleTagged() {
 			t.applyStaleTag(obj, slot, r)
 		}
-		if w.claim(tgt, t.epoch) {
+		if w.claim(r.ID()) {
 			w.local = append(w.local, r.ID())
 		}
 	}
 }
 
-// claim marks obj for the closure and reports whether this worker won it:
-// a load and a plain store while the worker traces alone, the CAS
-// otherwise (see tracer). It inlines (make bench-smoke checks), so an edge
+// claim sets id's mark bit and reports whether this worker won the
+// object: a load and a plain store while the worker traces alone, the CAS
+// otherwise (see tracer). The worker's chunk cache covers id, just
+// resolved through it. It inlines (make bench-smoke checks), so an edge
 // pays no call for it.
-func (w *traceWorker) claim(obj *heap.Object, epoch uint32) bool {
-	if w.alone {
-		return obj.TryMarkOwned(epoch)
-	}
-	return obj.TryMark(epoch)
-}
+func (w *traceWorker) claim(id heap.ObjectID) bool { return w.cc.Mark(id, w.alone) }
 
-// take records a claimed object, obj (object id), as this worker scans it:
-// the scan count, the object's bit in this worker's bitmap — a plain OR on
-// a word no other worker writes — and its size and stale-clock position in
-// the live tallies. At scan time the object's header is already in cache,
-// and the per-edge loop stays as lean as the claim. It inlines (make
-// bench-smoke checks).
-func (w *traceWorker) take(obj *heap.Object, id heap.ObjectID) {
+// take adds a claimed object to this worker's live tallies as the worker
+// scans it, while the object's header is in cache, so the per-edge loop
+// stays as lean as the claim.
+func (w *traceWorker) take(obj *heap.Object) {
 	w.scans++
-	wi := int(id >> 6)
-	if wi >= len(w.bits) {
-		w.grow(wi)
-	}
-	w.bits[wi] |= 1 << (id & 63)
 	w.bytesLive += obj.Size()
 	w.minPos = min(w.minPos, obj.StalePos())
-}
-
-// grow extends the bitmap, zeroed, to cover word wi: an object carved after
-// the closure started that was not born black, which only a caller that
-// allocates into a concurrent cycle without arming black allocation makes.
-func (w *traceWorker) grow(wi int) {
-	w.bits = append(w.bits, make([]uint64, wi+1-len(w.bits))...)
 }
 
 // dangling reports a traced reference that resolved to no live object.
@@ -662,13 +634,14 @@ func (t *tracer) gatherCandidates() {
 // reference, mark the objects reachable only through it and size the
 // subgraph (§4.2). Each candidate's closure is processed by a single
 // worker; distinct candidates run in parallel (§4.5) on the in-use
-// closure's worker set, worker 0 on the caller — alone, claiming with
-// plain stores, when one worker or one candidate is all there is. Objects
-// shared between candidates are attributed to whichever closure claims
-// them first, matching the prototype's claim-based accounting. Sizes land
-// in t.staleBytesPer; attribution to the edge table is a separate step
-// (accountStale) so a concurrent cycle can verify candidates against the
-// frozen snapshot — and demote drifted ones — before any bytes count.
+// closure's worker set, worker 0 on the caller — alone, claiming with plain
+// stores in a stop-the-world cycle, when one worker or one candidate is all
+// there is. Objects shared between candidates are attributed to whichever
+// closure claims them first, matching the prototype's claim-based
+// accounting. Sizes land in t.staleBytesPer; attribution to the edge table
+// is a separate step (accountStale) so a concurrent cycle can verify
+// candidates against the frozen snapshot — and demote drifted ones — before
+// any bytes count.
 func (t *tracer) staleClosure() {
 	n := len(t.candidates)
 	t.staleBytesPer = append(t.staleBytesPer[:0], make([]uint64, n)...)
@@ -679,7 +652,7 @@ func (t *tracer) staleClosure() {
 		}
 	}
 	helpers := min(len(t.workers), n) - 1
-	t.workers[0].alone = helpers <= 0
+	t.workers[0].alone = helpers <= 0 && !t.concurrent
 	var wg sync.WaitGroup
 	for i := 1; i <= helpers; i++ {
 		wg.Add(1)
@@ -714,11 +687,10 @@ func (t *tracer) accountStale() uint64 {
 // ended, is the stack.
 func (w *traceWorker) traceStaleRoot(root heap.Ref) uint64 {
 	t := w.t
-	obj := t.heap.GetCached(root, &w.cc)
-	if obj == nil {
+	if t.heap.GetCached(root, &w.cc) == nil {
 		dangling(root)
 	}
-	if !w.claim(obj, t.epoch) {
+	if !w.claim(root.ID()) {
 		return 0
 	}
 	var bytes uint64
@@ -730,21 +702,20 @@ func (w *traceWorker) traceStaleRoot(root heap.Ref) uint64 {
 		if o == nil {
 			continue
 		}
-		w.take(o, id)
+		w.take(o)
 		bytes += o.Size()
 		for slot, n := 0, o.NumRefs(); slot < n; slot++ {
 			r := o.Ref(slot)
 			if r.IsNull() || r.IsPoisoned() {
 				continue
 			}
-			child := t.heap.GetCached(r, &w.cc)
-			if child == nil {
+			if t.heap.GetCached(r, &w.cc) == nil {
 				dangling(r)
 			}
 			if t.plan.TagRefs && !r.IsStaleTagged() {
 				t.applyStaleTag(o, slot, r)
 			}
-			if w.claim(child, t.epoch) {
+			if w.claim(r.ID()) {
 				stack = append(stack, r.ID())
 			}
 		}

@@ -21,9 +21,13 @@ const (
 	maxChunks  = 1 << 18 // up to ~1 G objects
 )
 
-// chunk is one fixed block of the object table. Chunks are never moved or
-// reclaimed, so *Object pointers stay valid until the object is freed.
-type chunk [chunkSize]Object
+// chunk is one fixed block of the object table and its mark bitmap
+// (mark.go). Chunks are never moved or reclaimed, so *Object pointers stay
+// valid until the object is freed.
+type chunk struct {
+	objs  [chunkSize]Object
+	marks [markWords]uint64
+}
 
 // ErrHeapFull is returned by Allocate when the requested object does not fit
 // under the heap limit. The caller (the VM's allocation slow path) reacts by
@@ -104,12 +108,10 @@ type Heap struct {
 	// clock is the stale clock (clock.go); AgeStale publishes each step.
 	clock atomic.Pointer[Clock]
 
-	// allocMark, when nonzero, is the mark epoch stamped onto every new
-	// object at birth ("allocate black"): while a concurrent mark is in
-	// flight, objects born after the snapshot are live by definition and
-	// must not be collected by the cycle's sweep. Zero (the STW default)
-	// leaves the recycled slot's old mark word in place.
-	allocMark atomic.Uint32
+	// allocBlack arms black allocation (SetAllocBlack): while a concurrent
+	// cycle is in flight, objects born after its snapshot are live by
+	// definition, so birth sets their mark bits.
+	allocBlack atomic.Bool
 
 	// freeMu guards FreeBatch's buffers: the resolved objects of a batch
 	// and, per entry, the next entry of the same home shard. Lock order:
@@ -160,13 +162,6 @@ func (h *Heap) SetFaultInjector(inj *faultinject.Injector) { h.inj = inj }
 // FreeListRepairs returns how many corrupt free-list entries have been
 // detected and repaired.
 func (h *Heap) FreeListRepairs() uint64 { return h.freeListRepairs.Load() }
-
-// SetAllocMarkEpoch arms (nonzero) or disarms (zero) black allocation:
-// while armed, every new object's mark word is stamped with the given epoch
-// at birth, so a concurrent mark cycle's sweep treats it as live. The VM
-// arms it inside the cycle's initial stop-the-world pause and disarms it
-// after sweep completes.
-func (h *Heap) SetAllocMarkEpoch(epoch uint32) { h.allocMark.Store(epoch) }
 
 // Limit returns the heap's maximum size in simulated bytes.
 func (h *Heap) Limit() uint64 { return h.limit }
@@ -340,13 +335,11 @@ func (h *Heap) allocate(ctx *AllocContext, runLen int, class ClassID, opts []All
 		a[0] = uint64(refSlots)
 		obj.refs = unsafe.Pointer(&a[1])
 	}
-	// With no concurrent mark in flight the mark word is left at its
-	// previous value: epochs only ever move forward, so a recycled slot can
-	// never appear already-marked. While a concurrent mark is running the
-	// object is born black (stamped with the cycle's epoch) so the
-	// background sweep cannot free it.
-	if am := h.allocMark.Load(); am != 0 {
-		atomic.StoreUint32(&obj.mark, am)
+	// While a concurrent cycle is in flight the object is born black: its
+	// mark bit is set before size publishes it, so a sweep that reads the
+	// size re-reads the bit set (see gc's sweep) and cannot free it.
+	if h.allocBlack.Load() {
+		setMarks(h.chunkAt(int(id>>chunkShift)).markWord(id), markBit(id))
 	}
 	// Publish size LAST: it is the slot's liveness word, and the background
 	// sweeper's index-order probes gate on it. The atomic store orders the
@@ -366,7 +359,7 @@ func (h *Heap) chunkAt(ci int) *chunk {
 
 func (h *Heap) slot(id ObjectID) *Object {
 	if c := h.chunkAt(int(id >> chunkShift)); c != nil {
-		return &c[id&chunkMask]
+		return &c.objs[id&chunkMask]
 	}
 	return nil
 }
@@ -409,7 +402,7 @@ func (h *Heap) GetCached(r Ref, cc *ChunkCache) *Object {
 			return nil
 		}
 	}
-	if obj := &cc.t[ci][r>>refShift&chunkMask]; obj.Size() != 0 {
+	if obj := &cc.t[ci].objs[r>>refShift&chunkMask]; obj.Size() != 0 {
 		return obj
 	}
 	return nil
@@ -515,13 +508,12 @@ func (h *Heap) probeFreeListLocked(s *shard) int {
 
 // freeLocked releases obj (slot id) into shard s, clearing its header so a
 // recycled slot starts clean: flags, class, size, and shape are all reset
-// (the mark word is deliberately kept — see Allocate — and the stale word
-// too, which birth always sets; refs keeps pointing at the slot's words, so
-// a later birth can reuse a separate array). Size and class always change;
-// flags is stored only when it is not zero already, which is most deaths,
-// so a free costs two locked instructions. It returns the heap-resident
-// bytes to credit back to the used counter (zero for offloaded objects,
-// whose bytes live on disk). Caller holds s.mu.
+// (the stale word is kept, which birth always sets; refs keeps pointing at
+// the slot's words, so a later birth can reuse a separate array). Size and
+// class always change; flags is stored only when it is not zero already,
+// which is most deaths, so a free costs two locked instructions. It
+// returns the heap-resident bytes to credit back to the used counter (zero
+// for offloaded objects, whose bytes live on disk). Caller holds s.mu.
 func (h *Heap) freeLocked(s *shard, id ObjectID, obj *Object) uint64 {
 	size := obj.Size()
 	heapBytes := size
@@ -565,20 +557,23 @@ func (h *Heap) ForEach(fn func(ObjectID, *Object)) {
 }
 
 // MaxID returns the exclusive upper bound of object IDs ever carved: how
-// far the sweep walks the table and the tracer's mark bitmaps reach.
+// far the sweep walks the table.
 func (h *Heap) MaxID() ObjectID { return ObjectID(h.next.Load()) }
 
 // Entries returns the table entries of IDs lo, lo+1, … up to hi or the
-// end of lo's chunk, whichever comes first, and the ID after the last one;
-// the entries are nil when that chunk was never materialized. A scan over
-// [lo, hi) through it resolves one chunk pointer per chunk, not one per ID.
-func (h *Heap) Entries(lo, hi ObjectID) ([]Object, ObjectID) {
+// end of lo's chunk, whichever comes first, the mark-bitmap words from
+// lo's on, and the ID after the last entry; both slices are nil when that
+// chunk was never materialized. For a lo that is a multiple of 64, entry
+// i's bit is bit i%64 of word i/64; the words are read atomically. A scan
+// over [lo, hi) through it resolves one chunk pointer per chunk, not one
+// per ID.
+func (h *Heap) Entries(lo, hi ObjectID) ([]Object, []uint64, ObjectID) {
 	end := min(hi, lo|chunkMask+1)
 	c := h.chunkAt(int(lo >> chunkShift))
 	if c == nil {
-		return nil, end
+		return nil, nil, end
 	}
-	return c[lo&chunkMask : lo&chunkMask+(end-lo)], end
+	return c.objs[lo&chunkMask : lo&chunkMask+(end-lo)], c.marks[lo&chunkMask>>6:], end
 }
 
 // Lookup returns the object for an ID if it is currently allocated,

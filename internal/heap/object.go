@@ -40,9 +40,9 @@ const (
 // Object is one heap object: one 64-byte table entry, so a barrier or a
 // trace step touches one cache line per object. Mutators and the collector
 // share Objects: reference slots, and the stale word once the object is
-// born, are accessed atomically; the mark word is claimed by CAS while
-// several tracer workers run, by a plain store while one does. Everything
-// else is immutable after allocation.
+// born, are accessed atomically. Everything else is immutable after
+// allocation. Whether a collection has reached the object is not kept here
+// but in its chunk's mark bitmap (mark.go).
 type Object struct {
 	// class is accessed atomically: a slot being recycled by a background
 	// free (FreeBatch) is still reachable through warm chunk caches, and a
@@ -53,8 +53,7 @@ type Object struct {
 	// use (see Clock): only birth and the read barrier's cold path (and
 	// SetStale, for tests and tools) write it; no collection does.
 	stale uint32
-	// mark holds the epoch of the last collection that reached this object.
-	mark uint32
+	_     uint32 // padding: the entry stays 64 bytes
 	// flags holds miscellaneous state bits (offload residency).
 	flags uint32
 	// size is the total simulated byte size (header + ref slots + scalar).
@@ -135,35 +134,4 @@ func (o *Object) CompareAndSwapRef(slot int, old, new Ref) bool {
 // lose a value stored by a racing mutator without ever logging it.
 func (o *Object) SwapRef(slot int, r Ref) Ref {
 	return Ref(atomic.SwapUint64(&o.words()[slot], uint64(r)))
-}
-
-// Marked reports whether the object has been reached in the collection with
-// the given epoch.
-func (o *Object) Marked(epoch uint32) bool { return atomic.LoadUint32(&o.mark) == epoch }
-
-// TryMarkOwned is TryMark for a caller that is the only one marking: a
-// load and a plain store instead of the CAS. The caller's exclusivity has to
-// be ordered before any other marker starts (the tracer launches its first
-// helper with a go statement after it stops using this).
-func (o *Object) TryMarkOwned(epoch uint32) bool {
-	if o.mark == epoch {
-		return false
-	}
-	o.mark = epoch
-	return true
-}
-
-// TryMark attempts to claim the object for the collection with the given
-// epoch. It returns true iff this caller performed the transition, which is
-// how parallel tracer workers avoid processing an object twice (§4.5).
-func (o *Object) TryMark(epoch uint32) bool {
-	for {
-		cur := atomic.LoadUint32(&o.mark)
-		if cur == epoch {
-			return false
-		}
-		if atomic.CompareAndSwapUint32(&o.mark, cur, epoch) {
-			return true
-		}
-	}
 }

@@ -213,29 +213,6 @@ func FuzzStaleClock(f *testing.F) {
 	})
 }
 
-func TestTryMarkEpochs(t *testing.T) {
-	h, r := allocObject(t, 0, 0)
-	obj := h.Get(r)
-	if obj.Marked(1) {
-		t.Fatal("fresh object must be unmarked for epoch 1")
-	}
-	if !obj.TryMark(1) {
-		t.Fatal("first TryMark must claim")
-	}
-	if obj.TryMark(1) {
-		t.Fatal("second TryMark in the same epoch must fail")
-	}
-	if !obj.Marked(1) {
-		t.Fatal("object must be marked after TryMark")
-	}
-	if !obj.TryMark(2) {
-		t.Fatal("a new epoch must claim again")
-	}
-	if obj.Marked(1) {
-		t.Fatal("marking epoch 2 must unmark epoch 1")
-	}
-}
-
 func TestRefSlotAtomics(t *testing.T) {
 	h, r := allocObject(t, 2, 0)
 	obj := h.Get(r)

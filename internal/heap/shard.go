@@ -306,27 +306,6 @@ func (h *Heap) popRunLocked(s *shard, run []ObjectID) int {
 	return k
 }
 
-// MarkFreeSlots sets bit id of bits for every slot on a shard free list,
-// growing bits as needed, and returns it. A dead object is never on a free
-// list, so a sweep that skips these slots misses none of the dead, and it
-// learns that they are free from the lists' dense arrays instead of from
-// one table entry each.
-func (h *Heap) MarkFreeSlots(bits []uint64) []uint64 {
-	for i := range h.shards {
-		s := &h.shards[i]
-		s.mu.Lock()
-		for _, id := range s.free {
-			wi := int(id >> 6)
-			if wi >= len(bits) {
-				bits = append(bits, make([]uint64, wi+1-len(bits))...)
-			}
-			bits[wi] |= 1 << (id & 63)
-		}
-		s.mu.Unlock()
-	}
-	return bits
-}
-
 // FreeLists returns a copy of every shard's free list, bottom first (the
 // next allocation from a shard pops the last entry).
 func (h *Heap) FreeLists() [][]ObjectID {

@@ -9,9 +9,8 @@ import (
 
 // TestRecycledSlotStateCleared is the regression test for recycled-slot
 // hygiene: FreeBatch must clear flags (not just size/class/refs), birth
-// must reset the stale counter the dead object left, and the kept mark
-// word must never make a recycled slot appear already-marked to a later
-// collection.
+// must reset the stale counter the dead object left, and a recycled slot
+// must read unmarked once the next cycle has cleared the mark bitmap.
 func TestRecycledSlotStateCleared(t *testing.T) {
 	reg := NewRegistry()
 	cls := reg.Define("N", 2, 0)
@@ -25,7 +24,9 @@ func TestRecycledSlotStateCleared(t *testing.T) {
 	id := r.ID()
 	obj := h.Get(r)
 	h.SetStale(obj, 5)
-	obj.TryMark(9) // a past collection reached it
+	var cc ChunkCache
+	h.GetCached(r, &cc)
+	cc.Mark(id, false) // a past collection reached it
 	if err := h.Offload(id); err != nil || !obj.IsOffloaded() {
 		t.Fatalf("offload of a fresh object: %v", err)
 	}
@@ -55,10 +56,11 @@ func TestRecycledSlotStateCleared(t *testing.T) {
 	if d := h.Disk(); d.BytesUsed != 0 {
 		t.Fatalf("disk still charged %d bytes for the freed object", d.BytesUsed)
 	}
-	// Epochs only move forward, so the kept mark word (9) must not alias
-	// any future collection's epoch.
-	if obj2.Marked(10) {
-		t.Fatal("recycled slot appears marked at a later epoch")
+	// Neither death nor birth touches the bitmap; the next cycle's clear
+	// does.
+	h.ClearMarks()
+	if h.MarkBit(id) {
+		t.Fatal("recycled slot appears marked after the next cycle's clear")
 	}
 }
 
@@ -210,7 +212,7 @@ func TestShardedAllocFreeParallel(t *testing.T) {
 
 // TestMarkFreeSlots: the sweep's free-slot bits are exactly the slots on
 // the shard free lists — the freed ones and the carved ones no run holds —
-// and never a live object, whatever the bitmap's starting length.
+// and never a live object.
 func TestMarkFreeSlots(t *testing.T) {
 	reg := NewRegistry()
 	cls := reg.Define("N", 0, 16)
@@ -230,7 +232,7 @@ func TestMarkFreeSlots(t *testing.T) {
 		}
 	}
 	h.FreeBatch(dead)
-	bits := h.MarkFreeSlots(make([]uint64, 1))
+	h.MarkFreeSlots()
 	onList := map[ObjectID]bool{}
 	for i := range h.shards {
 		for _, id := range h.shards[i].free {
@@ -238,7 +240,7 @@ func TestMarkFreeSlots(t *testing.T) {
 		}
 	}
 	for id := ObjectID(0); id < h.MaxID(); id++ {
-		set := int(id>>6) < len(bits) && bits[id>>6]&(1<<(id&63)) != 0
+		set := h.MarkBit(id)
 		if set != onList[id] {
 			t.Fatalf("slot %d: bit %v, on a free list %v", id, set, onList[id])
 		}

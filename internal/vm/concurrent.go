@@ -43,9 +43,8 @@ func (v *VM) collectConcurrent() gc.Result {
 		plan := v.preparePlan()
 		cy = v.collector.StartConcurrent(plan)
 		// Everything allocated from here to the end of the cycle is born
-		// black on the cycle's epoch, so neither the marker nor the sweeper
-		// ever needs to see it.
-		v.heap.SetAllocMarkEpoch(cy.Epoch())
+		// black, so neither the marker nor the sweeper ever needs to see it.
+		v.heap.SetAllocBlack(true)
 		v.armSATB()
 		v.gcActive.Store(true)
 		pause1 = time.Since(t0)
@@ -60,8 +59,10 @@ func (v *VM) collectConcurrent() gc.Result {
 	// Pause 2 — final remark: hand the marker everything the deletion
 	// barriers logged, and let it re-scan the roots and finish the closure.
 	// Any fault — a detected barrier drop, a worker panic, an abort — makes
-	// Remark bump the epoch and re-run the whole closure serially under this
-	// pause: exactly an STW cycle, just inside a longer pause.
+	// Remark clear the mark bitmap and re-run the whole closure serially
+	// under this pause: exactly an STW cycle, just inside a longer pause.
+	// Black allocation stays armed, so objects born during the sweep below
+	// are spared either way.
 	pause2 := func() time.Duration {
 		t0 := time.Now()
 		v.stopTheWorld()
@@ -72,12 +73,6 @@ func (v *VM) collectConcurrent() gc.Result {
 			cause = "satb-drop"
 		}
 		cy.Remark(grays, cause)
-		// Re-arm black allocation on the cycle's epoch — Remark may have
-		// bumped it while degrading, which invalidated every earlier mark
-		// including the born-black ones. Objects allocated during the
-		// concurrent sweep below must be born black on the final epoch so
-		// the sweeper cannot free them.
-		v.heap.SetAllocMarkEpoch(cy.Epoch())
 		if v.inj.Should(faultinject.RemarkStall) {
 			// A remark that is slow to finish: stretches this pause without
 			// changing any observable result.
@@ -103,7 +98,7 @@ func (v *VM) collectConcurrent() gc.Result {
 	// Mutators allocated through the mark and the sweep: the closing
 	// bookkeeping needs their counts in the heap.
 	v.flushRuns()
-	v.heap.SetAllocMarkEpoch(0)
+	v.heap.SetAllocBlack(false)
 	v.gcActive.Store(false)
 	res := cy.Finish()
 	return v.finishCollect(res, []time.Duration{pause1, pause2}, t0)

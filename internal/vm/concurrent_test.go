@@ -212,12 +212,23 @@ func TestConcurrentSnapshotDriftDegrade(t *testing.T) {
 // during a mark — the mutator is busy driving the cycle). AuditEveryGC
 // checks the post-sweep heap inside every cycle's final pause; under -race
 // this is the main evidence that SwapRef-based barrier logging and the
-// buffer handoff at the remark pause are properly synchronized.
+// buffer handoff at the remark pause are properly synchronized. It runs at
+// GOMAXPROCS 4, so mutators allocate on their own Ps while the cycles mark
+// and sweep. The one-worker row is a tenant's setup: that worker marks
+// alone while the mutators allocate objects born black into the bitmap
+// words it claims in, which only the CAS claim keeps from losing a bit.
 func TestConcurrentMarkStress(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	for _, workers := range []int{2, 1} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) { concurrentMarkStress(t, workers) })
+	}
+}
+
+func concurrentMarkStress(t *testing.T, gcWorkers int) {
 	v := New(Options{
 		HeapLimit:      2 << 20,
 		EnableBarriers: true,
-		GCWorkers:      2,
+		GCWorkers:      gcWorkers,
 		Policy:         core.DefaultPolicy{},
 		MarkMode:       MarkConcurrent,
 		AuditEveryGC:   true,

@@ -14,9 +14,8 @@ import (
 //   - every reference held by a live object either targets a live object or
 //     is poison-tagged — a dangling reference without poison is exactly the
 //     use-after-free leak pruning's poisoning discipline exists to prevent;
-//   - immediately after a full collection, every live object's mark word
-//     holds the collection's epoch (sweep completeness: an unmarked
-//     survivor would be invisible garbage, a stale-marked one a sweep bug).
+//   - immediately after a full collection, every live object's mark bit is
+//     set (sweep completeness: an unmarked survivor is a sweep bug).
 //
 // The mark check is only meaningful in the window after a collection and
 // before the next allocation, so only the AuditEveryGC path (which runs
@@ -34,8 +33,8 @@ func (v *VM) Verify() []string {
 }
 
 // verifyLocked runs the audit. Caller has stopped the world.
-// checkMarks additionally asserts post-collection mark-word hygiene and
-// must only be set when no allocation has happened since the last full
+// checkMarks additionally asserts that every live object's mark bit is set
+// and must only be set when no allocation has happened since the last full
 // collection.
 func (v *VM) verifyLocked(checkMarks bool) []string {
 	v.flushTLABs()
@@ -44,12 +43,11 @@ func (v *VM) verifyLocked(checkMarks bool) []string {
 	// Ground truth: the set of live object IDs.
 	next := v.heap.MaxID()
 	live := make([]bool, next)
-	epoch := v.collector.Epoch()
 	v.heap.ForEach(func(id heap.ObjectID, obj *heap.Object) {
 		live[id] = true
-		if checkMarks && !obj.Marked(epoch) {
+		if checkMarks && !v.heap.MarkBit(id) {
 			violations = append(violations,
-				fmt.Sprintf("object %d survived the sweep without epoch-%d mark", id, epoch))
+				fmt.Sprintf("object %d survived the sweep without its mark bit", id))
 		}
 	})
 

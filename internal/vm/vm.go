@@ -639,9 +639,9 @@ func (v *VM) finishCollect(res gc.Result, priorPauses []time.Duration, pauseStar
 	if v.opts.AuditEveryGC {
 		// Audit inside the stop-the-world section, right after the cycle:
 		// TLABs are already flushed and no allocation has intervened, so the
-		// mark-word check is exact. (In concurrent mark mode objects
-		// allocated mid-cycle were born black on the cycle's epoch, so the
-		// check holds there too.)
+		// mark-bit check is exact. (In concurrent mark mode objects
+		// allocated mid-cycle were born black, so the check holds there
+		// too.)
 		v.verifyLocked(true)
 	}
 	if v.opts.EnableBarriers && v.mode&^opsOutOfLine == barriersOff && v.ctrl.Observing() {
