@@ -10,8 +10,9 @@ import (
 
 // Cycle is one full-heap collection, driven through its phases in order:
 //
-//	start   clear the mark bitmap, advance the collection index, claim the
-//	        roots and deal them to the tracer
+//	start   clear the mark bitmap, mark the free slots, record the sweep's
+//	        watermark, advance the collection index, claim the roots and
+//	        deal them to the tracer
 //	Mark    the work-stealing closure; for SELECT also the stale closure
 //	        over the candidate queue (sizes only)
 //	Remark  a concurrent cycle re-seeds from the roots and the SATB grays
@@ -35,10 +36,10 @@ import (
 // (DESIGN.md, "Concurrent marking"): every object reachable at start stays
 // marked because (a) the closure covers the snapshot, (b) every heap
 // reference overwritten while Mark runs is logged by the mutators' SATB
-// deletion barrier and re-seeded at Remark, and (c) objects allocated
-// during the cycle are born black (heap.SetAllocBlack — armed by the VM,
-// which owns allocation). Floating garbage may live one extra cycle; a
-// live object is never freed.
+// deletion barrier and re-seeded at Remark, and (c) start marks every free
+// slot and records the ID watermark, so the sweep frees no object born
+// during the cycle (see Collector.sweep). Floating garbage may live one
+// extra cycle; a live object is never freed.
 //
 // SELECT and PRUNE need one consistent staleness cut (§3.2, §4.2): the
 // caller freezes the edge table's maxStaleUse values in the start pause
@@ -56,6 +57,7 @@ type Cycle struct {
 	concurrent bool
 	tr         *tracer
 	res        Result
+	below      heap.ObjectID // heap.MaxID at the closure's start: the sweep walks only the IDs under it
 
 	began     time.Time
 	traceBase int64
@@ -63,8 +65,8 @@ type Cycle struct {
 
 // start begins a cycle under plan. A concurrent cycle's caller runs it in
 // the first pause, after freezing the staleness snapshot for SELECT and
-// PRUNE, then arms black allocation and the mutators' SATB barriers and
-// restarts the world before Mark.
+// PRUNE and settling every allocation context, then arms the mutators'
+// SATB barriers and restarts the world before Mark.
 func (c *Collector) start(plan Plan, concurrent bool) *Cycle {
 	cy := &Cycle{c: c, plan: plan, concurrent: concurrent, began: time.Now()}
 	if c.obsTrace != nil {
@@ -72,7 +74,7 @@ func (c *Collector) start(plan Plan, concurrent bool) *Cycle {
 	}
 	c.index++
 	cy.res = Result{Mode: plan.Mode, Index: c.index, Concurrent: concurrent}
-	cy.tr = c.closure(plan, c.workers, concurrent)
+	cy.closure(c.workers)
 	// A closure that runs beside mutators defers SELECT/PRUNE side effects
 	// to the remark.
 	cy.tr.deferOps = concurrent && plan.Mode != ModeNormal
@@ -82,22 +84,28 @@ func (c *Collector) start(plan Plan, concurrent bool) *Cycle {
 // StartConcurrent begins a mostly-concurrent cycle (any mode); see Cycle.
 func (c *Collector) StartConcurrent(plan Plan) *Cycle { return c.start(plan, true) }
 
-// closure clears the mark bitmap and readies a tracer of the given width,
-// its roots claimed and dealt. Faults are injected into parallel tracers
-// only: the serial one is the degrade target.
-func (c *Collector) closure(plan Plan, workers int, concurrent bool) *tracer {
+// closure clears the mark bitmap, marks the free slots, records the
+// watermark and readies a tracer of the given width, its roots claimed and
+// dealt. Faults are injected into parallel tracers only: the serial one is
+// the degrade target.
+func (cy *Cycle) closure(workers int) {
+	c := cy.c
 	c.heap.ClearMarks()
-	tr := c.scratch.newTracer(c.heap, plan, workers, concurrent)
+	c.heap.MarkFreeSlots()
+	cy.below = c.heap.MaxID()
+	cy.tr = c.scratch.newTracer(c.heap, cy.plan, workers, cy.concurrent)
 	if workers > 1 {
-		tr.inj = c.inj
+		cy.tr.inj = c.inj
 	}
-	tr.markRoots(c.roots)
-	tr.dealRoots()
-	return tr
+	cy.tr.markRoots(c.roots)
+	cy.tr.dealRoots()
 }
 
 // Mode returns the cycle's plan mode.
 func (cy *Cycle) Mode() Mode { return cy.plan.Mode }
+
+// Degraded reports whether Remark degraded the cycle to the serial closure.
+func (cy *Cycle) Degraded() bool { return cy.res.Degraded }
 
 // Mark drives the closure to termination or abort: inside the pause for an
 // STW cycle, under the watchdog deadline when one is set and the closure is
@@ -160,7 +168,7 @@ func (cy *Cycle) Remark(grays []heap.Ref, cause string) {
 		// with the world stopped: trace them here, serially, in order.
 		t0 = time.Now()
 		t := cy.tr
-		t.workers[0].alone = !t.concurrent // every helper has been joined
+		t.workers[0].alone = true // every helper has been joined
 		for i := len(t.staleBytesPer); i < len(t.candidates); i++ {
 			t.staleBytesPer = append(t.staleBytesPer, t.workers[0].traceStaleRoot(t.candidates[i].ref))
 		}
@@ -173,8 +181,8 @@ func (cy *Cycle) Remark(grays []heap.Ref, cause string) {
 // the current roots (live by definition) and the grays — tri-color-wise
 // exactly the snapshot edges the mutators deleted — and driven to
 // termination on the same bitmap, so the marked set covers everything
-// reachable at the snapshot plus everything born black. SELECT and PRUNE
-// then verify every decision the concurrent phase deferred. The pause
+// reachable at the snapshot. SELECT and PRUNE then verify every decision
+// the concurrent phase deferred. The pause
 // stays bounded: the closure is already complete, so it scans the grays,
 // the roots and the deferred-decision lists, never the heap. It returns a
 // degrade cause, or "".
@@ -223,8 +231,10 @@ func (cy *Cycle) abortCause() string {
 }
 
 // degrade abandons the attempt and re-runs the closure on the serial
-// tracer, inside the remark's pause. Clearing the mark bitmap drops every
-// mark the attempt left — born-black allocations included; the re-run
+// tracer, inside the remark's pause. The re-run starts as the cycle did
+// (closure), so objects born during Mark are traced like any other; its
+// clear also drops the marks of the free slots mutators took into their
+// runs, which a concurrent cycle's caller restores (heap.MarkRuns). It
 // traces from the current roots under the same plan and, for
 // SELECT/PRUNE, the same frozen cut, so it yields the live set, candidates
 // and prune decisions of a fault-free STW cycle. References the attempt
@@ -239,7 +249,7 @@ func (cy *Cycle) degrade(cause string) {
 	for i := range cy.tr.workers {
 		carried += cy.tr.workers[i].pruned
 	}
-	cy.tr = c.closure(cy.plan, 1, cy.concurrent)
+	cy.closure(1)
 	cy.tr.process(false)
 	cy.tr.merge()
 	cy.tr.prunedRefs += carried
@@ -317,15 +327,15 @@ func (cy *Cycle) verifySnapshot() {
 	}
 }
 
-// Sweep reclaims every object the cycle left unmarked. In a concurrent
-// cycle it runs beside the mutators: unmarked objects are unreachable (the
-// SATB argument above), probes and frees go through atomic liveness words
-// and the shard locks, and anything allocated meanwhile is born black while
-// black allocation stays armed, so the sweeper frees none of it. OnFree
-// callbacks (finalizers) are replayed serially on the calling goroutine.
+// Sweep reclaims every object below the watermark the cycle left
+// unmarked. In a concurrent cycle it runs beside the mutators: unmarked
+// objects are unreachable (the SATB argument above), probes and frees go
+// through atomic liveness words and the shard locks, and no birth lands
+// where the sweep has still to read. OnFree callbacks (finalizers) are
+// replayed serially on the calling goroutine.
 func (cy *Cycle) Sweep() {
 	t0 := time.Now()
-	cy.c.sweep(cy.plan, &cy.res)
+	cy.c.sweep(cy.plan, cy.below, &cy.res)
 	cy.res.SweepDuration = time.Since(t0)
 }
 
@@ -333,10 +343,9 @@ func (cy *Cycle) Sweep() {
 // and records it in the observability layer. The clock steps after the
 // sweep has sampled the dead and with no mutator running: an STW cycle
 // finishes right after its sweep, inside the one pause; a concurrent
-// cycle's caller runs Finish in the closing pause, then disarms black
-// allocation and publishes the Result. Every object born or used during
-// the cycle holds the position before the step, so it reads 1 after it,
-// as if the sweep had aged it.
+// cycle's caller runs Finish in the closing pause and publishes the
+// Result. Every object born or used during the cycle holds the position
+// before the step, so it reads 1 after it, as if the sweep had aged it.
 func (cy *Cycle) Finish() Result {
 	if cy.plan.AgeStaleness {
 		cy.c.heap.AgeStale(cy.res.Index)

@@ -4,12 +4,13 @@
 // per-worker Chase–Lev work-stealing deques (see deque.go); objects are
 // claimed by setting their bit in the heap's mark bitmap, with a
 // compare-and-swap so no object is scanned twice, or with a plain store
-// while one worker traces a stop-the-world closure alone. The closure
-// starts on the calling goroutine and adds a worker only when a batch is
-// waiting for one (see tracer), so a small heap is traced serially whatever
-// the worker count. The workers tally what they scan, and the sweep reads
-// only the table entries of clear bits — the dead and the free — and frees
-// the dead in batches, in ID order.
+// while one worker traces alone. The closure starts on the calling
+// goroutine and adds a worker only when a batch is waiting for one (see
+// tracer), so a small heap is traced serially whatever the worker count.
+// The workers tally what they scan. The cycle's start marks every free
+// slot, so the sweep reads only the table entries of clear bits — the dead
+// — below the ID watermark recorded there, and frees them in batches, in
+// ID order.
 //
 // Every full-heap collection is one Cycle driven through the same phases
 // (start, Mark, Remark, Sweep, Finish). The stop-the-world form (Collect)
@@ -125,8 +126,9 @@ type Result struct {
 	Index uint64
 
 	// BytesLive and ObjectsLive count the objects the cycle's closure
-	// reached. A concurrent cycle does not count the objects born during it
-	// (born black, so neither traced nor freed).
+	// reached. That includes an object born during a concurrent cycle in a
+	// slot above the start's watermark, if the closure reached it; a birth
+	// in a slot free at the start is marked already, so it is not counted.
 	BytesLive    uint64
 	ObjectsLive  uint64
 	BytesFreed   uint64
@@ -218,6 +220,7 @@ type Collector struct {
 	finals  []freeRec       // their finalizer records (Plan.OnFree only)
 	pruned  heap.PruneTally // a prune sweep's histogram samples, merged once
 	scratch traceScratch
+	swept   heap.ObjectID // the last sweep's watermark (Swept)
 
 	// Observability handles (all nil when disabled; every method on them
 	// is nil-safe, so call sites stay unconditional). Phase spans reuse the
@@ -241,6 +244,10 @@ func NewCollector(h *heap.Heap, roots RootVisitor, workers int) *Collector {
 		dead:    make([]heap.ObjectID, 0, sweepBatch),
 		scratch: traceScratch{pool: make([]traceWorker, workers)}}
 }
+
+// Swept returns the last sweep's watermark: when that sweep ended, every
+// mark bit below it but ID 0's was set.
+func (c *Collector) Swept() heap.ObjectID { return c.swept }
 
 // Workers returns the configured tracer parallelism.
 func (c *Collector) Workers() int { return c.workers }
@@ -384,24 +391,22 @@ type freeRec struct {
 // batch's table entries are still in cache and its scratch stays small.
 const sweepBatch = 256
 
-// sweep reclaims every object whose mark bit is clear. The slots on the
-// shard free lists get their bits set first, so the sweep reads the table
-// entry of a clear bit only, which is a dead object, a free slot a
-// mutator's allocation run holds, or an object born black during a
-// concurrent cycle after the sweep loaded its bitmap word. Birth sets the
-// bit before it publishes the size, so the sweep re-loads the word before
-// it frees an entry whose size is nonzero, and spares it if the bit is now
-// set. It walks the table in ascending order, chunk by chunk, and hands the
-// dead to FreeBatch sweepBatch IDs at a time, while their entries are
-// still in cache. The batches ascend and the IDs ascend within each, so
-// every shard's free list receives its IDs in ascending order — the same
-// list one FreeBatch of every dead ID would leave — at any worker count and
-// any schedule: which ID the next allocation recycles never depends on
-// GCWorkers. The finalizer hook runs after the last free, on identities
-// captured during the scan, so finalizers never observe concurrency. It
-// adds the freed tallies to res.
-func (c *Collector) sweep(plan Plan, res *Result) {
-	c.heap.MarkFreeSlots()
+// sweep reclaims every object below the watermark whose mark bit is clear: the
+// start pause marked every free slot, so a clear bit is an object the closure
+// did not reach. A birth during a concurrent sweep lands in a marked slot, at
+// or above below, or in a slot this sweep freed behind its ascending cursor,
+// so each bitmap word is loaded once; done with it, the sweep sets the bits it
+// freed, and afterwards every bit below the watermark but ID 0's is set (the
+// VM's post-cycle audit checks it). It walks the table in ascending order,
+// chunk by chunk, and hands the dead to FreeBatch sweepBatch IDs at a time,
+// while their entries are still in cache. The batches ascend and the IDs
+// ascend within each, so every shard's free list receives its IDs in ascending
+// order — the same list one FreeBatch of every dead ID would leave — at any
+// worker count and any schedule: which ID the next allocation recycles never
+// depends on GCWorkers. The finalizer hook runs after the last free, on
+// identities captured during the scan, so finalizers never observe
+// concurrency. It adds the freed tallies to res.
+func (c *Collector) sweep(plan Plan, below heap.ObjectID, res *Result) {
 	// In a prune cycle every reclaimed object was held only through
 	// poisoned or dead references; the sweep tallies their size and
 	// staleness age at exactly this point, before FreeBatch recycles the
@@ -409,21 +414,22 @@ func (c *Collector) sweep(plan Plan, res *Result) {
 	// heap's prune histograms once, after the scan.
 	pruneMode := plan.Mode == ModePrune
 	dead, finals := c.dead[:0], c.finals[:0]
-	maxID := c.heap.MaxID()
-	for base := heap.ObjectID(0); base < maxID; {
-		objs, marks, end := c.heap.Entries(base, maxID) // base is a chunk start, so word-aligned
+	for base := heap.ObjectID(0); base < below; {
+		objs, marks, end := c.heap.Entries(base, below) // base is a chunk start, so word-aligned
 		for i := 0; i < len(objs); i += 64 {
 			w := &marks[i>>6]
-			for clr := ^atomic.LoadUint64(w); clr != 0; clr &= clr - 1 {
+			old, freed := *w, uint64(0)
+			for clr := ^old; clr != 0; clr &= clr - 1 {
 				j := i + bits.TrailingZeros64(clr)
 				if j >= len(objs) {
 					break
 				}
 				obj := &objs[j]
 				size := obj.Size()
-				if size == 0 || atomic.LoadUint64(w)&(1<<(j&63)) != 0 { // free, or born black
+				if size == 0 { // ID 0, or a slot in an unsettled allocation run
 					continue
 				}
+				freed |= clr & -clr
 				id := base + heap.ObjectID(j)
 				res.BytesFreed += size
 				res.ObjectsFreed++
@@ -438,12 +444,15 @@ func (c *Collector) sweep(plan Plan, res *Result) {
 					dead = dead[:0]
 				}
 			}
+			if freed != 0 {
+				*w = old | freed // the sweep is the bitmap's only writer now
+			}
 		}
 		base = end
 	}
 	c.heap.MergePruned(&c.pruned)
 	c.heap.FreeBatch(dead)
-	c.dead, c.finals = dead, finals
+	c.dead, c.finals, c.swept = dead, finals, below
 	for _, f := range finals {
 		plan.OnFree(f.id, f.class, f.size)
 	}

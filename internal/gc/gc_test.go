@@ -82,6 +82,34 @@ func TestMarkSweepRetainsReachable(t *testing.T) {
 			t.Fatalf("reachable %v was freed", r)
 		}
 	}
+
+	// A concurrent cycle's births are garbage, yet none is swept: the
+	// first ones take the free slots the start pause marked (dead's among
+	// them), the last is carved above the start's watermark.
+	col := th.collector(1)
+	cy := col.StartConcurrent(Plan{Mode: ModeNormal})
+	below := th.h.MaxID()
+	var born []heap.Ref
+	for len(born) == 0 || born[len(born)-1].ID() < below {
+		born = append(born, th.alloc(t, node))
+	}
+	if len(born) < 2 || !slices.Contains(born, dead) {
+		t.Fatalf("births %v: want free slots (dead's %v among them) before a carve", born, dead)
+	}
+	cy.Mark()
+	cy.Remark(nil, "")
+	cy.Sweep()
+	if res := cy.Finish(); res.ObjectsFreed != 0 || res.ObjectsLive != 3 {
+		t.Fatalf("concurrent cycle: freed %d live %d, want 0 and 3", res.ObjectsFreed, res.ObjectsLive)
+	}
+	for _, r := range born {
+		if !th.alive(r) {
+			t.Fatalf("%v, born during the cycle, was swept (watermark %d)", r, below)
+		}
+	}
+	if res := col.Collect(Plan{Mode: ModeNormal}); res.ObjectsFreed != uint64(len(born)) {
+		t.Fatalf("the next cycle freed %d, want the %d births", res.ObjectsFreed, len(born))
+	}
 }
 
 func TestMarkSweepFreesUnreachableCycle(t *testing.T) {

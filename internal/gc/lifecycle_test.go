@@ -163,11 +163,13 @@ func TestTerminationStress(t *testing.T) {
 
 				// Concurrent SELECT: a second hourglass, unreachable from the
 				// roots, arrives as one SATB gray at the remark, so the second
-				// process call has a hub of its own to spill.
+				// process call has a hub of its own to spill. It is built
+				// before the start, as a gray is: an object born during the
+				// cycle in a slot the start marked is never traced.
+				gray := buildHourglass(t, th)
 				cy := col.StartConcurrent(selectPlan)
 				cy.Mark()
 				before := col.scratch.launches
-				gray := buildHourglass(t, th)
 				cy.Remark([]heap.Ref{gray.root}, "")
 				if col.scratch.launches == before {
 					t.Fatalf("round %d: the remark's closure over a spilling gray launched no helper", i)

@@ -80,13 +80,12 @@ const (
 // spills is the serial tracer at any worker count.
 //
 // Claims: a worker claims an object by setting its bit in the heap's mark
-// bitmap (heap.ChunkCache.Mark). In a stop-the-world closure, while worker
-// 0 is the only one running (launched == 1), nobody else writes the
-// bitmap, so it claims with a load and a plain store; it switches to the
-// CAS before it launches the first helper, whose go statement orders every
-// plain store before the helper's first load, and helpers always CAS
-// (DESIGN.md, "Work-stealing tracer"). A concurrent closure always CASes:
-// mutators set the bits of the objects they allocate in the same words.
+// bitmap (heap.ChunkCache.Mark). While worker 0 is the only one running
+// (launched == 1), nobody else writes the bitmap — mutators never do — so
+// it claims with a load and a plain store, in a concurrent closure too; it
+// switches to the CAS before it launches the first helper, whose go
+// statement orders every plain store before the helper's first load, and
+// helpers always CAS (DESIGN.md, "Work-stealing tracer").
 // A claimed object is scanned exactly once, by whichever worker pops it;
 // that worker adds it to its live tallies (take), which are the cycle's
 // live counts.
@@ -113,11 +112,10 @@ type tracer struct {
 	needStale bool
 
 	// concurrent marks a closure of a mostly-concurrent cycle, which runs
-	// while mutators are live. It changes two things: barrier tagging must
-	// CAS instead of blind-store, because a plain SetRef could overwrite a
-	// reference a mutator stored after the tracer loaded the slot, silently
-	// resurrecting the old value; and claims CAS even while worker 0 traces
-	// alone, because a plain store could drop a born-black bit.
+	// while mutators are live: barrier tagging must CAS instead of
+	// blind-store, because a plain SetRef could overwrite a reference a
+	// mutator stored after the tracer loaded the slot, silently resurrecting
+	// the old value.
 	concurrent bool
 
 	// deferOps marks the concurrent phase of a SELECT or PRUNE cycle:
@@ -189,8 +187,7 @@ type traceWorker struct {
 	id    int
 	local []heap.ObjectID
 	cc    heap.ChunkCache
-	// alone: a stop-the-world closure in which no other worker can be
-	// marking (worker 0 only; see tracer).
+	// alone: no other worker can be marking (worker 0 only; see tracer).
 	alone bool
 	// scans counts the objects this worker has scanned, bytesLive sums
 	// their sizes and minPos is the lowest stale-clock position among them:
@@ -212,7 +209,7 @@ type traceWorker struct {
 
 // newTracer readies the scratch for one closure over the first workers
 // entries of its worker set and returns the closure's header. Worker 0
-// starts alone unless the closure is concurrent.
+// starts alone.
 func (s *traceScratch) newTracer(h *heap.Heap, plan Plan, workers int, concurrent bool) *tracer {
 	t := &tracer{traceScratch: s, heap: h, plan: plan, workers: s.pool[:workers],
 		clock:      h.Clock(),
@@ -222,7 +219,7 @@ func (s *traceScratch) newTracer(h *heap.Heap, plan Plan, workers int, concurren
 	s.roots, s.candidates, s.staleBytesPer = s.roots[:0], s.candidates[:0], s.staleBytesPer[:0]
 	for i := range t.workers {
 		w := &t.workers[i]
-		w.t, w.id, w.pruned, w.alone, w.scans = t, i, 0, i == 0 && !concurrent, 0
+		w.t, w.id, w.pruned, w.alone, w.scans = t, i, 0, i == 0, 0
 		w.local, w.candidates = w.local[:0], w.candidates[:0]
 		w.staleEdges, w.pruneRecs = w.staleEdges[:0], w.pruneRecs[:0]
 		w.deque.reset() // an aborted closure leaves batches behind
@@ -295,7 +292,7 @@ func (t *tracer) dealRoots() {
 func (t *tracer) process(recoverPanics bool) {
 	t.idle.Store(0)
 	t.launched.Store(1)
-	t.workers[0].alone = !t.concurrent
+	t.workers[0].alone = true
 	// One helper per root batch beyond the one worker 0 is about to pop.
 	t.mu.Lock()
 	for want := min(t.workers[0].deque.size(), len(t.workers)); int(t.launched.Load()) < want; {
@@ -635,13 +632,12 @@ func (t *tracer) gatherCandidates() {
 // subgraph (§4.2). Each candidate's closure is processed by a single
 // worker; distinct candidates run in parallel (§4.5) on the in-use
 // closure's worker set, worker 0 on the caller — alone, claiming with plain
-// stores in a stop-the-world cycle, when one worker or one candidate is all
-// there is. Objects shared between candidates are attributed to whichever
-// closure claims them first, matching the prototype's claim-based
-// accounting. Sizes land in t.staleBytesPer; attribution to the edge table
-// is a separate step (accountStale) so a concurrent cycle can verify
-// candidates against the frozen snapshot — and demote drifted ones — before
-// any bytes count.
+// stores, when one worker or one candidate is all there is. Objects shared
+// between candidates are attributed to whichever closure claims them
+// first, matching the prototype's claim-based accounting. Sizes land in
+// t.staleBytesPer; attribution to the edge table is a separate step
+// (accountStale) so a concurrent cycle can verify candidates against the
+// frozen snapshot — and demote drifted ones — before any bytes count.
 func (t *tracer) staleClosure() {
 	n := len(t.candidates)
 	t.staleBytesPer = append(t.staleBytesPer[:0], make([]uint64, n)...)
@@ -652,7 +648,7 @@ func (t *tracer) staleClosure() {
 		}
 	}
 	helpers := min(len(t.workers), n) - 1
-	t.workers[0].alone = helpers <= 0 && !t.concurrent
+	t.workers[0].alone = helpers <= 0
 	var wg sync.WaitGroup
 	for i := 1; i <= helpers; i++ {
 		wg.Add(1)

@@ -104,9 +104,9 @@ func scenarios() []scenario {
 			equivalent: true, hashCheck: true,
 			arms: map[faultinject.Point]float64{faultinject.PruneRemarkStall: 1.0}},
 		// Unresolvable snapshot drift injected on every SELECT/PRUNE final
-		// remark (plus the stall): every such cycle must bump the epoch and
-		// degrade to the serial STW closure, reproducing the oracle's live
-		// sets and prune decisions exactly.
+		// remark (plus the stall): every such cycle must clear the mark
+		// bitmap and degrade to the serial STW closure, reproducing the
+		// oracle's live sets and prune decisions exactly.
 		{name: "concurrent-prune-degrade", workers: 1, markMode: "concurrent",
 			equivalent: true, hashCheck: true,
 			arms: map[faultinject.Point]float64{

@@ -108,11 +108,6 @@ type Heap struct {
 	// clock is the stale clock (clock.go); AgeStale publishes each step.
 	clock atomic.Pointer[Clock]
 
-	// allocBlack arms black allocation (SetAllocBlack): while a concurrent
-	// cycle is in flight, objects born after its snapshot are live by
-	// definition, so birth sets their mark bits.
-	allocBlack atomic.Bool
-
 	// freeMu guards FreeBatch's buffers: the resolved objects of a batch
 	// and, per entry, the next entry of the same home shard. Lock order:
 	// freeMu before shard.mu.
@@ -334,12 +329,6 @@ func (h *Heap) allocate(ctx *AllocContext, runLen int, class ClassID, opts []All
 		a := make([]uint64, 1+refSlots)
 		a[0] = uint64(refSlots)
 		obj.refs = unsafe.Pointer(&a[1])
-	}
-	// While a concurrent cycle is in flight the object is born black: its
-	// mark bit is set before size publishes it, so a sweep that reads the
-	// size re-reads the bit set (see gc's sweep) and cannot free it.
-	if h.allocBlack.Load() {
-		setMarks(h.chunkAt(int(id>>chunkShift)).markWord(id), markBit(id))
 	}
 	// Publish size LAST: it is the slot's liveness word, and the background
 	// sweeper's index-order probes gate on it. The atomic store orders the

@@ -8,7 +8,8 @@ import (
 
 // TestMarkBitClaimsAndClears: a claim sets an ID's bit once, in either
 // form, a cycle's clear unmarks it so the next cycle can claim it again,
-// and only an allocation while black allocation is armed is born marked.
+// and a birth leaves the bitmap as it found it, whether its slot was
+// pre-marked or not.
 func TestMarkBitClaimsAndClears(t *testing.T) {
 	h, r := allocObject(t, 0, 0)
 	id := r.ID()
@@ -35,23 +36,24 @@ func TestMarkBitClaimsAndClears(t *testing.T) {
 	}
 
 	cls := h.Classes().Define("U", 0, 0)
-	alloc := func() ObjectID {
+	for _, premark := range []bool{false, true} {
+		if premark {
+			h.MarkFreeSlots()
+		}
+		before := h.chunkAt(0).marks
 		r, err := h.Allocate(cls)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return r.ID()
-	}
-	if id := alloc(); h.MarkBit(id) {
-		t.Fatal("an object born with black allocation disarmed is marked")
-	}
-	h.SetAllocBlack(true)
-	if id := alloc(); !h.MarkBit(id) {
-		t.Fatal("an object born with black allocation armed is unmarked")
-	}
-	h.SetAllocBlack(false)
-	if id := alloc(); h.MarkBit(id) {
-		t.Fatal("black allocation stayed armed")
+		if r.ID() >= chunkSize {
+			t.Fatalf("birth %d left chunk 0", r.ID())
+		}
+		if h.chunkAt(0).marks != before {
+			t.Fatalf("the birth of %d (slot pre-marked: %v) wrote the mark bitmap", r.ID(), premark)
+		}
+		if h.MarkBit(r.ID()) != premark {
+			t.Fatalf("newborn %d: mark bit %v, want the pre-mark's %v", r.ID(), !premark, premark)
+		}
 	}
 }
 

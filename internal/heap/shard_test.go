@@ -210,34 +210,47 @@ func TestShardedAllocFreeParallel(t *testing.T) {
 	}
 }
 
-// TestMarkFreeSlots: the sweep's free-slot bits are exactly the slots on
-// the shard free lists — the freed ones and the carved ones no run holds —
-// and never a live object.
+// TestMarkFreeSlots pins the start pause's pre-mark: after ClearMarks and
+// MarkFreeSlots the set bits are exactly the slots on the shard free lists
+// — the freed ones, a settled run's unused ones and the carved ones no run
+// holds — and never a live object, whatever the last cycle marked. A birth
+// from a free list then lands in a marked slot.
 func TestMarkFreeSlots(t *testing.T) {
 	reg := NewRegistry()
 	cls := reg.Define("N", 0, 16)
 	h := New(reg, 1<<20)
+	ctx := h.NewAllocContext()
 	var ids []ObjectID
 	for i := 0; i < 300; i++ {
-		r, err := h.Allocate(cls)
+		r, err := h.AllocateCtx(&ctx, cls)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ids = append(ids, r.ID())
 	}
+	h.ReleaseContext(&ctx) // a run of 64 - 300%64 unused slots goes back
 	var dead []ObjectID
+	var cc ChunkCache
 	for i, id := range ids {
+		h.GetCached(MakeRef(id), &cc)
 		if i%3 == 0 {
 			dead = append(dead, id)
+		} else {
+			cc.Mark(id, true) // the last cycle reached the survivors
 		}
 	}
 	h.FreeBatch(dead)
+
+	h.ClearMarks()
 	h.MarkFreeSlots()
 	onList := map[ObjectID]bool{}
 	for i := range h.shards {
 		for _, id := range h.shards[i].free {
 			onList[id] = true
 		}
+	}
+	if want := len(dead) + 64 - len(ids)%64; len(onList) != want {
+		t.Fatalf("%d slots on the free lists, want %d freed and unused", len(onList), want)
 	}
 	for id := ObjectID(0); id < h.MaxID(); id++ {
 		set := h.MarkBit(id)
@@ -251,6 +264,15 @@ func TestMarkFreeSlots(t *testing.T) {
 	for _, id := range dead {
 		if !onList[id] {
 			t.Fatalf("freed slot %d is on no free list", id)
+		}
+	}
+	for i := 0; i < len(onList); i++ {
+		r, err := h.AllocateCtx(&ctx, cls)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !h.MarkBit(r.ID()) {
+			t.Fatalf("birth %d of %d took an unmarked slot", i, len(onList))
 		}
 	}
 }

@@ -13,15 +13,17 @@ import (
 // It drives the same gc.Cycle phases an STW collection (gc.Collect) runs
 // back to back in one pause, but restarts the world around Mark and Sweep:
 //
-//	pause 1  plan the cycle — for SELECT/PRUNE this freezes the edge
-//	         table's staleness snapshot (core.Controller.PlanCycle) —
-//	         start it (gc.StartConcurrent: claim the roots), arm black
-//	         allocation and the SATB deletion barriers
+//	pause 1  plan the cycle — settle the allocation contexts; for
+//	         SELECT/PRUNE freeze the edge table's staleness snapshot
+//	         (core.Controller.PlanCycle) — start it (gc.StartConcurrent:
+//	         mark the free slots, claim the roots), arm the SATB deletion
+//	         barriers
 //	         ... Mark (SELECT also sizes its stale closure here) ...
 //	pause 2  drain the SATB buffers, Remark: finish the closure, verify
 //	         deferred SELECT/PRUNE decisions against the frozen snapshot
 //	         (drifted edges are demoted per edge) — or degrade to the
-//	         serial closure on any fault
+//	         serial closure on any fault, then re-mark the slots left in
+//	         the allocation runs
 //	         ... Sweep ...
 //	pause 3  Finish, settle the allocation contexts, triggers, controller
 //	         transition (SELECT scoring, PRUNE bookkeeping), OnGC
@@ -42,9 +44,6 @@ func (v *VM) collectConcurrent() gc.Result {
 		defer v.startTheWorld()
 		plan := v.preparePlan()
 		cy = v.collector.StartConcurrent(plan)
-		// Everything allocated from here to the end of the cycle is born
-		// black, so neither the marker nor the sweeper ever needs to see it.
-		v.heap.SetAllocBlack(true)
 		v.armSATB()
 		v.gcActive.Store(true)
 		pause1 = time.Since(t0)
@@ -52,8 +51,9 @@ func (v *VM) collectConcurrent() gc.Result {
 
 	// The closure over the snapshot runs with the world started; at
 	// GOMAXPROCS=1 its workers interleave with mutators through the Go
-	// scheduler. Mutators may allocate (born black) and overwrite references
-	// (logged by the SATB barrier) freely.
+	// scheduler. Mutators may allocate (into slots the start marked, or
+	// above its watermark) and overwrite references (logged by the SATB
+	// barrier) freely.
 	cy.Mark()
 
 	// Pause 2 — final remark: hand the marker everything the deletion
@@ -61,8 +61,9 @@ func (v *VM) collectConcurrent() gc.Result {
 	// Any fault — a detected barrier drop, a worker panic, an abort — makes
 	// Remark clear the mark bitmap and re-run the whole closure serially
 	// under this pause: exactly an STW cycle, just inside a longer pause.
-	// Black allocation stays armed, so objects born during the sweep below
-	// are spared either way.
+	// The re-run's clear also drops the marks of the free slots mutators
+	// took into their runs during Mark; they are marked again here, so a
+	// birth in one during the sweep below is spared.
 	pause2 := func() time.Duration {
 		t0 := time.Now()
 		v.stopTheWorld()
@@ -73,6 +74,9 @@ func (v *VM) collectConcurrent() gc.Result {
 			cause = "satb-drop"
 		}
 		cy.Remark(grays, cause)
+		if cy.Degraded() {
+			v.heap.MarkRuns(v.allocContexts())
+		}
 		if v.inj.Should(faultinject.RemarkStall) {
 			// A remark that is slow to finish: stretches this pause without
 			// changing any observable result.
@@ -98,7 +102,6 @@ func (v *VM) collectConcurrent() gc.Result {
 	// Mutators allocated through the mark and the sweep: the closing
 	// bookkeeping needs their counts in the heap.
 	v.flushRuns()
-	v.heap.SetAllocBlack(false)
 	v.gcActive.Store(false)
 	res := cy.Finish()
 	return v.finishCollect(res, []time.Duration{pause1, pause2}, t0)

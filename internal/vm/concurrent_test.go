@@ -175,7 +175,7 @@ func TestConcurrentDegradeEquivalence(t *testing.T) {
 
 // TestConcurrentSnapshotDriftDegrade arms the injected unresolvable
 // snapshot drift on every draw: every concurrent SELECT and PRUNE remark
-// must then bump the epoch and re-run the serial STW closure, while
+// must then clear the mark bitmap and re-run the serial STW closure, while
 // ModeNormal cycles (which have no snapshot to drift) complete
 // concurrently. The fingerprint must still match the STW oracle — degrade
 // re-derives selection and poisoning from the same frozen cut.
@@ -207,24 +207,32 @@ func TestConcurrentSnapshotDriftDegrade(t *testing.T) {
 
 // TestConcurrentMarkStress is the multithreaded half of the soundness
 // argument: 8 mutator goroutines store into a shared structure while
-// concurrent cycles mark underneath them, so the SATB deletion barrier and
-// black allocation actually carry load (single-threaded runs never store
-// during a mark — the mutator is busy driving the cycle). AuditEveryGC
-// checks the post-sweep heap inside every cycle's final pause; under -race
-// this is the main evidence that SwapRef-based barrier logging and the
-// buffer handoff at the remark pause are properly synchronized. It runs at
-// GOMAXPROCS 4, so mutators allocate on their own Ps while the cycles mark
-// and sweep. The one-worker row is a tenant's setup: that worker marks
-// alone while the mutators allocate objects born black into the bitmap
-// words it claims in, which only the CAS claim keeps from losing a bit.
+// concurrent cycles mark underneath them, so the SATB deletion barrier and the
+// start pause's free-slot marks actually carry load (single-threaded runs
+// never store during a mark — the mutator is busy driving the cycle).
+// AuditEveryGC checks the post-sweep heap inside every cycle's final pause;
+// under -race this is the main evidence that SwapRef-based barrier logging and
+// the buffer handoff at the remark pause are properly synchronized. It runs at
+// GOMAXPROCS 4, so mutators allocate on their own Ps while the cycles mark and
+// sweep. The one-worker row is a tenant's setup: that worker marks alone, with
+// plain stores, while the mutators allocate into slots of the bitmap words it
+// claims in; a birth writes no bit, so none is lost.
 func TestConcurrentMarkStress(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	for _, workers := range []int{2, 1} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) { concurrentMarkStress(t, workers) })
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) { concurrentMarkStress(t, workers, nil) })
 	}
+	// Dropped SATB entries degrade some remarks: the serial re-run clears
+	// the mark bitmap while the mutators hold allocation runs, and they keep
+	// allocating through the sweep that follows.
+	t.Run("workers=2,satb-drop", func(t *testing.T) {
+		inj := faultinject.New(5)
+		inj.Arm(faultinject.SATBBarrierDrop, 0.3)
+		concurrentMarkStress(t, 2, inj)
+	})
 }
 
-func concurrentMarkStress(t *testing.T, gcWorkers int) {
+func concurrentMarkStress(t *testing.T, gcWorkers int, inj *faultinject.Injector) {
 	v := New(Options{
 		HeapLimit:      2 << 20,
 		EnableBarriers: true,
@@ -232,6 +240,7 @@ func concurrentMarkStress(t *testing.T, gcWorkers int) {
 		Policy:         core.DefaultPolicy{},
 		MarkMode:       MarkConcurrent,
 		AuditEveryGC:   true,
+		FaultInjector:  inj,
 	})
 	node := v.DefineClass("Node", 2, 1024)
 	scratch := v.DefineClass("Scratch", 0, 64)
@@ -282,6 +291,10 @@ func concurrentMarkStress(t *testing.T, gcWorkers int) {
 	st := v.Stats()
 	if st.Collections == 0 {
 		t.Fatal("expected collections under churn")
+	}
+	t.Logf("%d collections, %d degraded", st.Collections, st.DegradedTraces)
+	if inj != nil && (st.DegradedTraces == 0 || st.DegradedTraces == st.Collections) {
+		t.Fatalf("%d of %d collections degraded; the row needs some of each", st.DegradedTraces, st.Collections)
 	}
 	if st.AuditViolations != 0 {
 		t.Fatalf("per-cycle audits found %d violations: %v", st.AuditViolations, v.LastAudit())

@@ -77,8 +77,9 @@ const (
 	// oracle for the concurrent path.
 	MarkSTW MarkMode = iota
 	// MarkConcurrent splits every cycle mode into short pauses: a root
-	// snapshot, a mutator-concurrent mark (SATB deletion barrier on Store,
-	// black allocation), a brief final remark, and a background sweep.
+	// snapshot, a mutator-concurrent mark (SATB deletion barrier on Store;
+	// the snapshot pause marks the free slots, so births write no mark),
+	// a brief final remark, and a background sweep.
 	// SELECT and PRUNE cycles get the one consistent cut the paper's
 	// candidate selection and reference poisoning require (§3.2, §4.2)
 	// from a staleness snapshot frozen in the first pause: predicates

@@ -14,8 +14,9 @@ import (
 // snapshotted either keeps a path the marker can still traverse, or the
 // edge that was cut shows up in some buffer. Either way the marker finds
 // it, so the concurrent sweep can only reclaim objects that were already
-// unreachable at the snapshot (plus nothing allocated since — those are
-// born black).
+// unreachable at the snapshot (and nothing allocated since: a birth takes
+// a slot the start pause marked, one the sweep has passed, or one above
+// the watermark the sweep stops at).
 //
 // The buffers piggyback on the safepoint protocol exactly like the TLAB
 // contexts: only the owning thread touches its buffer, and it does so only

@@ -14,13 +14,16 @@ import (
 //   - every reference held by a live object either targets a live object or
 //     is poison-tagged — a dangling reference without poison is exactly the
 //     use-after-free leak pruning's poisoning discipline exists to prevent;
-//   - immediately after a full collection, every live object's mark bit is
-//     set (sweep completeness: an unmarked survivor is a sweep bug).
+//   - immediately after a full collection, every mark bit below the
+//     sweep's watermark is set: a live object's by the closure, a free
+//     slot's by the start pause, a freed one's by the sweep (sweep
+//     completeness: a clear bit is a slot the sweep skipped).
 //
 // The mark check is only meaningful in the window after a collection and
-// before the next allocation, so only the AuditEveryGC path (which runs
-// inside the collection's stop-the-world section) enables it; the public
-// Verify, callable at any quiescent point, skips it.
+// before the next cycle clears the bitmap, so only the AuditEveryGC path
+// (which runs inside the collection's closing stop-the-world pause)
+// enables it; the public Verify, callable at any quiescent point, skips
+// it.
 
 // Verify stops the world, audits the heap's internal accounting
 // (heap.Audit) plus the VM-level reachability and poisoning invariants, and
@@ -29,27 +32,28 @@ import (
 func (v *VM) Verify() []string {
 	v.stopTheWorld()
 	defer v.startTheWorld()
-	return v.verifyLocked(false)
+	return v.verifyLocked(0)
 }
 
-// verifyLocked runs the audit. Caller has stopped the world.
-// checkMarks additionally asserts that every live object's mark bit is set
-// and must only be set when no allocation has happened since the last full
-// collection.
-func (v *VM) verifyLocked(checkMarks bool) []string {
+// verifyLocked runs the audit. Caller has stopped the world. A nonzero
+// marksBelow, the last sweep's watermark, additionally asserts that every
+// mark bit under it but ID 0's is set; pass it only when no cycle has
+// started since that sweep. Objects born during the cycle in slots above
+// the watermark were not swept and are exempt.
+func (v *VM) verifyLocked(marksBelow heap.ObjectID) []string {
 	v.flushTLABs()
 	violations := v.heap.Audit()
+	for id := heap.ObjectID(1); id < marksBelow; id++ {
+		if !v.heap.MarkBit(id) {
+			violations = append(violations,
+				fmt.Sprintf("slot %d below the sweep's watermark %d has no mark bit", id, marksBelow))
+		}
+	}
 
 	// Ground truth: the set of live object IDs.
 	next := v.heap.MaxID()
 	live := make([]bool, next)
-	v.heap.ForEach(func(id heap.ObjectID, obj *heap.Object) {
-		live[id] = true
-		if checkMarks && !v.heap.MarkBit(id) {
-			violations = append(violations,
-				fmt.Sprintf("object %d survived the sweep without its mark bit", id))
-		}
-	})
+	v.heap.ForEach(func(id heap.ObjectID, obj *heap.Object) { live[id] = true })
 
 	// Dangling-reference sweep: every outgoing reference of every live
 	// object must be null, poisoned, or aimed at a live object.

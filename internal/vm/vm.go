@@ -637,12 +637,9 @@ func (v *VM) finishCollect(res gc.Result, priorPauses []time.Duration, pauseStar
 	v.gcTrigger.Store(softTrigger(hs.BytesUsed, hs.Limit))
 	v.ctrl.FinishCycle(res, hs)
 	if v.opts.AuditEveryGC {
-		// Audit inside the stop-the-world section, right after the cycle:
-		// TLABs are already flushed and no allocation has intervened, so the
-		// mark-bit check is exact. (In concurrent mark mode objects
-		// allocated mid-cycle were born black, so the check holds there
-		// too.)
-		v.verifyLocked(true)
+		// Audit inside the cycle's closing stop-the-world pause, before the
+		// next cycle clears the mark bitmap, so the mark check is exact.
+		v.verifyLocked(v.collector.Swept())
 	}
 	if v.opts.EnableBarriers && v.mode&^opsOutOfLine == barriersOff && v.ctrl.Observing() {
 		// The "recompilation" moment: from now on every load runs the
