@@ -163,16 +163,11 @@ func (cy *Cycle) Remark(grays []heap.Ref, cause string) {
 		cy.res.MarkDuration += d // an undisturbed STW mark ends with its merge
 	}
 	if cy.plan.Mode == ModeSelect {
-		// Candidates Mark's stale closure did not size — every one after a
-		// degrade, else the few the concurrent re-scan found — were found
-		// with the world stopped: trace them here, serially, in order.
+		// Size the candidates Mark's stale closure did not — every one
+		// after a degrade, else the few the concurrent re-scan found.
 		t0 = time.Now()
-		t := cy.tr
-		t.workers[0].alone = true // every helper has been joined
-		for i := len(t.staleBytesPer); i < len(t.candidates); i++ {
-			t.staleBytesPer = append(t.staleBytesPer, t.workers[0].traceStaleRoot(t.candidates[i].ref))
-		}
-		cy.res.StaleBytes = t.accountStale()
+		cy.tr.staleClosure()
+		cy.res.StaleBytes = cy.tr.accountStale()
 		cy.res.StaleDuration += time.Since(t0)
 	}
 }

@@ -66,10 +66,10 @@ func (m Mode) String() string {
 	return "unknown"
 }
 
-// Plan configures one collection cycle. Candidate, ShouldPrune, OnPrune,
-// and AccountStaleBytes may be invoked concurrently from tracer workers
-// and must be safe for that; StaleEdge and OnFree are buffered by the
-// workers and delivered serially (see their comments).
+// Plan configures one collection cycle. Candidate, ShouldPrune and OnPrune
+// may be invoked concurrently from tracer workers and must be safe for
+// that; StaleEdge and OnFree are buffered by the workers and delivered
+// serially, and AccountStaleBytes is called serially (see their comments).
 type Plan struct {
 	Mode Mode
 
@@ -98,7 +98,8 @@ type Plan struct {
 
 	// AccountStaleBytes receives, for each candidate root, the bytes the
 	// stale closure could attribute to it (objects not already reached by
-	// the in-use closure). ModeSelect only.
+	// the in-use closure or an earlier candidate). It is called serially,
+	// in candidate order, by Remark. ModeSelect only.
 	AccountStaleBytes func(src, tgt heap.ClassID, bytes uint64)
 
 	// ShouldPrune decides whether to poison a src→tgt reference instead of

@@ -371,12 +371,12 @@ func handOffHeap(t *testing.T) *testHeap {
 // TestClaimHandOff: worker 0 claims with plain stores while it traces alone
 // and must switch to the CAS before its first helper starts. Over a closure
 // that starts alone and then spills, at 4 workers, GOMAXPROCS 1 and 4, STW
-// and concurrent, Normal and SELECT (whose stale closure runs on several
-// workers over overlapping candidates): every live object is scanned
-// exactly once, the live set is the serial closure's, and helpers did
-// launch. A worker 0 that kept plain-storing after a launch double-claims
-// objects, which the scan count shows, and races the helpers' CAS, which
-// -race reports.
+// and concurrent, Normal and SELECT (whose stale closure then plain-stores
+// on worker 0, after the helpers are joined, over overlapping candidates):
+// every live object is scanned exactly once, the live set is the serial
+// closure's, and helpers did launch. A worker 0 that kept plain-storing
+// after a launch double-claims objects, which the scan count shows, and
+// races the helpers' CAS, which -race reports.
 func TestClaimHandOff(t *testing.T) {
 	plans := map[string]Plan{
 		"normal": {Mode: ModeNormal, TagRefs: true},

@@ -292,7 +292,6 @@ func (t *tracer) dealRoots() {
 func (t *tracer) process(recoverPanics bool) {
 	t.idle.Store(0)
 	t.launched.Store(1)
-	t.workers[0].alone = true
 	// One helper per root batch beyond the one worker 0 is about to pop.
 	t.mu.Lock()
 	for want := min(t.workers[0].deque.size(), len(t.workers)); int(t.launched.Load()) < want; {
@@ -301,6 +300,7 @@ func (t *tracer) process(recoverPanics bool) {
 	t.mu.Unlock()
 	t.runWorker(&t.workers[0], recoverPanics)
 	t.helpers.Wait()
+	t.workers[0].alone = true // no helper runs until the next launch
 }
 
 // launchLocked starts the next unlaunched worker on its own goroutine.
@@ -628,37 +628,20 @@ func (t *tracer) gatherCandidates() {
 }
 
 // staleClosure runs the SELECT state's second phase: from each candidate
-// reference, mark the objects reachable only through it and size the
-// subgraph (§4.2). Each candidate's closure is processed by a single
-// worker; distinct candidates run in parallel (§4.5) on the in-use
-// closure's worker set, worker 0 on the caller — alone, claiming with plain
-// stores, when one worker or one candidate is all there is. Objects shared
-// between candidates are attributed to whichever closure claims them
-// first, matching the prototype's claim-based accounting. Sizes land in
-// t.staleBytesPer; attribution to the edge table is a separate step
-// (accountStale) so a concurrent cycle can verify candidates against the
-// frozen snapshot — and demote drifted ones — before any bytes count.
+// reference not yet sized, mark the objects reachable only through it and
+// size the subgraph (§4.2). It is one serial loop on worker 0, which claims
+// alone with plain stores: objects shared between candidates count for the
+// first candidate, in candidate order, that claims them — the prototype's
+// claim-based accounting, with an attribution no worker count changes.
+// Mark sizes the candidates the in-use closure deferred, Remark the ones it
+// found with the world stopped. Sizes land in t.staleBytesPer; attribution
+// to the edge table is a separate step (accountStale) so a concurrent cycle
+// can verify candidates against the frozen snapshot — and demote drifted
+// ones — before any bytes count.
 func (t *tracer) staleClosure() {
-	n := len(t.candidates)
-	t.staleBytesPer = append(t.staleBytesPer[:0], make([]uint64, n)...)
-	var next atomic.Int64
-	drain := func(w *traceWorker) {
-		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
-			t.staleBytesPer[i] = w.traceStaleRoot(t.candidates[i].ref)
-		}
+	for i := len(t.staleBytesPer); i < len(t.candidates); i++ {
+		t.staleBytesPer = append(t.staleBytesPer, t.workers[0].traceStaleRoot(t.candidates[i].ref))
 	}
-	helpers := min(len(t.workers), n) - 1
-	t.workers[0].alone = helpers <= 0
-	var wg sync.WaitGroup
-	for i := 1; i <= helpers; i++ {
-		wg.Add(1)
-		go func(w *traceWorker) {
-			defer wg.Done()
-			drain(w)
-		}(&t.workers[i])
-	}
-	drain(&t.workers[0])
-	wg.Wait()
 }
 
 // accountStale replays the stale closure's per-candidate sizes into the

@@ -220,7 +220,7 @@ func TestConcurrentSnapshotDriftDegrade(t *testing.T) {
 func TestConcurrentMarkStress(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	for _, workers := range []int{2, 1} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) { concurrentMarkStress(t, workers, nil) })
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) { concurrentMarkStress(t, workers, nil, 0) })
 	}
 	// Dropped SATB entries degrade some remarks: the serial re-run clears
 	// the mark bitmap while the mutators hold allocation runs, and they keep
@@ -228,13 +228,26 @@ func TestConcurrentMarkStress(t *testing.T) {
 	t.Run("workers=2,satb-drop", func(t *testing.T) {
 		inj := faultinject.New(5)
 		inj.Arm(faultinject.SATBBarrierDrop, 0.3)
-		concurrentMarkStress(t, 2, inj)
+		concurrentMarkStress(t, 2, inj, 0)
+	})
+	// The same over a 40 000-object chain, which keeps each Mark busy long
+	// enough for the mutators to allocate through it: without it a plain
+	// run's Mark ends before any mutator wakes, so no degraded remark finds
+	// an allocation run half used, and only the race detector's slowdown
+	// tests the re-mark of its unused slots. The mutators log thousands of
+	// SATB entries per Mark, hence the low drop rate.
+	t.Run("workers=2,satb-drop,long-mark", func(t *testing.T) {
+		inj := faultinject.New(5)
+		inj.Arm(faultinject.SATBBarrierDrop, 0.002)
+		concurrentMarkStress(t, 2, inj, 40_000)
 	})
 }
 
-func concurrentMarkStress(t *testing.T, gcWorkers int, inj *faultinject.Injector) {
+// concurrentMarkStress runs the stress with a chain of retain objects held
+// by a global beside the mutators' shared structure.
+func concurrentMarkStress(t *testing.T, gcWorkers int, inj *faultinject.Injector, retain int) {
 	v := New(Options{
-		HeapLimit:      2 << 20,
+		HeapLimit:      2<<20 + uint64(retain)*64,
 		EnableBarriers: true,
 		GCWorkers:      gcWorkers,
 		Policy:         core.DefaultPolicy{},
@@ -245,6 +258,21 @@ func concurrentMarkStress(t *testing.T, gcWorkers int, inj *faultinject.Injector
 	node := v.DefineClass("Node", 2, 1024)
 	scratch := v.DefineClass("Scratch", 0, 64)
 	shared := v.AddGlobal()
+	if retain > 0 {
+		link := v.DefineClass("Link", 1, 0)
+		chain := v.AddGlobal()
+		if err := v.RunThread("retain", func(th *Thread) {
+			for range retain {
+				th.Scope(func() {
+					n := th.New(link)
+					th.Store(n, 0, th.LoadGlobal(chain))
+					th.StoreGlobal(chain, n)
+				})
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	const workers = 8
 	const iters = 400
