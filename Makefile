@@ -111,7 +111,7 @@ bench:
 bench-test:
 	$(GO) test -C benchmark ./...
 
-# One iteration of each go-test phase, sweep, stale-closure, mutator,
+# One iteration of each go-test phase, recycled-birth, sweep, stale-closure, mutator,
 # allocation-path, live-set-hash and thread-lifecycle benchmark — a fast compile-and-run
 # sanity check. It starts by asking the compiler whether the helpers paid
 # once per mutator op or traced edge still inline: the three every mutator
@@ -148,6 +148,7 @@ bench-smoke:
 		bad=$$(echo "$$dis" | grep -E '\sCALL\s' | grep -vE 'CALL (leakpruning/internal/vm\.\(\*Thread\)\.(barrierColdPath|resolveSlow|loadSlow|storeSlow|trapBadSlot|trapDeadRef|beginOpSlow|satbLog)|runtime\.(morestack_noctxt\.abi0|panicIndexU?|growslice|gcWriteBarrier[0-9])\(SB\))') ; \
 		test -z "$$bad" || { echo "internal/vm: (*Thread).Load/Store call off their named out-of-line paths:"; echo "$$bad"; exit 1; }
 	$(GO) test -run='^$$' -bench='Benchmark(Mark|Alloc)Parallel' -benchtime=1x .
+	$(GO) test -run='^$$' -bench='^BenchmarkRecycledAlloc$$' -benchtime=1x ./internal/heap
 	$(GO) test -run='^$$' -bench='^Benchmark(Sweep|StaleClosure)$$' -benchtime=1x ./internal/gc
 	$(GO) test -run='^$$' -bench='^Benchmark(RecordUse|PlanWalk)$$' -benchtime=1x ./internal/edgetable
 	$(GO) test -run='^$$' -bench='Benchmark(MutatorOps|NewParallel|RequestShapedAlloc|LiveSetHash|RunThreadObs)' -benchtime=1x -benchmem ./internal/vm

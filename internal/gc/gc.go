@@ -9,8 +9,8 @@
 // tracer), so a small heap is traced serially whatever the worker count.
 // The workers tally what they scan. The cycle's start marks every free
 // slot, so the sweep reads only the table entries of clear bits — the dead
-// — below the ID watermark recorded there, and frees them in batches, in
-// ID order.
+// — below the ID watermark recorded there, and frees each in place as it
+// reads it, in ID order.
 //
 // Every full-heap collection is one Cycle driven through the same phases
 // (start, Mark, Remark, Sweep, Finish). The stop-the-world form (Collect)
@@ -214,11 +214,11 @@ type Collector struct {
 	recoveredPanics atomic.Uint64
 	lastPanicMsg    atomic.Value // string
 
-	// dead, finals, pruned and scratch are the sweep's and the tracer's
+	// freer, finals, pruned and scratch are the sweep's and the tracer's
 	// memory, kept across cycles so a steady-state cycle allocates next to
 	// nothing. One full cycle runs at a time (the VM's cycle lock).
-	dead    []heap.ObjectID // the sweep's next FreeBatch: up to sweepBatch dead IDs, ascending
-	finals  []freeRec       // their finalizer records (Plan.OnFree only)
+	freer   *heap.Freer     // the sweep's frees, published heap.SweepBatch at a time
+	finals  []freeRec       // the freed objects' finalizer records (Plan.OnFree only)
 	pruned  heap.PruneTally // a prune sweep's histogram samples, merged once
 	scratch traceScratch
 	swept   heap.ObjectID // the last sweep's watermark (Swept)
@@ -241,8 +241,7 @@ func NewCollector(h *heap.Heap, roots RootVisitor, workers int) *Collector {
 	if workers < 1 {
 		workers = 1
 	}
-	return &Collector{heap: h, roots: roots, workers: workers,
-		dead:    make([]heap.ObjectID, 0, sweepBatch),
+	return &Collector{heap: h, roots: roots, workers: workers, freer: h.NewFreer(),
 		scratch: traceScratch{pool: make([]traceWorker, workers)}}
 }
 
@@ -387,11 +386,6 @@ type freeRec struct {
 	size  uint64
 }
 
-// sweepBatch is how many dead IDs the sweep collects before it frees them:
-// enough to take each shard lock for a run of frees, few enough that the
-// batch's table entries are still in cache and its scratch stays small.
-const sweepBatch = 256
-
 // sweep reclaims every object below the watermark whose mark bit is clear: the
 // start pause marked every free slot, so a clear bit is an object the closure
 // did not reach. A birth during a concurrent sweep lands in a marked slot, at
@@ -399,22 +393,22 @@ const sweepBatch = 256
 // so each bitmap word is loaded once; done with it, the sweep sets the bits it
 // freed, and afterwards every bit below the watermark but ID 0's is set (the
 // VM's post-cycle audit checks it). It walks the table in ascending order,
-// chunk by chunk, and hands the dead to FreeBatch sweepBatch IDs at a time,
-// while their entries are still in cache. The batches ascend and the IDs
-// ascend within each, so every shard's free list receives its IDs in ascending
-// order — the same list one FreeBatch of every dead ID would leave — at any
-// worker count and any schedule: which ID the next allocation recycles never
-// depends on GCWorkers. The finalizer hook runs after the last free, on
-// identities captured during the scan, so finalizers never observe
-// concurrency. It adds the freed tallies to res.
+// chunk by chunk, and frees each dead object in place as it reads the entry
+// (heap.Freer), which publishes the frees heap.SweepBatch at a time. The IDs
+// ascend, so every shard's free list receives its IDs in ascending order —
+// the same list one FreeBatch of every dead ID would leave — at any worker
+// count and any schedule: which ID the next allocation recycles never depends
+// on GCWorkers. The finalizer hook runs after the last free, on identities
+// captured during the scan, so finalizers never observe concurrency. It adds
+// the freed tallies to res.
 func (c *Collector) sweep(plan Plan, below heap.ObjectID, res *Result) {
 	// In a prune cycle every reclaimed object was held only through
 	// poisoned or dead references; the sweep tallies their size and
-	// staleness age at exactly this point, before FreeBatch recycles the
-	// slot and before the clock advances, and merges the tally into the
+	// staleness age at exactly this point, before the free clears the
+	// header and before the clock advances, and merges the tally into the
 	// heap's prune histograms once, after the scan.
 	pruneMode := plan.Mode == ModePrune
-	dead, finals := c.dead[:0], c.finals[:0]
+	finals := c.finals[:0]
 	for base := heap.ObjectID(0); base < below; {
 		objs, marks, end := c.heap.Entries(base, below) // base is a chunk start, so word-aligned
 		for i := 0; i < len(objs); i += 64 {
@@ -440,10 +434,7 @@ func (c *Collector) sweep(plan Plan, below heap.ObjectID, res *Result) {
 				if plan.OnFree != nil {
 					finals = append(finals, freeRec{id: id, class: obj.Class(), size: size})
 				}
-				if dead = append(dead, id); len(dead) == sweepBatch {
-					c.heap.FreeBatch(dead)
-					dead = dead[:0]
-				}
+				c.freer.Free(id, obj)
 			}
 			if freed != 0 {
 				*w = old | freed // the sweep is the bitmap's only writer now
@@ -452,8 +443,8 @@ func (c *Collector) sweep(plan Plan, below heap.ObjectID, res *Result) {
 		base = end
 	}
 	c.heap.MergePruned(&c.pruned)
-	c.heap.FreeBatch(dead)
-	c.dead, c.finals, c.swept = dead, finals, below
+	c.freer.Flush()
+	c.finals, c.swept = finals, below
 	for _, f := range finals {
 		plan.OnFree(f.id, f.class, f.size)
 	}

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"leakpruning/internal/faultinject"
 	"leakpruning/internal/heap"
 	"leakpruning/internal/obs"
 )
@@ -469,12 +470,20 @@ func TestPruneHistogramsMatchPerObjectObservation(t *testing.T) {
 	}
 }
 
-// TestSweepBatchesLeaveOneBatchFreeLists: the sweep frees its dead
-// sweepBatch IDs at a time, yet every shard's free list ends up as one
-// FreeBatch of all the dead IDs in ascending order leaves it, and the
-// sweep's ID scratch stays one batch long.
+// TestSweepBatchesLeaveOneBatchFreeLists: the sweep publishes its frees
+// 256 at a time, yet every shard's free list ends up as one
+// FreeBatch of all the dead IDs in ascending order leaves it. The sweep's
+// per-shard buffers hold one batch in all: each batch takes the lock of
+// every shard it touches once and draws the free-list corruption fault
+// there, so the sweep draws exactly once per shard per batch of the
+// ascending dead. A sweep that kept more than a batch before publishing
+// would draw fewer times. Injected corruption is repaired under the same
+// lock, so it leaves the free lists as they were.
 func TestSweepBatchesLeaveOneBatchFreeLists(t *testing.T) {
 	const objects = 6000 // two thirds garbage: 4000 dead, over 15 batches
+	// 256, not heap.SweepBatch: the draws are pinned where the sweep's
+	// batches have always put them.
+	const batch = 256
 	script := func() (*testHeap, []heap.Ref) {
 		th := newTestHeap(t)
 		node := th.class(t, "Node", 1, 16)
@@ -504,13 +513,13 @@ func TestSweepBatchesLeaveOneBatchFreeLists(t *testing.T) {
 	}
 	for _, workers := range []int{1, 2, 4} {
 		swept, refs := script()
+		inj := faultinject.New(uint64(workers))
+		inj.Arm(faultinject.ShardFreeListCorruption, 0.5)
+		swept.h.SetFaultInjector(inj)
 		col := swept.collector(workers)
 		res := col.Collect(Plan{Mode: ModeNormal})
-		if res.ObjectsFreed < 10*sweepBatch {
-			t.Fatalf("workers=%d: freed %d objects, want at least %d", workers, res.ObjectsFreed, 10*sweepBatch)
-		}
-		if c := cap(col.dead); c > sweepBatch {
-			t.Fatalf("workers=%d: cap(dead) = %d after the cycle, want at most %d", workers, c, sweepBatch)
+		if res.ObjectsFreed < 10*batch {
+			t.Fatalf("workers=%d: freed %d objects, want at least %d", workers, res.ObjectsFreed, 10*batch)
 		}
 		var dead []heap.ObjectID
 		for _, r := range refs {
@@ -526,6 +535,7 @@ func TestSweepBatchesLeaveOneBatchFreeLists(t *testing.T) {
 		ref.h.FreeBatch(dead)
 		got, want := swept.h.FreeLists(), ref.h.FreeLists()
 		shards := 0
+		home := map[heap.ObjectID]int{}
 		for si := range want {
 			if !slices.Equal(got[si], want[si]) {
 				t.Fatalf("workers=%d: shard %d free list %v, one FreeBatch leaves %v", workers, si, got[si], want[si])
@@ -533,9 +543,61 @@ func TestSweepBatchesLeaveOneBatchFreeLists(t *testing.T) {
 			if len(want[si]) > 0 {
 				shards++
 			}
+			for _, id := range want[si] {
+				home[id] = si
+			}
 		}
 		if shards < 2 {
 			t.Fatalf("workers=%d: the dead landed on %d shard(s); the test needs several", workers, shards)
 		}
+		draws := 0
+		for lo := 0; lo < len(dead); lo += batch {
+			touched := map[int]bool{}
+			for _, id := range dead[lo:min(lo+batch, len(dead))] {
+				touched[home[id]] = true
+			}
+			draws += len(touched)
+		}
+		if got := inj.Draws(faultinject.ShardFreeListCorruption); got != uint64(draws) {
+			t.Fatalf("workers=%d: the sweep drew free-list corruption %d times, want %d (once per shard per batch of %d)",
+				workers, got, draws, batch)
+		}
+		if fires, repairs := inj.Fires(faultinject.ShardFreeListCorruption), swept.h.FreeListRepairs(); fires == 0 || repairs != fires {
+			t.Fatalf("workers=%d: %d injected corruptions, %d repairs; want some, all repaired", workers, fires, repairs)
+		}
+	}
+}
+
+// TestSweepFreesOffloadedObject: an offloaded object the sweep frees gives
+// its bytes back to the disk account and none to the heap's used bytes,
+// which fall by the resident dead alone; both count as freed.
+func TestSweepFreesOffloadedObject(t *testing.T) {
+	th := newTestHeap(t)
+	th.h.SetDiskLimit(1 << 20)
+	node := th.class(t, "Node", 1, 100)
+	keep, resident, offloaded := th.alloc(t, node), th.alloc(t, node), th.alloc(t, node)
+	if err := th.h.Offload(offloaded.ID()); err != nil {
+		t.Fatal(err)
+	}
+	th.roots.refs = []heap.Ref{keep}
+	size, used := th.h.Get(resident).Size(), th.h.BytesUsed()
+	res := th.collector(1).Collect(Plan{Mode: ModeNormal})
+	if res.ObjectsFreed != 2 || res.BytesFreed != 2*size {
+		t.Fatalf("freed %d objects, %d bytes; want 2, %d", res.ObjectsFreed, res.BytesFreed, 2*size)
+	}
+	if th.alive(resident) || th.alive(offloaded) || !th.alive(keep) {
+		t.Fatal("the sweep freed the wrong objects")
+	}
+	if d := th.h.Disk(); d.BytesUsed != 0 {
+		t.Fatalf("disk still charged %d bytes after the sweep", d.BytesUsed)
+	}
+	if got := th.h.BytesUsed(); got != used-size {
+		t.Fatalf("used bytes %d after the sweep, want %d (only the resident object's %d credited)", got, used-size, size)
+	}
+	if st := th.h.Stats(); st.ObjectsFreed != 2 || st.BytesFreed != 2*size {
+		t.Fatalf("heap stats count %d objects, %d bytes freed; want 2, %d", st.ObjectsFreed, st.BytesFreed, 2*size)
+	}
+	if v := th.h.Audit(); len(v) != 0 {
+		t.Fatalf("audit after the sweep: %v", v)
 	}
 }

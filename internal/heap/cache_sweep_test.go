@@ -5,13 +5,14 @@ import (
 	"testing"
 )
 
-// Lazy-sweep interaction audit (concurrent mark mode moves the sweep out of
-// the stop-the-world pause, so it now runs against live ChunkCaches and
+// Concurrent-sweep interaction audit (concurrent mark mode moves the sweep
+// out of the stop-the-world pause, so it runs beside live ChunkCaches and
 // TLAB allocation contexts). The design holds up because chunks never move
 // once materialized — a cached chunk pointer can never go stale — and
-// because an object's size word is its atomically-published liveness bit,
-// so a cached-path lookup that races a free resolves to a clean nil, never
-// to a half-freed object. These tests pin both properties.
+// because the sweep frees only unreachable objects: no mutator can probe a
+// slot while the sweep clears it, and the shard lock that puts a freed slot
+// on a free list orders the clearing before the birth that pops it. These
+// tests pin both properties.
 
 // TestChunkCacheSeesFreeAndRecycle: a warm ChunkCache must observe a slot's
 // death immediately (the dead check reads the liveness word, not the
@@ -56,87 +57,80 @@ func TestChunkCacheSeesFreeAndRecycle(t *testing.T) {
 	}
 }
 
-// TestCachedLookupDuringBackgroundFree races GetCached probes and TLAB
-// allocation against FreeBatch running on another goroutine — the shape of
-// a background sweep under mostly-concurrent marking. Every probe must
-// resolve to nil or to a fully-initialized object (the liveness word is
-// published last), and the allocator must be able to recycle the freed
-// slots mid-flight without corrupting the accounting.
+// TestCachedLookupDuringBackgroundFree runs a Freer on another goroutine,
+// freeing unreachable objects in ascending order as a concurrent sweep
+// does, while this goroutine probes the objects it holds through a warm
+// ChunkCache and keeps allocating from a TLAB context. The dying and the
+// held objects alternate in the same chunks, and the allocator recycles
+// freed slots mid-flight, so under -race this checks that a free's plain
+// header stores are ordered before the birth that reuses the slot (the
+// shard lock) and never race a probe of a live neighbour. Every probe must
+// see the object's own class and size, and the accounting must stay sound.
 func TestCachedLookupDuringBackgroundFree(t *testing.T) {
 	reg := NewRegistry()
 	cls := reg.Define("Node", 2, 64)
 	h := New(reg, 8<<20)
 
 	const n = 4096
-	refs := make([]Ref, n)
-	for i := range refs {
+	var held, dying []Ref
+	for i := 0; i < 2*n; i++ {
 		r, err := h.Allocate(cls)
 		if err != nil {
 			t.Fatal(err)
 		}
-		refs[i] = r
+		if i%2 == 0 {
+			held = append(held, r)
+		} else {
+			dying = append(dying, r)
+		}
 	}
+	size := h.Get(held[0]).Size()
 
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		// Free in sweep-sized batches, as the background sweeper does.
-		const batch = 128
-		ids := make([]ObjectID, 0, batch)
-		for _, r := range refs {
-			ids = append(ids, r.ID())
-			if len(ids) == batch {
-				h.FreeBatch(ids)
-				ids = ids[:0]
-			}
+		f := h.NewFreer()
+		for _, r := range dying {
+			f.Free(r.ID(), h.slot(r.ID()))
 		}
-		h.FreeBatch(ids)
+		f.Flush()
 	}()
 
-	// Mutator side: probe through a warm cache and keep allocating from a
-	// TLAB context while the frees land. The allocator recycles freed slots
-	// LIFO, so any slot our own allocations reclaim is legitimately live
-	// again — track them for the final deadness sweep.
+	// Mutator side: probe the held objects, and those it allocated into
+	// recycled slots, through a warm cache while the frees land.
 	var cc ChunkCache
 	ctx := h.NewAllocContext()
-	recycled := make(map[ObjectID]bool)
-	live := 0
-	for round := 0; round < 4; round++ {
-		for _, r := range refs {
-			obj := h.GetCached(r, &cc)
-			if obj == nil {
-				continue
-			}
-			live++
-			// The free may land right after the probe: it zeroes the size
-			// word first, so a class read while the size is still nonzero
-			// afterwards was read from a live object.
-			if c := obj.Class(); obj.Size() != 0 && c != cls && !recycled[r.ID()] {
-				t.Errorf("GetCached returned class %d, want %d", c, cls)
-			}
+	probe := func(r Ref) {
+		obj := h.GetCached(r, &cc)
+		if obj == nil {
+			t.Fatalf("held object %d not served through the cache", r.ID())
+		}
+		if c, sz := obj.Class(), obj.Size(); c != cls || sz != size {
+			t.Fatalf("object %d: class %d size %d, want %d and %d", r.ID(), c, sz, cls, size)
+		}
+	}
+	for round := 0; round < 8; round++ {
+		for _, r := range held {
+			probe(r)
 		}
 		for i := 0; i < 64; i++ {
 			r, err := h.AllocateCtx(&ctx, cls)
 			if err != nil {
-				t.Errorf("AllocateCtx during background free: %v", err)
-				continue
+				t.Fatalf("AllocateCtx during background free: %v", err)
 			}
-			recycled[r.ID()] = true
+			held = append(held, r)
 		}
 	}
 	wg.Wait()
-	_ = live // any mix of hits and misses is legal; soundness is per-probe
 	h.ReleaseContext(&ctx)
+	for _, r := range held {
+		probe(r)
+	}
 	if viol := h.Audit(); len(viol) != 0 {
 		t.Fatalf("audit after background free: %v", viol)
 	}
-	for _, r := range refs {
-		if recycled[r.ID()] {
-			continue
-		}
-		if h.GetCached(r, &cc) != nil {
-			t.Fatalf("slot %d still live after every free completed", r.ID())
-		}
+	if st := h.Stats(); st.ObjectsUsed != uint64(len(held)) || st.ObjectsFreed != n {
+		t.Fatalf("%d objects used, %d freed; want %d and %d", st.ObjectsUsed, st.ObjectsFreed, len(held), n)
 	}
 }

@@ -71,10 +71,12 @@ func aliasesChunk(h *Heap, p unsafe.Pointer, n int) bool {
 // word or flags are not what birth wants — it loads flags before it
 // stores, it does not assume. The
 // object dies at any stale value, resident or offloaded (the one flag bit,
-// which FreeBatch must clear along with its disk charge), alone or beside a
-// partner in one FreeBatch call (as the sweep frees a cycle's dead objects),
-// and with its class's shape or a per-allocation one (the array path through
-// allocate's opts).
+// which death must clear along with its disk charge), alone or beside a
+// partner in one FreeBatch call, or through a Freer the way the sweep frees
+// it (Free as it reads the entry, then Flush), and with its class's shape
+// or a per-allocation one (the array path through allocate's opts). Every
+// death leaves size, class, the whole shape word (home shard included) and
+// flags zero, and keeps refs, so a later birth can reuse a separate array.
 // The ladder shape recycles one slot through 0, 2, 4, 5, 9 reference slots
 // and back down, across the inline boundary both ways: each birth has the
 // right NumRefs and null slots, keeps up to inlineRefs of them in its own
@@ -92,7 +94,7 @@ func TestHeaderInvariantsAcrossRecycling(t *testing.T) {
 	for _, stale := range []uint8{0, 3, MaxStale} {
 		for _, offloaded := range []bool{false, true} {
 			for _, shape := range []string{"class", "array", "ladder"} {
-				for _, how := range []string{"FreeBatch", "batched", "dirtied"} {
+				for _, how := range []string{"FreeBatch", "batched", "dirtied", "swept"} {
 					name := fmt.Sprintf("stale=%d/offloaded=%v/shape=%s/%s", stale, offloaded, shape, how)
 					t.Run(name, func(t *testing.T) {
 						reg := NewRegistry()
@@ -168,9 +170,19 @@ func TestHeaderInvariantsAcrossRecycling(t *testing.T) {
 								dead, partner = []ObjectID{pid, id}, p
 							}
 							h.ReleaseContext(&ctx) // the freed slots go on top of the settled run
-							h.FreeBatch(dead)
-							if got := headerOf(obj); got != (header{stale: got.stale}) {
-								t.Fatalf("after %s: header %+v, want every word but stale zero", how, got)
+							refs := obj.refs
+							if how == "swept" {
+								f := h.NewFreer()
+								f.Free(id, obj)
+								f.Flush()
+							} else {
+								h.FreeBatch(dead)
+							}
+							if got := headerOf(obj); got != (header{stale: got.stale}) || obj.shape != 0 {
+								t.Fatalf("after %s: header %+v, shape %#x; want every word but stale zero", how, got, obj.shape)
+							}
+							if obj.refs != refs {
+								t.Fatalf("after %s: refs moved from %p to %p; death keeps the slot's array", how, refs, obj.refs)
 							}
 							if partner != nil {
 								if got := headerOf(partner); got != (header{stale: got.stale}) {

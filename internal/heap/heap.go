@@ -3,6 +3,7 @@ package heap
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -71,9 +72,8 @@ func (s Stats) Fullness() float64 {
 // in numShards independently locked shards, allocation contexts take slots
 // from them a run at a time (see shard.go), the used-byte counter is a
 // single atomic charged by CAS, and the chunk table is read through atomic
-// pointers. Slot reads and writes on individual objects are
-// atomic and lock-free (see Object). FreeBatch may be called
-// concurrently for disjoint objects.
+// pointers. Reference slots are read and written atomically and lock-free
+// (see Object). Freers over disjoint objects may run concurrently.
 type Heap struct {
 	classes *Registry
 	limit   uint64
@@ -107,13 +107,6 @@ type Heap struct {
 
 	// clock is the stale clock (clock.go); AgeStale publishes each step.
 	clock atomic.Pointer[Clock]
-
-	// freeMu guards FreeBatch's buffers: the resolved objects of a batch
-	// and, per entry, the next entry of the same home shard. Lock order:
-	// freeMu before shard.mu.
-	freeMu   sync.Mutex
-	freeObjs []*Object
-	freeNext []int32
 
 	// diskMu guards the offload accounting and offload-state transitions.
 	// Lock order: shard.mu before diskMu.
@@ -305,17 +298,15 @@ func (h *Heap) allocate(ctx *AllocContext, runLen int, class ClassID, opts []All
 		}
 		h.freeListRepairs.Add(1)
 	}
-	// class and size are the two header words birth always has to write.
-	// flags is already zero on every fresh or freed slot (freeLocked's
-	// invariant), so it is loaded first and stored — a locked instruction —
-	// only when that is not what it holds. stale gets the clock's position
-	// in a plain store: every reader of it reaches the object through its
-	// size word, which publishes the slot below, so none can see the slot
-	// before the store (the sweep reads a dead object's stale word before
-	// FreeBatch hands the slot on, under the shard lock).
-	atomic.StoreUint32((*uint32)(&obj.class), uint32(class))
+	// Birth writes the header with plain stores: no other goroutine reads
+	// it meanwhile (see Object.class). flags is zero on every fresh or
+	// freed slot (Freer.Free's invariant), so it is loaded and stored only
+	// when that is not what it holds.
+	obj.class = class
 	obj.stale = h.clock.Load().Now()
-	setHeaderWord(&obj.flags, 0)
+	if obj.flags != 0 {
+		obj.flags = 0
+	}
 	obj.shape = ctx.home<<numRefsBits | uint32(refSlots)
 	// A separate array large enough is this slot's own from an earlier
 	// birth; a new one carries its capacity in the word before refs.
@@ -330,10 +321,7 @@ func (h *Heap) allocate(ctx *AllocContext, runLen int, class ClassID, opts []All
 		a[0] = uint64(refSlots)
 		obj.refs = unsafe.Pointer(&a[1])
 	}
-	// Publish size LAST: it is the slot's liveness word, and the background
-	// sweeper's index-order probes gate on it. The atomic store orders the
-	// header/refs initialization above before the slot becomes visible.
-	obj.setSize(size)
+	obj.size = uint32(size)
 	ctx.pending.Add(size<<pendingCountBits | 1)
 	return MakeRef(id), nil
 }
@@ -397,55 +385,103 @@ func (h *Heap) GetCached(r Ref, cc *ChunkCache) *Object {
 	return nil
 }
 
-// FreeBatch releases objects and credits their bytes back through their
-// home shards. Each is resolved once and chained to the others of its home
-// shard in list order, then each shard lock is taken once and its chain
-// freed, so a shard's free list receives its IDs in list order. Freeing an
-// already-free slot panics. Safe to call concurrently (calls
-// take turns on the heap's batch buffers); the collector's sweep calls it
-// once per 256 dead IDs, the batches ascending and the IDs ascending in
-// each, so free-list order is deterministic and the buffers stay a batch
-// long. A steady-state call allocates nothing.
-func (h *Heap) FreeBatch(ids []ObjectID) {
-	if len(ids) == 0 {
-		return
-	}
-	h.freeMu.Lock()
-	defer h.freeMu.Unlock()
-	if cap(h.freeObjs) < len(ids) {
-		h.freeObjs, h.freeNext = make([]*Object, len(ids)), make([]int32, len(ids))
-	}
-	objs, next := h.freeObjs[:len(ids)], h.freeNext[:len(ids)]
-	var head [numShards]int32
-	for si := range head {
-		head[si] = -1
-	}
-	for i := len(ids) - 1; i >= 0; i-- { // backwards, so each chain is in list order
-		obj := h.slot(ids[i])
-		if obj == nil || obj.Size() == 0 {
-			panic(fmt.Sprintf("heap: double free of object %d", ids[i]))
+// SweepBatch is how many dead objects a Freer frees before it publishes
+// them: enough to take each shard lock for a run of frees, few enough that
+// the batch's table entries are still in cache and its scratch stays small.
+const SweepBatch = 256
+
+// Freer frees dead objects in place, the sweep's one free path. Free clears
+// the object's header with plain stores and notes its ID under its home
+// shard; every SweepBatch frees, and at Flush, each shard the batch touched
+// is locked once, in shard order, to append its IDs to its free list in the
+// order they were freed, fold its freed counters and run the free-list
+// corruption probe, and the heap-resident bytes are credited to the used
+// counter once. A dead object is unreachable, so no other goroutine reads
+// its header while Free clears it, and the shard lock that publishes the
+// slot orders the clears before the birth that pops it. A Freer belongs to
+// one goroutine at a time; Freers over disjoint objects may run side by
+// side.
+type Freer struct {
+	h      *Heap
+	n      int                                // IDs in the batch
+	ids    [SweepBatch]ObjectID               // the batch, in free order
+	homes  [numShards][SweepBatch / 64]uint64 // bit i of shard si's words: ids[i] is homed on si
+	bytes  [numShards]uint64                  // bytes the batch freed per shard
+	credit uint64                             // heap-resident bytes the batch freed
+}
+
+// NewFreer returns a Freer for the heap's dead objects.
+func (h *Heap) NewFreer() *Freer { return &Freer{h: h} }
+
+// Free frees obj, slot id: it must be allocated and unreachable, and no
+// other Freer may hold it. size, class and shape are cleared, and flags
+// when it is not zero already; stale is left for birth, and refs keeps
+// pointing at the slot's words, so a later birth can reuse a separate
+// array. An offloaded object's bytes go back to the disk account, and the
+// heap is credited nothing for them.
+func (f *Freer) Free(id ObjectID, obj *Object) {
+	size := uint64(obj.size)
+	heapBytes, si := size, obj.home()&shardMask
+	if fl := obj.flags; fl != 0 {
+		if fl&flagOffloaded != 0 {
+			f.h.diskMu.Lock()
+			f.h.disk.BytesUsed -= size
+			f.h.diskMu.Unlock()
+			heapBytes = 0
 		}
-		si := obj.home() & shardMask
-		objs[i], next[i], head[si] = obj, head[si], int32(i)
+		obj.flags = 0
 	}
-	var credit uint64
-	for si := range h.shards {
-		if head[si] < 0 {
+	obj.size, obj.class, obj.shape = 0, 0, 0
+	f.credit += heapBytes
+	f.bytes[si] += size
+	f.homes[si][f.n>>6] |= 1 << (f.n & 63)
+	f.ids[f.n] = id
+	if f.n++; f.n == SweepBatch {
+		f.Flush()
+	}
+}
+
+// Flush publishes the batch's frees (see Freer).
+func (f *Freer) Flush() {
+	h := f.h
+	for si := range f.homes {
+		in := &f.homes[si]
+		if *in == ([SweepBatch / 64]uint64{}) {
 			continue
 		}
 		s := &h.shards[si]
 		s.mu.Lock()
-		for i := head[si]; i >= 0; i = next[i] {
-			if objs[i].Size() == 0 { // an ID listed twice
-				s.mu.Unlock()
-				panic(fmt.Sprintf("heap: double free of object %d", ids[i]))
+		n := uint64(0)
+		for w, b := range in {
+			for ; b != 0; b &= b - 1 {
+				s.free = append(s.free, f.ids[w<<6|bits.TrailingZeros64(b)])
+				n++
 			}
-			credit += h.freeLocked(s, ids[i], objs[i])
 		}
+		s.bytesFreed += f.bytes[si]
+		s.objectsFreed += n
+		s.objectsUsed -= n
 		h.maybeCorruptFreeListLocked(s)
 		s.mu.Unlock()
+		*in, f.bytes[si] = [SweepBatch / 64]uint64{}, 0
 	}
-	h.creditBytes(credit)
+	h.creditBytes(f.credit)
+	f.n, f.credit = 0, 0
+}
+
+// FreeBatch frees the objects as the sweep does, through a Freer, in list
+// order. Freeing a slot that is not allocated, or listing an ID twice,
+// panics. Calls over disjoint objects may run concurrently.
+func (h *Heap) FreeBatch(ids []ObjectID) {
+	f := Freer{h: h}
+	for _, id := range ids {
+		obj := h.slot(id)
+		if obj == nil || obj.Size() == 0 {
+			panic(fmt.Sprintf("heap: double free of object %d", id))
+		}
+		f.Free(id, obj)
+	}
+	f.Flush()
 }
 
 // maybeCorruptFreeListLocked is the shard free-list corruption probe: when
@@ -493,44 +529,6 @@ func (h *Heap) probeFreeListLocked(s *shard) int {
 		h.freeListRepairs.Add(uint64(repaired))
 	}
 	return repaired
-}
-
-// freeLocked releases obj (slot id) into shard s, clearing its header so a
-// recycled slot starts clean: flags, class, size, and shape are all reset
-// (the stale word is kept, which birth always sets; refs keeps pointing at
-// the slot's words, so a later birth can reuse a separate array). Size and
-// class always change; flags is stored only when it is not zero already,
-// which is most deaths, so a free costs two locked instructions. It
-// returns the heap-resident bytes to credit back to the used counter (zero
-// for offloaded objects, whose bytes live on disk). Caller holds s.mu.
-func (h *Heap) freeLocked(s *shard, id ObjectID, obj *Object) uint64 {
-	size := obj.Size()
-	heapBytes := size
-	if obj.IsOffloaded() {
-		h.diskMu.Lock()
-		h.disk.BytesUsed -= size
-		h.diskMu.Unlock()
-		heapBytes = 0
-	}
-	s.bytesFreed += size
-	s.objectsFreed++
-	s.objectsUsed--
-	obj.setSize(0)
-	atomic.StoreUint32((*uint32)(&obj.class), 0)
-	obj.shape = 0
-	setHeaderWord(&obj.flags, 0)
-	s.free = append(s.free, id)
-	return heapBytes
-}
-
-// setHeaderWord leaves *w holding v, storing only if it does not already: an
-// atomic load is a plain MOV, an atomic store is a locked XCHG. For the
-// allocator's own use on a slot no one else is writing (a slot in a
-// context's run, or an unreachable object being freed under its shard lock).
-func setHeaderWord(w *uint32, v uint32) {
-	if atomic.LoadUint32(w) != v {
-		atomic.StoreUint32(w, v)
-	}
 }
 
 // ForEach calls fn for every allocated object, passing its ID. The heap

@@ -40,33 +40,43 @@ const (
 // Object is one heap object: one 64-byte table entry, so a barrier or a
 // trace step touches one cache line per object. Mutators and the collector
 // share Objects: reference slots, and the stale word once the object is
-// born, are accessed atomically. Everything else is immutable after
-// allocation. Whether a collection has reached the object is not kept here
-// but in its chunk's mark bitmap (mark.go).
+// born, are accessed atomically. The other header words are written at
+// birth and death with plain stores (see class). Whether a collection has
+// reached the object is not kept here but in its chunk's mark bitmap
+// (mark.go).
 type Object struct {
-	// class is accessed atomically: a slot being recycled by a background
-	// free (FreeBatch) is still reachable through warm chunk caches, and a
-	// cached probe that won the liveness check may read the class word
-	// while the sweeper clears it.
+	// class, like size, shape and flags, is written with plain stores at
+	// birth (allocate) and death (Freer.Free), by the one goroutine that
+	// owns the slot then: the allocation context that popped it, or the
+	// sweep freeing it. No other goroutine reads the header meanwhile: a
+	// free or dead slot is unreachable, and a concurrent sweep reads the
+	// entries of clear mark bits only, which a slot free at the cycle's
+	// start does not have (the start pause marked it) and a slot the sweep
+	// freed lies behind its cursor. A birth is ordered before every read on
+	// another goroutine by the atomic store that publishes the newborn's
+	// reference, or by the safepoint handshake before a stop-the-world
+	// reader; a death is ordered before the next birth in the slot by the
+	// shard lock that puts it on a free list. Readers load the words
+	// atomically.
 	class ClassID
 	// stale is the stale clock's position at the object's birth or last
 	// use (see Clock): only birth and the read barrier's cold path (and
 	// SetStale, for tests and tools) write it; no collection does.
 	stale uint32
 	_     uint32 // padding: the entry stays 64 bytes
-	// flags holds miscellaneous state bits (offload residency).
+	// flags holds miscellaneous state bits (offload residency). Offload and
+	// fault-in change a live object's bits by CAS under the heap's diskMu;
+	// birth and death write it as class is.
 	flags uint32
 	// size is the total simulated byte size (header + ref slots + scalar).
-	// Accessed atomically: it doubles as the slot's liveness word (0 = free),
-	// and with concurrent sweep the background sweeper's liveness probes race
-	// allocation. allocate publishes it last, so a nonzero size load acquires
-	// the rest of the object's initialization.
+	// It doubles as the slot's liveness word (0 = free); written as class
+	// is.
 	size uint32
 	// shape is home<<numRefsBits | the number of reference slots. home is
-	// the allocator shard that owns this object's slot: FreeBatch returns
-	// the slot to this shard's free list and charges this shard's
-	// accounting, so an object is allocated and freed under the same shard
-	// lock. A freed slot's shape is 0.
+	// the allocator shard that owns this object's slot: a Freer returns the
+	// slot to this shard's free list and charges this shard's accounting, so
+	// an object's birth and death are counted under the same shard lock. A
+	// freed slot's shape is 0.
 	shape uint32
 	// refs points at the object's first tagged reference word: inline[0]
 	// when the shape has at most inlineRefs slots (so a slot read touches
@@ -83,10 +93,6 @@ func (o *Object) Class() ClassID { return ClassID(atomic.LoadUint32((*uint32)(&o
 
 // Size returns the object's total simulated size in bytes.
 func (o *Object) Size() uint64 { return uint64(atomic.LoadUint32(&o.size)) }
-
-// setSize atomically stores the size/liveness word; n is at most
-// maxObjectSize.
-func (o *Object) setSize(n uint64) { atomic.StoreUint32(&o.size, uint32(n)) }
 
 // NumRefs returns the number of reference slots.
 func (o *Object) NumRefs() int { return int(o.shape & numRefsMask) }

@@ -20,10 +20,10 @@ import (
 // the shards from the context's preferred one, pops LIFO from the first
 // shard that has anything, and carves fresh IDs into the preferred shard
 // when none has. Allocating from the run then takes no mutex: the context
-// initialises the object, publishes its size word last, and notes the
-// allocation in its own pending counters. A live object belongs to the
-// shard it was popped from (the home byte of Object.shape); FreeBatch pushes the slot back
-// onto that shard's list and charge that shard's counters.
+// initialises the object with plain stores and notes the allocation in its
+// own pending counters. A live object belongs to the shard it was popped
+// from (the home byte of Object.shape); a Freer pushes the slot back onto
+// that shard's list and charges that shard's counters.
 //
 // What settle restores. Refill, ReleaseContext and the VM's flushes settle
 // the context: under the home shard's lock the pending allocation counts
@@ -214,7 +214,7 @@ func (h *Heap) refill(c *AllocContext, size uint64) bool {
 // refillRun gives the context a fresh run of up to want slots, all from one
 // shard: the first in scan order from the preferred shard whose free list
 // has a valid entry, else the preferred shard after carving fresh IDs into
-// it (re-checked first: a racing FreeBatch may have refilled it). The context
+// it (re-checked first: a racing Freer may have refilled it). The context
 // must have no unused slots. Its pending counts are folded on the way —
 // under the same lock hold when the scan visits their shard, which in the
 // steady state is where the next run comes from too.

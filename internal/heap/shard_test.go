@@ -2,6 +2,7 @@ package heap
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -275,4 +276,67 @@ func TestMarkFreeSlots(t *testing.T) {
 			t.Fatalf("birth %d of %d took an unmarked slot", i, len(onList))
 		}
 	}
+}
+
+// TestFreerPublishesEverySweepBatch: a Freer holds at most SweepBatch frees
+// in all, whatever their home shards. The first SweepBatch-1 frees leave
+// every free list and counter as it was; the SweepBatch-th publishes the
+// whole batch, each ID on its home shard's free list in the order freed;
+// Flush publishes the rest.
+func TestFreerPublishesEverySweepBatch(t *testing.T) {
+	reg := NewRegistry()
+	cls := reg.Define("N", 1, 16)
+	h := New(reg, 1<<30)
+	ctxs := make([]AllocContext, 4)
+	for i := range ctxs {
+		ctxs[i] = h.NewAllocContext()
+	}
+	var ids []ObjectID
+	home := map[ObjectID]uint32{}
+	for i := 0; i < SweepBatch+10; i++ {
+		r, err := h.AllocateCtx(&ctxs[i%len(ctxs)], cls)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, r.ID())
+		home[r.ID()] = h.Get(r).home()
+	}
+	for i := range ctxs {
+		h.ReleaseContext(&ctxs[i])
+	}
+	slices.Sort(ids) // the sweep frees in ascending order
+	before := h.FreeLists()
+	want := h.FreeLists()
+	published := func(stage string, lists [][]ObjectID, n int) {
+		t.Helper()
+		if got := h.FreeLists(); !slices.EqualFunc(got, lists, slices.Equal) {
+			t.Fatalf("%s: free lists %v, want %v", stage, got, lists)
+		}
+		if st := h.Stats(); st.ObjectsFreed != uint64(n) || st.ObjectsUsed != uint64(len(ids)-n) {
+			t.Fatalf("%s: %d freed, %d used; want %d, %d", stage, st.ObjectsFreed, st.ObjectsUsed, n, len(ids)-n)
+		}
+	}
+	f := h.NewFreer()
+	for i, id := range ids {
+		f.Free(id, h.slot(id))
+		want[home[id]] = append(want[home[id]], id)
+		switch i + 1 {
+		case SweepBatch - 1:
+			published("one free short of a batch", before, 0)
+		case SweepBatch:
+			published("a batch", want, SweepBatch)
+		}
+	}
+	f.Flush()
+	published("Flush", want, len(ids))
+	shards := 0
+	for _, l := range want {
+		if len(l) > 0 {
+			shards++
+		}
+	}
+	if shards < 4 {
+		t.Fatalf("the frees landed on %d shards; the test needs 4", shards)
+	}
+	auditMustBeClean(t, h, "after Flush")
 }

@@ -325,7 +325,7 @@ func concurrentMarkStress(t *testing.T, gcWorkers int, inj *faultinject.Injector
 		t.Fatalf("%d of %d collections degraded; the row needs some of each", st.DegradedTraces, st.Collections)
 	}
 	if st.AuditViolations != 0 {
-		t.Fatalf("per-cycle audits found %d violations: %v", st.AuditViolations, v.LastAudit())
+		t.Fatalf("per-cycle audits found %d violations; the first failing audit: %s", st.AuditViolations, auditSummary(v.FirstFailedAudit()))
 	}
 	if violations := v.Verify(); len(violations) != 0 {
 		t.Fatalf("heap invariants violated after stress: %v", violations)

@@ -1,9 +1,12 @@
 package vm
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -311,6 +314,9 @@ func TestVerifyCleanAndDetectsPlantedDamage(t *testing.T) {
 	if v.LastAudit() == nil {
 		t.Fatal("LastAudit nil after a clean audit")
 	}
+	if v.FirstFailedAudit() != nil {
+		t.Fatal("FirstFailedAudit non-nil after clean audits")
+	}
 
 	// Plant a use-after-free: free the referenced object behind the VM's
 	// back. The audit must flag both the dangling slot and the root path.
@@ -327,6 +333,48 @@ func TestVerifyCleanAndDetectsPlantedDamage(t *testing.T) {
 	if st.AuditsRun != 2 || st.AuditViolations == 0 {
 		t.Fatalf("AuditsRun=%d AuditViolations=%d", st.AuditsRun, st.AuditViolations)
 	}
+
+	// Mend the damage: the next audit is clean, and the first failing
+	// report is still the one that found it.
+	err = v.RunThread("main", func(th *Thread) { th.Store(th.LoadGlobal(g), 0, heap.Null) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again := v.Verify(); len(again) != 0 {
+		t.Fatalf("audit after mending: %v", again)
+	}
+	if last, first := v.LastAudit(), v.FirstFailedAudit(); len(last) != 0 || strings.Join(first, "\n") != joined {
+		t.Fatalf("LastAudit %v, FirstFailedAudit %v; want empty and %v", last, first, viol)
+	}
+	if got := auditSummary(v.FirstFailedAudit()); !strings.Contains(got, "1× object N slot N holds un-poisoned dangling reference to freed slot N") {
+		t.Fatalf("auditSummary = %q", got)
+	}
+}
+
+// auditSummary prints an audit report as its distinct messages, numbers
+// masked, each with how often it occurs, most frequent first: a failure
+// that repeats over thousands of slots reads as one line with its count.
+func auditSummary(report []string) string {
+	if report == nil {
+		return "none"
+	}
+	digits := regexp.MustCompile(`[0-9]+`)
+	counts := map[string]int{}
+	var msgs []string
+	for _, msg := range report {
+		msg = digits.ReplaceAllString(msg, "N")
+		if counts[msg]++; counts[msg] == 1 {
+			msgs = append(msgs, msg)
+		}
+	}
+	slices.SortFunc(msgs, func(a, b string) int {
+		return cmp.Or(counts[b]-counts[a], strings.Compare(a, b))
+	})
+	var b strings.Builder
+	for _, msg := range msgs {
+		fmt.Fprintf(&b, "\n\t%d× %s", counts[msg], msg)
+	}
+	return b.String()
 }
 
 func TestAuditEveryGCStaysClean(t *testing.T) {
@@ -347,7 +395,7 @@ func TestAuditEveryGCStaysClean(t *testing.T) {
 		t.Fatalf("audits %d < collections %d", st.AuditsRun, st.Collections)
 	}
 	if st.AuditViolations != 0 {
-		t.Fatalf("AuditEveryGC found %d violations: %v", st.AuditViolations, v.LastAudit())
+		t.Fatalf("AuditEveryGC found %d violations; the first failing audit: %s", st.AuditViolations, auditSummary(v.FirstFailedAudit()))
 	}
 	if st.PrunedRefs == 0 {
 		t.Fatal("leak run never pruned (audit would have missed the interesting states)")
@@ -379,7 +427,7 @@ func TestEndToEndChaosSmoke(t *testing.T) {
 	}
 	st := v.Stats()
 	if st.AuditViolations != 0 {
-		t.Fatalf("%d invariant violations under chaos: %v", st.AuditViolations, v.LastAudit())
+		t.Fatalf("%d invariant violations under chaos; the first failing audit: %s", st.AuditViolations, auditSummary(v.FirstFailedAudit()))
 	}
 	if st.DegradedTraces != st.RecoveredTracePanics {
 		t.Fatalf("degraded=%d recovered=%d, want equal (only panics armed)",
@@ -421,7 +469,7 @@ func TestEdgeTableOverflowDegradesGracefully(t *testing.T) {
 		t.Fatal("no edge-table overflows recorded despite injection")
 	}
 	if st.AuditViolations != 0 {
-		t.Fatalf("%d invariant violations: %v", st.AuditViolations, v.LastAudit())
+		t.Fatalf("%d invariant violations; the first failing audit: %s", st.AuditViolations, auditSummary(v.FirstFailedAudit()))
 	}
 }
 

@@ -110,6 +110,9 @@ func (v *VM) verifyLocked(marksBelow heap.ObjectID) []string {
 	// Non-nil even when clean: LastAudit distinguishes "never audited"
 	// (nil) from "last audit found nothing" (empty).
 	v.lastAudit = append([]string{}, violations...)
+	if len(violations) > 0 && v.firstBadAudit == nil {
+		v.firstBadAudit = v.lastAudit
+	}
 	v.auditMu.Unlock()
 	return violations
 }

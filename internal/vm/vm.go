@@ -2,6 +2,7 @@ package vm
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -155,9 +156,11 @@ type VM struct {
 	finalizerPanics    atomic.Uint64
 	lastFinalizerPanic atomic.Value // string
 
-	// auditMu guards the most recent invariant-audit report.
+	// auditMu guards the most recent invariant-audit report and the first
+	// one that found a violation.
 	auditMu         sync.Mutex
 	lastAudit       []string
+	firstBadAudit   []string
 	auditsRun       atomic.Uint64
 	auditViolations atomic.Uint64
 
@@ -391,6 +394,16 @@ func (v *VM) LastAudit() []string {
 		return nil
 	}
 	return append([]string{}, v.lastAudit...)
+}
+
+// FirstFailedAudit returns a copy of the first invariant-audit report that
+// found a violation (nil while every audit has been clean). After a
+// failure, later audits may be clean again, so LastAudit alone can hide
+// what broke.
+func (v *VM) FirstFailedAudit() []string {
+	v.auditMu.Lock()
+	defer v.auditMu.Unlock()
+	return slices.Clone(v.firstBadAudit)
 }
 
 // LastTracePanic returns the most recent recovered trace-worker panic
