@@ -13,12 +13,12 @@ import (
 //	start   clear the mark bitmap, mark the free slots, record the sweep's
 //	        watermark, advance the collection index, claim the roots and
 //	        deal them to the tracer
-//	Mark    the work-stealing closure; for SELECT also the stale closure
-//	        over the candidate queue (sizes only)
+//	Mark    the work-stealing closure, which defers SELECT and PRUNE edges;
+//	        for SELECT also the stale closure over them (sizes only)
 //	Remark  a concurrent cycle re-seeds from the roots and the SATB grays
-//	        and verifies its deferred SELECT/PRUNE decisions; any fault
-//	        degrades the cycle to the serial closure; stale bytes are
-//	        attributed
+//	        and verifies the deferred edges; any fault degrades the cycle
+//	        to the serial closure; stale bytes are attributed, or the PRUNE
+//	        edges poisoned
 //	Sweep   reclaim every unmarked object
 //	Finish  advance the stale clock (aging cycles), assemble the Result
 //	        and record it
@@ -28,7 +28,8 @@ import (
 // world restarted around Mark and Sweep, so its caller holds three short
 // pauses — start, Remark, Finish — instead of one. Two things depend on the
 // form: only the concurrent Remark re-seeds, verifies and may draw
-// SelectSnapshotDrift; and a concurrent single-worker closure recovers
+// SelectSnapshotDrift (an STW cycle is the concurrent one with nothing to
+// verify); and a concurrent single-worker closure recovers
 // panics, because it has a sound fallback, while the serial STW closure is
 // that fallback and must crash loudly.
 //
@@ -44,11 +45,12 @@ import (
 // SELECT and PRUNE need one consistent staleness cut (§3.2, §4.2): the
 // caller freezes the edge table's maxStaleUse values in the start pause
 // (core.Controller.PlanCycle) and every policy predicate reads that cut.
-// Decisions taken while mutators run are provisional: candidate and
-// deferred-prune slots stay stale-tagged, so any mutator access either goes
-// through the read barrier's cold path (untagging the slot) or replaces the
-// slot value — both visible to Remark's expect-compare, which demotes the
-// edge (SnapshotDrift) instead of selecting or poisoning it. With no
+// The closure takes no SELECT or PRUNE side effect: it records each
+// deferred edge and Remark applies them serially. Edges deferred while
+// mutators run stay stale-tagged, so any mutator access either goes through
+// the read barrier's cold path (untagging the slot) or replaces the slot
+// value — both visible to Remark's expect-compare, which demotes the edge
+// (SnapshotDrift) instead of selecting or poisoning it. With no
 // unobservable pointer races on deferred edges, a verified decision is the
 // one an STW cycle at the same cut takes.
 type Cycle struct {
@@ -75,9 +77,6 @@ func (c *Collector) start(plan Plan, concurrent bool) *Cycle {
 	c.index++
 	cy.res = Result{Mode: plan.Mode, Index: c.index, Concurrent: concurrent}
 	cy.closure(c.workers)
-	// A closure that runs beside mutators defers SELECT/PRUNE side effects
-	// to the remark.
-	cy.tr.deferOps = concurrent && plan.Mode != ModeNormal
 	return cy
 }
 
@@ -112,11 +111,12 @@ func (cy *Cycle) Degraded() bool { return cy.res.Degraded }
 // parallel; beside the mutators for a concurrent one (at GOMAXPROCS=1 its
 // workers interleave with them through the scheduler).
 //
-// For SELECT the stale closure runs here too. It marks and sizes each
-// candidate's subgraph — the bulk of a SELECT cycle's work on a leaking
-// heap, which a concurrent cycle must keep out of its pauses. Only sizes
-// are recorded: attribution waits until Remark knows which candidates
-// survived, so neither a demotion nor a degrade leaves phantom bytes.
+// Mark then gathers the edges the closure deferred. For SELECT the stale
+// closure runs here too. It marks and sizes each candidate's subgraph — the
+// bulk of a SELECT cycle's work on a leaking heap, which a concurrent cycle
+// must keep out of its pauses. Only sizes are recorded: attribution waits
+// until Remark knows which candidates survived, so neither a demotion nor a
+// degrade leaves phantom bytes.
 func (cy *Cycle) Mark() {
 	t := cy.tr
 	t0 := time.Now()
@@ -129,9 +129,9 @@ func (cy *Cycle) Mark() {
 		timer.Stop()
 	}
 	cy.res.MarkDuration = time.Since(t0)
+	t.gather()
 	if cy.plan.Mode == ModeSelect && !t.aborted.Load() {
 		t0 = time.Now()
-		t.gatherCandidates()
 		t.staleClosure()
 		cy.res.StaleDuration = time.Since(t0)
 	}
@@ -142,8 +142,9 @@ func (cy *Cycle) Mark() {
 // (grays) and a degrade cause it detected itself ("satb-drop" on barrier
 // loss); an STW cycle has neither. An aborted closure, the caller's cause,
 // or a fault during the concurrent re-scan degrades the cycle; otherwise
-// the workers' buffers are merged. Then, for SELECT, every surviving
-// candidate's stale bytes are attributed in one serial pass.
+// the workers' buffers are merged. Then every deferred edge that survived
+// is applied in one serial pass: a PRUNE edge is poisoned, a SELECT
+// candidate's stale bytes are attributed.
 func (cy *Cycle) Remark(grays []heap.Ref, cause string) {
 	t0 := time.Now()
 	if cause == "" {
@@ -157,10 +158,13 @@ func (cy *Cycle) Remark(grays []heap.Ref, cause string) {
 	} else {
 		cy.tr.merge()
 	}
+	if cy.plan.Mode == ModePrune {
+		cy.res.PrunedRefs = cy.tr.poison()
+	}
 	if d := time.Since(t0); cy.concurrent || cause != "" {
 		cy.res.RemarkDuration = d
 	} else {
-		cy.res.MarkDuration += d // an undisturbed STW mark ends with its merge
+		cy.res.MarkDuration += d // an undisturbed STW mark ends with its merge and poisons
 	}
 	if cy.plan.Mode == ModeSelect {
 		// Size the candidates Mark's stale closure did not — every one
@@ -169,6 +173,7 @@ func (cy *Cycle) Remark(grays []heap.Ref, cause string) {
 		cy.tr.staleClosure()
 		cy.res.StaleBytes = cy.tr.accountStale()
 		cy.res.StaleDuration += time.Since(t0)
+		cy.res.Candidates = len(cy.tr.deferred)
 	}
 }
 
@@ -176,11 +181,11 @@ func (cy *Cycle) Remark(grays []heap.Ref, cause string) {
 // the current roots (live by definition) and the grays — tri-color-wise
 // exactly the snapshot edges the mutators deleted — and driven to
 // termination on the same bitmap, so the marked set covers everything
-// reachable at the snapshot. SELECT and PRUNE then verify every decision
-// the concurrent phase deferred. The pause
-// stays bounded: the closure is already complete, so it scans the grays,
-// the roots and the deferred-decision lists, never the heap. It returns a
-// degrade cause, or "".
+// reachable at the snapshot. SELECT and PRUNE then verify every edge Mark
+// gathered; the re-scan's own deferred edges were found with the world
+// stopped and need none. The pause stays bounded: the closure is already
+// complete, so it scans the grays, the roots and the deferred edges, never
+// the heap. It returns a degrade cause, or "".
 func (cy *Cycle) rescan(grays []heap.Ref) string {
 	if cy.plan.Mode != ModeNormal && cy.c.inj.Should(faultinject.SelectSnapshotDrift) {
 		// Injected unresolvable drift: a window whose frozen snapshot cannot
@@ -189,9 +194,6 @@ func (cy *Cycle) rescan(grays []heap.Ref) string {
 		return "snapshot-drift"
 	}
 	t := cy.tr
-	// The world is stopped: from here on the tracer applies SELECT/PRUNE
-	// decisions directly, as in an STW cycle.
-	t.deferOps = false
 	t.markRoots(cy.c.roots)
 	for _, r := range grays {
 		if !r.IsNull() && !r.IsPoisoned() {
@@ -231,94 +233,54 @@ func (cy *Cycle) abortCause() string {
 // clear also drops the marks of the free slots mutators took into their
 // runs, which a concurrent cycle's caller restores (heap.MarkRuns). It
 // traces from the current roots under the same plan and, for
-// SELECT/PRUNE, the same frozen cut, so it yields the live set, candidates
-// and prune decisions of a fault-free STW cycle. References the attempt
-// already poisoned stay poisoned (the re-run would poison them too, and
-// skips poisoned slots), so their count carries over; a concurrent
-// cycle's unverified prune records poisoned nothing and are re-derived.
+// SELECT/PRUNE, the same frozen cut, so it yields the live set and the
+// deferred edges of a fault-free STW cycle. The attempt poisoned nothing,
+// so the re-run finds every edge again.
 func (cy *Cycle) degrade(cause string) {
 	c := cy.c
 	c.degradedTraces.Add(1)
 	cy.res.Degraded, cy.res.DegradeCause = true, cause
-	carried := cy.tr.prunedRefs
-	for i := range cy.tr.workers {
-		carried += cy.tr.workers[i].pruned
-	}
 	cy.closure(1)
 	cy.tr.process(false)
 	cy.tr.merge()
-	cy.tr.prunedRefs += carried
 }
 
-// verifySnapshot re-validates, inside the remark pause, every decision the
-// concurrent phase took against the frozen staleness snapshot. A decision
-// survives if the recorded slot still holds the exact reference value the
-// tracer left there AND the policy predicate still holds for the target's
-// current stale counter (the maxStaleUse side reads the frozen cut, so only
-// mutator activity can change the outcome). Anything else is drift: the
-// mutator used or overwrote the edge in the window, so the edge is demoted
-// — dropped from candidacy (SELECT) or left unpoisoned (PRUNE) — and
-// SnapshotDrift counts it. Demotion is sound: a used or overwritten slot's
-// old target was re-marked via the SATB grays, the stale closure, or the
-// demote re-trace below, so the live set stays a superset of the truly
-// reachable set.
+// verifySnapshot re-checks, inside the remark pause, every edge Mark
+// gathered against the frozen staleness snapshot. An edge survives if its
+// slot still holds the exact value the tracer left there AND the plan's
+// predicate still holds for the target's current stale counter (the
+// maxStaleUse side reads the frozen cut, so only mutator activity can
+// change the outcome). Anything else is drift: the mutator used or
+// overwrote the edge in the window, so the edge is demoted — dropped from
+// candidacy (SELECT) or left unpoisoned (PRUNE) — and SnapshotDrift counts
+// it. Demotion is sound: a used or overwritten slot's old target was
+// re-marked via the SATB grays or the stale closure, and a PRUNE slot's
+// current target, left untraced when the edge was deferred, is traced
+// here.
 func (cy *Cycle) verifySnapshot() {
 	t := cy.tr
-	switch cy.plan.Mode {
-	case ModeSelect:
-		kept := t.candidates[:0]
-		keptBytes := t.staleBytesPer[:0]
-		for i, cand := range t.candidates {
-			if src, ok := t.heap.Lookup(cand.srcID); ok && src.Ref(cand.slot) == cand.expect &&
-				t.plan.Candidate != nil && t.plan.Candidate(cand.src, cand.tgt, t.clock.Stale(t.heap.Get(cand.ref).StalePos())) {
-				kept = append(kept, cand)
-				keptBytes = append(keptBytes, t.staleBytesPer[i])
-				continue
-			}
-			// Demoted. The concurrent stale closure already marked the
-			// subgraph, so liveness needs nothing; the edge just stops
-			// contributing to the cost function.
-			cy.res.SnapshotDrift++
+	kept := t.deferred[:0]
+	for _, e := range t.deferred {
+		src, ok := t.heap.Lookup(e.srcID)
+		if ok && src.Ref(e.slot) == e.expect && t.defers(e.src, e.tgt, t.clock.Stale(t.heap.Get(e.expect).StalePos())) {
+			kept = append(kept, e)
+			continue
 		}
-		t.candidates, t.staleBytesPer = kept, keptBytes
-	case ModePrune:
-		for i := range t.workers {
-			w := &t.workers[i]
-			for _, rec := range w.pruneRecs {
-				src, ok := t.heap.Lookup(rec.srcID)
-				if ok && src.Ref(rec.slot) == rec.expect &&
-					t.plan.ShouldPrune != nil &&
-					t.plan.ShouldPrune(rec.src, rec.tgt, t.clock.Stale(t.heap.Get(rec.expect).StalePos())) {
-					// Verified: no mutator touched the edge in the window.
-					// Poison with the world stopped — byte-identical to an
-					// STW cycle's in-closure poisoning.
-					src.SetRef(rec.slot, rec.expect.Untagged().WithPoison())
-					t.prunedRefs++
-					if t.plan.OnPrune != nil {
-						t.plan.OnPrune(rec.srcID, rec.slot, rec.src, rec.tgt)
-					}
-					continue
-				}
-				// Demoted: the program used or overwrote the reference, so
-				// pruning it now would poison a live edge. The current slot
-				// value's target must be in the live set — its subgraph was
-				// left untraced when the decision was deferred.
-				cy.res.SnapshotDrift++
-				if ok {
-					if cur := src.Ref(rec.slot); !cur.IsNull() && !cur.IsPoisoned() {
-						t.markRoot(cur.Untagged())
-					}
-				}
-			}
-			w.pruneRecs = w.pruneRecs[:0]
+		cy.res.SnapshotDrift++
+		if cy.plan.Mode != ModePrune || !ok {
+			continue
 		}
-		if len(t.roots) > 0 {
-			// Trace the demoted targets' subgraphs to completion inside the
-			// pause; demotions are rare (one per mutator-touched edge), so
-			// this stays bounded.
-			t.dealRoots()
-			t.process(true)
+		if cur := src.Ref(e.slot); !cur.IsNull() && !cur.IsPoisoned() {
+			t.markRoot(cur.Untagged())
 		}
+	}
+	// Mark sized every gathered candidate; the dropped ones are gone.
+	t.deferred, t.sized = kept, len(kept)
+	if len(t.roots) > 0 {
+		// Demotions are rare (one per mutator-touched edge), so tracing
+		// their targets to completion keeps the pause bounded.
+		t.dealRoots()
+		t.process(true)
 	}
 }
 
@@ -345,8 +307,6 @@ func (cy *Cycle) Finish() Result {
 	if cy.plan.AgeStaleness {
 		cy.c.heap.AgeStale(cy.res.Index)
 	}
-	cy.res.Candidates = len(cy.tr.candidates)
-	cy.res.PrunedRefs = int(cy.tr.prunedRefs)
 	minPos := uint32(math.MaxUint32)
 	for i := range cy.tr.workers {
 		w := &cy.tr.workers[i]

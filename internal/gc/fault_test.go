@@ -119,15 +119,14 @@ func TestWorkerPanicSerialFallbackEquivalence(t *testing.T) {
 	assertCleanAudit(t, hB, "fault-free")
 }
 
-// TestWorkerPanicDuringPruneEquivalence exercises the carried-pruned-count
-// path: references the aborted closure already poisoned stay poisoned, the
-// serial re-run skips them, and the merged count plus the final live set
-// match a fault-free prune exactly.
+// TestWorkerPanicDuringPruneEquivalence: a worker panic in the middle of a
+// prune closure degrades the cycle, and the serial re-run's poison count and
+// final live set match a fault-free prune exactly.
 func TestWorkerPanicDuringPruneEquivalence(t *testing.T) {
 	// Chains of nodes, each node hanging a stale leaf off ref 2: the tracer
 	// walks every live node and prunes its leaf edge, so the injected panic
-	// (p=1% per scan, ~1600 scans) fires mid-prune with poisons already
-	// applied — exercising the carried-pruned-count merge.
+	// (p=1% per scan, ~1600 scans) fires mid-prune with edges already
+	// deferred, which the re-run must find again.
 	build := func() (*heap.Heap, *rootSet, heap.ClassID) {
 		reg := heap.NewRegistry()
 		node := reg.Define("Node", 4, 48)

@@ -66,10 +66,11 @@ func (m Mode) String() string {
 	return "unknown"
 }
 
-// Plan configures one collection cycle. Candidate, ShouldPrune and OnPrune
-// may be invoked concurrently from tracer workers and must be safe for
-// that; StaleEdge and OnFree are buffered by the workers and delivered
-// serially, and AccountStaleBytes is called serially (see their comments).
+// Plan configures one collection cycle. Candidate and ShouldPrune may be
+// invoked concurrently from tracer workers and must be safe for that;
+// StaleEdge and OnFree are buffered by the workers and delivered serially,
+// and AccountStaleBytes and OnPrune are called serially (see their
+// comments).
 type Plan struct {
 	Mode Mode
 
@@ -108,7 +109,7 @@ type Plan struct {
 
 	// OnPrune is called once per poisoned reference with the source object,
 	// its slot, and the edge classes (diagnostics and precise trap
-	// messages).
+	// messages). It is called serially, by Remark, with the world stopped.
 	OnPrune func(srcID heap.ObjectID, slot int, src, tgt heap.ClassID)
 
 	// OnFree is called serially, once per object the sweep reclaims, after
@@ -150,10 +151,10 @@ type Result struct {
 	// ran between the phases. MarkDuration is the Mark phase's closure.
 	// StaleDuration is the SELECT stale closure and its attribution.
 	// RemarkDuration is the Remark phase less its stale-closure work: a
-	// concurrent cycle's re-scan, verification and merge and, in either mark
-	// mode, a degraded cycle's serial re-run. It is 0 for an STW cycle that
-	// did not degrade, whose merge counts in MarkDuration. SweepDuration is
-	// the sweep.
+	// concurrent cycle's re-scan, verification, merge and poisons and, in
+	// either mark mode, a degraded cycle's serial re-run. It is 0 for an STW
+	// cycle that did not degrade, whose merge and poisons count in
+	// MarkDuration. SweepDuration is the sweep.
 	Duration       time.Duration
 	MarkDuration   time.Duration
 	StaleDuration  time.Duration
@@ -319,7 +320,7 @@ func (c *Collector) observeCycle(base int64, res *Result) {
 	}
 	tr.Emit(obs.Span(markName, "gc", ts, mark, 0, gcArg, obs.AS("mode", res.Mode.String())))
 	if res.Mode == ModePrune {
-		// Pruning happens inside the in-use closure, so the prune span
+		// The in-use closure takes the prune decisions, so the prune span
 		// overlays the mark span.
 		tr.Emit(obs.Span("gc.prune", "gc", ts, mark, 0, gcArg, obs.A("pruned_refs", int64(res.PrunedRefs))))
 	}

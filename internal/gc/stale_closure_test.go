@@ -1,8 +1,10 @@
 package gc
 
 import (
+	"cmp"
 	"fmt"
 	"maps"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -271,6 +273,148 @@ func TestPruneSoundnessQuick(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// site is one reference slot: the source object and the slot index.
+type site struct {
+	id   heap.ObjectID
+	slot int
+}
+
+// TestConcurrentDriftDemotesPerEdge: a mutator that touches a deferred slot
+// between Mark and Remark demotes that edge alone, and the cycle does not
+// degrade. Three holders, each of its own class, hold a stale leaf with a
+// tail. After Mark the test acts as the mutator: it overwrites holder 0's
+// slot with a newborn, passing the old value as the SATB gray, and loads
+// holder 1's slot as the read barrier's cold path does (untag, clear the
+// target's stale counter). SELECT must then count and attribute holder 2's
+// edge only; PRUNE must poison holder 2's slot only and keep the touched
+// slots' current targets, with their subgraphs, through the sweep.
+func TestConcurrentDriftDemotesPerEdge(t *testing.T) {
+	for _, mode := range []Mode{ModeSelect, ModePrune} {
+		t.Run(mode.String(), func(t *testing.T) {
+			th := newTestHeap(t)
+			leaf := th.class(t, "Leaf", 1, 64)
+			tail := th.class(t, "Tail", 0, 32)
+			var holders, leaves, tails []heap.Ref
+			var holderCls []heap.ClassID
+			for i := range 3 {
+				cls := th.class(t, fmt.Sprintf("Holder%d", i), 1, 0)
+				h, l, tl := th.alloc(t, cls), th.alloc(t, leaf), th.alloc(t, tail)
+				th.link(h, 0, l)
+				th.link(l, 0, tl)
+				th.h.SetStale(th.h.Get(l), 3)
+				holders, leaves, tails = append(holders, h), append(leaves, l), append(tails, tl)
+				holderCls = append(holderCls, cls)
+			}
+			th.roots.refs = holders
+
+			attributed := map[heap.ClassID]uint64{}
+			var prunes []site
+			plan := Plan{Mode: mode, TagRefs: true}
+			if mode == ModeSelect {
+				plan.Candidate = staleTarget
+				plan.AccountStaleBytes = func(src, _ heap.ClassID, bytes uint64) { attributed[src] += bytes }
+			} else {
+				plan.ShouldPrune = staleTarget
+				plan.OnPrune = func(id heap.ObjectID, slot int, _, _ heap.ClassID) { prunes = append(prunes, site{id, slot}) }
+			}
+
+			cy := th.collector(1).StartConcurrent(plan)
+			cy.Mark()
+			born := th.alloc(t, tail)
+			h0, h1 := th.h.Get(holders[0]), th.h.Get(holders[1])
+			gray := h0.Ref(0)
+			h0.SetRef(0, born)
+			if old := h1.Ref(0); !old.IsStaleTagged() || !h1.CompareAndSwapRef(0, old, old.Untagged()) {
+				t.Fatalf("holder 1's deferred slot holds %v, want it stale-tagged", old)
+			}
+			th.h.ClearStale(th.h.Get(leaves[1]))
+			cy.Remark([]heap.Ref{gray}, "")
+			cy.Sweep()
+			res := cy.Finish()
+
+			if res.SnapshotDrift != 2 || res.Degraded {
+				t.Fatalf("drift %d degraded %v (%s), want 2 and no degrade", res.SnapshotDrift, res.Degraded, res.DegradeCause)
+			}
+			if got := h0.Ref(0); got != born {
+				t.Fatalf("holder 0's slot = %v, want the stored %v", got, born)
+			}
+			if got := h1.Ref(0); got.IsPoisoned() || got.ID() != leaves[1].ID() {
+				t.Fatalf("holder 1's slot = %v, want unpoisoned %v", got, leaves[1])
+			}
+			for _, r := range []heap.Ref{born, leaves[0], leaves[1], tails[1]} {
+				if !th.alive(r) {
+					t.Fatalf("%v was swept: a touched slot's target, or the gray", r)
+				}
+			}
+			slot2 := th.h.Get(holders[2]).Ref(0)
+			if mode == ModeSelect {
+				want := th.h.Get(leaves[2]).Size() + th.h.Get(tails[2]).Size()
+				if res.Candidates != 1 || len(attributed) != 1 || attributed[holderCls[2]] != want || res.StaleBytes != want {
+					t.Fatalf("candidates %d, attributed %v (%d bytes), want 1 and %d bytes to holder 2's class %d",
+						res.Candidates, attributed, res.StaleBytes, want, holderCls[2])
+				}
+				if slot2.IsPoisoned() || !th.alive(tails[2]) {
+					t.Fatal("SELECT poisoned or reclaimed an untouched candidate")
+				}
+				return
+			}
+			if want := []site{{holders[2].ID(), 0}}; res.PrunedRefs != 1 || !slices.Equal(prunes, want) {
+				t.Fatalf("pruned %d refs, OnPrune saw %v, want 1 and %v", res.PrunedRefs, prunes, want)
+			}
+			if !slot2.IsPoisoned() || th.alive(leaves[2]) || th.alive(tails[2]) {
+				t.Fatalf("holder 2's slot = %v, leaf alive %v: want it poisoned and its subgraph swept", slot2, th.alive(leaves[2]))
+			}
+		})
+	}
+}
+
+// TestOnPruneIsSerial: Plan.OnPrune is called serially even when helpers
+// trace the closure. An STW PRUNE collection at 4 workers over 512 roots
+// (more than one root batch, so helpers launch) must report each poisoned
+// slot exactly once to a hook that appends to an unlocked slice; under
+// -race a call from a helper shows as a data race.
+func TestOnPruneIsSerial(t *testing.T) {
+	th := newTestHeap(t)
+	holder := th.class(t, "Holder", 2, 0)
+	leaf := th.class(t, "Leaf", 0, 16)
+	link := th.class(t, "Link", 1, 16)
+	for range 512 {
+		h, l := th.alloc(t, holder), th.alloc(t, leaf)
+		th.h.SetStale(th.h.Get(l), 3)
+		th.link(h, 1, l)
+		chain := heap.Null
+		for range 8 {
+			r := th.alloc(t, link)
+			th.link(r, 0, chain)
+			chain = r
+		}
+		th.link(h, 0, chain)
+		th.roots.refs = append(th.roots.refs, h)
+	}
+
+	var got []site
+	col := th.collector(4)
+	res := col.Collect(Plan{Mode: ModePrune, TagRefs: true, ShouldPrune: staleTarget,
+		OnPrune: func(id heap.ObjectID, slot int, _, _ heap.ClassID) { got = append(got, site{id, slot}) }})
+	if col.scratch.launches == 0 {
+		t.Fatal("no helper launched: the closure ran on one goroutine")
+	}
+	var want []site
+	for _, r := range th.roots.refs {
+		obj := th.h.Get(r)
+		for slot := range obj.NumRefs() {
+			if obj.Ref(slot).IsPoisoned() {
+				want = append(want, site{r.ID(), slot})
+			}
+		}
+	}
+	slices.SortFunc(got, func(a, b site) int { return cmp.Or(cmp.Compare(a.id, b.id), cmp.Compare(a.slot, b.slot)) })
+	if len(want) != 512 || res.PrunedRefs != len(got) || !slices.Equal(got, want) {
+		t.Fatalf("PrunedRefs %d, OnPrune saw %d slots, %d poisoned: want all three 512 and the same slots",
+			res.PrunedRefs, len(got), len(want))
 	}
 }
 

@@ -10,33 +10,21 @@ import (
 	"leakpruning/internal/heap"
 )
 
-// candidate records one reference deferred by the in-use closure: the edge
-// type and the (untagged) target reference that roots a stale data
-// structure (§4.2), plus the slot it was found in and the exact reference
-// value the slot is expected to hold — a concurrent cycle's final remark
-// re-checks the slot against expect to detect mutator writes that
-// invalidated the frozen candidate edge (drift demotion).
-type candidate struct {
+// deferredEdge is one reference the in-use closure deferred instead of
+// tracing: in a SELECT cycle a candidate, the root of a stale data
+// structure the stale closure sizes (§4.2); in a PRUNE cycle a reference to
+// poison (§4.3). It names the edge type, the slot it was found in and the
+// exact value the scan left there, whose untagged form is the target. A
+// concurrent cycle's remark re-checks the slot against expect to detect a
+// mutator that touched the edge (drift demotion); Remark then poisons the
+// PRUNE edges serially. bytes is the stale closure's size for a SELECT
+// edge.
+type deferredEdge struct {
 	src, tgt heap.ClassID
-	ref      heap.Ref
 	srcID    heap.ObjectID
 	slot     int
 	expect   heap.Ref
-}
-
-// pruneRec is one poisoning decision a concurrent ModePrune closure
-// deferred to the final remark: poisoning under running mutators would be
-// unsound (the decision could race a use that should have raised the
-// bar), so the scan records the slot and the observed reference value and
-// the remark pause re-verifies before poisoning. The deferred slot is
-// left stale-tagged, so any mutator load in the window goes through the
-// read barrier's cold path and changes the slot value — which the
-// verification detects as drift and demotes instead of poisoning.
-type pruneRec struct {
-	srcID    heap.ObjectID
-	slot     int
-	src, tgt heap.ClassID
-	expect   heap.Ref
+	bytes    uint64
 }
 
 // staleEdge is one buffered StaleEdge observation: workers record these
@@ -118,13 +106,11 @@ type tracer struct {
 	// the old value.
 	concurrent bool
 
-	// deferOps marks the concurrent phase of a SELECT or PRUNE cycle:
-	// ModePrune scans record pruneRecs instead of poisoning, because the
-	// poison/keep decision must be verified against the frozen staleness
-	// snapshot inside the final remark pause. The driver clears it before
-	// the remark re-scan, restoring direct (STW-semantics) poisoning for
-	// references discovered with the world stopped.
-	deferOps bool
+	// defers is the plan's deferral predicate: Candidate in a SELECT cycle,
+	// ShouldPrune in a PRUNE cycle, nil otherwise. sized counts the deferred
+	// edges the stale closure has sized.
+	defers func(src, tgt heap.ClassID, stale uint8) bool
+	sized  int
 
 	// workers is this closure's share of the scratch's pool; launched counts
 	// those running (worker 0 included), idle those parked. Both are written
@@ -147,8 +133,6 @@ type tracer struct {
 	// configured (the serial fallback must be reliable, so it is never
 	// injected).
 	inj *faultinject.Injector
-
-	prunedRefs int64 // merged from the per-worker counts
 }
 
 // traceScratch is the tracer's memory, owned by the Collector and reused
@@ -161,16 +145,9 @@ type traceScratch struct {
 	// dealRoots queues them on worker 0's deque.
 	roots []heap.ObjectID
 
-	// candidates is merged from the per-worker buffers after the closure.
-	candidates []candidate
-
-	// staleBytesPer holds the stale closure's per-candidate subgraph sizes,
-	// aligned with candidates. Byte ATTRIBUTION (AccountStaleBytes) is
-	// decoupled from the closure itself so a concurrent SELECT cycle can
-	// trace stale subgraphs while mutators run, then attribute only the
-	// candidates that survive drift verification in the final pause — and
-	// so a degrade leaves the edge table unpolluted.
-	staleBytesPer []uint64
+	// deferred is gathered from the per-worker buffers: by Mark, and by
+	// Remark for the edges its closures found.
+	deferred []deferredEdge
 
 	// launches counts helper goroutines started, over the collector's life
 	// (the package's tests assert on it instead of on wall time).
@@ -197,10 +174,8 @@ type traceWorker struct {
 	bytesLive uint64
 	minPos    uint32
 
-	candidates []candidate
+	deferred   []deferredEdge
 	staleEdges []staleEdge
-	pruneRecs  []pruneRec
-	pruned     int64
 
 	_     [64]byte
 	deque wsDeque
@@ -215,13 +190,18 @@ func (s *traceScratch) newTracer(h *heap.Heap, plan Plan, workers int, concurren
 		clock:      h.Clock(),
 		needStale:  plan.Candidate != nil || plan.ShouldPrune != nil || plan.StaleEdge != nil,
 		concurrent: concurrent}
+	switch plan.Mode {
+	case ModeSelect:
+		t.defers = plan.Candidate
+	case ModePrune:
+		t.defers = plan.ShouldPrune
+	}
 	t.cond.L = &t.mu
-	s.roots, s.candidates, s.staleBytesPer = s.roots[:0], s.candidates[:0], s.staleBytesPer[:0]
+	s.roots, s.deferred = s.roots[:0], s.deferred[:0]
 	for i := range t.workers {
 		w := &t.workers[i]
-		w.t, w.id, w.pruned, w.alone, w.scans = t, i, 0, i == 0, 0
-		w.local, w.candidates = w.local[:0], w.candidates[:0]
-		w.staleEdges, w.pruneRecs = w.staleEdges[:0], w.pruneRecs[:0]
+		w.t, w.id, w.alone, w.scans = t, i, i == 0, 0
+		w.local, w.deferred, w.staleEdges = w.local[:0], w.deferred[:0], w.staleEdges[:0]
 		w.deque.reset() // an aborted closure leaves batches behind
 		w.bytesLive, w.minPos = 0, math.MaxUint32
 	}
@@ -332,22 +312,23 @@ func (t *tracer) runWorker(w *traceWorker, recoverPanics bool) {
 	w.run()
 }
 
-// merge folds the workers' private buffers into the tracer: candidates and
-// prune counts are concatenated, and buffered StaleEdge observations are
-// replayed serially. Call exactly once, after the final process pass.
-func (t *tracer) merge() {
+// gather moves the workers' deferred edges into t.deferred, in worker
+// order, and empties their buffers.
+func (t *tracer) gather() {
 	for i := range t.workers {
 		w := &t.workers[i]
-		// Poison side effects are kept even on abort (a poisoned slot stays
-		// poisoned; the re-run skips it), so prune counts always merge.
-		t.prunedRefs += w.pruned
-		if t.aborted.Load() {
-			// Candidate and StaleEdge buffers from an aborted closure are
-			// discarded: the serial re-run regenerates them from scratch.
-			continue
-		}
-		t.candidates = append(t.candidates, w.candidates...)
-		for _, e := range w.staleEdges {
+		t.deferred = append(t.deferred, w.deferred...)
+		w.deferred = w.deferred[:0]
+	}
+}
+
+// merge gathers the deferred edges the closure found since Mark and
+// replays the buffered StaleEdge observations serially. Call exactly once,
+// on a closure that completed: an aborted one is re-run instead.
+func (t *tracer) merge() {
+	t.gather()
+	for i := range t.workers {
+		for _, e := range t.workers[i].staleEdges {
 			t.plan.StaleEdge(e.src, e.tgt, e.stale, e.bytes)
 		}
 	}
@@ -467,7 +448,7 @@ func (t *tracer) anyQueued() bool {
 // a reference a mutator installed after the tracer loaded r, resurrecting
 // the old value. CAS failure just skips the tag — the mutator's new value
 // stays untagged until the next cycle scans it, which only delays staleness
-// detection. Candidate deferral records the result as the
+// detection. A deferred edge records the result as the
 // drift-verification baseline — a lost CAS means the mutator already
 // touched the slot, so verification will (correctly) see a mismatch and
 // demote.
@@ -483,11 +464,11 @@ func (t *tracer) applyStaleTag(obj *heap.Object, slot int, r heap.Ref) heap.Ref 
 	return tagged
 }
 
-// scan processes one marked object's reference slots: tagging, candidate
-// deferral, pruning, and marking of children. Newly claimed children are
-// pushed on the worker's local stack; policy callbacks that need ordering
-// (StaleEdge) or aggregation (candidates, prune counts) go to the worker's
-// private buffers instead of shared, locked state.
+// scan processes one marked object's reference slots: tagging, deferral of
+// SELECT and PRUNE edges, and marking of children. Newly claimed children
+// are pushed on the worker's local stack; StaleEdge observations and
+// deferred edges go to the worker's private buffers instead of shared,
+// locked state.
 func (w *traceWorker) scan(id heap.ObjectID) {
 	t := w.t
 	// Fault injection (parallel closures only — t.inj is nil for the serial
@@ -533,50 +514,21 @@ func (w *traceWorker) scan(id heap.ObjectID) {
 			w.staleEdges = append(w.staleEdges, staleEdge{src: src, tgt: tgtClass, stale: stale, bytes: tgt.Size()})
 		}
 
-		switch t.plan.Mode {
-		case ModeSelect:
-			if t.plan.Candidate != nil && t.plan.Candidate(src, tgtClass, stale) {
-				// Defer to the stale closure; tag the slot so the barrier
-				// still fires if the program uses the reference later.
-				expect := r
-				if t.plan.TagRefs && !r.IsStaleTagged() {
-					expect = t.applyStaleTag(obj, slot, r)
-				}
-				w.candidates = append(w.candidates, candidate{
-					src: src, tgt: tgtClass, ref: r.Untagged(),
-					srcID: id, slot: slot, expect: expect,
-				})
-				continue
+		if t.defers != nil && t.defers(src, tgtClass, stale) {
+			// Defer the edge and do not trace past it: the stale closure
+			// sizes a SELECT edge, Remark poisons a PRUNE edge. The slot is
+			// stale-tagged (a PRUNE slot always), so a mutator load in a
+			// concurrent cycle goes through the read barrier's cold path
+			// and changes the slot value, which Remark's expect-compare
+			// sees. Without the tag a mutator could copy a doomed
+			// reference into a live object unobserved and the poison
+			// would dangle.
+			expect := r
+			if (t.plan.TagRefs || t.plan.Mode == ModePrune) && !r.IsStaleTagged() {
+				expect = t.applyStaleTag(obj, slot, r)
 			}
-		case ModePrune:
-			if t.plan.ShouldPrune != nil && t.plan.ShouldPrune(src, tgtClass, stale) {
-				if t.deferOps {
-					// Concurrent phase: defer the poisoning decision to the
-					// final remark. Ensure the slot is stale-tagged first —
-					// the tag is what forces any mutator load through the
-					// read barrier's cold path (untag + ClearStale), so an
-					// extraction of the target during the window is always
-					// visible to the remark's expect-compare. Without it a
-					// mutator could copy the doomed reference into a live
-					// object unobserved and the poison would dangle.
-					expect := r
-					if !r.IsStaleTagged() {
-						expect = t.applyStaleTag(obj, slot, r)
-					}
-					w.pruneRecs = append(w.pruneRecs, pruneRec{
-						srcID: id, slot: slot, src: src, tgt: tgtClass, expect: expect,
-					})
-					continue
-				}
-				// Poison: set the second-lowest bit as well as the lowest
-				// bit and do not trace the target (§4.3).
-				obj.SetRef(slot, r.Untagged().WithPoison())
-				w.pruned++
-				if t.plan.OnPrune != nil {
-					t.plan.OnPrune(id, slot, src, tgtClass)
-				}
-				continue
-			}
+			w.deferred = append(w.deferred, deferredEdge{src: src, tgt: tgtClass, srcID: id, slot: slot, expect: expect})
+			continue
 		}
 
 		// Set the barrier tag, skipping the store when the bit is already
@@ -614,50 +566,48 @@ func dangling(r heap.Ref) {
 	panic(fmt.Sprintf("gc: traced a dead or unallocated %v", r.Untagged()))
 }
 
-// gatherCandidates moves the per-worker candidate buffers into
-// t.candidates without touching the other merge() work. A SELECT cycle's
-// Mark calls it between the in-use closure and the stale closure (which
-// indexes t.candidates); the buffers are cleared so the eventual merge()
-// appends only remark-discovered candidates.
-func (t *tracer) gatherCandidates() {
-	for i := range t.workers {
-		w := &t.workers[i]
-		t.candidates = append(t.candidates, w.candidates...)
-		w.candidates = w.candidates[:0]
-	}
-}
-
 // staleClosure runs the SELECT state's second phase: from each candidate
-// reference not yet sized, mark the objects reachable only through it and
-// size the subgraph (§4.2). It is one serial loop on worker 0, which claims
-// alone with plain stores: objects shared between candidates count for the
-// first candidate, in candidate order, that claims them — the prototype's
+// not yet sized, mark the objects reachable only through it and size the
+// subgraph (§4.2). It is one serial loop on worker 0, which claims alone
+// with plain stores: objects shared between candidates count for the first
+// candidate, in candidate order, that claims them — the prototype's
 // claim-based accounting, with an attribution no worker count changes.
 // Mark sizes the candidates the in-use closure deferred, Remark the ones it
-// found with the world stopped. Sizes land in t.staleBytesPer; attribution
-// to the edge table is a separate step (accountStale) so a concurrent cycle
-// can verify candidates against the frozen snapshot — and demote drifted
-// ones — before any bytes count.
+// found with the world stopped. Attribution to the edge table is a
+// separate step (accountStale), so a concurrent cycle can demote drifted
+// candidates before any bytes count.
 func (t *tracer) staleClosure() {
-	for i := len(t.staleBytesPer); i < len(t.candidates); i++ {
-		t.staleBytesPer = append(t.staleBytesPer, t.workers[0].traceStaleRoot(t.candidates[i].ref))
+	for ; t.sized < len(t.deferred); t.sized++ {
+		e := &t.deferred[t.sized]
+		e.bytes = t.workers[0].traceStaleRoot(e.expect.Untagged())
 	}
 }
 
-// accountStale replays the stale closure's per-candidate sizes into the
-// policy's AccountStaleBytes hook and returns the total. Serial, so it is
-// safe inside a pause; the sums are identical to the old inline
-// attribution (AddBytesUsed is commutative).
+// accountStale replays the candidates' sizes into the policy's
+// AccountStaleBytes hook, serially and in candidate order, and returns the
+// total.
 func (t *tracer) accountStale() uint64 {
 	var total uint64
-	for i, c := range t.candidates {
-		b := t.staleBytesPer[i]
+	for _, e := range t.deferred {
 		if t.plan.AccountStaleBytes != nil {
-			t.plan.AccountStaleBytes(c.src, c.tgt, b)
+			t.plan.AccountStaleBytes(e.src, e.tgt, e.bytes)
 		}
-		total += b
+		total += e.bytes
 	}
 	return total
+}
+
+// poison applies a PRUNE cycle's deferred edges with the world stopped:
+// each slot gets the poison bit as well as the tag bit (§4.3) and OnPrune
+// hears of it, serially, in record order. It returns the count.
+func (t *tracer) poison() int {
+	for _, e := range t.deferred {
+		t.heap.Get(heap.MakeRef(e.srcID)).SetRef(e.slot, e.expect.Untagged().WithPoison())
+		if t.plan.OnPrune != nil {
+			t.plan.OnPrune(e.srcID, e.slot, e.src, e.tgt)
+		}
+	}
+	return len(t.deferred)
 }
 
 // traceStaleRoot marks and sizes the subgraph reachable from one candidate

@@ -265,11 +265,10 @@ func (o Options) withDefaults() Options {
 
 // Fingerprint hashes the execution-relevant effective options: every field
 // that changes what a run does to the heap. The trace recorder stamps it
-// into the header so a replay can warn when it re-executes a trace under
-// options other than the recorded ones (legitimate for cross-policy
-// replay, fatal for byte-identity verification). Callback hooks,
-// observability attachments, and the fault injector are excluded: they
-// observe a run without steering it.
+// into the header, and `lp trace stat` prints it, so two recordings can be
+// told apart by the options they ran under; nothing compares it on
+// replay. Callback hooks, observability attachments, and the fault
+// injector are excluded: they observe a run without steering it.
 func (o Options) Fingerprint() uint64 {
 	o = o.withDefaults()
 	policy := "off"
