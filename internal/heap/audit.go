@@ -4,8 +4,8 @@ import "fmt"
 
 // Heap invariant auditor. Audit cross-checks every piece of redundant state
 // the allocator and the collectors maintain — the global used-byte atomic,
-// the per-shard accounting counters, the disk account, and the shard free
-// lists — against a ground-truth scan of the object table. It is the
+// the allocation account, the disk account, and the shard free lists —
+// against a ground-truth scan of the object table. It is the
 // correctness backstop the chaos campaign (and every future performance PR)
 // runs after collections: any drift between the fast-path counters and the
 // actual objects is reported instead of silently compounding.
@@ -13,8 +13,9 @@ import "fmt"
 // Audit must run stop-the-world, after every allocation context has been
 // released (the VM's flushTLABs); otherwise the used-byte counter
 // legitimately exceeds the sum of live object sizes by the reserved quota,
-// the shard counters lag by the contexts' pending allocations, and the dead
-// slots held in their runs are on no free list — three false positives.
+// the allocation account lags by the contexts' pending allocations, and
+// the dead slots held in their runs are on no free list — three false
+// positives.
 
 // maxAuditViolations bounds the report so a systematically corrupt heap
 // does not build an unbounded string slice inside a stop-the-world section.
@@ -48,9 +49,9 @@ func (a *auditSink) result() []string {
 //  1. The global used-byte counter equals the summed sizes of live,
 //     heap-resident objects (offloaded objects are charged to disk).
 //  2. The disk account equals the summed sizes of live offloaded objects.
-//  3. Every shard's cumulative counters are self-consistent
-//     (alloc - freed == used, for both bytes and objects) and match the
-//     live objects homed on that shard.
+//  3. The allocation account matches the live objects: bytes allocated
+//     minus bytes freed is their summed size (resident plus offloaded),
+//     ObjectsUsed is their number, and each is homed on a shard in range.
 //  4. Every free-list entry names a dead, materialized slot; no slot
 //     appears on two free lists (or twice on one); and every dead carved
 //     slot is on exactly one free list.
@@ -61,11 +62,6 @@ func (h *Heap) Audit() []string {
 	var sink auditSink
 
 	next := ObjectID(h.next.Load())
-	type shardAcct struct {
-		liveBytes uint64
-		liveObjs  uint64
-	}
-	var perShard [numShards]shardAcct
 	var residentBytes, offloadedBytes, totalLive uint64
 	live := make([]bool, next)
 
@@ -80,12 +76,9 @@ func (h *Heap) Audit() []string {
 		}
 		live[id] = true
 		totalLive++
-		si := obj.home() & shardMask
 		if obj.home() >= numShards {
 			sink.addf("object %d: home shard %d out of range", id, obj.home())
 		}
-		perShard[si].liveBytes += obj.Size()
-		perShard[si].liveObjs++
 		if obj.IsOffloaded() {
 			offloadedBytes += obj.Size()
 		} else {
@@ -102,23 +95,20 @@ func (h *Heap) Audit() []string {
 			disk.BytesUsed, offloadedBytes)
 	}
 
+	st := h.Stats()
+	if got, want := st.BytesAlloc-st.BytesFreed, residentBytes+offloadedBytes; got != want {
+		sink.addf("bytesAlloc-bytesFreed = %d, live object bytes = %d (contexts released?)", got, want)
+	}
+	if st.ObjectsUsed != totalLive {
+		sink.addf("objectsAlloc-objectsFreed = %d, live objects = %d (contexts released?)",
+			st.ObjectsUsed, totalLive)
+	}
+
 	var freeCount uint64
 	onFreeList := make([]bool, next)
 	for i := range h.shards {
 		s := &h.shards[i]
 		s.mu.Lock()
-		if got := s.bytesAlloc - s.bytesFreed; got != perShard[i].liveBytes {
-			sink.addf("shard %d: bytesAlloc-bytesFreed = %d, live bytes homed here = %d",
-				i, got, perShard[i].liveBytes)
-		}
-		if got := s.objectsAlloc - s.objectsFreed; got != s.objectsUsed {
-			sink.addf("shard %d: objectsAlloc-objectsFreed = %d, objectsUsed = %d",
-				i, got, s.objectsUsed)
-		}
-		if s.objectsUsed != perShard[i].liveObjs {
-			sink.addf("shard %d: objectsUsed = %d, live objects homed here = %d",
-				i, s.objectsUsed, perShard[i].liveObjs)
-		}
 		for _, id := range s.free {
 			freeCount++
 			switch {

@@ -71,19 +71,28 @@ func TestAuditWithOffloadedObjects(t *testing.T) {
 }
 
 func TestAuditDetectsCounterDrift(t *testing.T) {
-	reg := NewRegistry()
-	node := reg.Define("Node", 0, 16)
-	h := New(reg, 1<<20)
-	if _, err := h.Allocate(node); err != nil {
-		t.Fatal(err)
-	}
-	h.shards[3].bytesAlloc += 8 // simulated accounting drift
-	v := h.Audit()
-	if len(v) == 0 {
-		t.Fatal("audit missed per-shard byte drift")
-	}
-	if !strings.Contains(strings.Join(v, "\n"), "shard 3") {
-		t.Fatalf("audit did not attribute the drift to shard 3: %v", v)
+	for _, tc := range []struct {
+		name  string
+		drift func(h *Heap)
+		want  string
+	}{
+		{"alloc bytes", func(h *Heap) { h.bytesAlloc.Add(8) }, "bytesAlloc-bytesFreed"},
+		{"object count", func(h *Heap) { h.objectsFreed.Add(1) }, "objectsAlloc-objectsFreed"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := NewRegistry()
+			node := reg.Define("Node", 0, 16)
+			h := New(reg, 1<<20)
+			if _, err := h.Allocate(node); err != nil {
+				t.Fatal(err)
+			}
+			auditMustBeClean(t, h, "before drift")
+			tc.drift(h) // simulated accounting drift
+			v := h.Audit()
+			if len(v) != 1 || !strings.Contains(v[0], tc.want) {
+				t.Fatalf("audit reported %v, want one %q violation", v, tc.want)
+			}
+		})
 	}
 }
 

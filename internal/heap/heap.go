@@ -39,7 +39,7 @@ var ErrHeapFull = errors.New("heap: allocation would exceed heap limit")
 type Stats struct {
 	Limit        uint64 // maximum heap size in simulated bytes
 	BytesUsed    uint64 // bytes currently held by live (unswept) objects
-	ObjectsUsed  uint64 // number of allocated, unswept objects
+	ObjectsUsed  uint64 // number of allocated, unswept objects (ObjectsAlloc - ObjectsFreed)
 	BytesAlloc   uint64 // cumulative bytes ever allocated
 	ObjectsAlloc uint64 // cumulative objects ever allocated
 	BytesFreed   uint64 // cumulative bytes freed by the sweeper
@@ -49,9 +49,9 @@ type Stats struct {
 	// real) that was detected and repaired instead of handed out twice.
 	FreeListRepairs uint64
 	// AllocShardLocks counts shard-mutex acquisitions made by the allocation
-	// path (run refills and settles); AllocShardLocks/ObjectsAlloc is the
-	// locks-per-allocation figure, about 1/freshBlock for a long-lived
-	// context.
+	// path (run refills, and settles that return unused slots);
+	// AllocShardLocks/ObjectsAlloc is the locks-per-allocation figure, about
+	// 1/freshBlock for a long-lived context.
 	AllocShardLocks uint64
 }
 
@@ -68,12 +68,13 @@ func (s Stats) Fullness() float64 {
 // accounting against a fixed limit. Object pointers returned by Get remain
 // valid until the object is freed, because chunks are never moved.
 //
-// Allocation and freeing are sharded: slot free lists and accounting live
-// in numShards independently locked shards, allocation contexts take slots
-// from them a run at a time (see shard.go), the used-byte counter is a
-// single atomic charged by CAS, and the chunk table is read through atomic
-// pointers. Reference slots are read and written atomically and lock-free
-// (see Object). Freers over disjoint objects may run concurrently.
+// Slot free lists are sharded: they live in numShards independently locked
+// shards, and allocation contexts take slots from them a run at a time (see
+// shard.go). The used-byte counter is a single atomic charged by CAS, the
+// allocation account is four more atomics, and the chunk table is read
+// through atomic pointers. Reference slots are read and written atomically
+// and lock-free (see Object). Freers over disjoint objects may run
+// concurrently.
 type Heap struct {
 	classes *Registry
 	limit   uint64
@@ -92,6 +93,13 @@ type Heap struct {
 	// it); allocShardLocks is Stats.AllocShardLocks.
 	runSeq          atomic.Uint64
 	allocShardLocks atomic.Uint64
+
+	// The allocation account: contexts fold their pending counts into the
+	// alloc side when they settle or refill, and a Freer adds each flushed
+	// batch to the freed side. Between settles the freed side may run ahead
+	// of the folded alloc side; the differences are exact modulo 2^64.
+	bytesAlloc, objectsAlloc atomic.Uint64
+	bytesFreed, objectsFreed atomic.Uint64
 
 	// chunks indexes the table: entry ci is chunk ci, and a heap pays for
 	// the chunks it uses. Lookups load the slice header and index it with no
@@ -158,22 +166,15 @@ func (h *Heap) Limit() uint64 { return h.limit }
 // include outstanding TLAB reservations between collections).
 func (h *Heap) BytesUsed() uint64 { return h.used.Load() }
 
-// Stats returns a snapshot of the accounting counters, summed across
-// shards. Allocations a live context has not settled yet are not in it
-// (see AllocContext.AddPending).
+// Stats returns a snapshot of the accounting counters, taking no lock.
+// Allocations a live context has not settled yet are not in it (see
+// AllocContext.AddPending).
 func (h *Heap) Stats() Stats {
 	st := Stats{Limit: h.limit, BytesUsed: h.used.Load(),
+		BytesFreed: h.bytesFreed.Load(), ObjectsFreed: h.objectsFreed.Load(),
+		BytesAlloc: h.bytesAlloc.Load(), ObjectsAlloc: h.objectsAlloc.Load(),
 		FreeListRepairs: h.freeListRepairs.Load(), AllocShardLocks: h.allocShardLocks.Load()}
-	for i := range h.shards {
-		s := &h.shards[i]
-		s.mu.Lock()
-		st.BytesAlloc += s.bytesAlloc
-		st.ObjectsAlloc += s.objectsAlloc
-		st.BytesFreed += s.bytesFreed
-		st.ObjectsFreed += s.objectsFreed
-		st.ObjectsUsed += s.objectsUsed
-		s.mu.Unlock()
-	}
+	st.ObjectsUsed = st.ObjectsAlloc - st.ObjectsFreed
 	return st
 }
 
@@ -394,19 +395,19 @@ const SweepBatch = 256
 // the object's header with plain stores and notes its ID under its home
 // shard; every SweepBatch frees, and at Flush, each shard the batch touched
 // is locked once, in shard order, to append its IDs to its free list in the
-// order they were freed, fold its freed counters and run the free-list
-// corruption probe, and the heap-resident bytes are credited to the used
-// counter once. A dead object is unreachable, so no other goroutine reads
-// its header while Free clears it, and the shard lock that publishes the
-// slot orders the clears before the birth that pops it. A Freer belongs to
-// one goroutine at a time; Freers over disjoint objects may run side by
-// side.
+// order they were freed and run the free-list corruption probe. The batch
+// is then added to the heap's freed account, and its heap-resident bytes
+// are credited to the used counter, once each. A dead object is
+// unreachable, so no other goroutine reads its header while Free clears
+// it, and the shard lock that publishes the slot orders the clears before
+// the birth that pops it. A Freer belongs to one goroutine at a time;
+// Freers over disjoint objects may run side by side.
 type Freer struct {
 	h      *Heap
 	n      int                                // IDs in the batch
 	ids    [SweepBatch]ObjectID               // the batch, in free order
 	homes  [numShards][SweepBatch / 64]uint64 // bit i of shard si's words: ids[i] is homed on si
-	bytes  [numShards]uint64                  // bytes the batch freed per shard
+	freed  uint64                             // bytes the batch freed
 	credit uint64                             // heap-resident bytes the batch freed
 }
 
@@ -433,7 +434,7 @@ func (f *Freer) Free(id ObjectID, obj *Object) {
 	}
 	obj.size, obj.class, obj.shape = 0, 0, 0
 	f.credit += heapBytes
-	f.bytes[si] += size
+	f.freed += size
 	f.homes[si][f.n>>6] |= 1 << (f.n & 63)
 	f.ids[f.n] = id
 	if f.n++; f.n == SweepBatch {
@@ -443,6 +444,9 @@ func (f *Freer) Free(id ObjectID, obj *Object) {
 
 // Flush publishes the batch's frees (see Freer).
 func (f *Freer) Flush() {
+	if f.n == 0 {
+		return
+	}
 	h := f.h
 	for si := range f.homes {
 		in := &f.homes[si]
@@ -451,22 +455,19 @@ func (f *Freer) Flush() {
 		}
 		s := &h.shards[si]
 		s.mu.Lock()
-		n := uint64(0)
 		for w, b := range in {
 			for ; b != 0; b &= b - 1 {
 				s.free = append(s.free, f.ids[w<<6|bits.TrailingZeros64(b)])
-				n++
 			}
 		}
-		s.bytesFreed += f.bytes[si]
-		s.objectsFreed += n
-		s.objectsUsed -= n
 		h.maybeCorruptFreeListLocked(s)
 		s.mu.Unlock()
-		*in, f.bytes[si] = [SweepBatch / 64]uint64{}, 0
+		*in = [SweepBatch / 64]uint64{}
 	}
+	h.bytesFreed.Add(f.freed)
+	h.objectsFreed.Add(uint64(f.n))
 	h.creditBytes(f.credit)
-	f.n, f.credit = 0, 0
+	f.n, f.freed, f.credit = 0, 0, 0
 }
 
 // FreeBatch frees the objects as the sweep does, through a Freer, in list

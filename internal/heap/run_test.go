@@ -210,7 +210,8 @@ func TestRunsUnderConcurrentFreeAndCarve(t *testing.T) {
 
 // TestAllocShardLocksPerAllocation states the point of runs as a number: a
 // long-lived context takes about one shard lock per freshBlock allocations
-// once slots recycle through its own shard.
+// once slots recycle through its own shard, and releasing a context whose
+// run is used up takes none.
 func TestAllocShardLocksPerAllocation(t *testing.T) {
 	reg := NewRegistry()
 	cls := reg.Define("N", 0, 16)
@@ -225,7 +226,14 @@ func TestAllocShardLocksPerAllocation(t *testing.T) {
 		}
 		ids = append(ids, r.ID())
 	}
-	h.ReleaseContext(&ctx)
+	before := h.Stats().AllocShardLocks
+	h.ReleaseContext(&ctx) // the run is used up: only the counts fold
+	if got := h.Stats().AllocShardLocks - before; got != 0 {
+		t.Fatalf("releasing a context with no unused slots took %d shard locks, want 0", got)
+	}
+	if st := h.Stats(); st.ObjectsAlloc != n || st.ObjectsUsed != n {
+		t.Fatalf("release did not fold the counts: %+v", st)
+	}
 	h.FreeBatch(ids)
 	warm := h.Stats().AllocShardLocks
 	for i := 0; i < n; i++ {

@@ -8,10 +8,10 @@ import (
 
 // Allocator sharding and per-context slot runs.
 //
-// The object table's free lists and accounting counters are split across
-// numShards independently locked shards; the shared state that remains is
-// two atomics, the used-byte counter (charged against the limit) and the
-// fresh-ID cursor.
+// The object table's free lists are split across numShards independently
+// locked shards. Everything else is heap-wide atomics: the used-byte
+// counter (charged against the limit), the fresh-ID cursor and the
+// allocation account (bytes and objects allocated and freed).
 //
 // Who owns a slot when. A dead slot sits on exactly one shard's free list
 // (owned by that shard's mutex) or in exactly one AllocContext's run (owned
@@ -21,19 +21,20 @@ import (
 // shard that has anything, and carves fresh IDs into the preferred shard
 // when none has. Allocating from the run then takes no mutex: the context
 // initialises the object with plain stores and notes the allocation in its
-// own pending counters. A live object belongs to the shard it was popped
-// from (the home byte of Object.shape); a Freer pushes the slot back onto
-// that shard's list and charges that shard's counters.
+// own pending word. A live object belongs to the shard it was popped from
+// (the home byte of Object.shape); a Freer pushes the slot back onto that
+// shard's list.
 //
 // What settle restores. Refill, ReleaseContext and the VM's flushes settle
-// the context: under the home shard's lock the pending allocation counts
-// are folded into the shard, and the run's unused slots are pushed back in
-// reverse pop order. A single context that allocates, settles and refills
-// therefore sees exactly the IDs a slot-at-a-time LIFO allocator would hand
-// out — the free list between runs is what it would have been — which is
-// what record/replay and the per-cycle live-set hashes rely on. Several contexts are settled newest
-// run first (SettleContexts), so a fixed interleaving of threads gives
-// fixed free lists whatever order the caller lists them in.
+// the context: its pending word is folded into the heap's account, and the
+// run's unused slots are pushed back onto the home shard in reverse pop
+// order. A single context that allocates, settles and refills therefore
+// sees exactly the IDs a slot-at-a-time LIFO allocator would hand out — the
+// free list between runs is what it would have been — which is what
+// record/replay and the per-cycle live-set hashes rely on. Several
+// contexts are settled newest run first (SettleContexts), so a fixed
+// interleaving of threads gives fixed free lists whatever order the caller
+// lists them in.
 //
 // What Stats means between settles. The used-byte counter is always
 // current (it includes unspent TLAB quota). BytesAlloc, ObjectsAlloc and
@@ -63,16 +64,6 @@ type shard struct {
 	mu sync.Mutex
 	// free holds recyclable slot IDs, popped LIFO.
 	free []ObjectID
-	// Accounting for objects whose slots belong to this shard. Allocations
-	// arrive in batches when a context settles and frees arrive one sweep at
-	// a time, so between settles objectsUsed may transiently wrap below
-	// zero; sums over shards plus pending are exact modulo 2^64, and Stats
-	// adds them the same way.
-	bytesAlloc   uint64
-	objectsAlloc uint64
-	bytesFreed   uint64
-	objectsFreed uint64
-	objectsUsed  uint64
 
 	_ [64]byte // keep neighboring shards off each other's cache line
 }
@@ -84,8 +75,9 @@ type shard struct {
 //
 // A context must not be used from more than one goroutine at a time. Its
 // unused quota counts toward BytesUsed, its unused slots are on no free
-// list and its pending counts are in no shard until ReleaseContext settles
-// it; the VM does that for every thread at each stop-the-world flush.
+// list and its pending counts are not in Stats until ReleaseContext
+// settles it; the VM does that for every thread at each stop-the-world
+// flush.
 type AllocContext struct {
 	// pending is the allocations made from runs since the last fold, as
 	// bytes<<pendingCountBits | objects: one word so that the allocation
@@ -215,20 +207,15 @@ func (h *Heap) refill(c *AllocContext, size uint64) bool {
 // shard: the first in scan order from the preferred shard whose free list
 // has a valid entry, else the preferred shard after carving fresh IDs into
 // it (re-checked first: a racing Freer may have refilled it). The context
-// must have no unused slots. Its pending counts are folded on the way —
-// under the same lock hold when the scan visits their shard, which in the
-// steady state is where the next run comes from too.
+// must have no unused slots; its pending counts are folded first.
 func (h *Heap) refillRun(c *AllocContext, want int) {
+	h.fold(c)
 	var locks uint64
-	old := c.home
 	for i := uint32(0); c.next == c.n; i++ {
 		si := (c.shard + i) & shardMask
 		s := &h.shards[si]
 		s.mu.Lock()
 		locks++
-		if si == old {
-			c.foldLocked(s)
-		}
 		n := h.popRunLocked(s, c.run[:want])
 		for n == 0 && i == numShards { // a full scan found nothing to recycle
 			h.carveLocked(s)
@@ -240,27 +227,21 @@ func (h *Heap) refillRun(c *AllocContext, want int) {
 			c.seq = h.runSeq.Add(1)
 		}
 	}
-	if c.pending.Load() != 0 {
-		s := &h.shards[old]
-		s.mu.Lock()
-		locks++
-		c.foldLocked(s)
-		s.mu.Unlock()
-	}
 	h.allocShardLocks.Add(locks)
 }
 
-// settle folds the context's pending counts into its home shard and pushes
-// the run's unused slots back in reverse pop order, so the shard's free
-// list is what a slot-at-a-time allocator would have left. Entries that
-// went live since they were popped (duplicates) are dropped and counted.
+// settle folds the context's pending counts and, when the run has unused
+// slots, pushes them back onto the home shard in reverse pop order, so the
+// shard's free list is what a slot-at-a-time allocator would have left.
+// Entries that went live since they were popped (duplicates) are dropped
+// and counted.
 func (h *Heap) settle(c *AllocContext) {
-	if c.next == c.n && c.pending.Load() == 0 {
+	h.fold(c)
+	if c.next == c.n {
 		return
 	}
 	s := &h.shards[c.home]
 	s.mu.Lock()
-	c.foldLocked(s)
 	for i := c.n; i > c.next; i-- {
 		if id := c.run[i-1]; h.slot(id).Size() == 0 {
 			s.free = append(s.free, id)
@@ -273,16 +254,13 @@ func (h *Heap) settle(c *AllocContext) {
 	h.allocShardLocks.Add(1)
 }
 
-// foldLocked moves the context's pending allocation counts into s, which
-// must be the shard its runs since the last fold came from. Caller holds
-// s.mu.
-func (c *AllocContext) foldLocked(s *shard) {
-	var st Stats
-	c.AddPending(&st)
-	c.pending.Store(0)
-	s.bytesAlloc += st.BytesAlloc
-	s.objectsAlloc += st.ObjectsAlloc
-	s.objectsUsed += st.ObjectsUsed
+// fold moves the context's pending allocation counts into the heap's
+// account.
+func (h *Heap) fold(c *AllocContext) {
+	if p := c.pending.Swap(0); p != 0 {
+		h.bytesAlloc.Add(p >> pendingCountBits)
+		h.objectsAlloc.Add(p & (1<<pendingCountBits - 1))
+	}
 }
 
 // popRunLocked pops up to len(run) recyclable slots off s's free list into

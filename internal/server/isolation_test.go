@@ -208,6 +208,48 @@ func TestSelfChecksAreOptIn(t *testing.T) {
 	}
 }
 
+// TestRequestSequenceIsReproducible: one fixed request sequence on a
+// serial STW tenant gives the same cycles and the same prunes on two fresh
+// daemons. Which iterations share a request thread does matter: a thread's
+// unspent allocation quota counts as used bytes until the thread exits, so
+// it moves the soft collection trigger, and splitting the same iterations
+// into other requests can change the bytes pruned. A load generator whose
+// requests reach a tenant in varying order sees exactly that.
+func TestRequestSequenceIsReproducible(t *testing.T) {
+	run := func() (hashes []uint64, st TenantStatus, pruned uint64) {
+		cfg := testConfig()
+		cfg.Budget = 4 << 20
+		s := mustServer(t, cfg)
+		tn, err := s.Admit(TenantConfig{Name: "q", Workload: "queueleak", Policy: "default",
+			HeapLimit: 2 << 20, AuditEveryGC: true})
+		if err != nil {
+			t.Fatalf("admit: %v", err)
+		}
+		for round := 0; round < 12; round++ {
+			for _, iters := range []int{200, 1, 1, 1, 1} {
+				if _, err := s.RunRequest("q", iters); err != nil {
+					t.Fatalf("round %d: %d iterations: %v", round, iters, err)
+				}
+			}
+		}
+		for _, ev := range tn.currentVM().PruneEvents() {
+			pruned += ev.BytesFreed
+		}
+		return tn.CycleHashes(), tn.status(), pruned
+	}
+	hashes, st, pruned := run()
+	if st.PrunedRefs == 0 || st.AuditViolations != 0 {
+		t.Fatalf("first run pruned %d refs with %d audit violations; want prunes and a clean heap",
+			st.PrunedRefs, st.AuditViolations)
+	}
+	again, st2, pruned2 := run()
+	wantSameHashes(t, again, hashes)
+	if st2.Collections != st.Collections || st2.PrunedRefs != st.PrunedRefs || pruned2 != pruned {
+		t.Fatalf("second run: %d collections, %d pruned refs, %d bytes pruned; first: %d, %d, %d",
+			st2.Collections, st2.PrunedRefs, pruned2, st.Collections, st.PrunedRefs, pruned)
+	}
+}
+
 // TestEvictionIsolation: evicting a tenant — by the pressure ladder, with
 // the probe stalled and the drain forced onto its deadline, or with a
 // request still in flight — is invisible to a sibling and leaves every heap
