@@ -128,7 +128,11 @@ bench-test:
 # also record), the traps, beginOpSlow and the SATB log — or the runtime's
 # own: the stack-growth prologue, bounds-check panics, and the slice growth
 # and GC write barrier of a locals append or a chunk-cache refresh. A
-# resident object's Load and Store make no call. Here and not in `make
+# resident object's Load and Store make no call. Last it checks the birth
+# path: the class-shape lookup ((*Registry).Shape) must inline into
+# (*Heap).allocate, whose disassembly must call refill and refillRun out of
+# line and hold no LOCK-prefixed instruction and no XCHG — a birth from a
+# context's run counts itself in plain words. Here and not in `make
 # check`: another toolchain's inliner may count differently, and that must
 # not turn tier-1 red.
 bench-smoke:
@@ -137,7 +141,15 @@ bench-smoke:
 			{ echo "internal/vm: (*Thread).$$f does not inline any more"; exit 1; }; done
 	@out=$$($(GO) build -gcflags=-m ./internal/heap 2>&1); for f in "Heap).GetCached" "ChunkCache).Mark" "Object).Ref" "Object).SetRef" "Object).NumRefs" "Clock).Stale"; do \
 		echo "$$out" | grep -qF "can inline (*$$f" || \
-			{ echo "internal/heap: (*$$f does not inline any more"; exit 1; }; done
+			{ echo "internal/heap: (*$$f does not inline any more"; exit 1; }; done; \
+		echo "$$out" | grep -qE '^internal/heap/heap\.go:[0-9:]+ inlining call to \(\*Registry\)\.Shape$$' || \
+			{ echo "internal/heap: (*Registry).Shape does not inline into the allocation path any more"; exit 1; }
+	@d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && $(GO) test -c -o "$$d/heap.test" ./internal/heap && \
+		dis=$$($(GO) tool objdump -s 'heap\.\(\*Heap\)\.allocate$$' "$$d/heap.test") && \
+		for f in refill refillRun; do echo "$$dis" | grep -q "CALL leakpruning/internal/heap.(\*Heap).$$f(SB)" || \
+			{ echo "internal/heap: (*Heap).allocate does not call (*Heap).$$f out of line"; exit 1; }; done && \
+		bad=$$(echo "$$dis" | grep -E '\s(LOCK|XCHG[BWLQ]?)\s|CALL leakpruning/internal/heap\.\(\*Registry\)\.Shape\(SB\)') ; \
+		test -z "$$bad" || { echo "internal/heap: (*Heap).allocate takes a locked instruction or calls the class lookup:"; echo "$$bad"; exit 1; }
 	@out=$$($(GO) build -gcflags=-m ./internal/gc 2>&1); for f in claim take; do \
 		echo "$$out" | grep -q "can inline (\*traceWorker)\.$$f$$" || \
 			{ echo "internal/gc: (*traceWorker).$$f does not inline any more"; exit 1; }; done

@@ -17,11 +17,12 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/free_orde
 // collections in every mode through a collector with the given worker count,
 // and returns the first IDs handed out after each sweep — the ones that
 // come off the free lists the sweep just filled. The live set spans several
-// thousand slots, so the sweep shards, and hangs off one wide hub, so the
-// closure spills and helpers mark.
+// thousand slots, so the sweep shards, and hangs off one hub wide enough
+// that its children with slots alone pass spillAt (leaves are tallied at
+// their claim and never pushed), so the closure spills and helpers mark.
 func freeOrderScript(t *testing.T, workers int) []heap.ObjectID {
 	t.Helper()
-	const rounds, burst, recorded, hubSlots = 8, 1500, 512, 600
+	const rounds, burst, recorded, hubSlots = 8, 1500, 512, 1024
 	th := newTestHeap(t)
 	var classes []heap.ClassID
 	for _, slots := range []int{0, 2, 4, 5, 9} {

@@ -124,6 +124,68 @@ func TestHelpersFollowTheWork(t *testing.T) {
 	}
 }
 
+// TestLeavesTalliedAtClaim: a leaf has no slots to scan, so the closure
+// tallies it where it claims it and never pushes it. A root with 4096 leaf
+// children therefore never fills a mark stack, a 2-worker closure over it
+// launches no helper, and the tallies are still exact: every object once,
+// its bytes once, its stale counter in MaxStale. The stale closure tallies
+// a candidate's leaves the same way and still sizes them.
+func TestLeavesTalliedAtClaim(t *testing.T) {
+	const leaves = 4096
+	th := newTestHeap(t)
+	small := th.class(t, "Small", 0, 8)
+	large := th.class(t, "Large", 0, 200)
+	bag := th.class(t, "Bag", 64, 0)
+	root := th.alloc(t, th.class(t, "Root", leaves, 0))
+	wantBytes := th.h.Get(root).Size()
+	for i := 0; i < leaves; i++ {
+		cls := small
+		if i%3 == 0 {
+			cls = large
+		}
+		r := th.alloc(t, cls)
+		if i == 1234 {
+			th.h.SetStale(th.h.Get(r), 5)
+		}
+		th.link(root, i, r)
+		wantBytes += th.h.Get(r).Size()
+	}
+	th.roots.refs = []heap.Ref{root}
+	col := th.collector(2)
+	res := col.Collect(Plan{Mode: ModeNormal})
+	if res.ObjectsLive != leaves+1 || res.BytesLive != wantBytes || res.MaxStale != 5 {
+		t.Fatalf("root with %d leaves: ObjectsLive %d, BytesLive %d, MaxStale %d; want %d, %d, 5",
+			leaves, res.ObjectsLive, res.BytesLive, res.MaxStale, leaves+1, wantBytes)
+	}
+	if n := col.scratch.launches; n != 0 {
+		t.Fatalf("a closure over a root and its leaves launched %d helpers, want 0", n)
+	}
+
+	// Hang a bag of 64 leaves off the root in place of its first leaf: the
+	// SELECT cycle defers the bag, and the stale closure sizes it and its
+	// leaves.
+	wantBytes -= th.h.Get(th.h.Get(root).Ref(0)).Size()
+	b := th.alloc(t, bag)
+	th.link(root, 0, b)
+	staleBytes := th.h.Get(b).Size()
+	for i := 0; i < 64; i++ {
+		r := th.alloc(t, large)
+		th.link(b, i, r)
+		staleBytes += th.h.Get(r).Size()
+	}
+	wantBytes += staleBytes
+	res = col.Collect(Plan{Mode: ModeSelect, Candidate: func(_, tgt heap.ClassID, _ uint8) bool { return tgt == bag }})
+	if res.Candidates != 1 || res.StaleBytes != staleBytes {
+		t.Fatalf("bag: %d candidates sized %d bytes, want 1 and %d", res.Candidates, res.StaleBytes, staleBytes)
+	}
+	if res.ObjectsLive != leaves+1+64 || res.BytesLive != wantBytes {
+		t.Fatalf("with the bag: ObjectsLive %d, BytesLive %d; want %d, %d", res.ObjectsLive, res.BytesLive, leaves+1+64, wantBytes)
+	}
+	if n := col.scratch.launches; n != 0 {
+		t.Fatalf("closures over leaves launched %d helpers, want 0", n)
+	}
+}
+
 // TestTerminationStress drives closures whose width goes narrow → wide →
 // narrow, so helpers are launched, parked, woken and joined many times per
 // run, in every mode and through the concurrent driver, whose remark runs

@@ -74,9 +74,11 @@ const (
 // switches to the CAS before it launches the first helper, whose go
 // statement orders every plain store before the helper's first load, and
 // helpers always CAS (DESIGN.md, "Work-stealing tracer").
-// A claimed object is scanned exactly once, by whichever worker pops it;
-// that worker adds it to its live tallies (take), which are the cycle's
-// live counts.
+// A claimed object with reference slots is scanned exactly once, by
+// whichever worker pops it; that worker adds it to its live tallies (take),
+// which are the cycle's live counts. A claimed leaf (no slots) is tallied
+// by the worker that claims it and is never pushed, so leaves neither fill
+// a mark stack toward spillAt nor cost a push, a pop and a second lookup.
 //
 // Termination: a worker parks only with its stack and deque empty, having
 // failed to steal; idle and launched change under mu, and only a worker
@@ -166,10 +168,11 @@ type traceWorker struct {
 	cc    heap.ChunkCache
 	// alone: no other worker can be marking (worker 0 only; see tracer).
 	alone bool
-	// scans counts the objects this worker has scanned, bytesLive sums
-	// their sizes and minPos is the lowest stale-clock position among them:
-	// every claimed object is scanned exactly once, so their sums are the
-	// cycle's ObjectsLive, BytesLive and MaxStale.
+	// scans counts the objects this worker has tallied (scanned, or
+	// claimed as a leaf), bytesLive sums their sizes and minPos is the
+	// lowest stale-clock position among them: every claimed object is
+	// tallied exactly once, so their sums are the cycle's ObjectsLive,
+	// BytesLive and MaxStale.
 	scans     uint64
 	bytesLive uint64
 	minPos    uint32
@@ -464,25 +467,34 @@ func (t *tracer) applyStaleTag(obj *heap.Object, slot int, r heap.Ref) heap.Ref 
 	return tagged
 }
 
+// injectFault draws the per-object faults (parallel closures only — t.inj
+// is nil for the serial fallback): a worker panic to exercise the recovery
+// + serial-re-run path, or a watchdog trip to exercise the downgrade path
+// without depending on wall-clock timing. It reports a trip, after which
+// the worker stops tracing. Every claimed object is drawn for once: an
+// object with slots when it is scanned, a leaf when it is claimed.
+func (w *traceWorker) injectFault(id heap.ObjectID) bool {
+	t := w.t
+	if t.inj.Should(faultinject.TraceWorkerPanic) {
+		panic(fmt.Sprintf("faultinject: trace worker %d panic at object %d", w.id, id))
+	}
+	if t.inj.Should(faultinject.TraceWatchdogTrip) {
+		t.abort(abortWatchdog)
+		return true
+	}
+	return false
+}
+
 // scan processes one marked object's reference slots: tagging, deferral of
-// SELECT and PRUNE edges, and marking of children. Newly claimed children
-// are pushed on the worker's local stack; StaleEdge observations and
-// deferred edges go to the worker's private buffers instead of shared,
-// locked state.
+// SELECT and PRUNE edges, and marking of children. A newly claimed child
+// with slots is pushed on the worker's local stack; a leaf (no slots) has
+// nothing to scan, so it is tallied where it is claimed and never pushed.
+// StaleEdge observations and deferred edges go to the worker's private
+// buffers instead of shared, locked state.
 func (w *traceWorker) scan(id heap.ObjectID) {
 	t := w.t
-	// Fault injection (parallel closures only — t.inj is nil for the serial
-	// fallback): a worker panic to exercise the recovery + serial-re-run
-	// path, or a watchdog trip to exercise the downgrade path without
-	// depending on wall-clock timing.
-	if t.inj != nil {
-		if t.inj.Should(faultinject.TraceWorkerPanic) {
-			panic(fmt.Sprintf("faultinject: trace worker %d panic at object %d", w.id, id))
-		}
-		if t.inj.Should(faultinject.TraceWatchdogTrip) {
-			t.abort(abortWatchdog)
-			return
-		}
+	if t.inj != nil && w.injectFault(id) {
+		return
 	}
 	obj := t.heap.GetCached(heap.MakeRef(id), &w.cc)
 	if obj == nil {
@@ -538,7 +550,14 @@ func (w *traceWorker) scan(id heap.ObjectID) {
 			t.applyStaleTag(obj, slot, r)
 		}
 		if w.claim(r.ID()) {
-			w.local = append(w.local, r.ID())
+			if tgt.NumRefs() != 0 {
+				w.local = append(w.local, r.ID())
+				continue
+			}
+			if t.inj != nil && w.injectFault(r.ID()) {
+				return
+			}
+			w.take(tgt)
 		}
 	}
 }
@@ -551,8 +570,8 @@ func (w *traceWorker) scan(id heap.ObjectID) {
 func (w *traceWorker) claim(id heap.ObjectID) bool { return w.cc.Mark(id, w.alone) }
 
 // take adds a claimed object to this worker's live tallies as the worker
-// scans it, while the object's header is in cache, so the per-edge loop
-// stays as lean as the claim.
+// scans it, or, for a leaf, as it claims it, while the object's header is
+// in cache, so the per-edge loop stays as lean as the claim.
 func (w *traceWorker) take(obj *heap.Object) {
 	w.scans++
 	w.bytesLive += obj.Size()
@@ -638,14 +657,20 @@ func (w *traceWorker) traceStaleRoot(root heap.Ref) uint64 {
 			if r.IsNull() || r.IsPoisoned() {
 				continue
 			}
-			if t.heap.GetCached(r, &w.cc) == nil {
+			tgt := t.heap.GetCached(r, &w.cc)
+			if tgt == nil {
 				dangling(r)
 			}
 			if t.plan.TagRefs && !r.IsStaleTagged() {
 				t.applyStaleTag(o, slot, r)
 			}
 			if w.claim(r.ID()) {
-				stack = append(stack, r.ID())
+				if tgt.NumRefs() != 0 {
+					stack = append(stack, r.ID())
+					continue
+				}
+				w.take(tgt) // a leaf, tallied at its claim as in scan
+				bytes += tgt.Size()
 			}
 		}
 	}

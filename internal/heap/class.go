@@ -90,6 +90,26 @@ func (r *Registry) Get(id ClassID) Class {
 	return table[id]
 }
 
+// Shape returns the default reference-slot count and scalar payload size of
+// class id, read in place from the table. It is the allocator's lookup: it
+// inlines (make bench-smoke checks that it inlines into the allocation
+// path), so a birth copies no Class. It panics on an unknown ID, as Get
+// does; the panic value is a small error type so that the panic costs the
+// inliner no call.
+func (r *Registry) Shape(id ClassID) (refSlots, scalarBytes int) {
+	table := *r.table.Load()
+	if int(id) >= len(table) || id == 0 {
+		panic(unknownClassError(id))
+	}
+	c := &table[id]
+	return c.RefSlots, c.ScalarBytes
+}
+
+// unknownClassError is Shape's panic value.
+type unknownClassError ClassID
+
+func (id unknownClassError) Error() string { return fmt.Sprintf("heap: unknown class id %d", id) }
+
 // Name returns the class name for id, or "<class0>" for the reserved ID.
 func (r *Registry) Name(id ClassID) string {
 	if id == 0 {

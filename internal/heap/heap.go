@@ -207,8 +207,8 @@ func WithScalarBytes(n int) AllocOption {
 // trace recorder needs to stamp shaped allocations without re-deriving the
 // shape from the allocated object.
 func (h *Heap) ResolveShape(class ClassID, opts []AllocOption) (refSlots, scalarBytes int) {
-	c := h.classes.Get(class)
-	shape := allocShape{refSlots: c.RefSlots, scalarBytes: c.ScalarBytes}
+	var shape allocShape
+	shape.refSlots, shape.scalarBytes = h.classes.Shape(class)
 	for _, o := range opts {
 		o(&shape)
 	}
@@ -242,14 +242,13 @@ func (h *Heap) AllocateCtx(ctx *AllocContext, class ClassID, opts ...AllocOption
 // path, which also reserves bytes exactly instead of by quota and picks its
 // shard from the rotor once the bytes are granted.
 func (h *Heap) allocate(ctx *AllocContext, runLen int, class ClassID, opts []AllocOption) (Ref, error) {
-	c := h.classes.Get(class)
-	refSlots, scalarBytes := c.RefSlots, c.ScalarBytes
+	refSlots, scalarBytes := h.classes.Shape(class)
 	if len(opts) > 0 {
 		// The options take the shape's address, so it escapes; keeping it
 		// inside the branch keeps the plain-class allocation off the Go heap.
 		refSlots, scalarBytes = h.ResolveShape(class, opts)
 		if refSlots < 0 || scalarBytes < 0 {
-			panic(fmt.Sprintf("heap: negative allocation shape for %s", c.Name))
+			panic(fmt.Sprintf("heap: negative allocation shape for %s", h.classes.Name(class)))
 		}
 	}
 	// A shape the narrowed header words cannot hold fails like one that
@@ -271,10 +270,9 @@ func (h *Heap) allocate(ctx *AllocContext, runLen int, class ClassID, opts []All
 	}
 
 	if runLen == 1 {
-		if !h.reserveExact(size) {
+		if !h.reserveOne(ctx, size) {
 			return Null, ErrHeapFull
 		}
-		ctx.shard = h.rotor.Add(1) & shardMask
 	} else {
 		if ctx.reserved < size && !h.refill(ctx, size) {
 			return Null, ErrHeapFull
@@ -297,7 +295,7 @@ func (h *Heap) allocate(ctx *AllocContext, runLen int, class ClassID, opts []All
 		if obj = h.slot(id); obj.Size() == 0 {
 			break
 		}
-		h.freeListRepairs.Add(1)
+		h.repairedEntry()
 	}
 	// Birth writes the header with plain stores: no other goroutine reads
 	// it meanwhile (see Object.class). flags is zero on every fresh or
@@ -323,9 +321,15 @@ func (h *Heap) allocate(ctx *AllocContext, runLen int, class ClassID, opts []All
 		obj.refs = unsafe.Pointer(&a[1])
 	}
 	obj.size = uint32(size)
-	ctx.pending.Add(size<<pendingCountBits | 1)
+	ctx.births += size<<pendingCountBits | 1
 	return MakeRef(id), nil
 }
+
+// repairedEntry counts one duplicate free-list entry a run dropped; out of
+// line, so allocate holds no locked instruction.
+//
+//go:noinline
+func (h *Heap) repairedEntry() { h.freeListRepairs.Add(1) }
 
 // chunkAt returns chunk ci of the table, nil if it was never materialized.
 func (h *Heap) chunkAt(ci int) *chunk {
@@ -461,7 +465,7 @@ func (f *Freer) Flush() {
 			}
 		}
 		h.maybeCorruptFreeListLocked(s)
-		s.mu.Unlock()
+		s.unlock()
 		*in = [SweepBatch / 64]uint64{}
 	}
 	h.bytesFreed.Add(f.freed)

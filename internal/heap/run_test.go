@@ -246,3 +246,39 @@ func TestAllocShardLocksPerAllocation(t *testing.T) {
 		t.Fatalf("%d allocations from recycled slots took %d shard locks, want at most %d", n, got, n/freshBlock+1)
 	}
 }
+
+// TestRefillSkipsEmptyShards: a refill passes an empty shard without taking
+// its lock. A context whose preferred shard is empty and whose k-th
+// neighbour holds slots refills with one shard lock, and one on an empty
+// heap takes one, at the carve pass.
+func TestRefillSkipsEmptyShards(t *testing.T) {
+	reg := NewRegistry()
+	cls := reg.Define("N", 0, 16)
+	h := New(reg, 1<<24)
+	locks := func(c *AllocContext) uint64 {
+		t.Helper()
+		before := h.Stats().AllocShardLocks
+		if _, err := h.AllocateCtx(c, cls); err != nil {
+			t.Fatal(err)
+		}
+		return h.Stats().AllocShardLocks - before
+	}
+
+	first := h.NewAllocContext()
+	if got := locks(&first); got != 1 {
+		t.Fatalf("a refill on an empty heap took %d shard locks, want 1 (the carve)", got)
+	}
+	// Settling the run puts its 63 unused slots back on its home shard, the
+	// only shard with any.
+	h.ReleaseContext(&first)
+	const k = 5
+	c := AllocContext{shard: (first.home - k) & shardMask}
+	if got := locks(&c); got != 1 {
+		t.Fatalf("a refill %d shards from the only non-empty one took %d shard locks, want 1", k, got)
+	}
+	if c.home != first.home {
+		t.Fatalf("the run came from shard %d, want %d", c.home, first.home)
+	}
+	h.ReleaseContext(&c)
+	auditMustBeClean(t, h, "after refills past empty shards")
+}

@@ -20,8 +20,8 @@ import (
 // the shards from the context's preferred one, pops LIFO from the first
 // shard that has anything, and carves fresh IDs into the preferred shard
 // when none has. Allocating from the run then takes no mutex: the context
-// initialises the object with plain stores and notes the allocation in its
-// own pending word. A live object belongs to the shard it was popped from
+// initialises the object with plain stores and counts the allocation in a
+// plain word of its own. A live object belongs to the shard it was popped from
 // (the home byte of Object.shape); a Freer pushes the slot back onto that
 // shard's list.
 //
@@ -38,9 +38,11 @@ import (
 //
 // What Stats means between settles. The used-byte counter is always
 // current (it includes unspent TLAB quota). BytesAlloc, ObjectsAlloc and
-// ObjectsUsed lag by whatever live contexts still hold pending;
-// AllocContext.AddPending supplies the difference, and after every context
-// has been settled Stats is exact.
+// ObjectsUsed lag by whatever live contexts have not folded yet. A context
+// counts its births in a plain word and publishes them (Publish) into its
+// atomic pending word; AllocContext.AddPending supplies what is published,
+// so a Stats plus every context's AddPending is exact once each owner has
+// published, and after every context has been settled Stats alone is.
 const (
 	numShards = 16
 	shardMask = numShards - 1
@@ -64,6 +66,10 @@ type shard struct {
 	mu sync.Mutex
 	// free holds recyclable slot IDs, popped LIFO.
 	free []ObjectID
+	// n is len(free) as of the last critical section that changed it,
+	// stored under mu (unlock), so refillRun can pass an empty shard
+	// without locking it.
+	n atomic.Uint32
 
 	_ [64]byte // keep neighboring shards off each other's cache line
 }
@@ -79,12 +85,15 @@ type shard struct {
 // settles it; the VM does that for every thread at each stop-the-world
 // flush.
 type AllocContext struct {
-	// pending is the allocations made from runs since the last fold, as
-	// bytes<<pendingCountBits | objects: one word so that the allocation
-	// path pays one atomic add. Only the owner adds; it is atomic so that
-	// Stats readers on other goroutines can sum it (AddPending). The count
-	// cannot carry into the bytes: every refill folds, and a run has
-	// freshBlock slots.
+	// births is the allocations the owner has made from runs since it last
+	// published, as bytes<<pendingCountBits | objects: a plain word only
+	// the owner writes, so a birth pays no locked instruction. pending is
+	// what it has published since the last fold, in the same packing;
+	// Publish moves births into it, and it is atomic so that Stats readers
+	// on other goroutines can sum it (AddPending). Neither count can carry
+	// into the bytes: every refill folds both, and a run has freshBlock
+	// slots.
+	births  uint64
 	pending atomic.Uint64
 
 	shard    uint32 // preferred shard: refills scan from it and carve into it
@@ -102,8 +111,20 @@ type AllocContext struct {
 // introspection).
 func (c *AllocContext) Reserved() uint64 { return c.reserved }
 
-// AddPending adds the allocations the context has made since it was last
-// settled to st, making a Stats snapshot exact while the context is live.
+// Publish makes the allocations the owner has made since its last publish
+// visible to AddPending: one atomic add when there are any. Only the
+// owner calls it, at the points where another goroutine may want an exact
+// count (the VM: before a thread stores its safe state).
+func (c *AllocContext) Publish() {
+	if c.births != 0 {
+		c.pending.Add(c.births)
+		c.births = 0
+	}
+}
+
+// AddPending adds the allocations the context has published since it was
+// last settled to st, making a Stats snapshot exact while the context is
+// live and its owner has published.
 func (c *AllocContext) AddPending(st *Stats) {
 	p := c.pending.Load()
 	n := p & (1<<pendingCountBits - 1)
@@ -116,6 +137,13 @@ func (c *AllocContext) AddPending(st *Stats) {
 // round-robin order.
 func (h *Heap) NewAllocContext() AllocContext {
 	return AllocContext{shard: h.rotor.Add(1) & shardMask}
+}
+
+// unlock publishes the free list's length for refillRun's unlocked look and
+// releases the shard. Every critical section that changes free ends here.
+func (s *shard) unlock() {
+	s.n.Store(uint32(len(s.free)))
+	s.mu.Unlock()
 }
 
 // ReleaseContext settles the context (see the top of this file) and
@@ -181,6 +209,20 @@ func (h *Heap) reserveExact(size uint64) bool {
 	}
 }
 
+// reserveOne is the context-less allocation's reservation: reserveExact,
+// after which the throwaway context takes the rotor's next shard. It stays
+// out of line, as refill does, so a birth from a context's run executes no
+// locked instruction (make bench-smoke checks allocate).
+//
+//go:noinline
+func (h *Heap) reserveOne(c *AllocContext, size uint64) bool {
+	if !h.reserveExact(size) {
+		return false
+	}
+	c.shard = h.rotor.Add(1) & shardMask
+	return true
+}
+
 // refill tops up the context's quota so at least size bytes are reserved,
 // grabbing up to a TLAB's worth extra when the limit allows. It charges
 // nothing and returns false when even the immediate need does not fit.
@@ -206,14 +248,19 @@ func (h *Heap) refill(c *AllocContext, size uint64) bool {
 // refillRun gives the context a fresh run of up to want slots, all from one
 // shard: the first in scan order from the preferred shard whose free list
 // has a valid entry, else the preferred shard after carving fresh IDs into
-// it (re-checked first: a racing Freer may have refilled it). The context
-// must have no unused slots; its pending counts are folded first.
+// it (re-checked first: a racing Freer may have refilled it). A shard whose
+// published length is 0 is passed without taking its lock; the carve pass
+// always locks. The context must have no unused slots; its pending counts
+// are folded first.
 func (h *Heap) refillRun(c *AllocContext, want int) {
 	h.fold(c)
 	var locks uint64
 	for i := uint32(0); c.next == c.n; i++ {
 		si := (c.shard + i) & shardMask
 		s := &h.shards[si]
+		if i < numShards && s.n.Load() == 0 {
+			continue
+		}
 		s.mu.Lock()
 		locks++
 		n := h.popRunLocked(s, c.run[:want])
@@ -221,7 +268,7 @@ func (h *Heap) refillRun(c *AllocContext, want int) {
 			h.carveLocked(s)
 			n = h.popRunLocked(s, c.run[:want])
 		}
-		s.mu.Unlock()
+		s.unlock()
 		if n > 0 {
 			c.home, c.next, c.n = si, 0, uint32(n)
 			c.seq = h.runSeq.Add(1)
@@ -249,15 +296,16 @@ func (h *Heap) settle(c *AllocContext) {
 			h.freeListRepairs.Add(1)
 		}
 	}
-	s.mu.Unlock()
+	s.unlock()
 	c.next, c.n = 0, 0
 	h.allocShardLocks.Add(1)
 }
 
-// fold moves the context's pending allocation counts into the heap's
-// account.
+// fold moves the context's allocation counts, published or not, into the
+// heap's account. The caller is the owner or has stopped it at a safepoint.
 func (h *Heap) fold(c *AllocContext) {
-	if p := c.pending.Swap(0); p != 0 {
+	if p := c.pending.Swap(0) + c.births; p != 0 {
+		c.births = 0
 		h.bytesAlloc.Add(p >> pendingCountBits)
 		h.objectsAlloc.Add(p & (1<<pendingCountBits - 1))
 	}

@@ -66,8 +66,8 @@ func TestRecycledSlotStateCleared(t *testing.T) {
 }
 
 // TestAllocContextTLAB checks the TLAB quota accounting: reservations are
-// visible in BytesUsed, allocation totals stay exact, and releasing the
-// context restores exactness.
+// visible in BytesUsed, allocation totals stay exact once the owner has
+// published its births, and releasing the context restores exactness.
 func TestAllocContextTLAB(t *testing.T) {
 	reg := NewRegistry()
 	cls := reg.Define("N", 1, 40) // 64 bytes each
@@ -85,6 +85,12 @@ func TestAllocContextTLAB(t *testing.T) {
 	if st.ObjectsAlloc != 0 {
 		t.Fatalf("allocations visible in Stats before the context settled: %+v", st)
 	}
+	unpublished := st
+	ctx.AddPending(&unpublished)
+	if unpublished != st {
+		t.Fatalf("births visible to AddPending before the owner published them: %+v", unpublished)
+	}
+	ctx.Publish()
 	ctx.AddPending(&st)
 	if st.BytesAlloc != n*size || st.ObjectsAlloc != n || st.ObjectsUsed != n {
 		t.Fatalf("alloc totals: %+v", st)

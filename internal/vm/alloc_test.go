@@ -107,17 +107,36 @@ func TestFlushOrderIsDeterministic(t *testing.T) {
 
 // TestHeapStatsExactMidRun reads HeapStats while the allocating thread is
 // alive and between flushes, where part of the accounting still sits in the
-// thread's allocation context.
+// thread's allocation context: on the thread's own goroutine and on another
+// one after each per-op New, and on another one while the thread, held
+// inside a Region whose births it has not published yet, is parked at a
+// safepoint between two of its operations, and once the Region has ended.
+// A thread publishes its births before it stores its safe state, so each
+// read is exact.
 func TestHeapStatsExactMidRun(t *testing.T) {
 	v := New(Options{HeapLimit: 1 << 20, EnableBarriers: true, GCWorkers: 1})
 	node := v.DefineClass("Node", 1, 24)
 	size := heap.ObjectSize(1, 24)
+	ask, answer := make(chan struct{}), make(chan heap.Stats)
+	go func() {
+		for range ask {
+			answer <- v.HeapStats()
+		}
+	}()
+	defer close(ask)
+	exact := func(st heap.Stats, n uint64) bool {
+		return st.ObjectsAlloc == n && st.BytesAlloc == n*size && st.ObjectsUsed == n
+	}
 	err := v.RunThread("main", func(th *Thread) {
 		for i := uint64(1); i <= 200; i++ {
 			th.New(node)
 			st := v.HeapStats()
-			if st.ObjectsAlloc != i || st.BytesAlloc != i*size || st.ObjectsUsed != i {
+			if !exact(st, i) {
 				t.Fatalf("after %d allocations: %+v", i, st)
+			}
+			ask <- struct{}{}
+			if st := <-answer; !exact(st, i) {
+				t.Fatalf("after %d allocations, read on another goroutine: %+v", i, st)
 			}
 		}
 	})
@@ -130,6 +149,51 @@ func TestHeapStatsExactMidRun(t *testing.T) {
 	}
 	if st.AllocShardLocks == 0 || st.AllocShardLocks >= st.ObjectsAlloc {
 		t.Fatalf("AllocShardLocks = %d for %d allocations", st.AllocShardLocks, st.ObjectsAlloc)
+	}
+
+	// A held thread: 100 births inside one Region, then safepoint polls
+	// until the reader, which stops the thread with a handshake, is done,
+	// then 10 more births before the Region ends.
+	const held = 100
+	born, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		<-born
+		v.handshake() // returns once the thread has parked mid-region
+		st := v.HeapStats()
+		v.startTheWorld()
+		if !exact(st, 200+held) {
+			t.Errorf("while a held thread is parked after %d births: %+v", held, st)
+		}
+		close(done)
+	}()
+	err = v.RunThread("held", func(th *Thread) {
+		th.Region(func() {
+			var r heap.Ref
+			for i := 0; i < held; i++ {
+				r = th.New(node)
+			}
+			close(born)
+			for polling := true; polling; {
+				th.NumRefs(r) // a safepoint poll: the thread parks here
+				select {
+				case <-done:
+					polling = false
+				default:
+				}
+			}
+			for i := 0; i < 10; i++ {
+				th.New(node)
+			}
+		})
+		// Out of the Region, the thread is at its safepoint: the births
+		// since it parked were published when it left.
+		ask <- struct{}{}
+		if st := <-answer; !exact(st, 200+held+10) {
+			t.Errorf("after the held region ended: %+v", st)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -202,9 +202,10 @@ func benchMutatorOp(b *testing.B, barriers, obsOn bool, op string, threads int) 
 // protocol's two locked instructions and nothing else — so the
 // single-thread rows read as floor + work in the same run on the same box:
 // Load adds no locked instruction to the floor, Store one (the slot), New
-// three (class, size, the context's pending word). The -region rows run the
-// same operations inside a Thread.Region, where the pair is paid once per
-// 64 operations and each operation only polls the stop flag. op=chase-region
+// one (publishing the birth into the context's pending word). The -region
+// rows run the same operations inside a Thread.Region, where the pair is
+// paid once per 64 operations and each operation only polls the stop flag;
+// a birth there counts in plain words and adds none. op=chase-region
 // is load-region with each load depending on the one before (a six-node
 // ring, all in L1), so a call on the fast path shows in full;
 // op=chase-far-region chases a shuffled ring of farRing nodes instead, so

@@ -46,10 +46,13 @@ type Thread struct {
 	// against the heap limit and a private run of free object slots, so New
 	// takes no lock and touches no shared counter except on refill — plus
 	// the allocation counts not yet folded into the heap, which is why
-	// HeapStats sums live threads' contexts. The owner uses it only inside
-	// critical regions; the VM releases it (slots, counts and quota back to
-	// the heap) with the world stopped at every flush (flushTLABs), and Exit
-	// releases it for good.
+	// HeapStats sums live threads' contexts. A birth counts in a plain word
+	// of the context; the thread publishes it before every safe store of
+	// its state word that follows a birth (a per-op New; a held thread's
+	// suspend and beginOpSlow), so a thread at a safepoint has published
+	// everything. The owner uses it only inside critical regions; the VM
+	// releases it (slots, counts and quota back to the heap) with the world
+	// stopped at every flush (flushTLABs), and Exit releases it for good.
 	alloc heap.AllocContext
 	// cache is this thread's view of the chunk table for its object
 	// lookups (heap.GetCached).
@@ -423,6 +426,13 @@ func (t *Thread) New(class heap.ClassID, opts ...heap.AllocOption) heap.Ref {
 		if t.rec != nil {
 			t.recordAlloc(class, opts, ref)
 		}
+		if !t.held {
+			// A per-op thread is at a safepoint between operations, so
+			// it publishes the birth before endOp stores safe. A held
+			// thread publishes when it leaves or parks (suspend,
+			// beginOpSlow).
+			t.alloc.Publish()
+		}
 		t.endOp()
 		if v.heap.BytesUsed() > v.gcTrigger.Load() {
 			t.collect()
@@ -430,8 +440,8 @@ func (t *Thread) New(class heap.ClassID, opts ...heap.AllocOption) heap.Ref {
 		return ref
 	}
 	held := t.suspend()
-	c := v.classes.Get(class)
-	size := heap.ObjectSize(c.RefSlots, c.ScalarBytes) // upper-bound estimate for the OOM report
+	refSlots, scalarBytes := v.classes.Shape(class)
+	size := heap.ObjectSize(refSlots, scalarBytes) // upper-bound estimate for the OOM report
 	ref = v.allocSlow(t, class, opts, size)
 	if held {
 		t.resume()

@@ -832,13 +832,11 @@ func (v *VM) allocSlow(t *Thread, class heap.ClassID, opts []heap.AllocOption, s
 	prevState := v.ctrl.State()
 	for i := 0; i < absoluteGCBound; i++ {
 		if ref, err := v.heap.AllocateCtx(&t.alloc, class, opts...); err == nil {
-			t.recordAlloc(class, opts, ref)
-			return t.root(ref)
+			return t.bornInPause(class, opts, ref)
 		}
 		res := v.collectLocked()
 		if ref, err := v.heap.AllocateCtx(&t.alloc, class, opts...); err == nil {
-			t.recordAlloc(class, opts, ref)
-			return t.root(ref)
+			return t.bornInPause(class, opts, ref)
 		}
 		progressed := res.BytesFreed > 0 || res.PrunedRefs > 0 || v.lastOffloaded > 0 || v.ctrl.State() != prevState
 		prevState = v.ctrl.State()
@@ -873,6 +871,16 @@ func (v *VM) allocSlow(t *Thread, class heap.ClassID, opts []heap.AllocOption, s
 	oom := v.ctrl.MakeOOM(v.heap.Stats(), size, v.collector.Index())
 	vmerrors.Throw(oom)
 	panic("unreachable")
+}
+
+// bornInPause finishes a birth allocSlow made with the world stopped: it
+// records and roots the object and publishes the birth while this thread
+// still holds the pause, since once the world restarts another stopper may
+// fold the context.
+func (t *Thread) bornInPause(class heap.ClassID, opts []heap.AllocOption, ref heap.Ref) heap.Ref {
+	t.recordAlloc(class, opts, ref)
+	t.alloc.Publish()
+	return t.root(ref)
 }
 
 // recordPrunedEdge remembers the target class of a poisoned slot. Past the

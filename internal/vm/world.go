@@ -198,10 +198,18 @@ func (t *Thread) endOp() {
 // suspend leaves the critical region ahead of a path that blocks or throws:
 // it clears held and stores safe whether or not the thread was held, so a
 // trapping thread is at its safepoint exactly as a per-op one is. It reports
-// whether the thread was held, for the paths that return and resume.
+// whether the thread was held, for the paths that return and resume. A
+// held thread publishes the births its region counted first, while it
+// still holds the region, so HeapStats sees them once it is safe. A per-op
+// thread published each birth in its New, and may be safe already (New's
+// collect runs after endOp), when a stopper may be folding its context: it
+// must not touch the context here.
 func (t *Thread) suspend() (held bool) {
 	held = t.held
-	t.held = false
+	if held {
+		t.alloc.Publish()
+		t.held = false
+	}
 	t.state.Store(threadSafe)
 	return held
 }
@@ -215,11 +223,18 @@ func (t *Thread) resume() {
 // beginOpSlow is beginOp's parking path: back off to the safepoint, wait
 // for the world to restart, and retry the enter protocol (a back-to-back
 // collection may have re-raised the flag). A held thread parks here too,
-// between two of its operations, and returns still held.
+// between two of its operations, and returns still held; it publishes its
+// region's births before its first safe store, while the stopper is still
+// waiting for it and so cannot be folding its context. A per-op thread
+// published at the end of its last operation and has been safe since: the
+// stopper may be folding its context right now, so it must not touch it.
 //
 //go:noinline
 func (t *Thread) beginOpSlow() {
 	w := &t.vm.world
+	if t.held {
+		t.alloc.Publish()
+	}
 	for {
 		t.state.Store(threadSafe)
 		if t.vm.inj.Should(faultinject.SafepointStall) {
