@@ -29,7 +29,11 @@ test:
 # protocol's own park path, for the same reason internal/vm runs again at
 # GOMAXPROCS 1. internal/vm's TestClearDuringConcurrentSweep raises
 # GOMAXPROCS to 4 itself: mutators clear stale counters on their own Ps
-# while concurrent sweeps run.
+# while concurrent sweeps run. A birth counts itself in a plain word its
+# thread publishes at safepoints, and the one test that drives every
+# workload's held Region against a concurrent Stats handshake (that word's
+# reader) is internal/workload's TestIterateUnderStatsPolling; it runs alone
+# (~35 s under -race -short on 2 vCPU, where the whole package takes ~4 min).
 race:
 	$(GO) test -race -short ./internal/gc/... ./internal/heap/... ./internal/vm/... \
 		./internal/edgetable/... ./internal/offload/... ./internal/faultinject/... \
@@ -38,6 +42,7 @@ race:
 	GOMAXPROCS=1 $(GO) test -race -short -count=1 ./internal/gc/...
 	GOMAXPROCS=4 $(GO) test -race -short -count=1 ./internal/gc/...
 	GOMAXPROCS=1 $(GO) test -race -short -count=1 ./internal/vm/...
+	$(GO) test -race -short -count=1 -run '^TestIterateUnderStatsPolling$$' ./internal/workload/
 
 vet:
 	$(GO) vet ./...

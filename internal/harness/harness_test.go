@@ -9,24 +9,6 @@ import (
 	"leakpruning/internal/vmerrors"
 )
 
-func TestPolicyFromName(t *testing.T) {
-	for _, name := range []string{"", "off", "base", "none"} {
-		p, err := PolicyFromName(name)
-		if err != nil || p != nil {
-			t.Fatalf("PolicyFromName(%q) = %v, %v", name, p, err)
-		}
-	}
-	for _, name := range []string{"default", "most-stale", "indiv-refs"} {
-		p, err := PolicyFromName(name)
-		if err != nil || p == nil {
-			t.Fatalf("PolicyFromName(%q) = %v, %v", name, p, err)
-		}
-	}
-	if _, err := PolicyFromName("nope"); err == nil {
-		t.Fatal("unknown policy must error")
-	}
-}
-
 func TestRunUnknownProgram(t *testing.T) {
 	if _, err := Run(Config{Program: "nope"}); err == nil {
 		t.Fatal("unknown program must error")

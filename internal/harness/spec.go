@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"leakpruning/internal/core"
-	"leakpruning/internal/offload"
 	"leakpruning/internal/trace"
 	"leakpruning/internal/vm"
 	"leakpruning/internal/workload"
@@ -63,14 +62,8 @@ func newVM(m trace.Meta, attach vm.Options) (*vm.VM, error) {
 	opts.HashLiveSet = m.Flags&trace.FlagHashLiveSet != 0
 	opts.FullHeapOnly = m.Flags&trace.FlagFullHeapOnly != 0
 	opts.EnableBarriers = m.Flags&trace.FlagBarriersOff == 0
-	if m.Policy == "melt" {
-		opts.OffloadDisk = offload.DefaultDiskFactor * m.HeapLimit
-	} else {
-		policy, err := PolicyFromName(m.Policy)
-		if err != nil {
-			return nil, err
-		}
-		opts.Policy = policy
+	if err := opts.SetModes(m.Policy, m.MarkMode); err != nil {
+		return nil, err
 	}
 	switch m.ForceState {
 	case "":
@@ -88,31 +81,14 @@ func newVM(m trace.Meta, attach vm.Options) (*vm.VM, error) {
 	default:
 		return nil, fmt.Errorf("harness: unknown barrier variant %q", m.BarrierVariant)
 	}
-	switch m.MarkMode {
-	case "", "stw":
-	case "concurrent":
-		opts.MarkMode = vm.MarkConcurrent
-	default:
-		return nil, fmt.Errorf("harness: unknown mark mode %q", m.MarkMode)
-	}
 	if err := vm.ValidateOptions(opts); err != nil {
 		return nil, err
 	}
 	return vm.New(opts), nil
 }
 
-// PolicyFromName maps harness policy names to core policies; "off" (or "",
-// or "base") means pruning disabled.
-func PolicyFromName(name string) (core.Policy, error) {
-	if policyLabel(name) == "base" {
-		return nil, nil
-	}
-	return core.PolicyByName(name)
-}
-
 func policyLabel(name string) string {
-	switch name {
-	case "", "off", "base", "none":
+	if vm.NoPolicyName(name) {
 		return "base"
 	}
 	return name

@@ -109,8 +109,7 @@ type Heap struct {
 	chunks  atomic.Pointer[[]*chunk]
 
 	shards [numShards]shard
-	// rotor spreads context-less allocations and new AllocContexts across
-	// shards.
+	// rotor spreads new AllocContexts across shards.
 	rotor atomic.Uint32
 
 	// clock is the stale clock (clock.go); AgeStale publishes each step.
@@ -215,33 +214,36 @@ func (h *Heap) ResolveShape(class ClassID, opts []AllocOption) (refSlots, scalar
 	return shape.refSlots, shape.scalarBytes
 }
 
-// Allocate creates a new object of the given class, charging exactly its
-// size against the heap limit. All reference slots start null. It returns
-// ErrHeapFull (without allocating) when the object does not fit, or when
-// its shape has more than 2^24-1 slots or a size of 4 GiB or more, which
-// the object's header words cannot hold; triggering collection is the
-// caller's job, keeping the heap policy-free.
-//
-// It is AllocateCtx through a throwaway context whose run is one slot and
-// whose reservation is exact, settled before returning.
+// Allocate creates a new object of the given class through a throwaway
+// context: NewAllocContext, AllocateCtx, ReleaseContext. A single caller
+// gets the IDs a slot-at-a-time allocator would (settle pushes the run's
+// unused slots back in reverse pop order), and the books are exact when it
+// returns. Each call pops a whole run and pushes the rest back: two shard
+// locks and several times the cost of a birth from a long-lived context,
+// which is how the VM allocates. Concurrent callers near the limit can see
+// ErrHeapFull while another call's quota is reserved, as AllocateCtx
+// callers can. Outside tests, Allocate is the benchmark's context-less
+// probe.
 func (h *Heap) Allocate(class ClassID, opts ...AllocOption) (Ref, error) {
-	var c AllocContext
-	r, err := h.allocate(&c, 1, class, opts)
-	h.settle(&c)
+	c := h.NewAllocContext()
+	r, err := h.AllocateCtx(&c, class, opts...)
+	h.ReleaseContext(&c)
 	return r, err
 }
 
-// AllocateCtx is Allocate through a context: the size is taken from the
-// context's reserved quota and the slot from its run, so the shared byte
-// counter and a shard mutex are touched only on refill.
+// AllocateCtx creates a new object of the given class, its size taken from
+// the context's reserved quota and its slot from the context's run, so the
+// shared byte counter and a shard mutex are touched only on refill. All
+// reference slots start null. It returns ErrHeapFull (without allocating
+// or reserving) when the object does not fit, or when its shape has more
+// than 2^24-1 slots or a size of 4 GiB or more, which the object's header
+// words cannot hold; triggering collection is the caller's job, keeping
+// the heap policy-free.
 func (h *Heap) AllocateCtx(ctx *AllocContext, class ClassID, opts ...AllocOption) (Ref, error) {
-	return h.allocate(ctx, freshBlock, class, opts)
+	return h.allocate(ctx, class, opts)
 }
 
-// allocate takes runLen slots per refill; runLen 1 marks the context-less
-// path, which also reserves bytes exactly instead of by quota and picks its
-// shard from the rotor once the bytes are granted.
-func (h *Heap) allocate(ctx *AllocContext, runLen int, class ClassID, opts []AllocOption) (Ref, error) {
+func (h *Heap) allocate(ctx *AllocContext, class ClassID, opts []AllocOption) (Ref, error) {
 	refSlots, scalarBytes := h.classes.Shape(class)
 	if len(opts) > 0 {
 		// The options take the shape's address, so it escapes; keeping it
@@ -269,16 +271,10 @@ func (h *Heap) allocate(ctx *AllocContext, runLen int, class ClassID, opts []All
 		return Null, ErrHeapFull
 	}
 
-	if runLen == 1 {
-		if !h.reserveOne(ctx, size) {
-			return Null, ErrHeapFull
-		}
-	} else {
-		if ctx.reserved < size && !h.refill(ctx, size) {
-			return Null, ErrHeapFull
-		}
-		ctx.reserved -= size
+	if ctx.reserved < size && !h.refill(ctx, size) {
+		return Null, ErrHeapFull
 	}
+	ctx.reserved -= size
 
 	// Take the run's next slot. The slot is this context's alone, so the
 	// object is initialised with no lock held. A slot that is already live
@@ -288,7 +284,7 @@ func (h *Heap) allocate(ctx *AllocContext, runLen int, class ClassID, opts []All
 	var obj *Object
 	for {
 		if ctx.next == ctx.n {
-			h.refillRun(ctx, runLen)
+			h.refillRun(ctx)
 		}
 		id = ctx.run[ctx.next]
 		ctx.next++

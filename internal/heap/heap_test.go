@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"leakpruning/internal/faultinject"
 )
 
 func newTestHeap(t *testing.T, limit uint64) (*Heap, ClassID, ClassID) {
@@ -72,6 +74,63 @@ func TestAllocateHeapFull(t *testing.T) {
 	// The failed allocation must not be charged.
 	if got := h.Stats().BytesUsed; got != 2*ObjectSize(0, 1000) {
 		t.Fatalf("BytesUsed after failed alloc = %d", got)
+	}
+}
+
+// TestAllocateLeavesExactBooks: Allocate returns its context's quota and
+// folds its counts before it returns, on every path. After each call,
+// BytesUsed is the live objects' bytes and Stats is what a slot-at-a-time
+// allocator reports: AllocShardLocks aside, which counts the settle's
+// lock too.
+func TestAllocateLeavesExactBooks(t *testing.T) {
+	h, pair, blob := newTestHeap(t, 2*ObjectSize(0, 1000)+ObjectSize(2, 0)+100)
+	inj := faultinject.New(1)
+	h.SetFaultInjector(inj)
+	want := Stats{Limit: h.Limit()}
+	var ids []ObjectID
+	step := func(name string, cls ClassID, opts []AllocOption, fail bool) {
+		t.Helper()
+		r, err := h.Allocate(cls, opts...)
+		if fail != (err != nil) {
+			t.Fatalf("%s: Allocate = %v, %v", name, r, err)
+		}
+		if !fail {
+			size := h.Get(r).Size()
+			ids = append(ids, r.ID())
+			want.BytesUsed += size
+			want.BytesAlloc += size
+			want.ObjectsUsed++
+			want.ObjectsAlloc++
+		}
+		var live uint64
+		h.ForEach(func(_ ObjectID, obj *Object) { live += obj.Size() })
+		if h.BytesUsed() != live {
+			t.Fatalf("%s: BytesUsed = %d, live objects hold %d", name, h.BytesUsed(), live)
+		}
+		got := h.Stats()
+		got.AllocShardLocks = 0
+		if got != want {
+			t.Fatalf("%s: Stats = %+v, want %+v", name, got, want)
+		}
+		auditMustBeClean(t, h, name)
+	}
+	step("pair", pair, nil, false)
+	step("blob", blob, nil, false)
+	step("blob", blob, nil, false)
+	step("heap full", blob, nil, true)
+	step("oversized shape", pair, []AllocOption{WithRefSlots(maxRefSlots + 1)}, true)
+	inj.Arm(faultinject.AllocLimitRace, 1.0)
+	inj.Limit(faultinject.AllocLimitRace, 1)
+	step("injected limit race", pair, nil, true)
+
+	h.FreeBatch(ids[1:2])
+	want.BytesUsed -= ObjectSize(0, 1000)
+	want.ObjectsUsed--
+	want.BytesFreed += ObjectSize(0, 1000)
+	want.ObjectsFreed++
+	step("recycled blob", blob, nil, false)
+	if ids[3] != ids[1] {
+		t.Fatalf("the recycled blob took ID %d, want the freed %d", ids[3], ids[1])
 	}
 }
 

@@ -209,20 +209,6 @@ func (h *Heap) reserveExact(size uint64) bool {
 	}
 }
 
-// reserveOne is the context-less allocation's reservation: reserveExact,
-// after which the throwaway context takes the rotor's next shard. It stays
-// out of line, as refill does, so a birth from a context's run executes no
-// locked instruction (make bench-smoke checks allocate).
-//
-//go:noinline
-func (h *Heap) reserveOne(c *AllocContext, size uint64) bool {
-	if !h.reserveExact(size) {
-		return false
-	}
-	c.shard = h.rotor.Add(1) & shardMask
-	return true
-}
-
 // refill tops up the context's quota so at least size bytes are reserved,
 // grabbing up to a TLAB's worth extra when the limit allows. It charges
 // nothing and returns false when even the immediate need does not fit.
@@ -245,14 +231,14 @@ func (h *Heap) refill(c *AllocContext, size uint64) bool {
 	}
 }
 
-// refillRun gives the context a fresh run of up to want slots, all from one
-// shard: the first in scan order from the preferred shard whose free list
-// has a valid entry, else the preferred shard after carving fresh IDs into
-// it (re-checked first: a racing Freer may have refilled it). A shard whose
-// published length is 0 is passed without taking its lock; the carve pass
-// always locks. The context must have no unused slots; its pending counts
-// are folded first.
-func (h *Heap) refillRun(c *AllocContext, want int) {
+// refillRun gives the context a fresh run of up to freshBlock slots, all
+// from one shard: the first in scan order from the preferred shard whose
+// free list has a valid entry, else the preferred shard after carving fresh
+// IDs into it (re-checked first: a racing Freer may have refilled it). A
+// shard whose published length is 0 is passed without taking its lock; the
+// carve pass always locks. The context must have no unused slots; its
+// pending counts are folded first.
+func (h *Heap) refillRun(c *AllocContext) {
 	h.fold(c)
 	var locks uint64
 	for i := uint32(0); c.next == c.n; i++ {
@@ -263,10 +249,10 @@ func (h *Heap) refillRun(c *AllocContext, want int) {
 		}
 		s.mu.Lock()
 		locks++
-		n := h.popRunLocked(s, c.run[:want])
+		n := h.popRunLocked(s, c.run[:])
 		for n == 0 && i == numShards { // a full scan found nothing to recycle
 			h.carveLocked(s)
-			n = h.popRunLocked(s, c.run[:want])
+			n = h.popRunLocked(s, c.run[:])
 		}
 		s.unlock()
 		if n > 0 {

@@ -7,11 +7,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"leakpruning/internal/core"
 	"leakpruning/internal/faultinject"
 	"leakpruning/internal/heap"
 	"leakpruning/internal/obs"
-	"leakpruning/internal/offload"
 	"leakpruning/internal/vm"
 	"leakpruning/internal/workload"
 )
@@ -106,6 +104,9 @@ type TenantConfig struct {
 // cores are few, and a tenant's heap is far below the size where a closure
 // spills to a second one.
 func (tc TenantConfig) vmOptions(o *obs.Obs) (vm.Options, error) {
+	// Barriers stay on under every policy, so a tenant with none still has
+	// staleness metrics; it relies on plain collection (and session
+	// restarts at OOM).
 	opts := vm.Options{
 		HeapLimit:          tc.HeapLimit,
 		EnableBarriers:     true,
@@ -116,25 +117,8 @@ func (tc TenantConfig) vmOptions(o *obs.Obs) (vm.Options, error) {
 		HashLiveSet:        tc.AuditEveryGC,
 		Obs:                o,
 	}
-	switch tc.Policy {
-	case "melt":
-		opts.OffloadDisk = offload.DefaultDiskFactor * tc.HeapLimit
-	case "", "off", "base", "none":
-		// No pruning: barriers stay on so staleness metrics exist, but the
-		// tenant relies on plain collection (and session restarts at OOM).
-	default:
-		p, err := core.PolicyByName(tc.Policy)
-		if err != nil {
-			return vm.Options{}, err
-		}
-		opts.Policy = p
-	}
-	switch tc.MarkMode {
-	case "", "stw":
-	case "concurrent":
-		opts.MarkMode = vm.MarkConcurrent
-	default:
-		return vm.Options{}, fmt.Errorf("server: unknown mark mode %q", tc.MarkMode)
+	if err := opts.SetModes(tc.Policy, tc.MarkMode); err != nil {
+		return vm.Options{}, err
 	}
 	switch tc.Pipeline {
 	case "", PipelineConcurrent:
@@ -558,8 +542,7 @@ func (t *Tenant) status() TenantStatus {
 }
 
 func policyLabel(name string) string {
-	switch name {
-	case "", "off", "base", "none":
+	if vm.NoPolicyName(name) {
 		return "off"
 	}
 	return name

@@ -59,6 +59,13 @@ func TestOptionsValidateTable(t *testing.T) {
 		{"NearlyFullFraction above one", func(o *Options) { o.NearlyFullFraction = 2.5 }, "NearlyFullFraction"},
 		{"negative GCWorkers", func(o *Options) { o.GCWorkers = -2 }, "GCWorkers"},
 		{"negative STWWatchdog", func(o *Options) { o.STWWatchdog = -time.Second }, "STWWatchdog"},
+		{"forced observe", func(o *Options) { o.Forced, o.ForceState = true, core.StateObserve }, ""},
+		{"forced select", func(o *Options) { o.Forced, o.ForceState = true, core.StateSelect }, ""},
+		{"forced prune", func(o *Options) { o.Forced, o.ForceState = true, core.StatePrune }, "ForceState"},
+		{"forced unknown state", func(o *Options) { o.Forced, o.ForceState = true, core.State(7) }, "ForceState"},
+		{"negative force state", func(o *Options) { o.ForceState = -1 }, "ForceState"},
+		{"unconditional barrier", func(o *Options) { o.Barrier = BarrierUnconditional }, ""},
+		{"unknown barrier", func(o *Options) { o.Barrier = BarrierVariant(2) }, "Barrier"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -79,6 +86,40 @@ func TestOptionsValidateTable(t *testing.T) {
 				t.Fatalf("OptionError.Option = %q, want %q (err: %v)", oe.Option, tc.option, oe)
 			}
 		})
+	}
+}
+
+// TestSetModes: the policy and mark-mode names the harness and leakd share
+// decide Policy, OffloadDisk and MarkMode, and nothing else.
+func TestSetModes(t *testing.T) {
+	for _, name := range []string{"", "off", "base", "none"} {
+		o := Options{HeapLimit: 1 << 20, Policy: core.DefaultPolicy{}, OffloadDisk: 1}
+		if err := o.SetModes(name, ""); err != nil || o.Policy != nil || o.OffloadDisk != 0 {
+			t.Fatalf("SetModes(%q) = %v: policy %v, disk %d", name, err, o.Policy, o.OffloadDisk)
+		}
+		if !NoPolicyName(name) {
+			t.Fatalf("NoPolicyName(%q) = false", name)
+		}
+	}
+	for _, name := range []string{"default", "most-stale", "indiv-refs", "decay"} {
+		o := Options{HeapLimit: 1 << 20}
+		if err := o.SetModes(name, ""); err != nil || o.Policy == nil || o.Policy.Name() != name {
+			t.Fatalf("SetModes(%q) = %v: policy %v", name, err, o.Policy)
+		}
+	}
+	o := Options{HeapLimit: 1 << 20}
+	if err := o.SetModes("melt", "stw"); err != nil || o.Policy != nil || o.OffloadDisk != 4<<20 || o.MarkMode != MarkSTW {
+		t.Fatalf("SetModes(melt, stw) = %v: %+v", err, o)
+	}
+	if err := o.SetModes("default", "concurrent"); err != nil || o.OffloadDisk != 0 || o.MarkMode != MarkConcurrent {
+		t.Fatalf("SetModes(default, concurrent) = %v: %+v", err, o)
+	}
+	if err := o.SetModes("nope", ""); err == nil || !strings.Contains(err.Error(), `unknown policy "nope"`) {
+		t.Fatalf("unknown policy: %v", err)
+	}
+	var oe *OptionError
+	if err := o.SetModes("", "eager"); !errors.As(err, &oe) || oe.Option != "MarkMode" {
+		t.Fatalf("unknown mark mode: %v, want *OptionError on MarkMode", err)
 	}
 }
 

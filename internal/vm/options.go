@@ -16,6 +16,7 @@ import (
 	"leakpruning/internal/core"
 	"leakpruning/internal/faultinject"
 	"leakpruning/internal/obs"
+	"leakpruning/internal/offload"
 	"leakpruning/internal/trace"
 	"leakpruning/internal/vmerrors"
 )
@@ -96,6 +97,46 @@ func (m MarkMode) String() string {
 		return "concurrent"
 	}
 	return "stw"
+}
+
+// NoPolicyName reports whether a policy name selects the unmodified VM:
+// "", "off", "base" or "none".
+func NoPolicyName(name string) bool {
+	switch name {
+	case "", "off", "base", "none":
+		return true
+	}
+	return false
+}
+
+// SetModes sets the pruning and mark modes from the names the harness, the
+// lp CLI and leakd's tenant configs share. A policy is a no-policy name
+// (NoPolicyName), "melt" — the disk-offload baseline with a disk of
+// offload.DefaultDiskFactor × HeapLimit bytes, so set HeapLimit first — or
+// a core.PolicyByName name. A mark mode is "" or "stw", or "concurrent".
+// The names decide Policy, OffloadDisk and MarkMode outright; whether the
+// result is a valid configuration is ValidateOptions's question.
+func (o *Options) SetModes(policy, markMode string) error {
+	o.Policy, o.OffloadDisk, o.MarkMode = nil, 0, MarkSTW
+	switch {
+	case NoPolicyName(policy):
+	case policy == "melt":
+		o.OffloadDisk = offload.DefaultDiskFactor * o.HeapLimit
+	default:
+		p, err := core.PolicyByName(policy)
+		if err != nil {
+			return err
+		}
+		o.Policy = p
+	}
+	switch markMode {
+	case "", "stw":
+	case "concurrent":
+		o.MarkMode = MarkConcurrent
+	default:
+		return &OptionError{Option: "MarkMode", Reason: fmt.Sprintf("unknown mode %q", markMode)}
+	}
+	return nil
 }
 
 // Options configures a VM. The zero value is usable after applying
@@ -323,6 +364,20 @@ func (o Options) validate() error {
 	if o.STWWatchdog < 0 {
 		return &OptionError{Option: "STWWatchdog",
 			Reason: fmt.Sprintf("must not be negative, got %v", o.STWWatchdog)}
+	}
+	if o.ForceState < core.StateInactive || o.ForceState > core.StatePrune {
+		return &OptionError{Option: "ForceState",
+			Reason: fmt.Sprintf("unknown state %d", int(o.ForceState))}
+	}
+	if o.Forced && o.ForceState == core.StatePrune {
+		// A PRUNE cycle poisons what a SELECT cycle chose; a forced one
+		// has no selection to poison.
+		return &OptionError{Option: "ForceState",
+			Reason: "a forced PRUNE state has no selection to prune"}
+	}
+	if o.Barrier != BarrierConditional && o.Barrier != BarrierUnconditional {
+		return &OptionError{Option: "Barrier",
+			Reason: fmt.Sprintf("unknown variant %d", int(o.Barrier))}
 	}
 	if o.MarkMode != MarkSTW && o.MarkMode != MarkConcurrent {
 		return &OptionError{Option: "MarkMode",
