@@ -137,9 +137,10 @@ bench-test:
 # path: the class-shape lookup ((*Registry).Shape) must inline into
 # (*Heap).allocate, whose disassembly must call refill and refillRun out of
 # line and hold no LOCK-prefixed instruction and no XCHG — a birth from a
-# context's run counts itself in plain words. Here and not in `make
-# check`: another toolchain's inliner may count differently, and that must
-# not turn tier-1 red.
+# context's run counts itself in plain words — and no bounds-check panic
+# (runtime.panicIndex): the run index is taken modulo the run length. Here
+# and not in `make check`: another toolchain's inliner may count
+# differently, and that must not turn tier-1 red.
 bench-smoke:
 	@out=$$($(GO) build -gcflags=-m ./internal/vm 2>&1); for f in beginOp endOp root; do \
 		echo "$$out" | grep -q "can inline (\*Thread)\.$$f$$" || \
@@ -153,8 +154,8 @@ bench-smoke:
 		dis=$$($(GO) tool objdump -s 'heap\.\(\*Heap\)\.allocate$$' "$$d/heap.test") && \
 		for f in refill refillRun; do echo "$$dis" | grep -q "CALL leakpruning/internal/heap.(\*Heap).$$f(SB)" || \
 			{ echo "internal/heap: (*Heap).allocate does not call (*Heap).$$f out of line"; exit 1; }; done && \
-		bad=$$(echo "$$dis" | grep -E '\s(LOCK|XCHG[BWLQ]?)\s|CALL leakpruning/internal/heap\.\(\*Registry\)\.Shape\(SB\)') ; \
-		test -z "$$bad" || { echo "internal/heap: (*Heap).allocate takes a locked instruction or calls the class lookup:"; echo "$$bad"; exit 1; }
+		bad=$$(echo "$$dis" | grep -E '\s(LOCK|XCHG[BWLQ]?)\s|CALL (leakpruning/internal/heap\.\(\*Registry\)\.Shape|runtime\.panicIndexU?)\(SB\)') ; \
+		test -z "$$bad" || { echo "internal/heap: (*Heap).allocate takes a locked instruction, calls the class lookup or bounds-checks an index:"; echo "$$bad"; exit 1; }
 	@out=$$($(GO) build -gcflags=-m ./internal/gc 2>&1); for f in claim take; do \
 		echo "$$out" | grep -q "can inline (\*traceWorker)\.$$f$$" || \
 			{ echo "internal/gc: (*traceWorker).$$f does not inline any more"; exit 1; }; done

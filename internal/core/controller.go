@@ -215,10 +215,6 @@ func (c *Controller) env() Env {
 	return Env{Edges: c.edges, Classes: c.classes, LastMaxStale: c.lastMaxStale, Snap: &c.snap}
 }
 
-// FrozenSnapshot returns the staleness cut pinned for the current cycle,
-// or nil outside SELECT/PRUNE cycles (diagnostics and tests).
-func (c *Controller) FrozenSnapshot() *edgetable.Frozen { return c.snap.Pinned() }
-
 // FinishCycle consumes the collection result and the post-collection heap
 // statistics, performing the state transition of Figure 2.
 func (c *Controller) FinishCycle(res gc.Result, hs heap.Stats) {

@@ -49,9 +49,6 @@ type StaleSnapshot struct {
 // reads). Call only while the world is stopped.
 func (s *StaleSnapshot) Pin(f *edgetable.Frozen) { s.frozen = f }
 
-// Pinned returns the currently pinned cut, or nil.
-func (s *StaleSnapshot) Pinned() *edgetable.Frozen { return s.frozen }
-
 // Policy is a prediction algorithm for choosing references to prune. The
 // paper's default algorithm and the two simpler baselines of §6.1 implement
 // it; user code can supply its own (see examples/custompolicy).

@@ -38,9 +38,9 @@ const (
 	// exceeded its deadline, forcing the downgrade-to-serial path without
 	// depending on wall-clock timing.
 	TraceWatchdogTrip
-	// ShardFreeListCorruption plants a duplicate entry in an allocator
-	// shard's free list; the shard's integrity probe must detect and repair
-	// it under the same lock hold.
+	// ShardFreeListCorruption plants a duplicate entry in the allocator's
+	// free list; the free list's integrity probe must detect and repair it
+	// under the same lock hold.
 	ShardFreeListCorruption
 	// OffloadWriteFault fails one attempt to move an object to the
 	// simulated disk (a transient write error). The offloader retries with

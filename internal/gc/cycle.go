@@ -287,7 +287,7 @@ func (cy *Cycle) verifySnapshot() {
 // Sweep reclaims every object below the watermark the cycle left
 // unmarked. In a concurrent cycle it runs beside the mutators: unmarked
 // objects are unreachable (the SATB argument above), probes and frees go
-// through atomic liveness words and the shard locks, and no birth lands
+// through atomic liveness words and the free-list lock, and no birth lands
 // where the sweep has still to read. OnFree callbacks (finalizers) are
 // replayed serially on the calling goroutine.
 func (cy *Cycle) Sweep() {

@@ -396,7 +396,7 @@ type freeRec struct {
 // VM's post-cycle audit checks it). It walks the table in ascending order,
 // chunk by chunk, and frees each dead object in place as it reads the entry
 // (heap.Freer), which publishes the frees heap.SweepBatch at a time. The IDs
-// ascend, so every shard's free list receives its IDs in ascending order —
+// ascend, so the free list receives them in ascending order —
 // the same list one FreeBatch of every dead ID would leave — at any worker
 // count and any schedule: which ID the next allocation recycles never depends
 // on GCWorkers. The finalizer hook runs after the last free, on identities

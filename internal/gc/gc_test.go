@@ -471,14 +471,13 @@ func TestPruneHistogramsMatchPerObjectObservation(t *testing.T) {
 }
 
 // TestSweepBatchesLeaveOneBatchFreeLists: the sweep publishes its frees
-// 256 at a time, yet every shard's free list ends up as one
-// FreeBatch of all the dead IDs in ascending order leaves it. The sweep's
-// per-shard buffers hold one batch in all: each batch takes the lock of
-// every shard it touches once and draws the free-list corruption fault
-// there, so the sweep draws exactly once per shard per batch of the
-// ascending dead. A sweep that kept more than a batch before publishing
-// would draw fewer times. Injected corruption is repaired under the same
-// lock, so it leaves the free lists as they were.
+// 256 at a time, yet the free list ends up as one FreeBatch of all the dead
+// IDs in ascending order leaves it. Each batch of the ascending dead takes
+// the free-list lock once and draws the free-list corruption fault there,
+// so the sweep draws exactly once per 256 dead. A sweep that kept more than
+// a batch before publishing would draw fewer times, one that published
+// sooner more. Injected corruption is repaired under the same lock, so it
+// leaves the free list as it was.
 func TestSweepBatchesLeaveOneBatchFreeLists(t *testing.T) {
 	const objects = 6000 // two thirds garbage: 4000 dead, over 15 batches
 	// 256, not heap.SweepBatch: the draws are pinned where the sweep's
@@ -489,8 +488,7 @@ func TestSweepBatchesLeaveOneBatchFreeLists(t *testing.T) {
 		node := th.class(t, "Node", 1, 16)
 		hub := th.alloc(t, th.class(t, "Hub", objects/3, 0))
 		th.roots.refs = []heap.Ref{hub}
-		// Four allocation contexts, taking turns in runs of 50, spread the
-		// objects over several shards.
+		// Four allocation contexts take turns in runs of 50.
 		ctxs := make([]heap.AllocContext, 4)
 		for i := range ctxs {
 			ctxs[i] = th.h.NewAllocContext()
@@ -533,33 +531,11 @@ func TestSweepBatchesLeaveOneBatchFreeLists(t *testing.T) {
 		slices.Sort(dead)
 		ref, _ := script()
 		ref.h.FreeBatch(dead)
-		got, want := swept.h.FreeLists(), ref.h.FreeLists()
-		shards := 0
-		home := map[heap.ObjectID]int{}
-		for si := range want {
-			if !slices.Equal(got[si], want[si]) {
-				t.Fatalf("workers=%d: shard %d free list %v, one FreeBatch leaves %v", workers, si, got[si], want[si])
-			}
-			if len(want[si]) > 0 {
-				shards++
-			}
-			for _, id := range want[si] {
-				home[id] = si
-			}
+		if got, want := swept.h.FreeList(), ref.h.FreeList(); !slices.Equal(got, want) {
+			t.Fatalf("workers=%d: free list %v, one FreeBatch leaves %v", workers, got, want)
 		}
-		if shards < 2 {
-			t.Fatalf("workers=%d: the dead landed on %d shard(s); the test needs several", workers, shards)
-		}
-		draws := 0
-		for lo := 0; lo < len(dead); lo += batch {
-			touched := map[int]bool{}
-			for _, id := range dead[lo:min(lo+batch, len(dead))] {
-				touched[home[id]] = true
-			}
-			draws += len(touched)
-		}
-		if got := inj.Draws(faultinject.ShardFreeListCorruption); got != uint64(draws) {
-			t.Fatalf("workers=%d: the sweep drew free-list corruption %d times, want %d (once per shard per batch of %d)",
+		if got, draws := inj.Draws(faultinject.ShardFreeListCorruption), (len(dead)+batch-1)/batch; got != uint64(draws) {
+			t.Fatalf("workers=%d: the sweep drew free-list corruption %d times, want %d (once per batch of %d)",
 				workers, got, draws, batch)
 		}
 		if fires, repairs := inj.Fires(faultinject.ShardFreeListCorruption), swept.h.FreeListRepairs(); fires == 0 || repairs != fires {

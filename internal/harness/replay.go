@@ -97,7 +97,7 @@ func (r ReplayResult) Capped() bool {
 // recorded op sequence is replayed in file order, which for a
 // single-mutator recording is the exact program order; collections are
 // triggered by allocated bytes (not wall clock), object IDs recycle LIFO
-// per shard, and the controller's decisions are pure functions of heap
+// off one free list, and the controller's decisions are pure functions of heap
 // state — so a ×1 replay under the recorded options reproduces every
 // cycle's live-set hash, candidate count, and pruned count byte for byte.
 // Under a different policy/mark mode the op stream is identical but the

@@ -4,7 +4,7 @@ import "fmt"
 
 // Heap invariant auditor. Audit cross-checks every piece of redundant state
 // the allocator and the collectors maintain — the global used-byte atomic,
-// the allocation account, the disk account, and the shard free lists —
+// the allocation account, the disk account, and the free list —
 // against a ground-truth scan of the object table. It is the
 // correctness backstop the chaos campaign (and every future performance PR)
 // runs after collections: any drift between the fast-path counters and the
@@ -51,10 +51,9 @@ func (a *auditSink) result() []string {
 //  2. The disk account equals the summed sizes of live offloaded objects.
 //  3. The allocation account matches the live objects: bytes allocated
 //     minus bytes freed is their summed size (resident plus offloaded),
-//     ObjectsUsed is their number, and each is homed on a shard in range.
+//     and ObjectsUsed is their number.
 //  4. Every free-list entry names a dead, materialized slot; no slot
-//     appears on two free lists (or twice on one); and every dead carved
-//     slot is on exactly one free list.
+//     appears on the free list twice; and every dead carved slot is on it.
 //
 // Call only while the heap is quiescent (stop-the-world) with every
 // allocation context released.
@@ -76,9 +75,6 @@ func (h *Heap) Audit() []string {
 		}
 		live[id] = true
 		totalLive++
-		if obj.home() >= numShards {
-			sink.addf("object %d: home shard %d out of range", id, obj.home())
-		}
 		if obj.IsOffloaded() {
 			offloadedBytes += obj.Size()
 		} else {
@@ -106,27 +102,24 @@ func (h *Heap) Audit() []string {
 
 	var freeCount uint64
 	onFreeList := make([]bool, next)
-	for i := range h.shards {
-		s := &h.shards[i]
-		s.mu.Lock()
-		for _, id := range s.free {
-			freeCount++
-			switch {
-			case id == 0 || id >= next:
-				sink.addf("shard %d: free-list entry %d outside carved ID range", i, id)
-			case live[id]:
-				sink.addf("shard %d: free-list entry %d names a live slot", i, id)
-			case onFreeList[id]:
-				sink.addf("free-list entry %d appears more than once", id)
-			default:
-				onFreeList[id] = true
-			}
+	h.freeMu.Lock()
+	for _, id := range h.free {
+		freeCount++
+		switch {
+		case id == 0 || id >= next:
+			sink.addf("free-list entry %d outside carved ID range", id)
+		case live[id]:
+			sink.addf("free-list entry %d names a live slot", id)
+		case onFreeList[id]:
+			sink.addf("free-list entry %d appears more than once", id)
+		default:
+			onFreeList[id] = true
 		}
-		s.mu.Unlock()
 	}
+	h.freeMu.Unlock()
 
 	if carved := uint64(next) - 1; freeCount != carved-totalLive {
-		sink.addf("free lists hold %d slots, want %d (carved %d - live %d; contexts released?)",
+		sink.addf("the free list holds %d slots, want %d (carved %d - live %d; contexts released?)",
 			freeCount, carved-totalLive, carved, totalLive)
 	}
 

@@ -119,10 +119,9 @@ func TestAuditDetectsFreeListCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Plant a free-list entry naming the live object.
-	s := &h.shards[h.Get(r).home()]
-	s.mu.Lock()
-	s.free = append(s.free, r.ID())
-	s.mu.Unlock()
+	h.freeMu.Lock()
+	h.free = append(h.free, r.ID())
+	h.freeMu.Unlock()
 	v := h.Audit()
 	found := false
 	for _, msg := range v {
@@ -176,14 +175,12 @@ func TestPopFreeDiscardsCorruptEntry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Corrupt a free list directly (no injector): push the live object's ID
-	// onto its home shard's free list, then allocate until that shard's list
-	// drains. The corrupt entry must be discarded, not handed out.
-	home := h.Get(r).home()
-	s := &h.shards[home]
-	s.mu.Lock()
-	s.free = append(s.free, r.ID())
-	s.mu.Unlock()
+	// Corrupt the free list directly (no injector): push the live object's
+	// ID onto it, then allocate until the list drains. The corrupt entry
+	// must be discarded, not handed out.
+	h.freeMu.Lock()
+	h.free = append(h.free, r.ID())
+	h.freeMu.Unlock()
 	seen := map[ObjectID]bool{r.ID(): true}
 	for i := 0; i < 2*freshBlock; i++ {
 		rr, err := h.Allocate(node)

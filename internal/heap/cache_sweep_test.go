@@ -10,9 +10,9 @@ import (
 // TLAB allocation contexts). The design holds up because chunks never move
 // once materialized — a cached chunk pointer can never go stale — and
 // because the sweep frees only unreachable objects: no mutator can probe a
-// slot while the sweep clears it, and the shard lock that puts a freed slot
-// on a free list orders the clearing before the birth that pops it. These
-// tests pin both properties.
+// slot while the sweep clears it, and the free-list lock that puts a freed
+// slot on the free list orders the clearing before the birth that pops it.
+// These tests pin both properties.
 
 // TestChunkCacheSeesFreeAndRecycle: a warm ChunkCache must observe a slot's
 // death immediately (the dead check reads the liveness word, not the
@@ -64,7 +64,7 @@ func TestChunkCacheSeesFreeAndRecycle(t *testing.T) {
 // held objects alternate in the same chunks, and the allocator recycles
 // freed slots mid-flight, so under -race this checks that a free's plain
 // header stores are ordered before the birth that reuses the slot (the
-// shard lock) and never race a probe of a live neighbour. Every probe must
+// free-list lock) and never race a probe of a live neighbour. Every probe must
 // see the object's own class and size, and the accounting must stay sound.
 func TestCachedLookupDuringBackgroundFree(t *testing.T) {
 	reg := NewRegistry()

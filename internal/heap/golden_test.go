@@ -11,19 +11,27 @@ import (
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/alloc_ids.golden from this build")
 
+// scriptHeap is the allocator API allocScript drives: a *Heap, or idModel.
+type scriptHeap interface {
+	NewAllocContext() AllocContext
+	AllocateCtx(*AllocContext, ClassID, ...AllocOption) (Ref, error)
+	ReleaseContext(*AllocContext)
+	FreeBatch([]ObjectID)
+	Allocate(ClassID, ...AllocOption) (Ref, error)
+}
+
 // allocScript drives one allocation context at a time through allocations,
 // ascending FreeBatches (the sweep's order), releases, context reuse and
-// context-less allocations, and returns every ID handed out, in order. It
-// uses only the exported allocator API, so the same script runs against any
-// commit: testdata/alloc_ids.golden was written by it at the commit before
-// contexts got slot runs, where every allocation popped one slot under a
-// shard lock.
-func allocScript(t *testing.T) []ObjectID {
+// context-less allocations on the allocator newHeap returns, and returns
+// every ID handed out, in order. It uses only the exported allocator API,
+// so the same script runs against any commit: testdata/alloc_ids.golden
+// was written by it.
+func allocScript(t *testing.T, newHeap func(*Registry) scriptHeap) []ObjectID {
 	t.Helper()
 	reg := NewRegistry()
 	small := reg.Define("Small", 1, 8)
 	big := reg.Define("Big", 3, 200)
-	h := New(reg, 1<<24)
+	h := newHeap(reg)
 
 	var out, live []ObjectID
 	rnd := uint64(0x9e3779b97f4a7c15)
@@ -82,20 +90,75 @@ func allocScript(t *testing.T) []ObjectID {
 			}
 		case 3:
 			freeSome(5)
-			ctx = h.NewAllocContext() // the next request's thread: next shard
+			ctx = h.NewAllocContext() // the next request's thread
 		}
 	}
 	h.ReleaseContext(&ctx)
-	auditMustBeClean(t, h, "after the allocation script")
 	return out
+}
+
+// idModel is the allocator as allocScript sees it, one slot at a time: one
+// LIFO free list; a context's run is up to freshBlock slots popped off it,
+// with freshBlock fresh IDs pushed on in descending order first when it is
+// empty; releasing a context pushes its unused slots back, last popped
+// first.
+type idModel struct {
+	free  []ObjectID
+	fresh ObjectID // the last ID carved
+}
+
+func (m *idModel) NewAllocContext() AllocContext { return AllocContext{} }
+
+func (m *idModel) AllocateCtx(c *AllocContext, _ ClassID, _ ...AllocOption) (Ref, error) {
+	if c.next == c.n {
+		if len(m.free) == 0 {
+			for id := m.fresh + freshBlock; id > m.fresh; id-- {
+				m.free = append(m.free, id)
+			}
+			m.fresh += freshBlock
+		}
+		c.next, c.n = 0, 0
+		for ; c.n < freshBlock && len(m.free) > 0; c.n++ {
+			c.run[c.n], m.free = m.free[len(m.free)-1], m.free[:len(m.free)-1]
+		}
+	}
+	c.next++
+	return MakeRef(c.run[c.next-1]), nil
+}
+
+func (m *idModel) ReleaseContext(c *AllocContext) {
+	for ; c.n > c.next; c.n-- {
+		m.free = append(m.free, c.run[c.n-1])
+	}
+}
+
+func (m *idModel) FreeBatch(ids []ObjectID) { m.free = append(m.free, ids...) }
+
+func (m *idModel) Allocate(cls ClassID, opts ...AllocOption) (Ref, error) {
+	c := m.NewAllocContext()
+	defer m.ReleaseContext(&c)
+	return m.AllocateCtx(&c, cls, opts...)
 }
 
 // TestAllocIDsMatchGolden pins the single-context ID sequence: runs are an
 // implementation detail a mutator cannot observe, but replay, trace-smoke
-// and the chaos live-set hashes compare IDs across builds.
+// and the chaos live-set hashes compare IDs across builds. The heap must
+// hand out the IDs idModel does, so the golden is what the model says, not
+// only what some earlier build did.
 func TestAllocIDsMatchGolden(t *testing.T) {
 	const path = "testdata/alloc_ids.golden"
-	got := allocScript(t)
+	var h *Heap
+	got := allocScript(t, func(reg *Registry) scriptHeap { h = New(reg, 1<<24); return h })
+	auditMustBeClean(t, h, "after the allocation script")
+	model := allocScript(t, func(*Registry) scriptHeap { return new(idModel) })
+	for i, id := range got {
+		if i >= len(model) || id != model[i] {
+			t.Fatalf("allocation %d of %d got ID %d, the model hands out %v", i, len(got), id, model[i:min(i+1, len(model))])
+		}
+	}
+	if len(model) != len(got) {
+		t.Fatalf("script made %d allocations on the heap, %d on the model", len(got), len(model))
+	}
 	var b strings.Builder
 	for i, id := range got {
 		sep := " "

@@ -75,10 +75,9 @@ func aliasesChunk(h *Heap, p unsafe.Pointer, n int) bool {
 // partner in one FreeBatch call, or through a Freer the way the sweep frees
 // it (Free as it reads the entry, then Flush), and with its class's shape
 // or a per-allocation one (the array path through allocate's opts). Every
-// death leaves size, class, the whole shape word (home shard included) and
-// flags zero, and keeps refs, so a later birth can reuse a separate array.
-// The ladder shape recycles one slot through 0, 2, 4, 5, 9 reference slots
-// and back down, across the inline boundary both ways: each birth has the
+// death leaves size, class, shape and flags zero, and keeps refs, so a
+// later birth can reuse a separate array. The ladder shape recycles one
+// slot through 0, 2, 4, 5, 9 reference slots and back down, across the inline boundary both ways: each birth has the
 // right NumRefs and null slots, keeps up to inlineRefs of them in its own
 // entry, never has a separate array that aliases any table entry, and
 // reuses the slot's separate array when it is large enough.

@@ -3,7 +3,6 @@ package heap
 import (
 	"errors"
 	"fmt"
-	"math/bits"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -48,8 +47,8 @@ type Stats struct {
 	// because they named a live or duplicate slot — corruption (injected or
 	// real) that was detected and repaired instead of handed out twice.
 	FreeListRepairs uint64
-	// AllocShardLocks counts shard-mutex acquisitions made by the allocation
-	// path (run refills, and settles that return unused slots);
+	// AllocShardLocks counts free-list lock acquisitions made by the
+	// allocation path (run refills, and settles that return unused slots);
 	// AllocShardLocks/ObjectsAlloc is the locks-per-allocation figure, about
 	// 1/freshBlock for a long-lived context.
 	AllocShardLocks uint64
@@ -68,13 +67,12 @@ func (s Stats) Fullness() float64 {
 // accounting against a fixed limit. Object pointers returned by Get remain
 // valid until the object is freed, because chunks are never moved.
 //
-// Slot free lists are sharded: they live in numShards independently locked
-// shards, and allocation contexts take slots from them a run at a time (see
-// shard.go). The used-byte counter is a single atomic charged by CAS, the
-// allocation account is four more atomics, and the chunk table is read
-// through atomic pointers. Reference slots are read and written atomically
-// and lock-free (see Object). Freers over disjoint objects may run
-// concurrently.
+// Recyclable slots sit on one free list under freeMu, and allocation
+// contexts take slots from it a run at a time (see shard.go). The used-byte
+// counter is a single atomic charged by CAS, the allocation account is four
+// more atomics, and the chunk table is read through atomic pointers.
+// Reference slots are read and written atomically and lock-free (see
+// Object). Freers over disjoint objects may run concurrently.
 type Heap struct {
 	classes *Registry
 	limit   uint64
@@ -85,8 +83,8 @@ type Heap struct {
 	// stop-the-world collection, so post-GC readings are exact.
 	used atomic.Uint64
 
-	// next is the lowest never-carved ObjectID. Shards carve blocks of
-	// fresh IDs from it; freed IDs recycle through per-shard free lists.
+	// next is the lowest never-carved ObjectID. Refills carve blocks of
+	// fresh IDs from it; freed IDs recycle through the free list.
 	next atomic.Uint64
 
 	// runSeq stamps every run handed to a context (SettleContexts orders by
@@ -108,15 +106,15 @@ type Heap struct {
 	chunkMu sync.Mutex
 	chunks  atomic.Pointer[[]*chunk]
 
-	shards [numShards]shard
-	// rotor spreads new AllocContexts across shards.
-	rotor atomic.Uint32
+	// freeMu guards free, the recyclable slot IDs, popped LIFO.
+	freeMu sync.Mutex
+	free   []ObjectID
 
 	// clock is the stale clock (clock.go); AgeStale publishes each step.
 	clock atomic.Pointer[Clock]
 
 	// diskMu guards the offload accounting and offload-state transitions.
-	// Lock order: shard.mu before diskMu.
+	// Lock order: freeMu before diskMu.
 	diskMu sync.Mutex
 	disk   DiskStats
 
@@ -218,12 +216,12 @@ func (h *Heap) ResolveShape(class ClassID, opts []AllocOption) (refSlots, scalar
 // context: NewAllocContext, AllocateCtx, ReleaseContext. A single caller
 // gets the IDs a slot-at-a-time allocator would (settle pushes the run's
 // unused slots back in reverse pop order), and the books are exact when it
-// returns. Each call pops a whole run and pushes the rest back: two shard
-// locks and several times the cost of a birth from a long-lived context,
-// which is how the VM allocates. Concurrent callers near the limit can see
-// ErrHeapFull while another call's quota is reserved, as AllocateCtx
-// callers can. Outside tests, Allocate is the benchmark's context-less
-// probe.
+// returns. Each call pops a whole run and pushes the rest back: two
+// free-list locks and several times the cost of a birth from a long-lived
+// context, which is how the VM allocates. Concurrent callers near the limit
+// can see ErrHeapFull while another call's quota is reserved, as
+// AllocateCtx callers can. Outside tests, Allocate is the benchmark's
+// context-less probe.
 func (h *Heap) Allocate(class ClassID, opts ...AllocOption) (Ref, error) {
 	c := h.NewAllocContext()
 	r, err := h.AllocateCtx(&c, class, opts...)
@@ -233,7 +231,7 @@ func (h *Heap) Allocate(class ClassID, opts ...AllocOption) (Ref, error) {
 
 // AllocateCtx creates a new object of the given class, its size taken from
 // the context's reserved quota and its slot from the context's run, so the
-// shared byte counter and a shard mutex are touched only on refill. All
+// shared byte counter and the free-list lock are touched only on refill. All
 // reference slots start null. It returns ErrHeapFull (without allocating
 // or reserving) when the object does not fit, or when its shape has more
 // than 2^24-1 slots or a size of 4 GiB or more, which the object's header
@@ -286,7 +284,7 @@ func (h *Heap) allocate(ctx *AllocContext, class ClassID, opts []AllocOption) (R
 		if ctx.next == ctx.n {
 			h.refillRun(ctx)
 		}
-		id = ctx.run[ctx.next]
+		id = ctx.run[ctx.next%freshBlock] // next < n <= freshBlock: the modulus only drops the bounds check
 		ctx.next++
 		if obj = h.slot(id); obj.Size() == 0 {
 			break
@@ -302,7 +300,7 @@ func (h *Heap) allocate(ctx *AllocContext, class ClassID, opts []AllocOption) (R
 	if obj.flags != 0 {
 		obj.flags = 0
 	}
-	obj.shape = ctx.home<<numRefsBits | uint32(refSlots)
+	obj.shape = uint32(refSlots)
 	// A separate array large enough is this slot's own from an earlier
 	// birth; a new one carries its capacity in the word before refs.
 	switch {
@@ -387,28 +385,27 @@ func (h *Heap) GetCached(r Ref, cc *ChunkCache) *Object {
 }
 
 // SweepBatch is how many dead objects a Freer frees before it publishes
-// them: enough to take each shard lock for a run of frees, few enough that
-// the batch's table entries are still in cache and its scratch stays small.
+// them: enough to take the free-list lock for a run of frees, few enough
+// that the batch's table entries are still in cache and its scratch stays
+// small.
 const SweepBatch = 256
 
 // Freer frees dead objects in place, the sweep's one free path. Free clears
-// the object's header with plain stores and notes its ID under its home
-// shard; every SweepBatch frees, and at Flush, each shard the batch touched
-// is locked once, in shard order, to append its IDs to its free list in the
-// order they were freed and run the free-list corruption probe. The batch
-// is then added to the heap's freed account, and its heap-resident bytes
-// are credited to the used counter, once each. A dead object is
-// unreachable, so no other goroutine reads its header while Free clears
-// it, and the shard lock that publishes the slot orders the clears before
-// the birth that pops it. A Freer belongs to one goroutine at a time;
-// Freers over disjoint objects may run side by side.
+// the object's header with plain stores and notes its ID; every SweepBatch
+// frees, and at Flush, the free list is locked once to append the batch's
+// IDs in the order they were freed and run the free-list corruption probe.
+// The batch is then added to the heap's freed account, and its
+// heap-resident bytes are credited to the used counter, once each. A dead
+// object is unreachable, so no other goroutine reads its header while Free
+// clears it, and the free-list lock that publishes the slot orders the
+// clears before the birth that pops it. A Freer belongs to one goroutine at
+// a time; Freers over disjoint objects may run side by side.
 type Freer struct {
 	h      *Heap
-	n      int                                // IDs in the batch
-	ids    [SweepBatch]ObjectID               // the batch, in free order
-	homes  [numShards][SweepBatch / 64]uint64 // bit i of shard si's words: ids[i] is homed on si
-	freed  uint64                             // bytes the batch freed
-	credit uint64                             // heap-resident bytes the batch freed
+	n      int                  // IDs in the batch
+	ids    [SweepBatch]ObjectID // the batch, in free order
+	freed  uint64               // bytes the batch freed
+	credit uint64               // heap-resident bytes the batch freed
 }
 
 // NewFreer returns a Freer for the heap's dead objects.
@@ -422,7 +419,7 @@ func (h *Heap) NewFreer() *Freer { return &Freer{h: h} }
 // heap is credited nothing for them.
 func (f *Freer) Free(id ObjectID, obj *Object) {
 	size := uint64(obj.size)
-	heapBytes, si := size, obj.home()&shardMask
+	heapBytes := size
 	if fl := obj.flags; fl != 0 {
 		if fl&flagOffloaded != 0 {
 			f.h.diskMu.Lock()
@@ -435,7 +432,6 @@ func (f *Freer) Free(id ObjectID, obj *Object) {
 	obj.size, obj.class, obj.shape = 0, 0, 0
 	f.credit += heapBytes
 	f.freed += size
-	f.homes[si][f.n>>6] |= 1 << (f.n & 63)
 	f.ids[f.n] = id
 	if f.n++; f.n == SweepBatch {
 		f.Flush()
@@ -448,22 +444,10 @@ func (f *Freer) Flush() {
 		return
 	}
 	h := f.h
-	for si := range f.homes {
-		in := &f.homes[si]
-		if *in == ([SweepBatch / 64]uint64{}) {
-			continue
-		}
-		s := &h.shards[si]
-		s.mu.Lock()
-		for w, b := range in {
-			for ; b != 0; b &= b - 1 {
-				s.free = append(s.free, f.ids[w<<6|bits.TrailingZeros64(b)])
-			}
-		}
-		h.maybeCorruptFreeListLocked(s)
-		s.unlock()
-		*in = [SweepBatch / 64]uint64{}
-	}
+	h.freeMu.Lock()
+	h.free = append(h.free, f.ids[:f.n]...)
+	h.maybeCorruptFreeListLocked()
+	h.freeMu.Unlock()
 	h.bytesFreed.Add(f.freed)
 	h.objectsFreed.Add(uint64(f.n))
 	h.creditBytes(f.credit)
@@ -485,34 +469,34 @@ func (h *Heap) FreeBatch(ids []ObjectID) {
 	f.Flush()
 }
 
-// maybeCorruptFreeListLocked is the shard free-list corruption probe: when
-// the injector fires, it plants a duplicate entry in s's free list and then
+// maybeCorruptFreeListLocked is the free-list corruption probe: when the
+// injector fires, it plants a duplicate entry in the free list and then
 // runs the integrity scan, which must detect and repair the corruption under
 // the same lock hold (so the damage is never observable outside it). The
 // scan is real detection code — if it ever finds corruption that was NOT
-// injected, that too is repaired and counted. Caller holds s.mu.
-func (h *Heap) maybeCorruptFreeListLocked(s *shard) {
+// injected, that too is repaired and counted. Caller holds freeMu.
+func (h *Heap) maybeCorruptFreeListLocked() {
 	if !h.inj.Enabled(faultinject.ShardFreeListCorruption) {
 		return
 	}
-	if len(s.free) == 0 || !h.inj.Should(faultinject.ShardFreeListCorruption) {
+	if len(h.free) == 0 || !h.inj.Should(faultinject.ShardFreeListCorruption) {
 		return
 	}
-	s.free = append(s.free, s.free[len(s.free)-1])
-	if h.probeFreeListLocked(s) == 0 {
+	h.free = append(h.free, h.free[len(h.free)-1])
+	if h.probeFreeListLocked() == 0 {
 		panic("heap: free-list probe missed an injected duplicate entry")
 	}
 }
 
-// probeFreeListLocked verifies s's free list: every entry must name a dead,
+// probeFreeListLocked verifies the free list: every entry must name a dead,
 // materialized slot, each at most once. Violating entries are discarded
 // (repair) and counted in FreeListRepairs. It returns how many entries were
-// repaired. Caller holds s.mu.
-func (h *Heap) probeFreeListLocked(s *shard) int {
-	seen := make(map[ObjectID]struct{}, len(s.free))
+// repaired. Caller holds freeMu.
+func (h *Heap) probeFreeListLocked() int {
+	seen := make(map[ObjectID]struct{}, len(h.free))
 	repaired := 0
-	out := s.free[:0]
-	for _, id := range s.free {
+	out := h.free[:0]
+	for _, id := range h.free {
 		obj := h.slot(id)
 		if obj == nil || obj.Size() != 0 {
 			repaired++
@@ -525,7 +509,7 @@ func (h *Heap) probeFreeListLocked(s *shard) int {
 		seen[id] = struct{}{}
 		out = append(out, id)
 	}
-	s.free = out
+	h.free = out
 	if repaired > 0 {
 		h.freeListRepairs.Add(uint64(repaired))
 	}

@@ -61,7 +61,7 @@ func (h *Heap) ClearMarks() {
 	}
 }
 
-// MarkFreeSlots sets the mark bit of every slot on a shard free list: the
+// MarkFreeSlots sets the mark bit of every slot on the free list: the
 // start pause's pre-mark, right after ClearMarks, with every allocation
 // context settled. A slot a mutator takes from a free list while the cycle
 // runs is then already marked, so its birth writes no bit and the sweep,
@@ -70,21 +70,19 @@ func (h *Heap) ClearMarks() {
 // the sweep frees in ascending order — costs one store.
 func (h *Heap) MarkFreeSlots() {
 	t := *h.chunks.Load()
-	for i := range h.shards {
-		var wi ObjectID // the word of the IDs in bits
-		var bits uint64
-		for _, id := range h.shards[i].free {
-			if id>>6 != wi {
-				if bits != 0 {
-					*t[wi>>(chunkShift-6)].markWord(wi << 6) |= bits
-				}
-				wi, bits = id>>6, 0
+	var wi ObjectID // the word of the IDs in bits
+	var bits uint64
+	for _, id := range h.free {
+		if id>>6 != wi {
+			if bits != 0 {
+				*t[wi>>(chunkShift-6)].markWord(wi << 6) |= bits
 			}
-			bits |= markBit(id)
+			wi, bits = id>>6, 0
 		}
-		if bits != 0 {
-			*t[wi>>(chunkShift-6)].markWord(wi << 6) |= bits
-		}
+		bits |= markBit(id)
+	}
+	if bits != 0 {
+		*t[wi>>(chunkShift-6)].markWord(wi << 6) |= bits
 	}
 }
 

@@ -22,18 +22,11 @@ const inlineRefs = 4
 // full-heap collections ago.
 const MaxStale = 7
 
-// The shape word packs an object's slot count under its home shard.
-const (
-	numRefsBits = 24
-	numRefsMask = 1<<numRefsBits - 1
-)
-
-const _ = uint(1<<(32-numRefsBits) - numShards) // does not compile if a home shard could overflow its byte
-
 // Allocations that would not fit the narrowed header words are refused
-// (ErrHeapFull), never born with a wrapped size or slot count.
+// (ErrHeapFull), never born with a wrapped size or slot count. An object
+// has at most 2^24-1 reference slots.
 const (
-	maxRefSlots   = numRefsMask
+	maxRefSlots   = 1<<24 - 1
 	maxObjectSize = 1<<32 - 1
 )
 
@@ -56,7 +49,7 @@ type Object struct {
 	// another goroutine by the atomic store that publishes the newborn's
 	// reference, or by the safepoint handshake before a stop-the-world
 	// reader; a death is ordered before the next birth in the slot by the
-	// shard lock that puts it on a free list. Readers load the words
+	// free-list lock that puts it on the free list. Readers load the words
 	// atomically.
 	class ClassID
 	// stale is the stale clock's position at the object's birth or last
@@ -72,11 +65,7 @@ type Object struct {
 	// It doubles as the slot's liveness word (0 = free); written as class
 	// is.
 	size uint32
-	// shape is home<<numRefsBits | the number of reference slots. home is
-	// the allocator shard that owns this object's slot: a Freer returns the
-	// slot to this shard's free list and charges this shard's accounting, so
-	// an object's birth and death are counted under the same shard lock. A
-	// freed slot's shape is 0.
+	// shape is the number of reference slots. A freed slot's shape is 0.
 	shape uint32
 	// refs points at the object's first tagged reference word: inline[0]
 	// when the shape has at most inlineRefs slots (so a slot read touches
@@ -95,15 +84,12 @@ func (o *Object) Class() ClassID { return ClassID(atomic.LoadUint32((*uint32)(&o
 func (o *Object) Size() uint64 { return uint64(atomic.LoadUint32(&o.size)) }
 
 // NumRefs returns the number of reference slots.
-func (o *Object) NumRefs() int { return int(o.shape & numRefsMask) }
-
-// home returns the allocator shard that owns the object's slot.
-func (o *Object) home() uint32 { return o.shape >> numRefsBits }
+func (o *Object) NumRefs() int { return int(o.shape) }
 
 // words returns the object's reference words, NumRefs of them, so that an
 // index past them fails the slice's bounds check.
 func (o *Object) words() []uint64 {
-	n := o.shape & numRefsMask
+	n := o.shape
 	return (*[1 << 32]uint64)(o.refs)[:n:n]
 }
 

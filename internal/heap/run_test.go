@@ -8,7 +8,7 @@ import (
 )
 
 // TestSettleRestoresFreeList checks what a flush promises: after a context
-// that used part of its run is released, the shard's free list is exactly
+// that used part of its run is released, the free list is exactly
 // what it was before minus the slots that became objects, the audit is
 // clean, and Stats is exact.
 func TestSettleRestoresFreeList(t *testing.T) {
@@ -16,7 +16,7 @@ func TestSettleRestoresFreeList(t *testing.T) {
 	cls := reg.Define("N", 0, 16)
 	h := New(reg, 1<<20)
 
-	// Seed one shard with a known free list: allocate and free 100 objects.
+	// Seed a known free list: allocate and free 100 objects.
 	ctx := h.NewAllocContext()
 	var ids []ObjectID
 	for i := 0; i < 100; i++ {
@@ -28,8 +28,7 @@ func TestSettleRestoresFreeList(t *testing.T) {
 	}
 	h.ReleaseContext(&ctx)
 	h.FreeBatch(ids)
-	s := &h.shards[ctx.home]
-	before := append([]ObjectID(nil), s.free...)
+	before := h.FreeList()
 
 	for _, used := range []int{1, 40, freshBlock - 1, freshBlock, freshBlock + 1} {
 		var got []ObjectID
@@ -50,8 +49,8 @@ func TestSettleRestoresFreeList(t *testing.T) {
 				t.Fatalf("used=%d: allocation %d got slot %d, want %d", used, i, id, want)
 			}
 		}
-		if want := before[:len(before)-used]; fmt.Sprint(s.free) != fmt.Sprint(want) {
-			t.Fatalf("used=%d: free list after release\n got %v\nwant %v", used, s.free, want)
+		if got, want := h.FreeList(), before[:len(before)-used]; fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("used=%d: free list after release\n got %v\nwant %v", used, got, want)
 		}
 		auditMustBeClean(t, h, fmt.Sprintf("after releasing a run with %d slots used", used))
 		if st := h.Stats(); st.ObjectsAlloc-st.ObjectsFreed != st.ObjectsUsed || st.ObjectsUsed != uint64(used) ||
@@ -62,7 +61,7 @@ func TestSettleRestoresFreeList(t *testing.T) {
 		// the list back as it started.
 		sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
 		h.FreeBatch(got)
-		if fmt.Sprint(s.free) != fmt.Sprint(before) {
+		if fmt.Sprint(h.FreeList()) != fmt.Sprint(before) {
 			t.Fatalf("used=%d: free list after freeing the run's objects differs from the start", used)
 		}
 	}
@@ -87,9 +86,8 @@ func TestDuplicateInRunIsRepaired(t *testing.T) {
 	}
 	h.ReleaseContext(&ctx)
 	h.FreeBatch(ids)
-	s := &h.shards[ctx.home]
-	dup := s.free[len(s.free)-3]
-	s.free = append(s.free, dup) // now the top entry and the fourth from the top
+	dup := h.free[len(h.free)-3]
+	h.free = append(h.free, dup) // now the top entry and the fourth from the top
 
 	seen := map[ObjectID]bool{}
 	for i := 0; i < 2*freshBlock; i++ {
@@ -114,7 +112,7 @@ func TestDuplicateInRunIsRepaired(t *testing.T) {
 	// The other way round: the first copy is used, the second is still in
 	// the run when the context is released. It must not go back on the list.
 	h.FreeBatch([]ObjectID{dup})
-	s.free = append(s.free, dup)
+	h.free = append(h.free, dup)
 	if r, err := h.AllocateCtx(&ctx, cls); err != nil || r.ID() != dup {
 		t.Fatalf("AllocateCtx = %v, %v; want slot %d", r, err, dup)
 	}
@@ -209,9 +207,9 @@ func TestRunsUnderConcurrentFreeAndCarve(t *testing.T) {
 }
 
 // TestAllocShardLocksPerAllocation states the point of runs as a number: a
-// long-lived context takes about one shard lock per freshBlock allocations
-// once slots recycle through its own shard, and releasing a context whose
-// run is used up takes none.
+// long-lived context takes about one free-list lock per freshBlock
+// allocations once slots recycle, and releasing a context whose run is used
+// up takes none.
 func TestAllocShardLocksPerAllocation(t *testing.T) {
 	reg := NewRegistry()
 	cls := reg.Define("N", 0, 16)
@@ -229,7 +227,7 @@ func TestAllocShardLocksPerAllocation(t *testing.T) {
 	before := h.Stats().AllocShardLocks
 	h.ReleaseContext(&ctx) // the run is used up: only the counts fold
 	if got := h.Stats().AllocShardLocks - before; got != 0 {
-		t.Fatalf("releasing a context with no unused slots took %d shard locks, want 0", got)
+		t.Fatalf("releasing a context with no unused slots took %d free-list locks, want 0", got)
 	}
 	if st := h.Stats(); st.ObjectsAlloc != n || st.ObjectsUsed != n {
 		t.Fatalf("release did not fold the counts: %+v", st)
@@ -243,42 +241,6 @@ func TestAllocShardLocksPerAllocation(t *testing.T) {
 	}
 	h.ReleaseContext(&ctx)
 	if got := h.Stats().AllocShardLocks - warm; got > n/freshBlock+1 {
-		t.Fatalf("%d allocations from recycled slots took %d shard locks, want at most %d", n, got, n/freshBlock+1)
+		t.Fatalf("%d allocations from recycled slots took %d free-list locks, want at most %d", n, got, n/freshBlock+1)
 	}
-}
-
-// TestRefillSkipsEmptyShards: a refill passes an empty shard without taking
-// its lock. A context whose preferred shard is empty and whose k-th
-// neighbour holds slots refills with one shard lock, and one on an empty
-// heap takes one, at the carve pass.
-func TestRefillSkipsEmptyShards(t *testing.T) {
-	reg := NewRegistry()
-	cls := reg.Define("N", 0, 16)
-	h := New(reg, 1<<24)
-	locks := func(c *AllocContext) uint64 {
-		t.Helper()
-		before := h.Stats().AllocShardLocks
-		if _, err := h.AllocateCtx(c, cls); err != nil {
-			t.Fatal(err)
-		}
-		return h.Stats().AllocShardLocks - before
-	}
-
-	first := h.NewAllocContext()
-	if got := locks(&first); got != 1 {
-		t.Fatalf("a refill on an empty heap took %d shard locks, want 1 (the carve)", got)
-	}
-	// Settling the run puts its 63 unused slots back on its home shard, the
-	// only shard with any.
-	h.ReleaseContext(&first)
-	const k = 5
-	c := AllocContext{shard: (first.home - k) & shardMask}
-	if got := locks(&c); got != 1 {
-		t.Fatalf("a refill %d shards from the only non-empty one took %d shard locks, want 1", k, got)
-	}
-	if c.home != first.home {
-		t.Fatalf("the run came from shard %d, want %d", c.home, first.home)
-	}
-	h.ReleaseContext(&c)
-	auditMustBeClean(t, h, "after refills past empty shards")
 }

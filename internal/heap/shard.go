@@ -2,39 +2,35 @@ package heap
 
 import (
 	"sort"
-	"sync"
 	"sync/atomic"
 )
 
-// Allocator sharding and per-context slot runs.
+// The free list and per-context slot runs.
 //
-// The object table's free lists are split across numShards independently
-// locked shards. Everything else is heap-wide atomics: the used-byte
+// The object table's recyclable slots sit on one LIFO free list, guarded by
+// the heap's freeMu. Everything else is heap-wide atomics: the used-byte
 // counter (charged against the limit), the fresh-ID cursor and the
 // allocation account (bytes and objects allocated and freed).
 //
-// Who owns a slot when. A dead slot sits on exactly one shard's free list
-// (owned by that shard's mutex) or in exactly one AllocContext's run (owned
-// by the context's goroutine, no lock). refillRun moves up to freshBlock
-// slots from one shard to a context inside one critical section: it scans
-// the shards from the context's preferred one, pops LIFO from the first
-// shard that has anything, and carves fresh IDs into the preferred shard
-// when none has. Allocating from the run then takes no mutex: the context
-// initialises the object with plain stores and counts the allocation in a
-// plain word of its own. A live object belongs to the shard it was popped from
-// (the home byte of Object.shape); a Freer pushes the slot back onto that
-// shard's list.
+// Who owns a slot when. A dead slot sits on the free list (owned by freeMu)
+// or in exactly one AllocContext's run (owned by the context's goroutine,
+// no lock). refillRun moves up to freshBlock slots from the list to a
+// context inside one critical section, popped LIFO, and when the list has
+// none carves freshBlock fresh IDs straight into the run, in the order a
+// pop would have given them. Allocating from
+// the run then takes no mutex: the context initialises the object with
+// plain stores and counts the allocation in a plain word of its own. A
+// Freer pushes a dead slot back onto the list, a batch per lock.
 //
 // What settle restores. Refill, ReleaseContext and the VM's flushes settle
 // the context: its pending word is folded into the heap's account, and the
-// run's unused slots are pushed back onto the home shard in reverse pop
-// order. A single context that allocates, settles and refills therefore
-// sees exactly the IDs a slot-at-a-time LIFO allocator would hand out — the
-// free list between runs is what it would have been — which is what
-// record/replay and the per-cycle live-set hashes rely on. Several
-// contexts are settled newest run first (SettleContexts), so a fixed
-// interleaving of threads gives fixed free lists whatever order the caller
-// lists them in.
+// run's unused slots are pushed back onto the list in reverse pop order. A
+// single context that allocates, settles and refills therefore sees exactly
+// the IDs a slot-at-a-time LIFO allocator would hand out — the free list
+// between runs is what it would have been — which is what record/replay and
+// the per-cycle live-set hashes rely on. Several contexts are settled
+// newest run first (SettleContexts), so a fixed interleaving of threads
+// gives a fixed free list whatever order the caller lists them in.
 //
 // What Stats means between settles. The used-byte counter is always
 // current (it includes unspent TLAB quota). BytesAlloc, ObjectsAlloc and
@@ -44,12 +40,9 @@ import (
 // so a Stats plus every context's AddPending is exact once each owner has
 // published, and after every context has been settled Stats alone is.
 const (
-	numShards = 16
-	shardMask = numShards - 1
-
-	// freshBlock is how many never-used object IDs a shard carves from the
-	// global cursor at a time when no free list has a slot to recycle, and
-	// the length of a context's slot run.
+	// freshBlock is how many never-used object IDs a refill carves from the
+	// global cursor when the free list has no slot to recycle, and the
+	// length of a context's slot run.
 	freshBlock = 64
 
 	// maxTLABBytes caps an AllocContext's reserved byte quota.
@@ -62,22 +55,11 @@ const (
 
 const _ = uint(1<<pendingCountBits - 1 - freshBlock) // does not compile if a run's count could overflow its field
 
-type shard struct {
-	mu sync.Mutex
-	// free holds recyclable slot IDs, popped LIFO.
-	free []ObjectID
-	// n is len(free) as of the last critical section that changed it,
-	// stored under mu (unlock), so refillRun can pass an empty shard
-	// without locking it.
-	n atomic.Uint32
-
-	_ [64]byte // keep neighboring shards off each other's cache line
-}
-
 // AllocContext is a per-thread allocation context: a byte quota already
 // reserved against the heap limit (TLAB-style, so the shared used-byte
 // counter is touched roughly once per maxTLABBytes) and a private run of
-// free slot IDs (so a shard mutex is taken once per freshBlock objects).
+// free slot IDs (so the free-list lock is taken once per freshBlock
+// objects).
 //
 // A context must not be used from more than one goroutine at a time. Its
 // unused quota counts toward BytesUsed, its unused slots are on no free
@@ -96,12 +78,10 @@ type AllocContext struct {
 	births  uint64
 	pending atomic.Uint64
 
-	shard    uint32 // preferred shard: refills scan from it and carve into it
 	reserved uint64
 
 	// run[next:n] are the unused slots of the current run, in the order the
-	// home shard's free list popped them; seq is the run's heap-wide stamp.
-	home    uint32
+	// free list popped them; seq is the run's heap-wide stamp.
 	next, n uint32
 	seq     uint64
 	run     [freshBlock]ObjectID
@@ -133,18 +113,9 @@ func (c *AllocContext) AddPending(st *Stats) {
 	st.ObjectsUsed += n
 }
 
-// NewAllocContext returns an allocation context bound to the next shard in
-// round-robin order.
-func (h *Heap) NewAllocContext() AllocContext {
-	return AllocContext{shard: h.rotor.Add(1) & shardMask}
-}
-
-// unlock publishes the free list's length for refillRun's unlocked look and
-// releases the shard. Every critical section that changes free ends here.
-func (s *shard) unlock() {
-	s.n.Store(uint32(len(s.free)))
-	s.mu.Unlock()
-}
+// NewAllocContext returns an empty allocation context: its first
+// allocation refills it.
+func (h *Heap) NewAllocContext() AllocContext { return AllocContext{} }
 
 // ReleaseContext settles the context (see the top of this file) and
 // returns its unused byte quota to the heap. It is idempotent; the context
@@ -157,10 +128,10 @@ func (h *Heap) ReleaseContext(c *AllocContext) {
 	}
 }
 
-// SettleContexts settles several contexts in the one order that leaves
-// every shard's free list independent of the order the caller found them
-// in: newest run first, so runs popped from the same shard go back in
-// reverse. Byte quotas stay reserved.
+// SettleContexts settles several contexts in the one order that leaves the
+// free list independent of the order the caller found them in: newest run
+// first, so the runs go back in reverse of the order they were popped. Byte
+// quotas stay reserved.
 func (h *Heap) SettleContexts(cs []*AllocContext) {
 	sort.Slice(cs, func(i, j int) bool { return cs[i].seq > cs[j].seq })
 	for _, c := range cs {
@@ -231,58 +202,42 @@ func (h *Heap) refill(c *AllocContext, size uint64) bool {
 	}
 }
 
-// refillRun gives the context a fresh run of up to freshBlock slots, all
-// from one shard: the first in scan order from the preferred shard whose
-// free list has a valid entry, else the preferred shard after carving fresh
-// IDs into it (re-checked first: a racing Freer may have refilled it). A
-// shard whose published length is 0 is passed without taking its lock; the
-// carve pass always locks. The context must have no unused slots; its
-// pending counts are folded first.
+// refillRun gives the context a fresh run of up to freshBlock slots: the
+// free list's top entries, popped LIFO under one free-list lock, or, when
+// the pop found nothing, a carve of freshBlock fresh IDs. The context must
+// have no unused slots; its pending counts are folded first.
 func (h *Heap) refillRun(c *AllocContext) {
 	h.fold(c)
-	var locks uint64
-	for i := uint32(0); c.next == c.n; i++ {
-		si := (c.shard + i) & shardMask
-		s := &h.shards[si]
-		if i < numShards && s.n.Load() == 0 {
-			continue
-		}
-		s.mu.Lock()
-		locks++
-		n := h.popRunLocked(s, c.run[:])
-		for n == 0 && i == numShards { // a full scan found nothing to recycle
-			h.carveLocked(s)
-			n = h.popRunLocked(s, c.run[:])
-		}
-		s.unlock()
-		if n > 0 {
-			c.home, c.next, c.n = si, 0, uint32(n)
-			c.seq = h.runSeq.Add(1)
-		}
+	h.freeMu.Lock()
+	n := h.popRunLocked(c.run[:])
+	h.freeMu.Unlock()
+	if n == 0 {
+		h.carve(&c.run)
+		n = freshBlock
 	}
-	h.allocShardLocks.Add(locks)
+	c.next, c.n = 0, uint32(n)
+	c.seq = h.runSeq.Add(1)
+	h.allocShardLocks.Add(1)
 }
 
 // settle folds the context's pending counts and, when the run has unused
-// slots, pushes them back onto the home shard in reverse pop order, so the
-// shard's free list is what a slot-at-a-time allocator would have left.
-// Entries that went live since they were popped (duplicates) are dropped
-// and counted.
+// slots, pushes them back onto the free list in reverse pop order, so the
+// list is what a slot-at-a-time allocator would have left. Entries that
+// went live since they were popped (duplicates) are dropped and counted.
 func (h *Heap) settle(c *AllocContext) {
 	h.fold(c)
 	if c.next == c.n {
 		return
 	}
-	s := &h.shards[c.home]
-	s.mu.Lock()
+	h.freeMu.Lock()
 	for i := c.n; i > c.next; i-- {
 		if id := c.run[i-1]; h.slot(id).Size() == 0 {
-			s.free = append(s.free, id)
+			h.free = append(h.free, id)
 		} else {
 			h.freeListRepairs.Add(1)
 		}
 	}
-	s.unlock()
+	h.freeMu.Unlock()
 	c.next, c.n = 0, 0
 	h.allocShardLocks.Add(1)
 }
@@ -297,16 +252,16 @@ func (h *Heap) fold(c *AllocContext) {
 	}
 }
 
-// popRunLocked pops up to len(run) recyclable slots off s's free list into
+// popRunLocked pops up to len(run) recyclable slots off the free list into
 // run, in LIFO order, discarding (and counting) corrupt entries that name a
 // live or unmaterialized slot. A duplicate of a still-dead slot passes here
-// and is caught when the run reaches it (allocate). Caller holds s.mu.
-func (h *Heap) popRunLocked(s *shard, run []ObjectID) int {
+// and is caught when the run reaches it (allocate). Caller holds freeMu.
+func (h *Heap) popRunLocked(run []ObjectID) int {
 	k := 0
-	n := len(s.free)
+	n := len(h.free)
 	for n > 0 && k < len(run) {
 		n--
-		id := s.free[n]
+		id := h.free[n]
 		if obj := h.slot(id); obj == nil || obj.Size() != 0 {
 			h.freeListRepairs.Add(1)
 			continue
@@ -314,37 +269,30 @@ func (h *Heap) popRunLocked(s *shard, run []ObjectID) int {
 		run[k] = id
 		k++
 	}
-	s.free = s.free[:n]
+	h.free = h.free[:n]
 	return k
 }
 
-// FreeLists returns a copy of every shard's free list, bottom first (the
-// next allocation from a shard pops the last entry).
-func (h *Heap) FreeLists() [][]ObjectID {
-	out := make([][]ObjectID, len(h.shards))
-	for i := range h.shards {
-		s := &h.shards[i]
-		s.mu.Lock()
-		out[i] = append([]ObjectID(nil), s.free...)
-		s.mu.Unlock()
-	}
-	return out
+// FreeList returns a copy of the free list, bottom first (the next refill
+// pops the last entry).
+func (h *Heap) FreeList() []ObjectID {
+	h.freeMu.Lock()
+	defer h.freeMu.Unlock()
+	return append([]ObjectID(nil), h.free...)
 }
 
-// carveLocked claims a block of fresh IDs from the global cursor and pushes
-// them onto s's free list in descending order, so LIFO pops hand them out
-// ascending. Caller holds s.mu.
-func (h *Heap) carveLocked(s *shard) {
+// carve fills run with a block of fresh IDs from the global cursor in
+// ascending order: the run a LIFO pop would give had they been pushed onto
+// the empty free list in descending order. It holds no free-list lock, so
+// a chunk's zeroing never stalls another refill or a Freer.
+func (h *Heap) carve(run *[freshBlock]ObjectID) {
 	base := h.next.Add(freshBlock) - freshBlock
 	if base+freshBlock > uint64(maxChunks)<<chunkShift {
 		panic("heap: object table exhausted")
 	}
 	h.ensureChunks(ObjectID(base + freshBlock - 1))
-	for id := base + freshBlock - 1; ; id-- {
-		s.free = append(s.free, ObjectID(id))
-		if id == base {
-			break
-		}
+	for k := range run {
+		run[k] = ObjectID(base) + ObjectID(k)
 	}
 }
 

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"leakpruning/internal/faultinject"
 )
 
 // TestRecycledSlotStateCleared is the regression test for recycled-slot
@@ -218,7 +220,7 @@ func TestShardedAllocFreeParallel(t *testing.T) {
 }
 
 // TestMarkFreeSlots pins the start pause's pre-mark: after ClearMarks and
-// MarkFreeSlots the set bits are exactly the slots on the shard free lists
+// MarkFreeSlots the set bits are exactly the slots on the free list
 // — the freed ones, a settled run's unused ones and the carved ones no run
 // holds — and never a live object, whatever the last cycle marked. A birth
 // from a free list then lands in a marked slot.
@@ -251,13 +253,11 @@ func TestMarkFreeSlots(t *testing.T) {
 	h.ClearMarks()
 	h.MarkFreeSlots()
 	onList := map[ObjectID]bool{}
-	for i := range h.shards {
-		for _, id := range h.shards[i].free {
-			onList[id] = true
-		}
+	for _, id := range h.free {
+		onList[id] = true
 	}
 	if want := len(dead) + 64 - len(ids)%64; len(onList) != want {
-		t.Fatalf("%d slots on the free lists, want %d freed and unused", len(onList), want)
+		t.Fatalf("%d slots on the free list, want %d freed and unused", len(onList), want)
 	}
 	for id := ObjectID(0); id < h.MaxID(); id++ {
 		set := h.MarkBit(id)
@@ -284,65 +284,62 @@ func TestMarkFreeSlots(t *testing.T) {
 	}
 }
 
-// TestFreerPublishesEverySweepBatch: a Freer holds at most SweepBatch frees
-// in all, whatever their home shards. The first SweepBatch-1 frees leave
-// every free list and counter as it was; the SweepBatch-th publishes the
-// whole batch, each ID on its home shard's free list in the order freed;
-// Flush publishes the rest.
+// TestFreerPublishesEverySweepBatch: a Freer holds at most 256 frees. The
+// first 255 leave the free list, the counters and the corruption probe as
+// they were; the 256th publishes the whole batch onto the free list in the
+// order freed, under one lock that draws the free-list corruption fault
+// once; Flush publishes the rest with one more draw. Injected corruption is
+// repaired under the same lock, so it leaves the list as it was.
 func TestFreerPublishesEverySweepBatch(t *testing.T) {
+	// 256, not SweepBatch: the draws are pinned where the sweep's batches
+	// have always put them.
+	const batch = 256
 	reg := NewRegistry()
 	cls := reg.Define("N", 1, 16)
 	h := New(reg, 1<<30)
-	ctxs := make([]AllocContext, 4)
-	for i := range ctxs {
-		ctxs[i] = h.NewAllocContext()
-	}
+	inj := faultinject.New(1)
+	inj.Arm(faultinject.ShardFreeListCorruption, 0.5)
+	h.SetFaultInjector(inj)
+	ctx := h.NewAllocContext()
 	var ids []ObjectID
-	home := map[ObjectID]uint32{}
-	for i := 0; i < SweepBatch+10; i++ {
-		r, err := h.AllocateCtx(&ctxs[i%len(ctxs)], cls)
+	for i := 0; i < batch+10; i++ {
+		r, err := h.AllocateCtx(&ctx, cls)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ids = append(ids, r.ID())
-		home[r.ID()] = h.Get(r).home()
 	}
-	for i := range ctxs {
-		h.ReleaseContext(&ctxs[i])
-	}
-	slices.Sort(ids) // the sweep frees in ascending order
-	before := h.FreeLists()
-	want := h.FreeLists()
-	published := func(stage string, lists [][]ObjectID, n int) {
+	h.ReleaseContext(&ctx)
+	slices.Reverse(ids) // not the order they were born in: the list keeps the order freed
+	before := h.FreeList()
+	want := slices.Clone(before)
+	published := func(stage string, list []ObjectID, n int, draws uint64) {
 		t.Helper()
-		if got := h.FreeLists(); !slices.EqualFunc(got, lists, slices.Equal) {
-			t.Fatalf("%s: free lists %v, want %v", stage, got, lists)
+		if got := h.FreeList(); !slices.Equal(got, list) {
+			t.Fatalf("%s: free list %v, want %v", stage, got, list)
 		}
 		if st := h.Stats(); st.ObjectsFreed != uint64(n) || st.ObjectsUsed != uint64(len(ids)-n) {
 			t.Fatalf("%s: %d freed, %d used; want %d, %d", stage, st.ObjectsFreed, st.ObjectsUsed, n, len(ids)-n)
+		}
+		if got := inj.Draws(faultinject.ShardFreeListCorruption); got != draws {
+			t.Fatalf("%s: %d free-list corruption draws, want %d", stage, got, draws)
 		}
 	}
 	f := h.NewFreer()
 	for i, id := range ids {
 		f.Free(id, h.slot(id))
-		want[home[id]] = append(want[home[id]], id)
+		want = append(want, id)
 		switch i + 1 {
-		case SweepBatch - 1:
-			published("one free short of a batch", before, 0)
-		case SweepBatch:
-			published("a batch", want, SweepBatch)
+		case batch - 1:
+			published("one free short of a batch", before, 0, 0)
+		case batch:
+			published("a batch", want, batch, 1)
 		}
 	}
 	f.Flush()
-	published("Flush", want, len(ids))
-	shards := 0
-	for _, l := range want {
-		if len(l) > 0 {
-			shards++
-		}
-	}
-	if shards < 4 {
-		t.Fatalf("the frees landed on %d shards; the test needs 4", shards)
+	published("Flush", want, len(ids), 2)
+	if fires, repairs := inj.Fires(faultinject.ShardFreeListCorruption), h.FreeListRepairs(); repairs != fires {
+		t.Fatalf("%d injected corruptions, %d repairs; want all repaired", fires, repairs)
 	}
 	auditMustBeClean(t, h, "after Flush")
 }

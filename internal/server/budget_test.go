@@ -133,7 +133,7 @@ func TestLadderHysteresis(t *testing.T) {
 	}
 }
 
-// TestAllocLocksPerObjectOnMetrics: the allocator's shard locks per object
+// TestAllocLocksPerObjectOnMetrics: the allocator's free-list locks per object
 // are readable from /metrics per tenant, for the request shape that costs
 // the most locks (one short-lived VM thread per request, many requests).
 func TestAllocLocksPerObjectOnMetrics(t *testing.T) {
@@ -160,7 +160,7 @@ func TestAllocLocksPerObjectOnMetrics(t *testing.T) {
 			objects, locks, hs.ObjectsAlloc, hs.AllocShardLocks)
 	}
 	if objects == 0 || locks == 0 || locks >= objects {
-		t.Fatalf("%d shard locks for %d objects: want well under one lock per object", locks, objects)
+		t.Fatalf("%d free-list locks for %d objects: want well under one lock per object", locks, objects)
 	}
 	var sb strings.Builder
 	o.Registry().WritePrometheus(&sb)
@@ -172,5 +172,5 @@ func TestAllocLocksPerObjectOnMetrics(t *testing.T) {
 			t.Fatalf("metrics missing %q", want)
 		}
 	}
-	t.Logf("%d shard locks / %d objects = %.3f locks per object", locks, objects, float64(locks)/float64(objects))
+	t.Logf("%d free-list locks / %d objects = %.3f locks per object", locks, objects, float64(locks)/float64(objects))
 }

@@ -222,7 +222,7 @@ type Tenant struct {
 	residentGauge *obs.Gauge
 	// allocObjects and allocLocks are lp_heap_allocations_total and
 	// lp_heap_alloc_shard_locks_total: their ratio is the allocator's
-	// shard-lock acquisitions per object, readable without a profiler. The
+	// free-list lock acquisitions per object, readable without a profiler. The
 	// budget prober advances them by what the session VM's heap counted
 	// since its last look (allocSeen, under allocMu); a restarted session's
 	// heap starts again from zero.
@@ -248,7 +248,7 @@ func newTenant(s *Server, cfg TenantConfig) (*Tenant, error) {
 	t.allocObjects = s.reg().NewCounter("lp_heap_allocations_total",
 		"objects allocated in the tenant's heap", obs.L("tenant", cfg.Name))
 	t.allocLocks = s.reg().NewCounter("lp_heap_alloc_shard_locks_total",
-		"allocator shard-mutex acquisitions made to allocate them", obs.L("tenant", cfg.Name))
+		"allocator free-list lock acquisitions made to allocate them", obs.L("tenant", cfg.Name))
 	t.queueWait = s.reg().NewHistogram("lp_request_queue_wait_ns",
 		"time requests spent queued in the tenant pipeline", obs.LatencyBucketsNs,
 		obs.L("tenant", cfg.Name))

@@ -8,10 +8,9 @@ import (
 )
 
 // requestShapedIDs runs the leakd request shape — one short-lived thread
-// per request, each starting on the next allocator shard — with forced
-// collections in between, and returns every object ID the threads were
-// handed. The first request allocates once and exits: what it leaves behind
-// decides the very next ID.
+// per request — with forced collections in between, and returns every
+// object ID the threads were handed. The first request allocates once and
+// exits: what it leaves behind decides the very next ID.
 func requestShapedIDs(t *testing.T) []heap.ObjectID {
 	t.Helper()
 	v := New(Options{HeapLimit: 1 << 20, EnableBarriers: true, GCWorkers: 1})
@@ -41,10 +40,10 @@ func requestShapedIDs(t *testing.T) []heap.ObjectID {
 	return ids
 }
 
-// TestRequestShapedIDsMatchParent pins the IDs above to the list the
-// allocator produced before contexts held slot runs (one slot popped per
-// allocation): a thread that exits returns its unused slots in the order
-// that makes the next thread's first ID the one it would have got.
+// TestRequestShapedIDsMatchParent pins the IDs above to a list printed at
+// an earlier commit: a thread that exits returns its unused slots in the
+// order that makes the next thread's first ID the one a slot-at-a-time
+// allocator would have handed out.
 func TestRequestShapedIDsMatchParent(t *testing.T) {
 	got := fmt.Sprint(requestShapedIDs(t))
 	if got != requestShapedGolden {
@@ -59,8 +58,8 @@ func TestFlushOrderIsDeterministic(t *testing.T) {
 	run := func() string {
 		v := New(Options{HeapLimit: 1 << 20, EnableBarriers: true, GCWorkers: 1})
 		node := v.DefineClass("Node", 1, 24)
-		// Pile free slots into one shard first, so the three threads below
-		// all draw their runs from it and their flushes touch one free list.
+		// Pile free slots onto the free list first, so the three threads
+		// below draw their runs from recycled slots, not fresh carves.
 		if err := v.RunThread("seed", func(th *Thread) {
 			for i := 0; i < 600; i++ {
 				th.New(node)
@@ -232,7 +231,7 @@ func TestFinalizerTableFastOut(t *testing.T) {
 	}
 }
 
-// requestShapedGolden was printed by requestShapedIDs at the parent commit.
+// requestShapedGolden was printed by requestShapedIDs.
 const requestShapedGolden = "[" +
 	"1 2 3 4 4 3 2 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 " +
 	"22 23 24 25 26 27 28 29 30 31 32 33 34 35 36 37 38 39 40 41 42 41 40 39 " +
@@ -240,10 +239,10 @@ const requestShapedGolden = "[" +
 	"14 13 12 11 10 9 8 7 6 5 4 3 2 1 43 44 45 46 47 48 49 50 51 52 " +
 	"53 54 55 56 57 58 59 60 61 62 63 64 65 66 67 68 69 70 71 72 73 74 75 76 " +
 	"77 78 79 80 81 82 83 84 85 86 87 88 89 90 91 92 93 94 95 96 97 98 99 100 " +
-	"101 102 103 104 105 106 107 108 109 110 111 64 63 62 61 60 59 58 57 56 55 54 53 52 " +
-	"51 50 49 48 47 46 45 44 43 41 40 39 38 37 36 35 34 33 32 31 30 29 28 27 " +
-	"26 25 24 23 22 21 20 19 18 17 16 15 14 13 12 11 10 9 8 7 6 5 4 3 " +
-	"2 1 111 110 109 63 62 61 60 59 58 57 56 55 54 53 52 51 50 49 48 47 46 45 " +
-	"44 43 42 41 40 39 38 37 36 35 34 33 32 31 30 29 28 27 26 25 24 23 22 21 " +
-	"20 19" +
+	"101 102 103 104 105 106 107 108 109 110 111 111 110 109 108 107 106 105 104 103 102 101 100 99 " +
+	"98 97 96 95 94 93 92 91 90 89 88 87 86 85 84 83 82 81 80 79 78 77 76 75 " +
+	"74 73 72 71 70 69 68 67 66 65 64 63 62 61 60 59 58 57 56 55 54 53 52 51 " +
+	"50 49 48 47 46 110 109 108 107 106 105 104 103 102 101 100 99 98 97 96 95 94 93 92 " +
+	"91 90 89 88 87 86 85 84 83 82 81 80 79 78 77 76 75 74 73 72 71 70 69 68 " +
+	"67 66" +
 	"]"

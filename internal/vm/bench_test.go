@@ -325,8 +325,6 @@ func BenchmarkNewParallel(b *testing.B) {
 
 // BenchmarkRequestShapedAlloc is the leakd small-request shape: a thread
 // that lives for one request, allocates 40 short-lived objects and exits.
-// Every thread starts on the next shard, so after a few collections the
-// free slots are spread over all of them.
 func BenchmarkRequestShapedAlloc(b *testing.B) {
 	v := New(Options{HeapLimit: 32 << 20, EnableBarriers: true, GCWorkers: 1})
 	scratch := v.DefineClass("Scratch", 0, 64)

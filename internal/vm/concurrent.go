@@ -91,7 +91,7 @@ func (v *VM) collectConcurrent() gc.Result {
 	}()
 
 	// Concurrent sweep: unmarked objects are unreachable (the SATB
-	// argument), so reclaiming them under the shard locks is invisible to
+	// argument), so reclaiming them under the free-list lock is invisible to
 	// mutators. Finalizers run here, outside any pause.
 	cy.Sweep()
 

@@ -563,7 +563,7 @@ func (v *VM) maybeCollect() {
 }
 
 // flushTLABs returns every thread's unused slots, pending allocation counts
-// and unused byte reservation to the heap, making the heap's free lists,
+// and unused byte reservation to the heap, making the heap's free list,
 // Stats and BytesUsed exact for the collection about to run. Caller has
 // stopped the world, so no context is in use.
 func (v *VM) flushTLABs() { v.heap.ReleaseContexts(v.allocContexts()) }
